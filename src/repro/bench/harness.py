@@ -140,7 +140,11 @@ def run_column_wise_experiment(
     if lm is not None and hasattr(lm, "wait_count"):
         lock_waits = lm.wait_count
     phases = max(o.phases for o in result.outcomes)
-    extra = {"wall_seconds": wall_seconds}
+    extra = {
+        "wall_seconds": wall_seconds,
+        "switches": result.spmd.switches,
+        "scheduler_returns": result.spmd.scheduler_returns,
+    }
     selected = None
     decision = getattr(strat, "last_decision", None)
     if decision is not None:

@@ -76,7 +76,9 @@ def run_scalability_smoke(
         f"({SCALE_M}x{SCALE_N}) in {wall:.2f}s wall "
         f"(budget {budget_seconds:.0f}s), virtual makespan "
         f"{record.makespan_seconds:.4f}s, atomic="
-        f"{'yes' if record.atomic_ok else 'NO'}"
+        f"{'yes' if record.atomic_ok else 'NO'}, engine switches="
+        f"{record.extra['switches']}, scheduler_returns="
+        f"{record.extra['scheduler_returns']}"
     )
     if not record.atomic_ok:
         print("FAIL: atomicity violated")

@@ -12,10 +12,30 @@ task code and is reproduced bit-for-bit run after run.
 Tasks are plain synchronous callables.  Each task is carried by a suspended
 OS thread (greenlet-style switching without the dependency): the thread
 exists only so the task's call stack can be frozen mid-call; it never runs
-concurrently with another task or with the scheduler, and all handoffs are
-two semaphore operations.  Thousands of ranks are therefore cheap — parked
-threads cost only their (small) stacks, and wall-clock time is spent on the
-simulated work, not on lock contention.
+concurrently with another task or with the scheduler.  Thousands of ranks
+are therefore cheap — parked threads cost only their (small) stacks, and
+wall-clock time is spent on the simulated work, not on lock contention.
+
+Switch protocol
+---------------
+
+Every thread parks on a raw ``_thread`` lock of its own, held while its
+owner runs or is parked — a task on ``Task._resume``, an idle carrier on
+``_Carrier._work``, the thread inside :meth:`Engine.run` on
+``Engine._sched`` — and releasing it transfers control to the owner.  The
+task that stops running (in ``wait``, at a yielding ``sequence``, at the end
+of its body) *itself* pops the next ready task off the heap and releases
+that task's lock before parking on its own: one OS-thread switch per event
+(:attr:`Engine.switches`).  The thread in ``run`` is a watchdog; control
+returns to it (:attr:`Engine.scheduler_returns`) only when
+
+1. the ready heap is empty (completion, or deadlock-victim selection);
+2. a task ended ``FAILED``: ``on_task_failed`` aborts the communicator
+   group, which must be done before any peer executes another statement,
+   so the hook runs in scheduler context, between events;
+3. the stopping task is being cancelled (``_cancel`` awaits its victim);
+4. the engine is aborted (nothing may be resumed any more);
+5. its timed acquire of ``_sched`` hits the wall-clock deadline.
 
 Primitives
 ----------
@@ -46,6 +66,7 @@ import itertools
 import threading
 import time
 import traceback
+from _thread import allocate_lock
 from typing import Any, Callable, List, Optional
 
 from ..mpi.clock import VirtualClock
@@ -90,6 +111,13 @@ class TaskCancelled(BaseException):
     """
 
 
+def _held_lock():
+    """A raw lock created held: acquiring it again parks, a release resumes."""
+    lock = allocate_lock()
+    lock.acquire()
+    return lock
+
+
 def current_task() -> Optional["Task"]:
     """The engine task executing on this thread, or ``None`` outside one."""
     return getattr(_tls, "task", None)
@@ -98,25 +126,27 @@ def current_task() -> Optional["Task"]:
 def sequence_point() -> None:
     """Yield to the scheduler if an earlier-keyed task is ready (no-op
     outside an engine task)."""
-    task = current_task()
+    task = getattr(_tls, "task", None)
     if task is not None:
-        task.engine.sequence(task)
+        ready = task.engine._ready
+        if ready and ready[0] < (task.clock.now, task.tid):
+            task.engine.sequence(task)
 
 
 class _Carrier:
     """A reusable parked OS thread that executes tasks one at a time.
 
     The thread loops: wait for a task assignment, run the task to
-    completion (the task body ends by yielding to the scheduler), then
-    return to the shared pool for the next assignment.  A carrier only ever
-    runs while its current task is the engine's running task, so recycling
-    never introduces concurrency — it only skips the thread create/destroy.
+    completion, hand control on, then return to the shared pool for the
+    next assignment.  A carrier only ever runs while its current task is the
+    engine's running task, so recycling never introduces concurrency — it
+    only skips the thread create/destroy.
     """
 
     __slots__ = ("thread", "_work", "_task")
 
     def __init__(self) -> None:
-        self._work = threading.Semaphore(0)
+        self._work = _held_lock()
         self._task: Optional["Task"] = None
         old_stack = threading.stack_size(_TASK_STACK_BYTES)
         try:
@@ -127,20 +157,16 @@ class _Carrier:
         finally:
             threading.stack_size(old_stack)
 
-    def assign(self, task: "Task") -> None:
-        self._task = task
-        self._work.release()
-
     def _loop(self) -> None:
         while True:
             self._work.acquire()
-            task = self._task
-            task._main()
-            # The scheduler was already released inside _main; from here the
-            # carrier only touches its own state and the locked pool.
-            self._task = None
-            _tls.task = None
-            if not _carrier_pool.release(self):
+            handoff = self._task._main()
+            # Drop the finished task *before* control moves on: a parked
+            # carrier must not pin it (and through it the whole run's state).
+            self._task = _tls.task = None
+            pooled = _carrier_pool.release(self)
+            handoff.release()
+            if not pooled:
                 return
 
 
@@ -221,7 +247,7 @@ class Task:
         self.traceback_text: Optional[str] = None
         self.deadlocked = False
         self._thread: Optional[threading.Thread] = None
-        self._resume = threading.Semaphore(0)
+        self._resume = _held_lock()
         self._wake_value: Any = None
         self._throw_exc: Optional[BaseException] = None
         self._cancel_exc: Optional[BaseException] = None
@@ -241,7 +267,8 @@ class Task:
 
     # -- carrier-thread body --------------------------------------------------
 
-    def _main(self) -> None:
+    def _main(self):
+        """Run the body; return the lock whose release hands control on."""
         _tls.task = self
         try:
             self.result = self.fn()
@@ -256,8 +283,9 @@ class Task:
             )
         else:
             self.state = Task.DONE
-        finally:
-            self.engine._yield_to_scheduler()
+        # The closure is what captures the rank's heavy state.
+        self.fn = None
+        return self.engine._next(self)
 
 
 class Engine:
@@ -274,8 +302,12 @@ class Engine:
         #: Snapshot (at the deadline) of tasks that had not finished.
         self.unfinished: List[Task] = []
         self._ready: List = []  # heap of (time, tid, Task)
+        #: Transfers of control to a different task / back to :meth:`run`.
+        self.switches = 0
+        self.scheduler_returns = 0
         self._running: Optional[Task] = None
-        self._yield_sem = threading.Semaphore(0)
+        self._failed: Optional[Task] = None
+        self._sched = _held_lock()
         self._started = False
         self._aborted = False
         self._tids = itertools.count()
@@ -321,9 +353,7 @@ class Engine:
             raise TaskCancelled(f"engine {self.name!r} aborted")
         task.state = Task.BLOCKED
         task.wait_reason = reason
-        self._yield_to_scheduler()
-        task._resume.acquire()
-        return self._on_resumed(task)
+        return self._switch(task)
 
     def wake(self, task: Task, value: Any = None, at: Optional[float] = None) -> None:
         """Make a blocked task ready; schedule it at virtual time ``at``
@@ -372,14 +402,15 @@ class Engine:
         ordering — rather than the order tasks happened to run in.
         """
         task = task if task is not None else self._require_current()
-        while self._ready and (self._ready[0][0], self._ready[0][1]) < task.sort_key():
+        ready = self._ready
+        # A heap entry is (time, tid, task): against a (time, tid) key the
+        # comparison is decided by the first two fields, tids being unique.
+        while ready and ready[0] < (task.clock.now, task.tid):
             if self._aborted or task._cancelling:
                 raise TaskCancelled(f"engine {self.name!r} aborted")
             task.state = Task.READY
-            heapq.heappush(self._ready, (task.clock.now, task.tid, task))
-            self._yield_to_scheduler()
-            task._resume.acquire()
-            self._on_resumed(task)
+            heapq.heappush(ready, (task.clock.now, task.tid, task))
+            self._switch(task)
 
     # -- the scheduler loop ------------------------------------------------------
 
@@ -423,19 +454,11 @@ class Engine:
                     self._expire(grace)
                     return
                 continue
-            self._running = task
-            task.state = Task.RUNNING
-            if task._thread is None:
-                self._start_thread(task)
-            else:
-                task._resume.release()
+            self._activate(task).release()
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
-            if not self._yield_sem.acquire(timeout=remaining):
+            if not self._regain(remaining):
                 self._expire(grace)
                 return
-            self._running = None
-            if task.state == Task.FAILED and self.on_task_failed is not None:
-                self.on_task_failed(task)
 
     # -- internals --------------------------------------------------------------
 
@@ -445,8 +468,51 @@ class Engine:
             raise EngineError("primitive called outside a task of this engine")
         return task
 
-    def _yield_to_scheduler(self) -> None:
-        self._yield_sem.release()
+    def _switch(self, task: Task) -> Any:
+        """Stop running ``task``: hand control on, park until resumed."""
+        handoff = self._next(task)
+        if handoff is not None:
+            handoff.release()
+            task._resume.acquire()
+        return self._on_resumed(task)
+
+    def _next(self, prev: Task):
+        """Called by ``prev`` as it stops: the lock whose release transfers
+        control — the next ready task's, or the scheduler's (module docstring)
+        — or ``None`` when ``prev`` is itself next and need not park."""
+        if prev.state == Task.FAILED:
+            self._failed = prev
+        elif not (self._aborted or prev._cancelling):
+            task = self._pop_ready()
+            if task is prev:
+                task.state = Task.RUNNING
+                return None
+            if task is not None:
+                self.switches += 1
+                return self._activate(task)
+        self._running = None
+        self.scheduler_returns += 1
+        return self._sched
+
+    def _activate(self, task: Task):
+        """Mark ``task`` running; return the lock that resumes (or starts) it."""
+        self._running = task
+        task.state = Task.RUNNING
+        if task._thread is not None:
+            return task._resume
+        carrier = _carrier_pool.acquire()
+        task._thread = carrier.thread
+        carrier._task = task
+        return carrier._work
+
+    def _regain(self, timeout: Optional[float]) -> bool:
+        """Scheduler side: await control, then run the failure hook first."""
+        if not self._sched.acquire(True, -1 if timeout is None else timeout):
+            return False
+        failed, self._failed = self._failed, None
+        if failed is not None and self.on_task_failed is not None:
+            self.on_task_failed(failed)
+        return True
 
     def _on_resumed(self, task: Task) -> Any:
         if task._cancel_exc is not None:
@@ -473,11 +539,6 @@ class Engine:
                 return task
         return None
 
-    def _start_thread(self, task: Task) -> None:
-        carrier = _carrier_pool.acquire()
-        task._thread = carrier.thread
-        carrier.assign(task)
-
     def _cancel(self, task: Task, exc: TaskCancelled,
                 wait_timeout: Optional[float] = None) -> bool:
         """Synchronously unwind a blocked task (scheduler context only).
@@ -495,15 +556,10 @@ class Engine:
             return True
         task._cancelling = True
         task._cancel_exc = exc
-        task.state = Task.RUNNING
-        self._running = task
-        task._resume.release()
-        if not self._yield_sem.acquire(timeout=wait_timeout):
+        self._activate(task).release()
+        if not self._regain(wait_timeout):
             self._aborted = True
             return False
-        self._running = None
-        if task.state == Task.FAILED and self.on_task_failed is not None:
-            self.on_task_failed(task)
         return True
 
     def _expire(self, grace: float) -> None:
@@ -520,5 +576,5 @@ class Engine:
         # a short grace period to unwind; parked tasks stay parked on their
         # daemon carrier threads.
         if self._running is not None:
-            self._yield_sem.acquire(timeout=max(0.0, grace))
+            self._sched.acquire(True, max(0.0, grace))
             self._running = None

@@ -52,10 +52,15 @@ class SPMDResult:
     clocks:
         Per-rank virtual clocks as they stood when the rank function
         returned; ``max(c.now for c in clocks)`` is the virtual makespan.
+    switches, scheduler_returns:
+        The engine's deterministic hand-off counters for the run (zero for
+        results not produced on the event engine).
     """
 
     returns: List[Any]
     clocks: List[VirtualClock]
+    switches: int = 0
+    scheduler_returns: int = 0
 
     @property
     def nprocs(self) -> int:
@@ -223,4 +228,9 @@ def run_spmd(
 
     if failures:
         raise SPMDExecutionError(failures, tracebacks)
-    return SPMDResult(returns=[t.result for t in tasks], clocks=list(group.clocks))
+    return SPMDResult(
+        returns=[t.result for t in tasks],
+        clocks=list(group.clocks),
+        switches=engine.switches,
+        scheduler_returns=engine.scheduler_returns,
+    )

@@ -220,6 +220,14 @@ class TestUpdateBaselineRefusal:
         monkeypatch.setattr(
             perfgate, "measure_multitenant", lambda: ({}, [])
         )
+        # Every measure main() calls is stubbed: these are unit tests of the
+        # baseline-update policy and must not run a real sweep.
+        read_exp = perfgate.ADAPTIVE_READ_PREFIX + "testfs-column-wise"
+        monkeypatch.setattr(
+            perfgate, "measure_adaptive_read",
+            lambda: {read_exp: adaptive_point(0.9, 1.0)},
+        )
+        monkeypatch.setattr(perfgate, "measure_pipeline", lambda: ({}, []))
         return baseline
 
     def test_passing_tree_updates_then_gates_green(self, monkeypatch, tmp_path):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
+import weakref
 
 import pytest
 
@@ -11,10 +14,14 @@ from repro.core.engine import (
     EngineError,
     Task,
     TaskCancelled,
+    _carrier_pool,
     current_task,
     sequence_point,
 )
+from repro.mpi import run_spmd
 from repro.mpi.clock import VirtualClock
+from repro.mpi.comm import _CommGroup
+from repro.mpi.runtime import spawn_world
 
 
 class TestBasicExecution:
@@ -261,3 +268,157 @@ class TestDeterminism:
             return log
 
         assert run_once() == run_once()
+
+
+class TestDirectDispatch:
+    """The stopping task hands control to the next one itself; the thread in
+    ``run`` is only a watchdog.  Asserted on the engine's two deterministic
+    counters, never on a clock."""
+
+    P, ROUNDS = 32, 10
+
+    def _yields_and_barriers(self):
+        engine = Engine()
+        group = _CommGroup(self.P, engine=engine)
+
+        def fn(comm):
+            for _ in range(self.ROUNDS):
+                comm.clock.advance(1.0)
+                sequence_point()  # forced: every peer is still a second behind
+            for _ in range(self.ROUNDS):
+                comm.barrier()
+
+        spawn_world(engine, group, fn)
+        engine.run()
+        assert all(t.state == Task.DONE for t in engine.tasks)
+        return engine.switches, engine.scheduler_returns
+
+    def test_switch_counts_are_analytic_and_repeat(self):
+        switches, returns = self._yields_and_barriers()
+        # One switch per forced yield, one per non-last barrier arrival, one
+        # per task exit but the last — which is the only return to run().
+        P, R = self.P, self.ROUNDS
+        assert switches == R * P + R * (P - 1) + (P - 1)
+        assert returns <= 2
+        assert self._yields_and_barriers() == (switches, returns)
+
+    def test_failure_hook_runs_before_any_peer_resumes(self):
+        engine = Engine()
+        log = []
+        engine.on_task_failed = lambda task: log.append(("hook", task.tid))
+
+        def culprit():
+            current_task().clock.advance(1.0)
+            sequence_point()  # resumed later, mid-chain, by a peer
+            raise RuntimeError("mid-chain")
+
+        def peer():
+            current_task().clock.advance(2.0)
+            sequence_point()
+            log.append(("peer", current_task().tid))
+
+        engine.spawn(culprit)
+        engine.spawn(peer)
+        engine.spawn(peer)
+        engine.run()
+        assert log == [("hook", 0), ("peer", 1), ("peer", 2)]
+        assert engine.scheduler_returns == 2  # the failure, then completion
+
+    def test_timeout_interrupts_a_chain_that_never_returns(self):
+        engine = Engine()
+
+        def spin():
+            clock = current_task().clock
+            while True:
+                clock.advance(1.0)
+                sequence_point()
+
+        tasks = [engine.spawn(spin) for _ in range(4)]
+        engine.run(timeout=0.2, grace=0.05)
+        assert engine.timed_out
+        assert sorted(t.tid for t in engine.unfinished) == [0, 1, 2, 3]
+        # Whoever ran at the deadline dies at its next primitive — the only
+        # return to run(); the others stay parked and are never resumed.
+        deadline = time.monotonic() + 5.0
+        while engine.scheduler_returns == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert engine.scheduler_returns == 1
+        states = sorted(t.state for t in tasks)
+        assert states == [Task.CANCELLED] + [Task.READY] * 3
+        (victim,) = [t for t in tasks if t.state == Task.CANCELLED]
+        assert isinstance(victim.error, TaskCancelled)
+
+    def test_deadlock_victims_cancelled_in_time_then_id_order(self):
+        engine = Engine()
+        unwound = []
+
+        def stuck(now):
+            def fn():
+                try:
+                    engine.wait("never")
+                finally:
+                    unwound.append(current_task().tid)
+
+            return engine.spawn(fn, clock=VirtualClock(now=now))
+
+        tasks = [stuck(5.0), stuck(1.0), stuck(5.0), stuck(0.5)]
+        engine.run()
+        assert unwound == [3, 1, 0, 2]
+        assert all(t.state == Task.CANCELLED and t.deadlocked for t in tasks)
+
+    def test_task_spawned_mid_run_is_started_by_the_yielding_task(self):
+        engine = Engine()
+        seen = []
+
+        def parent():
+            me = current_task()
+
+            def progress():
+                seen.append((engine.switches, engine.scheduler_returns,
+                             threading.current_thread() is not me._thread))
+                engine.wake(me, "done")
+
+            engine.spawn(progress, detached=True)
+            return engine.wait("progress")
+
+        task = engine.spawn(parent)
+        engine.run()
+        assert task.result == "done"
+        # parent -> progress and progress -> parent are switches; the
+        # scheduler is not involved until the very end.
+        assert seen == [(1, 0, True)]
+        assert (engine.switches, engine.scheduler_returns) == (2, 1)
+
+    def test_sequence_past_stale_entries_resumes_itself_without_parking(self):
+        engine = Engine()
+
+        def fn():
+            me = current_task()
+            me.clock.advance(1.0)
+            ghost = engine.spawn(lambda: None)  # ready at t=0: earlier than me
+            ghost.state = Task.CANCELLED  # ... and cancelled before it ran
+            sequence_point()
+            return engine.switches, engine.scheduler_returns
+
+        task = engine.spawn(fn)
+        engine.run()
+        assert task.state == Task.DONE
+        assert task.result == (0, 0)
+        assert engine.scheduler_returns == 1
+
+
+class TestCarrierRetention:
+    def test_finished_run_is_collectable_while_carriers_stay_parked(self):
+        engines = []
+
+        def fn(comm):
+            engines.append(weakref.ref(current_task().engine))
+            comm.barrier()
+            return bytearray(1 << 16)
+
+        result = run_spmd(fn, 8)
+        del result
+        gc.collect()
+        assert len(engines) == 8 and all(ref() is None for ref in engines)
+        parked = [carrier.thread for carrier in _carrier_pool._idle]
+        assert len(parked) >= 8 and all(t.is_alive() for t in parked)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import MAX, MIN, PROD, SUM, LAND, LOR, SPMDExecutionError, run_spmd
+from repro.mpi.cost import _Volume, payload_nbytes
 from repro.mpi.errors import CollectiveMismatchError, CommunicatorError
 
 
@@ -244,3 +245,40 @@ class TestCollectiveSafety:
         result = run_spmd(fn, 4)
         slowest = 0.1 * 3
         assert all(t >= slowest for t in result.returns)
+
+
+def _reference_payload_nbytes(obj):
+    """The definition the fast paths of ``payload_nbytes`` must agree with."""
+    if obj is None:
+        return 0
+    nbytes = getattr(obj, "nbytes", None)
+    if nbytes is not None:
+        return int(nbytes)
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return len(obj)
+    if isinstance(obj, (list, tuple)):
+        return sum(_reference_payload_nbytes(item) for item in obj)
+    if isinstance(obj, dict):
+        return sum(_reference_payload_nbytes(value) for value in obj.values())
+    return 0
+
+
+class TestPayloadNbytes:
+    def test_fast_paths_count_what_the_reference_counts(self):
+        class Sized(tuple):
+            nbytes = 1000  # a tuple subclass exposing nbytes counts by it
+
+        arr = np.arange(12, dtype=np.int64)
+        payloads = [
+            None, b"", b"abc", bytearray(b"abcd"), memoryview(arr), arr, arr[::2],
+            _Volume(77), 5, "text", [], (), {},
+            [b"ab", b"cde"], (b"ab", None, b"c"), [bytearray(3), b"x"],
+            [[b"ab", [b"c", (b"de", arr)]], None, _Volume(5)],
+            {0: b"ab", 1: [b"cd", arr], 2: {"k": _Volume(9)}},
+            [(0, 8, b"12345678"), (8, 4, b"1234")],
+            Sized((b"ab", b"cd")), [Sized((b"ab",)), b"z"],
+        ]
+        for payload in payloads:
+            assert payload_nbytes(payload) == _reference_payload_nbytes(payload), payload
+        assert payload_nbytes([b"ab", b"cde"]) == 5
+        assert payload_nbytes(Sized((b"ab", b"cd"))) == 1000

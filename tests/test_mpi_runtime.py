@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import current_task, sequence_point
+from repro.datatypes import CHAR, contiguous
+from repro.io import MPIFile
 from repro.mpi import (
     ANY_SOURCE,
     ANY_TAG,
@@ -13,7 +16,12 @@ from repro.mpi import (
     run_spmd,
     synchronize_clocks,
 )
-from repro.mpi.errors import DeadlockError, RankError, TagError
+from repro.mpi.errors import (
+    CollectiveAbortedError,
+    DeadlockError,
+    RankError,
+    TagError,
+)
 
 
 class TestRunSPMD:
@@ -161,6 +169,34 @@ class TestFailureReporting:
         # carry their own (different) failure entries, not rank 0's.
         assert "dead" in err.traceback_of(0)
 
+    def test_rank_failing_mid_chain_aborts_before_any_peer_runs_on(self):
+        """Ranks hand control to each other directly; a failure must still
+        reach the abort hook before any peer executes another statement."""
+        log = []
+
+        def fn(comm):
+            if comm.rank == 2:
+                comm.clock.advance(1.0)
+                sequence_point()  # yields to rank 3, resumed by it later
+                raise ValueError("boom")
+            if comm.rank == 3:
+                comm.clock.advance(5.0)
+                sequence_point()  # ready, not in the rendezvous, at the failure
+                log.append("rank 3 resumed")
+            comm.barrier()
+            log.append(f"rank {comm.rank} passed the barrier")
+
+        with pytest.raises(SPMDExecutionError) as excinfo:
+            run_spmd(fn, 4)
+        err = excinfo.value
+        assert isinstance(err.failures[2], ValueError)
+        for peer in (0, 1, 3):
+            assert isinstance(err.failures[peer], CollectiveAbortedError)
+            assert "raise ValueError" not in err.traceback_of(peer)
+        assert "raise ValueError" in err.traceback_of(2)
+        # Rank 3 found the group already aborted at its very next statement.
+        assert log == ["rank 3 resumed"]
+
     def test_long_rank_lists_truncated_in_message(self):
         def fn(comm):
             raise ValueError(f"r{comm.rank}")
@@ -170,6 +206,23 @@ class TestFailureReporting:
         message = str(excinfo.value)
         assert "more)" in message
         assert len(excinfo.value.failures) == 40
+
+
+class TestProgressTasks:
+    def test_nonblocking_collective_never_returns_to_the_scheduler(self, fast_fs):
+        """The detached progress tasks ``Iwrite_all`` spawns mid-run are
+        started by whichever rank yields next, not by the thread in ``run``."""
+
+        def fn(comm):
+            f = MPIFile.Open(comm, "progress.dat", fast_fs)
+            f.Set_view(comm.rank * 8, CHAR, contiguous(8, CHAR))
+            f.Iwrite_all(bytes([65 + comm.rank]) * 8).Wait()
+            f.Close()
+            engine = current_task().engine
+            assert sum(task.detached for task in engine.tasks) == comm.size
+            return engine.scheduler_returns
+
+        assert run_spmd(fn, 4).returns == [0, 0, 0, 0]
 
 
 class TestDeadlockDetection:
