@@ -436,7 +436,14 @@ class Engine:
             if task is None:
                 blocked = [t for t in self.tasks if t.state == Task.BLOCKED]
                 if not blocked:
-                    break
+                    # Complete.  Break the engine <-> task and engine -> hook
+                    # -> communicator group -> engine cycles, so the run's
+                    # state is freed by reference counting, not whenever the
+                    # cyclic collector next looks.
+                    self.on_task_failed = None
+                    for t in self.tasks:
+                        t.engine = None
+                    return
                 # No runnable task, blocked tasks remain: the run cannot make
                 # progress.  Cancel the earliest-keyed blocked task; its
                 # unwinding (lock releases, ...) may make others runnable, so

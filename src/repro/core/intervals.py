@@ -151,6 +151,14 @@ def _normalise_arrays(
     return starts[heads], running[ends]
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + c) for s, c in zip(starts, counts)])``
+    without the loop — the index form of a batch of ranges."""
+    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    out += np.arange(len(out), dtype=np.int64)
+    return out
+
+
 def clip_many(
     a_starts: np.ndarray,
     a_stops: np.ndarray,
@@ -159,8 +167,12 @@ def clip_many(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Clip every query run ``a`` against sorted disjoint runs ``b`` at once.
 
-    ``b`` must be normalised (file-ordered, disjoint, non-adjacent); the
-    query runs ``a`` may be in any order and are processed independently.
+    ``b`` must be file-ordered and disjoint; its runs may touch (the
+    half-open bisection sends a query ending exactly on a boundary to the run
+    before it and one starting there to the run after, so the elementary runs
+    of :func:`repro.core.overlap.coverage_runs` — which tile the file — are a
+    valid ``b``).  The query runs ``a`` may be in any order and are processed
+    independently.
     Returns ``(a_idx, b_idx, lo, hi)`` — one row per non-empty intersection
     of query ``a_idx`` with run ``b_idx`` — grouped by query in input order,
     ascending in file offset within each query.  This is the vectorized form
@@ -178,8 +190,7 @@ def clip_many(
     if total == 0:
         return _EMPTY, _EMPTY, _EMPTY, _EMPTY
     a_idx = np.repeat(np.arange(len(a_starts), dtype=np.int64), counts)
-    bases = np.cumsum(counts) - counts
-    b_idx = np.arange(total, dtype=np.int64) - bases[a_idx] + first[a_idx]
+    b_idx = _ranges(first, counts)
     lo = np.maximum(a_starts[a_idx], b_starts[b_idx])
     hi = np.minimum(a_stops[a_idx], b_stops[b_idx])
     nonempty = lo < hi
@@ -235,8 +246,8 @@ def clip_sorted_runs(
     ``starts``/``stops`` describe runs ``[starts[i], stops[i])`` in ascending
     file order.  Yields ``(lo, hi, i)`` for every non-empty intersection of
     the query with run ``i``, found by bisection — the routing sweep shared
-    by the two-phase shuffle/scatter, stream assembly and the read-atomicity
-    verifier's stream images.  (:func:`clip_many` is the batch form.)
+    by the two-phase shuffle/scatter and stream assembly.  (:func:`clip_many`
+    is the batch form.)
     """
     idx = max(bisect_right(starts, qstart) - 1, 0)
     n = len(starts)

@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .intervals import IntervalSet, merge_interval_sets
+from .intervals import IntervalSet, _ranges, merge_interval_sets
 from .regions import FileRegionSet
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "build_overlap_matrix",
     "pairwise_overlap_regions",
     "overlapped_bytes_total",
+    "coverage_runs",
     "conflict_free_groups_are_disjoint",
 ]
 
@@ -95,34 +96,62 @@ class OverlapMatrix:
         return self.matrix.astype(np.int8)
 
 
+def _flatten(
+    regions: Sequence[FileRegionSet],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All coverage intervals of all ranks as flat ``(starts, stops, ranks)``
+    arrays, rank by rank (one array append per rank, no sort)."""
+    covs = [(r.coverage, r.rank) for r in regions if len(r.coverage.starts)]
+    if not covs:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    return (
+        np.concatenate([cov.starts for cov, _ in covs]),
+        np.concatenate([cov.stops for cov, _ in covs]),
+        np.repeat(
+            np.array([rank for _, rank in covs], dtype=np.int64),
+            [len(cov.starts) for cov, _ in covs],
+        ),
+    )
+
+
 def _flatten_sorted(
     regions: Sequence[FileRegionSet],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All coverage intervals of all ranks, as flat arrays sorted by start.
-
-    Returns ``(starts, stops, ranks)``.  Each rank's own coverage is already
-    normalised (disjoint, file-ordered), so the concatenation is one array
-    append per rank and the only sort is the global one.
-    """
-    parts_s: List[np.ndarray] = []
-    parts_e: List[np.ndarray] = []
-    parts_r: List[np.ndarray] = []
-    for region in regions:
-        cov = region.coverage
-        k = len(cov.starts)
-        if not k:
-            continue
-        parts_s.append(cov.starts)
-        parts_e.append(cov.stops)
-        parts_r.append(np.full(k, region.rank, dtype=np.int64))
-    if not parts_s:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
-    starts = np.concatenate(parts_s)
-    stops = np.concatenate(parts_e)
-    ranks = np.concatenate(parts_r)
+    """:func:`_flatten`, sorted by start (each rank's own coverage is already
+    normalised, so the only sort is the global one)."""
+    starts, stops, ranks = _flatten(regions)
     order = np.lexsort((stops, starts))
     return starts[order], stops[order], ranks[order]
+
+
+def coverage_runs(
+    regions: Sequence[FileRegionSet],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Cut the file at every view boundary: the coverage-run kernel.
+
+    Returns ``(bounds, depth, ptr, ranks)``.  ``bounds`` holds the sorted
+    distinct interval end points; elementary run ``i`` is
+    ``[bounds[i], bounds[i + 1])``, the maximal range over which the set of
+    covering ranks is constant.  ``depth[i]`` is the size of that set (0 for a
+    gap between views) and ``ranks[ptr[i]:ptr[i + 1]]`` lists it, ascending —
+    a CSR over the runs.  This is the granularity at which MPI atomicity is
+    decided, and at which rank ordering picks a winner.
+
+    One ``unique`` over the ``2E`` end points, one bisection per interval end,
+    and one ``lexsort`` of the ``R`` emitted (run, rank) entries:
+    ``O(E log E + R log R)`` with no Python loop over intervals.
+    """
+    starts, stops, owner = _flatten(regions)
+    bounds = np.unique(np.concatenate((starts, stops)))
+    first = np.searchsorted(bounds, starts)
+    counts = np.searchsorted(bounds, stops) - first
+    run = _ranges(first, counts)
+    ranks = np.repeat(owner, counts)
+    order = np.lexsort((ranks, run))
+    depth = np.bincount(run, minlength=max(len(bounds) - 1, 0))
+    ptr = np.concatenate(([0], np.cumsum(depth)))
+    return bounds, depth, ptr, ranks[order]
 
 
 def _overlapping_interval_pairs(

@@ -24,6 +24,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from .intervals import IntervalSet, merge_interval_sets
+from .overlap import coverage_runs
 from .regions import FileRegionSet
 
 __all__ = [
@@ -129,11 +130,12 @@ def surrendered_bytes_by_priority(
     some strictly-higher-priority rank (ties break towards the lower rank, as
     everywhere else) — exactly the counts :func:`resolve_by_rank` reports,
     but computed as one winner sweep instead of ``P`` incremental set unions:
-    the file is cut at every interval boundary into elementary segments, each
-    rank paints its segments in *ascending* priority order (so the winner's
-    paint lands last), and each rank then surrenders everything it covers
-    minus what it won.  This is the form the two-phase negotiation can afford
-    at tens of thousands of ranks, where it only needs the counts.
+    :func:`~repro.core.overlap.coverage_runs` cuts the file into elementary
+    runs with their covering ranks, the run's winner is the covering rank of
+    highest priority (one ``maximum.reduceat`` over the priority index), and
+    each rank then surrenders everything it covers minus what it won.  This
+    is the form the two-phase negotiation can afford at tens of thousands of
+    ranks, where it only needs the counts.
     """
     n = len(regions)
     for rank, region in enumerate(regions):
@@ -141,28 +143,16 @@ def surrendered_bytes_by_priority(
             raise ValueError(
                 f"regions must be ordered by rank: index {rank} holds rank {region.rank}"
             )
-    covered = [len(r.coverage.starts) > 0 for r in regions]
-    if not any(covered):
+    bounds, depth, ptr, ranks = coverage_runs(regions)
+    if not len(ranks):
         return [0] * n
-    boundaries = np.unique(
-        np.concatenate(
-            [r.coverage.starts for r in regions if len(r.coverage.starts)]
-            + [r.coverage.stops for r in regions if len(r.coverage.starts)]
-        )
-    )
-    widths = boundaries[1:] - boundaries[:-1]
-    winner = np.full(len(widths), -1, dtype=np.int64)
-    for rank in sorted(range(n), key=lambda r: (policy(r), -r)):
-        cov = regions[rank].coverage
-        if not len(cov.starts):
-            continue
-        seg_lo = np.searchsorted(boundaries, cov.starts)
-        seg_hi = np.searchsorted(boundaries, cov.stops)
-        for a, b in zip(seg_lo.tolist(), seg_hi.tolist()):
-            winner[a:b] = rank
+    by_priority = np.array(sorted(range(n), key=lambda r: (policy(r), -r)), dtype=np.int64)
+    priority = np.empty(n, dtype=np.int64)
+    priority[by_priority] = np.arange(n)
+    covered = depth > 0
+    winner = by_priority[np.maximum.reduceat(priority[ranks], ptr[:-1][covered])]
     won = np.zeros(n, dtype=np.int64)
-    painted = winner >= 0
-    np.add.at(won, winner[painted], widths[painted])
+    np.add.at(won, winner, (bounds[1:] - bounds[:-1])[covered])
     return [
         regions[rank].coverage.total_bytes - int(won[rank]) for rank in range(n)
     ]

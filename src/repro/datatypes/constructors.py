@@ -27,6 +27,7 @@ returns an *uncommitted* :class:`Datatype`.
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Sequence, Tuple, Union
 
 from .datatype import Datatype, DatatypeError, from_basic
@@ -220,17 +221,15 @@ def subarray(
         # tiling handles derived (non-contiguous) element types correctly.
         inner_row = contiguous(subsizes[inner], old)
 
-        def recurse(dim_index: int, offset_elems: int) -> None:
-            if dim_index == len(outer_dims):
-                base = (offset_elems + starts[inner] * strides[inner]) * elem
-                for disp, length in inner_row.segments:
-                    segments.append((base + disp, length))
-                return
-            dim = outer_dims[dim_index]
-            for i in range(subsizes[dim]):
-                recurse(dim_index + 1, offset_elems + (starts[dim] + i) * strides[dim])
-
-        recurse(0, 0)
+        # (A loop, not a recursive closure: a function that refers to itself
+        # is a reference cycle that keeps `segments` alive until a collection.)
+        for index in itertools.product(*(range(subsizes[d]) for d in outer_dims)):
+            offset_elems = sum(
+                (starts[d] + i) * strides[d] for d, i in zip(outer_dims, index)
+            )
+            base = (offset_elems + starts[inner] * strides[inner]) * elem
+            for disp, length in inner_row.segments:
+                segments.append((base + disp, length))
 
     name = f"subarray(sizes={list(sizes)}, subsizes={list(subsizes)}, starts={list(starts)})"
     # Extent covers the full global array so repetition/filetype tiling works.

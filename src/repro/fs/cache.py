@@ -114,6 +114,12 @@ class ClientCache:
         self._pages: "OrderedDict[int, _Page]" = OrderedDict()
         self.stats = CacheStats()
 
+    def close(self) -> None:
+        """Flush, then drop the server callbacks: they are bound methods of
+        the handle that owns this cache, a reference cycle while kept."""
+        self.flush()
+        self._fetch = self._store = None
+
     # -- helpers ------------------------------------------------------------------
 
     def _page_range(self, offset: int, nbytes: int) -> range:

@@ -276,7 +276,7 @@ class ClientFileHandle:
         """Flush, drop locks and tokens, and close the handle."""
         if self._closed:
             return
-        self.cache.flush()
+        self.cache.close()
         if self._held_locks and self.file.lock_manager is not None:
             self.unlock_all()
         lm = self.file.lock_manager

@@ -79,7 +79,9 @@ class FileObject:
 
     def __init__(self, name: str, fs: "ParallelFileSystem") -> None:
         self.name = name
-        self.fs = fs
+        #: The owning file system's configuration — not the file system
+        #: itself, which holds this object: no reference cycle.
+        self.config = fs.config
         self.store = ByteStore()
         self.layout = StripingLayout(
             num_servers=fs.config.num_servers, stripe_size=fs.config.stripe_size
@@ -106,7 +108,7 @@ class FileObject:
         """The file's lock manager, or raise if the FS has no locking."""
         if self.lock_manager is None:
             raise LockingUnsupported(
-                f"file system {self.fs.config.name!r} provides no byte-range locking"
+                f"file system {self.config.name!r} provides no byte-range locking"
             )
         return self.lock_manager
 

@@ -119,12 +119,30 @@ class ByteStore:
                 out[: end - offset] = self._writer[offset:end]
             return out
 
+    def writer_runs(self, offset: int, nbytes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run-length provenance of ``[offset, offset + nbytes)``.
+
+        Returns ``(starts, stops, writers)``: the maximal runs of bytes last
+        stored by one writer, as absolute file offsets in ascending order.
+        Never-written bytes (and everything past end of file) belong to no
+        run.  One locked pass over the range, no per-byte copy.
+        """
+        if offset < 0 or nbytes < 0:
+            raise ValueError("offset and nbytes must be non-negative")
+        with self._lock:
+            w = self._writer[offset:max(offset, min(offset + nbytes, self._size))]
+            heads = np.flatnonzero(w[1:] != w[:-1]) + 1
+            # (`[:len(w)]`: an empty range has no run, not one empty run.)
+            starts = np.concatenate(([0], heads))[: len(w)]
+            stops = np.concatenate((heads, [len(w)]))[: len(w)]
+            writers = w[starts].astype(np.int64)
+        written = writers != NO_WRITER
+        return starts[written] + offset, stops[written] + offset, writers[written]
+
     def distinct_writers(self, offset: int, nbytes: int) -> Tuple[int, ...]:
         """The set of writers that produced the bytes of the given range,
         excluding never-written bytes."""
-        w = self.writers(offset, nbytes)
-        vals = np.unique(w)
-        return tuple(int(v) for v in vals if v != NO_WRITER)
+        return tuple(np.unique(self.writer_runs(offset, nbytes)[2]).tolist())
 
     def truncate(self, size: int = 0) -> None:
         """Shrink (or extend with zeros) the file to ``size`` bytes."""

@@ -444,6 +444,8 @@ class MPIFile:
         """Bookkeeping when a request is consumed by Wait / a true Test."""
         if request in self._outstanding:
             self._outstanding.remove(request)
+        if self._chain_tail is request:
+            self._chain_tail = None  # complete: nothing left to chain behind
         if self._split_active is request:
             self._split_active = None
         if self._closed:

@@ -123,8 +123,11 @@ class IORequest:
     def _retire(self) -> None:
         if not self._retired:
             self._retired = True
-            if self._on_retire is not None:
-                self._on_retire(self)
+            # Single use, and a bound method of the file whose chain holds
+            # this request: dropped so the pair is no reference cycle.
+            on_retire, self._on_retire = self._on_retire, None
+            if on_retire is not None:
+                on_retire(self)
 
     def Wait(self) -> Any:  # noqa: N802 - MPI spelling
         """Complete the operation; return its outcome (or raise its error).

@@ -6,16 +6,16 @@ atomic-mode guarantee held, thanks to the per-byte writer provenance kept by
 
 * **MPI atomicity** (Section 2.2): for every region where two processes'
   file views overlap, all bytes of that overlapped region must have been
-  produced by a single process.  :func:`check_mpi_atomicity` walks every
-  pairwise overlap and reports any region whose bytes mix writers — the
-  "interleaved" outcome of Figure 2's non-atomic mode.
+  produced by a single process, and one sequential order of the writers must
+  explain every region's winner.  :func:`check_mpi_atomicity` reports any
+  region whose bytes mix writers — the "interleaved" outcome of Figure 2's
+  non-atomic mode.
 
 * **POSIX per-call atomicity** (Section 2.1): each individual contiguous
   write call must appear entirely or not at all.  The substrate enforces this
-  by construction; :func:`check_posix_call_atomicity` verifies it anyway by
-  checking that every *contiguous written run* within a single-writer segment
-  has a single provenance (useful as a sanity check on the substrate itself
-  and in the failure-injection tests).
+  by construction; :func:`check_posix_call_atomicity` verifies it anyway
+  (a sanity check on the substrate itself and in the failure-injection
+  tests).
 
 * **Coverage**: every byte some process intended to write was written, and
   was written by one of the processes whose view covers it
@@ -29,19 +29,42 @@ atomic-mode guarantee held, thanks to the per-byte writer provenance kept by
   ordering of the write calls could have produced.  Readers record what they
   observed as :class:`ReadObservation` records (the data stream a collective
   read returned, plus the view it was read through).
+
+Every checker is array-native, built on two primitives:
+
+* :func:`repro.core.overlap.coverage_runs` cuts the file at every view
+  boundary into elementary runs and lists each run's covering ranks (a CSR):
+  ``O(E log E + R log R)`` for ``E`` view intervals, ``R`` (run, rank) entries;
+* :meth:`repro.fs.storage.ByteStore.writer_runs` is the run-length form of
+  the provenance: one locked pass over the hull of the ranges in question.
+
+The runs of one are clipped against the runs of the other
+(:func:`repro.core.intervals.clip_many`); the distinct (run, writer) pairs are
+one ``np.unique`` over packed keys and every per-run verdict a membership test
+or ``bincount`` over them.  The read check compares bytes: each (view, stream)
+pair is laid out in file order, the observed ranges are cut at the run
+boundaries, the baseline candidate is one ``reduceat`` over a mismatch mask
+and the writer candidates are gather-compared :data:`_BLOCK` bytes at a time
+(compared bytes × cover depth in all; index arrays under 2 MiB whatever the
+file size).  Python loops run only over views, to flatten them, and over
+*offending* runs, to word their :class:`Violation`.  The scalar
+implementations this replaced are the test-only oracle
+``tests/reference_verify.py``; ``tests/test_verify_differential.py`` pins
+every report equal to the oracle's — ``ok``, the violations in order and
+word for word, both counters — on generated views, stores and seeded tears.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.intervals import Interval, IntervalSet, clip_sorted_runs
+from ..core.intervals import Interval, _ranges, clip_many
+from ..core.overlap import _flatten, coverage_runs
 from ..core.regions import FileRegionSet
-from ..fs.storage import NO_WRITER, ByteStore
+from ..fs.storage import ByteStore
 
 __all__ = [
     "Violation",
@@ -78,6 +101,11 @@ class AtomicityReport:
     def __bool__(self) -> bool:
         return self.ok
 
+    def flag(self, kind: str, interval: Interval, detail: str) -> None:
+        """Record one violation; the report is no longer ``ok``."""
+        self.ok = False
+        self.violations.append(Violation(kind, interval, detail))
+
     def summary(self) -> str:
         """One-line human-readable summary."""
         if self.ok:
@@ -91,56 +119,23 @@ class AtomicityReport:
         )
 
 
-def _pairwise_overlaps(regions: Sequence[FileRegionSet]) -> List[Tuple[int, int, IntervalSet]]:
-    out: List[Tuple[int, int, IntervalSet]] = []
-    n = len(regions)
-    for i in range(n):
-        for j in range(i + 1, n):
-            inter = regions[i].overlap_region(regions[j])
-            if not inter.is_empty():
-                out.append((i, j, inter))
-    return out
+def _id_span(*ids: np.ndarray) -> Tuple[int, int]:
+    """``(base, span)`` with every rank / writer id in ``[base, base + span)``:
+    ``group * span + (id - base)`` is then one sortable int64 key per
+    ``(group, id)`` pair, and ``divmod(key, span)`` unpacks it."""
+    base = min(int(a.min(initial=0)) for a in ids)
+    return base, max(int(a.max(initial=0)) for a in ids) - base + 1
 
 
-def _elementary_segments(
-    regions: Sequence[FileRegionSet],
-) -> List[Tuple[Interval, Tuple[int, ...]]]:
-    """Split the file into maximal runs with a constant set of covering ranks.
-
-    Returns ``(interval, covering_ranks)`` pairs, only for runs covered by at
-    least one rank.  Within such a run every byte is written (if at all) under
-    identical overlap conditions, which is the granularity at which the MPI
-    atomicity condition must be evaluated.
-
-    Computed with one sweep over the file-ordered interval boundaries while
-    maintaining the active covering-rank set, so the cost is
-    ``O(E log E + R)`` for ``E`` intervals and ``R`` emitted run entries —
-    independent of the process count per boundary, which keeps verification
-    of thousand-rank writes in the noise.
-    """
-    events: List[Tuple[int, int, int]] = []
-    for region in regions:
-        for iv in region.coverage:
-            events.append((iv.start, 1, region.rank))
-            events.append((iv.stop, 0, region.rank))
-    events.sort()
-    out: List[Tuple[Interval, Tuple[int, ...]]] = []
-    active: set = set()
-    prev: int | None = None
-    i = 0
-    while i < len(events):
-        pos = events[i][0]
-        if prev is not None and active and pos > prev:
-            out.append((Interval(prev, pos), tuple(sorted(active))))
-        while i < len(events) and events[i][0] == pos:
-            _, is_start, rank = events[i]
-            if is_start:
-                active.add(rank)
-            else:
-                active.discard(rank)
-            i += 1
-        prev = pos
-    return out
+def _run_writers(
+    store: ByteStore, starts: np.ndarray, stops: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(query, writer, nbytes)`` for every provenance run inside each query
+    range ``[starts[i], stops[i])``, from one pass over the ranges' hull."""
+    lo = int(starts.min())
+    w_starts, w_stops, writers = store.writer_runs(lo, int(stops.max()) - lo)
+    query, run, a, b = clip_many(starts, stops, w_starts, w_stops)
+    return query, writers[run], b - a
 
 
 def _has_cycle(edges: set, nodes: set) -> bool:
@@ -180,61 +175,60 @@ def check_mpi_atomicity(store: ByteStore, regions: Sequence[FileRegionSet]) -> A
        "interleaved" outcome — produces a cycle and is reported.
     """
     report = AtomicityReport(ok=True)
-    order_edges: set = set()
-    participants: set = set()
-    for interval, covering in _elementary_segments(regions):
-        if len(covering) < 2:
-            continue
-        report.overlap_regions_checked += 1
-        report.overlapped_bytes += interval.length
-        participants.update(covering)
-        writers = store.distinct_writers(interval.start, interval.length)
-        if not writers:
-            continue  # unwritten overlap: reported by check_coverage
-        foreign = [w for w in writers if w not in covering]
-        for w in foreign:
-            report.ok = False
-            report.violations.append(
-                Violation(
-                    kind="foreign-writer",
-                    interval=interval,
-                    detail=(
-                        f"bytes [{interval.start},{interval.stop}) overlapped by ranks "
-                        f"{list(covering)} were written by rank {w} whose view does not "
-                        f"cover them"
-                    ),
-                )
+    bounds, depth, ptr, ranks = coverage_runs(regions)
+    over = np.flatnonzero(depth >= 2)
+    if not len(over):
+        return report
+    report.overlap_regions_checked = len(over)
+    report.overlapped_bytes = int((bounds[over + 1] - bounds[over]).sum())
+    entry_run = np.repeat(np.arange(len(depth)), depth)
+    contested = depth[entry_run] >= 2
+    # The distinct (run, writer) pairs, split into covering and foreign ones
+    # (ranks and writers as ids relative to `base`, packed with the run).
+    query, writer, _ = _run_writers(store, bounds[over], bounds[over + 1])
+    base, span = _id_span(ranks, writer)
+    cov_run, cov_id = entry_run[contested], ranks[contested] - base
+    pairs = np.unique(over[query] * span + (writer - base))
+    own = np.isin(pairs, cov_run * span + cov_id)
+    pair_run, pair_id = np.divmod(pairs, span)
+    pair_writer = pair_id + base
+    n_own = np.bincount(pair_run[own], minlength=len(depth))
+    n_foreign = np.bincount(pair_run[~own], minlength=len(depth))
+    for run in np.flatnonzero((n_foreign > 0) | (n_own > 1)).tolist():
+        interval = Interval(int(bounds[run]), int(bounds[run + 1]))
+        covering = ranks[ptr[run]:ptr[run + 1]].tolist()
+        mine = slice(*np.searchsorted(pair_run, (run, run + 1)))
+        for w in pair_writer[mine][~own[mine]].tolist():
+            report.flag(
+                "foreign-writer",
+                interval,
+                f"bytes [{interval.start},{interval.stop}) overlapped by ranks "
+                f"{covering} were written by rank {w} whose view does not "
+                f"cover them",
             )
-        own_writers = [w for w in writers if w in covering]
-        if len(own_writers) > 1:
-            report.ok = False
-            report.violations.append(
-                Violation(
-                    kind="interleaved",
-                    interval=interval,
-                    detail=(
-                        f"bytes [{interval.start},{interval.stop}) overlapped by ranks "
-                        f"{list(covering)} contain data from writers {sorted(own_writers)}"
-                    ),
-                )
+        if n_own[run] > 1:
+            report.flag(
+                "interleaved",
+                interval,
+                f"bytes [{interval.start},{interval.stop}) overlapped by ranks "
+                f"{covering} contain data from writers "
+                f"{pair_writer[mine][own[mine]].tolist()}",
             )
-        elif len(own_writers) == 1:
-            winner = own_writers[0]
-            for other in covering:
-                if other != winner:
-                    order_edges.add((other, winner))
-    if participants and _has_cycle(order_edges, participants):
-        report.ok = False
-        report.violations.append(
-            Violation(
-                kind="interleaved",
-                interval=Interval(0, 0),
-                detail=(
-                    "no sequential ordering of the write requests explains the file "
-                    "contents: different parts of the overlapped regions were won by "
-                    "conflicting writers (interleaving across an overlapped region)"
-                ),
-            )
+    # A run with exactly one covering writer orders every other covering rank
+    # before that winner.
+    won = own & (n_own[pair_run] == 1)
+    winner = np.zeros(len(depth), dtype=np.int64)
+    winner[pair_run[won]] = pair_id[won]
+    beaten = (n_own[cov_run] == 1) & (cov_id != winner[cov_run])
+    edges = np.unique(cov_id[beaten] * span + winner[cov_run[beaten]])
+    order_edges = set(zip(*(ids.tolist() for ids in np.divmod(edges, span))))
+    if _has_cycle(order_edges, set(np.unique(cov_id).tolist())):
+        report.flag(
+            "interleaved",
+            Interval(0, 0),
+            "no sequential ordering of the write requests explains the file "
+            "contents: different parts of the overlapped regions were won by "
+            "conflicting writers (interleaving across an overlapped region)",
         )
     return report
 
@@ -250,20 +244,21 @@ def check_posix_call_atomicity(
     by others are covered by :func:`check_mpi_atomicity` instead.)
     """
     report = AtomicityReport(ok=True)
-    for writer, offset, length in written_calls:
-        writers = store.distinct_writers(offset, length)
-        if list(writers) != [writer]:
-            report.ok = False
-            report.violations.append(
-                Violation(
-                    kind="torn-call",
-                    interval=Interval(offset, offset + length),
-                    detail=(
-                        f"write call by {writer} at [{offset},{offset + length}) "
-                        f"shows provenance {list(writers)}"
-                    ),
-                )
-            )
+    calls = np.array(written_calls, dtype=np.int64).reshape(-1, 3)
+    if not len(calls):
+        return report
+    writer, offset, length = calls.T
+    query, seen, _ = _run_writers(store, offset, offset + length)
+    mine = seen == writer[query]
+    torn = np.bincount(query[~mine], minlength=len(calls)) > 0
+    torn |= np.bincount(query[mine], minlength=len(calls)) == 0
+    for i in np.flatnonzero(torn).tolist():
+        report.flag(
+            "torn-call",
+            Interval(int(offset[i]), int(offset[i] + length[i])),
+            f"write call by {writer[i]} at [{offset[i]},{offset[i] + length[i]}) "
+            f"shows provenance {np.unique(seen[query == i]).tolist()}",
+        )
     return report
 
 
@@ -280,33 +275,52 @@ class ReadObservation:
     data: bytes
 
 
-class _StreamImage:
-    """Random access into a (region, stream) pair by *file* offset.
+#: Bytes gather-compared at once by the read check: bounds its index arrays
+#: (three int64 arrays of this length, 1.5 MiB) whatever the size of the file.
+_BLOCK = 1 << 16
 
-    Both a writer's request and a reader's observation are a flattened view
-    plus a contiguous data stream; this index answers "which bytes does this
-    stream hold for file range [start, stop)?" in O(log S + pieces touched).
+
+def _mismatches(
+    a: np.ndarray, a_pos: np.ndarray, b: np.ndarray, b_pos: np.ndarray, lens: np.ndarray
+) -> np.ndarray:
+    """Per range ``i``, how many of ``a[a_pos[i] + k] != b[b_pos[i] + k]`` for
+    ``k < lens[i]`` (at least one range, every ``lens[i]`` positive) — walked
+    in windows of :data:`_BLOCK` compared bytes; a range may straddle windows."""
+    ends = np.cumsum(lens)
+    begs = ends - lens
+    bad = np.zeros(len(lens), dtype=np.int64)
+    for t0 in range(0, int(ends[-1]), _BLOCK):
+        first = int(np.searchsorted(ends, t0, side="right"))
+        last = int(np.searchsorted(begs, t0 + _BLOCK, side="left"))
+        lo = np.maximum(begs[first:last], t0)
+        n = np.minimum(ends[first:last], t0 + _BLOCK) - lo
+        skip = lo - begs[first:last]
+        differ = a[_ranges(a_pos[first:last] + skip, n)] != b[_ranges(b_pos[first:last] + skip, n)]
+        bad[first:last] += np.add.reduceat(differ, np.cumsum(n) - n, dtype=np.int64)
+    return bad
+
+
+def _stack(
+    regions: Sequence[FileRegionSet], streams: Sequence[bytes]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lay (view, stream) pairs out for comparison by *file* offset.
+
+    Returns ``(buf, starts, stops, view)``: ``buf`` concatenates every
+    stream's bytes re-ordered into ascending file order, so the coverage
+    pieces ``[starts[j], stops[j])`` of all views (view by view, ``view[j]``
+    says which) tile it: piece ``j`` sits at ``cumsum(stops - starts)[j - 1]``.
     """
-
-    def __init__(self, region: FileRegionSet, data: bytes) -> None:
-        self.pieces = sorted(
-            (file_off, buf_off, length)
-            for buf_off, file_off, length in region.buffer_map()
-        )
-        self.starts = [p[0] for p in self.pieces]
-        self.stops = [off + length for off, _, length in self.pieces]
-        self.data = data
-
-    def bytes_for(self, start: int, stop: int) -> Optional[bytes]:
-        """The stream's bytes for file range ``[start, stop)``; ``None``
-        unless the view covers the range completely."""
-        out = bytearray(stop - start)
-        filled = 0
-        for lo, hi, idx in clip_sorted_runs(self.starts, self.stops, start, stop):
-            off, buf, _ = self.pieces[idx]
-            out[lo - start : hi - start] = self.data[buf + lo - off : buf + hi - off]
-            filled += hi - lo
-        return bytes(out) if filled == stop - start else None
+    bufs = [np.empty(0, dtype=np.uint8)]
+    for region, data in zip(regions, streams):
+        stream = np.frombuffer(data, dtype=np.uint8)
+        offs, lengths = np.array(region.segments, dtype=np.int64).reshape(-1, 2).T
+        if (offs[1:] < offs[:-1]).any():  # view not in file order: permute
+            order = np.argsort(offs)
+            stream = stream[_ranges((np.cumsum(lengths) - lengths)[order], lengths[order])]
+        bufs.append(stream)
+    starts, stops, _ = _flatten(regions)
+    pieces = [len(region.coverage.starts) for region in regions]
+    return np.concatenate(bufs), starts, stops, np.repeat(np.arange(len(pieces)), pieces)
 
 
 def check_read_atomicity(
@@ -352,78 +366,67 @@ def check_read_atomicity(
         committed, i.e. every write is treated as potentially in flight.
     """
     report = AtomicityReport(ok=True)
-    committed_set = frozenset(committed) if committed is not None else frozenset()
-    writers = {
-        region.rank: _StreamImage(region, data)
-        for region, data in zip(write_regions, writer_data)
-    }
-    segments = _elementary_segments(write_regions)
-    seg_starts = [iv.start for iv, _ in segments]
-
-    def baseline_for(start: int, stop: int) -> bytes:
-        if baseline is None:
-            return bytes(stop - start)
-        chunk = baseline[start:stop]
-        return chunk + bytes(stop - start - len(chunk))
-
-    for obs in observations:
-        image = _StreamImage(obs.region, obs.data)
-        for piece in obs.region.coverage:
-            # Split the observed range at every boundary where the covering
-            # writer set changes; check each sub-range independently.
-            cuts: List[Tuple[Interval, Tuple[int, ...]]] = []
-            idx = max(bisect_right(seg_starts, piece.start) - 1, 0) if segments else 0
-            pos = piece.start
-            while idx < len(segments):
-                seg, covering = segments[idx]
-                if seg.start >= piece.stop:
-                    break
-                lo = max(piece.start, seg.start)
-                hi = min(piece.stop, seg.stop)
-                if lo < hi:
-                    if pos < lo:
-                        cuts.append((Interval(pos, lo), ()))
-                    cuts.append((Interval(lo, hi), covering))
-                    pos = hi
-                idx += 1
-            if pos < piece.stop:
-                cuts.append((Interval(pos, piece.stop), ()))
-            for interval, covering in cuts:
-                observed = image.bytes_for(interval.start, interval.stop)
-                if observed is None:  # pragma: no cover - coverage is exact
-                    continue
-                report.overlap_regions_checked += 1
-                if len(covering) >= 2:
-                    report.overlapped_bytes += interval.length
-                # The baseline is admissible only while every covering write
-                # may still be in flight; a committed (waited-on) writer's
-                # data must have replaced it.
-                if committed_set and committed_set.intersection(covering):
-                    candidates = []
-                else:
-                    candidates = [baseline_for(interval.start, interval.stop)]
-                for w in covering:
-                    expected = writers[w].bytes_for(interval.start, interval.stop)
-                    if expected is not None:
-                        candidates.append(expected)
-                if any(observed == c for c in candidates):
-                    continue
-                report.ok = False
-                kind = "torn-read" if covering else "stale-read"
-                who = (
-                    f"writers {list(covering)}" if covering else "no covering writer"
-                )
-                report.violations.append(
-                    Violation(
-                        kind=kind,
-                        interval=interval,
-                        detail=(
-                            f"rank {obs.rank} read [{interval.start},{interval.stop}) "
-                            f"({who}) and observed bytes matching no single "
-                            f"committed write"
-                        ),
-                    )
-                )
+    obs, o_starts, o_stops, o_view = _stack(
+        [o.region for o in observations], [o.data for o in observations]
+    )
+    if not len(o_starts):
+        return report
+    # Runs and gaps: the writers' elementary runs, extended to tile [0, top).
+    bounds, depth, ptr, ranks = coverage_runs(write_regions)
+    top = max(int(o_stops.max()), int(bounds[-1]) if len(bounds) else 0)
+    edges = np.concatenate(([0], bounds, [top]))
+    t_depth = np.concatenate(([0], depth, [0]))[:len(edges) - 1]
+    t_ptr = np.concatenate(([0], ptr, ptr[-1:]))[:len(edges)]
+    # Cut every observed piece at every boundary; the cuts tile `obs` in order.
+    piece, tile, lo, hi = clip_many(o_starts, o_stops, edges[:-1], edges[1:])
+    n = hi - lo
+    pos = np.cumsum(n) - n
+    cut_depth = t_depth[tile]
+    report.overlap_regions_checked = len(lo)
+    report.overlapped_bytes = int(n[cut_depth >= 2].sum())
+    # Candidate 1: the pre-write state — admissible only while every covering
+    # write may still be in flight; a committed (waited-on) writer's data
+    # must have replaced it.
+    if baseline is None:
+        ok = np.add.reduceat(obs != 0, pos, dtype=np.int64) == 0
+    else:
+        before = np.zeros(top, dtype=np.uint8)
+        before[:len(baseline)] = np.frombuffer(baseline, dtype=np.uint8)[:top]
+        ok = _mismatches(obs, pos, before, lo, n) == 0
+    if committed:
+        done = np.zeros(len(t_depth), dtype=bool)
+        done[np.repeat(np.arange(len(t_depth)), t_depth)[np.isin(ranks, list(committed))]] = True
+        ok &= ~done[tile]
+    # Candidates 2..: each covering writer's bytes for the cut, for the cuts
+    # the baseline did not explain.
+    need = np.flatnonzero(~ok & (cut_depth > 0))
+    if len(need):
+        cut = np.repeat(need, cut_depth[need])
+        w_rank = ranks[_ranges(t_ptr[tile[need]], cut_depth[need])]
+        # Stacked in rank order, the writers' pieces are sorted by (writer,
+        # offset): bisection finds the piece of writer `w_rank` holding a cut.
+        writers = sorted(zip(write_regions, writer_data), key=lambda pair: pair[0].rank)
+        wbuf, w_starts, w_stops, w_view = _stack(*zip(*writers))
+        w_pos = np.cumsum(w_stops - w_starts) - (w_stops - w_starts)
+        w_ids = np.array([region.rank for region, _ in writers], dtype=np.int64)
+        held = np.searchsorted(
+            w_view * top + w_starts, np.searchsorted(w_ids, w_rank) * top + lo[cut], side="right"
+        ) - 1
+        same = _mismatches(obs, pos[cut], wbuf, w_pos[held] + lo[cut] - w_starts[held], n[cut]) == 0
+        ok[cut[same]] = True
+    for c in np.flatnonzero(~ok).tolist():
+        interval = Interval(int(lo[c]), int(hi[c]))
+        covering = ranks[t_ptr[tile[c]]:t_ptr[tile[c] + 1]].tolist()
+        kind = "torn-read" if covering else "stale-read"
+        who = f"writers {covering}" if covering else "no covering writer"
+        report.flag(
+            kind,
+            interval,
+            f"rank {observations[o_view[piece[c]]].rank} read "
+            f"[{interval.start},{interval.stop}) "
+            f"({who}) and observed bytes matching no single "
+            f"committed write",
+        )
     return report
 
 
@@ -492,16 +495,8 @@ def check_stream_atomicity(streams: Sequence[StreamTrace]) -> AtomicityReport:
         )
         merged.overlap_regions_checked += report.overlap_regions_checked
         merged.overlapped_bytes += report.overlapped_bytes
-        if not report.ok:
-            merged.ok = False
-            merged.violations.extend(
-                Violation(
-                    kind=v.kind,
-                    interval=v.interval,
-                    detail=f"[stream {stream.stream_id}] {v.detail}",
-                )
-                for v in report.violations
-            )
+        for v in report.violations:
+            merged.flag(v.kind, v.interval, f"[stream {stream.stream_id}] {v.detail}")
     return merged
 
 
@@ -512,35 +507,39 @@ def check_coverage(store: ByteStore, regions: Sequence[FileRegionSet]) -> Atomic
     e.g. a rank-ordering implementation that trims too much and leaves holes.
     """
     report = AtomicityReport(ok=True)
-    for region in regions:
-        for iv in region.coverage:
-            writers = store.writers(iv.start, iv.length)
-            unwritten = int(np.count_nonzero(writers == NO_WRITER))
-            if unwritten:
-                report.ok = False
-                report.violations.append(
-                    Violation(
-                        kind="unwritten",
-                        interval=iv,
-                        detail=(
-                            f"{unwritten} byte(s) of [{iv.start},{iv.stop}) covered by rank "
-                            f"{region.rank}'s view were never written"
-                        ),
-                    )
-                )
-                continue
-            covering = {r.rank for r in regions if r.coverage.overlaps(IntervalSet.single(iv.start, iv.stop))}
-            foreign = {int(w) for w in np.unique(writers)} - covering
-            if foreign:
-                report.ok = False
-                report.violations.append(
-                    Violation(
-                        kind="foreign-writer",
-                        interval=iv,
-                        detail=(
-                            f"bytes of [{iv.start},{iv.stop}) were written by rank(s) "
-                            f"{sorted(foreign)} whose views do not cover them"
-                        ),
-                    )
-                )
+    starts, stops, owner = _flatten(regions)
+    if not len(starts):
+        return report
+    query, writer, nbytes = _run_writers(store, starts, stops)
+    unwritten = stops - starts
+    np.subtract.at(unwritten, query, nbytes)
+    # The ranks whose view touches each interval: the CSR entries of the
+    # elementary runs the interval spans.
+    bounds, _, ptr, ranks = coverage_runs(regions)
+    first = ptr[np.searchsorted(bounds, starts)]
+    spanned = ptr[np.searchsorted(bounds, stops)] - first
+    base, span = _id_span(ranks, writer)
+    pairs = np.unique(query * span + (writer - base))
+    touching = np.repeat(np.arange(len(starts)), spanned) * span + (
+        ranks[_ranges(first, spanned)] - base
+    )
+    pair_iv, pair_writer = np.divmod(pairs[~np.isin(pairs, touching)], span)
+    pair_writer += base
+    n_foreign = np.bincount(pair_iv, minlength=len(starts))
+    for i in np.flatnonzero((unwritten > 0) | (n_foreign > 0)).tolist():
+        iv = Interval(int(starts[i]), int(stops[i]))
+        if unwritten[i]:
+            report.flag(
+                "unwritten",
+                iv,
+                f"{unwritten[i]} byte(s) of [{iv.start},{iv.stop}) covered by rank "
+                f"{owner[i]}'s view were never written",
+            )
+        else:
+            report.flag(
+                "foreign-writer",
+                iv,
+                f"bytes of [{iv.start},{iv.stop}) were written by rank(s) "
+                f"{pair_writer[pair_iv == i].tolist()} whose views do not cover them",
+            )
     return report

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro.fs.cache import CachePolicy
 from repro.fs.costmodel import CostModel
 from repro.fs.filesystem import FSConfig, LockProtocol, ParallelFileSystem
+
+# Hypothesis profiles: tier-1 runs the small default; CI runs the generated
+# verifier proofs once more under `HYPOTHESIS_PROFILE=ci`, ten times deeper.
+# No per-example deadline in either: a wall clock must not fail tier-1.
+settings.register_profile("default", max_examples=100, deadline=None)
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def fast_fs_config(

@@ -10,6 +10,8 @@ alongside.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import repro.bench.perfgate as perfgate
@@ -284,7 +286,9 @@ class TestMultitenantGate:
     wall budget) run without a baseline, like the plan-cache checks."""
 
     def test_smoke_point_passes_the_default_gates(self):
-        experiments, problems = perfgate.measure_multitenant()
+        # No host-wall assertion in tier-1: the absolute budget stays in the
+        # CI perfgate step (and `test_wall_budget_trips` covers its logic).
+        experiments, problems = perfgate.measure_multitenant(budget_per_op=math.inf)
         assert problems == []
         entries = experiments["perfgate/multitenant"]
         # Exactly one summary entry — per-job rows would collide in the

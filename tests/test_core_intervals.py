@@ -334,6 +334,37 @@ class TestVectorizedKernelsMatchReference:
         ]
         assert got == expected
 
+    def test_clip_many_accepts_touching_runs(self):
+        """`b` may tile the file (elementary runs touch by construction): a
+        query ending exactly on a boundary stays out of the run after it, one
+        starting there out of the run before it, and a query spanning several
+        touching runs is cut at each boundary."""
+        b = [(0, 4), (4, 10), (10, 11), (11, 20)]
+        queries = [(2, 4), (4, 6), (3, 12), (10, 11), (0, 20), (20, 25)]
+        a_idx, b_idx, lo, hi = clip_many(*as_arrays(queries), *as_arrays(b))
+        got = list(zip(a_idx.tolist(), b_idx.tolist(), lo.tolist(), hi.tolist()))
+        assert got == [
+            (0, 0, 2, 4),
+            (1, 1, 4, 6),
+            (2, 0, 3, 4), (2, 1, 4, 10), (2, 2, 10, 11), (2, 3, 11, 12),
+            (3, 2, 10, 11),
+            (4, 0, 0, 4), (4, 1, 4, 10), (4, 2, 10, 11), (4, 3, 11, 20),
+        ]
+
+    @given(pairs_strategy, st.sets(st.integers(0, 2100), min_size=2, max_size=24))
+    def test_clip_many_on_a_tiling_matches_clip_sorted_runs(self, queries, cuts):
+        edges = sorted(cuts)
+        b_starts, b_stops = edges[:-1], edges[1:]
+        a_idx, b_idx, lo, hi = clip_many(
+            *as_arrays(queries), *as_arrays(list(zip(b_starts, b_stops)))
+        )
+        expected = [
+            (qi, idx, qlo, qhi)
+            for qi, (qstart, qstop) in enumerate(queries)
+            for qlo, qhi, idx in clip_sorted_runs(b_starts, b_stops, qstart, qstop)
+        ]
+        assert list(zip(a_idx.tolist(), b_idx.tolist(), lo.tolist(), hi.tolist())) == expected
+
     def test_public_api_large_inputs_match_reference(self):
         """Seeded fuzz well above _SMALL_N: the numpy-only code paths."""
         rng = np.random.RandomState(20260807)

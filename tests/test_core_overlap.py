@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.intervals import IntervalSet
+from reference_verify import _elementary_segments
 from repro.core.overlap import (
+    coverage_runs,
     OverlapMatrix,
     build_overlap_matrix,
     conflict_free_groups_are_disjoint,
@@ -165,6 +167,45 @@ class TestOverlapProperties:
         w = build_overlap_matrix(regions)
         overlaps = pairwise_overlap_regions(regions)
         assert set(overlaps) == set(w.edges())
+
+
+class TestCoverageRuns:
+    """The coverage-run kernel: boundaries, cover depth, covering-rank CSR."""
+
+    @staticmethod
+    def as_segments(regions):
+        """The kernel's output in the oracle's form: covered runs only."""
+        bounds, depth, ptr, ranks = coverage_runs(regions)
+        assert len(depth) == max(len(bounds) - 1, 0) and len(ptr) == len(depth) + 1
+        assert np.array_equal(np.diff(ptr), depth) and ptr[-1] == len(ranks)
+        return [
+            ((int(bounds[i]), int(bounds[i + 1])), tuple(ranks[ptr[i]:ptr[i + 1]].tolist()))
+            for i in range(len(depth))
+            if depth[i]
+        ]
+
+    def test_worked_example(self):
+        regions = regions_from([[(0, 10), (20, 5)], [(5, 10)], [], [(22, 1), (0, 3)]])
+        bounds, depth, ptr, ranks = coverage_runs(regions)
+        assert bounds.tolist() == [0, 3, 5, 10, 15, 20, 22, 23, 25]
+        assert depth.tolist() == [2, 1, 2, 1, 0, 1, 2, 1]  # [15, 20) is a gap
+        assert ptr.tolist() == [0, 2, 3, 5, 6, 6, 7, 9, 10]
+        assert ranks.tolist() == [0, 3, 0, 0, 1, 1, 0, 0, 3, 0]
+
+    def test_no_coverage_at_all(self):
+        for regions in ([], regions_from([[], []])):
+            bounds, depth, ptr, ranks = coverage_runs(regions)
+            assert (len(bounds), len(depth), ptr.tolist(), len(ranks)) == (0, 0, [0], 0)
+
+    @given(view_lists)
+    def test_matches_the_event_sweep(self, raw_views):
+        regions = regions_from([_dedup_self_overlap(v) for v in raw_views])
+        expected = [
+            ((iv.start, iv.stop), covering) for iv, covering in _elementary_segments(regions)
+        ]
+        assert self.as_segments(regions) == expected
+        bounds, depth, _, _ = coverage_runs(regions)
+        assert int(np.diff(bounds)[depth >= 2].sum()) == overlapped_bytes_total(regions)
 
 
 class TestLargeScaleEquivalence:

@@ -44,6 +44,21 @@ class TestByteStore:
         assert store.distinct_writers(0, 4) == (0, 1)
         assert store.distinct_writers(0, 2) == (0,)
 
+    def test_writer_runs(self):
+        store = ByteStore()
+        assert [a.tolist() for a in store.writer_runs(0, 10)] == [[], [], []]
+        store.write(2, b"abc", writer=5)
+        store.write(5, b"xy", writer=5)   # touches the run before it: one run
+        store.write(9, b"q", writer=2)
+        store.write(10, b"z")             # NO_WRITER: belongs to no run
+        assert [a.tolist() for a in store.writer_runs(0, 100)] == [[2, 9], [7, 10], [5, 2]]
+        assert [a.tolist() for a in store.writer_runs(3, 3)] == [[3], [6], [5]]
+        assert [a.tolist() for a in store.writer_runs(7, 2)] == [[], [], []]
+        assert [a.tolist() for a in store.writer_runs(50, 3)] == [[], [], []]
+        assert [a.tolist() for a in store.writer_runs(3, 0)] == [[], [], []]
+        with pytest.raises(ValueError):
+            store.writer_runs(-1, 4)
+
     def test_unwritten_provenance(self):
         store = ByteStore()
         assert list(store.writers(0, 3)) == [NO_WRITER] * 3
@@ -104,6 +119,17 @@ class TestByteStore:
         assert store.size == size
         assert store.read(0, size) == bytes(reference[:size])
         assert list(store.writers(0, size)) == writers[:size]
+        # The run-length form says the same, in maximal single-writer runs.
+        starts, stops, who = store.writer_runs(0, 400)
+        rebuilt = [NO_WRITER] * 400
+        for a, b, w in zip(starts.tolist(), stops.tolist(), who.tolist()):
+            assert a < b and w != NO_WRITER and rebuilt[a:b] == [NO_WRITER] * (b - a)
+            rebuilt[a:b] = [w] * (b - a)
+        assert rebuilt == writers
+        assert all(
+            a > b or w != v
+            for a, b, w, v in zip(starts[1:].tolist(), stops.tolist(), who[1:].tolist(), who.tolist())
+        )
 
 
 class TestStripingLayout:
