@@ -20,8 +20,8 @@ from repro import (
     check_coverage,
     check_mpi_atomicity,
     column_wise_views,
+    default_registry,
     gpfs_config,
-    strategy_by_name,
 )
 
 # Workload: a 256 x 8192 byte array, partitioned column-wise over 4 processes
@@ -40,7 +40,7 @@ def main() -> None:
           f"{'time (s)':>9s} {'BW (MB/s)':>10s}")
     for name in ("locking", "graph-coloring", "rank-ordering"):
         fs = ParallelFileSystem(gpfs_config())
-        executor = AtomicWriteExecutor(fs, strategy_by_name(name), filename="checkpoint.dat")
+        executor = AtomicWriteExecutor(fs, default_registry.create(name), filename="checkpoint.dat")
         result = executor.run(P, lambda rank, _P: views[rank])
 
         atomic = check_mpi_atomicity(result.file.store, result.regions)

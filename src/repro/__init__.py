@@ -39,7 +39,6 @@ from .core import (
     PipelineStrategy,
     RankOrderingStrategy,
     ReadOutcome,
-    STRATEGY_NAMES,
     TwoPhaseStrategy,
     WriteOutcome,
     build_overlap_matrix,
@@ -48,7 +47,6 @@ from .core import (
     greedy_coloring,
     register_strategy,
     resolve_by_rank,
-    strategy_by_name,
 )
 from .fs import (
     FSClient,
@@ -113,8 +111,6 @@ __all__ = [
     "GraphColoringStrategy",
     "RankOrderingStrategy",
     "TwoPhaseStrategy",
-    "strategy_by_name",
-    "STRATEGY_NAMES",
     "default_registry",
     "register_strategy",
     "AtomicWriteExecutor",

@@ -47,7 +47,6 @@ from .aggregation import (
     scatter_pieces,
 )
 from .strategies import (
-    STRATEGY_NAMES,
     AtomicityStrategy,
     GraphColoringStrategy,
     LockingStrategy,
@@ -57,7 +56,6 @@ from .strategies import (
     ReadOutcome,
     TwoPhaseStrategy,
     WriteOutcome,
-    strategy_by_name,
 )
 from .executor import (
     AtomicWriteExecutor,
@@ -99,8 +97,6 @@ __all__ = [
     "TwoPhaseStrategy",
     "WriteOutcome",
     "ReadOutcome",
-    "strategy_by_name",
-    "STRATEGY_NAMES",
     "ViewExchange",
     "ConflictAnalysis",
     "ConflictReport",

@@ -53,7 +53,6 @@ __all__ = [
     "partition_domain",
     "merge_pieces",
     "merge_origin_runs",
-    "route_stream",
     "scatter_pieces",
     "node_coverages",
     "gather_runs",
@@ -232,36 +231,6 @@ def merge_origin_runs(
                 AggregatedRun(offset=lo + int(s), data=merged[s:e].tobytes(), origin=who)
             )
     return runs
-
-
-def route_stream(
-    buffer_map: Sequence[Tuple[int, int, int]],
-    data: bytes,
-    piece_starts: Sequence[int],
-    piece_stops: Sequence[int],
-    pieces: Sequence[Tuple[int, int, int]],
-):
-    """Route one rank's data stream through the file-domain piece table.
-
-    ``buffer_map`` is the rank's view as ``(buffer_offset, file_offset,
-    length)`` triples (:meth:`~repro.core.regions.FileRegionSet.buffer_map`);
-    ``pieces`` is the negotiated file-ordered routing table ``(start, stop,
-    aggregator_rank)`` with ``piece_starts``/``piece_stops`` its bisection
-    index.  Yields ``(aggregator_rank, file_offset, chunk)`` for every routed
-    piece of the stream — the shuffle send-side shared by the engine schedule
-    (:meth:`~repro.core.strategies.TwoPhaseStrategy.schedule`) and the bulk
-    replay.  Bisection keeps the cost proportional to the rank's own segment
-    count, not the aggregator count.
-    """
-    for buf_off, file_off, length in buffer_map:
-        for lo, hi, idx in clip_sorted_runs(
-            piece_starts, piece_stops, file_off, file_off + length
-        ):
-            yield (
-                pieces[idx][2],
-                lo,
-                data[buf_off + (lo - file_off) : buf_off + (hi - file_off)],
-            )
 
 
 def scatter_pieces(

@@ -626,23 +626,32 @@ class AutoStrategy(PipelineStrategy):
 
     # -- the pipeline, via the delegate ---------------------------------------
 
+    def adopt(self, plan, decision: TuningDecision):
+        """Brand a delegate's plan as ``auto``'s and record the tuned hints.
+
+        The one site every delegated plan passes through — both directions,
+        engine and bulk replay alike — so the outcomes of the two substrates
+        cannot drift apart.
+        """
+        plan.strategy = self.name
+        plan.extra.update(decision.hints())
+        return plan
+
     def prepare_write(self, comm, region, data, start_time):  # noqa: D102
         self._check_request(region, data)
         regions, decision, _ = self._resolve(comm, region)
         delegate = decision.delegate()
         report = delegate.analysis.run(regions)
         plan, payloads = delegate.schedule(comm, region, data, report)
-        plan.strategy = self.name
-        plan.extra.update(decision.hints())
-        return PreparedWrite(plan=plan, payloads=payloads, start_time=start_time)
+        return PreparedWrite(
+            plan=self.adopt(plan, decision), payloads=payloads, start_time=start_time
+        )
 
     def prepare_read(self, comm, region, start_time):  # noqa: D102
         regions, decision, _ = self._resolve(comm, region, mode="read")
         delegate = decision.delegate()
         report = delegate.analysis.run(regions)
-        plan = delegate.schedule_read(comm, region, report)
-        plan.strategy = self.name
-        plan.extra.update(decision.hints())
+        plan = self.adopt(delegate.schedule_read(comm, region, report), decision)
         prepared = PreparedRead(
             plan=plan, report=report, region=region, start_time=start_time
         )

@@ -4,73 +4,60 @@
 cooperative engine task on a parked OS thread.  That is the right model for
 arbitrary rank programs — any blocking pattern works — but even recycled
 carrier threads put a ceiling in the tens of thousands of ranks: stacks,
-handoffs and ready-heap traffic all scale with ``P``.  The collective write
+handoffs and ready-heap traffic all scale with ``P``.  The aggregation
 strategies need none of that generality.  Their rank program is a fixed
 bulk-synchronous sequence — collective, pure local compute, collective,
-file I/O — so the whole SPMD execution can be *replayed* by one driver loop
-with plain per-rank state:
+file I/O — which :mod:`repro.core.strategies` writes **once**, as a
+per-rank coroutine that yields at each sparse exchange.  The engine pumps
+one coroutine per task against the communicator; this module is the second
+driver of the very same coroutines, with plain per-rank state and no tasks:
 
-* A collective rendezvous synchronises every clock to the latest arrival
-  and charges each rank its own payload cost — exactly what
-  ``Communicator._collective`` computes, in closed form.
-* The file I/O phase issues each rank's write steps against the real
-  :class:`~repro.fs.client.ClientFileHandle` / shared
+* ``_lockstep`` advances all ``P`` coroutines to their next ``yield``,
+  synchronises every clock to the latest arrival, charges each rank its own
+  payload cost — exactly what ``Communicator._collective`` computes, in
+  closed form — then transposes the payloads and resumes.
+* ``_sweep`` issues the I/O steps of the plans the coroutines return
+  against the real :class:`~repro.fs.client.ClientFileHandle` / shared
   :class:`~repro.fs.costmodel.Resource` stack, one step at a time in
   ascending ``(virtual clock, rank)`` order — exactly the discrete-event
   order the engine's sequence points enforce (a running task keeps the
   resources while its key is minimal; ties resume in task-id order, and
   task ids are assigned in rank order).
 
-Both paths therefore produce **bit-identical** virtual times, file bytes
-and per-byte provenance; ``tests/test_core_bulk.py`` pins the equivalence
-against the engine at small ``P``.  What the replay gives up is generality
-— it supports exactly the aggregation strategies whose schedules it mirrors
-(:class:`~repro.core.strategies.TwoPhaseStrategy` and its hierarchical
-subclass) — and what it buys is scale: no tasks, no threads, no handoffs,
+Both substrates therefore produce **bit-identical** virtual times, file
+bytes, per-byte provenance and outcomes; ``tests/test_core_bulk.py`` pins
+it on grids and ``tests/test_bulk_differential.py`` on generated views.
+What this driver gives up is generality — it runs coroutine schedules
+(:class:`~repro.core.strategies.TwoPhaseStrategy`, its hierarchical
+subclass, and ``auto`` when it resolves to one of them) whose plans never
+park a rank — and what it buys is scale: no tasks, no threads, no handoffs,
 so the Section 3.4 sweep extends to 64k ranks in seconds.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Generator, Iterator, List, Optional, Sequence, Tuple
 
+from ..fs.client import ClientFileHandle, FSClient
 from ..fs.filesystem import ParallelFileSystem
 from ..mpi.clock import VirtualClock
 from ..mpi.cost import CommCostModel, _Volume, payload_nbytes
+from ..mpi.errors import CollectiveMismatchError
 from ..mpi.runtime import SPMDResult
-from .aggregation import (
-    assemble_stream,
-    gather_runs,
-    merge_origin_runs,
-    merge_pieces,
-    node_coverages,
-    route_stream,
-    scatter_pieces,
-)
 from .executor import (
     ConcurrentReadResult,
     ConcurrentWriteResult,
+    DataFactory,
+    ViewFactory,
+    _Executor,
     default_data_factory,
 )
-from .intervals import clip_sorted_runs
 from .regions import FileRegionSet
-from .strategies import (
-    AGGREGATE_PAYLOAD,
-    HierarchicalTwoPhaseStrategy,
-    ReadOutcome,
-    TwoPhaseStrategy,
-    WriteOutcome,
-)
+from .strategies import ReadOutcome, TwoPhaseStrategy, WriteOutcome
 
 __all__ = ["BulkReadExecutor", "BulkWriteExecutor"]
-
-ViewFactory = Callable[[int, int], Sequence[Tuple[int, int]]]
-DataFactory = Callable[[int, int], bytes]
-
-#: One rank's replayed schedule: the write steps as ``(file_offset, data,
-#: writer)`` triples plus the outcome bookkeeping the plan would carry.
-_RankSchedule = Tuple[List[Tuple[int, bytes, Optional[int]]], WriteOutcome]
 
 
 def _rendezvous(clocks: List[VirtualClock], costs: Sequence[float]) -> None:
@@ -83,14 +70,41 @@ def _rendezvous(clocks: List[VirtualClock], costs: Sequence[float]) -> None:
         clock.advance(cost)
 
 
-class BulkWriteExecutor:
-    """Drop-in replacement for :class:`AtomicWriteExecutor` at scale.
-
-    Same constructor and :meth:`run` contract, same
-    :class:`~repro.core.executor.ConcurrentWriteResult`; only the execution
-    substrate differs (driver-loop replay instead of engine tasks).  Raises
-    :class:`TypeError` for strategies whose schedule it cannot replay.
+def _sweep(plans: Sequence, clocks: List[VirtualClock]) -> Iterator[Tuple[int, object]]:
+    """The plans' file I/O in discrete-event order: yields ``(rank, step)``
+    for the caller to transfer, always the next step of the rank holding the
+    minimal ``(clock, rank)`` key after the previous transfer advanced its
+    rank's clock (sequence points no-op outside engine tasks; the heap IS
+    the sequencing).  The caller issues direct transfers and never parks a
+    rank, so the sweep refuses — on the plan itself, whichever strategy
+    built it — what would need more: locks, barriers, or phases that go
+    through the client cache.
     """
+    queues = []
+    for plan in plans:
+        if plan.locks or any(
+            phase.barrier_after
+            or not phase.direct
+            or getattr(phase, "sync_after", False)
+            for phase in plan.phases
+        ):
+            raise TypeError(
+                f"rank {plan.rank}'s {plan.strategy!r} plan holds locks, barriers "
+                "or cached/synced phases; it must run on the engine executors"
+            )
+        # Reversed, so that the next step pops off the end.
+        queues.append([step for phase in plan.phases for step in phase.steps][::-1])
+    heap = [(clocks[rank].now, rank) for rank, steps in enumerate(queues) if steps]
+    heapq.heapify(heap)
+    while heap:
+        _, rank = heapq.heappop(heap)
+        yield rank, queues[rank].pop()
+        if queues[rank]:
+            heapq.heappush(heap, (clocks[rank].now, rank))
+
+
+class _BulkExecutor(_Executor):
+    """What the two directions share: the type guard, stage 1, the handles."""
 
     def __init__(
         self,
@@ -106,17 +120,102 @@ class BulkWriteExecutor:
             strategy, "resolve_static"
         ):
             raise TypeError(
-                "BulkWriteExecutor replays aggregation schedules only; "
-                f"{type(strategy).__name__} must run on the engine "
-                "(AtomicWriteExecutor)"
+                f"{type(self).__name__} drives aggregation schedules only; "
+                f"{type(strategy).__name__} must run on the engine executors"
             )
-        self.fs = fs
-        self.strategy = strategy
-        self.filename = filename
-        self.comm_cost = comm_cost or CommCostModel(latency=20e-6, byte_cost=1e-8)
-        bind = getattr(strategy, "bind_context", None)
-        if bind is not None:
-            bind(fs, filename)
+        super().__init__(fs, strategy, filename, comm_cost)
+
+    def _exchange(self, regions: List[FileRegionSet], clocks, mode: str):
+        """Stage 1 — view exchange and negotiation, for both directions.
+
+        Returns ``(delegate, negotiation, adopt)``: the aggregation strategy
+        whose coroutines to drive, its per-collective record, and the
+        function every plan it builds passes through.  The adaptive strategy
+        resolves to its tuned delegate without a collective (the driver
+        already holds every rank's regions) and ships a tagged flattened
+        view of ``1 + 2 * segments`` elements, costed honestly.
+        """
+        resolver = getattr(self.strategy, "resolve_static", None)
+        if resolver is None:
+            delegate, adopt = self.strategy, lambda plan: plan
+            shipped = [r.segments for r in regions]
+        else:
+            delegate = resolver(len(regions), regions, mode=mode)
+            decision = self.strategy.last_decision
+            adopt = lambda plan: self.strategy.adopt(plan, decision)  # noqa: E731
+            shipped = [_Volume(1 + 2 * r.num_segments) for r in regions]
+        _rendezvous(clocks, [self.comm_cost.cost(view) for view in shipped])
+        return delegate, delegate.negotiate(len(regions), regions), adopt
+
+    def _lockstep(self, schedules: Sequence[Generator], clocks: List[VirtualClock]) -> list:
+        """Drive every rank's schedule coroutine, one sparse exchange per round.
+
+        A coroutine yields the ``{dest: payload}`` dict it would hand
+        ``comm.alltoallv_sparse`` and is resumed with its ``[(src, payload)]``
+        pairs in ascending source order; as on the engine, the bytes charged
+        are those sent to *other* ranks.  Returns the coroutines' return
+        values.  They must all finish in the same round: ranks that disagree
+        about the schedule fail as loudly here as in ``Communicator``.
+        """
+        nprocs = len(schedules)
+        # ``send(None)`` starts a coroutine; later rounds deliver what arrived,
+        # held sparsely (most ranks of a hierarchical hop receive nothing).
+        inboxes: dict = dict.fromkeys(range(nprocs))
+        while True:
+            arriving, costs, returned = {}, [], {}
+            for rank, schedule in enumerate(schedules):
+                try:
+                    outgoing = schedule.send(inboxes.get(rank, ()))
+                except StopIteration as done:
+                    returned[rank] = done.value
+                    continue
+                network_bytes = 0
+                for dest, payload in outgoing.items():
+                    if not 0 <= dest < nprocs:
+                        raise CollectiveMismatchError(
+                            f"rank {rank} names destination {dest} outside the "
+                            f"{nprocs} replayed ranks"
+                        )
+                    arriving.setdefault(dest, []).append((rank, payload))
+                    if dest != rank:
+                        network_bytes += payload_nbytes(payload)
+                costs.append(self.comm_cost.cost(_Volume(network_bytes)))
+            if returned and costs:
+                exchanging = [rank for rank in range(nprocs) if rank not in returned]
+                raise CollectiveMismatchError(
+                    f"ranks disagree on the schedule: ranks {list(returned)[:8]} "
+                    f"finished while ranks {exchanging[:8]} still exchange "
+                    f"({len(returned)} against {len(exchanging)}, first 8 named)"
+                )
+            if returned:
+                return list(returned.values())
+            _rendezvous(clocks, costs)
+            inboxes = arriving
+
+    @contextmanager
+    def _handles(
+        self, clocks: List[VirtualClock], create: bool
+    ) -> Iterator[List[ClientFileHandle]]:
+        """One open handle per replayed rank, on the rank's own clock."""
+        handles = [
+            FSClient(self.fs, client_id=rank, clock=clock).open(self.filename, create)
+            for rank, clock in enumerate(clocks)
+        ]
+        try:
+            yield handles
+        finally:
+            for handle in handles:
+                handle.close()
+
+
+class BulkWriteExecutor(_BulkExecutor):
+    """Drop-in replacement for :class:`AtomicWriteExecutor` at scale.
+
+    Same constructor and :meth:`run` contract, same
+    :class:`~repro.core.executor.ConcurrentWriteResult`; only the execution
+    substrate differs.  Raises :class:`TypeError` for strategies whose
+    schedule is not a coroutine it can drive.
+    """
 
     def run(
         self,
@@ -125,549 +224,93 @@ class BulkWriteExecutor:
         data_factory: DataFactory = default_data_factory,
     ) -> ConcurrentWriteResult:
         """Execute the concurrent write on ``nprocs`` replayed ranks."""
-        if nprocs <= 0:
-            raise ValueError("nprocs must be positive")
-        from ..fs.client import FSClient
+        regions = self._views(nprocs, view_factory)
+        fobj = self.fs.create(self.filename)
+        clocks = [VirtualClock() for _ in regions]
+        delegate, negotiation, adopt = self._exchange(regions, clocks, "write")
 
-        fs = self.fs
-        fobj = fs.create(self.filename)
-        regions = [
-            FileRegionSet(rank, view_factory(rank, nprocs)) for rank in range(nprocs)
-        ]
-        datas = [data_factory(rank, r.total_bytes) for rank, r in enumerate(regions)]
-        clocks = [VirtualClock() for _ in range(nprocs)]
+        # Stages 2+3 — every rank's shuffle coroutine, to its write plan.
+        datas = [data_factory(region.rank, region.total_bytes) for region in regions]
+        prepared = self._lockstep(
+            [delegate.shuffle(r, data, negotiation) for r, data in zip(regions, datas)],
+            clocks,
+        )
+        plans = [adopt(plan) for plan, _ in prepared]
+        outcomes = [WriteOutcome.from_plan(plan, 0.0) for plan in plans]
 
-        # Resolve the adaptive strategy to its tuned aggregation delegate.
-        # The replay driver already holds every rank's regions, so the
-        # classification needs no collective; only the payload cost differs.
-        resolver = getattr(self.strategy, "resolve_static", None)
-        delegate = resolver(nprocs, regions) if resolver is not None else self.strategy
-
-        # Stage 1 — view exchange: one allgather of the segment tuples (the
-        # adaptive strategy ships a tagged flattened view of 1 + 2*segments
-        # elements instead, costed honestly).
-        if resolver is not None:
-            exchange_costs = [
-                self.comm_cost.cost(_Volume(1 + 2 * r.num_segments)) for r in regions
-            ]
-        else:
-            exchange_costs = [self.comm_cost.cost(r.segments) for r in regions]
-        _rendezvous(clocks, exchange_costs)
-
-        # Stages 2+3 — analysis and schedule, replayed for all ranks at once.
-        if isinstance(delegate, HierarchicalTwoPhaseStrategy):
-            schedules = self._schedule_hierarchical(
-                nprocs, regions, datas, clocks, delegate
-            )
-        else:
-            schedules = self._schedule_flat(nprocs, regions, datas, clocks, delegate)
-
-        # Stage 4 — file I/O in discrete-event order: repeatedly run one
-        # write step for the rank holding the minimal (clock, rank) key,
-        # against the real client/link/server resource stack (sequence
-        # points no-op outside engine tasks; the heap IS the sequencing).
-        handles = []
-        for rank in range(nprocs):
-            client = FSClient(fs, client_id=rank, clock=clocks[rank])
-            handles.append(client.open(self.filename))
-        try:
-            heap = [
-                (clocks[rank].now, rank)
-                for rank in range(nprocs)
-                if schedules[rank][0]
-            ]
-            heapq.heapify(heap)
-            cursors = [0] * nprocs
-            while heap:
-                _, rank = heapq.heappop(heap)
-                steps, outcome = schedules[rank]
-                offset, data, writer = steps[cursors[rank]]
-                cursors[rank] += 1
-                outcome.bytes_written += handles[rank].write(
-                    offset, data, direct=True, writer=writer
+        # Stage 4 — the plans' writes against the real resource stack.
+        with self._handles(clocks, create=True) as handles:
+            for rank, step in _sweep(plans, clocks):
+                data = prepared[rank][1][step.source]
+                outcomes[rank].bytes_written += handles[rank].write(
+                    step.file_offset,
+                    data[step.buffer_offset : step.buffer_offset + step.length],
+                    direct=True,
+                    writer=step.writer,
                 )
-                outcome.segments_written += 1
-                if cursors[rank] < len(steps):
-                    heapq.heappush(heap, (clocks[rank].now, rank))
-            outcomes = []
-            for rank, (steps, outcome) in enumerate(schedules):
-                outcome.end_time = clocks[rank].now
-                outcomes.append(outcome)
-        finally:
-            for handle in handles:
-                handle.close()
+                outcomes[rank].segments_written += 1
+            for outcome, clock in zip(outcomes, clocks):
+                outcome.end_time = clock.now
 
         return ConcurrentWriteResult(
             filename=self.filename,
-            fs=fs,
+            fs=self.fs,
             file=fobj,
             outcomes=outcomes,
             spmd=SPMDResult(returns=list(outcomes), clocks=clocks),
             regions=regions,
         )
 
-    # -- schedule replays -------------------------------------------------------
 
-    def _outcome(self, rank: int, region: FileRegionSet, **kwargs) -> WriteOutcome:
-        return WriteOutcome(
-            strategy=self.strategy.name,
-            rank=rank,
-            bytes_requested=region.total_bytes,
-            start_time=0.0,
-            **kwargs,
-        )
-
-    def _schedule_flat(
-        self,
-        nprocs: int,
-        regions: List[FileRegionSet],
-        datas: List[bytes],
-        clocks: List[VirtualClock],
-        strategy: TwoPhaseStrategy,
-    ) -> List[_RankSchedule]:
-        """Replay :meth:`TwoPhaseStrategy.schedule` for every rank."""
-        agg_set, aggregators, piece_starts, pieces, surrendered = strategy._negotiate(
-            nprocs, regions
-        )
-        piece_stops = [stop for _, stop, _ in pieces]
-
-        # Shuffle: route each rank's view through the piece table.  Sparse
-        # per-destination dicts replace the engine path's dense send lists —
-        # same payloads, same network bytes, but bookkeeping sized by actual
-        # traffic instead of P lists per rank.
-        sendbufs: List[Dict[int, List[Tuple[int, bytes]]]] = []
-        shuffled = [0] * nprocs
-        for rank in range(nprocs):
-            out: Dict[int, List[Tuple[int, bytes]]] = {}
-            for agg_rank, lo, chunk in route_stream(
-                regions[rank].buffer_map(),
-                datas[rank],
-                piece_starts,
-                piece_stops,
-                pieces,
-            ):
-                out.setdefault(agg_rank, []).append((lo, chunk))
-                shuffled[rank] += len(chunk)
-            sendbufs.append(out)
-        _rendezvous(
-            clocks,
-            [
-                self.comm_cost.cost(
-                    _Volume(
-                        sum(
-                            payload_nbytes(bufs)
-                            for dest, bufs in sendbufs[rank].items()
-                            if dest != rank
-                        )
-                    )
-                )
-                for rank in range(nprocs)
-            ],
-        )
-
-        schedules: List[_RankSchedule] = []
-        for rank in range(nprocs):
-            steps: List[Tuple[int, bytes, Optional[int]]] = []
-            if rank in agg_set:
-                received = [
-                    (src, sendbufs[src].get(rank, [])) for src in range(nprocs)
-                ]
-                for run in merge_pieces(received, policy=strategy.policy):
-                    steps.append((run.offset, run.data, run.origin))
-            outcome = self._outcome(
-                rank,
-                regions[rank],
-                bytes_surrendered=surrendered[rank],
-                phases=2,
-                my_phase=1 if rank in agg_set else 0,
-                extra={
-                    "aggregators": float(len(aggregators)),
-                    "shuffled_bytes": float(shuffled[rank]),
-                },
-            )
-            schedules.append((steps, outcome))
-        return schedules
-
-    def _schedule_hierarchical(
-        self,
-        nprocs: int,
-        regions: List[FileRegionSet],
-        datas: List[bytes],
-        clocks: List[VirtualClock],
-        strategy: HierarchicalTwoPhaseStrategy,
-    ) -> List[_RankSchedule]:
-        """Replay :meth:`HierarchicalTwoPhaseStrategy.schedule` for every rank."""
-        agg_set, aggregators, piece_starts, pieces, surrendered = strategy._negotiate(
-            nprocs, regions
-        )
-        piece_stops = [stop for _, stop, _ in pieces]
-        leaders = [strategy._leader_of(rank) for rank in range(nprocs)]
-        shuffled = [0] * nprocs
-
-        # Hop 1 — node combine: raw view pieces to the node leader.
-        node_received: Dict[int, List[Tuple[int, List[Tuple[int, bytes]]]]] = {}
-        hop1_costs = []
-        for rank in range(nprocs):
-            data = datas[rank]
-            my_pieces = [
-                (file_off, data[buf_off : buf_off + length])
-                for buf_off, file_off, length in regions[rank].buffer_map()
-            ]
-            volume = 0
-            if my_pieces:
-                node_received.setdefault(leaders[rank], []).append((rank, my_pieces))
-                if leaders[rank] != rank:
-                    volume = sum(len(d) for _, d in my_pieces)
-                    shuffled[rank] += volume
-            hop1_costs.append(self.comm_cost.cost(_Volume(volume)))
-        _rendezvous(clocks, hop1_costs)
-
-        # Leaders pre-merge and route the origin-tagged runs to the global
-        # aggregator owning each byte.
-        outgoing: List[Dict[int, List[Tuple[int, int, bytes]]]] = [
-            {} for _ in range(nprocs)
-        ]
-        for leader, arrivals in node_received.items():
-            node_runs = merge_origin_runs(
-                [
-                    (src, off, piece)
-                    for src, sent in arrivals
-                    for off, piece in sent
-                ],
-                policy=strategy.policy,
-            )
-            for run in node_runs:
-                for lo, hi, idx in clip_sorted_runs(
-                    piece_starts, piece_stops, run.offset, run.offset + run.length
-                ):
-                    agg_rank = pieces[idx][2]
-                    outgoing[leader].setdefault(agg_rank, []).append(
-                        (run.origin, lo, run.data[lo - run.offset : hi - run.offset])
-                    )
-                    if agg_rank != leader:
-                        shuffled[leader] += hi - lo
-
-        # Hop 2 — global combine.
-        _rendezvous(
-            clocks,
-            [
-                self.comm_cost.cost(
-                    _Volume(
-                        sum(
-                            payload_nbytes(runs)
-                            for dest, runs in outgoing[rank].items()
-                            if dest != rank
-                        )
-                    )
-                )
-                for rank in range(nprocs)
-            ],
-        )
-
-        num_nodes = -(-nprocs // strategy.ranks_per_node)
-        schedules: List[_RankSchedule] = []
-        for rank in range(nprocs):
-            steps: List[Tuple[int, bytes, Optional[int]]] = []
-            if rank in agg_set:
-                arrived = [
-                    run
-                    for src in range(nprocs)
-                    for run in outgoing[src].get(rank, [])
-                ]
-                for run in merge_origin_runs(arrived, policy=strategy.policy):
-                    steps.append((run.offset, run.data, run.origin))
-            outcome = self._outcome(
-                rank,
-                regions[rank],
-                bytes_surrendered=surrendered[rank],
-                phases=3,
-                my_phase=2 if rank in agg_set else (1 if rank == leaders[rank] else 0),
-                extra={
-                    "aggregators": float(len(aggregators)),
-                    "node_leaders": float(num_nodes),
-                    "shuffled_bytes": float(shuffled[rank]),
-                },
-            )
-            schedules.append((steps, outcome))
-        return schedules
-
-
-class BulkReadExecutor:
+class BulkReadExecutor(_BulkExecutor):
     """Drop-in replacement for :class:`CollectiveReadExecutor` at scale.
 
     Same constructor and :meth:`run` contract, same
-    :class:`~repro.core.executor.ConcurrentReadResult`; only the execution
-    substrate differs (driver-loop replay instead of engine tasks).  The
-    replayed rank program is the strategies' own bulk-synchronous read
-    sequence — flush, view exchange, aggregator fetch in discrete-event
-    order, scatter (one hop flat, two hops hierarchical), local assembly —
-    so virtual times, delivered streams and outcome accounting are
-    bit-identical to the engine path (``tests/test_core_bulk.py`` pins it).
-    Raises :class:`TypeError` for strategies whose read schedule it cannot
-    replay.
+    :class:`~repro.core.executor.ConcurrentReadResult`: view exchange, the
+    strategy's fetch plans swept in discrete-event order, then its scatter
+    coroutines (one hop flat, two hops hierarchical).  Raises
+    :class:`TypeError` for strategies it cannot drive.
     """
-
-    def __init__(
-        self,
-        fs: ParallelFileSystem,
-        strategy: TwoPhaseStrategy,
-        filename: str = "shared.dat",
-        comm_cost: Optional[CommCostModel] = None,
-    ) -> None:
-        if not isinstance(strategy, TwoPhaseStrategy) and not hasattr(
-            strategy, "resolve_static"
-        ):
-            raise TypeError(
-                "BulkReadExecutor replays aggregation read schedules only; "
-                f"{type(strategy).__name__} must run on the engine "
-                "(CollectiveReadExecutor)"
-            )
-        self.fs = fs
-        self.strategy = strategy
-        self.filename = filename
-        self.comm_cost = comm_cost or CommCostModel(latency=20e-6, byte_cost=1e-8)
-        bind = getattr(strategy, "bind_context", None)
-        if bind is not None:
-            bind(fs, filename)
 
     def run(self, nprocs: int, view_factory: ViewFactory) -> ConcurrentReadResult:
         """Execute the collective read on ``nprocs`` replayed ranks."""
-        if nprocs <= 0:
-            raise ValueError("nprocs must be positive")
-        from ..fs.client import FSClient
+        regions = self._views(nprocs, view_factory)
+        fobj = self.fs.lookup(self.filename)
+        clocks = [VirtualClock() for _ in regions]
+        # (``execute_read`` flushes first; these fresh handles have clean caches.)
+        with self._handles(clocks, create=False) as handles:
+            delegate, negotiation, adopt = self._exchange(regions, clocks, "read")
+            plans = [adopt(delegate.fetch_plan(region, negotiation)) for region in regions]
+            outcomes = [ReadOutcome.from_plan(plan, 0.0) for plan in plans]
+            sinks = [plan.sinks() for plan in plans]
 
-        fs = self.fs
-        fobj = fs.lookup(self.filename)
-        regions = [
-            FileRegionSet(rank, view_factory(rank, nprocs)) for rank in range(nprocs)
-        ]
-        clocks = [VirtualClock() for _ in range(nprocs)]
-
-        # Resolve the adaptive strategy to its tuned read delegate (no
-        # collective needed — the driver holds every rank's regions).
-        resolver = getattr(self.strategy, "resolve_static", None)
-        if resolver is not None:
-            delegate = resolver(nprocs, regions, mode="read")
-            decision = getattr(self.strategy, "last_decision", None)
-            hint_extra = decision.hints() if decision is not None else {}
-        else:
-            delegate = self.strategy
-            hint_extra = {}
-
-        handles = []
-        for rank in range(nprocs):
-            client = FSClient(fs, client_id=rank, clock=clocks[rank])
-            handles.append(client.open(self.filename, create=False))
-        try:
-            # Flush before the exchange rendezvous, exactly like
-            # ``execute_read`` — a no-op in virtual time on the clean caches
-            # of freshly opened handles, kept for sequence parity.
-            for handle in handles:
-                handle.sync()
-
-            # Stage 1 — view exchange (adaptive ships the tagged flattened
-            # view of 1 + 2*segments elements instead, costed honestly).
-            if resolver is not None:
-                exchange_costs = [
-                    self.comm_cost.cost(_Volume(1 + 2 * r.num_segments))
-                    for r in regions
-                ]
-            else:
-                exchange_costs = [self.comm_cost.cost(r.segments) for r in regions]
-            _rendezvous(clocks, exchange_costs)
-
-            agg_set, aggregators, _, pieces, _ = delegate._negotiate(nprocs, regions)
-            hierarchical = isinstance(delegate, HierarchicalTwoPhaseStrategy)
-
-            # Per-aggregator fetch steps and aggregate sink buffers.
-            held_by_rank: List[List[Tuple[int, int, int]]] = []
-            buffers: List[bytearray] = []
-            outcomes: List[ReadOutcome] = []
-            for rank in range(nprocs):
-                held = list(delegate._held_runs(rank, pieces))
-                held_by_rank.append(held)
-                size = held[-1][2] + (held[-1][1] - held[-1][0]) if held else 0
-                buffers.append(bytearray(size))
-                if hierarchical:
-                    my_phase = (
-                        0
-                        if rank in agg_set
-                        else (1 if rank == delegate._leader_of(rank) else 2)
-                    )
-                    extra = {
-                        "aggregators": float(len(aggregators)),
-                        "node_leaders": float(
-                            -(-nprocs // delegate.ranks_per_node)
-                        ),
-                    }
-                    phases = 3
-                else:
-                    my_phase = 0 if rank in agg_set else 1
-                    extra = {"aggregators": float(len(aggregators))}
-                    phases = 2
-                extra.update(hint_extra)
-                outcomes.append(
-                    ReadOutcome(
-                        strategy=self.strategy.name,
-                        rank=rank,
-                        bytes_requested=regions[rank].total_bytes,
-                        phases=phases,
-                        my_phase=my_phase,
-                        start_time=0.0,
-                        extra=extra,
-                    )
-                )
-
-            # Phase 1 — aggregator fetch in discrete-event order: one direct
-            # read per heap pop against the real client/link/server resource
-            # stack (the heap IS the sequencing, as in the write replay).
-            heap = [
-                (clocks[rank].now, rank) for rank in range(nprocs) if held_by_rank[rank]
-            ]
-            heapq.heapify(heap)
-            cursors = [0] * nprocs
-            while heap:
-                _, rank = heapq.heappop(heap)
-                held = held_by_rank[rank]
-                start, stop, buf = held[cursors[rank]]
-                cursors[rank] += 1
-                data = handles[rank].read(start, stop - start, direct=True)
-                buffers[rank][buf : buf + len(data)] = data
+            # Phase 1 — aggregator fetch, one direct read per heap pop.
+            for rank, step in _sweep(plans, clocks):
+                data = handles[rank].read(step.file_offset, step.length, direct=True)
+                sinks[rank][step.sink][
+                    step.buffer_offset : step.buffer_offset + len(data)
+                ] = data
                 outcomes[rank].bytes_read += len(data)
                 outcomes[rank].segments_read += 1
-                if cursors[rank] < len(held):
-                    heapq.heappush(heap, (clocks[rank].now, rank))
 
-            # Phase 2 — scatter + assembly.
-            if hierarchical:
-                streams = self._deliver_hierarchical(
-                    nprocs, regions, clocks, delegate, held_by_rank, buffers, outcomes
-                )
-            else:
-                streams = self._deliver_flat(
-                    nprocs, regions, clocks, held_by_rank, buffers, outcomes
-                )
-            for rank in range(nprocs):
-                outcomes[rank].end_time = clocks[rank].now
-                outcomes[rank].bytes_returned = len(streams[rank])
-        finally:
-            for handle in handles:
-                handle.close()
+            # Phase 2 — every rank's scatter coroutine, to its data stream.
+            streams = self._lockstep(
+                [
+                    delegate.scatter(region, negotiation, outcome, sink)
+                    for region, outcome, sink in zip(regions, outcomes, sinks)
+                ],
+                clocks,
+            )
+            for outcome, clock, stream in zip(outcomes, clocks, streams):
+                outcome.end_time = clock.now
+                outcome.bytes_returned = len(stream)
 
         return ConcurrentReadResult(
             filename=self.filename,
-            fs=fs,
+            fs=self.fs,
             file=fobj,
             outcomes=outcomes,
             data=streams,
             spmd=SPMDResult(returns=list(zip(streams, outcomes)), clocks=clocks),
             regions=regions,
         )
-
-    # -- delivery replays -------------------------------------------------------
-
-    def _deliver_flat(
-        self,
-        nprocs: int,
-        regions: List[FileRegionSet],
-        clocks: List[VirtualClock],
-        held_by_rank: List[List[Tuple[int, int, int]]],
-        buffers: List[bytearray],
-        outcomes: List[ReadOutcome],
-    ) -> List[bytes]:
-        """Replay :meth:`TwoPhaseStrategy.deliver_read` for every rank."""
-        coverages = [r.coverage for r in regions]
-        pieces_for: List[List[Tuple[int, bytes]]] = [[] for _ in range(nprocs)]
-        volumes = [0] * nprocs
-        for rank in range(nprocs):
-            if not held_by_rank[rank]:
-                continue
-            sendbufs = scatter_pieces(held_by_rank[rank], buffers[rank], coverages)
-            for dest, bufs in enumerate(sendbufs):
-                if not bufs:
-                    continue
-                pieces_for[dest].extend(bufs)
-                if dest != rank:
-                    volumes[rank] += sum(len(piece) for _, piece in bufs)
-        _rendezvous(
-            clocks, [self.comm_cost.cost(_Volume(v)) for v in volumes]
-        )
-        streams = []
-        for rank in range(nprocs):
-            outcomes[rank].bytes_shuffled = volumes[rank]
-            stream, filled = assemble_stream(
-                pieces_for[rank], regions[rank].buffer_map(), regions[rank].total_bytes
-            )
-            outcomes[rank].extra["scatter_filled_bytes"] = float(filled)
-            streams.append(stream)
-        return streams
-
-    def _deliver_hierarchical(
-        self,
-        nprocs: int,
-        regions: List[FileRegionSet],
-        clocks: List[VirtualClock],
-        strategy: HierarchicalTwoPhaseStrategy,
-        held_by_rank: List[List[Tuple[int, int, int]]],
-        buffers: List[bytearray],
-        outcomes: List[ReadOutcome],
-    ) -> List[bytes]:
-        """Replay :meth:`HierarchicalTwoPhaseStrategy.deliver_read`."""
-        ppn = strategy.ranks_per_node
-        coverages = [r.coverage for r in regions]
-        per_node = node_coverages(coverages, ppn)
-
-        # Hop 1 — inter-node scatter: aggregators ship each node leader the
-        # union of its node's requested bytes.
-        arrivals: List[List[Tuple[int, bytes]]] = [[] for _ in range(nprocs)]
-        shuffled = [0] * nprocs
-        hop1 = [0] * nprocs
-        for rank in range(nprocs):
-            if not held_by_rank[rank]:
-                continue
-            node_sendbufs = scatter_pieces(held_by_rank[rank], buffers[rank], per_node)
-            for node_idx, bufs in enumerate(node_sendbufs):
-                if not bufs:
-                    continue
-                leader = node_idx * ppn
-                arrivals[leader].extend(bufs)
-                if leader != rank:
-                    hop1[rank] += sum(len(piece) for _, piece in bufs)
-            shuffled[rank] += hop1[rank]
-        _rendezvous(clocks, [self.comm_cost.cost(_Volume(v)) for v in hop1])
-
-        # Leaders splice the arrived runs and cut them per local rank.
-        pieces_for: List[List[Tuple[int, bytes]]] = [[] for _ in range(nprocs)]
-        hop2 = [0] * nprocs
-        for leader in range(0, nprocs, ppn):
-            if not arrivals[leader]:
-                continue
-            node_held, node_buffer = gather_runs(arrivals[leader])
-            locals_stop = min(nprocs, leader + ppn)
-            cut = scatter_pieces(
-                node_held,
-                node_buffer,
-                [coverages[r] for r in range(leader, locals_stop)],
-            )
-            for i, bufs in enumerate(cut):
-                if not bufs:
-                    continue
-                dest = leader + i
-                pieces_for[dest].extend(bufs)
-                if dest != leader:
-                    hop2[leader] += sum(len(piece) for _, piece in bufs)
-        for leader in range(0, nprocs, ppn):
-            shuffled[leader] += hop2[leader]
-
-        # Hop 2 — intra-node scatter.
-        _rendezvous(clocks, [self.comm_cost.cost(_Volume(v)) for v in hop2])
-
-        streams = []
-        for rank in range(nprocs):
-            outcomes[rank].bytes_shuffled = shuffled[rank]
-            stream, filled = assemble_stream(
-                pieces_for[rank], regions[rank].buffer_map(), regions[rank].total_bytes
-            )
-            outcomes[rank].extra["scatter_filled_bytes"] = float(filled)
-            streams.append(stream)
-        return streams

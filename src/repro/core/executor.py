@@ -55,6 +55,34 @@ def default_data_factory(rank: int, nbytes: int) -> bytes:
     return bytes([ord("A") + (rank % 26)]) * nbytes
 
 
+class _Executor:
+    """What every executor — engine or bulk, write or read — is built from."""
+
+    def __init__(
+        self,
+        fs: ParallelFileSystem,
+        strategy: AtomicityStrategy,
+        filename: str = "shared.dat",
+        comm_cost: Optional[CommCostModel] = None,
+    ) -> None:
+        self.fs = fs
+        self.strategy = strategy
+        self.filename = filename
+        self.comm_cost = comm_cost or CommCostModel(latency=20e-6, byte_cost=1e-8)
+        # Context-aware strategies (the adaptive tuner) learn the machine
+        # model and per-file tuning record from the file they will drive.
+        bind = getattr(strategy, "bind_context", None)
+        if bind is not None:
+            bind(fs, filename)
+
+    @staticmethod
+    def _views(nprocs: int, view_factory: ViewFactory) -> List[FileRegionSet]:
+        """Every rank's flattened view, as the regions the run will use."""
+        if nprocs <= 0:
+            raise ValueError("nprocs must be positive")
+        return [FileRegionSet(rank, view_factory(rank, nprocs)) for rank in range(nprocs)]
+
+
 @dataclass
 class ConcurrentWriteResult:
     """Everything produced by one concurrent overlapping write."""
@@ -98,25 +126,8 @@ class ConcurrentWriteResult:
         return self.total_bytes_requested / self.makespan
 
 
-class AtomicWriteExecutor:
+class AtomicWriteExecutor(_Executor):
     """Runs concurrent overlapping writes under an atomicity strategy."""
-
-    def __init__(
-        self,
-        fs: ParallelFileSystem,
-        strategy: AtomicityStrategy,
-        filename: str = "shared.dat",
-        comm_cost: Optional[CommCostModel] = None,
-    ) -> None:
-        self.fs = fs
-        self.strategy = strategy
-        self.filename = filename
-        self.comm_cost = comm_cost or CommCostModel(latency=20e-6, byte_cost=1e-8)
-        # Context-aware strategies (the adaptive tuner) learn the machine
-        # model and per-file tuning record from the file they will drive.
-        bind = getattr(strategy, "bind_context", None)
-        if bind is not None:
-            bind(fs, filename)
 
     def run(
         self,
@@ -130,20 +141,15 @@ class AtomicWriteExecutor:
         payload from ``data_factory(rank, nbytes)``, opens the shared file
         and calls the strategy collectively.
         """
-        if nprocs <= 0:
-            raise ValueError("nprocs must be positive")
         from ..fs.client import FSClient
         from ..mpi.runtime import run_spmd
 
+        regions = self._views(nprocs, view_factory)
         fs = self.fs
         filename = self.filename
         strategy = self.strategy
         # Pre-create so every rank opens the same FileObject.
         fobj = fs.create(filename)
-
-        regions = [
-            FileRegionSet(rank, view_factory(rank, nprocs)) for rank in range(nprocs)
-        ]
 
         def rank_main(comm: Communicator) -> WriteOutcome:
             rank = comm.rank
@@ -211,7 +217,7 @@ class ConcurrentReadResult:
         return self.total_bytes_requested / self.makespan
 
 
-class CollectiveReadExecutor:
+class CollectiveReadExecutor(_Executor):
     """Runs collective overlapping reads under an atomicity strategy.
 
     The file must already exist on the file system (a previous write, e.g. a
@@ -219,36 +225,16 @@ class CollectiveReadExecutor:
     pipeline and the result carries the delivered streams for verification.
     """
 
-    def __init__(
-        self,
-        fs: ParallelFileSystem,
-        strategy: AtomicityStrategy,
-        filename: str = "shared.dat",
-        comm_cost: Optional[CommCostModel] = None,
-    ) -> None:
-        self.fs = fs
-        self.strategy = strategy
-        self.filename = filename
-        self.comm_cost = comm_cost or CommCostModel(latency=20e-6, byte_cost=1e-8)
-        bind = getattr(strategy, "bind_context", None)
-        if bind is not None:
-            bind(fs, filename)
-
     def run(self, nprocs: int, view_factory: ViewFactory) -> ConcurrentReadResult:
         """Execute the collective read on ``nprocs`` ranks."""
-        if nprocs <= 0:
-            raise ValueError("nprocs must be positive")
         from ..fs.client import FSClient
         from ..mpi.runtime import run_spmd
 
+        regions = self._views(nprocs, view_factory)
         fs = self.fs
         filename = self.filename
         strategy = self.strategy
         fobj = fs.lookup(filename)
-
-        regions = [
-            FileRegionSet(rank, view_factory(rank, nprocs)) for rank in range(nprocs)
-        ]
 
         def rank_main(comm: Communicator) -> Tuple[bytes, ReadOutcome]:
             rank = comm.rank

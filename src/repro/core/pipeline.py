@@ -424,6 +424,10 @@ class ReadPlan:
                     sizes[step.sink] = end
         return sizes
 
+    def sinks(self) -> Dict[str, bytearray]:
+        """Fresh zeroed sink buffers for one execution of the plan."""
+        return {name: bytearray(size) for name, size in self.sink_sizes().items()}
+
 
 # ---------------------------------------------------------------------------
 # Stage 4 — plan execution
@@ -455,16 +459,8 @@ class PhaseRunner:
         """
         from .strategies import WriteOutcome  # local import: avoids a cycle
 
-        out = WriteOutcome(
-            strategy=plan.strategy,
-            rank=plan.rank,
-            bytes_requested=plan.bytes_requested,
-            bytes_surrendered=plan.bytes_surrendered,
-            phases=plan.num_phases,
-            my_phase=plan.my_phase,
-            colors_used=plan.colors_used,
-            start_time=handle.clock.now if start_time is None else start_time,
-            extra=dict(plan.extra),
+        out = WriteOutcome.from_plan(
+            plan, handle.clock.now if start_time is None else start_time
         )
         held = []
         for directive in plan.locks:
@@ -522,19 +518,10 @@ class ReadRunner:
         """
         from .strategies import ReadOutcome  # local import: avoids a cycle
 
-        out = ReadOutcome(
-            strategy=plan.strategy,
-            rank=plan.rank,
-            bytes_requested=plan.bytes_requested,
-            phases=plan.num_phases,
-            my_phase=plan.my_phase,
-            colors_used=plan.colors_used,
-            start_time=handle.clock.now if start_time is None else start_time,
-            extra=dict(plan.extra),
+        out = ReadOutcome.from_plan(
+            plan, handle.clock.now if start_time is None else start_time
         )
-        sinks: Dict[str, bytearray] = {
-            name: bytearray(size) for name, size in plan.sink_sizes().items()
-        }
+        sinks = plan.sinks()
         stats = handle.cache.stats
         hits0, misses0 = stats.hits, stats.misses
         clock = handle.clock

@@ -1,11 +1,10 @@
 """Central registry of atomicity strategies.
 
-Replaces the ad-hoc ``strategy_by_name`` lookup table and the duplicated
-strategy-name lists that used to live in the benchmark harness.  A strategy
-class declares its capabilities (``provides_atomicity``, ``requires_locks``)
-and registers itself once; every consumer — the MPI-IO layer's Info hints,
-the benchmark grid, machine-applicability filtering — queries the registry
-instead of hard-coding names.
+The one way to select a strategy by name.  A strategy class declares its
+capabilities (``provides_atomicity``, ``requires_locks``) and registers
+itself once; every consumer — the MPI-IO layer's Info hints, the benchmark
+grid, machine-applicability filtering — queries the registry instead of
+hard-coding names.
 
 Adding a new strategy is therefore local to one module::
 
@@ -17,17 +16,11 @@ Adding a new strategy is therefore local to one module::
         name = "my-strategy"
         ...
 
-and it is immediately constructible via ``strategy_by_name`` and swept by
-the Figure 8 grid defaults and the CI smoke benchmark.  (The legacy
-``STRATEGY_NAMES`` tuple is frozen at import of ``repro.core.strategies``
-and lists only the built-ins; query ``default_registry.names()`` for the
-live set.)
-
-Registration order matters only for that frozen tuple: later-registered
-entries such as the adaptive ``auto`` tuner (:mod:`repro.core.autotune`),
-which dispatches to the built-ins rather than implementing its own data
-movement, still appear in ``default_registry.names()``, the Info-hint
-resolution, and the benchmark grids.
+and it is immediately constructible via ``default_registry.create(name)``,
+listed by ``default_registry.names()`` (registration order: the paper's
+strategies first, later entries such as the adaptive ``auto`` tuner of
+:mod:`repro.core.autotune` after them) and swept by the Figure 8 grid
+defaults and the CI smoke benchmark.
 """
 
 from __future__ import annotations

@@ -14,6 +14,16 @@ and a ``schedule`` method that turns the analysis into a declarative
 writing a ``schedule`` method and registering the class — see
 ``ARCHITECTURE.md`` for a worked example.
 
+The aggregation strategies communicate *inside* their schedule (the shuffle
+of a write, the scatter of a read).  Each of those schedules is written
+once, as a per-rank generator coroutine (:meth:`TwoPhaseStrategy.shuffle` /
+:meth:`TwoPhaseStrategy.scatter`) that yields the ``{dest: payload}`` dict of
+a sparse all-to-all and is resumed with the ``[(src, payload)]`` pairs it
+received.  It has two drivers: on the engine, ``schedule`` / ``deliver_read``
+pump it against the communicator (:func:`_pump`); at scale,
+:mod:`repro.core.bulk` advances all ``P`` coroutines in lockstep with no
+engine at all.
+
 Implemented strategies:
 
 :class:`NoAtomicityStrategy`
@@ -64,18 +74,28 @@ Every strategy also implements the **collective read** side
   writers serialise against them.
 * ``two-phase`` — aggregators read their disjoint file-domain chunks *once*
   (direct, no cache invalidation — resident pages stay warm), then scatter
-  every consumer's pieces through ``alltoallv``; an overlapped byte costs one
-  server read no matter how many ranks request it.
+  every consumer's pieces through a sparse all-to-all; an overlapped byte
+  costs one server read no matter how many ranks request it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..fs.lockmanager import LockMode
 from .aggregation import (
+    AggregatedRun,
     assemble_stream,
     choose_aggregators,
     choose_node_aggregators,
@@ -84,7 +104,6 @@ from .aggregation import (
     merge_pieces,
     node_coverages,
     partition_domain,
-    route_stream,
     scatter_pieces,
 )
 from .coloring import ColoringResult
@@ -111,7 +130,7 @@ from .rank_ordering import (
     surrendered_bytes_by_priority,
 )
 from .regions import FileRegionSet
-from .registry import default_registry, register_strategy
+from .registry import register_strategy
 
 if TYPE_CHECKING:  # imported lazily to keep the package import graph acyclic
     from ..fs.client import ClientFileHandle
@@ -130,8 +149,6 @@ __all__ = [
     "RankOrderingStrategy",
     "TwoPhaseStrategy",
     "HierarchicalTwoPhaseStrategy",
-    "strategy_by_name",
-    "STRATEGY_NAMES",
 ]
 
 #: Payload key of the merged aggregation buffer in a two-phase plan.
@@ -155,6 +172,22 @@ class WriteOutcome:
     start_time: float = 0.0
     end_time: float = 0.0
     extra: Dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def from_plan(cls, plan: WritePlan, start_time: float) -> "WriteOutcome":
+        """A fresh outcome carrying ``plan``'s bookkeeping — what every
+        executor of the plan (the runner, the bulk sweep) accounts into."""
+        return cls(
+            strategy=plan.strategy,
+            rank=plan.rank,
+            bytes_requested=plan.bytes_requested,
+            bytes_surrendered=plan.bytes_surrendered,
+            phases=plan.num_phases,
+            my_phase=plan.my_phase,
+            colors_used=plan.colors_used,
+            start_time=start_time,
+            extra=dict(plan.extra),
+        )
 
     @property
     def elapsed(self) -> float:
@@ -192,6 +225,21 @@ class ReadOutcome:
     start_time: float = 0.0
     end_time: float = 0.0
     extra: Dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def from_plan(cls, plan: ReadPlan, start_time: float) -> "ReadOutcome":
+        """A fresh outcome carrying ``plan``'s bookkeeping (see
+        :meth:`WriteOutcome.from_plan`)."""
+        return cls(
+            strategy=plan.strategy,
+            rank=plan.rank,
+            bytes_requested=plan.bytes_requested,
+            phases=plan.num_phases,
+            my_phase=plan.my_phase,
+            colors_used=plan.colors_used,
+            start_time=start_time,
+            extra=dict(plan.extra),
+        )
 
     @property
     def elapsed(self) -> float:
@@ -655,14 +703,65 @@ class RankOrderingStrategy(PipelineStrategy):
         return plan, {USER_PAYLOAD: data}
 
 
+@dataclass
+class Negotiation:
+    """What the ranks of one aggregation collective agree on without talking.
+
+    Election, file-domain partitioning and surrender accounting are pure
+    functions of the exchanged views, so they are computed once per
+    collective (:meth:`TwoPhaseStrategy.negotiate`) and this one record is
+    handed, read-only, to every rank's shuffle / scatter coroutine.  It also
+    carries every table sized by ``P`` or by the aggregator count, so that a
+    rank's own work stays proportional to its own traffic.
+    """
+
+    size: int
+    aggregators: List[int]
+    #: ``frozenset(aggregators)``, for O(1) per-rank membership tests.
+    agg_set: FrozenSet[int]
+    #: The flat file-ordered routing table ``(start, stop, aggregator_rank)``
+    #: over the covered domain, with its two bisection indexes.
+    pieces: List[Tuple[int, int, int]]
+    piece_starts: List[int]
+    piece_stops: List[int]
+    #: ``surrendered[rank]``: bytes of ``rank``'s view that a higher-priority
+    #: rank also covers — the same winners the aggregators' merge picks.
+    surrendered: Sequence[int]
+    #: ``coverages[rank]``: the byte set ``rank``'s view covers.
+    coverages: List[IntervalSet]
+    #: Per aggregator, the chunk runs it holds as ``(start, stop,
+    #: buffer_offset)`` triples in file order — the layout of its read sink.
+    held: Dict[int, List[Tuple[int, int, int]]]
+    #: Per-node union coverages, filled on first use by the hierarchical
+    #: scatter (a write never needs them).
+    node_coverages: Optional[List[IntervalSet]] = None
+
+
+def _pump(comm: Communicator, schedule: Generator):
+    """Drive one rank's schedule coroutine on the engine.
+
+    The coroutine yields the ``{dest: payload}`` dict of a sparse exchange
+    and is resumed with the ``[(src, payload)]`` list it received; this
+    driver answers every yield with ``comm.alltoallv_sparse`` and returns
+    the coroutine's return value.  :mod:`repro.core.bulk` holds the other
+    driver, which advances all ``P`` coroutines in lockstep.
+    """
+    try:
+        sent = next(schedule)
+        while True:
+            sent = schedule.send(comm.alltoallv_sparse(sent))
+    except StopIteration as done:
+        return done.value
+
+
 @register_strategy
 class TwoPhaseStrategy(PipelineStrategy):
     """Two-phase aggregation (ROMIO-style collective buffering).
 
     Phase 1 (shuffle): the aggregate file domain — the union of every rank's
     view — is partitioned among elected aggregator ranks; every rank ships
-    the data for each covered byte to that byte's aggregator through an
-    ``alltoallv`` exchange, and the aggregator merges the incoming pieces,
+    the data for each covered byte to that byte's aggregator through a
+    sparse all-to-all, and the aggregator merges the incoming pieces,
     giving contested bytes to the highest-priority covering rank (the same
     winner process-rank ordering picks, so the two strategies are
     byte-for-byte comparable).
@@ -731,27 +830,22 @@ class TwoPhaseStrategy(PipelineStrategy):
         return (type(self).__name__, self.num_aggregators, self.cb_buffer_size,
                 id(self.policy))
 
-    def _negotiate(self, comm_size: int, regions: Sequence[FileRegionSet]):
+    def negotiate(
+        self, comm_size: int, regions: Sequence[FileRegionSet]
+    ) -> Negotiation:
         """Election, partitioning and surrender accounting for one collective.
 
         Every rank computes the identical result from the identical exchanged
         views, so when the ranks share the regions list from the exchange
-        stage this runs once per collective instead of once per rank.
-        Returns ``(agg_set, aggregators, piece_starts, pieces, surrendered)``
-        where ``agg_set`` is ``frozenset(aggregators)`` (precomputed once so
-        the per-rank membership tests in :meth:`schedule` stay O(1)),
-        ``pieces`` is the flat file-ordered routing table
-        ``(start, stop, aggregator_rank)`` over the covered domain with
-        ``piece_starts`` its bisection index, and ``surrendered[rank]``
-        counts the bytes of ``rank``'s view that a higher-priority rank also
-        covers — the same winners the aggregators' merge picks (ties break
-        towards the lower rank, as in :func:`resolve_by_rank`), computed by
-        one descending-priority sweep.
+        stage this runs once per collective instead of once per rank.  Ties
+        in the surrender sweep break towards the lower rank, as in
+        :func:`resolve_by_rank`.
         """
-        # Fingerprint every exchanged view by identity: the region objects
-        # are shared between ranks even when the list holding them was
-        # copied (ConflictReport hands each rank its own list), and two
-        # lists differing in any element must not share a negotiation.
+        # Fingerprint every exchanged view by identity, not the list holding
+        # them: all ranks of a collective share one list, but the adaptive
+        # strategy rebuilds it around cached region objects on a plan-cache
+        # miss, and two lists differing in any element must not share a
+        # negotiation.
         pin = tuple(regions)
         # The memo is shared between strategy instances (one per rank in the
         # MPI-IO layer), so the key must include every tunable that changes
@@ -764,7 +858,8 @@ class TwoPhaseStrategy(PipelineStrategy):
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        domain = merge_interval_sets([r.coverage for r in regions])
+        coverages = [r.coverage for r in regions]
+        domain = merge_interval_sets(coverages)
         want = self._aggregator_count(comm_size, domain.total_bytes)
         aggregators = self._elect(comm_size, want)
         chunks = partition_domain(domain, len(aggregators))
@@ -773,116 +868,161 @@ class TwoPhaseStrategy(PipelineStrategy):
             for iv in chunk:
                 pieces.append((iv.start, iv.stop, agg_rank))
         pieces.sort()
-        piece_starts = [start for start, _, _ in pieces]
-        surrendered = surrendered_bytes_by_priority(regions, policy=self.policy)
-        result = (frozenset(aggregators), aggregators, piece_starts, pieces, surrendered)
+        held: Dict[int, List[Tuple[int, int, int]]] = {}
+        for start, stop, agg_rank in pieces:
+            runs = held.setdefault(agg_rank, [])
+            # Each run lands in the sink right behind the previous one.
+            buf = runs[-1][2] + (runs[-1][1] - runs[-1][0]) if runs else 0
+            runs.append((start, stop, buf))
+        result = Negotiation(
+            size=comm_size,
+            aggregators=aggregators,
+            agg_set=frozenset(aggregators),
+            pieces=pieces,
+            piece_starts=[start for start, _, _ in pieces],
+            piece_stops=[stop for _, stop, _ in pieces],
+            surrendered=surrendered_bytes_by_priority(regions, policy=self.policy),
+            coverages=coverages,
+            held=held,
+        )
         self._memo.put(key, pin, result)
         return result
 
-    def schedule(self, comm, region, data, report):  # noqa: D102 - see base
-        regions = report.regions
-        agg_set, aggregators, piece_starts, pieces, surrendered = self._negotiate(
-            comm.size, regions
-        )
+    # The engine side of "one schedule, two drivers": pump this rank's
+    # coroutine against the communicator.  The hierarchical subclass inherits
+    # these three unchanged and overrides only the coroutines they drive.
 
+    def schedule(self, comm, region, data, report):  # noqa: D102 - see base
+        negotiation = self.negotiate(comm.size, report.regions)
+        return _pump(comm, self.shuffle(region, data, negotiation))
+
+    def schedule_read(self, comm, region, report):  # noqa: D102 - see base
+        return self.fetch_plan(region, self.negotiate(comm.size, report.regions))
+
+    def deliver_read(self, comm, region, report, outcome, sinks):  # noqa: D102 - see base
+        # negotiate() is memoised per collective, so re-asking here costs a
+        # dictionary lookup.
+        negotiation = self.negotiate(comm.size, report.regions)
+        return _pump(comm, self.scatter(region, negotiation, outcome, sinks))
+
+    def _write_plan(
+        self,
+        region: FileRegionSet,
+        data: bytes,
+        neg: Negotiation,
+        runs: Sequence[AggregatedRun],
+        write_phase: int,
+        my_phase: int,
+        extra: Dict[str, float],
+    ) -> Tuple[WritePlan, Dict[str, bytes]]:
+        """The write phase every shuffle ends in: an aggregator's merged runs
+        become parallel disjoint direct writes — no locks, no barriers —
+        with the originating rank recorded as each run's provenance."""
+        steps: List[WriteStep] = []
+        buffer = bytearray()
+        for run in runs:
+            steps.append(
+                WriteStep(
+                    buffer_offset=len(buffer),
+                    file_offset=run.offset,
+                    length=run.length,
+                    source=AGGREGATE_PAYLOAD,
+                    writer=run.origin,
+                )
+            )
+            buffer.extend(run.data)
+        plan = self._plan(
+            region,
+            phases=[PhasePlan(index=write_phase, steps=steps, direct=True)],
+            reported_phases=write_phase + 1,
+            my_phase=my_phase,
+            bytes_surrendered=neg.surrendered[region.rank],
+            extra=extra,
+        )
+        return plan, {USER_PAYLOAD: data, AGGREGATE_PAYLOAD: bytes(buffer)}
+
+    def shuffle(self, region: FileRegionSet, data: bytes, neg: Negotiation):
+        """This rank's write schedule, as a coroutine (see :func:`_pump`);
+        returns ``(plan, payloads)``."""
         # Phase 1 — shuffle: ship each covered byte to its chunk's aggregator.
         # Route each view segment through the file-ordered piece table by
         # bisection, so the per-rank cost scales with the rank's own segment
         # count, not with the aggregator count.
-        sendbufs: List[List[Tuple[int, bytes]]] = [[] for _ in range(comm.size)]
+        outgoing: Dict[int, List[Tuple[int, bytes]]] = {}
         shuffled = 0
-        piece_stops = [stop for _, stop, _ in pieces]
-        for agg_rank, lo, chunk in route_stream(
-            region.buffer_map(), data, piece_starts, piece_stops, pieces
-        ):
-            sendbufs[agg_rank].append((lo, chunk))
-            shuffled += len(chunk)
-        received = comm.alltoallv(sendbufs)
+        for buf_off, file_off, length in region.buffer_map():
+            for lo, hi, idx in clip_sorted_runs(
+                neg.piece_starts, neg.piece_stops, file_off, file_off + length
+            ):
+                chunk = data[buf_off + (lo - file_off) : buf_off + (hi - file_off)]
+                outgoing.setdefault(neg.pieces[idx][2], []).append((lo, chunk))
+                shuffled += len(chunk)
+        received = yield outgoing
 
         # Merge (aggregators only): later-priority data overwrites earlier.
-        steps: List[WriteStep] = []
-        buffer = bytearray()
-        if region.rank in agg_set:
-            runs = merge_pieces(list(enumerate(received)), policy=self.policy)
-            for run in runs:
-                steps.append(
-                    WriteStep(
-                        buffer_offset=len(buffer),
-                        file_offset=run.offset,
-                        length=run.length,
-                        source=AGGREGATE_PAYLOAD,
-                        writer=run.origin,
-                    )
-                )
-                buffer.extend(run.data)
-
-        # Phase 2 — parallel disjoint writes of the aggregated extents.
-        plan = self._plan(
-            region,
-            phases=[PhasePlan(index=1, steps=steps, direct=True)],
-            reported_phases=2,
-            my_phase=1 if region.rank in agg_set else 0,
-            bytes_surrendered=surrendered[region.rank],
+        is_agg = region.rank in neg.agg_set
+        runs = merge_pieces(received, policy=self.policy) if is_agg else []
+        # Phase 2 — write.
+        return self._write_plan(
+            region, data, neg, runs, write_phase=1, my_phase=1 if is_agg else 0,
             extra={
-                "aggregators": float(len(aggregators)),
+                "aggregators": float(len(neg.aggregators)),
                 "shuffled_bytes": float(shuffled),
             },
         )
-        return plan, {USER_PAYLOAD: data, AGGREGATE_PAYLOAD: bytes(buffer)}
 
-    def _held_runs(self, rank: int, pieces: Sequence[Tuple[int, int, int]]):
-        """The chunk runs ``rank`` aggregates, as ``(start, stop, buffer_offset)``
-        triples in file order — the layout of its aggregation sink."""
-        held: List[Tuple[int, int, int]] = []
-        buf = 0
-        for start, stop, agg_rank in pieces:
-            if agg_rank == rank:
-                held.append((start, stop, buf))
-                buf += stop - start
-        return held
-
-    def schedule_read(self, comm, region, report):  # noqa: D102 - see base
+    def fetch_plan(self, region: FileRegionSet, neg: Negotiation) -> ReadPlan:
+        """This rank's read plan (the communication-free half of a read)."""
         # Phase 1 — read: each aggregator fetches its file-domain chunk once,
         # directly from the servers (bypassing — and therefore never
         # invalidating — the client cache; every rank's dirty pages were
         # flushed before the exchange rendezvous, so the servers are
         # current).  An overlapped byte costs one server read regardless of
         # how many consumers cover it.
-        regions = report.regions
-        agg_set, aggregators, _, pieces, _ = self._negotiate(comm.size, regions)
         steps = [
             ReadStep(buffer_offset=buf, file_offset=start, length=stop - start,
                      sink=AGGREGATE_PAYLOAD)
-            for start, stop, buf in self._held_runs(region.rank, pieces)
+            for start, stop, buf in neg.held.get(region.rank, ())
         ]
         return self._read_plan(
             region,
             phases=[ReadPhasePlan(index=0, steps=steps, direct=True)],
             reported_phases=2,
-            my_phase=0 if region.rank in agg_set else 1,
-            extra={"aggregators": float(len(aggregators))},
+            my_phase=0 if region.rank in neg.agg_set else 1,
+            extra={"aggregators": float(len(neg.aggregators))},
         )
 
-    def deliver_read(self, comm, region, report, outcome, sinks):  # noqa: D102 - see base
+    def scatter(
+        self,
+        region: FileRegionSet,
+        neg: Negotiation,
+        outcome: ReadOutcome,
+        sinks: Dict[str, bytearray],
+    ):
+        """This rank's read delivery, as a coroutine (see :func:`_pump`);
+        returns the rank's data stream."""
         # Phase 2 — scatter: ship every consumer the pieces of its view this
         # aggregator holds, then assemble the received pieces into the user
-        # stream.  _negotiate is memoised per collective, so re-asking here
-        # costs a dictionary lookup.
-        regions = report.regions
-        _, _, _, pieces, _ = self._negotiate(comm.size, regions)
-        held = self._held_runs(region.rank, pieces)
-        sendbufs = scatter_pieces(
-            held,
-            sinks.get(AGGREGATE_PAYLOAD, bytearray()),
-            [r.coverage for r in regions],
-        )
-        received = comm.alltoallv(sendbufs)
+        # stream.
+        outgoing: Dict[int, List[Tuple[int, bytes]]] = {}
+        held = neg.held.get(region.rank)
+        if held:
+            cut = scatter_pieces(held, sinks[AGGREGATE_PAYLOAD], neg.coverages)
+            outgoing = {dest: bufs for dest, bufs in enumerate(cut) if bufs}
+        received = yield outgoing
         outcome.bytes_shuffled = sum(
-            len(data) for dest, bufs in enumerate(sendbufs) if dest != region.rank
-            for _, data in bufs
+            len(piece)
+            for dest, bufs in outgoing.items()
+            if dest != region.rank
+            for _, piece in bufs
         )
+        return self._assemble(region, outcome, received)
+
+    @staticmethod
+    def _assemble(region: FileRegionSet, outcome: ReadOutcome, received) -> bytes:
+        """Place the scattered ``[(src, pieces)]`` into the user stream."""
         stream, filled = assemble_stream(
-            [piece for bufs in received for piece in bufs],
+            [piece for _, sent in received for piece in sent],
             region.buffer_map(),
             region.total_bytes,
         )
@@ -895,9 +1035,9 @@ class HierarchicalTwoPhaseStrategy(TwoPhaseStrategy):
     """Two-level (hierarchical) two-phase aggregation.
 
     The flat shuffle of :class:`TwoPhaseStrategy` has every rank exchanging
-    with every aggregator — at tens of thousands of ranks the metadata alone
-    (dense per-destination send lists) dominates.  The hierarchical variant
-    splits the shuffle along the machine topology:
+    with every aggregator — ``P × A`` flows that dominate at tens of
+    thousands of ranks.  The hierarchical variant splits the shuffle along
+    the machine topology:
 
     1. **node combine** — every rank ships its pieces to its *node leader*
        (the lowest rank of its ``ranks_per_node`` block), which pre-merges
@@ -973,11 +1113,14 @@ class HierarchicalTwoPhaseStrategy(TwoPhaseStrategy):
     def _leader_of(self, rank: int) -> int:
         return (rank // self.ranks_per_node) * self.ranks_per_node
 
-    def schedule(self, comm, region, data, report):  # noqa: D102 - see base
-        regions = report.regions
-        agg_set, aggregators, piece_starts, pieces, surrendered = self._negotiate(
-            comm.size, regions
-        )
+    def _roles(self, neg: Negotiation) -> Dict[str, float]:
+        """The outcome extras both directions report."""
+        return {
+            "aggregators": float(len(neg.aggregators)),
+            "node_leaders": float(-(-neg.size // self.ranks_per_node)),
+        }
+
+    def shuffle(self, region: FileRegionSet, data: bytes, neg: Negotiation):  # noqa: D102
         leader = self._leader_of(region.rank)
         is_leader = region.rank == leader
 
@@ -990,9 +1133,7 @@ class HierarchicalTwoPhaseStrategy(TwoPhaseStrategy):
         shuffled = 0
         if not is_leader:
             shuffled += sum(len(d) for _, d in my_pieces)
-        node_received = comm.alltoallv_sparse(
-            {leader: my_pieces} if my_pieces else {}
-        )
+        node_received = yield {leader: my_pieces} if my_pieces else {}
 
         # Leaders pre-merge their node's pieces, keeping per-byte origins,
         # then route the merged runs through the file-ordered piece table to
@@ -1007,12 +1148,11 @@ class HierarchicalTwoPhaseStrategy(TwoPhaseStrategy):
                 ],
                 policy=self.policy,
             )
-            piece_stops = [stop for _, stop, _ in pieces]
             for run in node_runs:
                 for lo, hi, idx in clip_sorted_runs(
-                    piece_starts, piece_stops, run.offset, run.offset + run.length
+                    neg.piece_starts, neg.piece_stops, run.offset, run.offset + run.length
                 ):
-                    agg_rank = pieces[idx][2]
+                    agg_rank = neg.pieces[idx][2]
                     outgoing.setdefault(agg_rank, []).append(
                         (run.origin, lo, run.data[lo - run.offset : hi - run.offset])
                     )
@@ -1022,112 +1162,54 @@ class HierarchicalTwoPhaseStrategy(TwoPhaseStrategy):
         # Hop 2 — global combine: aggregators merge the origin-tagged runs
         # from all leaders; the fixed priority total order makes the result
         # identical to a flat merge of every rank's raw pieces.
-        agg_received = comm.alltoallv_sparse(outgoing)
-        steps: List[WriteStep] = []
-        buffer = bytearray()
-        if region.rank in agg_set:
-            runs = merge_origin_runs(
-                [run for _, sent in agg_received for run in sent],
-                policy=self.policy,
-            )
-            for run in runs:
-                steps.append(
-                    WriteStep(
-                        buffer_offset=len(buffer),
-                        file_offset=run.offset,
-                        length=run.length,
-                        source=AGGREGATE_PAYLOAD,
-                        writer=run.origin,
-                    )
-                )
-                buffer.extend(run.data)
-
-        # Write phase: identical to the flat strategy — disjoint extents,
-        # fully parallel, provenance per merged run.
-        plan = self._plan(
-            region,
-            phases=[PhasePlan(index=2, steps=steps, direct=True)],
-            reported_phases=3,
-            my_phase=2 if region.rank in agg_set else (1 if is_leader else 0),
-            bytes_surrendered=surrendered[region.rank],
-            extra={
-                "aggregators": float(len(aggregators)),
-                "node_leaders": float(-(-comm.size // self.ranks_per_node)),
-                "shuffled_bytes": float(shuffled),
-            },
+        agg_received = yield outgoing
+        is_agg = region.rank in neg.agg_set
+        arrived = [run for _, sent in agg_received for run in sent] if is_agg else []
+        runs = merge_origin_runs(arrived, policy=self.policy)
+        # Write phase: identical to the flat strategy.
+        return self._write_plan(
+            region, data, neg, runs, write_phase=2,
+            my_phase=2 if is_agg else (1 if is_leader else 0),
+            extra={**self._roles(neg), "shuffled_bytes": float(shuffled)},
         )
-        return plan, {USER_PAYLOAD: data, AGGREGATE_PAYLOAD: bytes(buffer)}
 
-    #: Class-level memo for the per-node union coverages of one collective
-    #: read — shared across the P per-rank strategy instances exactly like
-    #: the negotiation memo.
-    _node_coverage_memo = _SharedMemo()
-
-    def _node_coverages(
-        self, comm_size: int, regions: Sequence[FileRegionSet]
-    ) -> List[IntervalSet]:
-        """Per-node union coverages for the scatter hops, memoised per
-        collective (same identity-pinning discipline as :meth:`_negotiate`)."""
-        pin = tuple(regions)
-        key = (tuple(map(id, pin)), comm_size, self.ranks_per_node)
-        cached = self._node_coverage_memo.get(key)
-        if cached is not None:
-            return cached
-        per_node = node_coverages([r.coverage for r in regions], self.ranks_per_node)
-        self._node_coverage_memo.put(key, pin, per_node)
-        return per_node
-
-    def schedule_read(self, comm, region, report):  # noqa: D102 - see base
+    def fetch_plan(self, region: FileRegionSet, neg: Negotiation) -> ReadPlan:  # noqa: D102
         # Phase 0 — fetch: identical to the flat read (the negotiation already
         # elects topology-aware node-leader aggregators via cb_nodes/cb_ppn),
         # but the plan reports the three-phase hierarchical schedule: fetch,
         # inter-node scatter to the node leaders, intra-node scatter.
-        regions = report.regions
-        agg_set, aggregators, _, pieces, _ = self._negotiate(comm.size, regions)
-        steps = [
-            ReadStep(buffer_offset=buf, file_offset=start, length=stop - start,
-                     sink=AGGREGATE_PAYLOAD)
-            for start, stop, buf in self._held_runs(region.rank, pieces)
-        ]
-        is_leader = region.rank == self._leader_of(region.rank)
-        return self._read_plan(
-            region,
-            phases=[ReadPhasePlan(index=0, steps=steps, direct=True)],
-            reported_phases=3,
-            my_phase=0 if region.rank in agg_set else (1 if is_leader else 2),
-            extra={
-                "aggregators": float(len(aggregators)),
-                "node_leaders": float(-(-comm.size // self.ranks_per_node)),
-            },
-        )
+        plan = super().fetch_plan(region, neg)
+        plan.reported_phases = 3
+        if region.rank not in neg.agg_set:
+            plan.my_phase = 1 if region.rank == self._leader_of(region.rank) else 2
+        plan.extra = self._roles(neg)
+        return plan
 
-    def deliver_read(self, comm, region, report, outcome, sinks):  # noqa: D102 - see base
+    def scatter(self, region, neg, outcome, sinks):  # noqa: D102
         # The scatter half of the flat read, split along the topology.  Both
         # hops are sparse, so the per-rank bookkeeping is sized by actual
         # traffic: an aggregator talks to node leaders, a leader to its
         # ranks_per_node locals.  Every byte of a node's union request
         # crosses the inter-node network once, however many of the node's
         # ranks cover it.
-        regions = report.regions
-        _, _, _, pieces, _ = self._negotiate(comm.size, regions)
-        held = self._held_runs(region.rank, pieces)
-        per_node = self._node_coverages(comm.size, regions)
+        ppn = self.ranks_per_node
+        shuffled = 0
 
         # Hop 1 — inter-node scatter: cut the fetched chunk against the
         # per-node union coverages and ship each node's pieces to its leader.
-        node_sendbufs = scatter_pieces(
-            held, sinks.get(AGGREGATE_PAYLOAD, bytearray()), per_node
-        )
-        shuffled = 0
         outgoing: Dict[int, List[Tuple[int, bytes]]] = {}
-        for node_idx, bufs in enumerate(node_sendbufs):
-            if not bufs:
-                continue
-            leader = node_idx * self.ranks_per_node
-            outgoing[leader] = bufs
-            if leader != region.rank:
-                shuffled += sum(len(piece) for _, piece in bufs)
-        node_received = comm.alltoallv_sparse(outgoing)
+        held = neg.held.get(region.rank)
+        if held:
+            if neg.node_coverages is None:
+                neg.node_coverages = node_coverages(neg.coverages, ppn)
+            cut = scatter_pieces(held, sinks[AGGREGATE_PAYLOAD], neg.node_coverages)
+            for node_idx, bufs in enumerate(cut):
+                if not bufs:
+                    continue
+                outgoing[node_idx * ppn] = bufs
+                if node_idx * ppn != region.rank:
+                    shuffled += sum(len(piece) for _, piece in bufs)
+        node_received = yield outgoing
 
         # Leaders splice the received disjoint pieces into a node-resident
         # buffer and cut it again, per local rank this time.
@@ -1136,45 +1218,24 @@ class HierarchicalTwoPhaseStrategy(TwoPhaseStrategy):
             node_held, node_buffer = gather_runs(
                 [piece for _, sent in node_received for piece in sent]
             )
-            locals_stop = min(comm.size, region.rank + self.ranks_per_node)
             cut = scatter_pieces(
-                node_held,
-                node_buffer,
-                [regions[r].coverage for r in range(region.rank, locals_stop)],
+                node_held, node_buffer, neg.coverages[region.rank : region.rank + ppn]
             )
-            for i, bufs in enumerate(cut):
+            for dest, bufs in enumerate(cut, start=region.rank):
                 if not bufs:
                     continue
-                dest = region.rank + i
                 local[dest] = bufs
                 if dest != region.rank:
                     shuffled += sum(len(piece) for _, piece in bufs)
 
         # Hop 2 — intra-node scatter: every rank receives exactly the pieces
         # of its own view from its leader.
-        received = comm.alltoallv_sparse(local)
+        received = yield local
         outcome.bytes_shuffled = shuffled
-        stream, filled = assemble_stream(
-            [piece for _, sent in received for piece in sent],
-            region.buffer_map(),
-            region.total_bytes,
-        )
-        outcome.extra["scatter_filled_bytes"] = float(filled)
-        return stream
+        return self._assemble(region, outcome, received)
 
 
-def strategy_by_name(name: str, **kwargs) -> AtomicityStrategy:
-    """Instantiate a strategy from its registered short name."""
-    return default_registry.create(name, **kwargs)
-
-
-#: The built-in strategy names, frozen at import of this module (kept for
-#: backwards compatibility).  Strategies registered later do NOT appear here;
-#: query :data:`repro.core.registry.default_registry` for the live set.
-STRATEGY_NAMES: Tuple[str, ...] = default_registry.names()
-
-# Registers the adaptive "auto" strategy (deliberately after the freeze
-# above: "auto" is a tuner over these strategies, not one of the paper's
-# fixed strategies).  Imported last to keep the dependency one-way at class
-# definition time.
+# Registers the adaptive "auto" strategy — a tuner over the strategies above,
+# not one of the paper's fixed strategies.  Imported last to keep the
+# dependency one-way at class definition time.
 from . import autotune as _autotune  # noqa: E402,F401  (registration side effect)

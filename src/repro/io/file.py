@@ -67,7 +67,6 @@ from ..core.strategies import (
     PipelineStrategy,
     ReadOutcome,
     WriteOutcome,
-    strategy_by_name,
 )
 from ..fs.lockmanager import LockMode
 from ..fs.striping import StripingLayout
@@ -312,9 +311,8 @@ class MPIFile:
             stacklevel=2,
         )
         if isinstance(strategy, str):
-            if strategy not in default_registry:
-                # Keep the old eager-validation behaviour for unknown names.
-                strategy_by_name(strategy)
+            # Keep the old eager-validation behaviour for unknown names.
+            default_registry.get(strategy)
             self.info.set("atomicity_strategy", strategy)
             self._strategy = None
             self._auto_strategy = None

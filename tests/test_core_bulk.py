@@ -18,7 +18,9 @@ from repro.core.strategies import (
     TwoPhaseStrategy,
 )
 from repro.fs import ParallelFileSystem
+from repro.mpi import SPMDExecutionError
 from repro.mpi.cost import CommCostModel
+from repro.mpi.errors import CollectiveMismatchError, DeadlockError, RankError
 from repro.patterns.partition import block_block_views, column_wise_views
 from repro.patterns.workloads import rank_pattern_bytes
 from tests.conftest import fast_fs_config
@@ -67,6 +69,7 @@ STRATEGIES = {
     "two-phase-hier-1agg": lambda: HierarchicalTwoPhaseStrategy(
         num_aggregators=1, ranks_per_node=4
     ),
+    "auto": lambda: AutoStrategy(),
 }
 
 
@@ -109,6 +112,52 @@ class TestGuardrails:
         executor = BulkWriteExecutor(fs, TwoPhaseStrategy())
         with pytest.raises(ValueError):
             executor.run(0, lambda rank, P: [(0, 4)])
+
+
+class _EarlyExit(TwoPhaseStrategy):
+    """Broken on purpose: rank 1 leaves the schedule before the exchange."""
+
+    def shuffle(self, region, data, neg):
+        if region.rank == 1:
+            return self._write_plan(region, data, neg, [], 1, 0, {})
+        return (yield from super().shuffle(region, data, neg))
+
+
+class _BadDestination(TwoPhaseStrategy):
+    """Broken on purpose: rank 2 ships to a rank that does not exist."""
+
+    def shuffle(self, region, data, neg):
+        if region.rank == 2:
+            yield {neg.size: [(0, b"x")]}
+        return (yield from super().shuffle(region, data, neg))
+
+
+class TestScheduleDisagreementFailsLoudly:
+    """A schedule whose ranks disagree must not run to a wrong answer on
+    either substrate."""
+
+    VIEWS = column_wise_views(M=4, N=64, P=4, R=2)
+
+    def run(self, executor_cls, strategy):
+        fs = ParallelFileSystem(fast_fs_config())
+        executor_cls(fs, strategy, filename="bulk.dat").run(
+            4, lambda rank, P: self.VIEWS[rank], rank_pattern_bytes
+        )
+
+    def test_rank_leaving_early(self):
+        with pytest.raises(CollectiveMismatchError, match=r"ranks \[1\] finished while ranks \[0, 2, 3\]"):
+            self.run(BulkWriteExecutor, _EarlyExit())
+        with pytest.raises(SPMDExecutionError) as info:
+            self.run(AtomicWriteExecutor, _EarlyExit())
+        assert sorted(info.value.failures) == [0, 2, 3]
+        assert all(isinstance(e, DeadlockError) for e in info.value.failures.values())
+
+    def test_destination_outside_the_communicator(self):
+        with pytest.raises(CollectiveMismatchError, match="rank 2 names destination 4"):
+            self.run(BulkWriteExecutor, _BadDestination())
+        with pytest.raises(SPMDExecutionError) as info:
+            self.run(AtomicWriteExecutor, _BadDestination())
+        assert isinstance(info.value.failures[2], RankError)
 
 
 # -- read replay ---------------------------------------------------------------

@@ -24,7 +24,6 @@ from repro.core.registry import default_registry
 from repro.core.strategies import (
     HierarchicalTwoPhaseStrategy,
     TwoPhaseStrategy,
-    strategy_by_name,
 )
 from repro.fs import ParallelFileSystem
 from repro.io.info import Info
@@ -205,7 +204,7 @@ class TestHierarchicalPlumbing:
         assert result.outcomes[0].extra["node_leaders"] == 2.0
 
     def test_registered_and_constructible_by_name(self):
-        strategy = strategy_by_name("two-phase-hier", ranks_per_node=16)
+        strategy = default_registry.create("two-phase-hier", ranks_per_node=16)
         assert isinstance(strategy, HierarchicalTwoPhaseStrategy)
         assert strategy.ranks_per_node == 16
 

@@ -6,14 +6,13 @@ import pytest
 
 from repro.core.executor import AtomicWriteExecutor, default_data_factory
 from repro.core.regions import FileRegionSet
+from repro.core.registry import default_registry
 from repro.core.strategies import (
-    STRATEGY_NAMES,
     GraphColoringStrategy,
     LockingStrategy,
     NoAtomicityStrategy,
     RankOrderingStrategy,
     TwoPhaseStrategy,
-    strategy_by_name,
 )
 from repro.core.rank_ordering import LOWER_RANK_WINS
 from repro.fs import ParallelFileSystem
@@ -37,7 +36,8 @@ def run(strategy, fs=None, nprocs=4, views=None, data_factory=default_data_facto
 
 class TestStrategyFactory:
     def test_names(self):
-        assert set(STRATEGY_NAMES) == {
+        # Registration order: the paper's strategies come first, then tuners.
+        assert set(default_registry.names()[:6]) == {
             "locking",
             "graph-coloring",
             "rank-ordering",
@@ -47,16 +47,16 @@ class TestStrategyFactory:
         }
 
     def test_lookup(self):
-        assert isinstance(strategy_by_name("locking"), LockingStrategy)
-        assert isinstance(strategy_by_name("graph-coloring"), GraphColoringStrategy)
-        assert isinstance(strategy_by_name("rank-ordering"), RankOrderingStrategy)
-        assert isinstance(strategy_by_name("none"), NoAtomicityStrategy)
-        assert isinstance(strategy_by_name("two-phase"), TwoPhaseStrategy)
+        assert isinstance(default_registry.create("locking"), LockingStrategy)
+        assert isinstance(default_registry.create("graph-coloring"), GraphColoringStrategy)
+        assert isinstance(default_registry.create("rank-ordering"), RankOrderingStrategy)
+        assert isinstance(default_registry.create("none"), NoAtomicityStrategy)
+        assert isinstance(default_registry.create("two-phase"), TwoPhaseStrategy)
         with pytest.raises(KeyError):
-            strategy_by_name("no-such-strategy")
+            default_registry.create("no-such-strategy")
 
     def test_kwargs_forwarded(self):
-        s = strategy_by_name("rank-ordering", policy=LOWER_RANK_WINS)
+        s = default_registry.create("rank-ordering", policy=LOWER_RANK_WINS)
         assert s.policy is LOWER_RANK_WINS
 
 
