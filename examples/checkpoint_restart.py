@@ -74,7 +74,7 @@ def checkpoint(fs: ParallelFileSystem) -> None:
         return outcome
 
     result = run_spmd(writer, WORK.writers)
-    total = sum(o.bytes_written for o in result.returns)
+    total = sum(o.bytes_moved for o in result.returns)
     print(
         f"checkpoint: {WORK.writers} writers, two-phase atomic write, "
         f"{total / MB:.1f} MB written, makespan {result.makespan:.4f}s"
@@ -130,7 +130,7 @@ def main() -> None:
         # virtual-time queues (the checkpoint bytes are untouched).
         fs.reset_accounting()
         result, outcomes, report = restart(fs, name)
-        fetched = sum(o.bytes_read for o in outcomes)
+        fetched = sum(o.bytes_moved for o in outcomes)
         requested = sum(o.bytes_requested for o in outcomes)
         bw = requested / result.makespan / MB if result.makespan else float("inf")
         print(

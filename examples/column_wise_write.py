@@ -63,7 +63,7 @@ def main() -> None:
         store = fs.lookup("fig4.dat").store
         atomic = check_mpi_atomicity(store, regions)
         complete = check_coverage(store, regions)
-        written = sum(o.bytes_written for o in spmd.returns)
+        written = sum(o.bytes_moved for o in spmd.returns)
         print(
             f"{strategy:16s} atomic={'yes' if atomic.ok else 'NO':3s} "
             f"complete={'yes' if complete.ok else 'NO':3s} "

@@ -33,14 +33,13 @@ from .core import (
     GraphColoringStrategy,
     Interval,
     IntervalSet,
+    IOOutcome,
     LockingStrategy,
     NoAtomicityStrategy,
     OverlapMatrix,
     PipelineStrategy,
     RankOrderingStrategy,
-    ReadOutcome,
     TwoPhaseStrategy,
-    WriteOutcome,
     build_overlap_matrix,
     default_registry,
     estimate_column_wise,
@@ -117,8 +116,7 @@ __all__ = [
     "ConcurrentWriteResult",
     "CollectiveReadExecutor",
     "ConcurrentReadResult",
-    "WriteOutcome",
-    "ReadOutcome",
+    "IOOutcome",
     "FileRegionSet",
     "Interval",
     "IntervalSet",

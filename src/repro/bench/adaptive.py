@@ -241,7 +241,7 @@ def run_repeated_collective(
         nprocs=nprocs,
         strategy=label,
         bytes_requested=sum(o.bytes_requested for o in outcomes),
-        bytes_written=sum(o.bytes_written for o in outcomes),
+        bytes_written=sum(o.bytes_moved for o in outcomes),
         makespan_seconds=spmd.makespan,
         atomic_ok=atomic_ok,
         overlap_bytes=overlapped_bytes_total(regions),

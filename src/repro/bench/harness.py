@@ -538,10 +538,7 @@ def run_mixed_experiment(
     bytes_requested = sum(r.total_bytes for r in write_regions) + sum(
         r.total_bytes for r in read_regions
     )
-    bytes_moved = sum(
-        o.bytes_written if kind == "write" else o.bytes_read
-        for kind, o, _ in spmd.returns
-    )
+    bytes_moved = sum(o.bytes_moved for _, o, _ in spmd.returns)
     lm = fobj.lock_manager
     return ExperimentRecord(
         machine=machine.name,

@@ -133,7 +133,7 @@ def run_overlap_experiment(
         nprocs=nprocs,
         strategy=strategy,
         bytes_requested=bytes_requested,
-        bytes_written=sum(o.bytes_written for o in spmd.returns if o is not None),
+        bytes_written=sum(o.bytes_moved for o in spmd.returns if o is not None),
         makespan_seconds=spmd.makespan,
         atomic_ok=atomic_ok,
         phases=max((o.phases for o in spmd.returns if o is not None), default=1),

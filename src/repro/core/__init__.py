@@ -26,16 +26,12 @@ from .rank_ordering import (
 from .pipeline import (
     ConflictAnalysis,
     ConflictReport,
+    IOPlan,
     LockDirective,
     PhasePlan,
-    PhaseRunner,
-    ReadPhasePlan,
-    ReadPlan,
-    ReadRunner,
-    ReadStep,
+    PlanRunner,
+    TransferStep,
     ViewExchange,
-    WritePlan,
-    WriteStep,
 )
 from .registry import StrategyRegistry, default_registry, register_strategy
 from .aggregation import (
@@ -49,13 +45,12 @@ from .aggregation import (
 from .strategies import (
     AtomicityStrategy,
     GraphColoringStrategy,
+    IOOutcome,
     LockingStrategy,
     NoAtomicityStrategy,
     PipelineStrategy,
     RankOrderingStrategy,
-    ReadOutcome,
     TwoPhaseStrategy,
-    WriteOutcome,
 )
 from .executor import (
     AtomicWriteExecutor,
@@ -95,20 +90,15 @@ __all__ = [
     "GraphColoringStrategy",
     "RankOrderingStrategy",
     "TwoPhaseStrategy",
-    "WriteOutcome",
-    "ReadOutcome",
+    "IOOutcome",
     "ViewExchange",
     "ConflictAnalysis",
     "ConflictReport",
     "LockDirective",
-    "WriteStep",
+    "TransferStep",
     "PhasePlan",
-    "WritePlan",
-    "PhaseRunner",
-    "ReadStep",
-    "ReadPhasePlan",
-    "ReadPlan",
-    "ReadRunner",
+    "IOPlan",
+    "PlanRunner",
     "StrategyRegistry",
     "default_registry",
     "register_strategy",

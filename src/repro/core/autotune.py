@@ -66,8 +66,7 @@ from .registry import register_strategy
 from .strategies import (
     HierarchicalTwoPhaseStrategy,
     PipelineStrategy,
-    PreparedRead,
-    PreparedWrite,
+    PreparedIO,
     RankOrderingStrategy,
     TwoPhaseStrategy,
 )
@@ -463,7 +462,7 @@ _Resolution = Tuple[List[FileRegionSet], PatternSignature, bool]
 class AutoStrategy(PipelineStrategy):
     """``atomicity_strategy = auto``: classify, tune, cache, delegate.
 
-    Collective-count parity with the statics: every write/read prepare is one
+    Collective-count parity with the statics: every prepare is one
     allgather (plus, for aggregation delegates, the delegate's own shuffle),
     so makespans are directly comparable.  See the module docstring for the
     plan-cache protocol.
@@ -637,38 +636,27 @@ class AutoStrategy(PipelineStrategy):
         plan.extra.update(decision.hints())
         return plan
 
-    def prepare_write(self, comm, region, data, start_time):  # noqa: D102
-        self._check_request(region, data)
-        regions, decision, _ = self._resolve(comm, region)
+    def prepare(self, comm, region, start_time, data=None) -> PreparedIO:  # noqa: D102
+        if data is not None:
+            self._check_request(region, data)
+        mode = "read" if data is None else "write"
+        regions, decision, _ = self._resolve(comm, region, mode=mode)
         delegate = decision.delegate()
-        report = delegate.analysis.run(regions)
-        plan, payloads = delegate.schedule(comm, region, data, report)
-        return PreparedWrite(
-            plan=self.adopt(plan, decision), payloads=payloads, start_time=start_time
+        prepared = delegate._scheduled(
+            comm, region, start_time, data, delegate.analysis.run(regions)
         )
-
-    def prepare_read(self, comm, region, start_time):  # noqa: D102
-        regions, decision, _ = self._resolve(comm, region, mode="read")
-        delegate = decision.delegate()
-        report = delegate.analysis.run(regions)
-        plan = self.adopt(delegate.schedule_read(comm, region, report), decision)
-        prepared = PreparedRead(
-            plan=plan, report=report, region=region, start_time=start_time
-        )
-        # The delegate owns delivery (two-phase scatters from aggregators);
-        # remember it for commit_read, which may run on a detached task.
-        prepared.delegate = delegate
+        self.adopt(prepared.plan, decision)
+        # The decision's delegate owns the commit (two-phase scatters from
+        # aggregators); remember it, since the commit may run on a detached
+        # task, after a later collective replaced ``last_decision``.
         prepared.decision = decision
         return prepared
 
-    def commit_read(self, comm, handle, prepared):  # noqa: D102
-        delegate = getattr(prepared, "delegate", None)
-        if delegate is None:
-            return super().commit_read(comm, handle, prepared)
-        decision = getattr(prepared, "decision", None)
-        if decision is not None and decision.read_ahead is not None:
+    def commit(self, comm, handle, prepared):  # noqa: D102
+        decision = prepared.decision
+        if decision.read_ahead is not None:
             self._apply_read_ahead(handle, decision.read_ahead)
-        return delegate.commit_read(comm, handle, prepared)
+        return decision.delegate().commit(comm, handle, prepared)
 
     @staticmethod
     def _apply_read_ahead(handle, enabled: bool) -> None:
@@ -677,11 +665,9 @@ class AutoStrategy(PipelineStrategy):
         Free in simulated time (a pure policy swap) — it changes which pages
         future cached reads prefetch, not the clock.
         """
-        cache = getattr(handle, "cache", None)
-        if cache is None:
-            return
         from ..fs.cache import CachePolicy
 
+        cache = handle.cache
         policy = cache.policy
         pages = CachePolicy.read_ahead_pages if enabled else 0
         if policy.read_ahead_pages != pages:
@@ -690,7 +676,7 @@ class AutoStrategy(PipelineStrategy):
     def schedule(self, comm, region, data, report):  # noqa: D102
         raise RuntimeError(
             "AutoStrategy delegates scheduling to the tuned strategy; "
-            "prepare_write/prepare_read are the entry points"
+            "prepare is the entry point"
         )
 
     # -- bulk-replay support ---------------------------------------------------

@@ -16,7 +16,7 @@ driver of the very same coroutines, with plain per-rank state and no tasks:
   synchronises every clock to the latest arrival, charges each rank its own
   payload cost — exactly what ``Communicator._collective`` computes, in
   closed form — then transposes the payloads and resumes.
-* ``_sweep`` issues the I/O steps of the plans the coroutines return
+* ``_sweep`` transfers the I/O steps of the plans the coroutines return
   against the real :class:`~repro.fs.client.ClientFileHandle` / shared
   :class:`~repro.fs.costmodel.Resource` stack, one step at a time in
   ascending ``(virtual clock, rank)`` order — exactly the discrete-event
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
-from typing import Generator, Iterator, List, Optional, Sequence, Tuple
+from typing import Generator, Iterator, List, Optional, Sequence
 
 from ..fs.client import ClientFileHandle, FSClient
 from ..fs.filesystem import ParallelFileSystem
@@ -54,8 +54,9 @@ from .executor import (
     _Executor,
     default_data_factory,
 )
+from .pipeline import IOPlan
 from .regions import FileRegionSet
-from .strategies import ReadOutcome, TwoPhaseStrategy, WriteOutcome
+from .strategies import IOOutcome, TwoPhaseStrategy
 
 __all__ = ["BulkReadExecutor", "BulkWriteExecutor"]
 
@@ -70,27 +71,36 @@ def _rendezvous(clocks: List[VirtualClock], costs: Sequence[float]) -> None:
         clock.advance(cost)
 
 
-def _sweep(plans: Sequence, clocks: List[VirtualClock]) -> Iterator[Tuple[int, object]]:
-    """The plans' file I/O in discrete-event order: yields ``(rank, step)``
-    for the caller to transfer, always the next step of the rank holding the
-    minimal ``(clock, rank)`` key after the previous transfer advanced its
-    rank's clock (sequence points no-op outside engine tasks; the heap IS
-    the sequencing).  The caller issues direct transfers and never parks a
-    rank, so the sweep refuses — on the plan itself, whichever strategy
-    built it — what would need more: locks, barriers, or phases that go
-    through the client cache.
+def _sweep(
+    plans: Sequence[IOPlan],
+    clocks: List[VirtualClock],
+    handles: List[ClientFileHandle],
+    buffers: Sequence[dict],
+    outcomes: List[IOOutcome],
+) -> None:
+    """The plans' file I/O in discrete-event order: always the next step of
+    the rank holding the minimal ``(clock, rank)`` key after the previous
+    transfer advanced its rank's clock (sequence points no-op outside engine
+    tasks; the heap IS the sequencing).  Like the engine's runner, the only
+    direction branch is the transfer call: a write step draws from the
+    rank's ``buffers``, a read step lands there.  The sweep issues direct
+    transfers and never parks a rank, so it refuses — on the plan itself,
+    whichever strategy built it — what would need more: locks, barriers, or
+    phases that go through the client cache.
     """
     queues = []
     for plan in plans:
         if plan.locks or any(
             phase.barrier_after
             or not phase.direct
-            or getattr(phase, "sync_after", False)
+            or phase.sync_after
+            or phase.invalidate_before
             for phase in plan.phases
         ):
             raise TypeError(
                 f"rank {plan.rank}'s {plan.strategy!r} plan holds locks, barriers "
-                "or cached/synced phases; it must run on the engine executors"
+                "or cached/synced/invalidating phases; it must run on the engine "
+                "executors"
             )
         # Reversed, so that the next step pops off the end.
         queues.append([step for phase in plan.phases for step in phase.steps][::-1])
@@ -98,7 +108,21 @@ def _sweep(plans: Sequence, clocks: List[VirtualClock]) -> Iterator[Tuple[int, o
     heapq.heapify(heap)
     while heap:
         _, rank = heapq.heappop(heap)
-        yield rank, queues[rank].pop()
+        step = queues[rank].pop()
+        buffer, start = buffers[rank][step.buffer], step.buffer_offset
+        if plans[rank].direction == "write":
+            moved = handles[rank].write(
+                step.file_offset,
+                buffer[start : start + step.length],
+                direct=True,
+                writer=step.writer,
+            )
+        else:
+            data = handles[rank].read(step.file_offset, step.length, direct=True)
+            moved = len(data)
+            buffer[start : start + moved] = data
+        outcomes[rank].bytes_moved += moved
+        outcomes[rank].segments_moved += 1
         if queues[rank]:
             heapq.heappush(heap, (clocks[rank].now, rank))
 
@@ -236,19 +260,11 @@ class BulkWriteExecutor(_BulkExecutor):
             clocks,
         )
         plans = [adopt(plan) for plan, _ in prepared]
-        outcomes = [WriteOutcome.from_plan(plan, 0.0) for plan in plans]
+        outcomes = [IOOutcome.from_plan(plan, 0.0) for plan in plans]
 
         # Stage 4 — the plans' writes against the real resource stack.
         with self._handles(clocks, create=True) as handles:
-            for rank, step in _sweep(plans, clocks):
-                data = prepared[rank][1][step.source]
-                outcomes[rank].bytes_written += handles[rank].write(
-                    step.file_offset,
-                    data[step.buffer_offset : step.buffer_offset + step.length],
-                    direct=True,
-                    writer=step.writer,
-                )
-                outcomes[rank].segments_written += 1
+            _sweep(plans, clocks, handles, [payloads for _, payloads in prepared], outcomes)
             for outcome, clock in zip(outcomes, clocks):
                 outcome.end_time = clock.now
 
@@ -281,17 +297,11 @@ class BulkReadExecutor(_BulkExecutor):
         with self._handles(clocks, create=False) as handles:
             delegate, negotiation, adopt = self._exchange(regions, clocks, "read")
             plans = [adopt(delegate.fetch_plan(region, negotiation)) for region in regions]
-            outcomes = [ReadOutcome.from_plan(plan, 0.0) for plan in plans]
+            outcomes = [IOOutcome.from_plan(plan, 0.0) for plan in plans]
             sinks = [plan.sinks() for plan in plans]
 
             # Phase 1 — aggregator fetch, one direct read per heap pop.
-            for rank, step in _sweep(plans, clocks):
-                data = handles[rank].read(step.file_offset, step.length, direct=True)
-                sinks[rank][step.sink][
-                    step.buffer_offset : step.buffer_offset + len(data)
-                ] = data
-                outcomes[rank].bytes_read += len(data)
-                outcomes[rank].segments_read += 1
+            _sweep(plans, clocks, handles, sinks, outcomes)
 
             # Phase 2 — every rank's scatter coroutine, to its data stream.
             streams = self._lockstep(
@@ -310,7 +320,7 @@ class BulkReadExecutor(_BulkExecutor):
             fs=self.fs,
             file=fobj,
             outcomes=outcomes,
-            data=streams,
             spmd=SPMDResult(returns=list(zip(streams, outcomes)), clocks=clocks),
             regions=regions,
+            data=streams,
         )

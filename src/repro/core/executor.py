@@ -7,10 +7,10 @@ client whose virtual clock is the rank's MPI clock, lets every rank write its
 returns the per-rank outcomes together with the resulting file object so the
 result can be verified and timed.
 
-:class:`CollectiveReadExecutor` is the mirror image for the staged read
-pipeline: every rank reads its (possibly overlapping) file view collectively
+:class:`CollectiveReadExecutor` is the same driver with the data flowing the
+other way: every rank reads its (possibly overlapping) file view collectively
 under a chosen strategy, and the result carries the per-rank
-:class:`~repro.core.strategies.ReadOutcome` records plus the delivered data
+:class:`~repro.core.strategies.IOOutcome` records plus the delivered data
 streams, ready for :func:`repro.verify.atomicity.check_read_atomicity`.
 
 These are the entry points used by the examples, the integration tests and
@@ -20,13 +20,14 @@ the benchmark harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from ..mpi.cost import CommCostModel
 from .regions import FileRegionSet
-from .strategies import AtomicityStrategy, ReadOutcome, WriteOutcome
+from .strategies import AtomicityStrategy, IOOutcome
 
 if TYPE_CHECKING:  # imported lazily to keep the package import graph acyclic
+    from ..fs.client import ClientFileHandle
     from ..fs.filesystem import FileObject, ParallelFileSystem
     from ..mpi.comm import Communicator
     from ..mpi.runtime import SPMDResult
@@ -82,15 +83,38 @@ class _Executor:
             raise ValueError("nprocs must be positive")
         return [FileRegionSet(rank, view_factory(rank, nprocs)) for rank in range(nprocs)]
 
+    def _spmd(
+        self,
+        regions: List[FileRegionSet],
+        create: bool,
+        rank_io: Callable[[Communicator, ClientFileHandle, FileRegionSet], Any],
+    ) -> SPMDResult:
+        """One engine rank per region: open the shared file on the rank's own
+        clock, run ``rank_io(comm, handle, region)``, close."""
+        from ..fs.client import FSClient
+        from ..mpi.runtime import run_spmd
+
+        fs, filename = self.fs, self.filename
+
+        def rank_main(comm: Communicator):
+            client = FSClient(fs, client_id=comm.rank, clock=comm.clock)
+            handle = client.open(filename, create=create)
+            try:
+                return rank_io(comm, handle, regions[comm.rank])
+            finally:
+                handle.close()
+
+        return run_spmd(rank_main, len(regions), comm_cost=self.comm_cost)
+
 
 @dataclass
-class ConcurrentWriteResult:
-    """Everything produced by one concurrent overlapping write."""
+class _ConcurrentResult:
+    """What one concurrent overlapping operation produced, either direction."""
 
     filename: str
     fs: ParallelFileSystem
     file: FileObject
-    outcomes: List[WriteOutcome]
+    outcomes: List[IOOutcome]
     spmd: SPMDResult
     regions: List[FileRegionSet] = field(default_factory=list)
 
@@ -106,24 +130,30 @@ class ConcurrentWriteResult:
 
     @property
     def total_bytes_requested(self) -> int:
-        """Bytes the application asked to write (before rank-ordering trims)."""
+        """Bytes the application asked to move (before rank-ordering trims)."""
         return sum(o.bytes_requested for o in self.outcomes)
-
-    @property
-    def total_bytes_written(self) -> int:
-        """Bytes actually transferred to the file system."""
-        return sum(o.bytes_written for o in self.outcomes)
 
     def bandwidth(self) -> float:
         """Effective I/O bandwidth in bytes/second of virtual time.
 
         Following the paper, the *requested* volume is divided by the time of
-        the slowest process: surrendering overlapped bytes (rank ordering) is
-        a win, not a penalty.
+        the slowest process: surrendering overlapped bytes (rank ordering) or
+        fetching an overlapped byte once (aggregated reads) is a win, not a
+        penalty.
         """
         if self.makespan <= 0:
             return float("inf") if self.total_bytes_requested else 0.0
         return self.total_bytes_requested / self.makespan
+
+
+@dataclass
+class ConcurrentWriteResult(_ConcurrentResult):
+    """Everything produced by one concurrent overlapping write."""
+
+    @property
+    def total_bytes_written(self) -> int:
+        """Bytes actually transferred to the file system."""
+        return sum(o.bytes_moved for o in self.outcomes)
 
 
 class AtomicWriteExecutor(_Executor):
@@ -141,32 +171,20 @@ class AtomicWriteExecutor(_Executor):
         payload from ``data_factory(rank, nbytes)``, opens the shared file
         and calls the strategy collectively.
         """
-        from ..fs.client import FSClient
-        from ..mpi.runtime import run_spmd
-
         regions = self._views(nprocs, view_factory)
-        fs = self.fs
-        filename = self.filename
         strategy = self.strategy
         # Pre-create so every rank opens the same FileObject.
-        fobj = fs.create(filename)
-
-        def rank_main(comm: Communicator) -> WriteOutcome:
-            rank = comm.rank
-            region = regions[rank]
-            data = data_factory(rank, region.total_bytes)
-            client = FSClient(fs, client_id=rank, clock=comm.clock)
-            handle = client.open(filename)
-            try:
-                outcome = strategy.execute_write(comm, handle, region, data)
-            finally:
-                handle.close()
-            return outcome
-
-        spmd = run_spmd(rank_main, nprocs, comm_cost=self.comm_cost)
+        fobj = self.fs.create(self.filename)
+        spmd = self._spmd(
+            regions,
+            True,
+            lambda comm, handle, region: strategy.execute_write(
+                comm, handle, region, data_factory(region.rank, region.total_bytes)
+            ),
+        )
         return ConcurrentWriteResult(
-            filename=filename,
-            fs=fs,
+            filename=self.filename,
+            fs=self.fs,
             file=fobj,
             outcomes=list(spmd.returns),
             spmd=spmd,
@@ -175,85 +193,39 @@ class AtomicWriteExecutor(_Executor):
 
 
 @dataclass
-class ConcurrentReadResult:
+class ConcurrentReadResult(_ConcurrentResult):
     """Everything produced by one collective overlapping read."""
 
-    filename: str
-    fs: ParallelFileSystem
-    file: FileObject
-    outcomes: List[ReadOutcome]
     #: ``data[rank]`` is the contiguous stream delivered to the rank.
-    data: List[bytes]
-    spmd: SPMDResult
-    regions: List[FileRegionSet] = field(default_factory=list)
-
-    @property
-    def nprocs(self) -> int:
-        """Number of participating processes."""
-        return len(self.outcomes)
-
-    @property
-    def makespan(self) -> float:
-        """Virtual time at which the last rank finished (seconds)."""
-        return self.spmd.makespan
-
-    @property
-    def total_bytes_requested(self) -> int:
-        """Bytes the application asked to read."""
-        return sum(o.bytes_requested for o in self.outcomes)
+    data: List[bytes] = field(default_factory=list)
 
     @property
     def total_bytes_read(self) -> int:
         """Bytes actually fetched from the file system (smaller than the
         requested volume when an aggregation strategy de-duplicates
         overlapped bytes)."""
-        return sum(o.bytes_read for o in self.outcomes)
-
-    def bandwidth(self) -> float:
-        """Effective read bandwidth in bytes/second of virtual time
-        (requested volume over the slowest rank's time, as for writes)."""
-        if self.makespan <= 0:
-            return float("inf") if self.total_bytes_requested else 0.0
-        return self.total_bytes_requested / self.makespan
+        return sum(o.bytes_moved for o in self.outcomes)
 
 
 class CollectiveReadExecutor(_Executor):
     """Runs collective overlapping reads under an atomicity strategy.
 
     The file must already exist on the file system (a previous write, e.g. a
-    checkpoint); each rank reads its view through the strategy's staged read
+    checkpoint); each rank reads its view through the strategy's staged
     pipeline and the result carries the delivered streams for verification.
     """
 
     def run(self, nprocs: int, view_factory: ViewFactory) -> ConcurrentReadResult:
         """Execute the collective read on ``nprocs`` ranks."""
-        from ..fs.client import FSClient
-        from ..mpi.runtime import run_spmd
-
         regions = self._views(nprocs, view_factory)
-        fs = self.fs
-        filename = self.filename
-        strategy = self.strategy
-        fobj = fs.lookup(filename)
-
-        def rank_main(comm: Communicator) -> Tuple[bytes, ReadOutcome]:
-            rank = comm.rank
-            region = regions[rank]
-            client = FSClient(fs, client_id=rank, clock=comm.clock)
-            handle = client.open(filename, create=False)
-            try:
-                data, outcome = strategy.execute_read(comm, handle, region)
-            finally:
-                handle.close()
-            return data, outcome
-
-        spmd = run_spmd(rank_main, nprocs, comm_cost=self.comm_cost)
+        fobj = self.fs.lookup(self.filename)
+        spmd = self._spmd(regions, False, self.strategy.execute_read)
         return ConcurrentReadResult(
-            filename=filename,
-            fs=fs,
+            filename=self.filename,
+            fs=self.fs,
             file=fobj,
             outcomes=[outcome for _, outcome in spmd.returns],
-            data=[data for data, _ in spmd.returns],
             spmd=spmd,
             regions=regions,
+            data=[data for data, _ in spmd.returns],
         )

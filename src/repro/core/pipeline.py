@@ -1,9 +1,12 @@
-"""The staged collective-write pipeline.
+"""The staged collective-I/O pipeline.
 
 Every atomicity strategy in the paper follows the same hidden sequence:
-exchange file views, analyse conflicts, schedule who writes what when, then
-execute the I/O.  This module makes that sequence explicit as four composable
-stages, so a strategy is nothing but a particular configuration of them:
+exchange file views, analyse conflicts, schedule who transfers what when,
+then execute the I/O.  This module makes that sequence explicit as four
+composable stages, so a strategy is nothing but a particular configuration of
+them — and it makes it explicit **once** for both directions: a collective
+write and a collective read share every class below and differ only in the
+plan's ``direction`` and in which directives their schedules set.
 
 :class:`ViewExchange`
     Stage 1 (communication): ``allgather`` every rank's flattened file view —
@@ -18,36 +21,27 @@ stages, so a strategy is nothing but a particular configuration of them:
     (Section 3.3.2).  Every rank computes the identical result from the
     identical inputs, so no further communication is needed.
 
-:class:`WritePlan` / :class:`PhasePlan` / :class:`WriteStep` / :class:`LockDirective`
-    Stage 3 output: a *declarative* schedule of this rank's I/O — which byte
-    ranges to lock, how many phases the collective operation has, and which
+:class:`IOPlan` / :class:`PhasePlan` / :class:`TransferStep` / :class:`LockDirective`
+    Stage 3 output: a *declarative* schedule of this rank's I/O — its
+    direction, which byte ranges to lock (exclusive for writes, shared for
+    reads), how many phases the collective operation has, and which
     ``(buffer, file, length)`` transfers happen in each phase, with per-phase
-    cache/sync/barrier behaviour.  Building the plan is the only part a
-    strategy has to implement.
+    cache / invalidate / sync / barrier behaviour.  Building the plan is the
+    only part a strategy has to implement.
 
-:class:`PhaseRunner`
-    Stage 4 (execution): walk a :class:`WritePlan` against a
+:class:`PlanRunner`
+    Stage 4 (execution): walk an :class:`IOPlan` against a
     :class:`~repro.fs.client.ClientFileHandle`, acquire the scheduled locks,
-    issue each phase's transfers as one batched write, honour the sync and
+    issue each phase's transfers as one batched write — or one batched read
+    into the plan's named sink buffers — honour the invalidate, sync and
     barrier directives, and account everything into a
-    :class:`~repro.core.strategies.WriteOutcome`.
+    :class:`~repro.core.strategies.IOOutcome`.
 
-The legacy strategies (locking, graph-coloring, rank-ordering) and the
-two-phase aggregation strategy are all expressed as compositions of these
-stages — see :mod:`repro.core.strategies`.
-
-The **read pipeline** mirrors the write pipeline with the data flowing the
-other way: stages 1 and 2 are shared unchanged (the exchange and the
-analysis do not care about the transfer direction), stage 3 produces a
-:class:`ReadPlan` — :class:`ReadStep` transfers grouped into
-:class:`ReadPhasePlan` phases, with shared-mode :class:`LockDirective` locks
-and per-phase cache-invalidation directives instead of sync directives —
-and stage 4 is the :class:`ReadRunner`, which fetches each step into a named
-*sink* buffer and accounts everything into a
-:class:`~repro.core.strategies.ReadOutcome`.  Because a collective read may
-move fetched bytes *between* ranks after the file I/O (the two-phase scatter),
-delivery of the user stream is a strategy hook that runs after the runner —
-see :meth:`repro.core.strategies.PipelineStrategy.execute_read`.
+All strategies are expressed as compositions of these stages — see
+:mod:`repro.core.strategies`.  Because a collective read may move fetched
+bytes *between* ranks after the file I/O (the two-phase scatter), delivery of
+the user stream is a strategy hook that runs after the runner — see
+:meth:`repro.core.strategies.PipelineStrategy.commit`.
 """
 
 from __future__ import annotations
@@ -76,18 +70,14 @@ __all__ = [
     "ConflictAnalysis",
     "ConflictReport",
     "LockDirective",
-    "WriteStep",
+    "TransferStep",
     "PhasePlan",
-    "WritePlan",
-    "PhaseRunner",
-    "ReadStep",
-    "ReadPhasePlan",
-    "ReadPlan",
-    "ReadRunner",
+    "IOPlan",
+    "PlanRunner",
     "USER_PAYLOAD",
 ]
 
-#: Key of the rank's own data stream in a plan's payload dictionary.
+#: Key of the rank's own data stream in a plan's buffer dictionary.
 USER_PAYLOAD = "user"
 
 #: How many recent collective operations the view/analysis caches remember.
@@ -255,13 +245,17 @@ class ConflictAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# Stage 3 — the declarative write schedule
+# Stage 3 — the declarative schedule
 # ---------------------------------------------------------------------------
-
 
 @dataclass(frozen=True)
 class LockDirective:
-    """One byte-range lock to hold for the duration of the plan."""
+    """One byte-range lock to hold for the duration of the plan.
+
+    Write schedules lock exclusively; read schedules use shared mode, so
+    concurrent readers coexist while conflicting writers still serialise
+    against them.
+    """
 
     start: int
     stop: int
@@ -274,31 +268,38 @@ class LockDirective:
 
 
 @dataclass(frozen=True)
-class WriteStep:
-    """One contiguous transfer: payload bytes → file bytes.
+class TransferStep:
+    """One contiguous transfer between a named buffer and the file.
 
-    ``source`` names the payload buffer the bytes come from (``"user"`` for
-    the rank's own data stream; the two-phase strategy adds an aggregation
-    buffer).  ``writer`` optionally overrides the provenance recorded by the
-    file system — an aggregator writing *on behalf of* the rank whose data
-    won the conflict resolution.
+    ``buffer`` names the buffer on the memory side of the transfer — the
+    payload a write step draws from, the sink a read step fills (``"user"``
+    for the rank's own data stream; the two-phase strategy adds an
+    aggregation buffer in either direction).  ``writer`` optionally overrides
+    the provenance recorded by the file system — an aggregator writing *on
+    behalf of* the rank whose data won the conflict resolution; reads record
+    no provenance and ignore it.
     """
 
     buffer_offset: int
     file_offset: int
     length: int
-    source: str = USER_PAYLOAD
+    buffer: str = USER_PAYLOAD
     writer: Optional[int] = None
 
 
 @dataclass
 class PhasePlan:
-    """The I/O this rank performs in one phase of the collective write."""
+    """The I/O this rank performs in one phase of the collective operation."""
 
     index: int
-    steps: List[WriteStep] = field(default_factory=list)
-    #: Bypass the client cache (the behaviour of writes under a lock).
+    steps: List[TransferStep] = field(default_factory=list)
+    #: Bypass the client cache (the behaviour of transfers under a lock).
     direct: bool = False
+    #: Drop cached pages before the phase's transfers, so they observe data
+    #: that peers flushed since the pages were cached (the invalidate half of
+    #: the paper's handshaking protocol; the cache flushes its own dirty
+    #: pages first — sync-then-invalidate).
+    invalidate_before: bool = False
     #: Flush write-behind data after the phase's transfers (``MPI_File_sync``).
     sync_after: bool = False
     #: Synchronise with every other rank before the next phase may begin.
@@ -306,14 +307,17 @@ class PhasePlan:
 
     @property
     def bytes_scheduled(self) -> int:
-        """Total payload bytes this phase transfers."""
+        """Total bytes this phase transfers."""
         return sum(s.length for s in self.steps)
 
 
 @dataclass
-class WritePlan:
-    """A complete declarative schedule for one rank's collective write."""
+class IOPlan:
+    """A complete declarative schedule for one rank's collective operation."""
 
+    #: ``"write"`` or ``"read"`` — which way the steps move their bytes, in the
+    #: spelling ``JobSpec.mode``, ``IORequest.kind`` and the tuner's ``mode=`` use.
+    direction: str
     strategy: str
     rank: int
     bytes_requested: int
@@ -322,11 +326,19 @@ class WritePlan:
     my_phase: int = 0
     colors_used: int = 0
     bytes_surrendered: int = 0
+    #: Bytes this rank moved to *other* ranks while the schedule was built
+    #: (the shuffle of an aggregated write; a read's scatter runs after the
+    #: file I/O and accounts into the outcome directly).
+    bytes_shuffled: int = 0
     #: Override for the reported phase count when the logical phase structure
     #: differs from the plan's I/O phases (two-phase I/O reports its shuffle
-    #: phase even though only the write phase performs file I/O).
+    #: or scatter phase even though only one phase performs file I/O).
     reported_phases: Optional[int] = None
     extra: Dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.direction not in ("write", "read"):
+            raise ValueError(f"plan direction must be 'write' or 'read', not {self.direction!r}")
 
     @property
     def num_phases(self) -> int:
@@ -337,95 +349,21 @@ class WritePlan:
 
     @property
     def bytes_scheduled(self) -> int:
-        """Total payload bytes scheduled across all phases."""
-        return sum(p.bytes_scheduled for p in self.phases)
-
-
-# ---------------------------------------------------------------------------
-# Stage 3 (read side) — the declarative read schedule
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ReadStep:
-    """One contiguous transfer: file bytes → a named sink buffer.
-
-    ``sink`` names the buffer the fetched bytes land in (``"user"`` for the
-    rank's own data stream; the two-phase read strategy fills an aggregation
-    sink it later scatters to the consumers).
-    """
-
-    buffer_offset: int
-    file_offset: int
-    length: int
-    sink: str = USER_PAYLOAD
-
-
-@dataclass
-class ReadPhasePlan:
-    """The I/O this rank performs in one phase of the collective read."""
-
-    index: int
-    steps: List[ReadStep] = field(default_factory=list)
-    #: Bypass the client cache (the behaviour of reads under a lock).
-    direct: bool = False
-    #: Drop cached pages before the phase's transfers, so they observe data
-    #: that peers flushed since the pages were cached (the invalidate half of
-    #: the paper's handshaking protocol; the cache flushes its own dirty
-    #: pages first — sync-then-invalidate).
-    invalidate_before: bool = False
-    #: Synchronise with every other rank before the next phase may begin.
-    barrier_after: bool = False
-
-    @property
-    def bytes_scheduled(self) -> int:
-        """Total file bytes this phase fetches."""
-        return sum(s.length for s in self.steps)
-
-
-@dataclass
-class ReadPlan:
-    """A complete declarative schedule for one rank's collective read."""
-
-    strategy: str
-    rank: int
-    bytes_requested: int
-    phases: List[ReadPhasePlan] = field(default_factory=list)
-    #: Byte-range locks held for the duration of the plan; read schedules use
-    #: shared mode so concurrent readers coexist while conflicting writers
-    #: (exclusive mode) still serialise against them.
-    locks: List[LockDirective] = field(default_factory=list)
-    my_phase: int = 0
-    colors_used: int = 0
-    #: Override for the reported phase count (the two-phase read reports its
-    #: scatter phase even though only the read phase performs file I/O).
-    reported_phases: Optional[int] = None
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def num_phases(self) -> int:
-        """Phase count reported in the outcome (at least 1)."""
-        if self.reported_phases is not None:
-            return self.reported_phases
-        return max(len(self.phases), 1)
-
-    @property
-    def bytes_scheduled(self) -> int:
-        """Total file bytes scheduled across all phases."""
+        """Total bytes scheduled across all phases."""
         return sum(p.bytes_scheduled for p in self.phases)
 
     def sink_sizes(self) -> Dict[str, int]:
-        """Required size of each sink buffer (max step end per sink)."""
+        """Required size of each named buffer (max step end per buffer)."""
         sizes: Dict[str, int] = {}
         for phase in self.phases:
             for step in phase.steps:
                 end = step.buffer_offset + step.length
-                if end > sizes.get(step.sink, 0):
-                    sizes[step.sink] = end
+                if end > sizes.get(step.buffer, 0):
+                    sizes[step.buffer] = end
         return sizes
 
     def sinks(self) -> Dict[str, bytearray]:
-        """Fresh zeroed sink buffers for one execution of the plan."""
+        """Fresh zeroed buffers for one execution of a read plan."""
         return {name: bytearray(size) for name, size in self.sink_sizes().items()}
 
 
@@ -434,97 +372,42 @@ class ReadPlan:
 # ---------------------------------------------------------------------------
 
 
-class PhaseRunner:
-    """Execute a :class:`WritePlan` against a client file handle.
+class PlanRunner:
+    """Execute an :class:`IOPlan` against a client file handle.
 
     The runner is strategy-agnostic: every behavioural difference between the
-    strategies is encoded in the plan it receives.  Locks are acquired before
-    the first phase and released after the last (or on error); each phase's
-    steps go to the file system as one batched write.
+    strategies — and between the directions, up to the transfer call itself —
+    is encoded in the plan it receives.  Locks are acquired before the first
+    phase and released after the last (or on error, including an error while
+    a later lock of the same plan is being acquired); each phase optionally
+    invalidates the client cache, issues its steps as one batched transfer,
+    then honours its sync and barrier directives.
     """
 
     def execute(
         self,
         comm: Communicator,
         handle: ClientFileHandle,
-        plan: WritePlan,
-        payloads: Dict[str, bytes],
+        plan: IOPlan,
+        buffers: Dict[str, Any],
         start_time: Optional[float] = None,
-    ) -> "WriteOutcome":
-        """Run ``plan``, drawing step data from ``payloads``.
+    ) -> "IOOutcome":
+        """Run ``plan`` against ``buffers``, the named memory side of its steps.
 
-        ``start_time`` backdates the outcome to when the pipeline started
-        (stage 1), so the negotiation cost is part of the measured time just
-        as in the monolithic implementations.
+        A write draws each step's bytes from ``buffers[step.buffer]``; a read
+        lands them there, so a read's ``buffers`` are the plan's
+        :meth:`~IOPlan.sinks` — delivery of the user stream (which may
+        involve communication, e.g. the two-phase scatter) is the strategy's
+        job.  ``start_time`` backdates the outcome to when the pipeline
+        started (stage 1), so the negotiation cost is part of the measured
+        time just as in the monolithic implementations.
         """
-        from .strategies import WriteOutcome  # local import: avoids a cycle
+        from .strategies import IOOutcome  # local import: avoids a cycle
 
-        out = WriteOutcome.from_plan(
-            plan, handle.clock.now if start_time is None else start_time
-        )
-        held = []
-        for directive in plan.locks:
-            held.append(handle.lock(directive.start, directive.stop, mode=directive.mode))
-            out.locks_acquired += 1
-        try:
-            for phase in plan.phases:
-                if phase.steps:
-                    batch = [
-                        (
-                            step.file_offset,
-                            payloads[step.source][
-                                step.buffer_offset : step.buffer_offset + step.length
-                            ],
-                            step.writer,
-                        )
-                        for step in phase.steps
-                    ]
-                    out.bytes_written += handle.write_batch(batch, direct=phase.direct)
-                    out.segments_written += len(batch)
-                if phase.sync_after:
-                    handle.sync()
-                if phase.barrier_after:
-                    comm.barrier()
-        finally:
-            for lock in held:
-                handle.unlock(lock)
-        out.end_time = handle.clock.now
-        return out
-
-
-class ReadRunner:
-    """Execute a :class:`ReadPlan` against a client file handle.
-
-    Strategy-agnostic, like :class:`PhaseRunner`: locks (shared mode for
-    reads) are acquired before the first phase and released after the last;
-    each phase optionally invalidates the client cache first, then issues its
-    steps as one batched read whose results land in the named sink buffers.
-    Returns the :class:`~repro.core.strategies.ReadOutcome` plus the filled
-    sinks — delivery of the user stream (which may involve communication,
-    e.g. the two-phase scatter) is the strategy's job.
-    """
-
-    def execute(
-        self,
-        comm: Communicator,
-        handle: ClientFileHandle,
-        plan: ReadPlan,
-        start_time: Optional[float] = None,
-    ) -> Tuple["ReadOutcome", Dict[str, bytearray]]:
-        """Run ``plan``; returns ``(outcome, sinks)``.
-
-        ``start_time`` backdates the outcome to when the pipeline started
-        (stage 1), so the negotiation cost is part of the measured time.
-        """
-        from .strategies import ReadOutcome  # local import: avoids a cycle
-
-        out = ReadOutcome.from_plan(
-            plan, handle.clock.now if start_time is None else start_time
-        )
-        sinks = plan.sinks()
+        clock = handle.clock
+        out = IOOutcome.from_plan(plan, clock.now if start_time is None else start_time)
         stats = handle.cache.stats
         hits0, misses0 = stats.hits, stats.misses
-        clock = handle.clock
         held = []
         try:
             for directive in plan.locks:
@@ -537,16 +420,29 @@ class ReadRunner:
                     handle.invalidate()
                     out.invalidations += 1
                 if phase.steps:
-                    fetched = handle.read_batch(
-                        [(s.file_offset, s.length) for s in phase.steps],
-                        direct=phase.direct,
-                    )
-                    for step, data in zip(phase.steps, fetched):
-                        sinks[step.sink][
-                            step.buffer_offset : step.buffer_offset + len(data)
-                        ] = data
-                        out.bytes_read += len(data)
-                    out.segments_read += len(phase.steps)
+                    if plan.direction == "write":
+                        out.bytes_moved += handle.write_batch(
+                            [
+                                (
+                                    s.file_offset,
+                                    buffers[s.buffer][s.buffer_offset : s.buffer_offset + s.length],
+                                    s.writer,
+                                )
+                                for s in phase.steps
+                            ],
+                            direct=phase.direct,
+                        )
+                    else:
+                        fetched = handle.read_batch(
+                            [(s.file_offset, s.length) for s in phase.steps],
+                            direct=phase.direct,
+                        )
+                        for s, data in zip(phase.steps, fetched):
+                            buffers[s.buffer][s.buffer_offset : s.buffer_offset + len(data)] = data
+                            out.bytes_moved += len(data)
+                    out.segments_moved += len(phase.steps)
+                if phase.sync_after:
+                    handle.sync()
                 if phase.barrier_after:
                     comm.barrier()
         finally:
@@ -555,4 +451,4 @@ class ReadRunner:
         out.cache_hits = stats.hits - hits0
         out.cache_misses = stats.misses - misses0
         out.end_time = clock.now
-        return out, sinks
+        return out

@@ -5,14 +5,18 @@ into a sequence of file system operations such that the MPI atomic-mode
 guarantee holds: every byte of every overlapped region ends up containing
 data from exactly one of the participating processes.
 
-All strategies are expressed as compositions of the staged collective-write
+All strategies are expressed as compositions of the staged collective-I/O
 pipeline (:mod:`repro.core.pipeline`): a :class:`~repro.core.pipeline.ViewExchange`
 configuration, a :class:`~repro.core.pipeline.ConflictAnalysis` configuration,
-and a ``schedule`` method that turns the analysis into a declarative
-:class:`~repro.core.pipeline.WritePlan`, which the shared
-:class:`~repro.core.pipeline.PhaseRunner` executes.  Adding a strategy means
-writing a ``schedule`` method and registering the class — see
-``ARCHITECTURE.md`` for a worked example.
+and the per-direction *policy* — a ``schedule`` method (writes) and a
+``schedule_read`` / ``deliver_read`` pair (reads) that turn the analysis into
+a declarative :class:`~repro.core.pipeline.IOPlan`.  Everything else is
+written once for both directions: :meth:`PipelineStrategy.prepare` runs
+stages 1–3 into a :class:`PreparedIO`, :meth:`PipelineStrategy.commit` hands
+the plan to the shared :class:`~repro.core.pipeline.PlanRunner`, and the
+accounting lands in one :class:`IOOutcome`.  Adding a strategy means writing
+a ``schedule`` method and registering the class — see ``ARCHITECTURE.md`` for
+a worked example.
 
 The aggregation strategies communicate *inside* their schedule (the shuffle
 of a write, the scatter of a read).  Each of those schedules is written
@@ -60,8 +64,8 @@ All strategies are *collective over the communicator*: every rank of the
 concurrent operation must call :meth:`AtomicityStrategy.execute_write`.
 
 Every strategy also implements the **collective read** side
-(:meth:`AtomicityStrategy.execute_read`) through the mirrored read pipeline
-(:class:`~repro.core.pipeline.ReadPlan` / :class:`~repro.core.pipeline.ReadRunner`):
+(:meth:`AtomicityStrategy.execute_read`) through the same pipeline, with a
+``direction="read"`` plan:
 
 * ``none`` / ``graph-coloring`` / ``rank-ordering`` — invalidate the client
   cache (sync-then-invalidate, the paper's protocol for observing peers'
@@ -84,6 +88,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
     FrozenSet,
     Generator,
@@ -112,17 +117,13 @@ from .pipeline import (
     _SharedMemo,
     ConflictAnalysis,
     ConflictReport,
+    IOPlan,
     LockDirective,
     PhasePlan,
-    PhaseRunner,
-    ReadPhasePlan,
-    ReadPlan,
-    ReadRunner,
-    ReadStep,
+    PlanRunner,
+    TransferStep,
     USER_PAYLOAD,
     ViewExchange,
-    WritePlan,
-    WriteStep,
 )
 from .rank_ordering import (
     HIGHER_RANK_WINS,
@@ -135,12 +136,11 @@ from .registry import register_strategy
 if TYPE_CHECKING:  # imported lazily to keep the package import graph acyclic
     from ..fs.client import ClientFileHandle
     from ..mpi.comm import Communicator
+    from .autotune import TuningDecision
 
 __all__ = [
-    "WriteOutcome",
-    "ReadOutcome",
-    "PreparedWrite",
-    "PreparedRead",
+    "IOOutcome",
+    "PreparedIO",
     "AtomicityStrategy",
     "PipelineStrategy",
     "NoAtomicityStrategy",
@@ -156,64 +156,27 @@ AGGREGATE_PAYLOAD = "aggregate"
 
 
 @dataclass
-class WriteOutcome:
-    """Per-rank accounting of one strategy execution."""
+class IOOutcome:
+    """Per-rank accounting of one strategy execution, in either direction.
 
-    strategy: str
-    rank: int
-    bytes_requested: int = 0
-    bytes_written: int = 0
-    bytes_surrendered: int = 0
-    segments_written: int = 0
-    locks_acquired: int = 0
-    phases: int = 1
-    my_phase: int = 0
-    colors_used: int = 0
-    start_time: float = 0.0
-    end_time: float = 0.0
-    extra: Dict[str, float] = field(default_factory=dict)
-
-    @classmethod
-    def from_plan(cls, plan: WritePlan, start_time: float) -> "WriteOutcome":
-        """A fresh outcome carrying ``plan``'s bookkeeping — what every
-        executor of the plan (the runner, the bulk sweep) accounts into."""
-        return cls(
-            strategy=plan.strategy,
-            rank=plan.rank,
-            bytes_requested=plan.bytes_requested,
-            bytes_surrendered=plan.bytes_surrendered,
-            phases=plan.num_phases,
-            my_phase=plan.my_phase,
-            colors_used=plan.colors_used,
-            start_time=start_time,
-            extra=dict(plan.extra),
-        )
-
-    @property
-    def elapsed(self) -> float:
-        """Virtual time this rank spent in the strategy."""
-        return self.end_time - self.start_time
-
-
-@dataclass
-class ReadOutcome:
-    """Per-rank accounting of one collective-read execution.
-
-    Symmetric to :class:`WriteOutcome`: ``bytes_requested`` is the volume the
-    rank's view covers (and ``bytes_returned`` what the strategy delivered to
-    it), ``bytes_read`` the volume actually fetched from the file system —
-    smaller than the sum of requests when an aggregation strategy reads each
-    overlapped byte once — and ``bytes_shuffled`` the volume moved between
-    ranks by a scatter phase.
+    ``bytes_requested`` is the volume the rank's view covers;
+    ``bytes_moved`` / ``segments_moved`` what this rank actually transferred
+    to or from the file system — smaller than the request when rank ordering
+    surrenders overlapped bytes (``bytes_surrendered``) or an aggregation
+    strategy moves each overlapped byte once on some other rank;
+    ``bytes_shuffled`` the volume this rank sent to *other* ranks in a
+    shuffle (write) or scatter (read) phase; ``bytes_returned`` the length of
+    the stream a read delivered (0 for a write).
     """
 
     strategy: str
     rank: int
     bytes_requested: int = 0
+    bytes_moved: int = 0
     bytes_returned: int = 0
-    bytes_read: int = 0
+    bytes_surrendered: int = 0
     bytes_shuffled: int = 0
-    segments_read: int = 0
+    segments_moved: int = 0
     locks_acquired: int = 0
     lock_wait_seconds: float = 0.0
     cache_hits: int = 0
@@ -227,13 +190,15 @@ class ReadOutcome:
     extra: Dict[str, float] = field(default_factory=dict)
 
     @classmethod
-    def from_plan(cls, plan: ReadPlan, start_time: float) -> "ReadOutcome":
-        """A fresh outcome carrying ``plan``'s bookkeeping (see
-        :meth:`WriteOutcome.from_plan`)."""
+    def from_plan(cls, plan: IOPlan, start_time: float) -> "IOOutcome":
+        """A fresh outcome carrying ``plan``'s bookkeeping — what every
+        executor of the plan (the runner, the bulk sweep) accounts into."""
         return cls(
             strategy=plan.strategy,
             rank=plan.rank,
             bytes_requested=plan.bytes_requested,
+            bytes_surrendered=plan.bytes_surrendered,
+            bytes_shuffled=plan.bytes_shuffled,
             phases=plan.num_phases,
             my_phase=plan.my_phase,
             colors_used=plan.colors_used,
@@ -241,42 +206,31 @@ class ReadOutcome:
             extra=dict(plan.extra),
         )
 
-    @property
-    def elapsed(self) -> float:
-        """Virtual time this rank spent in the strategy."""
-        return self.end_time - self.start_time
-
 
 @dataclass
-class PreparedWrite:
-    """Stage-3 output of a collective write, ready for execution.
+class PreparedIO:
+    """Stage-3 output of a collective operation, ready for execution.
 
-    Produced by :meth:`PipelineStrategy.prepare_write` (view exchange,
-    conflict analysis, scheduling — everything that needs the *data* and the
-    peers), consumed by :meth:`PipelineStrategy.commit_write` (the file I/O).
-    The split is what the split-collective API pins down: ``begin`` runs the
-    exchange, ``end`` (or a detached progress task in between) the commit.
+    Produced by :meth:`PipelineStrategy.prepare` (view exchange, conflict
+    analysis, scheduling — everything that needs the *data* and the peers),
+    consumed by :meth:`PipelineStrategy.commit` (the file I/O and, for a
+    read, the delivery).  The split is what the split-collective API pins
+    down: ``begin`` runs the exchange, ``end`` (or a detached progress task
+    in between) the commit.  The conflict report and the region ride along
+    because read delivery may need them — the two-phase scatter routes
+    pieces with the exchanged views.
     """
 
-    plan: WritePlan
-    payloads: Dict[str, bytes]
-    start_time: float
-
-
-@dataclass
-class PreparedRead:
-    """Stage-3 output of a collective read, ready for execution.
-
-    Carries the conflict report and the region alongside the plan because
-    delivery (:meth:`PipelineStrategy.deliver_read`, which runs inside
-    :meth:`PipelineStrategy.commit_read`) may need them — the two-phase
-    scatter routes pieces with the exchanged views.
-    """
-
-    plan: ReadPlan
-    report: ConflictReport
+    plan: IOPlan
     region: FileRegionSet
+    report: ConflictReport
+    #: The named memory side of the plan's steps: the payloads a write draws
+    #: from, the (still zeroed) sinks a read fills.
+    buffers: Dict[str, Any]
     start_time: float
+    #: Set by ``auto``, in both directions: the tuning decision whose
+    #: delegate strategy built the plan and owns its commit.
+    decision: Optional["TuningDecision"] = None
 
 
 class AtomicityStrategy(ABC):
@@ -311,7 +265,7 @@ class AtomicityStrategy(ABC):
         handle: ClientFileHandle,
         region: FileRegionSet,
         data: bytes,
-    ) -> WriteOutcome:
+    ) -> IOOutcome:
         """Perform this rank's part of the concurrent overlapping write.
 
         Parameters
@@ -332,7 +286,7 @@ class AtomicityStrategy(ABC):
         comm: Communicator,
         handle: ClientFileHandle,
         region: FileRegionSet,
-    ) -> Tuple[bytes, ReadOutcome]:
+    ) -> Tuple[bytes, IOOutcome]:
         """Perform this rank's part of a collective read.
 
         Returns ``(data, outcome)`` where ``data`` is the rank's contiguous
@@ -362,97 +316,100 @@ class PipelineStrategy(AtomicityStrategy):
 
     Subclasses configure the first two stages (``exchange``, ``analysis``)
     and implement :meth:`schedule`, which turns the conflict report into a
-    declarative :class:`~repro.core.pipeline.WritePlan` plus the payload
-    buffers its steps draw from.  Execution is shared.
+    declarative :class:`~repro.core.pipeline.IOPlan` plus the payload buffers
+    its steps draw from.  Everything around it — :meth:`prepare`,
+    :meth:`commit`, the runner, the outcome — is shared, by every strategy
+    and by both directions.
 
-    The collective-read side is symmetric: stages 1 and 2 are reused as-is
-    (the exchange and analysis are direction-agnostic), :meth:`schedule_read`
-    builds a :class:`~repro.core.pipeline.ReadPlan`, the shared
-    :class:`~repro.core.pipeline.ReadRunner` fetches it into named sinks, and
-    :meth:`deliver_read` turns the sinks into the rank's contiguous data
-    stream — the one read-specific hook, because delivery may involve
-    communication (the two-phase scatter).  The default ``schedule_read`` /
-    ``deliver_read`` pair — invalidate, then read the full view through the
-    cache in one parallel phase — is correct for any strategy, so registering
-    a new write strategy yields a working collective read for free.
+    What a collective read adds is policy only: :meth:`schedule_read` builds
+    the ``direction="read"`` plan from the same (direction-agnostic) stages 1
+    and 2, and :meth:`deliver_read` turns the sinks the runner filled into
+    the rank's contiguous data stream — a hook because delivery may involve
+    communication (the two-phase scatter).  The default pair — invalidate,
+    then read the full view through the cache in one parallel phase — is
+    correct for any strategy, so registering a new write strategy yields a
+    working collective read for free.
     """
 
     exchange: ViewExchange = ViewExchange(enabled=False)
     analysis: ConflictAnalysis = ConflictAnalysis(mode="none")
-    runner: PhaseRunner = PhaseRunner()
-    read_runner: ReadRunner = ReadRunner()
+    runner: PlanRunner = PlanRunner()
     supports_collective_read = True
+    #: Whether transfers go through the client cache; strategies that take a
+    #: ``use_cache`` constructor argument shadow it per instance.
+    use_cache = True
 
-    def prepare_write(
+    def prepare(
         self,
         comm: Communicator,
         region: FileRegionSet,
-        data: bytes,
         start_time: float,
-    ) -> PreparedWrite:
-        """Stages 1–3 of a collective write: exchange, analyse, schedule.
+        data: Optional[bytes] = None,
+    ) -> PreparedIO:
+        """Stages 1–3 of a collective operation: exchange, analyse, schedule.
 
-        Collective over ``comm`` (the exchange — and, for two-phase, the
-        shuffle inside :meth:`schedule` — rendezvous there); performs no file
-        I/O, so the result can be committed later, on a different clock, by
-        :meth:`commit_write`.  ``start_time`` backdates the eventual outcome
-        to when the operation logically began.
-        """
-        self._check_request(region, data)
-        regions = self.exchange.run(comm, region)
-        report = self.analysis.run(regions)
-        plan, payloads = self.schedule(comm, region, data, report)
-        return PreparedWrite(plan=plan, payloads=payloads, start_time=start_time)
+        ``data`` is the stream to write; ``None`` prepares a read.
+        Collective over ``comm`` (the exchange — and, for a two-phase write,
+        the shuffle inside :meth:`schedule` — rendezvous there); performs no
+        file I/O, so the result can be committed later, on a different
+        clock, by :meth:`commit`.  ``start_time`` backdates the eventual
+        outcome to when the operation logically began.
 
-    def commit_write(
-        self, comm: Communicator, handle: ClientFileHandle, prepared: PreparedWrite
-    ) -> WriteOutcome:
-        """Stage 4 of a collective write: run the prepared plan's file I/O.
-
-        Collective over ``comm`` when the plan contains barrier directives
-        (graph colouring); ``comm`` and ``handle`` may belong to a detached
-        progress task rather than the rank's main task.
-        """
-        return self.runner.execute(
-            comm, handle, prepared.plan, prepared.payloads,
-            start_time=prepared.start_time,
-        )
-
-    def execute_write(self, comm, handle, region, data):  # noqa: D102 - see base
-        prepared = self.prepare_write(comm, region, data, handle.clock.now)
-        return self.commit_write(comm, handle, prepared)
-
-    def prepare_read(
-        self, comm: Communicator, region: FileRegionSet, start_time: float
-    ) -> PreparedRead:
-        """Stages 1–3 of a collective read: exchange, analyse, schedule.
-
-        The caller must have flushed its own write-behind data *before* the
-        exchange rendezvous (``handle.sync()``): two-phase aggregators read
+        Before preparing a read the caller must have flushed its own
+        write-behind data (``handle.sync()``): two-phase aggregators read
         directly from the servers on every rank's behalf, and they may start
         the moment the exchange completes.
         """
+        if data is not None:
+            self._check_request(region, data)
         regions = self.exchange.run(comm, region)
-        report = self.analysis.run(regions)
-        plan = self.schedule_read(comm, region, report)
-        return PreparedRead(
-            plan=plan, report=report, region=region, start_time=start_time
+        return self._scheduled(comm, region, start_time, data, self.analysis.run(regions))
+
+    def _scheduled(
+        self,
+        comm: Communicator,
+        region: FileRegionSet,
+        start_time: float,
+        data: Optional[bytes],
+        report: ConflictReport,
+    ) -> PreparedIO:
+        """Stage 3: this strategy's plan for ``report``, with its buffers."""
+        if data is None:
+            plan = self.schedule_read(comm, region, report)
+            buffers = plan.sinks()
+        else:
+            plan, buffers = self.schedule(comm, region, data, report)
+        return PreparedIO(
+            plan=plan, region=region, report=report, buffers=buffers, start_time=start_time
         )
 
-    def commit_read(
-        self, comm: Communicator, handle: ClientFileHandle, prepared: PreparedRead
-    ) -> Tuple[bytes, ReadOutcome]:
-        """Stage 4 of a collective read: fetch the plan, deliver the stream."""
-        outcome, sinks = self.read_runner.execute(
-            comm, handle, prepared.plan, start_time=prepared.start_time
+    def commit(
+        self, comm: Communicator, handle: ClientFileHandle, prepared: PreparedIO
+    ) -> Tuple[Optional[bytes], IOOutcome]:
+        """Stage 4: run the prepared plan's file I/O; a read then delivers.
+
+        Returns ``(data, outcome)`` — ``data`` is the stream a read
+        delivered, ``None`` for a write.  Collective over ``comm`` when the
+        plan contains barrier directives (graph colouring) or the delivery
+        communicates (the two-phase scatter); ``comm`` and ``handle`` may
+        belong to a detached progress task rather than the rank's main task.
+        """
+        outcome = self.runner.execute(
+            comm, handle, prepared.plan, prepared.buffers, start_time=prepared.start_time
         )
+        if prepared.plan.direction == "write":
+            return None, outcome
         data = self.deliver_read(
-            comm, prepared.region, prepared.report, outcome, sinks
+            comm, prepared.region, prepared.report, outcome, prepared.buffers
         )
         # Delivery may communicate; the outcome covers it.
         outcome.end_time = handle.clock.now
         outcome.bytes_returned = len(data)
         return data, outcome
+
+    def execute_write(self, comm, handle, region, data):  # noqa: D102 - see base
+        prepared = self.prepare(comm, region, handle.clock.now, data)
+        return self.commit(comm, handle, prepared)[1]
 
     def execute_read(self, comm, handle, region):  # noqa: D102 - see base
         start_time = handle.clock.now
@@ -463,8 +420,7 @@ class PipelineStrategy(AtomicityStrategy):
         # its own cached reads.  Without this, a direct read would return
         # the servers' stale bytes for data this very rank wrote.
         handle.sync()
-        prepared = self.prepare_read(comm, region, start_time)
-        return self.commit_read(comm, handle, prepared)
+        return self.commit(comm, handle, self.prepare(comm, region, start_time))
 
     @abstractmethod
     def schedule(
@@ -473,7 +429,7 @@ class PipelineStrategy(AtomicityStrategy):
         region: FileRegionSet,
         data: bytes,
         report: ConflictReport,
-    ) -> Tuple[WritePlan, Dict[str, bytes]]:
+    ) -> Tuple[IOPlan, Dict[str, bytes]]:
         """Build this rank's write plan from the conflict analysis."""
 
     def schedule_read(
@@ -481,7 +437,7 @@ class PipelineStrategy(AtomicityStrategy):
         comm: Communicator,
         region: FileRegionSet,
         report: ConflictReport,
-    ) -> ReadPlan:
+    ) -> IOPlan:
         """Build this rank's read plan from the conflict analysis.
 
         Default schedule: drop cached pages that peers may have overwritten
@@ -490,37 +446,29 @@ class PipelineStrategy(AtomicityStrategy):
         needs phases or trimming for correctness; strategies override this to
         trade the invalidation and the per-rank read amplification away.
         """
-        phase = ReadPhasePlan(
+        phase = PhasePlan(
             index=0,
-            steps=self._read_steps(region.buffer_map()),
-            direct=not getattr(self, "use_cache", True),
+            steps=self._steps(region.buffer_map()),
+            direct=not self.use_cache,
             invalidate_before=True,
         )
-        return self._read_plan(region, phases=[phase])
+        return self._plan("read", region, phases=[phase])
 
     def deliver_read(
         self,
         comm: Communicator,
         region: FileRegionSet,
         report: ConflictReport,
-        outcome: ReadOutcome,
+        outcome: IOOutcome,
         sinks: Dict[str, bytearray],
     ) -> bytes:
         """Turn the runner's filled sinks into the rank's data stream."""
         return bytes(sinks.get(USER_PAYLOAD, bytearray()))
 
-    def _plan(self, region: FileRegionSet, **kwargs) -> WritePlan:
+    def _plan(self, direction: str, region: FileRegionSet, **kwargs) -> IOPlan:
         """A fresh plan pre-filled with the request bookkeeping."""
-        return WritePlan(
-            strategy=self.name,
-            rank=region.rank,
-            bytes_requested=region.total_bytes,
-            **kwargs,
-        )
-
-    def _read_plan(self, region: FileRegionSet, **kwargs) -> ReadPlan:
-        """A fresh read plan pre-filled with the request bookkeeping."""
-        return ReadPlan(
+        return IOPlan(
+            direction=direction,
             strategy=self.name,
             rank=region.rank,
             bytes_requested=region.total_bytes,
@@ -528,20 +476,12 @@ class PipelineStrategy(AtomicityStrategy):
         )
 
     @staticmethod
-    def _steps(buffer_map: Sequence[Tuple[int, int, int]]) -> List[WriteStep]:
-        """Turn a region buffer map into user-payload write steps."""
+    def _steps(
+        buffer_map: Sequence[Tuple[int, int, int]], buffer: str = USER_PAYLOAD
+    ) -> List[TransferStep]:
+        """Turn a region buffer map into transfer steps on ``buffer``."""
         return [
-            WriteStep(buffer_offset=buf, file_offset=off, length=length)
-            for buf, off, length in buffer_map
-        ]
-
-    @staticmethod
-    def _read_steps(
-        buffer_map: Sequence[Tuple[int, int, int]], sink: str = USER_PAYLOAD
-    ) -> List[ReadStep]:
-        """Turn a region buffer map into read steps targeting ``sink``."""
-        return [
-            ReadStep(buffer_offset=buf, file_offset=off, length=length, sink=sink)
+            TransferStep(buffer_offset=buf, file_offset=off, length=length, buffer=buffer)
             for buf, off, length in buffer_map
         ]
 
@@ -564,7 +504,7 @@ class NoAtomicityStrategy(PipelineStrategy):
             direct=not self.use_cache,
             sync_after=self.sync_after,
         )
-        return self._plan(region, phases=[phase]), {USER_PAYLOAD: data}
+        return self._plan("write", region, phases=[phase]), {USER_PAYLOAD: data}
 
 
 @register_strategy
@@ -576,12 +516,13 @@ class LockingStrategy(PipelineStrategy):
 
     def schedule(self, comm, region, data, report):  # noqa: D102 - see base
         if region.is_empty():
-            return self._plan(region), {USER_PAYLOAD: data}
+            return self._plan("write", region), {USER_PAYLOAD: data}
         extent = region.extent()
         # The lock must span from the first to the last byte the process will
         # write; locking each segment individually is NOT sufficient for MPI
         # atomicity (Section 3.2 / tests.test_incorrect_per_segment_locking).
         plan = self._plan(
+            "write",
             region,
             locks=[LockDirective(extent.start, extent.stop)],
             phases=[PhasePlan(index=0, steps=self._steps(region.buffer_map()), direct=True)],
@@ -591,19 +532,18 @@ class LockingStrategy(PipelineStrategy):
 
     def schedule_read(self, comm, region, report):  # noqa: D102 - see base
         if region.is_empty():
-            return self._read_plan(region)
+            return self._plan("read", region)
         extent = region.extent()
         # Shared mode: concurrent readers are granted together; only a
         # conflicting exclusive (writer) lock serialises against us.  Reads
         # under the lock go direct (and the pipeline already flushed this
         # rank's dirty pages), so no cache invalidation is needed and
         # resident pages stay warm for later unlocked reads.
-        return self._read_plan(
+        return self._plan(
+            "read",
             region,
             locks=[LockDirective(extent.start, extent.stop, mode=LockMode.SHARED)],
-            phases=[
-                ReadPhasePlan(index=0, steps=self._read_steps(region.buffer_map()), direct=True)
-            ],
+            phases=[PhasePlan(index=0, steps=self._steps(region.buffer_map()), direct=True)],
             extra={"locked_bytes": float(extent.length)},
         )
 
@@ -643,6 +583,7 @@ class GraphColoringStrategy(PipelineStrategy):
                 )
             )
         plan = self._plan(
+            "write",
             region,
             phases=phases,
             my_phase=my_color,
@@ -657,13 +598,14 @@ class GraphColoringStrategy(PipelineStrategy):
         # read half of the paper's protocol — writers of a conflicting
         # operation flushed (sync-after-write), we must drop stale pages.
         coloring: ColoringResult = report.coloring
-        phase = ReadPhasePlan(
+        phase = PhasePlan(
             index=0,
-            steps=self._read_steps(region.buffer_map()),
+            steps=self._steps(region.buffer_map()),
             direct=not self.use_cache,
             invalidate_before=True,
         )
-        return self._read_plan(
+        return self._plan(
+            "read",
             region,
             phases=[phase],
             my_phase=coloring.color_of(region.rank),
@@ -696,6 +638,7 @@ class RankOrderingStrategy(PipelineStrategy):
             sync_after=True,
         )
         plan = self._plan(
+            "write",
             region,
             phases=[phase],
             bytes_surrendered=resolution.surrendered_bytes[region.rank],
@@ -913,30 +856,33 @@ class TwoPhaseStrategy(PipelineStrategy):
         runs: Sequence[AggregatedRun],
         write_phase: int,
         my_phase: int,
+        shuffled: int,
         extra: Dict[str, float],
-    ) -> Tuple[WritePlan, Dict[str, bytes]]:
+    ) -> Tuple[IOPlan, Dict[str, bytes]]:
         """The write phase every shuffle ends in: an aggregator's merged runs
         become parallel disjoint direct writes — no locks, no barriers —
         with the originating rank recorded as each run's provenance."""
-        steps: List[WriteStep] = []
+        steps: List[TransferStep] = []
         buffer = bytearray()
         for run in runs:
             steps.append(
-                WriteStep(
+                TransferStep(
                     buffer_offset=len(buffer),
                     file_offset=run.offset,
                     length=run.length,
-                    source=AGGREGATE_PAYLOAD,
+                    buffer=AGGREGATE_PAYLOAD,
                     writer=run.origin,
                 )
             )
             buffer.extend(run.data)
         plan = self._plan(
+            "write",
             region,
             phases=[PhasePlan(index=write_phase, steps=steps, direct=True)],
             reported_phases=write_phase + 1,
             my_phase=my_phase,
             bytes_surrendered=neg.surrendered[region.rank],
+            bytes_shuffled=shuffled,
             extra=extra,
         )
         return plan, {USER_PAYLOAD: data, AGGREGATE_PAYLOAD: bytes(buffer)}
@@ -965,13 +911,10 @@ class TwoPhaseStrategy(PipelineStrategy):
         # Phase 2 — write.
         return self._write_plan(
             region, data, neg, runs, write_phase=1, my_phase=1 if is_agg else 0,
-            extra={
-                "aggregators": float(len(neg.aggregators)),
-                "shuffled_bytes": float(shuffled),
-            },
+            shuffled=shuffled, extra={"aggregators": float(len(neg.aggregators))},
         )
 
-    def fetch_plan(self, region: FileRegionSet, neg: Negotiation) -> ReadPlan:
+    def fetch_plan(self, region: FileRegionSet, neg: Negotiation) -> IOPlan:
         """This rank's read plan (the communication-free half of a read)."""
         # Phase 1 — read: each aggregator fetches its file-domain chunk once,
         # directly from the servers (bypassing — and therefore never
@@ -980,13 +923,14 @@ class TwoPhaseStrategy(PipelineStrategy):
         # current).  An overlapped byte costs one server read regardless of
         # how many consumers cover it.
         steps = [
-            ReadStep(buffer_offset=buf, file_offset=start, length=stop - start,
-                     sink=AGGREGATE_PAYLOAD)
+            TransferStep(buffer_offset=buf, file_offset=start, length=stop - start,
+                         buffer=AGGREGATE_PAYLOAD)
             for start, stop, buf in neg.held.get(region.rank, ())
         ]
-        return self._read_plan(
+        return self._plan(
+            "read",
             region,
-            phases=[ReadPhasePlan(index=0, steps=steps, direct=True)],
+            phases=[PhasePlan(index=0, steps=steps, direct=True)],
             reported_phases=2,
             my_phase=0 if region.rank in neg.agg_set else 1,
             extra={"aggregators": float(len(neg.aggregators))},
@@ -996,7 +940,7 @@ class TwoPhaseStrategy(PipelineStrategy):
         self,
         region: FileRegionSet,
         neg: Negotiation,
-        outcome: ReadOutcome,
+        outcome: IOOutcome,
         sinks: Dict[str, bytearray],
     ):
         """This rank's read delivery, as a coroutine (see :func:`_pump`);
@@ -1019,7 +963,7 @@ class TwoPhaseStrategy(PipelineStrategy):
         return self._assemble(region, outcome, received)
 
     @staticmethod
-    def _assemble(region: FileRegionSet, outcome: ReadOutcome, received) -> bytes:
+    def _assemble(region: FileRegionSet, outcome: IOOutcome, received) -> bytes:
         """Place the scattered ``[(src, pieces)]`` into the user stream."""
         stream, filled = assemble_stream(
             [piece for _, sent in received for piece in sent],
@@ -1170,10 +1114,10 @@ class HierarchicalTwoPhaseStrategy(TwoPhaseStrategy):
         return self._write_plan(
             region, data, neg, runs, write_phase=2,
             my_phase=2 if is_agg else (1 if is_leader else 0),
-            extra={**self._roles(neg), "shuffled_bytes": float(shuffled)},
+            shuffled=shuffled, extra=self._roles(neg),
         )
 
-    def fetch_plan(self, region: FileRegionSet, neg: Negotiation) -> ReadPlan:  # noqa: D102
+    def fetch_plan(self, region: FileRegionSet, neg: Negotiation) -> IOPlan:  # noqa: D102
         # Phase 0 — fetch: identical to the flat read (the negotiation already
         # elects topology-aware node-leader aggregators via cb_nodes/cb_ppn),
         # but the plan reports the three-phase hierarchical schedule: fetch,

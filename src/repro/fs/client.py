@@ -177,8 +177,8 @@ class ClientFileHandle:
         """Apply a plan's batched writes: ``(offset, data)`` or
         ``(offset, data, writer)`` items, in order.
 
-        This is the execution entry point of the staged write pipeline
-        (:class:`repro.core.pipeline.PhaseRunner`): one call per phase, with
+        This is the write-side execution entry point of the staged pipeline
+        (:class:`repro.core.pipeline.PlanRunner`): one call per phase, with
         the phase's cache policy applied uniformly.  Returns total bytes
         written.
         """
@@ -205,8 +205,8 @@ class ClientFileHandle:
     ) -> List[bytes]:
         """Apply a plan's batched reads: ``(offset, nbytes)`` items, in order.
 
-        The execution entry point of the staged read pipeline
-        (:class:`repro.core.pipeline.ReadRunner`), mirroring
+        The read-side execution entry point of the staged pipeline
+        (:class:`repro.core.pipeline.PlanRunner`), mirroring
         :meth:`write_batch`: one call per phase, the phase's cache policy
         applied uniformly.  Returns one bytes object per request.
         """

@@ -41,9 +41,10 @@ hint.  In non-atomic mode the segments are written independently, which is
 exactly the situation in which overlapping writes may interleave (Figure 2).
 
 Collective reads are symmetric: ``Read_all`` runs the selected strategy's
-*staged read pipeline* (shared-mode locks, invalidate-then-read, or
-two-phase aggregate-and-scatter — see :mod:`repro.core.pipeline`) and
-returns a :class:`~repro.core.strategies.ReadOutcome`; even the non-atomic
+read schedule through the same staged pipeline (shared-mode locks,
+invalidate-then-read, or two-phase aggregate-and-scatter — see
+:mod:`repro.core.pipeline`) and returns the same
+:class:`~repro.core.strategies.IOOutcome` record; even the non-atomic
 baseline invalidates cached pages first so a collective read observes
 everything its peers flushed before the call.
 """
@@ -63,10 +64,9 @@ from ..core.regions import FileRegionSet
 from ..core.registry import default_registry
 from ..core.strategies import (
     AtomicityStrategy,
+    IOOutcome,
     NoAtomicityStrategy,
     PipelineStrategy,
-    ReadOutcome,
-    WriteOutcome,
 )
 from ..fs.lockmanager import LockMode
 from ..fs.striping import StripingLayout
@@ -478,7 +478,7 @@ class MPIFile:
         issue time, then runs the full staged pipeline — exchange, conflict
         analysis, commit — on a detached progress task.  Returns the
         :class:`~repro.io.requests.IORequest` whose ``Wait`` yields the
-        :class:`~repro.core.strategies.WriteOutcome`.
+        :class:`~repro.core.strategies.IOOutcome`.
         """
         self._check_writable()
         data = _as_bytes(buffer, datatype, count)
@@ -502,7 +502,7 @@ class MPIFile:
 
         ``buffer`` is filled when the operation completes and must not be
         read (or reused) before ``Wait``.  ``Wait`` returns the
-        :class:`~repro.core.strategies.ReadOutcome`.
+        :class:`~repro.core.strategies.IOOutcome`.
         """
         self._check_readable()
         nbytes = self._data_stream_size(buffer, datatype, count)
@@ -556,18 +556,18 @@ class MPIFile:
         region = self._region_for(len(data), self._position)
         strategy = self._split_strategy()
         self._handle.sync()  # flush before the exchange rendezvous
-        prepared = strategy.prepare_write(self.comm, region, data, self.comm.clock.now)
+        prepared = strategy.prepare(self.comm, region, self.comm.clock.now, data)
         request = self._issue(
             self._next_label("write_all_begin"),
             "write",
-            lambda comm, handle: strategy.commit_write(comm, handle, prepared),
+            lambda comm, handle: strategy.commit(comm, handle, prepared)[1],
             flush_main=False,  # flushed above, before the exchange rendezvous
         )
         self._position += len(data) // self._view.etype_size
         self._split_active = request
         return request
 
-    def Write_all_end(self) -> WriteOutcome:  # noqa: N802 - MPI spelling
+    def Write_all_end(self) -> IOOutcome:  # noqa: N802 - MPI spelling
         """Finish the active split collective write; returns its outcome."""
         request = self._split_active
         if request is None or request.kind != "write":
@@ -593,11 +593,11 @@ class MPIFile:
         region = self._region_for(nbytes, self._position)
         strategy = self._split_strategy()
         self._handle.sync()  # flush before the exchange rendezvous
-        prepared = strategy.prepare_read(self.comm, region, self.comm.clock.now)
+        prepared = strategy.prepare(self.comm, region, self.comm.clock.now)
 
         def body(comm: Communicator, handle: ClientFileHandle):
             handle.sync()  # the progress handle's own write-behind pages
-            data, outcome = strategy.commit_read(comm, handle, prepared)
+            data, outcome = strategy.commit(comm, handle, prepared)
             self._scatter_into(buffer, data, datatype, count)
             return outcome
 
@@ -608,7 +608,7 @@ class MPIFile:
         self._split_active = request
         return request
 
-    def Read_all_end(self) -> ReadOutcome:  # noqa: N802 - MPI spelling
+    def Read_all_end(self) -> IOOutcome:  # noqa: N802 - MPI spelling
         """Finish the active split collective read; returns its outcome."""
         request = self._split_active
         if request is None or request.kind != "read":
@@ -622,7 +622,7 @@ class MPIFile:
         buffer: Buffer,
         count: Optional[int] = None,
         datatype: Optional[Datatype] = None,
-    ) -> WriteOutcome:
+    ) -> IOOutcome:
         """Collective write at the individual file pointer.
 
         A thin wrapper: ``Iwrite_all(...).Wait()``.  In atomic mode the
@@ -639,11 +639,11 @@ class MPIFile:
         buffer: Buffer,
         count: Optional[int] = None,
         datatype: Optional[Datatype] = None,
-    ) -> ReadOutcome:
+    ) -> IOOutcome:
         """Collective read at the individual file pointer into ``buffer``.
 
         A thin wrapper: ``Iread_all(...).Wait()``.  The read runs through
-        the staged read pipeline of the configured strategy (the same
+        the staged pipeline of the configured strategy (the same
         selection rules as :meth:`Write_all`): shared-mode locks for the
         locking strategy, invalidate-then-cached-read for the handshaking
         strategies, aggregate-and-scatter for two-phase.  In non-atomic mode
@@ -676,7 +676,7 @@ class MPIFile:
         region: FileRegionSet,
         atomic: bool,
         fresh: bool = False,
-    ) -> Tuple[bytes, ReadOutcome]:
+    ) -> Tuple[bytes, IOOutcome]:
         """One rank's uncoordinated read of ``region`` through ``handle``.
 
         ``fresh=True`` forces a cache invalidation before a non-atomic cached
@@ -684,7 +684,7 @@ class MPIFile:
         hold pages that predate writes made through the rank's *main* handle,
         and a same-process read after a completed write must see them.
         """
-        outcome = ReadOutcome(
+        outcome = IOOutcome(
             strategy="independent",
             rank=self.comm.rank,
             bytes_requested=region.total_bytes,
@@ -712,9 +712,9 @@ class MPIFile:
                 outcome.invalidations = 1
             for _, file_off, length in region.buffer_map():
                 stream.extend(handle.read(file_off, length))
-        outcome.bytes_read = len(stream)
+        outcome.bytes_moved = len(stream)
         outcome.bytes_returned = len(stream)
-        outcome.segments_read = region.num_segments
+        outcome.segments_moved = region.num_segments
         outcome.end_time = handle.clock.now
         return bytes(stream), outcome
 
@@ -745,7 +745,7 @@ class MPIFile:
         buffer: Buffer,
         count: Optional[int] = None,
         datatype: Optional[Datatype] = None,
-    ) -> ReadOutcome:
+    ) -> IOOutcome:
         """Independent read at an explicit etype offset within the view.
 
         Independent reads cannot coordinate with unknown peers, so in atomic
@@ -796,7 +796,7 @@ class MPIFile:
         """Nonblocking independent read (``MPI_File_iread_at``).
 
         ``buffer`` is filled at completion; ``Wait`` returns the
-        :class:`~repro.core.strategies.ReadOutcome`.
+        :class:`~repro.core.strategies.IOOutcome`.
         """
         self._check_readable()
         nbytes = self._data_stream_size(buffer, datatype, count)
@@ -819,7 +819,7 @@ class MPIFile:
         return written
 
     def Read(self, buffer: Buffer, count: Optional[int] = None,
-             datatype: Optional[Datatype] = None) -> ReadOutcome:  # noqa: N802
+             datatype: Optional[Datatype] = None) -> IOOutcome:  # noqa: N802
         """Independent read at the individual file pointer."""
         data_len = self._data_stream_size(buffer, datatype, count)
         outcome = self.Read_at(self._position, buffer, count, datatype)

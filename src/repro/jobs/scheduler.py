@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.engine import Engine, Task
 from ..core.regions import FileRegionSet
+from ..core.strategies import IOOutcome
 from ..fs.client import FSClient
 from ..fs.filesystem import ParallelFileSystem
 from ..io.info import Info
@@ -97,8 +98,8 @@ class JobResult:
     arrival: float
     #: Global client-id/provenance offset of the job's rank 0.
     rank_base: int
-    #: Per-rank strategy outcomes (Write- or ReadOutcome).
-    outcomes: List
+    #: Per-rank strategy outcomes.
+    outcomes: List[IOOutcome]
     #: Per-rank delivered streams for read jobs, written streams for write
     #: jobs (what the verifiers compare against).
     data: List[bytes]
@@ -120,10 +121,7 @@ class JobResult:
     @property
     def bytes_moved(self) -> int:
         """Bytes actually transferred to or from the file system."""
-        return sum(
-            getattr(o, "bytes_written", 0) + getattr(o, "bytes_read", 0)
-            for o in self.outcomes
-        )
+        return sum(o.bytes_moved for o in self.outcomes)
 
     @property
     def global_regions(self) -> List[FileRegionSet]:
@@ -407,7 +405,7 @@ class MultiTenantScheduler:
 
         results: List[JobResult] = []
         for job in jobs:
-            outcomes: List = []
+            outcomes: List[IOOutcome] = []
             data: List[bytes] = []
             for rank, task in enumerate(job.tasks):
                 if job.spec.mode == "write":

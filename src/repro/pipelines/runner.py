@@ -210,7 +210,7 @@ def _producer_main(
             outcome = f.Write_all(payload)
             stage_comm.clock.advance(compute)
         f.Close()
-        written += outcome.bytes_written
+        written += outcome.bytes_moved
         if spec.coordination == "overlapped":
             if me == 0:
                 bridge.send(("ready", step), dest=0, tag=TAG_READY)

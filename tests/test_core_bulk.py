@@ -52,9 +52,11 @@ def assert_equivalent(engine, bulk):
     for b, e in zip(bulk.outcomes, engine.outcomes):
         assert (b.rank, b.strategy) == (e.rank, e.strategy)
         assert b.bytes_requested == e.bytes_requested
-        assert b.bytes_written == e.bytes_written
+        assert b.bytes_moved == e.bytes_moved
         assert b.bytes_surrendered == e.bytes_surrendered
-        assert b.segments_written == e.segments_written
+        assert b.bytes_shuffled == e.bytes_shuffled
+        assert b.lock_wait_seconds == e.lock_wait_seconds == 0.0
+        assert b.segments_moved == e.segments_moved
         assert b.phases == e.phases
         assert b.my_phase == e.my_phase
         assert b.start_time == e.start_time
@@ -119,7 +121,7 @@ class _EarlyExit(TwoPhaseStrategy):
 
     def shuffle(self, region, data, neg):
         if region.rank == 1:
-            return self._write_plan(region, data, neg, [], 1, 0, {})
+            return self._write_plan(region, data, neg, [], 1, 0, 0, {})
         return (yield from super().shuffle(region, data, neg))
 
 
@@ -177,9 +179,9 @@ _READ_OUTCOME_FIELDS = (
     "rank",
     "bytes_requested",
     "bytes_returned",
-    "bytes_read",
+    "bytes_moved",
     "bytes_shuffled",
-    "segments_read",
+    "segments_moved",
     "phases",
     "my_phase",
     "colors_used",

@@ -178,7 +178,7 @@ class TestReadByteIdenticalToFlat:
         phases = {o.my_phase for o in hier.outcomes}
         assert phases == {0, 1, 2}  # aggregator, pure leader, plain consumer
         leaders = [o for o in hier.outcomes if o.my_phase == 1]
-        assert leaders and all(o.bytes_read == 0 for o in leaders)
+        assert leaders and all(o.bytes_moved == 0 for o in leaders)
 
     @pytest.mark.parametrize("ppn", [1, 2, 8, 64])
     def test_any_node_shape(self, ppn):

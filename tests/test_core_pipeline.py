@@ -1,8 +1,9 @@
-"""Tests for the staged collective-write pipeline, the strategy registry and
-the two-phase aggregation strategy.
+"""Tests for the staged collective-I/O pipeline (the plan structures and the
+shared runner, in both directions), the strategy registry and the two-phase
+aggregation strategy.
 
-The equivalence tests pin the per-rank ``WriteOutcome`` accounting (phases,
-locks_acquired, bytes written/surrendered) of the three legacy strategies to
+The equivalence tests pin the per-rank ``IOOutcome`` accounting (phases,
+locks_acquired, bytes moved/surrendered) of the three legacy strategies to
 the exact values the pre-refactor monolithic implementations produced, so the
 pipeline decomposition is behaviour-preserving by construction.
 """
@@ -16,29 +17,31 @@ from repro.core.coloring import greedy_coloring
 from repro.core.executor import AtomicWriteExecutor
 from repro.core.intervals import IntervalSet
 from repro.core.overlap import build_overlap_matrix
+from repro.core.engine import TaskCancelled
 from repro.core.pipeline import (
     ConflictAnalysis,
+    IOPlan,
     LockDirective,
     PhasePlan,
-    PhaseRunner,
+    PlanRunner,
+    TransferStep,
     ViewExchange,
-    WritePlan,
-    WriteStep,
 )
 from repro.core.rank_ordering import LOWER_RANK_WINS, resolve_by_rank
 from repro.core.regions import FileRegionSet, build_region_sets
 from repro.core.registry import StrategyRegistry, default_registry
 from repro.core.strategies import (
     GraphColoringStrategy,
+    IOOutcome,
     LockingStrategy,
     NoAtomicityStrategy,
     PipelineStrategy,
     RankOrderingStrategy,
     TwoPhaseStrategy,
-    WriteOutcome,
 )
 from repro.fs import ParallelFileSystem
 from repro.fs.client import FSClient
+from repro.fs.lockmanager import LockMode
 from repro.mpi import run_spmd
 from repro.patterns.partition import block_block_views, column_wise_views
 from repro.patterns.workloads import rank_pattern_bytes
@@ -101,68 +104,143 @@ class TestConflictAnalysis:
             ConflictAnalysis(mode="quantum")
 
 
-class TestPhaseRunner:
-    """Direct plan execution against a single-rank world."""
+def _plan(direction, **kwargs):
+    kwargs.setdefault("strategy", "manual")
+    kwargs.setdefault("rank", 0)
+    return IOPlan(direction=direction, **kwargs)
 
-    def _execute(self, plan, payloads, fs=None):
-        fs = fs or ParallelFileSystem(fast_fs_config())
 
-        def fn(comm):
-            client = FSClient(fs, client_id=comm.rank, clock=comm.clock)
-            handle = client.open("runner.dat")
-            try:
-                return PhaseRunner().execute(comm, handle, plan, payloads)
-            finally:
-                handle.close()
+def _execute(plan, content=b""):
+    """Run ``plan`` on a single-rank world.
 
-        outcome = run_spmd(fn, 1).returns[0]
-        return outcome, fs.lookup("runner.dat")
+    A write plan moves ``content`` from the user payload into the file; a
+    read plan moves the same ``content``, seeded into the file, into the
+    user sink.  Either way: the outcome, the bytes that arrived on the far
+    side, and the file object.
+    """
+    fs = ParallelFileSystem(fast_fs_config())
 
-    def test_steps_locks_and_accounting(self):
-        plan = WritePlan(
-            strategy="manual",
-            rank=0,
+    def fn(comm):
+        client = FSClient(fs, client_id=comm.rank, clock=comm.clock)
+        handle = client.open("runner.dat")
+        try:
+            if plan.direction == "write":
+                buffers = {"user": content}
+            else:
+                handle.write(0, content, direct=True)
+                buffers = plan.sinks()
+            return PlanRunner().execute(comm, handle, plan, buffers), buffers
+        finally:
+            handle.close()
+
+    outcome, buffers = run_spmd(fn, 1).returns[0]
+    fobj = fs.lookup("runner.dat")
+    if plan.direction == "write":
+        arrived = fobj.store.read(0, len(content))
+    else:
+        arrived = bytes(buffers.get("user", b""))
+    return outcome, arrived, fobj
+
+
+@pytest.mark.parametrize("direction", ["write", "read"])
+class TestPlanRunner:
+    """Direct plan execution against a single-rank world, in both directions."""
+
+    def test_steps_locks_and_accounting(self, direction):
+        plan = _plan(
+            direction,
             bytes_requested=8,
             locks=[LockDirective(0, 8)],
             phases=[
-                PhasePlan(index=0, steps=[WriteStep(0, 0, 4)], direct=True),
-                PhasePlan(index=1, steps=[WriteStep(4, 4, 4)], direct=True),
+                PhasePlan(index=0, steps=[TransferStep(0, 0, 4)], direct=True),
+                PhasePlan(index=1, steps=[TransferStep(4, 4, 4)], direct=True),
             ],
         )
-        outcome, fobj = self._execute(plan, {"user": b"abcdWXYZ"})
-        assert isinstance(outcome, WriteOutcome)
-        assert outcome.bytes_written == 8
-        assert outcome.segments_written == 2
+        outcome, arrived, _ = _execute(plan, b"abcdWXYZ")
+        assert isinstance(outcome, IOOutcome)
+        assert outcome.bytes_moved == 8
+        assert outcome.segments_moved == 2
         assert outcome.locks_acquired == 1
         assert outcome.phases == 2
-        assert fobj.store.read(0, 8) == b"abcdWXYZ"
+        assert arrived == b"abcdWXYZ"
 
-    def test_empty_plan_reports_one_phase(self):
-        plan = WritePlan(strategy="manual", rank=0, bytes_requested=0)
-        outcome, _ = self._execute(plan, {"user": b""})
+    def test_empty_plan_reports_one_phase(self, direction):
+        outcome, _, _ = _execute(_plan(direction, bytes_requested=0))
         assert outcome.phases == 1
-        assert outcome.bytes_written == 0
+        assert outcome.bytes_moved == 0
 
-    def test_writer_override_recorded_as_provenance(self):
-        plan = WritePlan(
-            strategy="manual",
-            rank=0,
-            bytes_requested=4,
-            phases=[PhasePlan(index=0, steps=[WriteStep(0, 0, 4, writer=7)], direct=True)],
+    def test_reported_phases_override(self, direction):
+        plan = _plan(
+            direction, bytes_requested=0, phases=[PhasePlan(index=0)], reported_phases=2
         )
-        _, fobj = self._execute(plan, {"user": b"data"})
+        assert plan.num_phases == 2
+        outcome, _, _ = _execute(plan)
+        assert outcome.phases == 2
+
+    def test_sink_sizes_span_all_phases(self, direction):
+        plan = _plan(
+            direction,
+            bytes_requested=64,
+            phases=[
+                PhasePlan(index=0, steps=[TransferStep(0, 100, 16)]),
+                PhasePlan(
+                    index=1,
+                    steps=[TransferStep(16, 200, 48), TransferStep(0, 300, 8, buffer="agg")],
+                ),
+            ],
+        )
+        assert plan.sink_sizes() == {"user": 64, "agg": 8}
+        assert plan.bytes_scheduled == 72
+        assert plan.num_phases == 2
+
+    def test_locks_released_when_a_later_acquisition_raises(self, direction):
+        """A rank cancelled (or a collective aborted) while parked on the
+        plan's second lock must not keep holding the first until ``Close``."""
+        plan = _plan(
+            direction, bytes_requested=0, locks=[LockDirective(0, 4), LockDirective(8, 12)]
+        )
+        fs = ParallelFileSystem(fast_fs_config())
+
+        def fn(comm):
+            handle = FSClient(fs, client_id=comm.rank, clock=comm.clock).open("runner.dat")
+            grant, granted = handle.lock, []
+
+            def lock(start, stop, mode):
+                if granted:
+                    raise TaskCancelled("cancelled while parked on the second lock")
+                granted.append(grant(start, stop, mode=mode))
+                return granted[-1]
+
+            handle.lock = lock
+            try:
+                with pytest.raises(TaskCancelled):
+                    PlanRunner().execute(comm, handle, plan, {})
+                return len(granted), handle.file.lock_manager.held_locks()
+            finally:
+                handle.close()
+
+        assert run_spmd(fn, 1).returns[0] == (1, [])
+
+
+class TestPlanStructures:
+    def test_writer_override_recorded_as_provenance(self):
+        plan = _plan(
+            "write",
+            bytes_requested=4,
+            phases=[PhasePlan(index=0, steps=[TransferStep(0, 0, 4, writer=7)], direct=True)],
+        )
+        _, _, fobj = _execute(plan, b"data")
         assert fobj.store.distinct_writers(0, 4) == (7,)
 
-    def test_reported_phases_override(self):
-        plan = WritePlan(
-            strategy="manual",
-            rank=0,
-            bytes_requested=0,
-            phases=[PhasePlan(index=0)],
-            reported_phases=2,
-        )
-        outcome, _ = self._execute(plan, {"user": b""})
-        assert outcome.phases == 2
+    def test_lock_directive_defaults_exclusive_but_reads_use_shared(self):
+        assert LockDirective(0, 10).mode == LockMode.EXCLUSIVE
+        d = LockDirective(0, 10, mode=LockMode.SHARED)
+        assert d.mode == LockMode.SHARED
+        assert d.length == 10
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValueError, match="direction"):
+            _plan("sideways", bytes_requested=0)
 
 
 class TestLegacyEquivalence:
@@ -175,8 +253,8 @@ class TestLegacyEquivalence:
             assert outcome.strategy == "locking"
             assert outcome.locks_acquired == 1
             assert outcome.phases == 1
-            assert outcome.bytes_written == outcome.bytes_requested == region.total_bytes
-            assert outcome.segments_written == region.num_segments
+            assert outcome.bytes_moved == outcome.bytes_requested == region.total_bytes
+            assert outcome.segments_moved == region.num_segments
             assert outcome.extra["locked_bytes"] == float(region.extent_bytes())
 
     def test_graph_coloring_accounting(self):
@@ -186,7 +264,7 @@ class TestLegacyEquivalence:
             assert outcome.phases == coloring.num_colors == 2
             assert outcome.colors_used == coloring.num_colors
             assert outcome.my_phase == coloring.color_of(rank)
-            assert outcome.bytes_written == outcome.bytes_requested
+            assert outcome.bytes_moved == outcome.bytes_requested
             assert outcome.locks_acquired == 0
 
     def test_rank_ordering_accounting(self):
@@ -195,7 +273,7 @@ class TestLegacyEquivalence:
         for rank, outcome in enumerate(result.outcomes):
             assert outcome.bytes_surrendered == resolution.surrendered_bytes[rank]
             assert (
-                outcome.bytes_written
+                outcome.bytes_moved
                 == outcome.bytes_requested - outcome.bytes_surrendered
             )
             assert outcome.phases == 1
@@ -205,8 +283,8 @@ class TestLegacyEquivalence:
         result = run(NoAtomicityStrategy())
         for rank, outcome in enumerate(result.outcomes):
             region = result.regions[rank]
-            assert outcome.bytes_written == region.total_bytes
-            assert outcome.segments_written == region.num_segments
+            assert outcome.bytes_moved == region.total_bytes
+            assert outcome.segments_moved == region.num_segments
             assert outcome.phases == 1
 
 
@@ -300,7 +378,7 @@ class TestTwoPhaseStrategy:
         result = run(TwoPhaseStrategy(num_aggregators=naggr))
         assert check_mpi_atomicity(result.file.store, result.regions).ok
         assert check_coverage(result.file.store, result.regions).ok
-        writers = sum(1 for o in result.outcomes if o.bytes_written > 0)
+        writers = sum(1 for o in result.outcomes if o.bytes_moved > 0)
         assert writers <= naggr
 
     def test_overlaps_resolved_like_rank_ordering(self):
@@ -392,7 +470,7 @@ class TestStrategyRegistry:
             name = "echo"
 
             def schedule(self, comm, region, data, report):
-                return self._plan(region), {"user": data}
+                return self._plan("write", region), {"user": data}
 
         registry.register(EchoStrategy)
         assert "echo" in registry

@@ -1,10 +1,11 @@
-"""Tests for the staged collective-read pipeline.
+"""Tests for the read direction of the staged collective-I/O pipeline.
 
-Covers the declarative plan structures (`ReadStep`/`ReadPhasePlan`/`ReadPlan`),
-the shared `ReadRunner`, read support in every registered strategy
-(round-trip correctness against a completed atomic write), the shared-mode
-lock semantics of the locking read, the single-read-per-byte property of the
-two-phase read, and determinism of the pipeline at P=256.
+The plan structures and the runner are direction-parametrised in
+``tests/test_core_pipeline.py``; this module covers read support in every
+registered strategy (round-trip correctness against a completed atomic
+write), the shared-mode lock semantics of the locking read, the
+single-read-per-byte property of the two-phase read, and determinism of the
+pipeline at P=256.
 """
 
 from __future__ import annotations
@@ -12,12 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.executor import AtomicWriteExecutor, CollectiveReadExecutor
-from repro.core.pipeline import LockDirective, ReadPhasePlan, ReadPlan, ReadStep
 from repro.core.regions import FileRegionSet
 from repro.core.registry import default_registry
-from repro.core.strategies import ReadOutcome
+from repro.core.strategies import IOOutcome
 from repro.fs.filesystem import ParallelFileSystem
-from repro.fs.lockmanager import LockMode
 from repro.mpi.cost import CommCostModel
 from repro.patterns.partition import column_wise_views
 from repro.patterns.workloads import rank_pattern_bytes
@@ -50,34 +49,6 @@ def _expected_stream(store, region: FileRegionSet) -> bytes:
     return bytes(out)
 
 
-class TestReadPlanStructures:
-    def test_sink_sizes_span_all_phases(self):
-        plan = ReadPlan(
-            strategy="x",
-            rank=0,
-            bytes_requested=64,
-            phases=[
-                ReadPhasePlan(index=0, steps=[ReadStep(0, 100, 16)]),
-                ReadPhasePlan(
-                    index=1,
-                    steps=[ReadStep(16, 200, 48), ReadStep(0, 300, 8, sink="agg")],
-                ),
-            ],
-        )
-        assert plan.sink_sizes() == {"user": 64, "agg": 8}
-        assert plan.bytes_scheduled == 72
-        assert plan.num_phases == 2
-
-    def test_reported_phases_override(self):
-        plan = ReadPlan(strategy="x", rank=0, bytes_requested=0, reported_phases=2)
-        assert plan.num_phases == 2
-
-    def test_lock_directive_defaults_exclusive_but_reads_use_shared(self):
-        d = LockDirective(0, 10, mode=LockMode.SHARED)
-        assert d.mode == LockMode.SHARED
-        assert d.length == 10
-
-
 class TestStrategyReadRoundTrip:
     """Every registered strategy must deliver the committed file state."""
 
@@ -93,7 +64,7 @@ class TestStrategyReadRoundTrip:
         for rank in range(P):
             assert rres.data[rank] == _expected_stream(store, rres.regions[rank]), name
             out = rres.outcomes[rank]
-            assert isinstance(out, ReadOutcome)
+            assert isinstance(out, IOOutcome)
             assert out.strategy == name
             assert out.bytes_requested == rres.regions[rank].total_bytes
             assert out.bytes_returned == out.bytes_requested
@@ -168,7 +139,10 @@ class TestTwoPhaseRead:
         # Ghost overlaps make the requested volume strictly larger.
         assert rres.total_bytes_requested > domain_bytes
         assert all(o.phases == 2 for o in rres.outcomes)
+        # The scatter's volume and the checkpoint write's shuffle volume are
+        # the same outcome field.
         assert sum(o.bytes_shuffled for o in rres.outcomes) > 0
+        assert sum(o.bytes_shuffled for o in wres.outcomes) > 0
 
     def test_works_on_lockless_fs(self):
         from repro.fs.filesystem import LockProtocol
@@ -224,7 +198,7 @@ class TestReadDeterminism:
         return (
             rres.makespan,
             [bytes(d) for d in rres.data],
-            [o.bytes_read for o in rres.outcomes],
+            [o.bytes_moved for o in rres.outcomes],
             [o.bytes_shuffled for o in rres.outcomes],
         )
 

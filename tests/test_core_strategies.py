@@ -15,9 +15,10 @@ from repro.core.strategies import (
     TwoPhaseStrategy,
 )
 from repro.core.rank_ordering import LOWER_RANK_WINS
-from repro.fs import ParallelFileSystem
+from repro.fs import ParallelFileSystem, gpfs_config
+from repro.fs.client import FSClient
 from repro.fs.errors import LockingUnsupported
-from repro.mpi import SPMDExecutionError
+from repro.mpi import SPMDExecutionError, run_spmd
 from repro.patterns.partition import column_wise_views
 from repro.verify.atomicity import check_coverage, check_mpi_atomicity
 from tests.conftest import fast_fs_config
@@ -87,8 +88,38 @@ class TestLockingStrategy:
             assert outcome.strategy == "locking"
             assert outcome.rank == rank
             assert outcome.locks_acquired == 1
-            assert outcome.bytes_written == outcome.bytes_requested
+            assert outcome.bytes_moved == outcome.bytes_requested
             assert outcome.extra["locked_bytes"] >= outcome.bytes_requested
+
+    def test_write_lock_wait_accounted_on_gpfs(self):
+        """The serialisation cost of byte-range locking shows on the write
+        side: each rank's ``lock_wait_seconds`` is what its clock waited
+        across the acquisition (token round trip plus any queueing)."""
+        fs = ParallelFileSystem(gpfs_config())
+        fs.create("t.dat")
+
+        def fn(comm):
+            region = FileRegionSet(comm.rank, VIEWS[comm.rank])
+            handle = FSClient(fs, client_id=comm.rank, clock=comm.clock).open("t.dat")
+            grant, waited = handle.lock, []
+
+            def lock(start, stop, mode):
+                before = comm.clock.waited
+                granted = grant(start, stop, mode=mode)
+                waited.append(comm.clock.waited - before)
+                return granted
+
+            handle.lock = lock
+            try:
+                data = default_data_factory(comm.rank, region.total_bytes)
+                outcome = LockingStrategy().execute_write(comm, handle, region, data)
+            finally:
+                handle.close()
+            return outcome.lock_wait_seconds, waited
+
+        for lock_wait, waited in run_spmd(fn, 4).returns:
+            assert lock_wait == sum(waited) > 0
+            assert len(waited) == 1
 
     def test_locks_whole_extent_not_just_view(self):
         """Section 3.2: for column-wise views the lock covers nearly the
@@ -108,7 +139,7 @@ class TestLockingStrategy:
     def test_empty_view_ok(self):
         views = [[(0, 16)], []]
         result = run(LockingStrategy(), nprocs=2, views=views)
-        assert result.outcomes[1].bytes_written == 0
+        assert result.outcomes[1].bytes_moved == 0
         assert result.outcomes[1].locks_acquired == 0
 
     def test_works_with_distributed_locks(self):

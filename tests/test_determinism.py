@@ -43,7 +43,7 @@ def _run_once(strategy_name: str):
         store.snapshot(),
         store.writers(0, store.size).tobytes(),
         result.makespan,
-        [o.bytes_written for o in result.outcomes],
+        [o.bytes_moved for o in result.outcomes],
         [c.waited for c in result.spmd.clocks],
     )
 

@@ -239,7 +239,7 @@ class TestReadAllPipeline:
             assert second == b"2" * 64
 
     def test_read_all_returns_read_outcome(self, fast_fs):
-        from repro.core.strategies import ReadOutcome
+        from repro.core.strategies import IOOutcome
 
         def fn(comm):
             f = MPIFile.Open(comm, "ro_out.dat", fast_fs)
@@ -254,7 +254,7 @@ class TestReadAllPipeline:
 
         result = run_spmd(fn, 2)
         for outcome in result.returns:
-            assert isinstance(outcome, ReadOutcome)
+            assert isinstance(outcome, IOOutcome)
             assert outcome.strategy == "none"  # non-atomic baseline
             assert outcome.bytes_requested == 16
             assert outcome.bytes_returned == 16
@@ -301,7 +301,7 @@ class TestReadAllPipeline:
             return outcome, bytes(buf)
 
         result = run_spmd(fn, 4)
-        total_read = sum(o.bytes_read for o, _ in result.returns)
+        total_read = sum(o.bytes_moved for o, _ in result.returns)
         assert total_read == 64  # each overlapped byte fetched exactly once
         for outcome, data in result.returns:
             assert outcome.strategy == "two-phase"

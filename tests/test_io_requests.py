@@ -14,7 +14,7 @@ import warnings
 import pytest
 
 from repro.core.regions import FileRegionSet
-from repro.core.strategies import ReadOutcome, TwoPhaseStrategy, WriteOutcome
+from repro.core.strategies import IOOutcome, TwoPhaseStrategy
 from repro.datatypes import CHAR, contiguous
 from repro.fs import ParallelFileSystem
 from repro.io import Info, IORequest, MPIFile, Testall, Waitall, Waitany
@@ -43,7 +43,7 @@ class TestNonblockingCollectives:
             request = f.Iwrite_all(bytes([65 + comm.rank]) * 8)
             assert isinstance(request, IORequest)
             outcome = request.Wait()
-            assert isinstance(outcome, WriteOutcome)
+            assert isinstance(outcome, IOOutcome)
             assert outcome.bytes_requested == 8
             f.Close()
 
@@ -60,7 +60,7 @@ class TestNonblockingCollectives:
             buf = bytearray(64)
             request = f.Iread_all(buf)
             outcome = request.Wait()
-            assert isinstance(outcome, ReadOutcome)
+            assert isinstance(outcome, IOOutcome)
             f.Close()
             return bytes(buf)
 
@@ -116,13 +116,13 @@ class TestSplitCollectives:
             f.Write_all_begin(bytes([97 + comm.rank]) * 16)
             comm.clock.advance(0.001)
             outcome = f.Write_all_end()
-            assert isinstance(outcome, WriteOutcome)
+            assert isinstance(outcome, IOOutcome)
             f.Seek(0)
             buf = bytearray(16)
             f.Read_all_begin(buf)
             comm.clock.advance(0.001)
             read_outcome = f.Read_all_end()
-            assert isinstance(read_outcome, ReadOutcome)
+            assert isinstance(read_outcome, IOOutcome)
             f.Close()
             return bytes(buf)
 
@@ -176,7 +176,7 @@ class TestRequestMisuse:
             # Freshly issued: the progress task has not run yet.
             flag = request.Test()
             outcome = request.Wait()
-            assert isinstance(outcome, WriteOutcome)
+            assert isinstance(outcome, IOOutcome)
             assert request.Test() is True  # completed requests keep testing true
             assert request.Wait() is outcome
             f.Close()
@@ -280,7 +280,7 @@ class TestRequestMisuse:
                 requests = [comm.isend({"hello": 1}, dest=1), f.Iwrite_all(b"m" * 8)]
                 results = Waitall(requests)
                 f.Close()
-                return results[1].bytes_written
+                return results[1].bytes_moved
             requests = [comm.irecv(source=0), f.Iwrite_all(b"m" * 8)]
             results = Waitall(requests)
             f.Close()
@@ -456,7 +456,7 @@ class TestRetirementCoherence:
                 assert spins < 10_000
             results = Waitall(requests)
             f.Close()
-            return results[0] is None and results[2] is None and results[1].bytes_written == 8
+            return results[0] is None and results[2] is None and results[1].bytes_moved == 8
 
         result = run_spmd(fn, 2)
         assert all(result.returns)

@@ -87,8 +87,8 @@ def test_single_job_is_identical_to_direct_path(strategy_name, nprocs):
     assert [o.bytes_requested for o in job.outcomes] == [
         o.bytes_requested for o in direct.outcomes
     ]
-    assert [o.bytes_written for o in job.outcomes] == [
-        o.bytes_written for o in direct.outcomes
+    assert [o.bytes_moved for o in job.outcomes] == [
+        o.bytes_moved for o in direct.outcomes
     ]
 
 
