@@ -5,58 +5,14 @@ corresponding rows/series, so running ``pytest benchmarks/ --benchmark-only -s``
 produces a textual version of the whole evaluation section.  The printed
 blocks are also appended to ``benchmarks/results/latest.txt`` for inspection
 after a captured (non ``-s``) run, and key experiments are mirrored as JSON
-(``benchmarks/results/latest.json``, :mod:`repro.bench.jsonlog`) so the
-perf trajectory is machine-checkable across PRs.
+(``benchmarks/results/latest.json``) so the perf trajectory is
+machine-checkable across PRs.  Both recorders live in
+:mod:`repro.bench.jsonlog` and resolve the directory the same way
+(``REPRO_RESULTS_DIR`` overrides it for both).
 
 Both files are *generated*: the results directory is gitignored apart from
 its checked-in ``SUMMARY.md`` inventory (validated by
 ``repro.bench.doccheck``); CI uploads the generated files as artifacts.
 """
 
-from __future__ import annotations
-
-import os
-from pathlib import Path
-
-from repro.bench.jsonlog import entries_from_records, record_results
-
-RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def report(title: str, body: str) -> None:
-    """Print a captioned block and record it in the results file.
-
-    A section with the same title replaces its previous version in place, so
-    ``latest.txt`` holds exactly one copy of every section regardless of how
-    often or how partially the benchmarks are re-run.
-    """
-    block = f"\n===== {title} =====\n{body}\n"
-    print(block)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "latest.txt"
-    text = path.read_text(encoding="utf-8") if path.exists() else ""
-    header = f"\n===== {title} =====\n"
-    if header in text:
-        start = text.index(header)
-        next_section = text.find("\n===== ", start + len(header))
-        text = text[:start] + block + (text[next_section:] if next_section != -1 else "")
-    else:
-        text += block
-    path.write_text(text, encoding="utf-8")
-
-
-def report_json(experiment: str, records) -> None:
-    """Mirror a collection of experiment records into ``latest.json``.
-
-    ``records`` is any iterable of
-    :class:`~repro.bench.results.ExperimentRecord` (a ``ResultTable``
-    included); re-recording an experiment replaces its entries in place.
-    Honours the ``REPRO_RESULTS_DIR`` override the JSON log documents (so
-    the benchmarks and the perf gate write one document), defaulting to
-    this directory's ``results/``.
-    """
-    if "REPRO_RESULTS_DIR" in os.environ:
-        path = None  # jsonlog.results_dir() resolves the override
-    else:
-        path = RESULTS_DIR / "latest.json"
-    record_results(experiment, entries_from_records(records), path=path)
+from repro.bench.jsonlog import report, report_json  # noqa: F401  (test modules import these from here)

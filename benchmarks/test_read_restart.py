@@ -19,19 +19,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.adaptive import ADAPTIVE_READ_GRID, run_adaptive_read_sweep
+from repro.bench.adaptive import (
+    ADAPTIVE_READ_GRID,
+    ADAPTIVE_READ_PREFIX,
+    check_adaptive,
+    run_adaptive_read_sweep,
+)
 from repro.bench.harness import (
     run_mixed_experiment,
     run_read_experiment,
     run_read_sweep,
 )
 from repro.bench.jsonlog import entries_from_records
-from repro.bench.perfgate import (
-    ADAPTIVE_READ_PREFIX,
-    check_adaptive,
-    check_wall,
-)
 from repro.bench.results import ResultTable, format_table
+from repro.bench.sweep import sweep_records
 
 from conftest import report, report_json
 
@@ -73,42 +74,35 @@ def test_read_sweep(benchmark, machine_name):
 def test_read_extended_sweep(benchmark):
     """Hierarchical two-phase reads at P in {4096, 16384, 65536}.
 
-    Same contract as the extended write sweep: every point records its host
-    wall clock and must stay inside the absolute per-simulated-op budget of
-    ``repro.bench.perfgate.check_wall``; delivered-stream correctness is
-    verified at the smallest point (the bit-identity of the bulk read replay
-    to the engine path is pinned by ``tests/test_core_bulk.py``).
+    Same contract as the extended write sweep: delivered-stream correctness
+    is verified at the smallest point (the bit-identity of the bulk read
+    replay to the engine path is pinned by ``tests/test_core_bulk.py``).
     """
-    measured = []
 
-    def sweep():
-        for nprocs in EXTENDED_PROCESS_COUNTS:
-            rec = run_read_experiment(
-                "IBM SP",
-                EXTENDED_M,
-                2 * nprocs,
-                nprocs,
-                "two-phase-hier",
-                overlap_columns=EXTENDED_R,
-                array_label=f"extended-{nprocs}",
-                verify=nprocs <= 4096,
-                executor="bulk",
-                strategy_options={
-                    "num_aggregators": max(1, nprocs // EXTENDED_RANKS_PER_AGGREGATOR),
-                    "ranks_per_node": EXTENDED_RANKS_PER_NODE,
-                },
-            )
-            measured.append(rec)
-        return measured
+    def run_point(nprocs):
+        return run_read_experiment(
+            "IBM SP",
+            EXTENDED_M,
+            2 * nprocs,
+            nprocs,
+            "two-phase-hier",
+            overlap_columns=EXTENDED_R,
+            array_label=f"extended-{nprocs}",
+            verify=nprocs <= 4096,
+            executor="bulk",
+            strategy_options={
+                "num_aggregators": max(1, nprocs // EXTENDED_RANKS_PER_AGGREGATOR),
+                "ranks_per_node": EXTENDED_RANKS_PER_NODE,
+            },
+        )
 
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    entries = entries_from_records(measured)
-    assert all(e.get("wall_seconds") is not None for e in entries), (
-        "every extended read-sweep point must record wall clock"
+    measured, entries = benchmark.pedantic(
+        sweep_records,
+        args=("read-extended-sweep", EXTENDED_PROCESS_COUNTS, run_point),
+        rounds=1,
+        iterations=1,
     )
-    problems = check_wall(entries, experiment="read-extended-sweep")
-    assert not problems, "wall budget exceeded:\n" + "\n".join(problems)
+
     assert all(rec.atomic_ok for rec in measured)
     # Weak scaling: the checkpoint grows with P on a fixed server pool, so
     # the virtual makespan grows about linearly — but the virtual time per
@@ -125,17 +119,15 @@ def test_read_extended_sweep(benchmark):
             "virtual makespan (s)": f"{rec.makespan_seconds:.4f}",
             "BW (MB/s)": f"{rec.bandwidth_mb_per_s:.1f}",
             "verified": ("yes" if rec.atomic_ok else "NO") if rec.nprocs <= 4096 else "not verified",
-            "wall clock (s)": f"{rec.extra['wall_seconds']:.2f}",
-            "wall us/op": f"{rec.extra['wall_seconds'] / (rec.nprocs * rec.phases) * 1e6:.1f}",
+            "wall clock (s)": f"{entry['wall_seconds']:.2f}",
         }
-        for rec in measured
+        for rec, entry in zip(measured, entries["read-extended-sweep"])
     ]
     report(
         f"Extended read sweep ({EXTENDED_M}x2P, R={EXTENDED_R}, GPFS, "
         f"two-phase-hier via bulk read executor, P in {list(EXTENDED_PROCESS_COUNTS)})",
         format_table(rows),
     )
-    report_json("read-extended-sweep", measured)
 
 
 def test_adaptive_read_grid(benchmark):

@@ -1,19 +1,15 @@
 """Adaptive collective I/O benchmarks: ``auto`` vs the statics, and the
 N-timestep repeated-collective workload that amortises the plan cache.
 
-Two experiment families:
+Two experiment families, each with the perf-gate check that judges it:
 
-* :func:`run_adaptive_sweep` — the adaptive-vs-static grid.  Every point of a
-  (machine × pattern × P) grid is measured under each applicable static
-  strategy *and* under ``auto``; the CI gate
-  (:func:`repro.bench.perfgate.check_adaptive`) then asserts that ``auto`` is
-  never worse than the best static by more than 10% anywhere and strictly
-  beats every static somewhere.
-
-* :func:`run_adaptive_read_sweep` — the same grid idea on the read path:
-  every (machine × pattern × P) point of the read grid is seeded once and
-  read back under each read-capable static and ``auto``, gated by
-  ``check_adaptive`` under the ``perfgate/adaptive-read/`` prefix.
+* :func:`run_adaptive_sweep` / :func:`run_adaptive_read_sweep` — the
+  adaptive-vs-static grids, one body (:func:`run_adaptive_grid`) over the two
+  directions.  Every point of a (machine × pattern × P) grid is measured
+  under each applicable static strategy *and* under ``auto`` (a read point
+  is seeded once and read back); :func:`check_adaptive` then asserts that
+  ``auto`` is never worse than the best static by more than 10% anywhere and
+  strictly beats every static somewhere, per direction.
 
 * :func:`run_repeated_collective` — the checkpoint-every-timestep workload:
   one file, one fixed view per rank, ``steps`` collective writes with fresh
@@ -21,10 +17,10 @@ Two experiment families:
   plan cache replays the exchanged views, the classification and the tuning
   decision instead of re-shipping and re-analysing them; per-step virtual
   finish times are recorded so the amortisation curve (first step cold,
-  steps 2..N warm) can be plotted, and the wall clock per simulated op is
-  what the plan-cache perf gate compares against a ``plan_cache=false`` run.
+  steps 2..N warm) can be plotted; :func:`check_plan_cache` compares the run
+  against a ``plan_cache=false`` twin (:func:`measure_plan_cache`).
 
-Both report through the standard :class:`~repro.bench.results.ExperimentRecord`
+All report through the standard :class:`~repro.bench.results.ExperimentRecord`
 / JSON-artifact pipeline (``python -m repro.bench.adaptive`` writes
 ``benchmarks/results/latest.json`` entries under ``adaptive/...``).
 """
@@ -32,11 +28,10 @@ Both report through the standard :class:`~repro.bench.results.ExperimentRecord`
 from __future__ import annotations
 
 import sys
-import time
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.autotune import AutoStrategy, peek_record
-from ..core.executor import AtomicWriteExecutor
 from ..core.overlap import overlapped_bytes_total
 from ..core.regions import FileRegionSet
 from ..core.registry import default_registry
@@ -47,14 +42,10 @@ from ..mpi.runtime import run_spmd
 from ..patterns.partition import views_for_pattern
 from ..patterns.workloads import PAPER_OVERLAP_COLUMNS, rank_pattern_bytes
 from ..verify.atomicity import check_mpi_atomicity
-from .harness import (
-    run_column_wise_experiment,
-    run_read_experiment,
-    strategies_for_machine,
-)
-from .jsonlog import entries_from_records, record_results
+from .harness import run_experiment, strategies_for_machine
 from .machines import MachineSpec, machine_by_name
 from .results import ExperimentRecord, ResultTable
+from .sweep import sweep_records
 
 __all__ = [
     "ADAPTIVE_GRID",
@@ -62,10 +53,19 @@ __all__ = [
     "REPEATED_POINT",
     "repeated_filename",
     "run_repeated_collective",
+    "grid_points",
+    "run_grid_point",
+    "run_adaptive_grid",
     "run_adaptive_sweep",
     "run_adaptive_read_sweep",
-    "outcome_fingerprint",
     "fingerprint_of",
+    "DEFAULT_ADAPTIVE_FACTOR",
+    "ADAPTIVE_PREFIX",
+    "ADAPTIVE_READ_PREFIX",
+    "measure_grid",
+    "check_adaptive",
+    "measure_plan_cache",
+    "check_plan_cache",
     "main",
 ]
 
@@ -115,6 +115,24 @@ ADAPTIVE_READ_GRID: Tuple[Tuple[str, str, int], ...] = (
 REPEATED_POINT = ("Origin 2000", "column-wise", 16, 256, 4096, 6)  # machine, pattern, P, M, N, steps
 
 
+#: Gate: the adaptive ``auto`` strategy may not be worse than the best static
+#: strategy by more than this factor at any adaptive-sweep grid point.
+DEFAULT_ADAPTIVE_FACTOR = 1.10
+
+#: Experiment-name prefixes of the adaptive write and read-back grids; each
+#: grid gets its own :func:`check_adaptive` pass, so the read tuner is held
+#: to the same 10%-of-best-static standard as the write tuner, with its own
+#: independent strict-win requirement.
+ADAPTIVE_PREFIX = "perfgate/adaptive/"
+ADAPTIVE_READ_PREFIX = "perfgate/adaptive-read/"
+
+#: The ``auto`` warm (plan-cache hit) view-resolution CPU per rank-collective
+#: must undercut the cold resolution cost by at least this factor — measured
+#: host time of exactly the work a hit elides, so the margin is wide (~4-7x
+#: in practice) and robust against scheduler noise.
+DEFAULT_PLAN_CACHE_FACTOR = 0.5
+
+
 def run_repeated_collective(
     machine: MachineSpec | str,
     M: int,
@@ -133,9 +151,9 @@ def run_repeated_collective(
 
     Every step writes fresh rank-identifying data through the same views —
     the checkpoint-every-timestep workload.  The returned record covers the
-    whole run (``phases=steps``, so the wall-clock gate's per-op cost is per
-    collective-step-rank); ``extra`` carries the first-step and mean warm-step
-    virtual times plus, for ``auto``, the plan-cache hit/miss counters.
+    whole run (``phases=steps``); ``extra`` carries the first-step and mean
+    warm-step virtual times plus, for ``auto``, the plan-cache hit/miss
+    counters.
 
     ``strategy="auto"`` with ``plan_cache=False`` is reported under the
     strategy label ``auto-nocache`` so both variants of the same point can
@@ -168,47 +186,32 @@ def run_repeated_collective(
         handle = client.open(filename, create=False)
         outcomes = []
         finish_times = []
-        wall_marks = []
         try:
             for step in range(steps):
                 data = rank_pattern_bytes(rank + step * nprocs, region.total_bytes)
                 outcomes.append(strat.execute_write(comm, handle, region, data))
                 finish_times.append(comm.clock.now)
-                wall_marks.append(time.process_time())
         finally:
             handle.close()
-        return outcomes, finish_times, wall_marks
+        return outcomes, finish_times
 
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
     spmd = run_spmd(
         rank_main, nprocs, comm_cost=CommCostModel(latency=30e-6, byte_cost=1e-8)
     )
-    wall_seconds = time.perf_counter() - wall_start
     atomic_ok = True
     if verify and strat.provides_atomicity:
         # Every step is a complete atomic collective; the final state is the
         # last step's outcome and must satisfy MPI atomicity on its own.
         atomic_ok = check_mpi_atomicity(fobj.store, regions).ok
     # Per-step virtual finish times: the step's makespan is the slowest
-    # rank's finish; step costs are the deltas.  The wall marks give the same
-    # per-step breakdown in host time — measured *within* one run, so the
-    # cold-vs-warm comparison is immune to run-to-run scheduler noise.
+    # rank's finish; step costs are the deltas.
     step_ends = [
-        max(times[step] for _, times, _ in spmd.returns) for step in range(steps)
+        max(times[step] for _, times in spmd.returns) for step in range(steps)
     ]
-    wall_ends = [
-        max(marks[step] for _, _, marks in spmd.returns) for step in range(steps)
-    ]
-    first_step = step_ends[0]
-    warm_mean = (step_ends[-1] - step_ends[0]) / (steps - 1)
     extra: Dict[str, float] = {
-        "wall_seconds": wall_seconds,
         "steps": float(steps),
-        "first_step_seconds": first_step,
-        "warm_step_seconds": warm_mean,
-        "first_step_cpu": wall_ends[0] - cpu_start,
-        "warm_step_cpu": (wall_ends[-1] - wall_ends[0]) / (steps - 1),
+        "first_step_seconds": step_ends[0],
+        "warm_step_seconds": (step_ends[-1] - step_ends[0]) / (steps - 1),
     }
     selected = None
     decision = getattr(strat, "last_decision", None)
@@ -231,7 +234,7 @@ def run_repeated_collective(
                 extra["resolve_warm_cpu_per_op"] = record.warm_cpu / (
                     record.hits * nprocs
                 )
-    outcomes = [o for outs, _, _ in spmd.returns for o in outs]
+    outcomes = [o for outs, _ in spmd.returns for o in outs]
     return ExperimentRecord(
         machine=machine.name,
         file_system=machine.file_system,
@@ -252,34 +255,6 @@ def run_repeated_collective(
     )
 
 
-def outcome_fingerprint(
-    machine: MachineSpec | str,
-    M: int,
-    N: int,
-    nprocs: int,
-    steps: int,
-    plan_cache: bool,
-    pattern: str = "column-wise",
-) -> Tuple[bytes, Tuple[int, ...]]:
-    """Bytes + provenance a repeated-collective ``auto`` run leaves behind.
-
-    Runs :func:`run_repeated_collective` on a *private* file system and
-    returns the final file contents and the per-byte writer provenance — the
-    identity the plan-cache gate compares between ``plan_cache`` on and off
-    (a cached plan replaying different bytes than the cold path would be a
-    correctness bug, not a performance trade-off).
-    """
-    if isinstance(machine, str):
-        machine = machine_by_name(machine)
-    fs = ParallelFileSystem(machine.make_fs_config())
-    record = run_repeated_collective(
-        machine, M, N, nprocs, steps, plan_cache=plan_cache, pattern=pattern, fs=fs
-    )
-    label = "auto" if plan_cache else "auto-nocache"
-    assert record.atomic_ok
-    return fingerprint_of(fs, repeated_filename(machine, M, N, nprocs, label))
-
-
 def fingerprint_of(fs: ParallelFileSystem, filename: str) -> Tuple[bytes, Tuple[int, ...]]:
     """Final bytes and per-byte writer provenance of ``filename`` on ``fs``."""
     fobj = fs.lookup(filename)
@@ -290,95 +265,251 @@ def fingerprint_of(fs: ParallelFileSystem, filename: str) -> Tuple[bytes, Tuple[
     )
 
 
-def run_adaptive_sweep(
-    grid: Sequence[Tuple[str, str, int]] = ADAPTIVE_GRID,
-    shape: Tuple[int, int] = _GRID_SHAPE,
-    verify: bool = False,
-) -> ResultTable:
-    """Measure every grid point under each applicable static and ``auto``."""
-    M, N = shape
-    table = ResultTable()
-    for machine_name, pattern, nprocs in grid:
-        spec = machine_by_name(machine_name)
-        for strategy in strategies_for_machine(
-            spec, default_registry.atomic_names()
-        ):
-            table.add(
-                run_column_wise_experiment(
-                    spec,
-                    M,
-                    N,
-                    nprocs,
-                    strategy,
-                    pattern=pattern,
-                    verify=verify,
-                    array_label=f"{M}x{N}",
-                )
-            )
-    return table
+def grid_points(
+    mode: str, grid: Optional[Sequence[Tuple[str, str, int]]] = None
+) -> List[Tuple[str, str, int, str]]:
+    """The sweep points of a grid: ``(machine, pattern, P, strategy)``.
 
-
-def run_adaptive_read_sweep(
-    grid: Sequence[Tuple[str, str, int]] = ADAPTIVE_READ_GRID,
-    shape: Tuple[int, int] = _GRID_SHAPE,
-    verify: bool = False,
-) -> ResultTable:
-    """Measure every read grid point under each read-capable static + ``auto``.
-
-    The read-side counterpart of :func:`run_adaptive_sweep`: the file is
-    seeded once per point by the harness, then read back collectively under
-    every strategy.  ``auto`` rows carry the ``selected`` delegate and the
-    derived ``cb_*``/``read_ahead`` hints for the jsonlog.
+    Every grid point is measured under each static the machine supports
+    *and* under ``auto`` — the atomic strategies on the write grid
+    (``mode="write"``, default :data:`ADAPTIVE_GRID`), the read-capable ones
+    on the read grid (default :data:`ADAPTIVE_READ_GRID`).
     """
+    if grid is None:
+        grid = ADAPTIVE_GRID if mode == "write" else ADAPTIVE_READ_GRID
+    names = (
+        default_registry.atomic_names()
+        if mode == "write"
+        else default_registry.read_capable_names()
+    )
+    return [
+        (machine_name, pattern, nprocs, strategy)
+        for machine_name, pattern, nprocs in grid
+        for strategy in strategies_for_machine(machine_by_name(machine_name), names)
+    ]
+
+
+def run_grid_point(
+    mode: str,
+    point: Tuple[str, str, int, str],
+    shape: Tuple[int, int] = _GRID_SHAPE,
+    verify: bool = False,
+) -> ExperimentRecord:
+    """Measure one :func:`grid_points` point (a read seeds its file first).
+
+    ``auto`` rows carry the ``selected`` delegate and the derived
+    ``cb_*``/``read_ahead`` hints for the jsonlog.
+    """
+    machine_name, pattern, nprocs, strategy = point
     M, N = shape
-    table = ResultTable()
-    for machine_name, pattern, nprocs in grid:
-        spec = machine_by_name(machine_name)
-        for strategy in strategies_for_machine(
-            spec, default_registry.read_capable_names()
-        ):
-            table.add(
-                run_read_experiment(
-                    machine_name,
-                    M,
-                    N,
-                    nprocs,
-                    strategy,
-                    pattern=pattern,
-                    verify=verify,
-                    array_label=f"{M}x{N}",
+    return run_experiment(
+        mode, machine_name, M, N, nprocs, strategy,
+        pattern=pattern, verify=verify, array_label=f"{M}x{N}",
+    )
+
+
+def run_adaptive_grid(
+    mode: str,
+    grid: Optional[Sequence[Tuple[str, str, int]]] = None,
+    shape: Tuple[int, int] = _GRID_SHAPE,
+    verify: bool = False,
+) -> ResultTable:
+    """Measure every point of the write (:func:`run_adaptive_sweep`) or read
+    (:func:`run_adaptive_read_sweep`) grid under each applicable static and
+    ``auto``."""
+    return ResultTable(
+        run_grid_point(mode, point, shape, verify) for point in grid_points(mode, grid)
+    )
+
+
+run_adaptive_sweep = partial(run_adaptive_grid, "write")
+run_adaptive_read_sweep = partial(run_adaptive_grid, "read")
+
+
+def measure_grid(mode: str, prefix: str) -> Dict[str, List[Dict]]:
+    """Sweep one adaptive grid for the perf gate: one experiment per
+    (machine, pattern) under ``prefix``, which keeps ``(P, strategy)`` unique
+    within each."""
+
+    def experiment_of(point: Tuple[str, str, int, str]) -> str:
+        machine_name, pattern = point[:2]
+        return f"{prefix}{machine_by_name(machine_name).file_system.lower()}-{pattern}"
+
+    _, measured = sweep_records(
+        experiment_of, grid_points(mode), partial(run_grid_point, mode)
+    )
+    return measured
+
+
+def check_adaptive(
+    measured: Dict[str, Sequence[Dict]],
+    factor: float = DEFAULT_ADAPTIVE_FACTOR,
+    prefix: str = ADAPTIVE_PREFIX,
+) -> List[str]:
+    """The adaptive gate: problems (empty when it passes).
+
+    Two conditions over every ``prefix`` experiment's grid points:
+
+    * ``auto``'s makespan is within ``factor`` of the best static strategy at
+      **every** point (the tuner never loses badly), and
+    * ``auto`` strictly beats every static at **at least one** point (the
+      derived hints genuinely buy something, they are not just a pass-through
+      to one of the defaults).
+    """
+    problems: List[str] = []
+    points = 0
+    strict_wins = 0
+    for experiment in sorted(measured):
+        if not experiment.startswith(prefix):
+            continue
+        by_p: Dict[int, Dict[str, float]] = {}
+        for entry in measured[experiment]:
+            by_p.setdefault(entry["P"], {})[entry["strategy"]] = entry["makespan"]
+        for P, strategies in sorted(by_p.items()):
+            auto = strategies.get("auto")
+            statics = {
+                name: makespan
+                for name, makespan in strategies.items()
+                if name != "auto"
+            }
+            if auto is None or not statics:
+                problems.append(
+                    f"{experiment}: P={P} lacks an auto or a static measurement"
                 )
-            )
-    return table
+                continue
+            points += 1
+            best_name, best = min(statics.items(), key=lambda item: item[1])
+            if auto > best * factor:
+                problems.append(
+                    f"{experiment}: P={P} auto makespan {auto:.6f}s is worse "
+                    f"than the best static ({best_name}, {best:.6f}s) by more "
+                    f"than {factor - 1.0:.0%}"
+                )
+            if auto < best:
+                strict_wins += 1
+    if points == 0:
+        problems.append(f"adaptive gate: no {prefix}* grid points measured")
+    elif strict_wins == 0:
+        problems.append(
+            "adaptive gate: auto never strictly beat every static strategy "
+            f"at any of the {points} grid points"
+        )
+    return problems
+
+
+def measure_plan_cache(experiment: str) -> Dict[str, List[Dict]]:
+    """Sweep the :data:`REPEATED_POINT` workload twice — ``auto`` with the
+    plan cache on and off — on private file systems, filed under
+    ``experiment``.  Each entry carries, as evidence for
+    :func:`check_plan_cache`, its record's ``extra`` counters,
+    ``atomic_ok``, and ``same_outcome`` (final bytes and per-byte writer
+    provenance equal across the pair)."""
+    machine_name, pattern, P, M, N, steps = REPEATED_POINT
+    machine = machine_by_name(machine_name)
+    fingerprints = []
+
+    def run_point(plan_cache: bool) -> ExperimentRecord:
+        fs = ParallelFileSystem(machine.make_fs_config())
+        record = run_repeated_collective(
+            machine, M, N, P, steps, pattern=pattern, plan_cache=plan_cache, fs=fs
+        )
+        fingerprints.append(
+            fingerprint_of(fs, repeated_filename(machine, M, N, P, record.strategy))
+        )
+        return record
+
+    records, measured = sweep_records(experiment, (True, False), run_point)
+    for entry, record in zip(measured[experiment], records):
+        entry.update(
+            record.extra,
+            atomic_ok=record.atomic_ok,
+            same_outcome=fingerprints[0] == fingerprints[1],
+        )
+    return measured
+
+
+def check_plan_cache(
+    experiment: str,
+    entries: Sequence[Dict],
+    factor: float = DEFAULT_PLAN_CACHE_FACTOR,
+) -> List[str]:
+    """The plan-cache gate over :func:`measure_plan_cache`'s cached
+    (``auto``) and cold (``auto-nocache``) entries:
+
+    * **identity** — both runs atomic, and the cached run's bytes *and*
+      provenance equal the cold run's (a replayed plan must be a pure
+      performance optimisation);
+    * **virtual time** — every step after the first hits, warm steps are
+      cheaper than the first (cold) step, and the cached makespan never
+      exceeds the uncached one (the hit claim payload is smaller than the
+      shipped view, never larger);
+    * **resolution CPU** — the warm per-rank-collective view-resolution CPU
+      is under ``factor`` of the cold one (the work a hit elides, measured
+      directly so simulator overhead cannot drown it).
+    """
+    on, off = entries
+    problems = [
+        f"the {entry['strategy']} run broke MPI atomicity"
+        for entry in (on, off)
+        if not entry["atomic_ok"]
+    ]
+    if not on["same_outcome"]:
+        problems.append(
+            "cached run's bytes/provenance differ from the cold run's — "
+            "replayed plans are corrupting the outcome"
+        )
+    steps = int(on["steps"])
+    hits = on.get("plan_hits", 0.0)
+    if hits != float(steps - 1):
+        problems.append(
+            f"expected {steps - 1} hits over {steps} steps, observed {hits:.0f}"
+        )
+    if off.get("plan_hits", 0.0) != 0.0:
+        problems.append("the plan_cache=false run recorded hits")
+    if on["makespan"] > off["makespan"]:
+        problems.append(
+            f"cached makespan {on['makespan']:.6f}s exceeds the uncached "
+            f"{off['makespan']:.6f}s"
+        )
+    if on["warm_step_seconds"] >= on["first_step_seconds"]:
+        problems.append(
+            f"warm steps ({on['warm_step_seconds']:.9f}s) are not cheaper than "
+            f"the cold first step ({on['first_step_seconds']:.9f}s) in virtual time"
+        )
+    warm_cpu = on.get("resolve_warm_cpu_per_op")
+    cold_cpu = off.get("resolve_cold_cpu_per_op")
+    if warm_cpu is None or cold_cpu is None:
+        problems.append("resolution CPU accounting is missing")
+    elif warm_cpu >= cold_cpu * factor:
+        problems.append(
+            f"warm resolution {warm_cpu * 1e6:.1f}us/op is not under "
+            f"{factor:g}x the cold {cold_cpu * 1e6:.1f}us/op"
+        )
+    return [f"{experiment}: {problem}" for problem in problems]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI: run the adaptive sweep + the repeated-collective pair, print and
+    """CLI: run both adaptive grids + the repeated-collective trio, print and
     record the results (``adaptive/...`` entries in ``latest.json``)."""
-    args = list(argv) if argv is not None else sys.argv[1:]
-    quick = "--quick" in args
-
-    table = run_adaptive_sweep(ADAPTIVE_GRID[:2] if quick else ADAPTIVE_GRID)
-    print(table.to_text("Adaptive vs static (column-wise/block-block grid)"))
-    record_results("adaptive/sweep", entries_from_records(table.records))
-
-    read_table = run_adaptive_read_sweep(
-        ADAPTIVE_READ_GRID[:2] if quick else ADAPTIVE_READ_GRID
-    )
-    print(read_table.to_text("Adaptive vs static, read-back grid"))
-    record_results("adaptive/read-sweep", entries_from_records(read_table.records))
+    for mode, experiment, title in (
+        ("write", "adaptive/sweep", "Adaptive vs static (column-wise/block-block grid)"),
+        ("read", "adaptive/read-sweep", "Adaptive vs static, read-back grid"),
+    ):
+        records, _ = sweep_records(
+            experiment, grid_points(mode), lambda point: run_grid_point(mode, point)
+        )
+        print(ResultTable(records).to_text(title))
 
     machine, pattern, P, M, N, steps = REPEATED_POINT
-    repeated: List[ExperimentRecord] = []
-    for strategy, plan_cache in (("auto", True), ("auto", False), ("two-phase", True)):
-        repeated.append(
-            run_repeated_collective(
-                machine, M, N, P, steps,
-                strategy=strategy, pattern=pattern, plan_cache=plan_cache,
-            )
-        )
-    rep_table = ResultTable(repeated)
-    print(rep_table.to_text(f"Repeated collective ({steps} steps)"))
+    repeated, _ = sweep_records(
+        "adaptive/repeated",
+        (("auto", True), ("auto", False), ("two-phase", True)),
+        lambda point: run_repeated_collective(
+            machine, M, N, P, steps,
+            strategy=point[0], pattern=pattern, plan_cache=point[1],
+        ),
+    )
+    print(ResultTable(repeated).to_text(f"Repeated collective ({steps} steps)"))
     for rec in repeated:
         if rec.strategy.startswith("auto"):
             print(
@@ -387,7 +518,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"plan hits {rec.extra.get('plan_hits', 0):.0f}/"
                 f"{rec.extra.get('plan_hits', 0) + rec.extra.get('plan_misses', 0):.0f}"
             )
-    record_results("adaptive/repeated", entries_from_records(repeated))
     print("adaptive benchmark recorded")
     return 0
 

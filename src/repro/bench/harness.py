@@ -28,7 +28,7 @@ serialises two *independent* concurrent operations.
 
 from __future__ import annotations
 
-import time
+from functools import partial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.bulk import BulkReadExecutor, BulkWriteExecutor
@@ -54,9 +54,11 @@ from .results import ExperimentRecord, ResultTable
 
 __all__ = [
     "DEFAULT_ROW_SCALE",
+    "run_experiment",
     "run_column_wise_experiment",
-    "run_figure8_grid",
     "run_read_experiment",
+    "run_grid",
+    "run_figure8_grid",
     "run_read_sweep",
     "run_mixed_experiment",
     "strategies_for_machine",
@@ -82,7 +84,8 @@ def strategies_for_machine(machine: MachineSpec, strategies: Sequence[str]) -> L
     ]
 
 
-def run_column_wise_experiment(
+def run_experiment(
+    mode: str,
     machine: MachineSpec | str,
     M: int,
     N: int,
@@ -95,61 +98,87 @@ def run_column_wise_experiment(
     executor: str = "engine",
     strategy_options: Optional[dict] = None,
 ) -> ExperimentRecord:
-    """Measure one (machine, size, P, strategy) point of Figure 8.
+    """Measure one (machine, size, P, strategy) point in either direction.
+
+    ``mode="write"`` (:func:`run_column_wise_experiment`, one point of
+    Figure 8) measures the concurrent overlapping write.  ``mode="read"``
+    (:func:`run_read_experiment`) first checkpoints the array (an atomic
+    two-phase write, not part of the measurement), then has every rank read
+    its view back collectively under ``strategy``'s staged read pipeline;
+    ``verify=True`` checks the delivered streams with
+    :func:`~repro.verify.atomicity.check_read_atomicity`.  The directions
+    differ only in that seed, in which executor pair drives the collective
+    and in how the outcome is verified.
 
     ``pattern`` selects the partitioning (``column-wise`` — the paper's
     evaluation and the default — ``row-wise`` or ``block-block``);
     ``overlap_columns`` is the ghost width ``R`` of the chosen pattern.
 
-    ``executor`` selects the execution substrate: ``"engine"`` (the
-    cooperative event engine, any strategy) or ``"bulk"`` (the
-    bulk-synchronous replay of :mod:`repro.core.bulk` — aggregation
-    strategies only, bit-identical virtual times, tens of thousands of
-    ranks in seconds).  ``strategy_options`` are keyword arguments for the
-    strategy's constructor (e.g. ``num_aggregators``, ``ranks_per_node``).
+    ``executor`` selects the execution substrate (for a read, of the seed
+    too): ``"engine"`` (the cooperative event engine, any strategy) or
+    ``"bulk"`` (the bulk-synchronous replay of :mod:`repro.core.bulk` —
+    aggregation strategies only, bit-identical virtual times, tens of
+    thousands of ranks in seconds).  ``strategy_options`` are keyword
+    arguments for the strategy's constructor (e.g. ``num_aggregators``,
+    ``ranks_per_node``).
     """
     if executor not in ("engine", "bulk"):
         raise ValueError(f"unknown executor {executor!r}; known: engine, bulk")
     if isinstance(machine, str):
         machine = machine_by_name(machine)
     fs = ParallelFileSystem(machine.make_fs_config())
+    suffix = "_read" if mode == "read" else ""
+    filename = f"{machine.file_system.lower()}_{M}x{N}_p{nprocs}_{strategy}{suffix}.dat"
+    if mode == "read":
+        write_regions, write_data = _checkpoint_file(
+            fs, filename, M, N, nprocs, overlap_columns, pattern, executor=executor
+        )
+        engine_cls, bulk_cls = CollectiveReadExecutor, BulkReadExecutor
+    else:
+        engine_cls, bulk_cls = AtomicWriteExecutor, BulkWriteExecutor
     strat = default_registry.create(strategy, **(strategy_options or {}))
-    executor_cls = AtomicWriteExecutor if executor == "engine" else BulkWriteExecutor
-    executor = executor_cls(
+    runner = (engine_cls if executor == "engine" else bulk_cls)(
         fs,
         strat,
-        filename=f"{machine.file_system.lower()}_{M}x{N}_p{nprocs}_{strategy}.dat",
+        filename=filename,
         comm_cost=CommCostModel(latency=30e-6, byte_cost=1e-8),
     )
-    views = views_for_pattern(pattern, M, N, nprocs, overlap_columns)
-    wall_start = time.perf_counter()
-    result = executor.run(
-        nprocs,
-        view_factory=lambda rank, _P: views[rank],
-        data_factory=rank_fill_bytes,
-    )
-    wall_seconds = time.perf_counter() - wall_start
-    regions = result.regions
     atomic_ok = True
-    if verify and strat.provides_atomicity:
-        report = check_mpi_atomicity(result.file.store, regions)
-        atomic_ok = report.ok
-    overlap_bytes = overlapped_bytes_total(regions)
+    if mode == "read":
+        # The restart reads the same partitioning the checkpoint wrote; reuse
+        # the writers' already-built region sets instead of regenerating the
+        # views.
+        result = runner.run(
+            nprocs, view_factory=lambda rank, _P: write_regions[rank].segments
+        )
+        if verify:
+            atomic_ok = _read_back_ok(result, write_regions, write_data)
+        bytes_moved = result.total_bytes_read
+        extra = {
+            "cache_hits": float(sum(o.cache_hits for o in result.outcomes)),
+            "cache_misses": float(sum(o.cache_misses for o in result.outcomes)),
+            "shuffled_bytes": float(sum(o.bytes_shuffled for o in result.outcomes)),
+        }
+    else:
+        views = views_for_pattern(pattern, M, N, nprocs, overlap_columns)
+        result = runner.run(
+            nprocs,
+            view_factory=lambda rank, _P: views[rank],
+            data_factory=rank_fill_bytes,
+        )
+        if verify and strat.provides_atomicity:
+            atomic_ok = check_mpi_atomicity(result.file.store, result.regions).ok
+        bytes_moved = result.total_bytes_written
+        extra = {}
     lock_waits = 0
     lm = result.file.lock_manager
     if lm is not None and hasattr(lm, "wait_count"):
         lock_waits = lm.wait_count
-    phases = max(o.phases for o in result.outcomes)
-    extra = {
-        "wall_seconds": wall_seconds,
-        "switches": result.spmd.switches,
-        "scheduler_returns": result.spmd.scheduler_returns,
-    }
     selected = None
     decision = getattr(strat, "last_decision", None)
     if decision is not None:
         # The adaptive tuner exposes what it chose; record the concrete
-        # delegate and the derived cb_* hints alongside the measurement.
+        # delegate and the derived hints alongside the measurement.
         selected = decision.strategy
         extra.update(decision.hints())
     return ExperimentRecord(
@@ -161,19 +190,25 @@ def run_column_wise_experiment(
         nprocs=nprocs,
         strategy=strategy,
         bytes_requested=result.total_bytes_requested,
-        bytes_written=result.total_bytes_written,
+        bytes_written=bytes_moved,
         makespan_seconds=result.makespan,
         atomic_ok=atomic_ok,
-        overlap_bytes=overlap_bytes,
-        phases=phases,
+        overlap_bytes=overlapped_bytes_total(result.regions),
+        phases=max(o.phases for o in result.outcomes),
         lock_waits=lock_waits,
         pattern=pattern,
+        mode=mode,
         extra=extra,
         selected_strategy=selected,
     )
 
 
-def run_figure8_grid(
+run_column_wise_experiment = partial(run_experiment, "write")
+run_read_experiment = partial(run_experiment, "read")
+
+
+def run_grid(
+    mode: str,
     machines: Optional[Iterable[MachineSpec | str]] = None,
     array_labels: Optional[Sequence[str]] = None,
     process_counts: Sequence[int] = PAPER_PROCESS_COUNTS,
@@ -183,42 +218,72 @@ def run_figure8_grid(
     verify: bool = True,
     pattern: str = "column-wise",
 ) -> ResultTable:
-    """Sweep the full Figure 8 grid and return every measured point.
+    """Sweep machines × sizes × P × strategies; returns every measured point.
 
-    ``strategies`` defaults to every atomicity-providing strategy in the
-    registry (including ``two-phase``); ``row_scale`` divides the paper's
-    4096-row arrays (see :data:`DEFAULT_ROW_SCALE`); pass 1 to run the
-    paper's exact shapes.
+    ``mode="write"`` is the Figure 8 grid (:func:`run_figure8_grid`), whose
+    ``strategies`` default to every atomicity-providing strategy in the
+    registry (including ``two-phase``); ``mode="read"``
+    (:func:`run_read_sweep`) defaults to every read-capable one, including
+    the non-atomic baseline ``none`` — the naive per-rank read the staged
+    pipeline replaces — so two-phase aggregation can be compared directly
+    against it.  Either way a machine runs only the strategies it supports.
+    ``row_scale`` divides the paper's 4096-row arrays (see
+    :data:`DEFAULT_ROW_SCALE`); pass 1 to run the paper's exact shapes.
     """
-    if machines is None:
-        machines = ALL_MACHINES
-    if array_labels is None:
-        array_labels = list(PAPER_ARRAY_SIZES)
     if strategies is None:
-        strategies = default_registry.atomic_names()
+        strategies = (
+            default_registry.atomic_names()
+            if mode == "write"
+            else default_registry.read_capable_names()
+        )
     table = ResultTable()
-    for machine in machines:
+    for machine in ALL_MACHINES if machines is None else machines:
         spec = machine_by_name(machine) if isinstance(machine, str) else machine
-        for label in array_labels:
+        for label in PAPER_ARRAY_SIZES if array_labels is None else array_labels:
             M, N = PAPER_ARRAY_SIZES[label]
             if M % row_scale != 0:
                 raise ValueError(f"row_scale {row_scale} does not divide M={M}")
-            M_scaled = M // row_scale
             for nprocs in process_counts:
                 for strategy in strategies_for_machine(spec, strategies):
-                    record = run_column_wise_experiment(
-                        spec,
-                        M_scaled,
-                        N,
-                        nprocs,
-                        strategy,
-                        overlap_columns=overlap_columns,
-                        array_label=label,
-                        verify=verify,
-                        pattern=pattern,
+                    table.add(
+                        run_experiment(
+                            mode, spec, M // row_scale, N, nprocs, strategy,
+                            overlap_columns=overlap_columns,
+                            array_label=label,
+                            verify=verify,
+                            pattern=pattern,
+                        )
                     )
-                    table.add(record)
     return table
+
+
+run_figure8_grid = partial(run_grid, "write")
+run_read_sweep = partial(run_grid, "read")
+
+
+def _read_back_ok(result, write_regions, write_data) -> bool:
+    """Whether a read of a *completed* checkpoint delivered the right bytes."""
+    nprocs = len(result.regions)
+    observations = [
+        ReadObservation(rank, result.regions[rank], result.data[rank])
+        for rank in range(nprocs)
+    ]
+    if not check_read_atomicity(observations, write_regions, write_data).ok:
+        return False
+    # The checkpoint completed before the read began, so serialisability
+    # admits exactly one state: every delivered stream must equal the
+    # committed file contents — a reader returning the pre-write baseline
+    # (which check_read_atomicity must accept for *racing* workloads) would
+    # be a broken pipeline here.
+    store = result.file.store
+    return all(
+        result.data[rank]
+        == b"".join(
+            store.read(off, length)
+            for _, off, length in result.regions[rank].buffer_map()
+        )
+        for rank in range(nprocs)
+    )
 
 
 def _checkpoint_file(
@@ -274,171 +339,6 @@ def _checkpoint_file(
     )
     fs.reset_accounting()
     return result.regions, [streams[r] for r in range(nprocs)]
-
-
-def run_read_experiment(
-    machine: MachineSpec | str,
-    M: int,
-    N: int,
-    nprocs: int,
-    strategy: str,
-    overlap_columns: int = PAPER_OVERLAP_COLUMNS,
-    array_label: Optional[str] = None,
-    verify: bool = True,
-    pattern: str = "column-wise",
-    executor: str = "engine",
-    strategy_options: Optional[dict] = None,
-) -> ExperimentRecord:
-    """Measure one collective overlapping *read* point.
-
-    The array is first checkpointed (an atomic two-phase write, not part of
-    the measurement), then every rank reads its view of the chosen
-    partitioning collectively under ``strategy``'s staged read pipeline.
-    ``verify=True`` checks the delivered streams with
-    :func:`~repro.verify.atomicity.check_read_atomicity`.
-
-    ``executor`` selects the execution substrate — ``"engine"`` (cooperative
-    event engine, any strategy) or ``"bulk"`` (the bulk-synchronous read
-    replay of :mod:`repro.core.bulk`; aggregation strategies only,
-    bit-identical virtual times, tens of thousands of ranks in seconds) —
-    for both the checkpoint seed and the measured read.
-    ``strategy_options`` are keyword arguments for the read strategy's
-    constructor (e.g. ``num_aggregators``, ``ranks_per_node``).
-    """
-    if executor not in ("engine", "bulk"):
-        raise ValueError(f"unknown executor {executor!r}; known: engine, bulk")
-    if isinstance(machine, str):
-        machine = machine_by_name(machine)
-    fs = ParallelFileSystem(machine.make_fs_config())
-    filename = f"{machine.file_system.lower()}_{M}x{N}_p{nprocs}_{strategy}_read.dat"
-    write_regions, write_data = _checkpoint_file(
-        fs, filename, M, N, nprocs, overlap_columns, pattern, executor=executor
-    )
-    strat = default_registry.create(strategy, **(strategy_options or {}))
-    reader_cls = CollectiveReadExecutor if executor == "engine" else BulkReadExecutor
-    reader = reader_cls(
-        fs,
-        strat,
-        filename=filename,
-        comm_cost=CommCostModel(latency=30e-6, byte_cost=1e-8),
-    )
-    # The restart reads the same partitioning the checkpoint wrote; reuse the
-    # writers' already-built region sets instead of regenerating the views.
-    wall_start = time.perf_counter()
-    result = reader.run(
-        nprocs, view_factory=lambda rank, _P: write_regions[rank].segments
-    )
-    wall_seconds = time.perf_counter() - wall_start
-    atomic_ok = True
-    if verify:
-        observations = [
-            ReadObservation(rank, result.regions[rank], result.data[rank])
-            for rank in range(nprocs)
-        ]
-        atomic_ok = check_read_atomicity(observations, write_regions, write_data).ok
-        # The checkpoint completed before the read began, so serialisability
-        # admits exactly one state: every delivered stream must equal the
-        # committed file contents — a reader returning the pre-write
-        # baseline (which check_read_atomicity must accept for *racing*
-        # workloads) would be a broken pipeline here.
-        store = result.file.store
-        atomic_ok = atomic_ok and all(
-            result.data[rank]
-            == b"".join(
-                store.read(off, length)
-                for _, off, length in result.regions[rank].buffer_map()
-            )
-            for rank in range(nprocs)
-        )
-    lock_waits = 0
-    lm = result.file.lock_manager
-    if lm is not None and hasattr(lm, "wait_count"):
-        lock_waits = lm.wait_count
-    extra = {
-        "cache_hits": float(sum(o.cache_hits for o in result.outcomes)),
-        "cache_misses": float(sum(o.cache_misses for o in result.outcomes)),
-        "shuffled_bytes": float(sum(o.bytes_shuffled for o in result.outcomes)),
-        "wall_seconds": wall_seconds,
-    }
-    selected = None
-    decision = getattr(strat, "last_decision", None)
-    if decision is not None:
-        # The adaptive tuner exposes what it chose; record the concrete
-        # delegate and the derived hints alongside the measurement.
-        selected = decision.strategy
-        extra.update(decision.hints())
-    return ExperimentRecord(
-        machine=machine.name,
-        file_system=machine.file_system,
-        array_label=array_label or f"{M}x{N}",
-        M=M,
-        N=N,
-        nprocs=nprocs,
-        strategy=strategy,
-        bytes_requested=result.total_bytes_requested,
-        bytes_written=result.total_bytes_read,
-        makespan_seconds=result.makespan,
-        atomic_ok=atomic_ok,
-        overlap_bytes=overlapped_bytes_total(result.regions),
-        phases=max(o.phases for o in result.outcomes),
-        lock_waits=lock_waits,
-        pattern=pattern,
-        mode="read",
-        extra=extra,
-        selected_strategy=selected,
-    )
-
-
-def run_read_sweep(
-    machines: Optional[Iterable[MachineSpec | str]] = None,
-    array_labels: Optional[Sequence[str]] = None,
-    process_counts: Sequence[int] = PAPER_PROCESS_COUNTS,
-    strategies: Optional[Sequence[str]] = None,
-    row_scale: int = DEFAULT_ROW_SCALE,
-    overlap_columns: int = PAPER_OVERLAP_COLUMNS,
-    verify: bool = True,
-    pattern: str = "column-wise",
-) -> ResultTable:
-    """Sweep collective reads over machines × sizes × P × strategies.
-
-    ``strategies`` defaults to every read-capable strategy in the registry,
-    including the non-atomic baseline ``none`` — the naive per-rank read the
-    staged pipeline replaces — so two-phase aggregation can be compared
-    directly against it.
-    """
-    if machines is None:
-        machines = ALL_MACHINES
-    if array_labels is None:
-        array_labels = list(PAPER_ARRAY_SIZES)
-    if strategies is None:
-        strategies = default_registry.read_capable_names()
-    table = ResultTable()
-    for machine in machines:
-        spec = machine_by_name(machine) if isinstance(machine, str) else machine
-        for label in array_labels:
-            M, N = PAPER_ARRAY_SIZES[label]
-            if M % row_scale != 0:
-                raise ValueError(f"row_scale {row_scale} does not divide M={M}")
-            for nprocs in process_counts:
-                for strategy in strategies:
-                    if strategy != "none" and not default_registry.supported_on(
-                        strategy, spec.supports_locking
-                    ):
-                        continue
-                    table.add(
-                        run_read_experiment(
-                            spec,
-                            M // row_scale,
-                            N,
-                            nprocs,
-                            strategy,
-                            overlap_columns=overlap_columns,
-                            array_label=label,
-                            verify=verify,
-                            pattern=pattern,
-                        )
-                    )
-    return table
 
 
 def run_mixed_experiment(

@@ -1,10 +1,15 @@
-"""Machine-readable benchmark results (``benchmarks/results/latest.json``).
+"""Generated benchmark results: ``latest.json`` and ``latest.txt``.
 
-The text report (``benchmarks/results/latest.txt``) is for humans; this
-module keeps the same results as JSON so the performance trajectory is
-trackable across PRs and checkable by tooling (the CI perf-regression gate,
-:mod:`repro.bench.perfgate`).  Both files are *generated artifacts*: they
-live in a gitignored location and are uploaded from CI, never committed.
+The text report (``benchmarks/results/latest.txt``, :func:`report`) is for
+humans; the JSON log (``latest.json``, :func:`record_results`) keeps the same
+results machine-readable so the performance trajectory is trackable across
+PRs.  Both files are *generated artifacts*: they live in a gitignored
+location (:func:`results_dir`, one resolution for both) and are uploaded
+from CI, never committed.  They are one of three result stores (table in
+``benchmarks/results/SUMMARY.md``): ``benchmarks/perf_baseline.json`` is the
+perf gate's checked-in virtual-time baseline (deterministic keys only),
+``benchmarks/suite/baseline/`` the host-time reference and the only place
+host time is judged; here ``wall_seconds`` is informational.
 
 Schema (version 1)::
 
@@ -19,27 +24,12 @@ Schema (version 1)::
     }
 
 ``makespan`` is virtual time (deterministic run to run), ``bytes`` the
-requested I/O volume of the measured operation.  Entries may additionally
-carry ``wall_seconds`` (measured host run time of the point — machine
-dependent, unlike the makespan) and ``ops`` (the simulated operation count,
-ranks × phases), from which the wall-clock perf gate derives the
-per-simulated-op cost.  Points run under the adaptive ``auto`` strategy also
-record ``selected`` (the concrete delegate the tuner dispatched to) and the
-derived ``cb_nodes`` / ``cb_ppn`` / ``cb_buffer_size`` hints (read points
-also record ``read_ahead``, the tuner's client-cache coupling).  Multi-tenant
-points (:mod:`repro.bench.multitenant`) may carry ``job_id`` (which job of
-the run the entry describes; summary rows omit it), ``offered_load`` (total
-bytes offered across the run's jobs) and ``fairness`` (Jain's index over the
-per-job makespans); all three are optional, so records written before the
-job layer existed still parse.  Coupled-pipeline points
-(:mod:`repro.bench.pipeline`) may carry ``stage`` (which pipeline stage —
-``producer``/``transformer``/``consumer`` — a per-stage row describes) and
-``stream_id`` (which per-step byte stream a per-stream row verifies); both
-are optional strings, so records written before the pipeline subsystem
-existed still parse.  Like the text report,
-re-recording an experiment replaces its previous entries in place, so the
-file holds exactly one copy of every experiment regardless of how often or
-how partially the benchmarks are re-run.
+requested I/O volume of the measured operation; the optional fields are
+listed in :data:`OPTIONAL_FIELDS`.  Every optional field stays absent when
+unset, so records written before a field existed still parse.  Like the
+text report, re-recording an experiment replaces its previous entries in
+place, so each file holds exactly one copy of every experiment regardless of
+how often or how partially the benchmarks are re-run.
 """
 
 from __future__ import annotations
@@ -51,8 +41,12 @@ from typing import Dict, Iterable, List, Optional
 
 __all__ = [
     "SCHEMA_VERSION",
+    "OPTIONAL_FIELDS",
     "results_dir",
+    "coerce_entry",
     "record_results",
+    "report",
+    "report_json",
     "entries_from_records",
     "load_results",
 ]
@@ -63,6 +57,35 @@ SCHEMA_VERSION = 1
 #: pytest and the CI steps run from).
 DEFAULT_RESULTS_DIR = Path("benchmarks") / "results"
 
+_REQUIRED_FIELDS = {"P": int, "strategy": str, "makespan": float, "bytes": int}
+
+#: The optional entry fields and their types.  An entry may carry other keys
+#: while it is in memory (the perf gate's evidence, see
+#: :mod:`repro.bench.perfgate`); only the schema's fields are ever written.
+OPTIONAL_FIELDS = {
+    # Host run time of the sweep point the entry belongs to, stamped by
+    # :func:`repro.bench.sweep.sweep` — the one machine-dependent field.
+    "wall_seconds": float,
+    # Adaptive strategy: the concrete delegate the ``auto`` tuner dispatched
+    # to and the hints it derived for the point (read decisions add the
+    # client read-ahead coupling, 0/1).  Static strategies carry none.
+    "selected": str,
+    "cb_nodes": int,
+    "cb_ppn": int,
+    "cb_buffer_size": int,
+    "read_ahead": int,
+    # Multi-tenant points: which job of the run a per-job row describes
+    # (summary rows omit it), the total bytes offered across the run's jobs,
+    # and Jain's fairness index over the per-job makespans.
+    "job_id": str,
+    "offered_load": float,
+    "fairness": float,
+    # Coupled-pipeline points: which stage group a per-stage row describes,
+    # which per-step byte stream a per-stream row verifies.
+    "stage": str,
+    "stream_id": str,
+}
+
 
 def results_dir() -> Path:
     """Where generated results go (override with ``REPRO_RESULTS_DIR``)."""
@@ -70,50 +93,12 @@ def results_dir() -> Path:
     return Path(env) if env else DEFAULT_RESULTS_DIR
 
 
-def _coerce(entry: Dict) -> Dict:
-    out = {
-        "P": int(entry["P"]),
-        "strategy": str(entry["strategy"]),
-        "makespan": float(entry["makespan"]),
-        "bytes": int(entry["bytes"]),
-    }
-    # Wall-clock fields are optional (machine-dependent, unlike the virtual
-    # makespan): `wall_seconds` is the measured host run time of the point,
-    # `ops` the simulated operation count it covers (ranks × phases), so
-    # wall_seconds / ops is the gateable per-simulated-op cost.
-    if entry.get("wall_seconds") is not None:
-        out["wall_seconds"] = float(entry["wall_seconds"])
-    if entry.get("ops") is not None:
-        out["ops"] = int(entry["ops"])
-    # Adaptive-strategy fields are optional: `selected` is the concrete
-    # delegate the `auto` tuner dispatched to, the `cb_*` values the hints it
-    # derived for that point.  Static strategies carry none of them.
-    if entry.get("selected") is not None:
-        out["selected"] = str(entry["selected"])
-    for key in ("cb_nodes", "cb_ppn", "cb_buffer_size"):
+def coerce_entry(entry: Dict) -> Dict:
+    """Project ``entry`` onto the schema, with coerced types."""
+    out = {key: kind(entry[key]) for key, kind in _REQUIRED_FIELDS.items()}
+    for key, kind in OPTIONAL_FIELDS.items():
         if entry.get(key) is not None:
-            out[key] = int(entry[key])
-    # Read-side decisions additionally record the client read-ahead coupling
-    # (0/1) the tuner chose for the point.
-    if entry.get("read_ahead") is not None:
-        out["read_ahead"] = int(entry["read_ahead"])
-    # Multi-tenant fields are optional: `job_id` names which job of a
-    # multi-tenant run the entry describes (summary rows omit it),
-    # `offered_load` the total bytes offered across the run's jobs, and
-    # `fairness` Jain's index over the per-job makespans.
-    if entry.get("job_id") is not None:
-        out["job_id"] = str(entry["job_id"])
-    if entry.get("offered_load") is not None:
-        out["offered_load"] = float(entry["offered_load"])
-    if entry.get("fairness") is not None:
-        out["fairness"] = float(entry["fairness"])
-    # Coupled-pipeline fields are optional: `stage` names which stage group
-    # a per-stage row describes, `stream_id` which per-step byte stream a
-    # per-stream row verifies.
-    if entry.get("stage") is not None:
-        out["stage"] = str(entry["stage"])
-    if entry.get("stream_id") is not None:
-        out["stream_id"] = str(entry["stream_id"])
+            out[key] = kind(entry[key])
     return out
 
 
@@ -127,15 +112,10 @@ def entries_from_records(records: Iterable) -> List[Dict]:
             "makespan": record.makespan_seconds,
             "bytes": record.bytes_requested,
         }
-        wall = getattr(record, "extra", {}).get("wall_seconds")
-        if wall is not None:
-            entry["wall_seconds"] = float(wall)
-            entry["ops"] = record.nprocs * max(1, record.phases)
-        selected = getattr(record, "selected_strategy", None)
-        if selected is not None:
-            entry["selected"] = selected
+        if record.selected_strategy is not None:
+            entry["selected"] = record.selected_strategy
         for key in ("cb_nodes", "cb_ppn", "cb_buffer_size", "read_ahead"):
-            value = getattr(record, "extra", {}).get(key)
+            value = record.extra.get(key)
             if value is not None:
                 entry[key] = int(value)
         entries.append(entry)
@@ -165,8 +145,36 @@ def record_results(
     path.parent.mkdir(parents=True, exist_ok=True)
     doc = load_results(path)
     doc["schema"] = SCHEMA_VERSION
-    doc["experiments"][experiment] = [_coerce(e) for e in entries]
+    doc["experiments"][experiment] = [coerce_entry(e) for e in entries]
     path.write_text(
         json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
+    return path
+
+
+def report_json(experiment: str, records: Iterable) -> Path:
+    """Mirror experiment records (a ``ResultTable`` included) into ``latest.json``."""
+    return record_results(experiment, entries_from_records(records))
+
+
+def report(title: str, body: str) -> Path:
+    """Print a captioned block and record it in ``latest.txt``.
+
+    A section with the same title replaces its previous version in place, so
+    ``latest.txt`` holds exactly one copy of every section regardless of how
+    often or how partially the benchmarks are re-run.
+    """
+    block = f"\n===== {title} =====\n{body}\n"
+    print(block)
+    path = results_dir() / "latest.txt"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    text = path.read_text(encoding="utf-8") if path.exists() else ""
+    header = f"\n===== {title} =====\n"
+    if header in text:
+        start = text.index(header)
+        next_section = text.find("\n===== ", start + len(header))
+        text = text[:start] + block + (text[next_section:] if next_section != -1 else "")
+    else:
+        text += block
+    path.write_text(text, encoding="utf-8")
     return path

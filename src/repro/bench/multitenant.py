@@ -18,9 +18,9 @@ loudly if contention ever tore an overlapped region between two tenants.
 Results land in ``benchmarks/results/latest.json`` under
 ``multitenant/<fs>/j<jobs>xp<ranks>``: one entry per job (carrying
 ``job_id`` and ``offered_load``) plus one summary entry (carrying
-``fairness``, ``offered_load``, ``wall_seconds`` and ``ops``; no
-``job_id``).  The CI smoke point (4 jobs x 16 ranks) is additionally gated
-by :mod:`repro.bench.perfgate` with a fairness floor and a wall budget.
+``fairness`` and ``offered_load``; no ``job_id``).  The CI smoke point
+(4 jobs x 16 ranks) is additionally gated by :mod:`repro.bench.perfgate`
+on cross-job atomicity and a fairness floor.
 
 The sweep also runs one *heterogeneous* configuration
 (:func:`run_mixed_tenant_point`, filed under
@@ -33,20 +33,21 @@ stale read across the tenant boundary fails the sweep.
 Run the sweep (CI uploads the JSON it writes)::
 
     PYTHONPATH=src python -m repro.bench.multitenant
-    PYTHONPATH=src python -m repro.bench.multitenant --smoke --budget 60
+    PYTHONPATH=src python -m repro.bench.multitenant --smoke
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..fs.filesystem import ParallelFileSystem
 from ..jobs import JobSpec, MultiTenantResult, MultiTenantScheduler, make_arrivals
-from .jsonlog import record_results
 from .machines import MachineSpec, machine_by_name
+from .sweep import sweep
 
 __all__ = [
     "DEFAULT_JOB_COUNTS",
@@ -58,9 +59,14 @@ __all__ = [
     "MultiTenantPoint",
     "run_multitenant_point",
     "run_mixed_tenant_point",
-    "run_saturation_sweep",
+    "measure_smoke",
+    "check_point",
+    "sweep_cases",
     "main",
 ]
+
+#: The machine personality every point of the sweep runs on.
+SWEEP_MACHINE = "IBM SP"
 
 #: The saturation sweep's grid: concurrency levels x per-job rank counts.
 DEFAULT_JOB_COUNTS = (1, 4, 16)
@@ -76,6 +82,9 @@ DEFAULT_SEED = 20030804
 #: The CI smoke / perf-gate point: (jobs, ranks per job).
 SMOKE_POINT = (4, 16)
 
+#: The file every shared-file point's jobs race on.
+SHARED_FILE = "/multitenant/shared.dat"
+
 #: The heterogeneous mix: (write jobs, read jobs, ranks per job), all
 #: racing on one shared file under ``locking``.
 MIXED_POINT = (2, 2, 8)
@@ -85,57 +94,71 @@ MIXED_POINT = (2, 2, 8)
 class MultiTenantPoint:
     """One sweep point: the scheduler result plus its jsonlog entries."""
 
-    machine: MachineSpec
-    n_jobs: int
-    nprocs: int
-    strategy: str
     result: MultiTenantResult
-    #: Whether the cross-job write-atomicity verifier passed on every file.
-    atomic_ok: bool
-    #: Per-job entries (with ``job_id``) followed by the summary entry.
-    entries: List[Dict] = field(default_factory=list)
-    #: Overrides the derived experiment name (used by the mixed point).
-    experiment_label: Optional[str] = None
+    #: Per-job entries (with ``job_id``) followed by the summary entry, which
+    #: also carries the point's verdict ``atomic_ok`` (whether the cross-job
+    #: atomicity verifiers passed on every file) for :func:`check_point`.
+    entries: List[Dict]
 
     @property
     def summary(self) -> Dict:
-        """The point's summary entry (fairness, offered load, wall clock)."""
+        """The point's summary entry (fairness, offered load, verdict)."""
         return self.entries[-1]
 
-    @property
-    def experiment(self) -> str:
-        """The jsonlog experiment name this point files under."""
-        if self.experiment_label is not None:
-            return self.experiment_label
-        return (
-            f"multitenant/{self.machine.file_system.lower()}"
-            f"/j{self.n_jobs}xp{self.nprocs}"
-        )
 
+def _run_jobs(
+    machine: MachineSpec,
+    specs: List[JobSpec],
+    arrival_kind: str,
+    seed: int,
+    timeout: Optional[float],
+) -> MultiTenantPoint:
+    """Schedule ``specs`` (same shape, rank count and strategy) on one fresh
+    file system, verify every file they touched, build the entries.
 
-def _specs_for_point(
-    n_jobs: int,
-    nprocs: int,
-    strategy: str,
-    shape: Tuple[int, int],
-    shared_file: bool,
-) -> List[JobSpec]:
-    M, N = shape
-    specs = []
-    for i in range(n_jobs):
-        filename = "/multitenant/shared.dat" if shared_file else f"/multitenant/job{i}.dat"
-        specs.append(
-            JobSpec(
-                job_id=f"job{i}",
-                nprocs=nprocs,
-                M=M,
-                N=N,
-                filename=filename,
-                mode="write",
-                strategy=strategy,
-            )
-        )
-    return specs
+    Write atomicity is checked across every file; files with read jobs
+    additionally push each reader's delivered bytes through the cross-group
+    stream verifier (:meth:`~repro.jobs.MultiTenantResult.
+    verify_read_atomicity`) against the all-zero pre-write state — a torn or
+    stale byte anywhere makes the summary's ``atomic_ok`` false.
+    """
+    nprocs, strategy = specs[0].nprocs, specs[0].strategy
+    fs = ParallelFileSystem(machine.make_fs_config())
+    arrivals = make_arrivals(arrival_kind, len(specs), seed=seed)
+    result = MultiTenantScheduler(fs, timeout=timeout).run(specs, arrivals=arrivals)
+
+    baseline = bytes(specs[0].M * specs[0].N)
+    atomic_ok = all(
+        result.verify_write_atomicity(filename).ok
+        for filename in sorted({s.filename for s in specs})
+    ) and all(
+        result.verify_read_atomicity(filename, baseline=baseline).ok
+        for filename in sorted({s.filename for s in specs if s.mode == "read"})
+    )
+
+    entries: List[Dict] = [
+        {
+            "P": nprocs,
+            "strategy": strategy,
+            "makespan": job.makespan,
+            "bytes": job.bytes_requested,
+            "job_id": job.spec.job_id,
+            "offered_load": result.offered_load,
+        }
+        for job in result.jobs
+    ]
+    entries.append(
+        {
+            "P": len(specs) * nprocs,
+            "strategy": strategy,
+            "makespan": result.summary["max_makespan"],
+            "bytes": result.total_bytes_requested,
+            "offered_load": result.offered_load,
+            "fairness": result.fairness,
+            "atomic_ok": atomic_ok,
+        }
+    )
+    return MultiTenantPoint(result=result, entries=entries)
 
 
 def run_multitenant_point(
@@ -156,49 +179,16 @@ def run_multitenant_point(
     private file (pure server/link contention).  The write-atomicity
     verifier runs across every file jobs touched.
     """
-    fs = ParallelFileSystem(machine.make_fs_config())
-    scheduler = MultiTenantScheduler(fs, timeout=timeout)
-    specs = _specs_for_point(n_jobs, nprocs, strategy, shape, shared_file)
-    arrivals = make_arrivals(arrival_kind, n_jobs, seed=seed)
-    result = scheduler.run(specs, arrivals=arrivals)
-
-    atomic_ok = all(
-        result.verify_write_atomicity(filename).ok
-        for filename in sorted({s.filename for s in specs})
-    )
-
-    entries: List[Dict] = [
-        {
-            "P": nprocs,
-            "strategy": strategy,
-            "makespan": job.makespan,
-            "bytes": job.bytes_requested,
-            "job_id": job.spec.job_id,
-            "offered_load": result.offered_load,
-        }
-        for job in result.jobs
+    M, N = shape
+    specs = [
+        JobSpec(
+            job_id=f"job{i}", nprocs=nprocs, M=M, N=N,
+            filename=SHARED_FILE if shared_file else f"/multitenant/job{i}.dat",
+            mode="write", strategy=strategy,
+        )
+        for i in range(n_jobs)
     ]
-    entries.append(
-        {
-            "P": n_jobs * nprocs,
-            "strategy": strategy,
-            "makespan": result.summary["max_makespan"],
-            "bytes": result.total_bytes_requested,
-            "wall_seconds": result.wall_seconds,
-            "ops": n_jobs * nprocs,
-            "offered_load": result.offered_load,
-            "fairness": result.fairness,
-        }
-    )
-    return MultiTenantPoint(
-        machine=machine,
-        n_jobs=n_jobs,
-        nprocs=nprocs,
-        strategy=strategy,
-        result=result,
-        atomic_ok=atomic_ok,
-        entries=entries,
-    )
+    return _run_jobs(machine, specs, arrival_kind, seed, timeout)
 
 
 def run_mixed_tenant_point(
@@ -214,172 +204,114 @@ def run_mixed_tenant_point(
 ) -> MultiTenantPoint:
     """The heterogeneous point: write jobs racing read jobs on one file.
 
-    This is the ROADMAP follow-on from the scheduler PR: the workload
-    mixes producers and observers, so plain write atomicity is not
-    enough — every read job's delivered bytes must additionally be
-    explainable by *some* serial order of the racing writes.  The read
-    jobs' observations go through the cross-group stream verifier
-    (:meth:`~repro.jobs.MultiTenantResult.verify_read_atomicity`, backed
-    by :func:`~repro.verify.atomicity.check_stream_atomicity`): a torn
-    or stale byte anywhere marks the point ``atomic_ok = False``.  The
-    default strategy is ``locking`` because that is the only discipline
-    the paper (and this simulator) grants cross-job read serialisability.
+    The workload mixes producers and observers, so plain write atomicity is
+    not enough — every read job's delivered bytes must additionally be
+    explainable by *some* serial order of the racing writes.  The default
+    strategy is ``locking`` because that is the only discipline the paper
+    (and this simulator) grants cross-job read serialisability.
     """
     M, N = shape
-    filename = "/multitenant/shared.dat"
-    fs = ParallelFileSystem(machine.make_fs_config())
-    scheduler = MultiTenantScheduler(fs, timeout=timeout)
     specs = [
         JobSpec(
-            job_id=f"writer{i}", nprocs=nprocs, M=M, N=N,
-            filename=filename, mode="write", strategy=strategy,
+            job_id=f"{role}{i}", nprocs=nprocs, M=M, N=N,
+            filename=SHARED_FILE, mode=mode, strategy=strategy,
         )
-        for i in range(n_writers)
-    ] + [
-        JobSpec(
-            job_id=f"reader{i}", nprocs=nprocs, M=M, N=N,
-            filename=filename, mode="read", strategy=strategy,
+        for role, mode, count in (
+            ("writer", "write", n_writers), ("reader", "read", n_readers)
         )
-        for i in range(n_readers)
+        for i in range(count)
     ]
-    arrivals = make_arrivals(arrival_kind, len(specs), seed=seed)
-    result = scheduler.run(specs, arrivals=arrivals)
+    return _run_jobs(machine, specs, arrival_kind, seed, timeout)
 
-    atomic_ok = (
-        result.verify_write_atomicity(filename).ok
-        and result.verify_read_atomicity(filename, baseline=bytes(M * N)).ok
-    )
 
-    n_jobs = n_writers + n_readers
-    entries: List[Dict] = [
-        {
-            "P": nprocs,
-            "strategy": strategy,
-            "makespan": job.makespan,
-            "bytes": job.bytes_requested,
-            "job_id": job.spec.job_id,
-            "offered_load": result.offered_load,
-        }
-        for job in result.jobs
-    ]
-    entries.append(
-        {
-            "P": n_jobs * nprocs,
-            "strategy": strategy,
-            "makespan": result.summary["max_makespan"],
-            "bytes": result.total_bytes_requested,
-            "wall_seconds": result.wall_seconds,
-            "ops": n_jobs * nprocs,
-            "offered_load": result.offered_load,
-            "fairness": result.fairness,
-        }
-    )
-    label = (
-        f"multitenant/{machine.file_system.lower()}"
-        f"/mixed-w{n_writers}r{n_readers}xp{nprocs}"
-    )
-    return MultiTenantPoint(
-        machine=machine,
-        n_jobs=n_jobs,
-        nprocs=nprocs,
-        strategy=strategy,
-        result=result,
-        atomic_ok=atomic_ok,
-        entries=entries,
-        experiment_label=label,
+def measure_smoke(experiment: str) -> Dict[str, List[Dict]]:
+    """Sweep :data:`SMOKE_POINT` for the perf gate: identical jobs, batch
+    arrivals so every tenant offers equal load, all racing on one shared
+    file.  Only the summary entry is filed under ``experiment`` (the per-job
+    entries live in the ``multitenant/*`` sweep), keeping ``(P, strategy)``
+    unique."""
+    machine = machine_by_name(SWEEP_MACHINE)
+    return sweep(
+        experiment,
+        [SMOKE_POINT],
+        lambda point: [
+            run_multitenant_point(machine, *point, arrival_kind="batch").summary
+        ],
     )
 
 
-def run_saturation_sweep(
-    machine: MachineSpec,
-    job_counts: Sequence[int] = DEFAULT_JOB_COUNTS,
-    rank_counts: Sequence[int] = DEFAULT_RANK_COUNTS,
-    strategy: str = "two-phase",
-    arrival_kind: str = "staggered",
-    seed: int = DEFAULT_SEED,
-) -> List[MultiTenantPoint]:
-    """The full grid: every concurrency level at every per-job rank count."""
+def check_point(
+    experiment: str, entries: Sequence[Dict], fairness_floor: float = 0.0
+) -> List[str]:
+    """Problems of one point's entries: a cross-job atomicity violation, or
+    Jain's index over the per-job makespans below ``fairness_floor`` (the
+    perf gate sets one for its equal-offered-load smoke point)."""
+    summary = entries[-1]
+    problems: List[str] = []
+    if not summary["atomic_ok"]:
+        problems.append(f"{experiment}: cross-job atomicity violated on a shared file")
+    if summary["fairness"] < fairness_floor:
+        problems.append(
+            f"{experiment}: Jain fairness {summary['fairness']:.4f} over the "
+            f"per-job makespans is below the {fairness_floor:g} floor"
+        )
+    return problems
+
+
+def sweep_cases(smoke: bool) -> List[Tuple[str, Callable[[], MultiTenantPoint]]]:
+    """The sweep's grid as ``(experiment, run)`` cases: every concurrency
+    level at every per-job rank count (only :data:`SMOKE_POINT` when
+    ``smoke``), then the write-vs-read :data:`MIXED_POINT`."""
+    machine = machine_by_name(SWEEP_MACHINE)
+    root = f"multitenant/{machine.file_system.lower()}"
+    grid = (
+        [SMOKE_POINT]
+        if smoke
+        else [(j, p) for j in DEFAULT_JOB_COUNTS for p in DEFAULT_RANK_COUNTS]
+    )
+    writers, readers, ranks = MIXED_POINT
     return [
-        run_multitenant_point(
-            machine, n_jobs, nprocs,
-            strategy=strategy, arrival_kind=arrival_kind, seed=seed,
+        (f"{root}/j{j}xp{p}", partial(run_multitenant_point, machine, j, p))
+        for j, p in grid
+    ] + [
+        (
+            f"{root}/mixed-w{writers}r{readers}xp{ranks}",
+            partial(run_mixed_tenant_point, machine, writers, readers, ranks),
         )
-        for n_jobs in job_counts
-        for nprocs in rank_counts
     ]
-
-
-def _parse_counts(text: str) -> Tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; exits non-zero on an atomicity or budget failure."""
+    """CLI entry point; exits non-zero on an atomicity failure."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--machine", default="IBM SP")
-    parser.add_argument("--jobs", default=",".join(map(str, DEFAULT_JOB_COUNTS)),
-                        help="comma-separated concurrency levels")
-    parser.add_argument("--ranks", default=",".join(map(str, DEFAULT_RANK_COUNTS)),
-                        help="comma-separated per-job rank counts")
-    parser.add_argument("--strategy", default="two-phase")
-    parser.add_argument("--arrival", default="staggered",
-                        help="arrival process: batch, staggered or poisson")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--budget", type=float, default=None,
-                        help="host wall-clock budget (seconds) over the whole sweep")
     parser.add_argument("--smoke", action="store_true",
                         help=f"run only the CI smoke point {SMOKE_POINT} "
                              f"(plus the mixed point {MIXED_POINT})")
-    parser.add_argument("--skip-mixed", action="store_true",
-                        help="skip the write-vs-read mixed-tenant point")
     args = parser.parse_args(list(argv) if argv is not None else None)
 
-    machine = machine_by_name(args.machine)
-    if args.smoke:
-        job_counts, rank_counts = (SMOKE_POINT[0],), (SMOKE_POINT[1],)
-    else:
-        job_counts, rank_counts = _parse_counts(args.jobs), _parse_counts(args.ranks)
-
-    points = run_saturation_sweep(
-        machine, job_counts, rank_counts,
-        strategy=args.strategy, arrival_kind=args.arrival, seed=args.seed,
-    )
-    if not args.skip_mixed:
-        n_writers, n_readers, mixed_ranks = MIXED_POINT
-        points.append(
-            run_mixed_tenant_point(
-                machine, n_writers, n_readers, mixed_ranks,
-                arrival_kind=args.arrival, seed=args.seed,
-            )
-        )
-    problems: List[str] = []
-    total_wall = 0.0
-    for point in points:
-        record_results(point.experiment, point.entries)
-        summary = point.summary
-        total_wall += summary["wall_seconds"]
+    def run_case(case) -> List[Dict]:
+        experiment, run = case
+        point = run()
         print(
-            f"{point.experiment}: offered {summary['offered_load']:.0f} B, "
+            f"{experiment}: offered {point.summary['offered_load']:.0f} B, "
             f"p50 {point.result.summary['p50_makespan']:.6f}s, "
             f"p99 {point.result.summary['p99_makespan']:.6f}s, "
-            f"fairness {summary['fairness']:.4f}, "
-            f"bandwidth {point.result.bandwidth / 1e6:.2f} MB/s, "
-            f"wall {summary['wall_seconds']:.2f}s"
+            f"fairness {point.summary['fairness']:.4f}, "
+            f"bandwidth {point.result.bandwidth / 1e6:.2f} MB/s"
         )
-        if not point.atomic_ok:
-            problems.append(
-                f"{point.experiment}: cross-job atomicity violated"
-            )
-    if args.budget is not None and total_wall > args.budget:
-        problems.append(
-            f"sweep wall clock {total_wall:.2f}s exceeds the "
-            f"{args.budget:.2f}s budget"
-        )
+        return point.entries
+
+    measured = sweep(lambda case: case[0], sweep_cases(args.smoke), run_case)
+    problems = [
+        problem
+        for experiment, entries in measured.items()
+        for problem in check_point(experiment, entries)
+    ]
     for problem in problems:
         print(f"FAIL: {problem}")
     if problems:
         return 1
-    print(f"multitenant sweep ok ({len(points)} points, wall {total_wall:.2f}s)")
+    print(f"multitenant sweep ok ({len(measured)} points)")
     return 0
 
 

@@ -22,7 +22,6 @@ as :class:`~repro.bench.results.ExperimentRecord` rows with
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
 from ..core.regions import FileRegionSet, build_region_sets
@@ -101,7 +100,6 @@ def run_overlap_experiment(
         machine = machine_by_name(machine)
     fs = ParallelFileSystem(machine.make_fs_config())
     filename = f"overlap_{M}x{N}_p{nprocs}_{strategy}_{api}.dat"
-    wall_start = time.perf_counter()
     spmd = run_spmd(
         _checkpoint_rank,
         nprocs,
@@ -116,7 +114,6 @@ def run_overlap_experiment(
         strategy,
         comm_cost=CommCostModel(latency=30e-6, byte_cost=1e-8),
     )
-    wall_seconds = time.perf_counter() - wall_start
     regions: List[FileRegionSet] = build_region_sets(
         column_wise_views(M, N, nprocs, overlap_columns)
     )
@@ -139,11 +136,7 @@ def run_overlap_experiment(
         phases=max((o.phases for o in spmd.returns if o is not None), default=1),
         pattern="column-wise",
         mode=f"overlap-{api}",
-        extra={
-            "compute_seconds": float(compute_seconds),
-            "steps": float(steps),
-            "wall_seconds": wall_seconds,
-        },
+        extra={"compute_seconds": float(compute_seconds), "steps": float(steps)},
     )
 
 

@@ -1,35 +1,26 @@
-"""CI perf-regression gate: virtual-time makespans vs a checked-in baseline.
+"""CI perf gate: a registry of deterministic gates over virtual-time results.
 
 Because execution is a deterministic discrete-event simulation, the virtual
 makespan of a fixed workload is a *pure function of the code* — any drift is
-a real change in the modelled I/O pipeline, not noise.  This gate runs a
-small deterministic two-phase workload set, mirrors the measurements into
-``benchmarks/results/latest.json`` (:mod:`repro.bench.jsonlog`), and fails
-the build when any measured makespan regresses more than the tolerance
-(default 15%) over the baseline committed at ``benchmarks/perf_baseline.json``.
+a real change in the modelled I/O pipeline, not noise.  The gate is a tuple
+of :class:`Gate` rows (:data:`GATES`).  :func:`main` runs each row's
+``measure`` (a :func:`~repro.bench.sweep.sweep`, so the measurements are
+mirrored into ``benchmarks/results/latest.json``), collects the problems its
+``check`` reports — the checks live beside the workloads they judge, in
+:mod:`~repro.bench.adaptive`, :mod:`~repro.bench.multitenant` and
+:mod:`~repro.bench.pipeline`, and need neither a baseline nor a clock — and
+compares every measured makespan against the baseline committed at
+``benchmarks/perf_baseline.json`` (:func:`compare`).
 
-Next to the virtual-time gates sit **wall-clock-per-simulated-op** gates:
-each entry also records the measured host run time (``wall_seconds``) and
-the simulated operation count it covers (``ops`` = ranks × phases).  Wall
-clock is machine-dependent, so the relative gate is deliberately loose
-(:data:`DEFAULT_WALL_FACTOR`, a multiple rather than a percentage) — it
-exists to catch the order-of-magnitude scheduler/bookkeeping regressions
-that virtual time is blind to, not 10% noise.  :func:`check_wall` is the
-absolute form (a per-op ceiling) used by the extended Section 3.4 sweeps.
-Both I/O directions are gated: the write workloads and the read-back twins
-(the hierarchical bulk-read point, the adaptive read grid under
-:data:`ADAPTIVE_READ_PREFIX`) go through the same relative, wall-clock and
-adaptive checks.  The multi-tenant smoke point
-(:func:`measure_multitenant`) adds cross-job absolute gates on top: write
-atomicity across jobs racing on one shared file, a Jain-fairness floor at
-equal offered load, and its own wall budget.  The coupled-pipeline smoke
-point (:func:`measure_pipeline`) gates the streaming subsystem: the
-overlapped (simulate-while-checkpoint) pipeline must *strictly* beat the
-write-barrier-read baseline, every cross-group byte stream must verify
-un-torn and match the deterministic expected bytes, and the point has its
-own wall budget.
+Host time is not judged here (see :mod:`repro.bench.sweep`); the one
+host-side reading left is the plan-cache check's within-run warm/cold
+resolution-CPU *ratio*.  Entries are jsonlog entries; a ``measure`` may add
+evidence keys for its ``check`` (``atomic_ok``, ``plan_hits`` …), which the
+jsonlog schema projection keeps out of ``latest.json`` and of the baseline.
 
-Intentional performance changes update the baseline explicitly::
+Intentional performance changes update the baseline explicitly — only its
+deterministic keys are written, so a refresh on an unchanged tree is a
+no-op::
 
     PYTHONPATH=src python -m repro.bench.perfgate --update-baseline
 
@@ -42,33 +33,24 @@ from __future__ import annotations
 
 import json
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
+from . import adaptive, multitenant, pipeline
+from .adaptive import ADAPTIVE_PREFIX, ADAPTIVE_READ_PREFIX
 from .harness import run_column_wise_experiment, run_read_experiment
-from .jsonlog import SCHEMA_VERSION, entries_from_records, record_results
+from .jsonlog import SCHEMA_VERSION, coerce_entry
 from .overlap import run_overlap_experiment
+from .sweep import sweep_records
 
 __all__ = [
     "BASELINE_PATH",
     "DEFAULT_TOLERANCE",
-    "DEFAULT_WALL_FACTOR",
-    "DEFAULT_WALL_BUDGET_PER_OP",
-    "DEFAULT_ADAPTIVE_FACTOR",
-    "ADAPTIVE_PREFIX",
-    "ADAPTIVE_READ_PREFIX",
     "DEFAULT_FAIRNESS_FLOOR",
-    "DEFAULT_MULTITENANT_WALL_BUDGET_PER_OP",
-    "DEFAULT_PIPELINE_WALL_BUDGET_PER_OP",
-    "measure",
-    "measure_adaptive",
-    "measure_adaptive_read",
-    "measure_plan_cache",
-    "measure_multitenant",
-    "measure_pipeline",
+    "Gate",
+    "GATES",
     "compare",
-    "check_wall",
-    "check_adaptive",
     "main",
 ]
 
@@ -77,377 +59,107 @@ BASELINE_PATH = Path("benchmarks") / "perf_baseline.json"
 #: Allowed relative makespan growth before the gate fails.
 DEFAULT_TOLERANCE = 0.15
 
-#: Allowed wall-clock-per-simulated-op growth factor over the baseline.
-#: Wall clock varies with the host (unlike the deterministic makespan), so
-#: this is a generous multiple: it catches asymptotic regressions in the
-#: scheduler/bookkeeping, not machine jitter.
-DEFAULT_WALL_FACTOR = 5.0
-
-#: Absolute wall-clock ceiling per simulated operation (seconds) for
-#: :func:`check_wall` — the budget the extended Section 3.4 sweep must meet
-#: at every point for the 16k–64k rank runs to fit the CI wall budget.
-DEFAULT_WALL_BUDGET_PER_OP = 1e-3
-
-#: The adaptive ``auto`` strategy may not be worse than the best static
-#: strategy by more than this factor at any adaptive-sweep grid point.
-DEFAULT_ADAPTIVE_FACTOR = 1.10
-
-#: Experiment-name prefix :func:`check_adaptive` scans for.
-ADAPTIVE_PREFIX = "perfgate/adaptive/"
-
-#: Same gate, read-back grid: the prefix :func:`measure_adaptive_read` files
-#: its experiments under, scanned by a second :func:`check_adaptive` pass so
-#: the read tuner is held to the same 10%-of-best-static standard as the
-#: write tuner (with its own independent strict-win requirement).
-ADAPTIVE_READ_PREFIX = "perfgate/adaptive-read/"
-
-#: The ``auto`` warm (plan-cache hit) view-resolution CPU per rank-collective
-#: must undercut the cold resolution cost by at least this factor — measured
-#: host time of exactly the work a hit elides, so the margin is wide (~4-7x
-#: in practice) and robust against scheduler noise.
-DEFAULT_PLAN_CACHE_FACTOR = 0.5
-
-#: Absolute wall ceiling per simulated rank-op for the multi-tenant smoke
-#: point.  A multi-tenant rank-op is costlier on the host than a single-job
-#: one (cross-job token churn, lock contention, per-job clock bookkeeping),
-#: so it gets its own budget — still tight enough to catch an
-#: order-of-magnitude scheduler regression, at ~3x the observed cost.
-DEFAULT_MULTITENANT_WALL_BUDGET_PER_OP = 5e-3
-
-#: Absolute wall ceiling per simulated step-op for the coupled-pipeline
-#: smoke point (two full pipeline runs, barrier + overlapped, each
-#: ``total_ranks x steps`` ops).  Streaming ops carry intercomm bridges and
-#: per-step opens on top of the plain collective cost, so the budget sits
-#: at ~3x the observed per-op cost — tight enough to catch an
-#: order-of-magnitude regression in the bridge or handoff machinery.
-DEFAULT_PIPELINE_WALL_BUDGET_PER_OP = 5e-3
-
 #: The multi-tenant smoke point must keep Jain's fairness index over the
 #: per-job makespans at or above this floor: identical jobs arriving
 #: together (equal offered load) must finish in near-equal time, so a drop
 #: means the shared-file-system scheduling started starving a tenant.
 DEFAULT_FAIRNESS_FLOOR = 0.8
 
-#: The gated workloads: quick, deterministic, all exercising the two-phase
-#: strategy (the performance centrepiece the roadmap tracks).
-_WRITE_POINTS = (4, 16)
-_WRITE_SHAPE = (64, 512)  # M x N bytes, column-wise
-_OVERLAP_POINT = (16, 16, 256)  # P, M, N
-#: The hierarchical strategy on the bulk-synchronous replay executor — the
-#: substrate of the extended Section 3.4 sweep — at a quick thousand-rank
-#: point, so both its virtual-time schedule and the replay's wall clock per
-#: op are locked in by the baseline.
-_HIER_POINT = (1024, 8, 2048)  # P, M, N
-_HIER_OPTIONS = {"num_aggregators": 8, "ranks_per_node": 8}
-#: The read-back twin of :data:`_HIER_POINT`: the same thousand-rank
-#: hierarchical workload replayed through :class:`~repro.core.bulk.
-#: BulkReadExecutor`, locking in the read schedule's virtual time and the
-#: read replay's wall clock per op.
-_HIER_READ_POINT = (1024, 8, 2048)  # P, M, N
+Measured = Dict[str, List[Dict]]
 
 
-def measure() -> Dict[str, List[Dict]]:
-    """Run the gated workloads; returns ``experiment -> entries``."""
-    write_records = [
-        run_column_wise_experiment(
-            "Origin 2000", _WRITE_SHAPE[0], _WRITE_SHAPE[1], nprocs, "two-phase"
+class Gate(NamedTuple):
+    """One row of the gate: a measurement and the check over its entries."""
+
+    name: str
+    #: Runs the workload; returns ``experiment -> entries``.
+    measure: Callable[[], Measured]
+    #: Problems (empty when it passes) of what ``measure`` returned.  Gates
+    #: judged only against the baseline keep the default.
+    check: Callable[[Measured], List[str]] = lambda measured: []
+
+
+#: The hierarchical strategy on the bulk-synchronous replay executors — the
+#: substrate of the extended Section 3.4 sweeps — at a quick thousand-rank
+#: point, write and read back.
+_HIER = dict(
+    overlap_columns=2,
+    executor="bulk",
+    strategy_options={"num_aggregators": 8, "ranks_per_node": 8},
+)
+
+#: The baseline-only workloads: quick, deterministic, all exercising the
+#: two-phase family (the performance centrepiece the roadmap tracks).  Each
+#: point is a call returning one record.
+_TWO_PHASE_POINTS = {
+    "perfgate/two-phase-write": [
+        partial(run_column_wise_experiment, "Origin 2000", 64, 512, nprocs, "two-phase")
+        for nprocs in (4, 16)
+    ],
+    "perfgate/overlap-split": [
+        partial(run_overlap_experiment, "IBM SP", 16, 256, 16, api="split")
+    ],
+    "perfgate/two-phase-hier-bulk": [
+        partial(run_column_wise_experiment, "IBM SP", 8, 2048, 1024, "two-phase-hier", **_HIER)
+    ],
+    "perfgate/two-phase-hier-bulk-read": [
+        partial(
+            run_read_experiment, "IBM SP", 8, 2048, 1024, "two-phase-hier",
+            verify=False, **_HIER,
         )
-        for nprocs in _WRITE_POINTS
+    ],
+}
+
+
+def _measure_two_phase(experiment: str) -> Measured:
+    _, measured = sweep_records(
+        experiment, _TWO_PHASE_POINTS[experiment], lambda run: run()
+    )
+    return measured
+
+
+def _per_experiment(check_point: Callable[..., List[str]]) -> Callable[[Measured], List[str]]:
+    """A gate ``check`` from a sweep module's ``check_point(experiment, entries)``
+    — the same check that module's own CLI applies to every sweep point."""
+    return lambda measured: [
+        problem
+        for experiment, entries in measured.items()
+        for problem in check_point(experiment, entries)
     ]
-    P, M, N = _OVERLAP_POINT
-    overlap_record = run_overlap_experiment("IBM SP", M, N, P, api="split")
-    hier_p, hier_m, hier_n = _HIER_POINT
-    hier_record = run_column_wise_experiment(
-        "IBM SP", hier_m, hier_n, hier_p, "two-phase-hier",
-        overlap_columns=2, executor="bulk",
-        strategy_options=dict(_HIER_OPTIONS),
-    )
-    read_p, read_m, read_n = _HIER_READ_POINT
-    read_record = run_read_experiment(
-        "IBM SP", read_m, read_n, read_p, "two-phase-hier",
-        overlap_columns=2, executor="bulk", verify=False,
-        strategy_options=dict(_HIER_OPTIONS),
-    )
-    return {
-        "perfgate/two-phase-write": entries_from_records(write_records),
-        "perfgate/overlap-split": entries_from_records([overlap_record]),
-        "perfgate/two-phase-hier-bulk": entries_from_records([hier_record]),
-        "perfgate/two-phase-hier-bulk-read": entries_from_records([read_record]),
-    }
 
 
-def measure_adaptive() -> Dict[str, List[Dict]]:
-    """Run the adaptive-vs-static sweep; one experiment per (machine, pattern).
-
-    Grouping by machine and pattern keeps the ``(P, strategy)`` index keys of
-    :func:`_index` unique within each experiment while letting one sweep
-    cover both partitionings and both lock personalities.
-    """
-    from .adaptive import run_adaptive_sweep
-
-    groups: Dict[str, List] = {}
-    for record in run_adaptive_sweep():
-        name = f"{ADAPTIVE_PREFIX}{record.file_system.lower()}-{record.pattern}"
-        groups.setdefault(name, []).append(record)
-    return {name: entries_from_records(records) for name, records in groups.items()}
-
-
-def measure_adaptive_read() -> Dict[str, List[Dict]]:
-    """Run the adaptive read sweep; one experiment per (machine, pattern).
-
-    The read-back counterpart of :func:`measure_adaptive`: the same grouping
-    rule, filed under :data:`ADAPTIVE_READ_PREFIX` so the read grid gets its
-    own :func:`check_adaptive` pass (including its own strict-win demand).
-    """
-    from .adaptive import run_adaptive_read_sweep
-
-    groups: Dict[str, List] = {}
-    for record in run_adaptive_read_sweep():
-        name = f"{ADAPTIVE_READ_PREFIX}{record.file_system.lower()}-{record.pattern}"
-        groups.setdefault(name, []).append(record)
-    return {name: entries_from_records(records) for name, records in groups.items()}
-
-
-def check_adaptive(
-    measured: Dict[str, Sequence[Dict]],
-    factor: float = DEFAULT_ADAPTIVE_FACTOR,
-    prefix: str = ADAPTIVE_PREFIX,
-) -> List[str]:
-    """The adaptive gate: problems (empty when it passes).
-
-    Two conditions over every ``prefix`` experiment's grid points:
-
-    * ``auto``'s makespan is within ``factor`` of the best static strategy at
-      **every** point (the tuner never loses badly), and
-    * ``auto`` strictly beats every static at **at least one** point (the
-      derived hints genuinely buy something, they are not just a pass-through
-      to one of the defaults).
-    """
-    problems: List[str] = []
-    points = 0
-    strict_wins = 0
-    for experiment in sorted(measured):
-        if not experiment.startswith(prefix):
-            continue
-        by_p: Dict[int, Dict[str, float]] = {}
-        for entry in measured[experiment]:
-            by_p.setdefault(entry["P"], {})[entry["strategy"]] = entry["makespan"]
-        for P, strategies in sorted(by_p.items()):
-            auto = strategies.get("auto")
-            statics = {
-                name: makespan
-                for name, makespan in strategies.items()
-                if name != "auto"
-            }
-            if auto is None or not statics:
-                problems.append(
-                    f"{experiment}: P={P} lacks an auto or a static measurement"
-                )
-                continue
-            points += 1
-            best_name, best = min(statics.items(), key=lambda item: item[1])
-            if auto > best * factor:
-                problems.append(
-                    f"{experiment}: P={P} auto makespan {auto:.6f}s is worse "
-                    f"than the best static ({best_name}, {best:.6f}s) by more "
-                    f"than {factor - 1.0:.0%}"
-                )
-            if auto < best:
-                strict_wins += 1
-    if points == 0:
-        problems.append(f"adaptive gate: no {prefix}* grid points measured")
-    elif strict_wins == 0:
-        problems.append(
-            "adaptive gate: auto never strictly beat every static strategy "
-            f"at any of the {points} grid points"
-        )
-    return problems
-
-
-def measure_plan_cache(
-    factor: float = DEFAULT_PLAN_CACHE_FACTOR,
-) -> tuple:
-    """The repeated-collective plan-cache experiment and its absolute gates.
-
-    Runs the N-timestep workload twice — ``auto`` with the plan cache on and
-    off — on private file systems, and returns ``(experiments, problems)``:
-
-    * **identity** — the final bytes *and* per-byte writer provenance of the
-      cached run equal the cold run's (a replayed plan must be a pure
-      performance optimisation);
-    * **virtual time** — warm steps are cheaper than the first (cold) step
-      and the cached run's makespan never exceeds the uncached one (the hit
-      claim payload is smaller than the shipped view, never larger);
-    * **wall clock** — the warm per-rank-collective view-resolution CPU is
-      under ``factor`` of the cold one (the work a hit elides, measured
-      directly so simulator overhead cannot drown it).
-    """
-    from ..fs.filesystem import ParallelFileSystem
-    from .adaptive import (
-        REPEATED_POINT,
-        fingerprint_of,
-        repeated_filename,
-        run_repeated_collective,
-    )
-    from .machines import machine_by_name
-
-    machine_name, pattern, P, M, N, steps = REPEATED_POINT
-    machine = machine_by_name(machine_name)
-    problems: List[str] = []
-    records = {}
-    fingerprints = {}
-    for plan_cache in (True, False):
-        label = "auto" if plan_cache else "auto-nocache"
-        fs = ParallelFileSystem(machine.make_fs_config())
-        record = run_repeated_collective(
-            machine, M, N, P, steps, pattern=pattern, plan_cache=plan_cache, fs=fs
-        )
-        records[label] = record
-        fingerprints[label] = fingerprint_of(
-            fs, repeated_filename(machine, M, N, P, label)
-        )
-        if not record.atomic_ok:
-            problems.append(f"plan cache: the {label} run broke MPI atomicity")
-    on, off = records["auto"], records["auto-nocache"]
-    if fingerprints["auto"] != fingerprints["auto-nocache"]:
-        problems.append(
-            "plan cache: cached run's bytes/provenance differ from the cold "
-            "run's — replayed plans are corrupting the outcome"
-        )
-    hits = on.extra.get("plan_hits", 0.0)
-    if hits != float(steps - 1):
-        problems.append(
-            f"plan cache: expected {steps - 1} hits over {steps} steps, "
-            f"observed {hits:.0f}"
-        )
-    if off.extra.get("plan_hits", 0.0) != 0.0:
-        problems.append("plan cache: the plan_cache=false run recorded hits")
-    if on.makespan_seconds > off.makespan_seconds:
-        problems.append(
-            f"plan cache: cached makespan {on.makespan_seconds:.6f}s exceeds "
-            f"the uncached {off.makespan_seconds:.6f}s"
-        )
-    if on.extra["warm_step_seconds"] >= on.extra["first_step_seconds"]:
-        problems.append(
-            f"plan cache: warm steps ({on.extra['warm_step_seconds']:.9f}s) "
-            "are not cheaper than the cold first step "
-            f"({on.extra['first_step_seconds']:.9f}s) in virtual time"
-        )
-    warm_cpu = on.extra.get("resolve_warm_cpu_per_op")
-    cold_cpu = off.extra.get("resolve_cold_cpu_per_op")
-    if warm_cpu is None or cold_cpu is None:
-        problems.append("plan cache: resolution CPU accounting is missing")
-    elif warm_cpu >= cold_cpu * factor:
-        problems.append(
-            f"plan cache: warm resolution {warm_cpu * 1e6:.1f}us/op is not "
-            f"under {factor:g}x the cold {cold_cpu * 1e6:.1f}us/op"
-        )
-    return {"perfgate/plan-cache": entries_from_records([on, off])}, problems
-
-
-def measure_multitenant(
-    fairness_floor: float = DEFAULT_FAIRNESS_FLOOR,
-    budget_per_op: float = DEFAULT_MULTITENANT_WALL_BUDGET_PER_OP,
-) -> tuple:
-    """The multi-tenant smoke point and its absolute gates.
-
-    Runs the CI smoke configuration (:data:`~repro.bench.multitenant.
-    SMOKE_POINT`: 4 identical jobs x 16 ranks, batch arrivals so every
-    tenant offers equal load, all racing on one shared file) and returns
-    ``(experiments, problems)``:
-
-    * **atomicity** — the cross-job write-atomicity verifier holds over the
-      union of every job's globally-ranked views on the shared file;
-    * **fairness** — Jain's index over the per-job makespans stays at or
-      above ``fairness_floor`` (equal offered load must mean near-equal
-      completion);
-    * **wall clock** — the point stays under the absolute per-simulated-op
-      budget, so the multi-tenant smoke cannot silently blow the CI wall.
-
-    Exactly one summary entry is filed under ``perfgate/multitenant`` (the
-    per-job entries live in the non-gated ``multitenant/*`` sweep
-    experiments), keeping the gate's ``(P, strategy)`` index unique.
-    """
-    from .multitenant import SMOKE_POINT, run_multitenant_point
-    from .machines import machine_by_name
-
-    n_jobs, nprocs = SMOKE_POINT
-    point = run_multitenant_point(
-        machine_by_name("IBM SP"), n_jobs, nprocs, arrival_kind="batch"
-    )
-    problems: List[str] = []
-    if not point.atomic_ok:
-        problems.append(
-            "multitenant: cross-job write atomicity violated on the shared file"
-        )
-    fairness = point.result.fairness
-    if fairness < fairness_floor:
-        problems.append(
-            f"multitenant: Jain fairness {fairness:.4f} over the per-job "
-            f"makespans is below the {fairness_floor:g} floor at equal "
-            "offered load"
-        )
-    summary = point.summary
-    problems += check_wall([summary], budget_per_op, experiment="perfgate/multitenant")
-    return {"perfgate/multitenant": [summary]}, problems
-
-
-def measure_pipeline(
-    budget_per_op: float = DEFAULT_PIPELINE_WALL_BUDGET_PER_OP,
-) -> tuple:
-    """The coupled-pipeline smoke point and its absolute gates.
-
-    Runs the CI smoke configuration (:data:`~repro.bench.pipeline.
-    SMOKE_POINT`: a producer group and a consumer group bridged by an
-    intercomm, streaming per-step checkpoints) under both coupling
-    disciplines and returns ``(experiments, problems)``:
-
-    * **overlap** — the overlapped (simulate-while-checkpoint,
-      split-collective write + nonblocking in-situ read) pipeline's virtual
-      makespan is *strictly* below the write-barrier-read baseline's;
-    * **atomicity** — every per-step byte stream passes the cross-group
-      serialisability verifier (:func:`~repro.verify.atomicity.
-      check_stream_atomicity`);
-    * **determinism** — every consumer received exactly the expected bytes
-      of the N:M redistribution through the shared file;
-    * **wall clock** — both runs stay under the absolute per-simulated-op
-      budget.
-
-    Two summary entries (one per coupling discipline, distinguished by the
-    ``<strategy>+<coordination>`` label) are filed under
-    ``perfgate/pipeline``; the per-stage and per-stream rows live in the
-    non-gated ``pipeline/*`` sweep experiments.
-    """
-    from .pipeline import SMOKE_POINT, run_pipeline_point
-    from .machines import machine_by_name
-
-    producers, consumers, depth = SMOKE_POINT
-    point = run_pipeline_point(
-        machine_by_name("IBM SP"), producers, consumers, depth
-    )
-    problems: List[str] = []
-    if not point.atomic_ok:
-        problems.append(
-            "pipeline: cross-group stream atomicity violated on a checkpoint"
-        )
-    if not point.streams_ok:
-        problems.append(
-            "pipeline: a consumer's delivered byte stream diverges from the "
-            "deterministic expected redistribution"
-        )
-    if point.overlap_won <= 0:
-        problems.append(
-            f"pipeline: overlapped makespan {point.overlapped.makespan:.6f}s "
-            f"does not strictly beat the write-barrier-read baseline "
-            f"{point.barrier.makespan:.6f}s"
-        )
-    summaries = [
-        entry
-        for entry in point.entries
-        if "stage" not in entry and "stream_id" not in entry
-    ]
-    problems += check_wall(summaries, budget_per_op, experiment="perfgate/pipeline")
-    return {"perfgate/pipeline": summaries}, problems
+GATES = tuple(
+    Gate(experiment, partial(_measure_two_phase, experiment))
+    for experiment in _TWO_PHASE_POINTS
+) + (
+    Gate(
+        ADAPTIVE_PREFIX,
+        partial(adaptive.measure_grid, "write", ADAPTIVE_PREFIX),
+        adaptive.check_adaptive,
+    ),
+    Gate(
+        ADAPTIVE_READ_PREFIX,
+        partial(adaptive.measure_grid, "read", ADAPTIVE_READ_PREFIX),
+        partial(adaptive.check_adaptive, prefix=ADAPTIVE_READ_PREFIX),
+    ),
+    Gate(
+        "perfgate/plan-cache",
+        partial(adaptive.measure_plan_cache, "perfgate/plan-cache"),
+        _per_experiment(adaptive.check_plan_cache),
+    ),
+    Gate(
+        "perfgate/multitenant",
+        partial(multitenant.measure_smoke, "perfgate/multitenant"),
+        _per_experiment(
+            partial(multitenant.check_point, fairness_floor=DEFAULT_FAIRNESS_FLOOR)
+        ),
+    ),
+    Gate(
+        "perfgate/pipeline",
+        partial(pipeline.measure_smoke, "perfgate/pipeline"),
+        _per_experiment(pipeline.check_point),
+    ),
+)
 
 
 def _index(entries: Sequence[Dict]) -> Dict:
@@ -469,20 +181,8 @@ def _index(entries: Sequence[Dict]) -> Dict:
     return out
 
 
-def _wall_per_op(entry: Dict) -> Optional[float]:
-    """Wall seconds per simulated op, or ``None`` when not recorded."""
-    wall = entry.get("wall_seconds")
-    ops = entry.get("ops")
-    if wall is None or not ops:
-        return None
-    return float(wall) / int(ops)
-
-
 def compare(
-    measured: Dict[str, List[Dict]],
-    baseline: Dict,
-    tolerance: Optional[float] = None,
-    wall_factor: float = DEFAULT_WALL_FACTOR,
+    measured: Measured, baseline: Dict, tolerance: Optional[float] = None
 ) -> List[str]:
     """Problems (empty when the gate passes) of measured vs baseline."""
     tol = tolerance if tolerance is not None else baseline.get("tolerance", DEFAULT_TOLERANCE)
@@ -490,17 +190,14 @@ def compare(
     base_experiments = baseline.get("experiments", {})
     for experiment, entries in measured.items():
         base = _index(base_experiments.get(experiment, []))
-        for entry in _index(entries).values():
-            key = (entry["P"], entry["strategy"])
+        for key, entry in _index(entries).items():
             ref = base.get(key)
             if ref is None:
                 problems.append(
                     f"{experiment}: no baseline for P={key[0]} strategy={key[1]} "
                     "(run `python -m repro.bench.perfgate --update-baseline`)"
                 )
-                continue
-            limit = ref["makespan"] * (1.0 + tol)
-            if entry["makespan"] > limit:
+            elif entry["makespan"] > ref["makespan"] * (1.0 + tol):
                 problems.append(
                     f"{experiment}: P={key[0]} {key[1]} makespan "
                     f"{entry['makespan']:.6f}s exceeds baseline "
@@ -512,16 +209,6 @@ def compare(
                     f"{ref['makespan']:.6f}s -> {entry['makespan']:.6f}s; "
                     "consider refreshing the baseline"
                 )
-            wall = _wall_per_op(entry)
-            ref_wall = _wall_per_op(ref)
-            if wall is not None and ref_wall is not None and ref_wall > 0:
-                if wall > ref_wall * wall_factor:
-                    problems.append(
-                        f"{experiment}: P={key[0]} {key[1]} wall clock "
-                        f"{wall * 1e6:.1f}us/op exceeds baseline "
-                        f"{ref_wall * 1e6:.1f}us/op by more than "
-                        f"{wall_factor:g}x"
-                    )
     # A baseline entry with no measured counterpart means a gated workload
     # was renamed or dropped — the gate must not silently pass it.
     for experiment, entries in base_experiments.items():
@@ -536,101 +223,63 @@ def compare(
     return problems
 
 
-def check_wall(
-    entries: Sequence[Dict],
-    budget_per_op: float = DEFAULT_WALL_BUDGET_PER_OP,
-    experiment: str = "",
-) -> List[str]:
-    """Absolute wall-clock gate: problems for entries over the per-op budget.
+def main(argv: Optional[Sequence[str]] = None, gates: Sequence[Gate] = GATES) -> int:
+    """CLI entry point; exits non-zero when any gate fails.
 
-    Used by the extended Section 3.4 sweep, where there is no meaningful
-    committed wall baseline (the sweep points change as the scale grows):
-    every entry recording wall clock must stay under ``budget_per_op``
-    seconds per simulated operation.
-    """
-    label = f"{experiment}: " if experiment else ""
-    problems: List[str] = []
-    for entry in entries:
-        wall = _wall_per_op(entry)
-        if wall is not None and wall > budget_per_op:
-            problems.append(
-                f"{label}P={entry['P']} {entry['strategy']} wall clock "
-                f"{wall * 1e6:.1f}us/op exceeds the "
-                f"{budget_per_op * 1e6:.1f}us/op budget"
-            )
-    return problems
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; exits non-zero on a perf regression.
-
-    The absolute gates (the adaptive sweep and the plan-cache checks, which
-    need no baseline) always run; ``--update-baseline`` *refuses* to write a
-    new baseline while any absolute gate fails, so a broken working tree can
-    never be enshrined as the new reference.
+    ``--update-baseline`` *refuses* to write a new baseline while any
+    gate's check fails, so a broken working tree can never be enshrined as
+    the new reference.
     """
     args = list(argv) if argv is not None else sys.argv[1:]
     update = "--update-baseline" in args
-    measured = measure()
-    measured.update(measure_adaptive())
-    measured.update(measure_adaptive_read())
-    plan_experiments, absolute_problems = measure_plan_cache()
-    measured.update(plan_experiments)
-    mt_experiments, mt_problems = measure_multitenant()
-    measured.update(mt_experiments)
-    pipe_experiments, pipe_problems = measure_pipeline()
-    measured.update(pipe_experiments)
-    absolute_problems = absolute_problems + mt_problems + pipe_problems
+    measured: Measured = {}
+    problems: List[str] = []
+    for gate in gates:
+        gate_measured = gate.measure()
+        problems += gate.check(gate_measured)
+        measured.update(gate_measured)
     for experiment, entries in measured.items():
-        record_results(experiment, entries)
         for entry in entries:
-            wall = _wall_per_op(entry)
-            wall_note = f", wall {wall * 1e6:.1f}us/op" if wall is not None else ""
             print(
                 f"{experiment}: P={entry['P']} {entry['strategy']} "
-                f"makespan {entry['makespan']:.6f}s ({entry['bytes']} bytes"
-                f"{wall_note})"
+                f"makespan {entry['makespan']:.6f}s ({entry['bytes']} bytes)"
             )
-    absolute_problems = (
-        absolute_problems
-        + check_adaptive(measured)
-        + check_adaptive(measured, prefix=ADAPTIVE_READ_PREFIX)
-    )
-    for problem in absolute_problems:
-        print(f"FAIL: {problem}")
-    if update:
-        if absolute_problems:
-            print(
-                "refusing to update the baseline: the working tree fails the "
-                "absolute perf gates above"
-            )
-            return 1
-        BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
-        BASELINE_PATH.write_text(
-            json.dumps(
-                {
-                    "schema": SCHEMA_VERSION,
-                    "tolerance": DEFAULT_TOLERANCE,
-                    "experiments": measured,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        print(f"baseline updated: {BASELINE_PATH}")
-        return 0
-    if not BASELINE_PATH.exists():
-        print(f"FAIL: no baseline at {BASELINE_PATH}; run with --update-baseline")
-        return 1
-    baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
-    problems = absolute_problems + compare(measured, baseline)
+    if not update:
+        if BASELINE_PATH.exists():
+            baseline = json.loads(BASELINE_PATH.read_text(encoding="utf-8"))
+            problems += compare(measured, baseline)
+        else:
+            problems.append(f"no baseline at {BASELINE_PATH}; run with --update-baseline")
     for problem in problems:
         print(f"FAIL: {problem}")
     if problems:
+        if update:
+            print(
+                "refusing to update the baseline: the working tree fails the "
+                "perf gates above"
+            )
         return 1
-    print("perf gate ok")
+    if not update:
+        print("perf gate ok")
+        return 0
+    BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
+    # The schema's fields minus the one host-dependent one.
+    experiments = {
+        experiment: [
+            {k: v for k, v in coerce_entry(entry).items() if k != "wall_seconds"}
+            for entry in entries
+        ]
+        for experiment, entries in measured.items()
+    }
+    document = {
+        "schema": SCHEMA_VERSION,
+        "tolerance": DEFAULT_TOLERANCE,
+        "experiments": experiments,
+    }
+    BASELINE_PATH.write_text(
+        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"baseline updated: {BASELINE_PATH}")
     return 0
 
 

@@ -24,14 +24,13 @@ one row per stage (carrying ``stage``), and one row per verified stream
 Run the sweep (CI uploads the JSON it writes)::
 
     PYTHONPATH=src python -m repro.bench.pipeline
-    PYTHONPATH=src python -m repro.bench.pipeline --smoke --budget 60
+    PYTHONPATH=src python -m repro.bench.pipeline --smoke
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..pipelines import (
@@ -41,8 +40,8 @@ from ..pipelines import (
     StageSpec,
     expected_consumer_streams,
 )
-from .jsonlog import record_results
 from .machines import MachineSpec, machine_by_name
+from .sweep import sweep
 
 __all__ = [
     "DEFAULT_RATIOS",
@@ -50,11 +49,15 @@ __all__ = [
     "DEFAULT_SHAPE",
     "DEFAULT_STEPS",
     "SMOKE_POINT",
-    "PipelinePoint",
     "run_pipeline_point",
-    "run_pipeline_sweep",
+    "summaries",
+    "measure_smoke",
+    "check_point",
     "main",
 ]
+
+#: The machine personality every point of the sweep runs on.
+SWEEP_MACHINE = "IBM SP"
 
 #: Producer:consumer rank ratios of the sweep (the N:M redistributions).
 DEFAULT_RATIOS = ((4, 4), (8, 2), (2, 8))
@@ -71,37 +74,6 @@ DEFAULT_COMPUTE_SECONDS = 0.002
 
 #: The CI smoke / perf-gate point: (producers, consumers, depth).
 SMOKE_POINT = (4, 4, 2)
-
-
-@dataclass
-class PipelinePoint:
-    """One sweep point: baseline + overlapped runs and their verdicts."""
-
-    machine: MachineSpec
-    producers: int
-    consumers: int
-    depth: int
-    strategy: str
-    barrier: PipelineResult
-    overlapped: PipelineResult
-    #: Whether both runs' streams passed the cross-group verifier.
-    atomic_ok: bool
-    #: Whether every consumer delivered exactly the expected byte stream.
-    streams_ok: bool
-    entries: List[Dict] = field(default_factory=list)
-
-    @property
-    def overlap_won(self) -> float:
-        """Virtual time the overlapped discipline saved over the baseline."""
-        return self.barrier.makespan - self.overlapped.makespan
-
-    @property
-    def experiment(self) -> str:
-        """The jsonlog experiment name this point files under."""
-        return (
-            f"pipeline/{self.machine.file_system.lower()}"
-            f"/p{self.producers}c{self.consumers}d{self.depth}"
-        )
 
 
 def _spec_for(
@@ -140,8 +112,15 @@ def run_pipeline_point(
     steps: int = DEFAULT_STEPS,
     compute_seconds: float = DEFAULT_COMPUTE_SECONDS,
     timeout: Optional[float] = 120.0,
-) -> PipelinePoint:
-    """Run one (P:C ratio, depth) point under both coupling disciplines."""
+) -> List[Dict]:
+    """Run one (P:C ratio, depth) point under both coupling disciplines.
+
+    Returns the point's entries — per discipline (``barrier`` first) one
+    summary row, one row per stage and one per verified stream.  The summary
+    rows also carry the point's verdicts for :func:`check_point`:
+    ``atomic_ok`` (both runs' streams passed the cross-group verifier) and
+    ``streams_ok`` (every consumer delivered exactly the expected stream).
+    """
     results: Dict[str, PipelineResult] = {}
     for coordination in ("barrier", "overlapped"):
         spec = _spec_for(
@@ -172,8 +151,8 @@ def run_pipeline_point(
                 "strategy": label,
                 "makespan": result.makespan,
                 "bytes": result.bytes_streamed,
-                "wall_seconds": result.wall_seconds,
-                "ops": total * steps,
+                "atomic_ok": atomic_ok,
+                "streams_ok": streams_ok,
             }
         )
         for stage, nprocs in (("producer", producers), ("consumer", consumers)):
@@ -204,108 +183,79 @@ def run_pipeline_point(
                     "stream_id": trace.stream_id,
                 }
             )
-    return PipelinePoint(
-        machine=machine,
-        producers=producers,
-        consumers=consumers,
-        depth=depth,
-        strategy=strategy,
-        barrier=results["barrier"],
-        overlapped=results["overlapped"],
-        atomic_ok=atomic_ok,
-        streams_ok=streams_ok,
-        entries=entries,
+    return entries
+
+
+def summaries(entries: Sequence[Dict]) -> List[Dict]:
+    """The ``(barrier, overlapped)`` summary rows of a point's entries."""
+    return [e for e in entries if "stage" not in e and "stream_id" not in e]
+
+
+def measure_smoke(experiment: str) -> Dict[str, List[Dict]]:
+    """Sweep :data:`SMOKE_POINT` for the perf gate: only the two summary
+    entries are filed under ``experiment`` (the per-stage and per-stream rows
+    live in the ``pipeline/*`` sweep), keeping ``(P, strategy)`` unique."""
+    machine = machine_by_name(SWEEP_MACHINE)
+    return sweep(
+        experiment,
+        [SMOKE_POINT],
+        lambda point: summaries(run_pipeline_point(machine, *point)),
     )
 
 
-def run_pipeline_sweep(
-    machine: MachineSpec,
-    ratios: Sequence[Tuple[int, int]] = DEFAULT_RATIOS,
-    depths: Sequence[int] = DEFAULT_DEPTHS,
-    strategy: str = "two-phase",
-    shape: Tuple[int, int] = DEFAULT_SHAPE,
-    steps: int = DEFAULT_STEPS,
-) -> List[PipelinePoint]:
-    """The full grid: every producer:consumer ratio at every depth."""
-    return [
-        run_pipeline_point(
-            machine, producers, consumers, depth,
-            strategy=strategy, shape=shape, steps=steps,
+def check_point(experiment: str, entries: Sequence[Dict]) -> List[str]:
+    """Problems of one point's entries: a torn or stale stream, a consumer
+    whose bytes diverge from the deterministic N:M redistribution, or an
+    overlapped makespan not *strictly* below the write-barrier-read one."""
+    barrier, overlapped = summaries(entries)
+    problems: List[str] = []
+    if not barrier["atomic_ok"]:
+        problems.append(f"{experiment}: cross-group stream atomicity violated")
+    if not barrier["streams_ok"]:
+        problems.append(f"{experiment}: consumer streams diverge from expected bytes")
+    if overlapped["makespan"] >= barrier["makespan"]:
+        problems.append(
+            f"{experiment}: overlapped makespan {overlapped['makespan']:.6f}s "
+            "does not strictly beat the write-barrier-read baseline "
+            f"{barrier['makespan']:.6f}s"
         )
-        for producers, consumers in ratios
-        for depth in depths
-    ]
-
-
-def _parse_ratios(text: str) -> Tuple[Tuple[int, int], ...]:
-    out = []
-    for part in text.split(","):
-        if not part:
-            continue
-        p, _, c = part.partition(":")
-        out.append((int(p), int(c)))
-    return tuple(out)
+    return problems
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; exits non-zero when a point fails verification or
     the overlapped discipline fails to beat the baseline."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--machine", default="IBM SP")
-    parser.add_argument("--ratios", default=",".join(f"{p}:{c}" for p, c in DEFAULT_RATIOS),
-                        help="comma-separated producer:consumer rank ratios")
-    parser.add_argument("--depths", default=",".join(map(str, DEFAULT_DEPTHS)),
-                        help="comma-separated overlap depths")
-    parser.add_argument("--strategy", default="two-phase")
-    parser.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    parser.add_argument("--budget", type=float, default=None,
-                        help="host wall-clock budget (seconds) over the whole sweep")
     parser.add_argument("--smoke", action="store_true",
                         help=f"run only the CI smoke point {SMOKE_POINT}")
     args = parser.parse_args(list(argv) if argv is not None else None)
 
-    machine = machine_by_name(args.machine)
-    if args.smoke:
-        ratios: Sequence[Tuple[int, int]] = (SMOKE_POINT[:2],)
-        depths: Sequence[int] = (SMOKE_POINT[2],)
-    else:
-        ratios = _parse_ratios(args.ratios)
-        depths = tuple(int(d) for d in args.depths.split(",") if d)
-
-    points = run_pipeline_sweep(
-        machine, ratios, depths, strategy=args.strategy, steps=args.steps
+    machine = machine_by_name(SWEEP_MACHINE)
+    grid = (
+        [SMOKE_POINT]
+        if args.smoke
+        else [(p, c, depth) for p, c in DEFAULT_RATIOS for depth in DEFAULT_DEPTHS]
+    )
+    measured = sweep(
+        lambda case: "pipeline/{}/p{}c{}d{}".format(machine.file_system.lower(), *case),
+        grid,
+        lambda case: run_pipeline_point(machine, *case),
     )
     problems: List[str] = []
-    total_wall = 0.0
-    for point in points:
-        record_results(point.experiment, point.entries)
-        total_wall += point.barrier.wall_seconds + point.overlapped.wall_seconds
+    for experiment, entries in measured.items():
+        barrier, overlapped = summaries(entries)
         print(
-            f"{point.experiment}: barrier {point.barrier.makespan:.6f}s, "
-            f"overlapped {point.overlapped.makespan:.6f}s "
-            f"(won {point.overlap_won:.6f}s), "
-            f"streamed {point.overlapped.bytes_streamed} B, "
-            f"wall {point.barrier.wall_seconds + point.overlapped.wall_seconds:.2f}s"
+            f"{experiment}: barrier {barrier['makespan']:.6f}s, "
+            f"overlapped {overlapped['makespan']:.6f}s "
+            f"(won {barrier['makespan'] - overlapped['makespan']:.6f}s), "
+            f"streamed {overlapped['bytes']} B"
         )
-        if not point.atomic_ok:
-            problems.append(f"{point.experiment}: cross-group stream atomicity violated")
-        if not point.streams_ok:
-            problems.append(f"{point.experiment}: consumer streams diverge from expected bytes")
-        if point.overlap_won <= 0:
-            problems.append(
-                f"{point.experiment}: overlapped makespan "
-                f"{point.overlapped.makespan:.6f}s does not beat the "
-                f"write-barrier-read baseline {point.barrier.makespan:.6f}s"
-            )
-    if args.budget is not None and total_wall > args.budget:
-        problems.append(
-            f"sweep wall clock {total_wall:.2f}s exceeds the {args.budget:.2f}s budget"
-        )
+        problems += check_point(experiment, entries)
     for problem in problems:
         print(f"FAIL: {problem}")
     if problems:
         return 1
-    print(f"pipeline sweep ok ({len(points)} points, wall {total_wall:.2f}s)")
+    print(f"pipeline sweep ok ({len(measured)} points)")
     return 0
 
 

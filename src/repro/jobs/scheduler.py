@@ -138,8 +138,6 @@ class MultiTenantResult:
 
     fs: ParallelFileSystem
     jobs: List[JobResult]
-    #: Wall-clock seconds the host spent inside ``Engine.run``.
-    wall_seconds: float = 0.0
     summary: Dict[str, float] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -296,8 +294,6 @@ class MultiTenantScheduler:
         a failing job's collectives are aborted without touching the other
         jobs' worlds.
         """
-        import time as _time
-
         specs = list(specs)
         if not specs:
             raise ValueError("at least one job spec is required")
@@ -375,9 +371,7 @@ class MultiTenantScheduler:
                 )
 
         engine.on_task_failed = on_task_failed
-        wall_start = _time.perf_counter()
         engine.run(timeout=self.timeout)
-        wall_seconds = _time.perf_counter() - wall_start
 
         failures: Dict[Tuple[str, int], BaseException] = {}
         tracebacks: Dict[Tuple[str, int], str] = {}
@@ -427,7 +421,7 @@ class MultiTenantScheduler:
                     finish=max(c.now for c in job.group.clocks),
                 )
             )
-        return MultiTenantResult(fs=fs, jobs=results, wall_seconds=wall_seconds)
+        return MultiTenantResult(fs=fs, jobs=results)
 
     def _make_job_main(self, job: _JobRuntime):
         fs = self.fs

@@ -27,7 +27,6 @@ torn-read detection across the group boundary.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -125,8 +124,6 @@ class PipelineResult:
     spec: PipelineSpec
     #: Maximum virtual finish time over every rank of every stage.
     makespan: float
-    #: Host wall clock of the whole simulation.
-    wall_seconds: float
     #: Per-world-rank return payloads (role dicts).
     returns: List[Dict[str, Any]]
     #: One globally-rekeyed trace per step, ready for the verifier.
@@ -342,7 +339,6 @@ class CoupledPipeline:
         if fs is None:
             config = self.fs_config if self.fs_config is not None else FSConfig()
             fs = ParallelFileSystem(config)
-        wall_start = time.perf_counter()
         spmd = run_spmd(
             _rank_main,
             spec.total_ranks,
@@ -351,11 +347,9 @@ class CoupledPipeline:
             comm_cost=self.comm_cost,
             timeout=self.timeout,
         )
-        wall_seconds = time.perf_counter() - wall_start
         result = PipelineResult(
             spec=spec,
             makespan=spmd.makespan,
-            wall_seconds=wall_seconds,
             returns=list(spmd.returns),
         )
         consumer_offset = spec.stage_offsets[-1]

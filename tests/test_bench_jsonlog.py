@@ -15,17 +15,21 @@ import pytest
 
 from repro.bench.jsonlog import (
     SCHEMA_VERSION,
-    _coerce,
+    coerce_entry,
     load_results,
     record_results,
+    report,
+    report_json,
+    results_dir,
 )
+from repro.bench.results import ExperimentRecord
 
 MINIMAL = {"P": 4, "strategy": "two-phase", "makespan": 0.5, "bytes": 1024}
 
 
 class TestCoerce:
     def test_minimal_pre_job_layer_record_parses(self):
-        out = _coerce(dict(MINIMAL))
+        out = coerce_entry(dict(MINIMAL))
         assert out == {
             "P": 4,
             "strategy": "two-phase",
@@ -34,7 +38,7 @@ class TestCoerce:
         }
 
     def test_absent_optional_fields_stay_absent(self):
-        out = _coerce(dict(MINIMAL))
+        out = coerce_entry(dict(MINIMAL))
         for key in ("job_id", "offered_load", "fairness", "wall_seconds"):
             assert key not in out
 
@@ -42,34 +46,40 @@ class TestCoerce:
         entry = dict(
             MINIMAL, job_id=7, offered_load="73216", fairness="0.95"
         )
-        out = _coerce(entry)
+        out = coerce_entry(entry)
         assert out["job_id"] == "7"
         assert out["offered_load"] == 73216.0
         assert out["fairness"] == 0.95
 
     def test_summary_row_without_job_id(self):
-        entry = dict(MINIMAL, offered_load=1e6, fairness=1.0, wall_seconds=0.25, ops=64)
-        out = _coerce(entry)
+        entry = dict(MINIMAL, offered_load=1e6, fairness=1.0, wall_seconds=0.25)
+        out = coerce_entry(entry)
         assert "job_id" not in out
         assert out["fairness"] == 1.0
-        assert out["ops"] == 64
+        assert out["wall_seconds"] == 0.25
+
+    def test_keys_outside_the_schema_are_dropped(self):
+        # In-memory entries may carry perf-gate evidence; none of it is
+        # written.
+        out = coerce_entry(dict(MINIMAL, atomic_ok=True, plan_hits=5.0))
+        assert set(out) == set(MINIMAL)
 
     def test_required_fields_still_required(self):
         with pytest.raises(KeyError):
-            _coerce({"strategy": "two-phase", "makespan": 0.5, "bytes": 1})
+            coerce_entry({"strategy": "two-phase", "makespan": 0.5, "bytes": 1})
 
     def test_pipeline_fields_coerce_types(self):
         entry = dict(MINIMAL, stage="producer", stream_id=7)
-        out = _coerce(entry)
+        out = coerce_entry(entry)
         assert out["stage"] == "producer"
         assert out["stream_id"] == "7"
 
     def test_pre_pipeline_records_stay_free_of_pipeline_fields(self):
         # Back-compat: entries written before the pipeline subsystem existed
         # carry neither field, and coercion must not invent them.
-        out = _coerce(dict(MINIMAL))
+        out = coerce_entry(dict(MINIMAL))
         assert "stage" not in out and "stream_id" not in out
-        out = _coerce(dict(MINIMAL, stage=None, stream_id=None))
+        out = coerce_entry(dict(MINIMAL, stage=None, stream_id=None))
         assert "stage" not in out and "stream_id" not in out
 
 
@@ -111,7 +121,7 @@ class TestRoundTrip:
         entries = [dict(MINIMAL, job_id="a", offered_load=10.0, fairness=1.0)]
         record_results("multitenant/x", entries, path=path)
         loaded = load_results(path)["experiments"]["multitenant/x"]
-        assert loaded == [_coerce(e) for e in entries]
+        assert loaded == [coerce_entry(e) for e in entries]
 
     def test_pipeline_entries_round_trip_alongside_old_records(self, tmp_path):
         path = tmp_path / "latest.json"
@@ -127,7 +137,7 @@ class TestRoundTrip:
         record_results(
             "pipeline/gpfs/p4c4d2",
             [
-                dict(MINIMAL, strategy="two-phase+overlapped", wall_seconds=0.1, ops=32),
+                dict(MINIMAL, strategy="two-phase+overlapped", wall_seconds=0.1),
                 dict(MINIMAL, strategy="two-phase+overlapped", stage="consumer"),
                 dict(MINIMAL, strategy="two-phase+overlapped",
                      stream_id="step0:/pipeline/ckpt.s0.dat"),
@@ -141,3 +151,30 @@ class TestRoundTrip:
         assert "stage" not in summary
         assert per_stage["stage"] == "consumer"
         assert per_stream["stream_id"] == "step0:/pipeline/ckpt.s0.dat"
+
+
+class TestResultsDirectory:
+    def test_text_and_json_reports_share_the_override(self, monkeypatch, tmp_path):
+        # Regression: the text recorder wrote next to benchmarks/conftest.py
+        # and ignored REPRO_RESULTS_DIR, so under the override the two
+        # reports of one benchmark run landed in two directories.
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "out"))
+        record = ExperimentRecord(
+            machine="m", file_system="fs", array_label="a", M=1, N=1, nprocs=4,
+            strategy="two-phase", bytes_requested=1024, bytes_written=1024,
+            makespan_seconds=0.5, atomic_ok=True,
+        )
+        text_path = report("A table", "row 1")
+        json_path = report_json("an-experiment", [record])
+        assert text_path.parent == json_path.parent == results_dir() == tmp_path / "out"
+        assert "===== A table =====" in text_path.read_text(encoding="utf-8")
+        assert load_results(json_path)["experiments"]["an-experiment"] == [MINIMAL]
+
+    def test_a_section_is_replaced_in_place(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        report("first", "old body")
+        report("second", "kept")
+        path = report("first", "new body")
+        text = path.read_text(encoding="utf-8")
+        assert "old body" not in text and "new body" in text and "kept" in text
+        assert text.count("===== first =====") == 1

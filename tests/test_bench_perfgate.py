@@ -1,39 +1,26 @@
-"""Unit tests for the perf-regression gate's comparison logic.
+"""Unit tests for the perf gate: comparison logic, the checks, and ``main``.
 
-These pin the two gate correctness fixes: duplicate ``(P, strategy)``
-entries must be a hard error rather than silently shadowing each other,
-and a baseline entry with no measured counterpart must FAIL the gate
-rather than letting a renamed/dropped workload slip through.  The wall
-clock gates (relative factor and absolute per-op budget) are covered
-alongside.
+These pin the gate correctness fixes — duplicate ``(P, strategy)`` entries
+must be a hard error rather than silently shadowing each other, a baseline
+entry with no measured counterpart must FAIL the gate rather than letting a
+renamed/dropped workload slip through, every failure is printed once — and
+drive ``main`` through injected fake gates, so the policy tests run no sweep.
 """
 
 from __future__ import annotations
 
-import math
+import json
 
 import pytest
 
 import repro.bench.perfgate as perfgate
-from repro.bench.perfgate import (
-    ADAPTIVE_PREFIX,
-    DEFAULT_WALL_BUDGET_PER_OP,
-    DEFAULT_WALL_FACTOR,
-    _index,
-    _wall_per_op,
-    check_adaptive,
-    check_wall,
-    compare,
-)
+from repro.bench.adaptive import ADAPTIVE_PREFIX, check_adaptive, check_plan_cache
+from repro.bench.multitenant import check_point as check_multitenant_point
+from repro.bench.perfgate import GATES, Gate, _index, compare
 
 
-def entry(P, strategy, makespan, bytes_=1024, wall_seconds=None, ops=None):
-    out = {"P": P, "strategy": strategy, "makespan": makespan, "bytes": bytes_}
-    if wall_seconds is not None:
-        out["wall_seconds"] = wall_seconds
-    if ops is not None:
-        out["ops"] = ops
-    return out
+def entry(P, strategy, makespan, bytes_=1024, **fields):
+    return {"P": P, "strategy": strategy, "makespan": makespan, "bytes": bytes_, **fields}
 
 
 def baseline_of(**experiments):
@@ -99,61 +86,6 @@ class TestCompare:
         assert "gone" in problems[0]
         assert "no measured counterpart" in problems[0]
 
-    def test_wall_clock_blowup_fails(self):
-        base = [entry(4, "two-phase", 1.0, wall_seconds=0.004, ops=4)]
-        slow = [
-            entry(
-                4,
-                "two-phase",
-                1.0,
-                wall_seconds=0.004 * (DEFAULT_WALL_FACTOR + 1),
-                ops=4,
-            )
-        ]
-        problems = compare({"e": slow}, baseline_of(e=base))
-        assert len(problems) == 1
-        assert "wall clock" in problems[0]
-
-    def test_wall_clock_within_factor_passes(self):
-        base = [entry(4, "two-phase", 1.0, wall_seconds=0.004, ops=4)]
-        ok = [entry(4, "two-phase", 1.0, wall_seconds=0.008, ops=4)]
-        assert compare({"e": ok}, baseline_of(e=base)) == []
-
-    def test_entries_without_wall_fields_skip_wall_gate(self):
-        base = [entry(4, "two-phase", 1.0, wall_seconds=0.004, ops=4)]
-        bare = [entry(4, "two-phase", 1.0)]
-        assert compare({"e": bare}, baseline_of(e=base)) == []
-
-
-class TestCheckWall:
-    def test_within_budget_passes(self):
-        ops = 1000
-        entries = [
-            entry(
-                1000,
-                "two-phase-hier",
-                1.0,
-                wall_seconds=0.5 * DEFAULT_WALL_BUDGET_PER_OP * ops,
-                ops=ops,
-            )
-        ]
-        assert check_wall(entries) == []
-
-    def test_over_budget_fails_with_label(self):
-        entries = [entry(8, "two-phase", 1.0, wall_seconds=1.0, ops=8)]
-        problems = check_wall(entries, budget_per_op=1e-3, experiment="sweep")
-        assert len(problems) == 1
-        assert problems[0].startswith("sweep: ")
-        assert "exceeds" in problems[0]
-
-    def test_entries_without_wall_fields_are_skipped(self):
-        assert check_wall([entry(8, "two-phase", 1.0)]) == []
-
-    def test_wall_per_op(self):
-        assert _wall_per_op(entry(8, "s", 1.0, wall_seconds=0.016, ops=8)) == 0.002
-        assert _wall_per_op(entry(8, "s", 1.0)) is None
-        assert _wall_per_op(entry(8, "s", 1.0, wall_seconds=1.0, ops=0)) is None
-
 
 EXP = ADAPTIVE_PREFIX + "testfs-column-wise"
 
@@ -205,92 +137,101 @@ class TestCheckAdaptive:
         assert check_adaptive(measured) == []
 
 
-class TestUpdateBaselineRefusal:
-    """``--update-baseline`` must not enshrine a failing working tree."""
+def fake_gate(measured, problems=()):
+    """A gate that measures nothing: fixed entries, fixed problems."""
+    return Gate("fake", lambda: dict(measured), lambda got: list(problems))
 
-    def _patch(self, monkeypatch, tmp_path, adaptive, plan_problems):
-        baseline = tmp_path / "perf_baseline.json"
-        monkeypatch.setattr(perfgate, "BASELINE_PATH", baseline)
-        monkeypatch.setattr(perfgate, "record_results", lambda *a, **k: None)
-        monkeypatch.setattr(
-            perfgate, "measure", lambda: {"e": [entry(4, "two-phase", 1.0)]}
-        )
-        monkeypatch.setattr(perfgate, "measure_adaptive", lambda: dict(adaptive))
-        monkeypatch.setattr(
-            perfgate, "measure_plan_cache", lambda: ({}, list(plan_problems))
-        )
-        monkeypatch.setattr(
-            perfgate, "measure_multitenant", lambda: ({}, [])
-        )
-        # Every measure main() calls is stubbed: these are unit tests of the
-        # baseline-update policy and must not run a real sweep.
-        read_exp = perfgate.ADAPTIVE_READ_PREFIX + "testfs-column-wise"
-        monkeypatch.setattr(
-            perfgate, "measure_adaptive_read",
-            lambda: {read_exp: adaptive_point(0.9, 1.0)},
-        )
-        monkeypatch.setattr(perfgate, "measure_pipeline", lambda: ({}, []))
-        return baseline
 
-    def test_passing_tree_updates_then_gates_green(self, monkeypatch, tmp_path):
-        baseline = self._patch(
-            monkeypatch, tmp_path, {EXP: adaptive_point(0.9, 1.0)}, []
-        )
-        assert perfgate.main(["--update-baseline"]) == 0
-        assert baseline.exists()
-        assert perfgate.main([]) == 0
+PASSING = fake_gate({"e": [entry(4, "two-phase", 1.0, wall_seconds=0.5)]})
 
-    def test_adaptive_failure_refuses_to_write(self, monkeypatch, tmp_path):
-        baseline = self._patch(
-            monkeypatch, tmp_path, {EXP: adaptive_point(1.5, 1.0)}, []
-        )
-        assert perfgate.main(["--update-baseline"]) == 1
-        assert not baseline.exists()
 
-    def test_plan_cache_failure_refuses_to_write(self, monkeypatch, tmp_path):
-        baseline = self._patch(
-            monkeypatch,
-            tmp_path,
-            {EXP: adaptive_point(0.9, 1.0)},
-            ["plan cache: synthetic failure"],
-        )
-        assert perfgate.main(["--update-baseline"]) == 1
-        assert not baseline.exists()
+class TestMain:
+    """``main`` over injected gates, in a scratch working directory (the
+    baseline path is relative to it)."""
 
-    def test_absolute_problems_also_fail_the_normal_gate(self, monkeypatch, tmp_path):
-        baseline = self._patch(
-            monkeypatch, tmp_path, {EXP: adaptive_point(0.9, 1.0)}, []
-        )
-        assert perfgate.main(["--update-baseline"]) == 0
-        monkeypatch.setattr(
-            perfgate, "measure_plan_cache", lambda: ({}, ["plan cache: regressed"])
-        )
-        assert perfgate.main([]) == 1
-        assert baseline.exists()  # the failure never rewrites the reference
+    @pytest.fixture(autouse=True)
+    def scratch_cwd(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        self.baseline = tmp_path / perfgate.BASELINE_PATH
 
-    def test_multitenant_failure_refuses_to_write(self, monkeypatch, tmp_path):
-        baseline = self._patch(
-            monkeypatch, tmp_path, {EXP: adaptive_point(0.9, 1.0)}, []
+    def test_passing_tree_updates_then_gates_green(self):
+        assert perfgate.main(["--update-baseline"], gates=[PASSING]) == 0
+        assert self.baseline.exists()
+        assert perfgate.main([], gates=[PASSING]) == 0
+
+    @pytest.mark.parametrize(
+        "failing",
+        [
+            # The real adaptive check over a grid where auto loses by 50%.
+            Gate("adaptive", lambda: {EXP: adaptive_point(1.5, 1.0)}, check_adaptive),
+            fake_gate({"f": [entry(4, "auto", 1.0)]}, ["plan cache: synthetic failure"]),
+            fake_gate({"f": [entry(64, "two-phase", 1.0)]}, ["multitenant: fairness below floor"]),
+        ],
+        ids=["adaptive", "plan-cache", "multitenant"],
+    )
+    def test_failing_check_refuses_to_write(self, failing):
+        # ``--update-baseline`` must not enshrine a failing working tree,
+        # whichever gate's check it fails.
+        assert perfgate.main(["--update-baseline"], gates=[PASSING, failing]) == 1
+        assert not self.baseline.exists()
+
+    def test_check_problems_also_fail_the_normal_gate(self):
+        assert perfgate.main(["--update-baseline"], gates=[PASSING]) == 0
+        before = self.baseline.read_bytes()
+        regressed = fake_gate(PASSING.measure(), ["plan cache: regressed"])
+        assert perfgate.main([], gates=[regressed]) == 1
+        # The failure never rewrites the reference.
+        assert self.baseline.read_bytes() == before
+
+    def test_each_failure_is_printed_once(self, capsys):
+        # Regression: gate mode printed every check failure twice — once on
+        # its own and once more with the baseline comparison's problems.
+        assert perfgate.main(["--update-baseline"], gates=[PASSING]) == 0
+        failing = fake_gate(PASSING.measure(), ["synthetic failure"])
+        capsys.readouterr()
+        assert perfgate.main([], gates=[failing]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count("FAIL: synthetic failure") == 1
+
+    def test_missing_baseline_fails(self, capsys):
+        assert perfgate.main([], gates=[PASSING]) == 1
+        assert "no baseline at" in capsys.readouterr().out
+
+    def test_baseline_holds_deterministic_schema_keys_only(self):
+        evidence = fake_gate(
+            {"e": [entry(4, "auto", 1.0, wall_seconds=0.5, selected="two-phase",
+                         atomic_ok=True, plan_hits=5.0)]}
         )
-        monkeypatch.setattr(
-            perfgate,
-            "measure_multitenant",
-            lambda: ({}, ["multitenant: fairness below floor"]),
-        )
-        assert perfgate.main(["--update-baseline"]) == 1
-        assert not baseline.exists()
+        assert perfgate.main(["--update-baseline"], gates=[evidence]) == 0
+        (written,) = json.loads(self.baseline.read_text())["experiments"]["e"]
+        assert written == entry(4, "auto", 1.0, selected="two-phase")
+
+    def test_baseline_is_reproducible(self):
+        # Two refreshes over a real gate write byte-identical files: the
+        # host-dependent ``wall_seconds`` never reaches the baseline.
+        real = [g for g in GATES if g.name == "perfgate/two-phase-write"]
+        assert perfgate.main(["--update-baseline"], gates=real) == 0
+        first = self.baseline.read_bytes()
+        assert perfgate.main(["--update-baseline"], gates=real) == 0
+        assert self.baseline.read_bytes() == first
+        assert b"wall_seconds" not in first
 
 
 class TestMultitenantGate:
-    """The multi-tenant smoke point's absolute gates (fairness, atomicity,
-    wall budget) run without a baseline, like the plan-cache checks."""
+    """The multi-tenant smoke point's gate: cross-job atomicity and the
+    fairness floor, checked without a baseline."""
 
-    def test_smoke_point_passes_the_default_gates(self):
-        # No host-wall assertion in tier-1: the absolute budget stays in the
-        # CI perfgate step (and `test_wall_budget_trips` covers its logic).
-        experiments, problems = perfgate.measure_multitenant(budget_per_op=math.inf)
-        assert problems == []
-        entries = experiments["perfgate/multitenant"]
+    @pytest.fixture(scope="class")
+    def smoke(self, tmp_path_factory):
+        (gate,) = [g for g in GATES if g.name == "perfgate/multitenant"]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_RESULTS_DIR", str(tmp_path_factory.mktemp("results")))
+            return gate, gate.measure()
+
+    def test_smoke_point_passes_the_default_gates(self, smoke):
+        gate, measured = smoke
+        assert gate.check(measured) == []
+        entries = measured["perfgate/multitenant"]
         # Exactly one summary entry — per-job rows would collide in the
         # gate's (P, strategy) index — carrying the cross-job fields.
         assert len(entries) == 1
@@ -298,16 +239,53 @@ class TestMultitenantGate:
         assert "job_id" not in summary
         assert 0.0 < summary["fairness"] <= 1.0
         assert summary["offered_load"] > 0
-        assert summary["ops"] > 0 and summary["wall_seconds"] > 0
+        assert summary["atomic_ok"] is True
         # The summary indexes cleanly alongside the other gated entries.
         _index(entries)
 
-    def test_fairness_floor_trips(self):
+    def test_fairness_floor_trips(self, smoke):
         # An impossible floor (> 1, the index's maximum) must always trip,
         # whatever the measured value.
-        _, problems = perfgate.measure_multitenant(fairness_floor=1.5)
+        _, measured = smoke
+        problems = check_multitenant_point(
+            "perfgate/multitenant", measured["perfgate/multitenant"], fairness_floor=1.5
+        )
         assert any("fairness" in p for p in problems)
 
-    def test_wall_budget_trips(self):
-        _, problems = perfgate.measure_multitenant(budget_per_op=1e-12)
-        assert any("wall clock" in p for p in problems)
+    def test_atomicity_violation_trips(self):
+        torn = [entry(64, "two-phase", 1.0, fairness=1.0, atomic_ok=False)]
+        problems = check_multitenant_point("perfgate/multitenant", torn)
+        assert any("atomicity" in p for p in problems)
+
+
+class TestPlanCacheCheck:
+    """``check_plan_cache`` over fabricated evidence (the real pair runs in
+    the CI perf gate step)."""
+
+    def pair(self, **on_overrides):
+        common = dict(atomic_ok=True, same_outcome=True, steps=6.0)
+        on = entry(16, "auto", 1.0, plan_hits=5.0, first_step_seconds=0.3,
+                   warm_step_seconds=0.1, resolve_warm_cpu_per_op=1e-6, **common)
+        off = entry(16, "auto-nocache", 1.2, plan_hits=0.0,
+                    resolve_cold_cpu_per_op=6e-6, **common)
+        on.update(on_overrides)
+        return [on, off]
+
+    def test_healthy_pair_passes(self):
+        assert check_plan_cache("perfgate/plan-cache", self.pair()) == []
+
+    @pytest.mark.parametrize(
+        "override, needle",
+        [
+            ({"same_outcome": False}, "bytes/provenance differ"),
+            ({"atomic_ok": False}, "broke MPI atomicity"),
+            ({"plan_hits": 3.0}, "expected 5 hits"),
+            ({"makespan": 1.5}, "exceeds the uncached"),
+            ({"warm_step_seconds": 0.4}, "not cheaper"),
+            ({"resolve_warm_cpu_per_op": 5e-6}, "warm resolution"),
+        ],
+    )
+    def test_each_condition_trips(self, override, needle):
+        problems = check_plan_cache("perfgate/plan-cache", self.pair(**override))
+        assert len(problems) == 1 and needle in problems[0]
+        assert problems[0].startswith("perfgate/plan-cache: ")

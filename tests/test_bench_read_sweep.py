@@ -3,45 +3,19 @@
 Pins the headline property of the staged read pipeline — the two-phase
 collective read beats the naive per-rank `Read_all` baseline on virtual-time
 makespan — and the acceptance workload: read atomicity holds on an
-overlapping mixed read/write race at P ∈ {16, 256}.
+overlapping mixed read/write race at P ∈ {16, 256}.  What the read sweep
+shares with the write grid (strategy coverage, capability filtering, record
+fields) is tested once per direction in ``tests/test_bench_harness.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import (
-    run_mixed_experiment,
-    run_read_experiment,
-    run_read_sweep,
-)
-from repro.core.registry import default_registry
+from repro.bench.harness import run_mixed_experiment, run_read_experiment
 
 
 class TestReadSweep:
-    def test_sweep_covers_strategies_and_verifies(self):
-        table = run_read_sweep(
-            machines=["Origin 2000"],
-            array_labels=["32MB"],
-            process_counts=[4],
-            row_scale=256,
-        )
-        measured = {r.strategy for r in table}
-        assert measured == set(default_registry.read_capable_names())
-        assert all(r.atomic_ok for r in table)
-        assert all(r.mode == "read" for r in table)
-
-    def test_lockless_machine_skips_locking_but_keeps_baseline(self):
-        table = run_read_sweep(
-            machines=["Cplant"],
-            array_labels=["32MB"],
-            process_counts=[4],
-            row_scale=256,
-        )
-        measured = {r.strategy for r in table}
-        assert "locking" not in measured
-        assert "none" in measured and "two-phase" in measured
-
     def test_two_phase_beats_naive_baseline(self):
         """The staged two-phase read wins on makespan against the naive
         per-rank read it replaces (overlapping column-wise views, P=16)."""
