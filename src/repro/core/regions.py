@@ -55,29 +55,50 @@ class FileRegionSet:
     rank: int
     segments: Tuple[Tuple[int, int], ...]
     coverage: IntervalSet = field(init=False, compare=False, repr=False)
+    #: Number of bytes this process accesses.
+    total_bytes: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, rank: int, segments: Iterable[Tuple[int, int]]):
-        segs = tuple((int(off), int(length)) for off, length in segments)
-        for off, length in segs:
+        # One pass validates, drops empty segments, and — while the segments
+        # arrive file-ordered and disjoint, as flattened views do — builds the
+        # coverage by coalescing touching neighbours, with nothing to sort.
+        segs: List[Tuple[int, int]] = []
+        starts: List[int] = []
+        stops: List[int] = []
+        ordered = True
+        total = 0
+        for off, length in segments:
+            off, length = int(off), int(length)
             if off < 0 or length < 0:
                 raise ValueError(f"invalid segment ({off}, {length})")
-        segs = tuple((off, length) for off, length in segs if length > 0)
-        coverage = IntervalSet.from_segments(segs)
-        if coverage.total_bytes != sum(length for _, length in segs):
-            raise ValueError(
-                f"rank {rank}: file view segments overlap each other; "
-                "a single MPI request may not write the same byte twice"
+            if length == 0:
+                continue
+            segs.append((off, length))
+            total += length
+            if not stops or off > stops[-1]:
+                starts.append(off)
+                stops.append(off + length)
+            elif off == stops[-1]:
+                stops[-1] = off + length
+            else:
+                ordered = False
+        if ordered:
+            coverage = IntervalSet._from_normalised(
+                np.array(starts, dtype=np.int64), np.array(stops, dtype=np.int64)
             )
+        else:
+            coverage = IntervalSet.from_segments(segs)
+            if coverage.total_bytes != total:
+                raise ValueError(
+                    f"rank {rank}: file view segments overlap each other; "
+                    "a single MPI request may not write the same byte twice"
+                )
         object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "segments", tuple(segs))
         object.__setattr__(self, "coverage", coverage)
+        object.__setattr__(self, "total_bytes", total)
 
     # -- inspection ----------------------------------------------------------
-
-    @property
-    def total_bytes(self) -> int:
-        """Number of bytes this process accesses."""
-        return sum(length for _, length in self.segments)
 
     @property
     def num_segments(self) -> int:

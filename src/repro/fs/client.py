@@ -107,12 +107,16 @@ class ClientFileHandle:
         """Charge the client link and the touched servers for a transfer."""
         if nbytes <= 0:
             return
-        start = self.clock.now
-        completion = self.client.link.reserve(start, nbytes)
+        client = self.client
+        clock = client.clock
+        start = clock.now
+        completion = client.link.reserve(start, nbytes)
+        servers = client.fs.servers.servers
         for server_idx, server_bytes in self.file.layout.bytes_per_server(offset, nbytes).items():
-            end = self.client.fs.servers[server_idx].transfer(start, server_bytes)
-            completion = max(completion, end)
-        self.clock.advance_to(completion)
+            end = servers[server_idx].resource.reserve(start, server_bytes)
+            if end > completion:
+                completion = end
+        clock.advance_to(completion)
 
     def _timed_store(self, offset: int, data: bytes, writer: Optional[int] = None) -> None:
         """Server write including virtual-time charging (used by the cache

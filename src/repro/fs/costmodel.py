@@ -16,7 +16,6 @@ simple ``latency + bytes / bandwidth`` model.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from ..core.engine import sequence_point
@@ -50,8 +49,6 @@ class CostModel:
         """Seconds needed to transfer ``nbytes``."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        if self.bandwidth == float("inf"):
-            return self.latency
         return self.latency + nbytes / self.bandwidth
 
 
@@ -62,9 +59,9 @@ class Resource:
     *sequence point* first: the task yields to the event loop if any ready
     task has an earlier virtual time, so resources are reserved in global
     virtual-time order — the discrete-event ordering — and every run of the
-    same workload produces the identical queueing sequence.  A plain
-    ``threading.Lock`` still guards the counters for non-engine callers
-    (direct unit-test use).
+    same workload produces the identical queueing sequence.  Exactly one
+    engine task runs at a time and a reservation never yields between
+    reading and writing the counters, so they need no lock.
     """
 
     def __init__(self, name: str, cost: CostModel) -> None:
@@ -73,20 +70,12 @@ class Resource:
         self._next_free = 0.0
         self._busy_time = 0.0
         self._requests = 0
-        self._lock = threading.Lock()
 
     def reserve(self, start: float, nbytes: int) -> float:
         """Reserve the resource for a transfer of ``nbytes`` starting no
         earlier than virtual time ``start``; returns the completion time."""
         sequence_point()
-        duration = self.cost.service_time(nbytes)
-        with self._lock:
-            begin = max(start, self._next_free)
-            end = begin + duration
-            self._next_free = end
-            self._busy_time += duration
-            self._requests += 1
-            return end
+        return self._occupy(start, self.cost.service_time(nbytes))
 
     def reserve_duration(self, start: float, duration: float) -> float:
         """Reserve an explicit ``duration`` (used for non-transfer services
@@ -94,38 +83,35 @@ class Resource:
         sequence_point()
         if duration < 0:
             raise ValueError("duration must be non-negative")
-        with self._lock:
-            begin = max(start, self._next_free)
-            end = begin + duration
-            self._next_free = end
-            self._busy_time += duration
-            self._requests += 1
-            return end
+        return self._occupy(start, duration)
+
+    def _occupy(self, start: float, duration: float) -> float:
+        end = (start if start > self._next_free else self._next_free) + duration
+        self._next_free = end
+        self._busy_time += duration
+        self._requests += 1
+        return end
 
     @property
     def next_free(self) -> float:
         """Virtual time at which the resource becomes idle."""
-        with self._lock:
-            return self._next_free
+        return self._next_free
 
     @property
     def busy_time(self) -> float:
         """Total virtual busy time accumulated."""
-        with self._lock:
-            return self._busy_time
+        return self._busy_time
 
     @property
     def request_count(self) -> int:
         """Number of reservations made."""
-        with self._lock:
-            return self._requests
+        return self._requests
 
     def reset(self) -> None:
         """Clear all accounting (between benchmark repetitions)."""
-        with self._lock:
-            self._next_free = 0.0
-            self._busy_time = 0.0
-            self._requests = 0
+        self._next_free = 0.0
+        self._busy_time = 0.0
+        self._requests = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Resource({self.name!r}, next_free={self._next_free:.6f})"

@@ -7,10 +7,11 @@ ENFS personality), and one :class:`FileObject` per file holding the shared
 :class:`~repro.fs.storage.ByteStore`.
 
 Semantics follow the POSIX model the paper assumes of its platforms
-(Section 2.1): every *single* read or write call is atomic — implemented by
-the ``ByteStore`` applying each update under a lock — while no ordering or
-atomicity is promised across calls.  MPI atomic mode must therefore be built
-*on top*, which is exactly what :mod:`repro.core.strategies` does.
+(Section 2.1): every *single* read or write call is atomic — one engine task
+runs at a time and no ``ByteStore`` update yields to the scheduler — while no
+ordering or atomicity is promised across calls.  MPI atomic mode must
+therefore be built *on top*, which is exactly what
+:mod:`repro.core.strategies` does.
 
 Per-process access goes through :class:`repro.fs.client.FSClient`, which adds
 the client cache and virtual-time charging.
@@ -18,7 +19,6 @@ the client cache and virtual-time charging.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
@@ -120,7 +120,6 @@ class ParallelFileSystem:
         self.config = config or FSConfig()
         self.servers = ServerPool(self.config.num_servers, self.config.server_cost)
         self._files: Dict[str, FileObject] = {}
-        self._lock = threading.Lock()
 
     # -- lock manager factory ------------------------------------------------------
 
@@ -142,46 +141,40 @@ class ParallelFileSystem:
 
     def create(self, name: str, exist_ok: bool = True) -> FileObject:
         """Create a file (idempotent unless ``exist_ok=False``)."""
-        with self._lock:
-            if name in self._files:
-                if not exist_ok:
-                    raise FileExists(name)
-                return self._files[name]
-            f = FileObject(name, self)
-            self._files[name] = f
-            return f
+        if name in self._files:
+            if not exist_ok:
+                raise FileExists(name)
+            return self._files[name]
+        f = FileObject(name, self)
+        self._files[name] = f
+        return f
 
     def lookup(self, name: str) -> FileObject:
         """Find an existing file."""
-        with self._lock:
-            try:
-                return self._files[name]
-            except KeyError:
-                raise FileNotFound(name) from None
+        try:
+            return self._files[name]
+        except KeyError:
+            raise FileNotFound(name) from None
 
     def exists(self, name: str) -> bool:
         """True when the file exists."""
-        with self._lock:
-            return name in self._files
+        return name in self._files
 
     def unlink(self, name: str) -> None:
         """Remove a file."""
-        with self._lock:
-            if name not in self._files:
-                raise FileNotFound(name)
-            del self._files[name]
+        if name not in self._files:
+            raise FileNotFound(name)
+        del self._files[name]
 
     def list_files(self) -> list:
         """Names of all files, sorted."""
-        with self._lock:
-            return sorted(self._files)
+        return sorted(self._files)
 
     def reset_accounting(self) -> None:
         """Clear virtual-time accounting on servers and lock managers
         (between benchmark repetitions)."""
         self.servers.reset()
-        with self._lock:
-            for f in self._files.values():
-                lm = f.lock_manager
-                if lm is not None:
-                    lm.reset_history()
+        for f in self._files.values():
+            lm = f.lock_manager
+            if lm is not None:
+                lm.reset_history()

@@ -7,16 +7,16 @@ of the writer that last stored it.  Provenance is what makes MPI-atomicity
 all of its bytes came from a single writer — the definition of the MPI atomic
 mode — without having to rely on recognisable data patterns.
 
-The store itself is protected by a lock and each individual update is applied
-atomically, which models a POSIX-compliant file system where every single
-``write()`` call is atomic (Section 2.1 of the paper).  MPI-level atomicity
-violations remain perfectly observable because they arise from the
-*interleaving of multiple calls*, never from a single call being torn.
+Each individual update is applied atomically — exactly one engine task runs
+at a time and no method yields to the scheduler — which models a
+POSIX-compliant file system where every single ``write()`` call is atomic
+(Section 2.1 of the paper).  MPI-level atomicity violations remain perfectly
+observable because they arise from the *interleaving of multiple calls*,
+never from a single call being torn.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Optional, Tuple
 
 import numpy as np
@@ -43,7 +43,6 @@ class ByteStore:
         self._data = np.zeros(cap, dtype=np.uint8)
         self._writer = np.full(cap, NO_WRITER, dtype=np.int32)
         self._size = 0
-        self._lock = threading.Lock()
 
     # -- internal -------------------------------------------------------------
 
@@ -66,8 +65,7 @@ class ByteStore:
     @property
     def size(self) -> int:
         """Current file size in bytes (highest byte ever written + 1)."""
-        with self._lock:
-            return self._size
+        return self._size
 
     def write(self, offset: int, data: bytes | bytearray | memoryview | np.ndarray,
               writer: int = NO_WRITER) -> int:
@@ -82,14 +80,13 @@ class ByteStore:
         n = buf.shape[0]
         if n == 0:
             return 0
-        with self._lock:
-            end = offset + n
-            self._ensure_capacity(end)
-            self._data[offset:end] = buf
-            self._writer[offset:end] = writer
-            if end > self._size:
-                self._size = end
-            return n
+        end = offset + n
+        self._ensure_capacity(end)
+        self._data[offset:end] = buf
+        self._writer[offset:end] = writer
+        if end > self._size:
+            self._size = end
+        return n
 
     def read(self, offset: int, nbytes: int) -> bytes:
         """Atomically read ``nbytes`` starting at ``offset``.
@@ -101,23 +98,21 @@ class ByteStore:
             raise ValueError("offset and nbytes must be non-negative")
         if nbytes == 0:
             return b""
-        with self._lock:
-            out = np.zeros(nbytes, dtype=np.uint8)
-            end = min(offset + nbytes, self._size)
-            if end > offset:
-                out[: end - offset] = self._data[offset:end]
-            return out.tobytes()
+        out = np.zeros(nbytes, dtype=np.uint8)
+        end = min(offset + nbytes, self._size)
+        if end > offset:
+            out[: end - offset] = self._data[offset:end]
+        return out.tobytes()
 
     def writers(self, offset: int, nbytes: int) -> np.ndarray:
         """Provenance of each byte in ``[offset, offset + nbytes)``."""
         if offset < 0 or nbytes < 0:
             raise ValueError("offset and nbytes must be non-negative")
-        with self._lock:
-            out = np.full(nbytes, NO_WRITER, dtype=np.int32)
-            end = min(offset + nbytes, self._size)
-            if end > offset:
-                out[: end - offset] = self._writer[offset:end]
-            return out
+        out = np.full(nbytes, NO_WRITER, dtype=np.int32)
+        end = min(offset + nbytes, self._size)
+        if end > offset:
+            out[: end - offset] = self._writer[offset:end]
+        return out
 
     def writer_runs(self, offset: int, nbytes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Run-length provenance of ``[offset, offset + nbytes)``.
@@ -125,17 +120,16 @@ class ByteStore:
         Returns ``(starts, stops, writers)``: the maximal runs of bytes last
         stored by one writer, as absolute file offsets in ascending order.
         Never-written bytes (and everything past end of file) belong to no
-        run.  One locked pass over the range, no per-byte copy.
+        run.  One pass over the range, no per-byte copy.
         """
         if offset < 0 or nbytes < 0:
             raise ValueError("offset and nbytes must be non-negative")
-        with self._lock:
-            w = self._writer[offset:max(offset, min(offset + nbytes, self._size))]
-            heads = np.flatnonzero(w[1:] != w[:-1]) + 1
-            # (`[:len(w)]`: an empty range has no run, not one empty run.)
-            starts = np.concatenate(([0], heads))[: len(w)]
-            stops = np.concatenate((heads, [len(w)]))[: len(w)]
-            writers = w[starts].astype(np.int64)
+        w = self._writer[offset:max(offset, min(offset + nbytes, self._size))]
+        heads = np.flatnonzero(w[1:] != w[:-1]) + 1
+        # (`[:len(w)]`: an empty range has no run, not one empty run.)
+        starts = np.concatenate(([0], heads))[: len(w)]
+        stops = np.concatenate((heads, [len(w)]))[: len(w)]
+        writers = w[starts].astype(np.int64)
         written = writers != NO_WRITER
         return starts[written] + offset, stops[written] + offset, writers[written]
 
@@ -148,14 +142,12 @@ class ByteStore:
         """Shrink (or extend with zeros) the file to ``size`` bytes."""
         if size < 0:
             raise ValueError("size must be non-negative")
-        with self._lock:
-            self._ensure_capacity(size)
-            if size < self._size:
-                self._data[size:self._size] = 0
-                self._writer[size:self._size] = NO_WRITER
-            self._size = size
+        self._ensure_capacity(size)
+        if size < self._size:
+            self._data[size:self._size] = 0
+            self._writer[size:self._size] = NO_WRITER
+        self._size = size
 
     def snapshot(self) -> bytes:
         """The full file contents as bytes."""
-        with self._lock:
-            return self._data[: self._size].tobytes()
+        return self._data[: self._size].tobytes()

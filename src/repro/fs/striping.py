@@ -9,6 +9,12 @@ writing disjoint ranges share the servers' aggregate bandwidth.
 :class:`StripingLayout` maps byte ranges to per-server chunks.  A layout with
 ``num_servers == 1`` degenerates to an unstriped (NFS-like) file, which is
 how the ENFS personality is configured.
+
+:meth:`StripingLayout.chunks` *describes* the layout, one
+:class:`StripeChunk` per stripe unit touched.  The charge path does not walk
+it: every transfer asks :meth:`StripingLayout.bytes_per_server`, which is
+integer arithmetic on the range's two end units — and most transfers (a row
+segment of an array) sit inside one stripe unit and are answered at once.
 """
 
 from __future__ import annotations
@@ -71,10 +77,27 @@ class StripingLayout:
             remaining -= take
 
     def bytes_per_server(self, offset: int, nbytes: int) -> Dict[int, int]:
-        """Total bytes of the range stored on each server."""
-        out: Dict[int, int] = {}
-        for chunk in self.chunks(offset, nbytes):
-            out[chunk.server] = out.get(chunk.server, 0) + chunk.length
+        """Total bytes of the range stored on each server, keyed in the order
+        the range first touches them (the fold of :meth:`chunks`, computed
+        from the stripe-unit indices of its two ends)."""
+        if offset < 0 or nbytes < 0:
+            raise ValueError("offset and nbytes must be non-negative")
+        if nbytes == 0:
+            return {}
+        unit, servers = self.stripe_size, self.num_servers
+        first, head = divmod(offset, unit)
+        if head + nbytes <= unit:
+            return {first % servers: nbytes}
+        last, tail = divmod(offset + nbytes - 1, unit)
+        units = last - first + 1
+        # Server k of the round-robin holds units first+k, first+k+servers, …;
+        # count them whole, then take back what the two end units lack.
+        out = {
+            (first + k) % servers: ((units - 1 - k) // servers + 1) * unit
+            for k in range(min(units, servers))
+        }
+        out[first % servers] -= head
+        out[last % servers] -= unit - 1 - tail
         return out
 
     def servers_touched(self, offset: int, nbytes: int) -> List[int]:

@@ -167,6 +167,11 @@ def rank_fill_bytes(rank: int, nbytes: int) -> bytes:
     return bytes([ord("A") + (rank % 26)]) * nbytes
 
 
+#: One period of :func:`rank_pattern_bytes`; a rank's stream is a tiling of
+#: it read from the rank's shift.
+_PATTERN_PERIOD = bytes(range(251))
+
+
 def rank_pattern_bytes(rank: int, nbytes: int) -> bytes:
     """A varying but rank-identifying pattern: byte ``i`` is
     ``(rank * 41 + i) mod 251``.
@@ -175,5 +180,6 @@ def rank_pattern_bytes(rank: int, nbytes: int) -> bytes:
     so content-based interleaving detection (as opposed to provenance-based)
     also works on this data.
     """
-    i = np.arange(nbytes, dtype=np.int64)
-    return ((rank * 41 + i) % 251).astype(np.uint8).tobytes()
+    shift = (rank * 41) % len(_PATTERN_PERIOD)
+    periods = (shift + nbytes) // len(_PATTERN_PERIOD) + 1
+    return (_PATTERN_PERIOD * periods)[shift : shift + nbytes]

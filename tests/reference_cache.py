@@ -1,119 +1,55 @@
-"""Client-side file cache with read-ahead and write-behind.
+"""Test-only oracle: the mask-based client cache ``src/`` used before pages
+kept run lists, kept verbatim.
 
-Section 3 of the paper discusses how client-server file systems (NFS/ENFS in
-particular) complicate overlapping I/O: read-ahead pulls more data into a
-client's cache than its file view logically overlaps, and write-behind delays
-the moment written data becomes visible to other clients.  The process-
-handshaking strategies therefore require an explicit ``sync`` (flush) after
-writes and a cache invalidation before reads of overlapped regions.
+``repro.fs.cache`` stores a page's dirty and valid bytes as short sorted lists
+of ``(start, stop)`` runs.  The ``_Page`` and ``ClientCache`` below are the
+implementation it replaced — three ``page_size`` numpy arrays per page, masks
+turned back into runs by ``_dirty_runs`` on every flush — moved here unchanged
+so ``tests/test_fs_cache_differential.py`` can require the new cache to issue
+the same ``store`` / ``fetch`` calls, return the same bytes and count the same
+``CacheStats`` on generated operation sequences.  ``CachePolicy`` and
+``CacheStats`` are imported, not copied: they did not change.
 
-:class:`ClientCache` models exactly that behaviour:
-
-* reads fill whole cache pages and optionally *read ahead* extra pages;
-* writes are buffered (*write-behind*) until :meth:`flush` — or write through
-  when the policy disables write-behind;
-* :meth:`invalidate` drops clean pages so subsequent reads fetch fresh data;
-* dirty pages remember exactly which byte *runs* were written so a flush
-  never writes back stale surrounding bytes (which would itself violate
-  atomicity).
-
-A page is its bytes plus two short sorted lists of disjoint, coalesced
-``(start, stop)`` runs — the dirty bytes and the valid bytes.  The segments
-the strategies push through here are a row of an array each, a hundred-odd
-bytes in a 4 KiB page, so every operation costs per run touched, never per
-byte of page: a write is one slice copy and a run insert, a flush walks the
-dirty runs as they are, a fill copies only the gaps between valid runs.
-
-The cache talks to the rest of the file system through two callables
-(``fetch`` and ``store``) so it can be unit-tested in isolation.
+Never imported by ``src/``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from ..core.intervals import py_union
+import numpy as np
 
-__all__ = ["CachePolicy", "CacheStats", "ClientCache"]
+from repro.fs.cache import CachePolicy, CacheStats
 
 FetchFn = Callable[[int, int], bytes]          # (offset, nbytes) -> data
 StoreFn = Callable[[int, bytes], None]         # (offset, data) -> None
 
 
-@dataclass(frozen=True)
-class CachePolicy:
-    """Tunable cache behaviour.
-
-    Parameters
-    ----------
-    page_size:
-        Cache page size in bytes.
-    max_pages:
-        Capacity; least-recently-used clean/dirty pages are evicted (dirty
-        pages are written back first).
-    read_ahead_pages:
-        How many extra pages to prefetch past the end of a read.
-    write_behind:
-        Buffer writes in the cache until :meth:`ClientCache.flush` (True) or
-        write through immediately (False).
-    """
-
-    page_size: int = 4096
-    max_pages: int = 1024
-    read_ahead_pages: int = 2
-    write_behind: bool = True
-
-    def __post_init__(self) -> None:
-        if self.page_size <= 0:
-            raise ValueError("page_size must be positive")
-        if self.max_pages <= 0:
-            raise ValueError("max_pages must be positive")
-        if self.read_ahead_pages < 0:
-            raise ValueError("read_ahead_pages must be non-negative")
-
-
-@dataclass
-class CacheStats:
-    """Counters for cache behaviour (used by tests and benchmark reports)."""
-
-    hits: int = 0
-    misses: int = 0
-    read_ahead_pages: int = 0
-    write_backs: int = 0
-    invalidations: int = 0
-    evictions: int = 0
-
-
-Run = Tuple[int, int]                          # [start, stop) within a page
-
-
-def _add_run(runs: List[Run], lo: int, hi: int) -> None:
-    """Insert ``[lo, hi)`` into sorted, disjoint, coalesced ``runs`` in place,
-    merging every run it overlaps or touches."""
-    if not runs or lo > runs[-1][1]:
-        runs.append((lo, hi))
-    else:
-        runs[:] = py_union(runs, ((lo, hi),))
-
-
 class _Page:
-    """One cache page: data plus its dirty and valid byte runs.
+    """One cache page: data plus dirty- and valid-byte masks.
 
-    ``dirty`` holds the runs written by this client and not yet flushed;
-    ``valid`` holds the runs whose content is known (fetched from the server
-    or written locally).  A page created by a write-allocate has only its
-    dirty bytes valid, so a later read fills the remaining bytes from the
-    server instead of returning zeros.  Bytes outside ``valid`` are zero.
+    ``dirty`` marks bytes written by this client and not yet flushed;
+    ``valid`` marks bytes whose content is known (fetched from the server or
+    written locally).  A page created by a write-allocate has only its dirty
+    bytes valid, so a later read fills the remaining bytes from the server
+    instead of returning zeros.
     """
 
     __slots__ = ("data", "dirty", "valid")
 
     def __init__(self, size: int) -> None:
-        self.data = bytearray(size)
-        self.dirty: List[Run] = []
-        self.valid: List[Run] = []
+        self.data = np.zeros(size, dtype=np.uint8)
+        self.dirty = np.zeros(size, dtype=bool)
+        self.valid = np.zeros(size, dtype=bool)
+
+    @property
+    def is_dirty(self) -> bool:
+        return bool(self.dirty.any())
+
+    @property
+    def fully_valid(self) -> bool:
+        return bool(self.valid.all())
 
 
 class ClientCache:
@@ -146,40 +82,47 @@ class ClientCache:
     def _evict_if_needed(self) -> None:
         while len(self._pages) > self.policy.max_pages:
             victim_no, victim = next(iter(self._pages.items()))
-            if victim.dirty:
+            if victim.is_dirty:
                 self._write_back(victim_no, victim)
             del self._pages[victim_no]
             self.stats.evictions += 1
 
+    @staticmethod
+    def _dirty_runs(mask: np.ndarray) -> List[Tuple[int, int]]:
+        """Maximal ``[start, stop)`` runs of True values in a boolean mask."""
+        if not mask.any():
+            return []
+        padded = np.empty(mask.shape[0] + 2, dtype=np.int8)
+        padded[0] = padded[-1] = 0
+        padded[1:-1] = mask
+        edges = np.flatnonzero(np.diff(padded))
+        return [(int(edges[i]), int(edges[i + 1])) for i in range(0, len(edges), 2)]
+
     def _write_back(self, page_no: int, page: _Page) -> None:
         """Write the dirty byte runs of a page to the server."""
         base = page_no * self.policy.page_size
-        for start, stop in page.dirty:
-            self._store(base + start, bytes(page.data[start:stop]))
+        for start, stop in self._dirty_runs(page.dirty):
+            self._store(base + start, page.data[start:stop].tobytes())
             self.stats.write_backs += 1
-        page.dirty = []
+        page.dirty[:] = False
 
     def _fill_from_server(self, page_no: int, page: _Page) -> None:
         """Fetch the page from the server and fill its not-yet-valid bytes
         (locally written bytes are never overwritten)."""
         ps = self.policy.page_size
-        fresh = self._fetch(page_no * ps, ps)
-        # The gaps between valid runs, clipped to what the server returned: a
-        # short answer (end of file) leaves the rest of the page zero.
-        pos = 0
-        for lo, hi in page.valid + [(ps, ps)]:
-            stop = min(lo, len(fresh))
-            if pos < stop:
-                page.data[pos:stop] = fresh[pos:stop]
-            pos = hi
-        page.valid = [(0, ps)]
+        data = self._fetch(page_no * ps, ps)
+        fresh = np.zeros(ps, dtype=np.uint8)
+        fresh[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+        missing = ~page.valid
+        page.data[missing] = fresh[missing]
+        page.valid[:] = True
 
     def _load_page(self, page_no: int) -> _Page:
         ps = self.policy.page_size
         page = self._pages.get(page_no)
         if page is not None:
             self._touch(page_no)
-            if page.valid == [(0, ps)]:
+            if page.fully_valid:
                 self.stats.hits += 1
             else:
                 # Write-allocated page being read: fill the holes from the server.
@@ -211,14 +154,14 @@ class ClientCache:
         if nbytes == 0:
             return b""
         ps = self.policy.page_size
-        parts = []
+        out = np.zeros(nbytes, dtype=np.uint8)
         for page_no in self._page_range(offset, nbytes):
             page = self._load_page(page_no)
             base = page_no * ps
             lo = max(offset, base)
             hi = min(offset + nbytes, base + ps)
-            parts.append(page.data[lo - base : hi - base])
-        return b"".join(parts)
+            out[lo - offset : hi - offset] = page.data[lo - base : hi - base]
+        return out.tobytes()
 
     def write(self, offset: int, data: bytes) -> None:
         """Write through or behind, per the cache policy."""
@@ -238,6 +181,7 @@ class ClientCache:
         self, offset: int, data: bytes, mark_dirty: bool, create_missing: bool = False
     ) -> None:
         ps = self.policy.page_size
+        buf = np.frombuffer(data, dtype=np.uint8)
         for page_no in self._page_range(offset, len(data)):
             page = self._pages.get(page_no)
             if page is None:
@@ -252,10 +196,10 @@ class ClientCache:
             base = page_no * ps
             lo = max(offset, base)
             hi = min(offset + len(data), base + ps)
-            page.data[lo - base : hi - base] = data[lo - offset : hi - offset]
-            _add_run(page.valid, lo - base, hi - base)
+            page.data[lo - base : hi - base] = buf[lo - offset : hi - offset]
+            page.valid[lo - base : hi - base] = True
             if mark_dirty:
-                _add_run(page.dirty, lo - base, hi - base)
+                page.dirty[lo - base : hi - base] = True
 
     def flush(self) -> int:
         """Write back every dirty page; returns the number of dirty pages flushed.
@@ -268,29 +212,32 @@ class ClientCache:
         """
         ps = self.policy.page_size
         dirty_pages = sorted(
-            page_no for page_no, page in self._pages.items() if page.dirty
+            (page_no, page) for page_no, page in self._pages.items() if page.is_dirty
         )
-        run_start = run_end = -1
-        run_data: List[bytearray] = []
+        flushed = len(dirty_pages)
+        run_start: Optional[int] = None
+        run_data: List[bytes] = []
+        run_end = -1
 
         def emit() -> None:
-            if run_data:
+            if run_start is not None and run_data:
                 self._store(run_start, b"".join(run_data))
                 self.stats.write_backs += 1
 
-        for page_no in dirty_pages:
-            page = self._pages[page_no]
+        for page_no, page in dirty_pages:
             base = page_no * ps
-            for i, j in page.dirty:
-                if base + i != run_end:
+            for i, j in self._dirty_runs(page.dirty):
+                abs_start = base + i
+                if run_start is not None and abs_start == run_end:
+                    run_data.append(page.data[i:j].tobytes())
+                else:
                     emit()
-                    run_start = base + i
-                    run_data = []
-                run_data.append(page.data[i:j])
+                    run_start = abs_start
+                    run_data = [page.data[i:j].tobytes()]
                 run_end = base + j
-            page.dirty = []
+            page.dirty[:] = False
         emit()
-        return len(dirty_pages)
+        return flushed
 
     def invalidate(self) -> None:
         """Drop all clean pages (dirty pages are flushed first).
@@ -309,4 +256,4 @@ class ClientCache:
 
     def dirty_bytes(self) -> int:
         """Total bytes currently dirty in the cache."""
-        return sum(j - i for p in self._pages.values() for i, j in p.dirty)
+        return int(sum(p.dirty.sum() for p in self._pages.values()))

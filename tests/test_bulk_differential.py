@@ -22,6 +22,7 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
+import generators
 from repro.core.autotune import AutoStrategy, classify_pattern
 from repro.core.bulk import BulkReadExecutor, BulkWriteExecutor
 from repro.core.executor import AtomicWriteExecutor, CollectiveReadExecutor
@@ -34,43 +35,8 @@ from tests.conftest import fast_fs_config
 FILE_BYTES = 40
 MAX_RANKS = 9
 
-#: Which bytes of the file a view covers, one flag per byte (may be none).
-masks = st.integers(0, 2**FILE_BYTES - 1).map(
-    lambda bits: [bool(bits >> pos & 1) for pos in range(FILE_BYTES)]
-)
-
-
-@st.composite
-def segment_lists(draw, mask):
-    """One rank's view: the covered bytes of ``mask``, cut into segments at
-    drawn points (so segments may be adjacent), in a drawn order."""
-    cuts = draw(st.sets(st.integers(1, FILE_BYTES - 1), max_size=4))
-    segments, start = [], None
-    for pos in range(FILE_BYTES + 1):
-        inside = pos < FILE_BYTES and mask[pos]
-        if start is not None and (not inside or pos in cuts):
-            segments.append((start, pos - start))
-            start = None
-        if inside and start is None:
-            start = pos
-    return draw(st.permutations(segments))
-
-
-@st.composite
-def view_sets(draw):
-    """1–9 views over one small file; some may be empty."""
-    nranks = draw(st.integers(1, MAX_RANKS))
-    shape = draw(st.sampled_from(["irregular", "irregular", "nested", "same"]))
-    if shape == "same":
-        mask = draw(masks)
-        return [draw(segment_lists(mask)) for _ in range(nranks)]
-    if shape == "nested":
-        lo, hi, views = 0, FILE_BYTES, []
-        for _ in range(nranks):
-            views.append(draw(segment_lists([lo <= pos < hi for pos in range(FILE_BYTES)])))
-            lo, hi = lo + draw(st.integers(0, 3)), hi - draw(st.integers(0, 3))
-        return views
-    return [draw(segment_lists(draw(masks))) for _ in range(nranks)]
+#: 1–9 views over one small file; some may be empty.
+view_sets = generators.view_sets(FILE_BYTES, max_ranks=MAX_RANKS)
 
 
 @st.composite
@@ -111,7 +77,7 @@ def run_pair(engine_cls, bulk_cls, make_strategy, views, seed=None):
     return results
 
 
-@given(views=view_sets(), strategy=strategy_factories())
+@given(views=view_sets, strategy=strategy_factories())
 def test_engine_and_bulk_agree(views, strategy):
     name, make_strategy = strategy
     regions = [FileRegionSet(rank, segs) for rank, segs in enumerate(views)]

@@ -6,8 +6,27 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from generators import raw_segment_lists
 from repro.core.intervals import Interval, IntervalSet
 from repro.core.regions import FileRegionSet, build_region_sets
+
+
+def four_pass_region_set(rank, segments):
+    """``FileRegionSet.__init__`` as it was before the one-pass constructor:
+    validate, drop empties, normalise through a sort, compare byte totals.
+    Returns what the constructor stored, or raises what it raised."""
+    segs = tuple((int(off), int(length)) for off, length in segments)
+    for off, length in segs:
+        if off < 0 or length < 0:
+            raise ValueError(f"invalid segment ({off}, {length})")
+    segs = tuple((off, length) for off, length in segs if length > 0)
+    coverage = IntervalSet.from_segments(segs)
+    if coverage.total_bytes != sum(length for _, length in segs):
+        raise ValueError(
+            f"rank {rank}: file view segments overlap each other; "
+            "a single MPI request may not write the same byte twice"
+        )
+    return segs, coverage, sum(length for _, length in segs)
 
 
 class TestConstruction:
@@ -30,6 +49,25 @@ class TestConstruction:
         # A single MPI request may not write the same byte twice.
         with pytest.raises(ValueError):
             FileRegionSet(0, [(0, 10), (5, 10)])
+
+    @given(raw_segment_lists(24))
+    def test_one_pass_constructor_equals_the_four_pass_one(self, segments):
+        """Same segments, coverage and byte total — or the same ``ValueError``
+        — on file-ordered, touching, shuffled, zero-length, self-overlapping
+        and negative draws."""
+        try:
+            segs, coverage, total = four_pass_region_set(3, segments)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                FileRegionSet(3, segments)
+            assert str(raised.value) == str(exc)
+            return
+        r = FileRegionSet(3, segments)
+        assert r.segments == segs
+        assert r.coverage.starts.tolist() == coverage.starts.tolist()
+        assert r.coverage.stops.tolist() == coverage.stops.tolist()
+        assert r.coverage.starts.dtype == coverage.starts.dtype
+        assert r.total_bytes == total and type(r.total_bytes) is int
 
     def test_empty_region(self):
         r = FileRegionSet(0, [])

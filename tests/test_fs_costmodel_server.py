@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import threading
-
 import pytest
 
+from repro.core.engine import Engine, current_task
 from repro.fs.costmodel import CostModel, Resource
 from repro.fs.server import IOServer, ServerPool
 
@@ -63,21 +62,25 @@ class TestResource:
         assert r.request_count == 0
 
     def test_thread_safety_of_accounting(self):
+        """Eight engine tasks queueing on one resource: each waits out its
+        own request, so every reservation is a sequence point that hands the
+        resource to another task — and no request is lost."""
         r = Resource("r", CostModel(latency=0.001))
-        n_threads, per_thread = 8, 50
+        n_tasks, per_task = 8, 50
 
         def worker():
-            for _ in range(per_thread):
-                r.reserve(0.0, 0)
+            clock = current_task().clock
+            for _ in range(per_task):
+                clock.advance_to(r.reserve(clock.now, 0))
 
-        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert r.request_count == n_threads * per_thread
+        engine = Engine()
+        for _ in range(n_tasks):
+            engine.spawn(worker)
+        engine.run()
+        assert engine.switches > n_tasks * (per_task - 1)  # the tasks did interleave
+        assert r.request_count == n_tasks * per_task
         # All requests were serialised in virtual time.
-        assert r.next_free == pytest.approx(n_threads * per_thread * 0.001)
+        assert r.next_free == pytest.approx(n_tasks * per_task * 0.001)
 
 
 class TestIOServer:

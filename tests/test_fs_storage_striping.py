@@ -194,3 +194,22 @@ class TestStripingLayout:
             assert (c.offset // stripe) == ((c.offset + c.length - 1) // stripe)
             pos += c.length
         assert pos == offset + nbytes
+
+    @given(st.integers(1, 5), st.integers(1, 16), st.integers(0, 200), st.integers(0, 200))
+    def test_bytes_per_server_is_the_fold_of_chunks(self, servers, stripe, offset, nbytes):
+        """The arithmetic answer equals walking the chunks — key order
+        included: servers are reserved in that order, and every reservation
+        is a scheduling point.  Draws cover empty ranges, one-server layouts,
+        ranges inside one stripe unit and ranges wrapping the server ring."""
+        layout = StripingLayout(num_servers=servers, stripe_size=stripe)
+        folded = {}
+        for c in layout.chunks(offset, nbytes):
+            folded[c.server] = folded.get(c.server, 0) + c.length
+        assert list(layout.bytes_per_server(offset, nbytes).items()) == list(folded.items())
+
+    def test_bytes_per_server_rejects_negative_arguments(self):
+        layout = StripingLayout(num_servers=2, stripe_size=10)
+        with pytest.raises(ValueError):
+            layout.bytes_per_server(-1, 5)
+        with pytest.raises(ValueError):
+            layout.bytes_per_server(0, -5)

@@ -205,6 +205,14 @@ class TestWorkloads:
         assert len(a) == len(b) == 100
         assert a != b
 
+    def test_rank_pattern_bytes_is_its_formula(self):
+        """The tiled period equals ``(rank * 41 + i) mod 251`` byte for byte,
+        for every length up to and beyond two periods."""
+        for rank in range(301):
+            formula = bytes((rank * 41 + i) % 251 for i in range(600))
+            for nbytes in range(601):
+                assert rank_pattern_bytes(rank, nbytes) == formula[:nbytes], (rank, nbytes)
+
 
 # ---------------------------------------------------------------------------
 # Property-based tests

@@ -28,6 +28,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+import generators
 import reference_verify as oracle
 from repro.core.overlap import coverage_runs
 from repro.core.regions import FileRegionSet
@@ -60,48 +61,11 @@ def assert_same(new, old) -> None:
 # -- generated views ------------------------------------------------------------------
 
 
-#: Which bytes of the file a view covers, one flag per byte.
-masks = st.integers(0, 2**FILE_BYTES - 1).map(
-    lambda bits: [bool(bits >> pos & 1) for pos in range(FILE_BYTES)]
-)
-
-
-@st.composite
-def segment_lists(draw, mask=None):
-    """One rank's view: the covered bytes of a drawn mask, cut into segments
-    at drawn points (so segments may be adjacent) and shuffled out of file
-    order.  May be empty."""
-    if mask is None:
-        mask = draw(masks)
-    cuts = draw(st.sets(st.integers(1, FILE_BYTES - 1), max_size=4))
-    segments, start = [], None
-    for pos in range(FILE_BYTES + 1):
-        inside = pos < FILE_BYTES and mask[pos]
-        if start is not None and (not inside or pos in cuts):
-            segments.append((start, pos - start))
-            start = None
-        if inside and start is None:
-            start = pos
-    return draw(st.permutations(segments))
-
-
 @st.composite
 def view_sets(draw, min_ranks=1, max_ranks=4):
-    """``(base, regions)``: 1–4 views in a keyspace offset by ``base``."""
-    nranks = draw(st.integers(min_ranks, max_ranks))
+    """``(base, regions)``: 1–4 views, ranks numbered from ``base``."""
     base = draw(st.sampled_from([0, 0, 16, 1000]))
-    shape = draw(st.sampled_from(["irregular", "irregular", "nested", "same"]))
-    if shape == "same":
-        mask = draw(masks)
-        views = [draw(segment_lists(mask)) for _ in range(nranks)]
-    elif shape == "nested":
-        lo, hi, views = 0, FILE_BYTES, []
-        for _ in range(nranks):
-            mask = [lo <= pos < hi for pos in range(FILE_BYTES)]
-            views.append(draw(segment_lists(mask)))
-            lo, hi = lo + draw(st.integers(0, 4)), hi - draw(st.integers(0, 4))
-    else:
-        views = [draw(segment_lists()) for _ in range(nranks)]
+    views = draw(generators.view_sets(FILE_BYTES, min_ranks, max_ranks))
     return base, [FileRegionSet(base + r, segs) for r, segs in enumerate(views)]
 
 
