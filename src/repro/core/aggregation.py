@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,7 @@ __all__ = [
     "partition_domain",
     "merge_pieces",
     "merge_origin_runs",
+    "QueryBatch",
     "scatter_pieces",
     "node_coverages",
     "gather_runs",
@@ -233,47 +234,84 @@ def merge_origin_runs(
     return runs
 
 
+class QueryBatch(NamedTuple):
+    """Every consumer's request intervals flattened into one query batch.
+
+    ``starts`` / ``stops`` hold the consumers' intervals back to back in
+    consumer order, ``dest[i]`` names the consumer query ``i`` belongs to and
+    ``bounds[r] : bounds[r + 1]`` is consumer ``r``'s slice.  The batch is a
+    pure function of the exchanged coverages, so the ``P`` aggregators of one
+    collective share one (:class:`~repro.core.strategies.Negotiation` carries
+    it) instead of each flattening all ``P`` coverages again.
+    """
+
+    starts: np.ndarray
+    stops: np.ndarray
+    dest: np.ndarray
+    bounds: np.ndarray
+
+    @property
+    def count(self) -> int:
+        """How many consumers the batch holds the queries of."""
+        return len(self.bounds) - 1
+
+    @classmethod
+    def of(cls, coverages: Sequence[IntervalSet]) -> "QueryBatch":
+        """Flatten ``coverages[r]``, consumer ``r``'s requested byte set."""
+        count = len(coverages)
+        sizes = np.fromiter((len(c.starts) for c in coverages), dtype=np.int64, count=count)
+        bounds = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        if count:
+            starts = np.concatenate([c.starts for c in coverages])
+            stops = np.concatenate([c.stops for c in coverages])
+        else:
+            starts = stops = np.empty(0, dtype=np.int64)
+        dest = np.repeat(np.arange(count, dtype=np.int64), sizes)
+        return cls(starts, stops, dest, bounds)
+
+    def window(self, first: int, last: int) -> "QueryBatch":
+        """The batch of consumers ``[first, last)`` alone, renumbered from 0
+        (a node leader's cut for its local ranks)."""
+        last = min(last, self.count)
+        lo, hi = self.bounds[first], self.bounds[last]
+        return QueryBatch(
+            self.starts[lo:hi],
+            self.stops[lo:hi],
+            self.dest[lo:hi] - first,
+            self.bounds[first : last + 1] - lo,
+        )
+
+
 def scatter_pieces(
     held: Sequence[Tuple[int, int, int]],
     buffer: "bytes | bytearray",
-    coverages: Sequence[IntervalSet],
+    coverages: "Sequence[IntervalSet] | QueryBatch",
 ) -> List[List[Tuple[int, bytes]]]:
     """Cut an aggregator's fetched file-domain chunk into per-consumer pieces.
 
     ``held`` lists the aggregator's resident runs as ``(start, stop,
     buffer_offset)`` triples in file order: file bytes ``[start, stop)`` live
     at ``buffer[buffer_offset : buffer_offset + (stop - start)]``.
-    ``coverages[r]`` is consumer ``r``'s requested byte set.  Returns, for
-    each consumer, the ``(file_offset, data)`` pieces of its request that
-    this aggregator holds — the send buffers of the scatter half of a
-    two-phase collective read.
+    ``coverages[r]`` is consumer ``r``'s requested byte set — or the
+    :class:`QueryBatch` already built from them, when many aggregators cut
+    against the same consumers.  Returns, for each consumer, the
+    ``(file_offset, data)`` pieces of its request that this aggregator holds
+    — the send buffers of the scatter half of a two-phase collective read.
 
     Routed by one batch clip of every consumer interval against the
     file-ordered runs, so the cost scales with the consumers' piece count,
     not with ``len(held) * len(coverages)``.
     """
-    out: List[List[Tuple[int, bytes]]] = [[] for _ in coverages]
+    batch = coverages if isinstance(coverages, QueryBatch) else QueryBatch.of(coverages)
+    out: List[List[Tuple[int, bytes]]] = [[] for _ in range(batch.count)]
     if not held:
         return out
     run_starts = np.fromiter((s for s, _, _ in held), dtype=np.int64, count=len(held))
     run_stops = np.fromiter((e for _, e, _ in held), dtype=np.int64, count=len(held))
     run_bufs = np.fromiter((b for _, _, b in held), dtype=np.int64, count=len(held))
-    # Flatten every consumer's request intervals into one query batch, with a
-    # parallel array recording which consumer each query belongs to.
-    q_starts = [c.starts for c in coverages if len(c.starts)]
-    if not q_starts:
-        return out
-    q_stops = [c.stops for c in coverages if len(c.starts)]
-    q_dest = [
-        np.full(len(c.starts), dest, dtype=np.int64)
-        for dest, c in enumerate(coverages)
-        if len(c.starts)
-    ]
-    a_idx, b_idx, lo, hi = clip_many(
-        np.concatenate(q_starts), np.concatenate(q_stops), run_starts, run_stops
-    )
-    dest_of = np.concatenate(q_dest)
-    piece_dest = dest_of[a_idx].tolist()
+    a_idx, b_idx, lo, hi = clip_many(batch.starts, batch.stops, run_starts, run_stops)
+    piece_dest = batch.dest[a_idx].tolist()
     src = (run_bufs[b_idx] + (lo - run_starts[b_idx])).tolist()
     for dest, piece_lo, piece_src, piece_hi in zip(
         piece_dest, lo.tolist(), src, hi.tolist()

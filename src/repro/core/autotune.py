@@ -403,10 +403,11 @@ class FileTuningRecord:
         self.hits = 0
         self.misses = 0
         #: Host CPU spent resolving views (summed over ranks): what a warm
-        #: collective actually saves.  Thread CPU time, so the blocked wait
-        #: inside the allgather is excluded — this measures the payload
-        #: construction, region rebuilding, classification and verification
-        #: work, which is exactly the work the plan cache elides.
+        #: collective actually saves.  Thread CPU time with the stopwatch
+        #: stopped across the allgather (whose thread may run other ranks'
+        #: steps) — this measures the payload construction, region
+        #: rebuilding, classification and verification work, which is
+        #: exactly the work the plan cache elides.
         self.cold_cpu = 0.0
         self.warm_cpu = 0.0
 
@@ -546,7 +547,12 @@ class AutoStrategy(PipelineStrategy):
             payload = ("view",) + tuple(
                 value for segment in region.segments for value in segment
             )
+        # The stopwatch stops across the collective: a thread stopped in a
+        # blocking primitive advances other ranks' driven steps before it
+        # parks (``Engine.drive``), so its CPU there is not this rank's.
+        elapsed = time.thread_time() - cpu_start
         shared = comm.allgather_shared(payload)
+        cpu_start = time.thread_time()
         key = id(shared)
         resolution = record.memo.get(key)
         if resolution is None:
@@ -564,7 +570,7 @@ class AutoStrategy(PipelineStrategy):
                 )
         self.last_decision = decision
         self.last_hit = hit
-        elapsed = time.thread_time() - cpu_start
+        elapsed += time.thread_time() - cpu_start
         if hit:
             record.warm_cpu += elapsed
         else:

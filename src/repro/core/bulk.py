@@ -16,13 +16,15 @@ driver of the very same coroutines, with plain per-rank state and no tasks:
   synchronises every clock to the latest arrival, charges each rank its own
   payload cost — exactly what ``Communicator._collective`` computes, in
   closed form — then transposes the payloads and resumes.
-* ``_sweep`` transfers the I/O steps of the plans the coroutines return
-  against the real :class:`~repro.fs.client.ClientFileHandle` / shared
-  :class:`~repro.fs.costmodel.Resource` stack, one step at a time in
-  ascending ``(virtual clock, rank)`` order — exactly the discrete-event
-  order the engine's sequence points enforce (a running task keeps the
-  resources while its key is minimal; ties resume in task-id order, and
-  task ids are assigned in rank order).
+* ``_sweep`` is a driver too, not a replay: the file I/O of the plans the
+  coroutines return is the same step iterators the engine's
+  :meth:`~repro.core.engine.Engine.drive` steps
+  (:func:`~repro.core.pipeline.transfer_steps` over the real
+  :class:`~repro.fs.client.ClientFileHandle` / shared
+  :class:`~repro.fs.costmodel.Resource` stack), one per rank, resumed in
+  ascending ``(virtual clock, rank)`` order — the engine's min-key rule
+  (a running task keeps the resources while its key is minimal; ties resume
+  in task-id order, and task ids are assigned in rank order) on a plain heap.
 
 Both substrates therefore produce **bit-identical** virtual times, file
 bytes, per-byte provenance and outcomes; ``tests/test_core_bulk.py`` pins
@@ -54,11 +56,14 @@ from .executor import (
     _Executor,
     default_data_factory,
 )
-from .pipeline import IOPlan
+from .pipeline import IOPlan, transfer_steps
 from .regions import FileRegionSet
 from .strategies import IOOutcome, TwoPhaseStrategy
 
 __all__ = ["BulkReadExecutor", "BulkWriteExecutor"]
+
+#: ``next(iterator, _DONE)``: the default that says the iterator is exhausted.
+_DONE = object()
 
 
 def _rendezvous(clocks: List[VirtualClock], costs: Sequence[float]) -> None:
@@ -78,17 +83,17 @@ def _sweep(
     buffers: Sequence[dict],
     outcomes: List[IOOutcome],
 ) -> None:
-    """The plans' file I/O in discrete-event order: always the next step of
-    the rank holding the minimal ``(clock, rank)`` key after the previous
-    transfer advanced its rank's clock (sequence points no-op outside engine
-    tasks; the heap IS the sequencing).  Like the engine's runner, the only
-    direction branch is the transfer call: a write step draws from the
-    rank's ``buffers``, a read step lands there.  The sweep issues direct
-    transfers and never parks a rank, so it refuses — on the plan itself,
-    whichever strategy built it — what would need more: locks, barriers, or
-    phases that go through the client cache.
+    """The plans' file I/O in discrete-event order: the second driver of the
+    step iterators :meth:`~repro.core.engine.Engine.drive` steps on the
+    engine (:func:`~repro.core.pipeline.transfer_steps`, one chain of phases
+    per rank).  Each iterator rests at the sequence point before its next
+    transfer; the sweep resumes the one holding the minimal ``(clock, rank)``
+    key — the engine's rule with ranks for task ids (sequence points no-op
+    outside engine tasks; the heap IS the sequencing).  It never parks a
+    rank, so it refuses — on the plan itself, whichever strategy built it —
+    what would need more: locks, barriers, or phases that go through the
+    client cache.
     """
-    queues = []
     for plan in plans:
         if plan.locks or any(
             phase.barrier_after
@@ -102,29 +107,25 @@ def _sweep(
                 "or cached/synced/invalidating phases; it must run on the engine "
                 "executors"
             )
-        # Reversed, so that the next step pops off the end.
-        queues.append([step for phase in plan.phases for step in phase.steps][::-1])
-    heap = [(clocks[rank].now, rank) for rank, steps in enumerate(queues) if steps]
+    def rank_steps(plan, handle, buffer, outcome):
+        for phase in plan.phases:
+            yield from transfer_steps(handle, plan.direction, phase, buffer, outcome)
+
+    # One iterator per rank, each advanced to its first sequence point (which
+    # advances no clock); a rank without I/O drops out.
+    iters = list(map(rank_steps, plans, handles, buffers, outcomes))
+    heap = [
+        (clocks[rank].now, rank)
+        for rank, steps in enumerate(iters)
+        if next(steps, _DONE) is not _DONE
+    ]
     heapq.heapify(heap)
     while heap:
-        _, rank = heapq.heappop(heap)
-        step = queues[rank].pop()
-        buffer, start = buffers[rank][step.buffer], step.buffer_offset
-        if plans[rank].direction == "write":
-            moved = handles[rank].write(
-                step.file_offset,
-                buffer[start : start + step.length],
-                direct=True,
-                writer=step.writer,
-            )
+        rank = heap[0][1]
+        if next(iters[rank], _DONE) is _DONE:
+            heapq.heappop(heap)
         else:
-            data = handles[rank].read(step.file_offset, step.length, direct=True)
-            moved = len(data)
-            buffer[start : start + moved] = data
-        outcomes[rank].bytes_moved += moved
-        outcomes[rank].segments_moved += 1
-        if queues[rank]:
-            heapq.heappush(heap, (clocks[rank].now, rank))
+            heapq.heapreplace(heap, (clocks[rank].now, rank))
 
 
 class _BulkExecutor(_Executor):

@@ -23,11 +23,11 @@ Every thread parks on a raw ``_thread`` lock of its own, held while its
 owner runs or is parked — a task on ``Task._resume``, an idle carrier on
 ``_Carrier._work``, the thread inside :meth:`Engine.run` on
 ``Engine._sched`` — and releasing it transfers control to the owner.  The
-task that stops running (in ``wait``, at a yielding ``sequence``, at the end
-of its body) *itself* pops the next ready task off the heap and releases
-that task's lock before parking on its own: one OS-thread switch per event
-(:attr:`Engine.switches`).  The thread in ``run`` is a watchdog; control
-returns to it (:attr:`Engine.scheduler_returns`) only when
+task that stops running (in ``wait``, at a yielding ``sequence`` or
+``drive``, at the end of its body) *itself* pops the next ready task off the
+heap and releases that task's lock before parking on its own: one OS-thread
+switch per event (:attr:`Engine.switches`).  The thread in ``run`` is a
+watchdog; control returns to it (:attr:`Engine.scheduler_returns`) only when
 
 1. the ready heap is empty (completion, or deadlock-victim selection);
 2. a task ended ``FAILED``: ``on_task_failed`` aborts the communicator
@@ -36,6 +36,22 @@ returns to it (:attr:`Engine.scheduler_returns`) only when
 3. the stopping task is being cancelled (``_cancel`` awaits its victim);
 4. the engine is aborted (nothing may be resumed any more);
 5. its timed acquire of ``_sched`` hits the wall-clock deadline.
+
+Driven steps
+------------
+
+A sixth way control moves needs no thread at all.  A batch of events on
+shared virtual-time resources — a rank's segment writes — is an iterator
+suspended at a ``yield`` wherever the plain loop would pass a sequence point
+(:func:`drive`).  Its owner steps it while it is the earliest task; when it
+is not, it queues itself *with the iterator* and parks once, and from then
+on whichever task stops running advances the iterator **inline, on its own
+stack**, each time the owner is the heap minimum — ``current_task()`` names
+the owner meanwhile — and switches threads only for an entry that needs its
+own stack: an undriven task, or the owner of an iterator that just finished
+or raised.  Same min-key rule, same tie-break, one heap entry per task, so
+the event order is the yielding loop's; the batch costs one park instead of
+one per event.
 
 Primitives
 ----------
@@ -50,6 +66,10 @@ Primitives
     earlier ``(virtual time, task id)`` key.  Shared virtual-time resources
     call this before every reservation so queueing happens in global
     virtual-time order.
+``drive``
+    Run an iterator of events whose every ``yield`` is a sequence point
+    (above).  A step must not ``wait``, and passes no second sequence point
+    that would yield — both raise :class:`EngineError`.
 
 Shared services build their blocking behaviour from these primitives (the
 lock managers keep a waiter queue and wake exactly the requests that no
@@ -67,9 +87,10 @@ import threading
 import time
 import traceback
 from _thread import allocate_lock
-from typing import Any, Callable, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterator, List, Optional
 
-from ..mpi.clock import VirtualClock
+if TYPE_CHECKING:  # ``repro.mpi`` imports this module: see ``Engine.spawn``
+    from ..mpi.clock import VirtualClock
 
 __all__ = [
     "Engine",
@@ -77,6 +98,7 @@ __all__ = [
     "Task",
     "TaskCancelled",
     "current_task",
+    "drive",
     "sequence_point",
 ]
 
@@ -97,6 +119,10 @@ _DEFAULT_GRACE_SECONDS = 1.0
 _MAX_IDLE_CARRIERS = 4096
 
 _tls = threading.local()
+
+#: What :func:`drive` runs, when written as a generator: each ``yield`` is a
+#: sequence point, the return value is the batch's result.
+Steps = Generator[None, None, Any]
 
 
 class EngineError(RuntimeError):
@@ -131,6 +157,22 @@ def sequence_point() -> None:
         ready = task.engine._ready
         if ready and ready[0] < (task.clock.now, task.tid):
             task.engine.sequence(task)
+
+
+def drive(steps: Iterator) -> Any:
+    """Run ``steps`` — an iterator that is at a sequence point whenever it
+    is suspended at a ``yield`` and performs one clock-advancing event per
+    resumption — to its end, in global virtual-time order; returns its
+    ``StopIteration`` value.  See :meth:`Engine.drive`.  Outside an engine
+    task nothing orders the events: the iterator is simply exhausted."""
+    task = getattr(_tls, "task", None)
+    if task is not None:
+        return task.engine.drive(steps, task)
+    try:
+        while True:
+            next(steps)
+    except StopIteration as done:
+        return done.value
 
 
 class _Carrier:
@@ -224,6 +266,7 @@ class Task:
         "tag",
         "_thread",
         "_resume",
+        "_steps",
         "_wake_value",
         "_throw_exc",
         "_cancel_exc",
@@ -231,7 +274,7 @@ class Task:
     )
 
     def __init__(self, engine: "Engine", tid: int, fn: Callable[[], Any],
-                 name: str, clock: VirtualClock, detached: bool = False,
+                 name: str, clock: "VirtualClock", detached: bool = False,
                  tag: Optional[str] = None) -> None:
         self.engine = engine
         self.tid = tid
@@ -248,6 +291,8 @@ class Task:
         self.deadlocked = False
         self._thread: Optional[threading.Thread] = None
         self._resume = _held_lock()
+        #: The iterator this task is inside :meth:`Engine.drive` of, if any.
+        self._steps: Optional[Iterator] = None
         self._wake_value: Any = None
         self._throw_exc: Optional[BaseException] = None
         self._cancel_exc: Optional[BaseException] = None
@@ -315,7 +360,7 @@ class Engine:
     # -- task creation ----------------------------------------------------------
 
     def spawn(self, fn: Callable[[], Any], name: Optional[str] = None,
-              clock: Optional[VirtualClock] = None, detached: bool = False,
+              clock: Optional["VirtualClock"] = None, detached: bool = False,
               tag: Optional[str] = None) -> Task:
         """Register a task; it becomes ready at its clock's current time.
 
@@ -336,9 +381,14 @@ class Engine:
         multi-tenant scheduler) carried on the task for error reporting and
         diagnostics; the engine itself never interprets it.
         """
+        if clock is None:
+            # Imported here, not at module level: ``repro.mpi``'s package
+            # import reaches ``mpi/comm.py``, which imports this module.
+            from ..mpi.clock import VirtualClock
+
+            clock = VirtualClock()
         tid = next(self._tids)
-        task = Task(self, tid, fn, name or f"task-{tid}", clock or VirtualClock(),
-                    detached=detached, tag=tag)
+        task = Task(self, tid, fn, name or f"task-{tid}", clock, detached=detached, tag=tag)
         self.tasks.append(task)
         task.state = Task.READY
         heapq.heappush(self._ready, (task.clock.now, task.tid, task))
@@ -349,6 +399,8 @@ class Engine:
     def wait(self, reason: str = "") -> Any:
         """Park the current task until :meth:`wake`; returns the wake value."""
         task = self._require_current()
+        if task._steps is not None:
+            raise EngineError("a driven step must not block")
         if self._aborted or task._cancelling:
             raise TaskCancelled(f"engine {self.name!r} aborted")
         task.state = Task.BLOCKED
@@ -406,11 +458,68 @@ class Engine:
         # A heap entry is (time, tid, task): against a (time, tid) key the
         # comparison is decided by the first two fields, tids being unique.
         while ready and ready[0] < (task.clock.now, task.tid):
+            if task._steps is not None:
+                raise EngineError(
+                    f"a driven step of {task.name} reached a second sequence "
+                    f"point at t={task.clock.now!r} behind {ready[0][2].name}: "
+                    "one clock-advancing event per step (is a `yield` missing "
+                    "before a store or fetch?)"
+                )
             if self._aborted or task._cancelling:
                 raise TaskCancelled(f"engine {self.name!r} aborted")
             task.state = Task.READY
             heapq.heappush(ready, (task.clock.now, task.tid, task))
             self._switch(task)
+
+    def drive(self, steps: Iterator, task: Optional[Task] = None) -> Any:
+        """Run ``steps`` to its end in virtual-time order; returns its value.
+
+        ``steps`` is *at a sequence point whenever it is suspended at a
+        ``yield``* and performs exactly one clock-advancing event per
+        resumption — the loop ``for ...: sequence_point(); event()`` with the
+        sequence point spelled ``yield``.  The owner runs it to its first
+        ``yield`` before looking at the heap (a batch without events gives
+        way to nobody) and steps it itself while it holds the smallest
+        ``(time, tid)`` key.  When an earlier-keyed task is ready it queues
+        itself *with the iterator* and parks once; from then on whichever
+        task stops running advances the iterator inline, on its own stack,
+        each time the owner is the heap minimum (:meth:`_dispatch`), and the
+        owner is resumed when the iterator has finished or raised —
+        immediately, as a task keeps running after its last event.  (The
+        watchdog in :meth:`run` runs no task code: should it pop the owner,
+        the owner resumes and goes on stepping itself.)  Event order is that
+        of the yielding loop by construction: same min-key rule, same tid
+        tie-break, one heap entry per task.
+
+        A step may run on a foreign stack, so it must not block (``wait``
+        raises :class:`EngineError`) and may pass no second sequence point
+        that would have to yield (``sequence`` raises).  Host CPU measured
+        across a blocking primitive belongs to the engine, not the task: a
+        thread stopped in ``wait`` or here advances other tasks' steps
+        before it parks, so a ``time.thread_time`` pair must not span one.
+        """
+        task = task if task is not None else self._require_current()
+        if task._steps is not None:
+            raise EngineError("drive called from inside a driven step")
+        ready = self._ready
+        clock, tid = task.clock, task.tid
+        task._steps = steps
+        try:
+            next(steps)
+            while True:
+                while not (ready and ready[0] < (clock.now, tid)):
+                    next(steps)
+                if self._aborted or task._cancelling:
+                    raise TaskCancelled(f"engine {self.name!r} aborted")
+                task.state = Task.READY
+                heapq.heappush(ready, (clock.now, tid, task))
+                value = self._switch(task)
+                if task._steps is None:  # finished while parked
+                    return value
+        except StopIteration as done:
+            return done.value
+        finally:
+            task._steps = None
 
     # -- the scheduler loop ------------------------------------------------------
 
@@ -489,8 +598,8 @@ class Engine:
         — or ``None`` when ``prev`` is itself next and need not park."""
         if prev.state == Task.FAILED:
             self._failed = prev
-        elif not (self._aborted or prev._cancelling):
-            task = self._pop_ready()
+        elif not prev._cancelling:
+            task = self._dispatch(prev)
             if task is prev:
                 task.state = Task.RUNNING
                 return None
@@ -545,6 +654,37 @@ class Engine:
             if task.state == Task.READY:
                 return task
         return None
+
+    def _dispatch(self, prev: Task) -> Optional[Task]:
+        """Pop ready tasks in key order, advancing driven iterators inline on
+        ``prev``'s stack (``prev`` is stopping; this is its thread); returns
+        the first task that needs its own stack — an undriven one, or the
+        owner of an iterator that just finished or raised, its value or
+        exception in the wake slots — or ``None`` when nothing is ready or
+        the engine is aborted."""
+        ready = self._ready
+        try:
+            while not self._aborted:
+                task = self._pop_ready()
+                if task is None or task._steps is None:
+                    return task
+                _tls.task = task
+                try:
+                    next(task._steps)
+                except StopIteration as done:
+                    task._wake_value = done.value
+                except BaseException as exc:  # noqa: BLE001 - re-raised in the owner
+                    # Minus this frame: the owner sees the step's frames
+                    # under its own ``drive`` call, not a foreign stack.
+                    task._throw_exc = exc.with_traceback(exc.__traceback__.tb_next)
+                else:
+                    heapq.heappush(ready, (task.clock.now, task.tid, task))
+                    continue
+                task._steps = None
+                return task
+            return None
+        finally:
+            _tls.task = prev
 
     def _cancel(self, task: Task, exc: TaskCancelled,
                 wait_timeout: Optional[float] = None) -> bool:

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from ..fs.lockmanager import LockMode
+from .engine import Steps, drive
 from .coloring import ColoringResult, greedy_coloring
 from .overlap import OverlapMatrix, build_overlap_matrix
 from .rank_ordering import (
@@ -372,6 +373,43 @@ class IOPlan:
 # ---------------------------------------------------------------------------
 
 
+def transfer_steps(
+    handle: "ClientFileHandle",
+    direction: str,
+    phase: PhasePlan,
+    buffers: Dict[str, Any],
+    out: "IOOutcome",
+) -> Steps:
+    """One phase's transfers in step form (:func:`repro.core.engine.drive`).
+
+    The only direction branch of stage 4: a write step draws its bytes from
+    ``buffers[step.buffer]``, a read step lands them there.  Written once for
+    both drivers — :class:`PlanRunner` drives it on the engine, the bulk
+    sweep (:mod:`repro.core.bulk`) advances one per replayed rank.
+    """
+    steps = phase.steps
+    if direction == "write":
+        out.bytes_moved += yield from handle.write_batch_steps(
+            (
+                (
+                    s.file_offset,
+                    buffers[s.buffer][s.buffer_offset : s.buffer_offset + s.length],
+                    s.writer,
+                )
+                for s in steps
+            ),
+            phase.direct,
+        )
+    else:
+        fetched = yield from handle.read_batch_steps(
+            ((s.file_offset, s.length) for s in steps), phase.direct
+        )
+        for s, data in zip(steps, fetched):
+            buffers[s.buffer][s.buffer_offset : s.buffer_offset + len(data)] = data
+            out.bytes_moved += len(data)
+    out.segments_moved += len(steps)
+
+
 class PlanRunner:
     """Execute an :class:`IOPlan` against a client file handle.
 
@@ -420,27 +458,7 @@ class PlanRunner:
                     handle.invalidate()
                     out.invalidations += 1
                 if phase.steps:
-                    if plan.direction == "write":
-                        out.bytes_moved += handle.write_batch(
-                            [
-                                (
-                                    s.file_offset,
-                                    buffers[s.buffer][s.buffer_offset : s.buffer_offset + s.length],
-                                    s.writer,
-                                )
-                                for s in phase.steps
-                            ],
-                            direct=phase.direct,
-                        )
-                    else:
-                        fetched = handle.read_batch(
-                            [(s.file_offset, s.length) for s in phase.steps],
-                            direct=phase.direct,
-                        )
-                        for s, data in zip(phase.steps, fetched):
-                            buffers[s.buffer][s.buffer_offset : s.buffer_offset + len(data)] = data
-                            out.bytes_moved += len(data)
-                    out.segments_moved += len(phase.steps)
+                    drive(transfer_steps(handle, plan.direction, phase, buffers, out))
                 if phase.sync_after:
                     handle.sync()
                 if phase.barrier_after:

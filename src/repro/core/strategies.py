@@ -86,6 +86,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -101,6 +102,7 @@ from typing import (
 from ..fs.lockmanager import LockMode
 from .aggregation import (
     AggregatedRun,
+    QueryBatch,
     assemble_stream,
     choose_aggregators,
     choose_node_aggregators,
@@ -675,9 +677,16 @@ class Negotiation:
     #: Per aggregator, the chunk runs it holds as ``(start, stop,
     #: buffer_offset)`` triples in file order — the layout of its read sink.
     held: Dict[int, List[Tuple[int, int, int]]]
-    #: Per-node union coverages, filled on first use by the hierarchical
-    #: scatter (a write never needs them).
-    node_coverages: Optional[List[IntervalSet]] = None
+    #: The per-node union coverages as one query batch, filled on first use
+    #: by the hierarchical scatter's first hop (a write never needs it).
+    node_scatter_batch: Optional[QueryBatch] = None
+
+    @cached_property
+    def scatter_batch(self) -> QueryBatch:
+        """The consumers' coverages as the one query batch every aggregator's
+        scatter cut clips against (its ``window`` is a node leader's), built
+        on first use."""
+        return QueryBatch.of(self.coverages)
 
 
 def _pump(comm: Communicator, schedule: Generator):
@@ -951,7 +960,7 @@ class TwoPhaseStrategy(PipelineStrategy):
         outgoing: Dict[int, List[Tuple[int, bytes]]] = {}
         held = neg.held.get(region.rank)
         if held:
-            cut = scatter_pieces(held, sinks[AGGREGATE_PAYLOAD], neg.coverages)
+            cut = scatter_pieces(held, sinks[AGGREGATE_PAYLOAD], neg.scatter_batch)
             outgoing = {dest: bufs for dest, bufs in enumerate(cut) if bufs}
         received = yield outgoing
         outcome.bytes_shuffled = sum(
@@ -1144,9 +1153,9 @@ class HierarchicalTwoPhaseStrategy(TwoPhaseStrategy):
         outgoing: Dict[int, List[Tuple[int, bytes]]] = {}
         held = neg.held.get(region.rank)
         if held:
-            if neg.node_coverages is None:
-                neg.node_coverages = node_coverages(neg.coverages, ppn)
-            cut = scatter_pieces(held, sinks[AGGREGATE_PAYLOAD], neg.node_coverages)
+            if neg.node_scatter_batch is None:
+                neg.node_scatter_batch = QueryBatch.of(node_coverages(neg.coverages, ppn))
+            cut = scatter_pieces(held, sinks[AGGREGATE_PAYLOAD], neg.node_scatter_batch)
             for node_idx, bufs in enumerate(cut):
                 if not bufs:
                     continue
@@ -1163,7 +1172,7 @@ class HierarchicalTwoPhaseStrategy(TwoPhaseStrategy):
                 [piece for _, sent in node_received for piece in sent]
             )
             cut = scatter_pieces(
-                node_held, node_buffer, neg.coverages[region.rank : region.rank + ppn]
+                node_held, node_buffer, neg.scatter_batch.window(region.rank, region.rank + ppn)
             )
             for dest, bufs in enumerate(cut, start=region.rank):
                 if not bufs:

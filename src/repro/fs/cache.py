@@ -26,14 +26,21 @@ dirty runs as they are, a fill copies only the gaps between valid runs.
 
 The cache talks to the rest of the file system through two callables
 (``fetch`` and ``store``) so it can be unit-tested in isolation.
+
+Every server call is an event on shared virtual-time resources, so the data
+path is written in *step form* (:func:`repro.core.engine.drive`): the
+``*_steps`` generators ``yield`` immediately before each ``store`` /
+``fetch`` call, and the public methods drive them.  Inside an engine the
+whole batch then costs its rank one park, not one thread switch per call.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
+from ..core.engine import Steps, drive
 from ..core.intervals import py_union
 
 __all__ = ["CachePolicy", "CacheStats", "ClientCache"]
@@ -132,6 +139,25 @@ class ClientCache:
         self.flush()
         self._fetch = self._store = None
 
+    # The public methods: each drives the step form of the same name.
+
+    def read(self, offset: int, nbytes: int) -> bytes:
+        """Read through the cache (filling pages and reading ahead)."""
+        return drive(self.read_steps(offset, nbytes))
+
+    def write(self, offset: int, data: bytes) -> None:
+        """Write through or behind, per the cache policy."""
+        return drive(self.write_steps(offset, data))
+
+    def flush(self) -> int:
+        """Write back every dirty page; returns the number of dirty pages
+        flushed (see :meth:`flush_steps`)."""
+        return drive(self.flush_steps())
+
+    def invalidate(self) -> None:
+        """Drop all clean pages (dirty pages are flushed first)."""
+        return drive(self.invalidate_steps())
+
     # -- helpers ------------------------------------------------------------------
 
     def _page_range(self, offset: int, nbytes: int) -> range:
@@ -143,26 +169,28 @@ class ClientCache:
     def _touch(self, page_no: int) -> None:
         self._pages.move_to_end(page_no)
 
-    def _evict_if_needed(self) -> None:
+    def _evict_if_needed(self) -> Steps:
         while len(self._pages) > self.policy.max_pages:
             victim_no, victim = next(iter(self._pages.items()))
             if victim.dirty:
-                self._write_back(victim_no, victim)
+                yield from self._write_back(victim_no, victim)
             del self._pages[victim_no]
             self.stats.evictions += 1
 
-    def _write_back(self, page_no: int, page: _Page) -> None:
+    def _write_back(self, page_no: int, page: _Page) -> Steps:
         """Write the dirty byte runs of a page to the server."""
         base = page_no * self.policy.page_size
         for start, stop in page.dirty:
+            yield
             self._store(base + start, bytes(page.data[start:stop]))
             self.stats.write_backs += 1
         page.dirty = []
 
-    def _fill_from_server(self, page_no: int, page: _Page) -> None:
+    def _fill_from_server(self, page_no: int, page: _Page) -> Steps:
         """Fetch the page from the server and fill its not-yet-valid bytes
         (locally written bytes are never overwritten)."""
         ps = self.policy.page_size
+        yield
         fresh = self._fetch(page_no * ps, ps)
         # The gaps between valid runs, clipped to what the server returned: a
         # short answer (end of file) leaves the rest of the page zero.
@@ -174,21 +202,18 @@ class ClientCache:
             pos = hi
         page.valid = [(0, ps)]
 
-    def _load_page(self, page_no: int) -> _Page:
+    def _load_page(self, page_no: int) -> Steps:
+        """A read miss: the page is absent or not wholly valid."""
         ps = self.policy.page_size
+        self.stats.misses += 1
         page = self._pages.get(page_no)
         if page is not None:
+            # Write-allocated page being read: fill the holes from the server.
             self._touch(page_no)
-            if page.valid == [(0, ps)]:
-                self.stats.hits += 1
-            else:
-                # Write-allocated page being read: fill the holes from the server.
-                self.stats.misses += 1
-                self._fill_from_server(page_no, page)
+            yield from self._fill_from_server(page_no, page)
             return page
-        self.stats.misses += 1
         page = _Page(ps)
-        self._fill_from_server(page_no, page)
+        yield from self._fill_from_server(page_no, page)
         self._pages[page_no] = page
         # Read ahead subsequent pages that are not yet cached.
         for ahead in range(1, self.policy.read_ahead_pages + 1):
@@ -196,43 +221,53 @@ class ClientCache:
             if nxt in self._pages:
                 continue
             ahead_page = _Page(ps)
-            self._fill_from_server(nxt, ahead_page)
+            yield from self._fill_from_server(nxt, ahead_page)
             self._pages[nxt] = ahead_page
             self.stats.read_ahead_pages += 1
-        self._evict_if_needed()
+        if len(self._pages) > self.policy.max_pages:
+            yield from self._evict_if_needed()
         return page
 
-    # -- public API ------------------------------------------------------------------
+    # -- the data path, in step form ---------------------------------------------------
 
-    def read(self, offset: int, nbytes: int) -> bytes:
-        """Read through the cache (filling pages and reading ahead)."""
+    def read_steps(self, offset: int, nbytes: int) -> Steps:
+        """:meth:`read`: a ``yield`` before every page fetch."""
         if offset < 0 or nbytes < 0:
             raise ValueError("offset and nbytes must be non-negative")
         if nbytes == 0:
             return b""
         ps = self.policy.page_size
+        whole = [(0, ps)]
         parts = []
         for page_no in self._page_range(offset, nbytes):
-            page = self._load_page(page_no)
+            page = self._pages.get(page_no)
+            if page is not None and page.valid == whole:
+                self._touch(page_no)
+                self.stats.hits += 1
+            else:
+                page = yield from self._load_page(page_no)
             base = page_no * ps
             lo = max(offset, base)
             hi = min(offset + nbytes, base + ps)
             parts.append(page.data[lo - base : hi - base])
         return b"".join(parts)
 
-    def write(self, offset: int, data: bytes) -> None:
-        """Write through or behind, per the cache policy."""
+    def write_steps(self, offset: int, data: bytes) -> Steps:
+        """:meth:`write`: a ``yield`` before the write-through store and
+        before every write-back an eviction forces."""
         if offset < 0:
             raise ValueError("offset must be non-negative")
         if not data:
             return
         if not self.policy.write_behind:
+            yield
             self._store(offset, data)
             # Keep any cached copies coherent with what was just stored.
             self._update_cached(offset, data, mark_dirty=False)
             return
         self._update_cached(offset, data, mark_dirty=True, create_missing=True)
-        self._evict_if_needed()
+        if len(self._pages) > self.policy.max_pages:
+            yield from self._evict_if_needed()
 
     def _update_cached(
         self, offset: int, data: bytes, mark_dirty: bool, create_missing: bool = False
@@ -257,7 +292,7 @@ class ClientCache:
             if mark_dirty:
                 _add_run(page.dirty, lo - base, hi - base)
 
-    def flush(self) -> int:
+    def flush_steps(self) -> Steps:
         """Write back every dirty page; returns the number of dirty pages flushed.
 
         This is the client-side half of the ``MPI_File_sync`` the paper's
@@ -266,39 +301,43 @@ class ClientCache:
         are gathered into a single server write, which is exactly the request
         coalescing a write-behind policy exists to provide.
         """
-        ps = self.policy.page_size
         dirty_pages = sorted(
             page_no for page_no, page in self._pages.items() if page.dirty
         )
+        for start, parts in self._dirty_extents(dirty_pages):
+            yield
+            self._store(start, b"".join(parts))
+            self.stats.write_backs += 1
+        return len(dirty_pages)
+
+    def _dirty_extents(self, dirty_pages: List[int]) -> Iterator[Tuple[int, List[bytearray]]]:
+        """``(file offset, parts)`` of every maximal dirty extent of the given
+        pages in file order, each page marked clean as its runs are taken."""
+        ps = self.policy.page_size
         run_start = run_end = -1
         run_data: List[bytearray] = []
-
-        def emit() -> None:
-            if run_data:
-                self._store(run_start, b"".join(run_data))
-                self.stats.write_backs += 1
-
         for page_no in dirty_pages:
             page = self._pages[page_no]
             base = page_no * ps
             for i, j in page.dirty:
                 if base + i != run_end:
-                    emit()
+                    if run_data:
+                        yield run_start, run_data
                     run_start = base + i
                     run_data = []
                 run_data.append(page.data[i:j])
                 run_end = base + j
             page.dirty = []
-        emit()
-        return len(dirty_pages)
+        if run_data:
+            yield run_start, run_data
 
-    def invalidate(self) -> None:
+    def invalidate_steps(self) -> Steps:
         """Drop all clean pages (dirty pages are flushed first).
 
         The other half of the handshaking protocol: before reading a region
         another process may have just written, the stale cached copy must go.
         """
-        self.flush()
+        yield from self.flush_steps()
         self.stats.invalidations += 1
         self._pages.clear()
 

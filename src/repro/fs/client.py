@@ -19,10 +19,11 @@ Every operation charges virtual time:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..core.engine import Steps, drive
 from ..mpi.clock import VirtualClock
-from .cache import CachePolicy, ClientCache
+from .cache import ClientCache
 from .costmodel import CostModel, Resource
 from .errors import InvalidRequest
 from .filesystem import FileObject, ParallelFileSystem
@@ -146,7 +147,7 @@ class ClientFileHandle:
         direct: bool = False,
         writer: Optional[int] = None,
     ) -> int:
-        """Write ``data`` at ``offset``.
+        """Write ``data`` at ``offset`` — a :meth:`write_batch` of one.
 
         ``direct=True`` bypasses the client cache and goes straight to the
         servers — the behaviour of writes performed under a byte-range lock
@@ -158,26 +159,9 @@ class ClientFileHandle:
         the merge.  Provenance overrides always go straight to the servers
         (the cache write-back path carries no per-byte attribution).
         """
-        self._check_open()
-        if offset < 0:
-            raise InvalidRequest("offset must be non-negative")
-        data = bytes(data)
-        if not data:
-            return 0
-        if direct or not self._caching or writer is not None:
-            self._timed_store(offset, data, writer=writer)
-        else:
-            # Write-behind: pay only a memory copy now; servers are charged
-            # when the dirty pages are flushed.
-            self.clock.advance(len(data) / _MEMCPY_BANDWIDTH)
-            self.cache.write(offset, data)
-        return len(data)
+        return drive(self.write_batch_steps(((offset, data, writer),), direct))
 
-    def write_batch(
-        self,
-        writes: Sequence[Tuple],
-        direct: bool = False,
-    ) -> int:
+    def write_batch(self, writes: Iterable[Tuple], direct: bool = False) -> int:
         """Apply a plan's batched writes: ``(offset, data)`` or
         ``(offset, data, writer)`` items, in order.
 
@@ -186,26 +170,39 @@ class ClientFileHandle:
         the phase's cache policy applied uniformly.  Returns total bytes
         written.
         """
+        return drive(self.write_batch_steps(writes, direct))
+
+    def write_batch_steps(self, writes: Iterable[Tuple], direct: bool) -> Steps:
+        """:meth:`write_batch` in step form (:func:`repro.core.engine.drive`):
+        a ``yield`` before every server write, the cache's included."""
         total = 0
         for item in writes:
             offset, data = item[0], item[1]
             writer = item[2] if len(item) > 2 else None
-            total += self.write(offset, data, direct=direct, writer=writer)
+            self._check_open()
+            if offset < 0:
+                raise InvalidRequest("offset must be non-negative")
+            data = bytes(data)
+            if not data:
+                continue
+            if direct or not self._caching or writer is not None:
+                yield
+                self._timed_store(offset, data, writer=writer)
+            else:
+                # Write-behind: pay only a memory copy now; servers are charged
+                # when the dirty pages are flushed.
+                self.clock.advance(len(data) / _MEMCPY_BANDWIDTH)
+                yield from self.cache.write_steps(offset, data)
+            total += len(data)
         return total
 
     def read(self, offset: int, nbytes: int, direct: bool = False) -> bytes:
-        """Read ``nbytes`` at ``offset`` (through the cache unless ``direct``)."""
-        self._check_open()
-        if offset < 0 or nbytes < 0:
-            raise InvalidRequest("offset and nbytes must be non-negative")
-        if nbytes == 0:
-            return b""
-        if direct or not self._caching:
-            return self._timed_fetch(offset, nbytes)
-        return self.cache.read(offset, nbytes)
+        """Read ``nbytes`` at ``offset`` (through the cache unless ``direct``)
+        — a :meth:`read_batch` of one."""
+        return drive(self.read_batch_steps(((offset, nbytes),), direct))[0]
 
     def read_batch(
-        self, reads: Sequence[Tuple[int, int]], direct: bool = False
+        self, reads: Iterable[Tuple[int, int]], direct: bool = False
     ) -> List[bytes]:
         """Apply a plan's batched reads: ``(offset, nbytes)`` items, in order.
 
@@ -214,7 +211,24 @@ class ClientFileHandle:
         :meth:`write_batch`: one call per phase, the phase's cache policy
         applied uniformly.  Returns one bytes object per request.
         """
-        return [self.read(offset, nbytes, direct=direct) for offset, nbytes in reads]
+        return drive(self.read_batch_steps(reads, direct))
+
+    def read_batch_steps(self, reads: Iterable[Tuple[int, int]], direct: bool) -> Steps:
+        """:meth:`read_batch` in step form: a ``yield`` before every server
+        read, the cache's page fills included."""
+        fetched = []
+        for offset, nbytes in reads:
+            self._check_open()
+            if offset < 0 or nbytes < 0:
+                raise InvalidRequest("offset and nbytes must be non-negative")
+            if nbytes == 0:
+                fetched.append(b"")
+            elif direct or not self._caching:
+                yield
+                fetched.append(self._timed_fetch(offset, nbytes))
+            else:
+                fetched.append((yield from self.cache.read_steps(offset, nbytes)))
+        return fetched
 
     def sync(self) -> int:
         """Flush write-behind data to the servers (``fsync`` /

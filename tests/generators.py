@@ -76,3 +76,36 @@ def raw_segment_lists(draw, file_bytes: int):
     for extra in extras:
         segments.insert(draw(st.integers(0, len(segments))), extra)
     return segments
+
+
+@st.composite
+def engine_programs(draw, min_tasks: int = 2, max_tasks: int = 6):
+    """A small SPMD program over the engine's primitives, for driven ≡
+    yielded: ``program[round][task]`` is the task's batches in that round,
+    each ``(lock, advances)`` — ``advances`` the clock advance of each event
+    in the batch (whole numbers from 0, so tasks tie and the task-id
+    tie-break decides), ``lock`` ``None`` or a ``(start, stop)`` byte range
+    held around the batch (lock-manager acquisitions park and wake).  Rounds
+    are separated by an all-task rendezvous (a ``wait`` / ``wake`` pair per
+    task).  Every task takes part in every round, so no program deadlocks."""
+    ntasks = draw(st.integers(min_tasks, max_tasks))
+    lock = st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 4), st.integers(1, 4)).map(lambda r: (r[0], r[0] + r[1])),
+    )
+    batch = st.tuples(lock, st.lists(st.integers(0, 3).map(float), max_size=5))
+    rounds = draw(st.integers(1, 3))
+    return [
+        [draw(st.lists(batch, max_size=3)) for _ in range(ntasks)] for _ in range(rounds)
+    ]
+
+
+@st.composite
+def cache_programs(draw, operations, min_tasks: int = 2, max_tasks: int = 4):
+    """Per-task lists of ``operations`` draws (client-cache calls) for 2–4
+    engine tasks; a drawn flag per task says whether it closes its cache at
+    the end."""
+    ntasks = draw(st.integers(min_tasks, max_tasks))
+    return [
+        (draw(st.lists(operations, max_size=10)), draw(st.booleans())) for _ in range(ntasks)
+    ]

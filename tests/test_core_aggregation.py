@@ -9,8 +9,11 @@ Overlaps now raise instead.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.core.aggregation import assemble_stream, scatter_pieces
+import generators
+from repro.core.aggregation import QueryBatch, assemble_stream, scatter_pieces
 from repro.core.intervals import IntervalSet
 
 
@@ -81,3 +84,37 @@ class TestScatterAssembleRoundtrip:
                 for off, length in coverage.as_segments()
             )
             assert stream == expected
+
+
+class TestQueryBatch:
+    """The consumers' coverages flattened once per collective: a cut against
+    the prebuilt batch — or a window of it — is the cut against the
+    coverages themselves."""
+
+    @given(views=generators.view_sets(24, min_ranks=1, max_ranks=6), data=st.data())
+    def test_batch_and_window_cut_like_the_plain_coverages(self, views, data):
+        coverages = [IntervalSet([(off, off + n) for off, n in segs]) for segs in views]
+        buffer = bytes(range(100, 124))
+        # The aggregator holds a drawn file-ordered subset of the file, packed.
+        cuts = sorted(data.draw(st.sets(st.integers(0, 24), max_size=6)))
+        held, at = [], 0
+        for start, stop in zip(cuts[::2], cuts[1::2]):
+            held.append((start, stop, at))
+            at += stop - start
+        packed = b"".join(buffer[start:stop] for start, stop, _ in held)
+        batch = QueryBatch.of(coverages)
+        expected = scatter_pieces(held, packed, coverages)
+        assert scatter_pieces(held, packed, batch) == expected
+        for dest, pieces in enumerate(expected):
+            assert all(data_ == buffer[off : off + len(data_)] for off, data_ in pieces)
+        first = data.draw(st.integers(0, len(coverages) - 1))
+        last = data.draw(st.integers(first + 1, len(coverages) + 2))  # may overshoot
+        assert (
+            scatter_pieces(held, packed, batch.window(first, last))
+            == scatter_pieces(held, packed, coverages[first:last])
+            == expected[first:last]
+        )
+
+    def test_no_consumers_and_empty_consumers(self):
+        assert scatter_pieces([(0, 4, 0)], b"abcd", []) == []
+        assert scatter_pieces([(0, 4, 0)], b"abcd", [IntervalSet(), IntervalSet()]) == [[], []]
