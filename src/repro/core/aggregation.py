@@ -36,8 +36,8 @@ consumer's contiguous data stream.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -155,8 +155,7 @@ def merge_pieces(
     """Merge shuffled pieces into disjoint runs, resolving conflicts.
 
     ``pieces_by_sender`` maps each sending rank to its ``(file_offset, data)``
-    pieces (already restricted to this aggregator's file-domain chunk).
-    Senders are applied from lowest to highest priority, so the
+    pieces (already restricted to this aggregator's file-domain chunk).  The
     highest-priority rank's bytes win every contested range — the same
     winner process-rank ordering would pick, keeping the two strategies
     byte-for-byte comparable.  Priority ties (a non-injective policy) break
@@ -165,13 +164,10 @@ def merge_pieces(
 
     Returns contiguous runs of constant origin, in file order.
     """
-    flat = [
-        (rank, int(off), bytes(data))
-        for rank, pieces in pieces_by_sender
-        for off, data in pieces
-        if len(data) > 0
-    ]
-    return merge_origin_runs(flat, policy)
+    return merge_origin_runs(
+        [(rank, off, data) for rank, pieces in pieces_by_sender for off, data in pieces],
+        policy,
+    )
 
 
 def merge_origin_runs(
@@ -183,55 +179,65 @@ def merge_origin_runs(
     The general form of :func:`merge_pieces`: each run carries its own origin
     rank instead of inheriting it from the sender, so *pre-merged* runs (a
     node-local aggregator's output, whose bytes originate from several ranks)
-    can be merged again at a higher tier.  Because the winner of every byte
-    is the covering origin with the highest ``(policy(origin), -origin)``
-    order — a fixed total order independent of grouping — merging node-local
-    results and then merging across nodes yields exactly the bytes a single
-    flat merge would: the property that makes two-level aggregation
-    byte-identical to single-level.
+    can be merged again at a higher tier.
+
+    Who wins a byte depends only on *which pieces cover it*, so the merge is
+    a sweep over piece boundaries and never looks at a byte that loses.
+    Pieces are totally ordered: highest ``policy(origin)``, then lowest
+    origin, then highest file offset, then latest position in ``runs`` (the
+    last two only ever decide between overlapping pieces of one origin).
+    Every stretch between a winner's end and the next piece's start is one
+    *cut* of the winning piece; touching cuts of one origin are one run.
+    Between different origins the order is ``(policy(origin), -origin)``
+    alone, whatever the grouping, so merging node-local results and then
+    merging across nodes yields the runs a single flat merge would — what
+    makes two-level aggregation byte-identical to single-level (a rank's
+    pieces all pass through one node leader).
     """
-    flat = [
-        (int(origin), int(off), bytes(data))
-        for origin, off, data in runs
-        if len(data) > 0
-    ]
-    if not flat:
+    pieces = sorted(
+        [
+            (lo := int(off), lo + len(data), position, int(origin), bytes(data))
+            for position, (origin, off, data) in enumerate(runs)
+            if len(data) > 0
+        ]
+    )
+    if not pieces:
         return []
-    # Merge densely only within each connected covered extent, so a sparse
-    # domain (pieces straddling a large file hole) costs memory proportional
-    # to the covered bytes, never to the overall offset span.
-    coverage = IntervalSet.from_segments([(off, len(data)) for _, off, data in flat])
-    components = coverage.intervals
-    component_starts = [iv.start for iv in components]
-    grouped: List[List[Tuple[int, int, bytes]]] = [[] for _ in components]
-    # Ascending (priority, -rank): the last writer of a byte wins, so the
-    # highest priority — and on ties the lowest rank, as in resolve_by_rank —
-    # is applied last.
-    for item in sorted(flat, key=lambda item: (policy(item[0]), -item[0], item[1])):
-        # Each piece is contiguous, hence fully inside one covered component.
-        idx = bisect_right(component_starts, item[1]) - 1
-        grouped[idx].append(item)
-    runs: List[AggregatedRun] = []
-    for component, items in zip(components, grouped):
-        lo, span = component.start, component.length
-        merged = np.zeros(span, dtype=np.uint8)
-        origin = np.full(span, -1, dtype=np.int32)
-        for rank, off, data in items:
-            a = off - lo
-            b = a + len(data)
-            merged[a:b] = np.frombuffer(data, dtype=np.uint8)
-            origin[a:b] = rank
-        change = np.flatnonzero(np.diff(origin) != 0) + 1
-        starts = np.concatenate(([0], change))
-        stops = np.concatenate((change, [span]))
-        for s, e in zip(starts, stops):
-            who = int(origin[s])
-            if who < 0:
-                continue
-            runs.append(
-                AggregatedRun(offset=lo + int(s), data=merged[s:e].tobytes(), origin=who)
-            )
-    return runs
+    if pieces[0][0] < 0:
+        raise ValueError(f"negative offsets not allowed: a piece at {pieces[0][0]}")
+    # Min-heap of the pieces admitted so far, the greatest in the total order
+    # at its head; a piece that has ended is dropped when it surfaces there.
+    covering: list = []
+    count, nxt, pos = len(pieces), 0, pieces[0][0]
+    # Touching cuts of one origin are one run, its data joined once (a run of
+    # one whole piece keeps the piece's own bytes object: ``join`` of a single
+    # exact ``bytes`` returns it).
+    merged: List[AggregatedRun] = []
+    parts: List[bytes] = []
+    start = stop = who = None
+    while True:
+        while nxt < count and pieces[nxt][0] <= pos:
+            piece = pieces[nxt]
+            origin = piece[3]
+            heappush(covering, (-policy(origin), origin, -piece[0], -piece[2], piece))
+            nxt += 1
+        while covering and covering[0][4][1] <= pos:
+            heappop(covering)
+        if not covering:
+            if nxt == count:
+                break
+            pos = pieces[nxt][0]
+            continue
+        lo, hi, _, origin, data = covering[0][4]
+        end = hi if nxt == count or pieces[nxt][0] >= hi else pieces[nxt][0]
+        if pos != stop or origin != who:
+            if parts:
+                merged.append(AggregatedRun(start, b"".join(parts), who))
+            start, who, parts = pos, origin, []
+        parts.append(data if pos == lo and end == hi else data[pos - lo : end - lo])
+        pos = stop = end
+    merged.append(AggregatedRun(start, b"".join(parts), who))
+    return merged
 
 
 class QueryBatch(NamedTuple):

@@ -25,6 +25,10 @@ driver of the very same coroutines, with plain per-rank state and no tasks:
   ascending ``(virtual clock, rank)`` order — the engine's min-key rule
   (a running task keeps the resources while its key is minimal; ties resume
   in task-id order, and task ids are assigned in rank order) on a plain heap.
+  Only a rank whose plan has a transfer step gets a handle and an iterator
+  (at scale, the aggregators): opening and closing a handle advances no
+  clock, and the sweep refuses every plan that would use the cache, locks or
+  tokens, so a handle nobody transfers through is invisible to virtual time.
 
 Both substrates therefore produce **bit-identical** virtual times, file
 bytes, per-byte provenance and outcomes; ``tests/test_core_bulk.py`` pins
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
-from typing import Generator, Iterator, List, Optional, Sequence
+from typing import Dict, Generator, Iterator, List, Optional, Sequence
 
 from ..fs.client import ClientFileHandle, FSClient
 from ..fs.filesystem import ParallelFileSystem
@@ -79,7 +83,7 @@ def _rendezvous(clocks: List[VirtualClock], costs: Sequence[float]) -> None:
 def _sweep(
     plans: Sequence[IOPlan],
     clocks: List[VirtualClock],
-    handles: List[ClientFileHandle],
+    handles: Dict[int, ClientFileHandle],
     buffers: Sequence[dict],
     outcomes: List[IOOutcome],
 ) -> None:
@@ -89,10 +93,11 @@ def _sweep(
     per rank).  Each iterator rests at the sequence point before its next
     transfer; the sweep resumes the one holding the minimal ``(clock, rank)``
     key — the engine's rule with ranks for task ids (sequence points no-op
-    outside engine tasks; the heap IS the sequencing).  It never parks a
-    rank, so it refuses — on the plan itself, whichever strategy built it —
-    what would need more: locks, barriers, or phases that go through the
-    client cache.
+    outside engine tasks; the heap IS the sequencing).  ``handles`` holds the
+    ranks that transfer anything (:meth:`_BulkExecutor._handles`); the others
+    have no iterator to resume.  It never parks a rank, so it refuses — on
+    the plan itself, whichever strategy built it — what would need more:
+    locks, barriers, or phases that go through the client cache.
     """
     for plan in plans:
         if plan.locks or any(
@@ -111,12 +116,15 @@ def _sweep(
         for phase in plan.phases:
             yield from transfer_steps(handle, plan.direction, phase, buffer, outcome)
 
-    # One iterator per rank, each advanced to its first sequence point (which
-    # advances no clock); a rank without I/O drops out.
-    iters = list(map(rank_steps, plans, handles, buffers, outcomes))
+    # One iterator per transferring rank, each advanced to its first sequence
+    # point (which advances no clock); steps of no bytes drop out.
+    iters = {
+        rank: rank_steps(plans[rank], handle, buffers[rank], outcomes[rank])
+        for rank, handle in handles.items()
+    }
     heap = [
         (clocks[rank].now, rank)
-        for rank, steps in enumerate(iters)
+        for rank, steps in iters.items()
         if next(steps, _DONE) is not _DONE
     ]
     heapq.heapify(heap)
@@ -219,17 +227,20 @@ class _BulkExecutor(_Executor):
 
     @contextmanager
     def _handles(
-        self, clocks: List[VirtualClock], create: bool
-    ) -> Iterator[List[ClientFileHandle]]:
-        """One open handle per replayed rank, on the rank's own clock."""
-        handles = [
-            FSClient(self.fs, client_id=rank, clock=clock).open(self.filename, create)
-            for rank, clock in enumerate(clocks)
-        ]
+        self, plans: Sequence[IOPlan], clocks: List[VirtualClock], create: bool
+    ) -> Iterator[Dict[int, ClientFileHandle]]:
+        """An open handle, on the rank's own clock, for every rank whose plan
+        has a transfer step (see the module docstring for why the others
+        need none); all are closed on the way out, however the sweep ends."""
+        handles: Dict[int, ClientFileHandle] = {}
         try:
+            for rank, plan in enumerate(plans):
+                if any(phase.steps for phase in plan.phases):
+                    client = FSClient(self.fs, client_id=rank, clock=clocks[rank])
+                    handles[rank] = client.open(self.filename, create)
             yield handles
         finally:
-            for handle in handles:
+            for handle in handles.values():
                 handle.close()
 
 
@@ -264,10 +275,10 @@ class BulkWriteExecutor(_BulkExecutor):
         outcomes = [IOOutcome.from_plan(plan, 0.0) for plan in plans]
 
         # Stage 4 — the plans' writes against the real resource stack.
-        with self._handles(clocks, create=True) as handles:
+        with self._handles(plans, clocks, create=True) as handles:
             _sweep(plans, clocks, handles, [payloads for _, payloads in prepared], outcomes)
-            for outcome, clock in zip(outcomes, clocks):
-                outcome.end_time = clock.now
+        for outcome, clock in zip(outcomes, clocks):
+            outcome.end_time = clock.now
 
         return ConcurrentWriteResult(
             filename=self.filename,
@@ -294,27 +305,27 @@ class BulkReadExecutor(_BulkExecutor):
         regions = self._views(nprocs, view_factory)
         fobj = self.fs.lookup(self.filename)
         clocks = [VirtualClock() for _ in regions]
-        # (``execute_read`` flushes first; these fresh handles have clean caches.)
-        with self._handles(clocks, create=False) as handles:
-            delegate, negotiation, adopt = self._exchange(regions, clocks, "read")
-            plans = [adopt(delegate.fetch_plan(region, negotiation)) for region in regions]
-            outcomes = [IOOutcome.from_plan(plan, 0.0) for plan in plans]
-            sinks = [plan.sinks() for plan in plans]
+        delegate, negotiation, adopt = self._exchange(regions, clocks, "read")
+        plans = [adopt(delegate.fetch_plan(region, negotiation)) for region in regions]
+        outcomes = [IOOutcome.from_plan(plan, 0.0) for plan in plans]
+        sinks = [plan.sinks() for plan in plans]
 
-            # Phase 1 — aggregator fetch, one direct read per heap pop.
+        # Phase 1 — aggregator fetch, one direct read per heap pop.
+        # (``execute_read`` flushes first; these fresh handles have clean caches.)
+        with self._handles(plans, clocks, create=False) as handles:
             _sweep(plans, clocks, handles, sinks, outcomes)
 
-            # Phase 2 — every rank's scatter coroutine, to its data stream.
-            streams = self._lockstep(
-                [
-                    delegate.scatter(region, negotiation, outcome, sink)
-                    for region, outcome, sink in zip(regions, outcomes, sinks)
-                ],
-                clocks,
-            )
-            for outcome, clock, stream in zip(outcomes, clocks, streams):
-                outcome.end_time = clock.now
-                outcome.bytes_returned = len(stream)
+        # Phase 2 — every rank's scatter coroutine, to its data stream.
+        streams = self._lockstep(
+            [
+                delegate.scatter(region, negotiation, outcome, sink)
+                for region, outcome, sink in zip(regions, outcomes, sinks)
+            ],
+            clocks,
+        )
+        for outcome, clock, stream in zip(outcomes, clocks, streams):
+            outcome.end_time = clock.now
+            outcome.bytes_returned = len(stream)
 
         return ConcurrentReadResult(
             filename=self.filename,

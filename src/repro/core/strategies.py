@@ -872,18 +872,18 @@ class TwoPhaseStrategy(PipelineStrategy):
         become parallel disjoint direct writes — no locks, no barriers —
         with the originating rank recorded as each run's provenance."""
         steps: List[TransferStep] = []
-        buffer = bytearray()
+        at = 0
         for run in runs:
             steps.append(
                 TransferStep(
-                    buffer_offset=len(buffer),
+                    buffer_offset=at,
                     file_offset=run.offset,
                     length=run.length,
                     buffer=AGGREGATE_PAYLOAD,
                     writer=run.origin,
                 )
             )
-            buffer.extend(run.data)
+            at += run.length
         plan = self._plan(
             "write",
             region,
@@ -894,7 +894,8 @@ class TwoPhaseStrategy(PipelineStrategy):
             bytes_shuffled=shuffled,
             extra=extra,
         )
-        return plan, {USER_PAYLOAD: data, AGGREGATE_PAYLOAD: bytes(buffer)}
+        aggregate = b"".join(run.data for run in runs)
+        return plan, {USER_PAYLOAD: data, AGGREGATE_PAYLOAD: aggregate}
 
     def shuffle(self, region: FileRegionSet, data: bytes, neg: Negotiation):
         """This rank's write schedule, as a coroutine (see :func:`_pump`);
@@ -914,7 +915,7 @@ class TwoPhaseStrategy(PipelineStrategy):
                 shuffled += len(chunk)
         received = yield outgoing
 
-        # Merge (aggregators only): later-priority data overwrites earlier.
+        # Merge (aggregators only): the highest-priority covering rank wins.
         is_agg = region.rank in neg.agg_set
         runs = merge_pieces(received, policy=self.policy) if is_agg else []
         # Phase 2 — write.
@@ -1118,7 +1119,7 @@ class HierarchicalTwoPhaseStrategy(TwoPhaseStrategy):
         agg_received = yield outgoing
         is_agg = region.rank in neg.agg_set
         arrived = [run for _, sent in agg_received for run in sent] if is_agg else []
-        runs = merge_origin_runs(arrived, policy=self.policy)
+        runs = merge_origin_runs(arrived, policy=self.policy) if arrived else []
         # Write phase: identical to the flat strategy.
         return self._write_plan(
             region, data, neg, runs, write_phase=2,

@@ -2,9 +2,10 @@
 
 One definition of "a rank's view" and "a set of views over one small file",
 so every generated-input proof (engine ≡ bulk, array-native verifiers ≡ the
-scalar oracle, one-pass ``FileRegionSet`` ≡ the four-pass constructor) draws
-from the same shapes: segments adjacent to each other, out of file order,
-empty views, views nested in or equal to one another.
+scalar oracle, one-pass ``FileRegionSet`` ≡ the four-pass constructor, sweep
+merge ≡ the byte-painting merge) draws from the same shapes: segments adjacent
+to each other, out of file order, empty views, views nested in or equal to one
+another.
 
 Test-only; never imported by ``src/``.
 """
@@ -109,3 +110,33 @@ def cache_programs(draw, operations, min_tasks: int = 2, max_tasks: int = 4):
     return [
         (draw(st.lists(operations, max_size=10)), draw(st.booleans())) for _ in range(ntasks)
     ]
+
+
+@st.composite
+def piece_lists(draw, max_pieces: int = 10):
+    """``(origin, file_offset, data)`` pieces as an aggregator's merge takes
+    them, 0–``max_pieces`` of them: extents irregular (touching, overlapping,
+    zero-length), each nested in the one before, or all identical, laid on one
+    to three bases far apart (a sparse domain: holes of gigabytes); origins
+    drawn from a small range, so they repeat and **two overlapping pieces of
+    one origin** occur (the case only the order among an origin's own pieces
+    decides), or from a wide one, so they mostly do not; independent random
+    bytes per piece, held as ``bytes``, ``bytearray`` or ``memoryview``."""
+    shape = draw(st.sampled_from(["irregular", "irregular", "nested", "same"]))
+    origins = st.integers(0, draw(st.sampled_from([2, 5, 64])))
+    bases = st.sampled_from(
+        draw(st.lists(st.sampled_from([0, 40, 10**9, 10**12]), min_size=1, max_size=3))
+    )
+    holders = st.sampled_from([bytes, bytearray, memoryview])
+    lo, hi = draw(st.integers(0, 8)), draw(st.integers(8, 24))
+    pieces = []
+    for _ in range(draw(st.integers(0, max_pieces))):
+        if shape == "irregular":
+            lo = draw(st.integers(0, 24))
+            hi = lo + draw(st.integers(0, 12))
+        elif shape == "nested":
+            lo = lo + draw(st.integers(0, 3))
+            hi = max(lo, hi - draw(st.integers(0, 3)))
+        data = draw(st.binary(min_size=hi - lo, max_size=hi - lo))
+        pieces.append((draw(origins), draw(bases) + lo, draw(holders)(data)))
+    return pieces

@@ -62,17 +62,20 @@ class TestAssembleStream:
 
 
 class TestScatterAssembleRoundtrip:
-    def test_scatter_then_assemble_recovers_request(self):
-        # An aggregator holds file bytes [0, 16) contiguously; two consumers
+    @pytest.mark.parametrize("sink", [bytes, bytearray])
+    def test_scatter_then_assemble_recovers_request(self, sink):
+        # An aggregator holds file bytes [0, 16) contiguously (fetched into
+        # ``bytes`` or, as a read plan's sink, a ``bytearray``); two consumers
         # request interleaved halves.  The scattered pieces are disjoint per
         # consumer, so assembly accepts them and fills each request exactly.
-        buffer = bytes(range(16))
+        buffer = sink(range(16))
         held = [(0, 16, 0)]
         coverages = [
             IntervalSet([(0, 4), (8, 12)]),
             IntervalSet([(4, 8), (12, 16)]),
         ]
         sends = scatter_pieces(held, buffer, coverages)
+        assert all(type(piece) is bytes for sent in sends for _, piece in sent)
         for rank, coverage in enumerate(coverages):
             buffer_map = [
                 (i * 4, off, 4) for i, (off, _) in enumerate(coverage.as_segments())

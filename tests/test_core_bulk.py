@@ -18,6 +18,7 @@ from repro.core.strategies import (
     TwoPhaseStrategy,
 )
 from repro.fs import ParallelFileSystem
+from repro.fs.client import FSClient
 from repro.mpi import SPMDExecutionError
 from repro.mpi.cost import CommCostModel
 from repro.mpi.errors import CollectiveMismatchError, DeadlockError, RankError
@@ -134,6 +135,26 @@ class _BadDestination(TwoPhaseStrategy):
         return (yield from super().shuffle(region, data, neg))
 
 
+class _EarlyExitScatter(TwoPhaseStrategy):
+    """Broken on purpose: rank 1 leaves the read before the scatter exchange."""
+
+    def scatter(self, region, neg, outcome, sinks):
+        if region.rank == 1:
+            return b""
+        return (yield from super().scatter(region, neg, outcome, sinks))
+
+
+class _CachedPhases(TwoPhaseStrategy):
+    """Broken on purpose: plans whose transfers go through the client cache,
+    which the bulk sweep refuses."""
+
+    def _plan(self, *args, **kwargs):
+        plan = super()._plan(*args, **kwargs)
+        for phase in plan.phases:
+            phase.direct = False
+        return plan
+
+
 class TestScheduleDisagreementFailsLoudly:
     """A schedule whose ranks disagree must not run to a wrong answer on
     either substrate."""
@@ -160,6 +181,60 @@ class TestScheduleDisagreementFailsLoudly:
         with pytest.raises(SPMDExecutionError) as info:
             self.run(AtomicWriteExecutor, _BadDestination())
         assert isinstance(info.value.failures[2], RankError)
+
+
+class TestHandles:
+    """The bulk driver opens a handle for each rank whose plan transfers
+    anything and for no other; however the run ends, none stays open."""
+
+    P = 64
+    VIEWS = column_wise_views(M=4, N=256, P=64, R=2)
+
+    def make(self, executor_cls, strategy, fs=None):
+        fs = fs or ParallelFileSystem(fast_fs_config())
+        return fs, executor_cls(fs, strategy, filename="bulk.dat")
+
+    def test_one_open_per_transferring_rank(self, monkeypatch):
+        opened = []
+        real_open = FSClient.open
+
+        def counting_open(client, name, create=True):
+            opened.append(client.client_id)
+            return real_open(client, name, create)
+
+        monkeypatch.setattr(FSClient, "open", counting_open)
+        hier = lambda: HierarchicalTwoPhaseStrategy(num_aggregators=2, ranks_per_node=8)  # noqa: E731
+        fs, writer = self.make(BulkWriteExecutor, hier())
+        written = writer.run(self.P, lambda rank, P: self.VIEWS[rank], rank_pattern_bytes)
+        assert opened == [o.rank for o in written.outcomes if o.segments_moved] == [0, 32]
+        assert written.file.open_count == 0
+
+        opened.clear()
+        _, reader = self.make(BulkReadExecutor, hier(), fs)
+        read = reader.run(self.P, lambda rank, P: self.VIEWS[rank])
+        assert opened == [o.rank for o in read.outcomes if o.segments_moved] == [0, 32]
+        assert read.file.open_count == 0
+
+    @pytest.mark.parametrize(
+        "executor_cls, strategy, error",
+        [
+            # Refused by _sweep, with the aggregators' handles already open.
+            (BulkWriteExecutor, _CachedPhases, TypeError),
+            (BulkReadExecutor, _CachedPhases, TypeError),
+            # Ended by _lockstep: before the write sweep, after the read sweep.
+            (BulkWriteExecutor, _EarlyExit, CollectiveMismatchError),
+            (BulkReadExecutor, _EarlyExitScatter, CollectiveMismatchError),
+        ],
+    )
+    def test_no_handle_survives_a_failed_run(self, executor_cls, strategy, error):
+        views = TestScheduleDisagreementFailsLoudly.VIEWS
+        fs, seed = self.make(BulkWriteExecutor, TwoPhaseStrategy())
+        seed.run(4, lambda rank, P: views[rank], rank_pattern_bytes)
+        _, executor = self.make(executor_cls, strategy(), fs)
+        payload = (rank_pattern_bytes,) if executor_cls is BulkWriteExecutor else ()
+        with pytest.raises(error):
+            executor.run(4, lambda rank, P: views[rank], *payload)
+        assert fs.lookup("bulk.dat").open_count == 0
 
 
 # -- read replay ---------------------------------------------------------------

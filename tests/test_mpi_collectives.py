@@ -276,6 +276,13 @@ class TestPayloadNbytes:
             [[b"ab", [b"c", (b"de", arr)]], None, _Volume(5)],
             {0: b"ab", 1: [b"cd", arr], 2: {"k": _Volume(9)}},
             [(0, 8, b"12345678"), (8, 4, b"1234")],
+            # The pieces of a shuffle: (offset, bytes) and (origin, offset,
+            # bytes); then pieces holding what only the general definition
+            # counts.
+            [(0, b"abcd"), (4, b""), (9, b"xyz")], [(3, 0, b"abcd"), (1, 4, b"xy")],
+            ((0, b"ab"), (2, b"c")), [(0, bytearray(b"abc")), (1, memoryview(arr)), (2, arr)],
+            [(0, [b"ab", (1, b"cde")]), [(5, b"fgh")], (7, None, _Volume(11), "text")],
+            [(0, Sized((b"ab",))), (Sized((b"cd",)), {"k": b"efg"})],
             Sized((b"ab", b"cd")), [Sized((b"ab",)), b"z"],
         ]
         for payload in payloads:
