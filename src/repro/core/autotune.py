@@ -62,14 +62,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .analysis import pattern_features
 from .pipeline import _SharedMemo
 from .regions import FileRegionSet
-from .registry import register_strategy
-from .strategies import (
-    HierarchicalTwoPhaseStrategy,
-    PipelineStrategy,
-    PreparedIO,
-    RankOrderingStrategy,
-    TwoPhaseStrategy,
-)
+from .registry import default_registry, register_strategy
+from .strategies import PipelineStrategy, PreparedIO, TwoPhaseStrategy
 
 __all__ = [
     "PatternSignature",
@@ -208,31 +202,18 @@ class TuningDecision:
     )
 
     def delegate(self) -> PipelineStrategy:
-        """The (shared, cached) strategy instance implementing the decision."""
+        """The (shared, cached) strategy instance implementing the decision:
+        the registered class of that name, built with the derived tunables."""
         if self._delegate is None:
-            self._delegate = self._build()
+            tunables = {
+                "num_aggregators": self.cb_nodes,
+                "cb_buffer_size": self.cb_buffer_size,
+                "ranks_per_node": self.cb_ppn,
+            }
+            self._delegate = default_registry.create(
+                self.strategy, **{k: v for k, v in tunables.items() if v is not None}
+            )
         return self._delegate
-
-    def _build(self) -> PipelineStrategy:
-        if self.strategy == "two-phase":
-            return TwoPhaseStrategy(
-                num_aggregators=self.cb_nodes, cb_buffer_size=self.cb_buffer_size
-            )
-        if self.strategy == "two-phase-hier":
-            return HierarchicalTwoPhaseStrategy(
-                num_aggregators=self.cb_nodes,
-                cb_buffer_size=self.cb_buffer_size,
-                ranks_per_node=self.cb_ppn,
-            )
-        if self.strategy == "rank-ordering":
-            return RankOrderingStrategy()
-        if self.strategy == "locking":
-            # Import here: the locking strategy is only reachable on machines
-            # that support locks, and keeping the hot imports minimal.
-            from .strategies import LockingStrategy
-
-            return LockingStrategy()
-        raise ValueError(f"unknown tuned strategy {self.strategy!r}")
 
     def hints(self) -> Dict[str, float]:
         """The derived ``cb_*`` hints as numeric plan/outcome extras."""
@@ -249,21 +230,20 @@ class TuningDecision:
 
 
 class HintEngine:
-    """Maps ``(PatternSignature, MachineModel)`` to a :class:`TuningDecision`.
+    """Maps ``(PatternSignature, MachineModel, direction)`` to a
+    :class:`TuningDecision`.
 
     The rules mirror ROMIO-style heuristics, adapted to what the simulation
     actually rewards (measured against the deterministic cost model):
 
     * **contiguous** views — each rank owns an (almost) private byte range —
       want no aggregation at all: ``rank-ordering`` trims the small ghost
-      overlaps and writes fully in parallel.
+      overlaps and moves the rest fully in parallel.
     * **interleaved** views (strided / block-block / irregular) want
       two-phase aggregation: the aggregate domain is re-partitioned into
       contiguous per-aggregator chunks, converting the fine-grained
-      interleave into large sequential writes.  ``cb_nodes`` is capped at
-      the I/O server count once ``P`` exceeds it — more writers than servers
-      only adds shuffle fan-out — and ``cb_buffer_size`` records the
-      stripe-aligned per-aggregator domain chunk.
+      interleave into large sequential transfers; ``cb_buffer_size`` records
+      the stripe-aligned per-aggregator domain chunk.
     * at large ``P`` the flat shuffle's fan-out dominates, so the engine
       switches to the hierarchical variant with ``cb_ppn`` node-local
       combining.
@@ -280,72 +260,48 @@ class HintEngine:
     #: Node width assumed when deriving ``cb_ppn`` (the paper's clusters).
     default_ppn: int = 8
 
-    def decide(self, signature: PatternSignature, machine: MachineModel) -> TuningDecision:
-        nprocs = max(1, signature.nprocs)
-        if signature.kind == "contiguous":
-            return TuningDecision(strategy="rank-ordering")
-        domain_bytes = 1 << signature.domain_bucket
-        if nprocs >= self.hier_threshold:
-            ppn = self.default_ppn
-            nodes = -(-nprocs // ppn)
-            cb_nodes = max(1, min(nodes, max(machine.num_servers, nodes // 4)))
-            return TuningDecision(
-                strategy="two-phase-hier",
-                cb_nodes=cb_nodes,
-                cb_ppn=ppn,
-                cb_buffer_size=self._chunk(domain_bytes, cb_nodes, machine),
-            )
-        # Half the server count measures best across the machine presets: it
-        # keeps every server busy (two aggregators interleave on one server's
-        # stripes) without paying the full shuffle fan-out of one aggregator
-        # per server.
-        cb_nodes = min(nprocs, max(1, machine.num_servers // 2))
-        return TuningDecision(
-            strategy="two-phase",
-            cb_nodes=cb_nodes,
-            cb_buffer_size=self._chunk(domain_bytes, cb_nodes, machine),
-        )
-
-    def decide_read(
-        self, signature: PatternSignature, machine: MachineModel
+    def decide(
+        self, signature: PatternSignature, machine: MachineModel, direction: str = "write"
     ) -> TuningDecision:
-        """Read-side rules: fetch-parallel aggregation plus cache coupling.
+        """The decision for one collective's pattern, in ``direction``.
 
-        Reads invert the write economics.  A write wants few aggregators
-        (fewer lock/commit streams at the servers); a read has no commit
-        side, so the fetch phase scales with server parallelism and the only
-        brake is shuffle latency.  Two aggregators per I/O server keeps every
-        server's pipeline full without over-paying alltoallv latency — it
-        reproduces the measured optimum on both the many-server (XFS, best at
-        ``cb = P``) and single-server (ENFS, best at ``cb = 2``) presets.
-        What also differs from writes is the client cache: contiguous readers
+        The two directions differ in two things.  **Flat aggregator count**:
+        a write wants few aggregators — half the server count measures best
+        across the machine presets: it keeps every server busy (two
+        aggregators interleave on one server's stripes) without paying the
+        full shuffle fan-out of one aggregator per server, and more writers
+        than servers only adds fan-out.  A read has no commit side, so the
+        fetch phase scales with server parallelism and the only brake is
+        shuffle latency: two aggregators per I/O server keep every server's
+        pipeline full without over-paying alltoallv latency — the measured
+        optimum on both the many-server (XFS, best at ``cb = P``) and
+        single-server (ENFS, best at ``cb = 2``) presets.  **Client cache**:
+        a write leaves the handle's read-ahead alone; contiguous readers
         walk their range sequentially, so read-ahead turns page misses into
         hits and stays on; aggregation delegates fetch *direct*
         (cache-bypassing) and scatter-feed the consumers, so read-ahead would
-        only prefetch pages nobody reads through the cache — the decision
-        switches it off.
+        only prefetch pages nobody reads through the cache — off.
         """
-        nprocs = max(1, signature.nprocs)
+        reading = direction == "read"
         if signature.kind == "contiguous":
-            return TuningDecision(strategy="rank-ordering", read_ahead=True)
-        domain_bytes = 1 << signature.domain_bucket
+            return TuningDecision(
+                strategy="rank-ordering", read_ahead=True if reading else None
+            )
+        nprocs = max(1, signature.nprocs)
         if nprocs >= self.hier_threshold:
-            ppn = self.default_ppn
+            strategy, ppn = "two-phase-hier", self.default_ppn
             nodes = -(-nprocs // ppn)
             cb_nodes = max(1, min(nodes, max(machine.num_servers, nodes // 4)))
-            return TuningDecision(
-                strategy="two-phase-hier",
-                cb_nodes=cb_nodes,
-                cb_ppn=ppn,
-                cb_buffer_size=self._chunk(domain_bytes, cb_nodes, machine),
-                read_ahead=False,
-            )
-        cb_nodes = min(nprocs, max(1, 2 * machine.num_servers))
+        else:
+            strategy, ppn = "two-phase", None
+            wanted = 2 * machine.num_servers if reading else machine.num_servers // 2
+            cb_nodes = min(nprocs, max(1, wanted))
         return TuningDecision(
-            strategy="two-phase",
+            strategy=strategy,
             cb_nodes=cb_nodes,
-            cb_buffer_size=self._chunk(domain_bytes, cb_nodes, machine),
-            read_ahead=False,
+            cb_ppn=ppn,
+            cb_buffer_size=self._chunk(1 << signature.domain_bucket, cb_nodes, machine),
+            read_ahead=False if reading else None,
         )
 
     @staticmethod
@@ -363,10 +319,10 @@ class HintEngine:
 class PlanEntry:
     """One cached collective plan: the exchanged views and their signature.
 
-    The entry is mode-agnostic: a cached plan seeded by a write collective
+    The entry is direction-agnostic: a cached plan seeded by a write collective
     replays for a read of the same views (and vice versa) — the signature is
-    looked up in the per-mode decision table at resolution time, so the two
-    modes never hand each other the wrong decision.
+    looked up in the decision table under the collective's direction at
+    resolution time, so the two never hand each other the wrong decision.
     """
 
     signature: PatternSignature
@@ -389,11 +345,10 @@ class FileTuningRecord:
     """
 
     def __init__(self) -> None:
-        #: Persistent hint cache: signature -> tuning decision (writes).
-        self.decisions: Dict[PatternSignature, TuningDecision] = {}
-        #: Persistent read-side hint cache (reads reward different cache
-        #: coupling, so the two modes keep separate tables).
-        self.read_decisions: Dict[PatternSignature, TuningDecision] = {}
+        #: Persistent hint cache: ``(direction, signature)`` -> tuning
+        #: decision (reads reward different cache coupling and aggregator
+        #: counts, so the direction is part of the key).
+        self.decisions: Dict[Tuple[str, PatternSignature], TuningDecision] = {}
         #: Cross-collective plan cache (at most one live entry).
         self.entry: Optional[PlanEntry] = None
         #: Once-per-collective resolution memo, keyed on the identity of the
@@ -449,13 +404,12 @@ def notify_hint_change(fs, filename: str) -> None:
     if record is not None:
         record.entry = None
         record.decisions.clear()
-        record.read_decisions.clear()
 
 
 # -- the adaptive strategy ----------------------------------------------------
 
 #: A resolution: the shared region list, the signature, and the hit verdict.
-#: (Mode-agnostic — the per-mode decision is looked up from the signature.)
+#: (Direction-agnostic — the decision is looked up from the signature.)
 _Resolution = Tuple[List[FileRegionSet], PatternSignature, bool]
 
 
@@ -513,19 +467,17 @@ class AutoStrategy(PipelineStrategy):
         return (region.num_segments, region.total_bytes, hash(region.segments))
 
     def _decision_for(
-        self, record: FileTuningRecord, signature: PatternSignature, mode: str
+        self, record: FileTuningRecord, signature: PatternSignature, direction: str
     ) -> TuningDecision:
-        """Get-or-create the ``mode``'s decision for ``signature``."""
-        table = record.decisions if mode == "write" else record.read_decisions
-        decision = table.get(signature)
+        """Get-or-create ``direction``'s decision for ``signature``."""
+        decision = record.decisions.get((direction, signature))
         if decision is None:
-            decide = self.engine.decide if mode == "write" else self.engine.decide_read
-            decision = decide(signature, self._machine)
-            table[signature] = decision
+            decision = self.engine.decide(signature, self._machine, direction)
+            record.decisions[direction, signature] = decision
         return decision
 
     def _resolve(
-        self, comm, region: FileRegionSet, mode: str = "write"
+        self, comm, region: FileRegionSet, direction: str = "write"
     ) -> Tuple[List[FileRegionSet], TuningDecision, bool]:
         """One collective exchange resolving views, signature and decision.
 
@@ -559,7 +511,7 @@ class AutoStrategy(PipelineStrategy):
             resolution = self._decide(comm.size, shared, record)
             record.memo.put(key, shared, resolution)
         regions, signature, hit = resolution
-        decision = self._decision_for(record, signature, mode)
+        decision = self._decision_for(record, signature, direction)
         if claim_hit:
             # Exact verification behind the O(1) fingerprint: a hash collision
             # must never let a stale plan touch the wrong bytes.
@@ -645,8 +597,8 @@ class AutoStrategy(PipelineStrategy):
     def prepare(self, comm, region, start_time, data=None) -> PreparedIO:  # noqa: D102
         if data is not None:
             self._check_request(region, data)
-        mode = "read" if data is None else "write"
-        regions, decision, _ = self._resolve(comm, region, mode=mode)
+        direction = "read" if data is None else "write"
+        regions, decision, _ = self._resolve(comm, region, direction)
         delegate = decision.delegate()
         prepared = delegate._scheduled(
             comm, region, start_time, data, delegate.analysis.run(regions)
@@ -688,7 +640,7 @@ class AutoStrategy(PipelineStrategy):
     # -- bulk-replay support ---------------------------------------------------
 
     def resolve_static(
-        self, comm_size: int, regions: Sequence[FileRegionSet], mode: str = "write"
+        self, comm_size: int, regions: Sequence[FileRegionSet], direction: str = "write"
     ) -> TwoPhaseStrategy:
         """Classify and decide without a collective, for the bulk replay.
 
@@ -699,7 +651,7 @@ class AutoStrategy(PipelineStrategy):
         """
         record = self._active_record()
         signature = classify_pattern(regions)
-        decision = self._decision_for(record, signature, mode)
+        decision = self._decision_for(record, signature, direction)
         self.last_decision = decision
         self.last_hit = False
         delegate = decision.delegate()

@@ -158,7 +158,7 @@ class _BulkExecutor(_Executor):
             )
         super().__init__(fs, strategy, filename, comm_cost)
 
-    def _exchange(self, regions: List[FileRegionSet], clocks, mode: str):
+    def _exchange(self, regions: List[FileRegionSet], clocks, direction: str):
         """Stage 1 — view exchange and negotiation, for both directions.
 
         Returns ``(delegate, negotiation, adopt)``: the aggregation strategy
@@ -173,7 +173,7 @@ class _BulkExecutor(_Executor):
             delegate, adopt = self.strategy, lambda plan: plan
             shipped = [r.segments for r in regions]
         else:
-            delegate = resolver(len(regions), regions, mode=mode)
+            delegate = resolver(len(regions), regions, direction)
             decision = self.strategy.last_decision
             adopt = lambda plan: self.strategy.adopt(plan, decision)  # noqa: E731
             shipped = [_Volume(1 + 2 * r.num_segments) for r in regions]

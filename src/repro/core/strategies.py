@@ -19,14 +19,14 @@ a ``schedule`` method and registering the class — see ``ARCHITECTURE.md`` for
 a worked example.
 
 The aggregation strategies communicate *inside* their schedule (the shuffle
-of a write, the scatter of a read).  Each of those schedules is written
-once, as a per-rank generator coroutine (:meth:`TwoPhaseStrategy.shuffle` /
-:meth:`TwoPhaseStrategy.scatter`) that yields the ``{dest: payload}`` dict of
-a sparse all-to-all and is resumed with the ``[(src, payload)]`` pairs it
-received.  It has two drivers: on the engine, ``schedule`` / ``deliver_read``
-pump it against the communicator (:func:`_pump`); at scale,
-:mod:`repro.core.bulk` advances all ``P`` coroutines in lockstep with no
-engine at all.
+of a write, the scatter of a read).  That schedule is written once, for
+every topology, as per-rank generator coroutines
+(:meth:`TwoPhaseStrategy.shuffle` / :meth:`TwoPhaseStrategy.scatter`) that
+yield the ``{dest: payload}`` dict of a sparse all-to-all and are resumed
+with the ``[(src, payload)]`` pairs they received.  It has two drivers: on
+the engine, ``schedule`` / ``deliver_read`` pump it against the communicator
+(:func:`_pump`); at scale, :mod:`repro.core.bulk` advances all ``P``
+coroutines in lockstep with no engine at all.
 
 Implemented strategies:
 
@@ -59,6 +59,11 @@ Implemented strategies:
     corresponding file-domain chunk (resolving overlaps by the rank-ordering
     priority rule during the merge), then write the disjoint aggregated
     extents fully in parallel.
+
+:class:`HierarchicalTwoPhaseStrategy`
+    The same schedule on nodes of several ranks (``cb_ppn``): data crosses a
+    node hop — to or from the node's leader — beside the global one.  Flat
+    two-phase is the case of one rank per node, where that hop vanishes.
 
 All strategies are *collective over the communicator*: every rank of the
 concurrent operation must call :meth:`AtomicityStrategy.execute_write`.
@@ -101,14 +106,11 @@ from typing import (
 
 from ..fs.lockmanager import LockMode
 from .aggregation import (
-    AggregatedRun,
     QueryBatch,
     assemble_stream,
-    choose_aggregators,
     choose_node_aggregators,
     gather_runs,
     merge_origin_runs,
-    merge_pieces,
     node_coverages,
     partition_domain,
     scatter_pieces,
@@ -661,6 +663,8 @@ class Negotiation:
     """
 
     size: int
+    #: Ranks per node of the strategy that negotiated (block placement).
+    ranks_per_node: int
     aggregators: List[int]
     #: ``frozenset(aggregators)``, for O(1) per-rank membership tests.
     agg_set: FrozenSet[int]
@@ -677,16 +681,21 @@ class Negotiation:
     #: Per aggregator, the chunk runs it holds as ``(start, stop,
     #: buffer_offset)`` triples in file order — the layout of its read sink.
     held: Dict[int, List[Tuple[int, int, int]]]
-    #: The per-node union coverages as one query batch, filled on first use
-    #: by the hierarchical scatter's first hop (a write never needs it).
-    node_scatter_batch: Optional[QueryBatch] = None
 
     @cached_property
     def scatter_batch(self) -> QueryBatch:
-        """The consumers' coverages as the one query batch every aggregator's
-        scatter cut clips against (its ``window`` is a node leader's), built
-        on first use."""
+        """The consumers' coverages as one query batch (its ``window`` is
+        what a node leader cuts against), built on first use."""
         return QueryBatch.of(self.coverages)
+
+    @cached_property
+    def node_scatter_batch(self) -> QueryBatch:
+        """The per-node *union* requests as the one query batch every
+        aggregator's cut clips against, built on first use (a write never
+        needs it).  The union of one rank's request is that request."""
+        if self.ranks_per_node == 1:
+            return self.scatter_batch
+        return QueryBatch.of(node_coverages(self.coverages, self.ranks_per_node))
 
 
 def _pump(comm: Communicator, schedule: Generator):
@@ -706,26 +715,51 @@ def _pump(comm: Communicator, schedule: Generator):
         return done.value
 
 
+def _bytes_to_others(rank: int, outgoing: Dict[int, list]) -> int:
+    """Data bytes of the pieces ``outgoing`` sends to ranks other than
+    ``rank`` — what :attr:`IOOutcome.bytes_shuffled` means in both directions
+    and what ``alltoallv_sparse`` charges (self-delivery is free)."""
+    total = 0
+    for dest, pieces in outgoing.items():
+        if dest != rank:
+            for piece in pieces:
+                total += len(piece[-1])
+    return total
+
+
 @register_strategy
 class TwoPhaseStrategy(PipelineStrategy):
     """Two-phase aggregation (ROMIO-style collective buffering).
 
-    Phase 1 (shuffle): the aggregate file domain — the union of every rank's
-    view — is partitioned among elected aggregator ranks; every rank ships
-    the data for each covered byte to that byte's aggregator through a
-    sparse all-to-all, and the aggregator merges the incoming pieces,
-    giving contested bytes to the highest-priority covering rank (the same
-    winner process-rank ordering picks, so the two strategies are
-    byte-for-byte comparable).
+    The union of every rank's view is partitioned among elected aggregators.
+    A write ships each covered byte to its aggregator, which merges what
+    arrives — a contested byte goes to the highest-priority covering rank,
+    the winner process-rank ordering picks, so the two strategies are
+    byte-for-byte comparable — and writes its pairwise-disjoint extents in
+    parallel: no locks, no barriers, the origin recorded as provenance.  A
+    read mirrors it: aggregators fetch their chunks once and scatter them.
 
-    Phase 2 (write): each aggregator writes its merged, pairwise-disjoint
-    extents fully in parallel — no locks, no inter-phase barriers — with the
-    originating rank recorded as each run's provenance.
+    The schedule is written once, over ``ranks_per_node`` consecutive ranks
+    per node (a node's leader is its lowest rank; aggregators are evenly
+    spaced leaders).  Where a node holds more than one rank the data crosses
+    a **node hop** too: on a write every rank ships its pieces to its leader,
+    which pre-merges them keeping per-byte origins; on a read an aggregator
+    ships each node's *union* request to the leader, which cuts it again per
+    local rank.  With one rank per node — this class — the hop would be a
+    rendezvous in which each rank sends only to itself, and is not made.
+    The merge priority ``(policy(origin), -origin)`` is a fixed total order,
+    so a merge of node merges picks the flat merge's winners: file bytes and
+    provenance do not depend on ``ranks_per_node``; only the schedule, hence
+    the makespan, does (ARCHITECTURE.md, *The two-phase aggregation strategy*).
     """
 
     name = "two-phase"
 
     exchange = ViewExchange(enabled=True)
+
+    #: Ranks per node; :class:`HierarchicalTwoPhaseStrategy` sets it per
+    #: instance from the ``cb_ppn`` hint.
+    ranks_per_node = 1
 
     #: Class-level negotiation memo: the MPI-IO layer builds one strategy
     #: instance per rank (each rank owns its file handle), yet all ranks of a
@@ -764,24 +798,6 @@ class TwoPhaseStrategy(PipelineStrategy):
             cb_buffer_size=cb_buffer if cb_buffer > 0 else None,
         )
 
-    def _aggregator_count(self, comm_size: int, domain_bytes: int) -> int:
-        """How many aggregators to elect for a domain of ``domain_bytes``."""
-        if self.num_aggregators is not None:
-            return self.num_aggregators
-        if self.cb_buffer_size is not None and domain_bytes > 0:
-            wanted = -(-domain_bytes // self.cb_buffer_size)  # ceil division
-            return max(1, min(comm_size, wanted))
-        return comm_size
-
-    def _elect(self, comm_size: int, want: int) -> List[int]:
-        """Pick the aggregator ranks (hook for topology-aware subclasses)."""
-        return choose_aggregators(comm_size, want)
-
-    def _tunables_key(self) -> Tuple:
-        """Every tunable that changes the negotiation, for the memo key."""
-        return (type(self).__name__, self.num_aggregators, self.cb_buffer_size,
-                id(self.policy))
-
     def negotiate(
         self, comm_size: int, regions: Sequence[FileRegionSet]
     ) -> Negotiation:
@@ -805,15 +821,28 @@ class TwoPhaseStrategy(PipelineStrategy):
         key = (
             tuple(map(id, pin)),
             comm_size,
-            self._tunables_key(),
+            self.num_aggregators,
+            self.cb_buffer_size,
+            id(self.policy),
+            self.ranks_per_node,
         )
         cached = self._memo.get(key)
         if cached is not None:
             return cached
         coverages = [r.coverage for r in regions]
         domain = merge_interval_sets(coverages)
-        want = self._aggregator_count(comm_size, domain.total_bytes)
-        aggregators = self._elect(comm_size, want)
+        # ``cb_nodes`` aggregators if hinted, else enough for chunks of
+        # ``cb_buffer_size``, else one per node; the election clamps the wish
+        # to the node count and picks evenly spaced node leaders.
+        if self.num_aggregators is not None:
+            want = self.num_aggregators
+        elif self.cb_buffer_size is not None and domain.total_bytes > 0:
+            want = -(-domain.total_bytes // self.cb_buffer_size)  # ceil division
+        else:
+            want = comm_size
+        aggregators = choose_node_aggregators(
+            comm_size, min(self.ranks_per_node, comm_size), want
+        )
         chunks = partition_domain(domain, len(aggregators))
         pieces: List[Tuple[int, int, int]] = []
         for chunk, agg_rank in zip(chunks, aggregators):
@@ -828,6 +857,7 @@ class TwoPhaseStrategy(PipelineStrategy):
             runs.append((start, stop, buf))
         result = Negotiation(
             size=comm_size,
+            ranks_per_node=self.ranks_per_node,
             aggregators=aggregators,
             agg_set=frozenset(aggregators),
             pieces=pieces,
@@ -841,8 +871,7 @@ class TwoPhaseStrategy(PipelineStrategy):
         return result
 
     # The engine side of "one schedule, two drivers": pump this rank's
-    # coroutine against the communicator.  The hierarchical subclass inherits
-    # these three unchanged and overrides only the coroutines they drive.
+    # coroutine against the communicator.
 
     def schedule(self, comm, region, data, report):  # noqa: D102 - see base
         negotiation = self.negotiate(comm.size, report.regions)
@@ -857,23 +886,70 @@ class TwoPhaseStrategy(PipelineStrategy):
         negotiation = self.negotiate(comm.size, report.regions)
         return _pump(comm, self.scatter(region, negotiation, outcome, sinks))
 
-    def _write_plan(
-        self,
-        region: FileRegionSet,
-        data: bytes,
-        neg: Negotiation,
-        runs: Sequence[AggregatedRun],
-        write_phase: int,
-        my_phase: int,
-        shuffled: int,
-        extra: Dict[str, float],
-    ) -> Tuple[IOPlan, Dict[str, bytes]]:
-        """The write phase every shuffle ends in: an aggregator's merged runs
-        become parallel disjoint direct writes — no locks, no barriers —
-        with the originating rank recorded as each run's provenance."""
+    @property
+    def _hops(self) -> int:
+        """Hops between a rank and an aggregator: the global one, plus the node
+        hop where a node holds several ranks — the schedule's one condition."""
+        return 1 + (self.ranks_per_node > 1)
+
+    def _roles(self, neg: Negotiation) -> Dict[str, float]:
+        """The outcome extras both directions report."""
+        roles = {"aggregators": float(len(neg.aggregators))}
+        if self._hops == 2:
+            roles["node_leaders"] = float(-(-neg.size // self.ranks_per_node))
+        return roles
+
+    def _merge(self, received) -> list:
+        """The ``[(src, runs)]`` a hop delivered, merged: highest priority wins."""
+        if not received:
+            return []
+        return merge_origin_runs([run for _, sent in received for run in sent], self.policy)
+
+    def shuffle(self, region: FileRegionSet, data: bytes, neg: Negotiation):
+        """This rank's write schedule, as a coroutine (see :func:`_pump`);
+        returns ``(plan, payloads)``."""
+        # All P coroutines are alive between rounds, so the hops reuse
+        # ``outgoing`` / ``received`` rather than keep each hop's dicts.
+        rank, ppn = region.rank, self.ranks_per_node
+        leader, hops = rank - rank % ppn, self._hops
+        runs = [
+            (rank, file_off, data[buf_off : buf_off + length])
+            for buf_off, file_off, length in region.buffer_map()
+        ]
+
+        # Node hop — combine: ship this rank's raw view pieces to its node
+        # leader, which sees every piece of its node and pre-merges them,
+        # keeping per-byte origins.  No routing yet.
+        shuffled = 0
+        if hops == 2:
+            outgoing = {leader: runs} if runs else {}
+            shuffled = _bytes_to_others(rank, outgoing)
+            received = yield outgoing
+            runs = [(run.origin, run.offset, run.data) for run in self._merge(received)]
+
+        # Global hop — shuffle: route each run through the file-ordered piece
+        # table to the aggregator owning each byte, by bisection, so the cost
+        # scales with the rank's own run count, not the aggregator count.
+        outgoing: Dict[int, List[Tuple[int, int, bytes]]] = {}
+        for origin, offset, piece in runs:
+            for lo, hi, idx in clip_sorted_runs(
+                neg.piece_starts, neg.piece_stops, offset, offset + len(piece)
+            ):
+                outgoing.setdefault(neg.pieces[idx][2], []).append(
+                    (origin, lo, piece[lo - offset : hi - offset])
+                )
+        shuffled += _bytes_to_others(rank, outgoing)
+        received = yield outgoing
+
+        # Only aggregators receive; the fixed total order of the merge makes
+        # this merge of node merges the flat merge.
+        merged = self._merge(received)
+
+        # Write phase: the merged runs become parallel disjoint direct writes
+        # — no locks, no barriers — each recording its origin as provenance.
         steps: List[TransferStep] = []
         at = 0
-        for run in runs:
+        for run in merged:
             steps.append(
                 TransferStep(
                     buffer_offset=at,
@@ -887,63 +963,38 @@ class TwoPhaseStrategy(PipelineStrategy):
         plan = self._plan(
             "write",
             region,
-            phases=[PhasePlan(index=write_phase, steps=steps, direct=True)],
-            reported_phases=write_phase + 1,
-            my_phase=my_phase,
-            bytes_surrendered=neg.surrendered[region.rank],
+            phases=[PhasePlan(index=hops, steps=steps, direct=True)],
+            reported_phases=hops + 1,
+            my_phase=hops if rank in neg.agg_set else hops - 1 if rank == leader else 0,
+            bytes_surrendered=neg.surrendered[rank],
             bytes_shuffled=shuffled,
-            extra=extra,
+            extra=self._roles(neg),
         )
-        aggregate = b"".join(run.data for run in runs)
+        aggregate = b"".join(run.data for run in merged)
         return plan, {USER_PAYLOAD: data, AGGREGATE_PAYLOAD: aggregate}
-
-    def shuffle(self, region: FileRegionSet, data: bytes, neg: Negotiation):
-        """This rank's write schedule, as a coroutine (see :func:`_pump`);
-        returns ``(plan, payloads)``."""
-        # Phase 1 — shuffle: ship each covered byte to its chunk's aggregator.
-        # Route each view segment through the file-ordered piece table by
-        # bisection, so the per-rank cost scales with the rank's own segment
-        # count, not with the aggregator count.
-        outgoing: Dict[int, List[Tuple[int, bytes]]] = {}
-        shuffled = 0
-        for buf_off, file_off, length in region.buffer_map():
-            for lo, hi, idx in clip_sorted_runs(
-                neg.piece_starts, neg.piece_stops, file_off, file_off + length
-            ):
-                chunk = data[buf_off + (lo - file_off) : buf_off + (hi - file_off)]
-                outgoing.setdefault(neg.pieces[idx][2], []).append((lo, chunk))
-                shuffled += len(chunk)
-        received = yield outgoing
-
-        # Merge (aggregators only): the highest-priority covering rank wins.
-        is_agg = region.rank in neg.agg_set
-        runs = merge_pieces(received, policy=self.policy) if is_agg else []
-        # Phase 2 — write.
-        return self._write_plan(
-            region, data, neg, runs, write_phase=1, my_phase=1 if is_agg else 0,
-            shuffled=shuffled, extra={"aggregators": float(len(neg.aggregators))},
-        )
 
     def fetch_plan(self, region: FileRegionSet, neg: Negotiation) -> IOPlan:
         """This rank's read plan (the communication-free half of a read)."""
-        # Phase 1 — read: each aggregator fetches its file-domain chunk once,
+        # Phase 0 — fetch: each aggregator reads its file-domain chunk once,
         # directly from the servers (bypassing — and therefore never
         # invalidating — the client cache; every rank's dirty pages were
         # flushed before the exchange rendezvous, so the servers are
         # current).  An overlapped byte costs one server read regardless of
-        # how many consumers cover it.
+        # how many consumers cover it.  The scatter hops follow.
+        rank = region.rank
         steps = [
             TransferStep(buffer_offset=buf, file_offset=start, length=stop - start,
                          buffer=AGGREGATE_PAYLOAD)
-            for start, stop, buf in neg.held.get(region.rank, ())
+            for start, stop, buf in neg.held.get(rank, ())
         ]
+        is_leader = rank % self.ranks_per_node == 0
         return self._plan(
             "read",
             region,
             phases=[PhasePlan(index=0, steps=steps, direct=True)],
-            reported_phases=2,
-            my_phase=0 if region.rank in neg.agg_set else 1,
-            extra={"aggregators": float(len(neg.aggregators))},
+            reported_phases=self._hops + 1,
+            my_phase=0 if rank in neg.agg_set else 1 if is_leader else 2,
+            extra=self._roles(neg),
         )
 
     def scatter(
@@ -955,26 +1006,37 @@ class TwoPhaseStrategy(PipelineStrategy):
     ):
         """This rank's read delivery, as a coroutine (see :func:`_pump`);
         returns the rank's data stream."""
-        # Phase 2 — scatter: ship every consumer the pieces of its view this
-        # aggregator holds, then assemble the received pieces into the user
-        # stream.
-        outgoing: Dict[int, List[Tuple[int, bytes]]] = {}
-        held = neg.held.get(region.rank)
-        if held:
-            cut = scatter_pieces(held, sinks[AGGREGATE_PAYLOAD], neg.scatter_batch)
-            outgoing = {dest: bufs for dest, bufs in enumerate(cut) if bufs}
-        received = yield outgoing
-        outcome.bytes_shuffled = sum(
-            len(piece)
-            for dest, bufs in outgoing.items()
-            if dest != region.rank
-            for _, piece in bufs
-        )
-        return self._assemble(region, outcome, received)
+        rank, ppn = region.rank, self.ranks_per_node
 
-    @staticmethod
-    def _assemble(region: FileRegionSet, outcome: IOOutcome, received) -> bytes:
-        """Place the scattered ``[(src, pieces)]`` into the user stream."""
+        # Global hop — scatter: cut the fetched chunk against each node's
+        # union request and ship a node's pieces to its leader, so a byte
+        # crosses the inter-node network once however many of the node's
+        # ranks cover it.
+        outgoing: Dict[int, List[Tuple[int, bytes]]] = {}
+        held = neg.held.get(rank)
+        if held:
+            cut = scatter_pieces(held, sinks[AGGREGATE_PAYLOAD], neg.node_scatter_batch)
+            outgoing = {node * ppn: bufs for node, bufs in enumerate(cut) if bufs}
+        shuffled = _bytes_to_others(rank, outgoing)
+        received = yield outgoing
+
+        # Node hop: a leader splices the disjoint pieces it received into a
+        # node-resident buffer and cuts it again, per local rank this time;
+        # every rank receives exactly the pieces of its own view.
+        if self._hops == 2:
+            outgoing = {}
+            if received:
+                node_held, node_buffer = gather_runs(
+                    [piece for _, sent in received for piece in sent]
+                )
+                cut = scatter_pieces(
+                    node_held, node_buffer, neg.scatter_batch.window(rank, rank + ppn)
+                )
+                outgoing = {dest: bufs for dest, bufs in enumerate(cut, start=rank) if bufs}
+            shuffled += _bytes_to_others(rank, outgoing)
+            received = yield outgoing
+
+        outcome.bytes_shuffled = shuffled
         stream, filled = assemble_stream(
             [piece for _, sent in received for piece in sent],
             region.buffer_map(),
@@ -986,35 +1048,15 @@ class TwoPhaseStrategy(PipelineStrategy):
 
 @register_strategy
 class HierarchicalTwoPhaseStrategy(TwoPhaseStrategy):
-    """Two-level (hierarchical) two-phase aggregation.
+    """:class:`TwoPhaseStrategy` on nodes of several ranks — the same
+    schedule; this class only supplies the topology.
 
-    The flat shuffle of :class:`TwoPhaseStrategy` has every rank exchanging
-    with every aggregator — ``P × A`` flows that dominate at tens of
-    thousands of ranks.  The hierarchical variant splits the shuffle along
-    the machine topology:
-
-    1. **node combine** — every rank ships its pieces to its *node leader*
-       (the lowest rank of its ``ranks_per_node`` block), which pre-merges
-       them with the same priority rule, keeping per-byte origins;
-    2. **global combine** — node leaders route the pre-merged, origin-tagged
-       runs to the global aggregators (evenly spaced node leaders, the
-       ``cb_nodes`` hint) owning each file-domain chunk, which merge again
-       *by origin priority*;
-    3. **write** — the aggregators write their disjoint extents in parallel,
-       exactly as in the flat strategy.
-
-    Both hops use the sparse all-to-all, so every data structure is sized by
-    actual traffic (each rank talks to one leader; each leader to a handful
-    of aggregators), never by ``P``.  Because the merge priority
-    ``(policy(origin), -origin)`` is a fixed total order, merging node-local
-    winners and then merging across nodes picks the same winner for every
-    byte as one flat merge — file contents and per-byte provenance are
-    byte-identical to :class:`TwoPhaseStrategy`; only the communication
-    schedule (and hence the virtual makespan) differs.
-
-    Selectable through Info hints: ``atomicity_strategy = two-phase-hier``
-    with ``cb_ppn`` (ranks per node, default 8) and ``cb_nodes`` (number of
-    aggregator nodes, default: every node) describing the topology.
+    The flat shuffle is ``P × A`` flows, which dominate at tens of thousands
+    of ranks; with the node hop each rank talks to one leader and each leader
+    to a handful of aggregators (by default one per node).  Info hints:
+    ``atomicity_strategy = two-phase-hier`` with ``cb_ppn`` (ranks per node,
+    default 8; ``cb_ppn = 1`` is ``two-phase``) and ``cb_nodes`` (aggregator
+    nodes, default every node).
     """
 
     name = "two-phase-hier"
@@ -1050,143 +1092,6 @@ class HierarchicalTwoPhaseStrategy(TwoPhaseStrategy):
             cb_buffer_size=cb_buffer if cb_buffer > 0 else None,
             ranks_per_node=cb_ppn if cb_ppn > 0 else None,
         )
-
-    def _aggregator_count(self, comm_size: int, domain_bytes: int) -> int:
-        """Default to one aggregator per node instead of one per rank."""
-        if self.num_aggregators is None and self.cb_buffer_size is None:
-            return -(-comm_size // self.ranks_per_node)  # ceil: node count
-        return super()._aggregator_count(comm_size, domain_bytes)
-
-    def _elect(self, comm_size: int, want: int) -> List[int]:
-        ppn = min(self.ranks_per_node, comm_size)
-        return choose_node_aggregators(comm_size, ppn, want)
-
-    def _tunables_key(self) -> Tuple:
-        return super()._tunables_key() + (self.ranks_per_node,)
-
-    def _leader_of(self, rank: int) -> int:
-        return (rank // self.ranks_per_node) * self.ranks_per_node
-
-    def _roles(self, neg: Negotiation) -> Dict[str, float]:
-        """The outcome extras both directions report."""
-        return {
-            "aggregators": float(len(neg.aggregators)),
-            "node_leaders": float(-(-neg.size // self.ranks_per_node)),
-        }
-
-    def shuffle(self, region: FileRegionSet, data: bytes, neg: Negotiation):  # noqa: D102
-        leader = self._leader_of(region.rank)
-        is_leader = region.rank == leader
-
-        # Hop 1 — node combine: ship this rank's raw view pieces to its node
-        # leader.  No routing yet; the leader sees every piece of its node.
-        my_pieces = [
-            (file_off, data[buf_off : buf_off + length])
-            for buf_off, file_off, length in region.buffer_map()
-        ]
-        shuffled = 0
-        if not is_leader:
-            shuffled += sum(len(d) for _, d in my_pieces)
-        node_received = yield {leader: my_pieces} if my_pieces else {}
-
-        # Leaders pre-merge their node's pieces, keeping per-byte origins,
-        # then route the merged runs through the file-ordered piece table to
-        # the global aggregator owning each byte.
-        outgoing: Dict[int, List[Tuple[int, int, bytes]]] = {}
-        if is_leader and node_received:
-            node_runs = merge_origin_runs(
-                [
-                    (src, off, piece)
-                    for src, sent in node_received
-                    for off, piece in sent
-                ],
-                policy=self.policy,
-            )
-            for run in node_runs:
-                for lo, hi, idx in clip_sorted_runs(
-                    neg.piece_starts, neg.piece_stops, run.offset, run.offset + run.length
-                ):
-                    agg_rank = neg.pieces[idx][2]
-                    outgoing.setdefault(agg_rank, []).append(
-                        (run.origin, lo, run.data[lo - run.offset : hi - run.offset])
-                    )
-                    if agg_rank != region.rank:
-                        shuffled += hi - lo
-
-        # Hop 2 — global combine: aggregators merge the origin-tagged runs
-        # from all leaders; the fixed priority total order makes the result
-        # identical to a flat merge of every rank's raw pieces.
-        agg_received = yield outgoing
-        is_agg = region.rank in neg.agg_set
-        arrived = [run for _, sent in agg_received for run in sent] if is_agg else []
-        runs = merge_origin_runs(arrived, policy=self.policy) if arrived else []
-        # Write phase: identical to the flat strategy.
-        return self._write_plan(
-            region, data, neg, runs, write_phase=2,
-            my_phase=2 if is_agg else (1 if is_leader else 0),
-            shuffled=shuffled, extra=self._roles(neg),
-        )
-
-    def fetch_plan(self, region: FileRegionSet, neg: Negotiation) -> IOPlan:  # noqa: D102
-        # Phase 0 — fetch: identical to the flat read (the negotiation already
-        # elects topology-aware node-leader aggregators via cb_nodes/cb_ppn),
-        # but the plan reports the three-phase hierarchical schedule: fetch,
-        # inter-node scatter to the node leaders, intra-node scatter.
-        plan = super().fetch_plan(region, neg)
-        plan.reported_phases = 3
-        if region.rank not in neg.agg_set:
-            plan.my_phase = 1 if region.rank == self._leader_of(region.rank) else 2
-        plan.extra = self._roles(neg)
-        return plan
-
-    def scatter(self, region, neg, outcome, sinks):  # noqa: D102
-        # The scatter half of the flat read, split along the topology.  Both
-        # hops are sparse, so the per-rank bookkeeping is sized by actual
-        # traffic: an aggregator talks to node leaders, a leader to its
-        # ranks_per_node locals.  Every byte of a node's union request
-        # crosses the inter-node network once, however many of the node's
-        # ranks cover it.
-        ppn = self.ranks_per_node
-        shuffled = 0
-
-        # Hop 1 — inter-node scatter: cut the fetched chunk against the
-        # per-node union coverages and ship each node's pieces to its leader.
-        outgoing: Dict[int, List[Tuple[int, bytes]]] = {}
-        held = neg.held.get(region.rank)
-        if held:
-            if neg.node_scatter_batch is None:
-                neg.node_scatter_batch = QueryBatch.of(node_coverages(neg.coverages, ppn))
-            cut = scatter_pieces(held, sinks[AGGREGATE_PAYLOAD], neg.node_scatter_batch)
-            for node_idx, bufs in enumerate(cut):
-                if not bufs:
-                    continue
-                outgoing[node_idx * ppn] = bufs
-                if node_idx * ppn != region.rank:
-                    shuffled += sum(len(piece) for _, piece in bufs)
-        node_received = yield outgoing
-
-        # Leaders splice the received disjoint pieces into a node-resident
-        # buffer and cut it again, per local rank this time.
-        local: Dict[int, List[Tuple[int, bytes]]] = {}
-        if region.rank == self._leader_of(region.rank) and node_received:
-            node_held, node_buffer = gather_runs(
-                [piece for _, sent in node_received for piece in sent]
-            )
-            cut = scatter_pieces(
-                node_held, node_buffer, neg.scatter_batch.window(region.rank, region.rank + ppn)
-            )
-            for dest, bufs in enumerate(cut, start=region.rank):
-                if not bufs:
-                    continue
-                local[dest] = bufs
-                if dest != region.rank:
-                    shuffled += sum(len(piece) for _, piece in bufs)
-
-        # Hop 2 — intra-node scatter: every rank receives exactly the pieces
-        # of its own view from its leader.
-        received = yield local
-        outcome.bytes_shuffled = shuffled
-        return self._assemble(region, outcome, received)
 
 
 # Registers the adaptive "auto" strategy — a tuner over the strategies above,

@@ -17,7 +17,6 @@ granted strictly one at a time.  The GPFS-style distributed variant lives in
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -71,7 +70,8 @@ def _requests_conflict(
 
 
 class _WaiterQueue:
-    """Engine-task waiter queue shared by both lock managers.
+    """The engine tasks waiting on one manager's granted locks (both lock
+    managers use it).
 
     Tasks park with their pending request attached; :meth:`wake_eligible`
     wakes the waiters whose request no longer conflicts, granting greedily
@@ -83,41 +83,72 @@ class _WaiterQueue:
     Shared readers wake together.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, granted: Dict[int, GrantedLock]) -> None:
+        #: The owning manager's table of granted locks (shared, not copied).
+        self._granted = granted
         self._waiters: List[Tuple["Task", Interval, str, int]] = []
 
-    def park(self, task: "Task", interval: Interval, mode: str, owner: int,
-             reason: str) -> None:
-        """Park the current task until a release makes its request eligible."""
-        entry = (task, interval, mode, owner)
-        self._waiters.append(entry)
-        try:
-            task.engine.wait(reason)
-        except BaseException:
-            # Cancelled or aborted while parked: drop the stale registration.
-            if entry in self._waiters:
-                self._waiters.remove(entry)
-            raise
+    def holder(self, interval: Interval, mode: str, owner: int) -> Optional[GrantedLock]:
+        """A granted lock the request cannot coexist with, if there is one."""
+        for lock in self._granted.values():
+            if lock.conflicts_with(interval, mode, owner):
+                return lock
+        return None
 
-    def wake_eligible(self, cond: threading.Condition, conflicts) -> None:
-        """Wake the waiters for whom ``conflicts(interval, mode, owner)`` is
-        False.  The scan runs under ``cond`` (the manager's lock); the wakes
-        happen outside it."""
+    def wait_until_grantable(
+        self, interval: Interval, mode: str, owner: int, kind: str
+    ) -> bool:
+        """Park the calling engine task while a conflicting lock is held;
+        returns whether it had to wait.
+
+        Requests reach the manager in global virtual-time order, so a run's
+        lock-grant sequence is deterministic.  Only an engine task can wait:
+        a caller outside any engine is granted when nothing conflicts and
+        gets :class:`LockViolation` when something does — nobody could ever
+        run to release the lock it would sleep on.
+        """
+        task = current_task()
+        if task is not None:
+            task.engine.sequence(task)
+        waited = False
+        while (holder := self.holder(interval, mode, owner)) is not None:
+            request = f"{kind}[{interval.start},{interval.stop}) owner={owner}"
+            if task is None:
+                held = holder.interval
+                raise LockViolation(
+                    f"{request} conflicts with the {holder.mode} lock "
+                    f"[{held.start},{held.stop}) held by owner {holder.owner}; "
+                    "only an engine task can wait for a release"
+                )
+            waited = True
+            entry = (task, interval, mode, owner)
+            self._waiters.append(entry)
+            try:
+                task.engine.wait(request)
+            except BaseException:
+                # Cancelled or aborted while parked: drop the stale registration.
+                if entry in self._waiters:
+                    self._waiters.remove(entry)
+                raise
+        return waited
+
+    def wake_eligible(self) -> None:
+        """Wake the waiters whose request no granted lock conflicts with any
+        more (call after every release)."""
         if not self._waiters:
             return
         woken: List[Tuple["Task", Interval, str, int]] = []
-        with cond:
-            for entry in list(self._waiters):
-                _, interval, mode, owner = entry
-                if conflicts(interval, mode, owner):
-                    continue
-                if any(
-                    _requests_conflict(interval, mode, owner, w_iv, w_mode, w_owner)
-                    for _, w_iv, w_mode, w_owner in woken
-                ):
-                    continue
-                woken.append(entry)
-                self._waiters.remove(entry)
+        for entry in list(self._waiters):
+            _, interval, mode, owner = entry
+            if self.holder(interval, mode, owner) is not None:
+                continue
+            if any(
+                _requests_conflict(interval, mode, owner, w_iv, w_mode, w_owner)
+                for _, w_iv, w_mode, w_owner in woken
+            ):
+                continue
+            woken.append(entry)
+            self._waiters.remove(entry)
         for entry in woken:
             entry[0].engine.wake(entry[0])
 
@@ -125,10 +156,10 @@ class _WaiterQueue:
 class CentralLockManager:
     """Blocking byte-range lock manager with virtual-time accounting.
 
-    Callers running as engine tasks (the SPMD ranks) park on the scheduler
-    while a conflicting lock is held — the manager's queue is then processed
-    deterministically in virtual-time order.  Callers on plain threads (the
-    lock manager's own unit tests) fall back to a condition variable.
+    Callers run as engine tasks (the SPMD ranks) and park on the scheduler
+    while a conflicting lock is held — the manager's queue is processed
+    deterministically in virtual-time order, and the engine runs one task at
+    a time, so the manager needs no lock of its own.
     """
 
     def __init__(self, request_latency: float = 0.0) -> None:
@@ -140,8 +171,7 @@ class CentralLockManager:
         #: virtual release time of conflicting locks even when the real-time
         #: race has already been resolved (see :meth:`acquire`).
         self._history: List[GrantedLock] = []
-        self._cond = threading.Condition()
-        self._waiters = _WaiterQueue()
+        self._waiters = _WaiterQueue(self._granted)
         self._ids = itertools.count(1)
         self._total_waits = 0
         self._grants_by_mode: Dict[str, int] = {
@@ -153,26 +183,22 @@ class CentralLockManager:
 
     def held_locks(self) -> List[GrantedLock]:
         """Snapshot of currently granted locks."""
-        with self._cond:
-            return list(self._granted.values())
+        return list(self._granted.values())
 
     @property
     def wait_count(self) -> int:
         """How many acquisitions had to wait for a conflicting lock."""
-        with self._cond:
-            return self._total_waits
+        return self._total_waits
 
     @property
     def shared_grant_count(self) -> int:
         """Shared-mode (reader) locks granted since the last reset."""
-        with self._cond:
-            return self._grants_by_mode[LockMode.SHARED]
+        return self._grants_by_mode[LockMode.SHARED]
 
     @property
     def exclusive_grant_count(self) -> int:
         """Exclusive-mode (writer) locks granted since the last reset."""
-        with self._cond:
-            return self._grants_by_mode[LockMode.EXCLUSIVE]
+        return self._grants_by_mode[LockMode.EXCLUSIVE]
 
     # -- acquisition / release ------------------------------------------------------
 
@@ -183,7 +209,6 @@ class CentralLockManager:
         stop: int,
         mode: str = LockMode.EXCLUSIVE,
         now: float = 0.0,
-        timeout: Optional[float] = 60.0,
     ) -> Tuple[GrantedLock, float]:
         """Acquire a byte-range lock, blocking while conflicting locks are held.
 
@@ -197,8 +222,6 @@ class CentralLockManager:
             :data:`LockMode.SHARED` or :data:`LockMode.EXCLUSIVE`.
         now:
             The requester's current virtual time.
-        timeout:
-            Real-time safety net in seconds.
 
         Returns
         -------
@@ -207,44 +230,19 @@ class CentralLockManager:
             at least ``now + request_latency``, and no earlier than the
             virtual release time of any conflicting lock that had to be
             waited for.
+
+        Raises :class:`LockViolation` when the request conflicts and the
+        caller is not an engine task (see
+        :meth:`_WaiterQueue.wait_until_grantable`).
         """
         if mode not in (LockMode.SHARED, LockMode.EXCLUSIVE):
             raise InvalidRequest(f"unknown lock mode {mode!r}")
         if start < 0 or stop < start:
             raise InvalidRequest(f"invalid lock range [{start}, {stop})")
         interval = Interval(start, stop)
-        task = current_task()
-        if task is not None:
-            # Requests reach the manager in global virtual-time order, so a
-            # run's lock-grant sequence is deterministic.
-            task.engine.sequence(task)
-            waited = False
-            while True:
-                with self._cond:
-                    if not self._conflicts(interval, mode, owner):
-                        if waited:
-                            self._total_waits += 1
-                        return self._grant(owner, interval, mode, now)
-                waited = True
-                self._waiters.park(
-                    task, interval, mode, owner, f"lock[{start},{stop}) owner={owner}"
-                )
-        with self._cond:
-            waited = False
-            while self._conflicts(interval, mode, owner):
-                waited = True
-                if not self._cond.wait(timeout=timeout):
-                    raise TimeoutError(
-                        f"lock acquisition for [{start},{stop}) by {owner} timed out"
-                    )
-            if waited:
-                self._total_waits += 1
-            return self._grant(owner, interval, mode, now)
-
-    def _conflicts(self, interval: Interval, mode: str, owner: int) -> bool:
-        return any(
-            g.conflicts_with(interval, mode, owner) for g in self._granted.values()
-        )
+        if self._waiters.wait_until_grantable(interval, mode, owner, "lock"):
+            self._total_waits += 1
+        return self._grant(owner, interval, mode, now)
 
     def _grant(
         self, owner: int, interval: Interval, mode: str, now: float
@@ -274,34 +272,28 @@ class CentralLockManager:
 
     def release(self, lock: GrantedLock, now: float = 0.0) -> None:
         """Release a previously granted lock at virtual time ``now``."""
-        with self._cond:
-            if lock.lock_id not in self._granted:
-                raise LockViolation(f"lock {lock.lock_id} is not held")
-            stored = self._granted.pop(lock.lock_id)
-            stored.released_at = now
-            # Keep the caller's object in sync so waiters polling either see it.
-            lock.released_at = now
-            self._history.append(stored)
-            self._cond.notify_all()
-        self._waiters.wake_eligible(self._cond, self._conflicts)
+        if lock.lock_id not in self._granted:
+            raise LockViolation(f"lock {lock.lock_id} is not held")
+        stored = self._granted.pop(lock.lock_id)
+        stored.released_at = now
+        # Keep the caller's object in sync so waiters polling either see it.
+        lock.released_at = now
+        self._history.append(stored)
+        self._waiters.wake_eligible()
 
     def release_all(self, owner: int, now: float = 0.0) -> int:
         """Release every lock held by ``owner``; returns how many."""
-        with self._cond:
-            mine = [g for g in self._granted.values() if g.owner == owner]
-            for g in mine:
-                del self._granted[g.lock_id]
-                g.released_at = now
-                self._history.append(g)
-            if mine:
-                self._cond.notify_all()
+        mine = [g for g in self._granted.values() if g.owner == owner]
+        for g in mine:
+            del self._granted[g.lock_id]
+            g.released_at = now
+            self._history.append(g)
         if mine:
-            self._waiters.wake_eligible(self._cond, self._conflicts)
+            self._waiters.wake_eligible()
         return len(mine)
 
     def reset_history(self) -> None:
         """Forget released-lock history (between benchmark repetitions)."""
-        with self._cond:
-            self._history.clear()
-            self._total_waits = 0
-            self._grants_by_mode = {LockMode.SHARED: 0, LockMode.EXCLUSIVE: 0}
+        self._history.clear()
+        self._total_waits = 0
+        self._grants_by_mode = {LockMode.SHARED: 0, LockMode.EXCLUSIVE: 0}

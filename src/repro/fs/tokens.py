@@ -29,10 +29,8 @@ a file-system personality uses.
 from __future__ import annotations
 
 import itertools
-import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..core.engine import current_task
 from ..core.intervals import Interval, IntervalSet
 from .errors import InvalidRequest, LockViolation
 from .lockmanager import GrantedLock, LockMode, _WaiterQueue
@@ -76,8 +74,7 @@ class DistributedLockManager:
         self._read_tokens: Dict[int, IntervalSet] = {}
         self._granted: Dict[int, GrantedLock] = {}
         self._history: List[GrantedLock] = []
-        self._cond = threading.Condition()
-        self._waiters = _WaiterQueue()
+        self._waiters = _WaiterQueue(self._granted)
         self._ids = itertools.count(1)
         self._local_grants = 0
         self._token_acquisitions = 0
@@ -88,35 +85,29 @@ class DistributedLockManager:
     @property
     def local_grant_count(self) -> int:
         """Locks granted purely from a cached token (no server traffic)."""
-        with self._cond:
-            return self._local_grants
+        return self._local_grants
 
     @property
     def token_acquisition_count(self) -> int:
         """Locks that required a token-server round trip."""
-        with self._cond:
-            return self._token_acquisitions
+        return self._token_acquisitions
 
     @property
     def revocation_count(self) -> int:
         """Number of token revocations performed."""
-        with self._cond:
-            return self._revocations
+        return self._revocations
 
     def token_of(self, owner: int) -> IntervalSet:
         """Byte ranges for which ``owner`` currently holds the write token."""
-        with self._cond:
-            return self._tokens.get(owner, IntervalSet.empty())
+        return self._tokens.get(owner, IntervalSet.empty())
 
     def read_token_of(self, owner: int) -> IntervalSet:
         """Byte ranges for which ``owner`` currently holds a read token."""
-        with self._cond:
-            return self._read_tokens.get(owner, IntervalSet.empty())
+        return self._read_tokens.get(owner, IntervalSet.empty())
 
     def held_locks(self) -> List[GrantedLock]:
         """Snapshot of currently granted (active) locks."""
-        with self._cond:
-            return list(self._granted.values())
+        return list(self._granted.values())
 
     # -- acquisition / release ---------------------------------------------------
 
@@ -127,7 +118,6 @@ class DistributedLockManager:
         stop: int,
         mode: str = LockMode.EXCLUSIVE,
         now: float = 0.0,
-        timeout: Optional[float] = 60.0,
     ) -> Tuple[GrantedLock, float]:
         """Acquire a byte-range lock; see
         :meth:`repro.fs.lockmanager.CentralLockManager.acquire` for the
@@ -137,39 +127,17 @@ class DistributedLockManager:
         if start < 0 or stop < start:
             raise InvalidRequest(f"invalid lock range [{start}, {stop})")
         interval = Interval(start, stop)
-        wanted = IntervalSet.single(start, stop)
-        task = current_task()
-        if task is not None:
-            # Token-server requests happen in global virtual-time order (see
-            # CentralLockManager.acquire); park on the scheduler while an
-            # *active* lock by another client overlaps the range.
-            task.engine.sequence(task)
-            while True:
-                with self._cond:
-                    if not self._conflicts(interval, mode, owner):
-                        return self._grant(owner, interval, wanted, mode, now)
-                self._waiters.park(
-                    task, interval, mode, owner,
-                    f"token-lock[{start},{stop}) owner={owner}",
-                )
-        with self._cond:
-            # Wait until no *active* lock by another client overlaps the range.
-            while self._conflicts(interval, mode, owner):
-                if not self._cond.wait(timeout=timeout):
-                    raise TimeoutError(
-                        f"lock acquisition for [{start},{stop}) by {owner} timed out"
-                    )
-            return self._grant(owner, interval, wanted, mode, now)
+        # Token-server requests happen in global virtual-time order; the
+        # caller parks while an *active* lock by another client overlaps the
+        # range (a cached token alone never blocks — it is revoked).
+        self._waiters.wait_until_grantable(interval, mode, owner, "token-lock")
+        return self._grant(owner, interval, mode, now)
 
     def _grant(
-        self,
-        owner: int,
-        interval: Interval,
-        wanted: IntervalSet,
-        mode: str,
-        now: float,
+        self, owner: int, interval: Interval, mode: str, now: float
     ) -> Tuple[GrantedLock, float]:
-        """Grant a conflict-free request (``self._cond`` must be held)."""
+        """Grant a conflict-free request."""
+        wanted = IntervalSet.single(interval.start, interval.stop)
         have_write = self._tokens.get(owner, IntervalSet.empty())
         have_read = self._read_tokens.get(owner, IntervalSet.empty())
         # A write token also satisfies reads; a read token never satisfies
@@ -221,47 +189,35 @@ class DistributedLockManager:
         self._granted[lock.lock_id] = lock
         return lock, grant_time
 
-    def _conflicts(self, interval: Interval, mode: str, owner: int) -> bool:
-        return any(
-            g.conflicts_with(interval, mode, owner) for g in self._granted.values()
-        )
-
     def release(self, lock: GrantedLock, now: float = 0.0) -> None:
         """Release an active lock (the token stays cached with the owner)."""
-        with self._cond:
-            if lock.lock_id not in self._granted:
-                raise LockViolation(f"lock {lock.lock_id} is not held")
-            stored = self._granted.pop(lock.lock_id)
-            stored.released_at = now
-            lock.released_at = now
-            self._history.append(stored)
-            self._cond.notify_all()
-        self._waiters.wake_eligible(self._cond, self._conflicts)
+        if lock.lock_id not in self._granted:
+            raise LockViolation(f"lock {lock.lock_id} is not held")
+        stored = self._granted.pop(lock.lock_id)
+        stored.released_at = now
+        lock.released_at = now
+        self._history.append(stored)
+        self._waiters.wake_eligible()
 
     def release_all(self, owner: int, now: float = 0.0) -> int:
         """Release every active lock held by ``owner``; returns how many."""
-        with self._cond:
-            mine = [g for g in self._granted.values() if g.owner == owner]
-            for g in mine:
-                del self._granted[g.lock_id]
-                g.released_at = now
-                self._history.append(g)
-            if mine:
-                self._cond.notify_all()
+        mine = [g for g in self._granted.values() if g.owner == owner]
+        for g in mine:
+            del self._granted[g.lock_id]
+            g.released_at = now
+            self._history.append(g)
         if mine:
-            self._waiters.wake_eligible(self._cond, self._conflicts)
+            self._waiters.wake_eligible()
         return len(mine)
 
     def relinquish_tokens(self, owner: int) -> None:
         """Drop all tokens cached by ``owner`` (e.g. when it closes the file)."""
-        with self._cond:
-            self._tokens.pop(owner, None)
-            self._read_tokens.pop(owner, None)
+        self._tokens.pop(owner, None)
+        self._read_tokens.pop(owner, None)
 
     def reset_history(self) -> None:
         """Forget released-lock history and statistics."""
-        with self._cond:
-            self._history.clear()
-            self._local_grants = 0
-            self._token_acquisitions = 0
-            self._revocations = 0
+        self._history.clear()
+        self._local_grants = 0
+        self._token_acquisitions = 0
+        self._revocations = 0

@@ -18,11 +18,13 @@ from repro.core.autotune import (
     HintEngine,
     MachineModel,
     PatternSignature,
+    TuningDecision,
     classify_pattern,
     peek_record,
     record_for,
 )
 from repro.core.regions import build_region_sets
+from repro.core.registry import default_registry
 from repro.core.strategies import TwoPhaseStrategy
 from repro.datatypes import CHAR, subarray
 from repro.fs import ParallelFileSystem
@@ -94,6 +96,11 @@ class TestClassifier:
 # -- layer 2: the hint engine -------------------------------------------------
 
 
+def decisions_of(record, direction: str):
+    """The decisions ``record`` remembers for collectives of ``direction``."""
+    return [d for (which, _), d in record.decisions.items() if which == direction]
+
+
 def signature(kind: str, nprocs: int = P) -> PatternSignature:
     return PatternSignature(
         kind=kind,
@@ -142,12 +149,22 @@ class TestHintEngine:
         decision = HintEngine().decide(signature("strided"), self.machine)
         assert decision.delegate() is decision.delegate()
 
+    def test_delegate_comes_from_the_registry(self):
+        hier = TuningDecision("two-phase-hier", cb_nodes=2, cb_ppn=4, cb_buffer_size=4096)
+        delegate = hier.delegate()
+        assert type(delegate) is default_registry.get("two-phase-hier")
+        assert (delegate.num_aggregators, delegate.ranks_per_node) == (2, 4)
+        assert delegate.cb_buffer_size == 4096
+        assert type(TuningDecision("locking").delegate()) is default_registry.get("locking")
+        with pytest.raises(KeyError, match="unknown strategy 'three-phase'"):
+            TuningDecision("three-phase").delegate()
+
 
 class TestHintEngineRead:
     machine = MachineModel(supports_locking=True, num_servers=8, stripe_size=64 * 1024)
 
     def test_contiguous_read_keeps_read_ahead(self):
-        decision = HintEngine().decide_read(signature("contiguous"), self.machine)
+        decision = HintEngine().decide(signature("contiguous"), self.machine, "read")
         assert decision.strategy == "rank-ordering"
         assert decision.read_ahead is True
         assert decision.hints() == {"read_ahead": 1.0}
@@ -155,7 +172,7 @@ class TestHintEngineRead:
     def test_interleaved_read_is_fetch_parallel(self):
         # Reads have no commit side: two aggregators per I/O server, not the
         # write rule's half-the-servers.
-        decision = HintEngine().decide_read(signature("strided", nprocs=32), self.machine)
+        decision = HintEngine().decide(signature("strided", nprocs=32), self.machine, "read")
         assert decision.strategy == "two-phase"
         assert decision.cb_nodes == 2 * self.machine.num_servers
         assert decision.cb_buffer_size % self.machine.stripe_size == 0
@@ -163,18 +180,18 @@ class TestHintEngineRead:
         assert decision.hints()["read_ahead"] == 0.0
 
     def test_read_cb_nodes_capped_by_nprocs(self):
-        decision = HintEngine().decide_read(signature("strided", nprocs=2), self.machine)
+        decision = HintEngine().decide(signature("strided", nprocs=2), self.machine, "read")
         assert decision.cb_nodes == 2
 
     def test_single_server_read_stays_narrow(self):
         # An ENFS-like single-server machine: fan-out past 2 aggregators only
         # adds shuffle latency the lone server cannot amortise.
         enfs = MachineModel(supports_locking=False, num_servers=1, stripe_size=64 * 1024)
-        decision = HintEngine().decide_read(signature("strided", nprocs=16), enfs)
+        decision = HintEngine().decide(signature("strided", nprocs=16), enfs, "read")
         assert decision.cb_nodes == 2
 
     def test_large_p_read_goes_hierarchical(self):
-        decision = HintEngine().decide_read(signature("strided", nprocs=128), self.machine)
+        decision = HintEngine().decide(signature("strided", nprocs=128), self.machine, "read")
         assert decision.strategy == "two-phase-hier"
         assert decision.cb_ppn == HintEngine.default_ppn
         assert decision.read_ahead is False
@@ -183,7 +200,7 @@ class TestHintEngineRead:
         engine = HintEngine()
         sig = signature("strided", nprocs=32)
         write = engine.decide(sig, self.machine)
-        read = engine.decide_read(sig, self.machine)
+        read = engine.decide(sig, self.machine, "read")
         assert write.read_ahead is None
         assert "read_ahead" not in write.hints()
         assert write.cb_nodes != read.cb_nodes
@@ -396,13 +413,13 @@ class TestAutoReadEndToEnd:
         record = peek_record(fs, "replay.dat")
         assert record.misses == 1  # the seeding write
         assert record.hits == 3  # every read replayed the cached plan
-        assert len(record.decisions) == 1
-        assert len(record.read_decisions) == 1
+        assert len(decisions_of(record, "write")) == 1
+        assert len(decisions_of(record, "read")) == 1
 
     def test_read_decision_disables_read_ahead(self):
         fs = ParallelFileSystem(fast_fs_config())
         result = read_steps(fs, "ra.dat")
-        (decision,) = peek_record(fs, "ra.dat").read_decisions.values()
+        (decision,) = decisions_of(peek_record(fs, "ra.dat"), "read")
         assert decision.read_ahead is False
         for _, pages in result.returns:
             assert pages == 0  # the handle's cache policy was switched off
@@ -414,12 +431,12 @@ class TestAutoReadEndToEnd:
         assert record.hits == 0
         assert record.misses == 3  # write + both reads re-resolved
         # The hint caches survive the view changes...
-        assert record.decisions and record.read_decisions
+        assert decisions_of(record, "write") and decisions_of(record, "read")
         # ...but a hint change clears both decision tables too.
         autotune.notify_hint_change(fs, "rinval.dat")
         assert record.entry is None
-        assert record.decisions == {}
-        assert record.read_decisions == {}
+        assert decisions_of(record, "write") == []
+        assert decisions_of(record, "read") == []
 
 
 class TestBulkResolveStatic:
@@ -433,7 +450,7 @@ class TestBulkResolveStatic:
     def test_read_mode_resolves_the_read_decision(self):
         strat = AutoStrategy()
         write_delegate = strat.resolve_static(P, regions_for("column-wise"))
-        read_delegate = strat.resolve_static(P, regions_for("column-wise"), mode="read")
+        read_delegate = strat.resolve_static(P, regions_for("column-wise"), direction="read")
         assert isinstance(read_delegate, TwoPhaseStrategy)
         assert strat.last_decision.read_ahead is False
         assert read_delegate is not write_delegate

@@ -12,6 +12,7 @@ import pytest
 from repro.core.autotune import AutoStrategy
 from repro.core.bulk import BulkReadExecutor, BulkWriteExecutor
 from repro.core.executor import AtomicWriteExecutor, CollectiveReadExecutor
+from repro.core.pipeline import USER_PAYLOAD
 from repro.core.strategies import (
     HierarchicalTwoPhaseStrategy,
     LockingStrategy,
@@ -122,7 +123,7 @@ class _EarlyExit(TwoPhaseStrategy):
 
     def shuffle(self, region, data, neg):
         if region.rank == 1:
-            return self._write_plan(region, data, neg, [], 1, 0, 0, {})
+            return self._plan("write", region, phases=[]), {USER_PAYLOAD: data}
         return (yield from super().shuffle(region, data, neg))
 
 

@@ -9,17 +9,26 @@ workloads, plus the topology helpers and Info-hint plumbing.
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
+
+import generators
 from repro.core.aggregation import (
     choose_aggregators,
     choose_node_aggregators,
     merge_origin_runs,
     merge_pieces,
+    node_coverages,
     node_leaders,
 )
+from repro.core.bulk import BulkReadExecutor, BulkWriteExecutor
 from repro.core.executor import AtomicWriteExecutor, CollectiveReadExecutor
-from repro.core.rank_ordering import LOWER_RANK_WINS
+from repro.core.intervals import IntervalSet
+from repro.core.rank_ordering import HIGHER_RANK_WINS, LOWER_RANK_WINS
+from repro.core.regions import FileRegionSet
 from repro.core.registry import default_registry
 from repro.core.strategies import (
     HierarchicalTwoPhaseStrategy,
@@ -29,7 +38,12 @@ from repro.fs import ParallelFileSystem
 from repro.io.info import Info
 from repro.patterns.partition import block_block_views, column_wise_views
 from repro.patterns.workloads import rank_pattern_bytes
-from repro.verify.atomicity import check_coverage, check_mpi_atomicity
+from repro.verify.atomicity import (
+    ReadObservation,
+    check_coverage,
+    check_mpi_atomicity,
+    check_read_atomicity,
+)
 from tests.conftest import fast_fs_config
 
 
@@ -217,16 +231,172 @@ class TestHierarchicalPlumbing:
         assert strategy.cb_buffer_size == 4096
 
     def test_default_aggregator_count_is_node_count(self):
+        regions = [FileRegionSet(rank, [(rank << 14, 1 << 14)]) for rank in range(64)]
         strategy = HierarchicalTwoPhaseStrategy(ranks_per_node=8)
-        assert strategy._aggregator_count(64, 1 << 20) == 8
+        assert len(strategy.negotiate(64, regions).aggregators) == 8
         # Explicit hints still win, as in the flat strategy.
         hinted = HierarchicalTwoPhaseStrategy(num_aggregators=3, ranks_per_node=8)
-        assert hinted._aggregator_count(64, 1 << 20) == 3
+        assert len(hinted.negotiate(64, regions).aggregators) == 3
 
     def test_rejects_bad_ranks_per_node(self):
         with pytest.raises(ValueError):
             HierarchicalTwoPhaseStrategy(ranks_per_node=0)
 
     def test_flat_election_unchanged(self):
-        # The base class election hook must stay the evenly spaced rank pick.
-        assert TwoPhaseStrategy()._elect(8, 4) == choose_aggregators(8, 4)
+        # The flat election must stay the evenly spaced rank pick.
+        regions = [FileRegionSet(rank, [(rank * 4, 4)]) for rank in range(8)]
+        flat = TwoPhaseStrategy(num_aggregators=4)
+        assert flat.negotiate(8, regions).aggregators == choose_aggregators(8, 4)
+
+
+def bytes_to_other_ranks(strategy, views):
+    """Per rank, the bytes the schedule makes it send to ranks other than
+    itself — ``(write, read)`` lists recomputed from the negotiation alone."""
+    P, ppn = len(views), strategy.ranks_per_node
+    regions = [FileRegionSet(rank, segs) for rank, segs in enumerate(views)]
+    neg = strategy.negotiate(P, regions)
+    chunks = {
+        agg: IntervalSet([(lo, hi) for lo, hi, owner in neg.pieces if owner == agg])
+        for agg in neg.aggregators
+    }
+    unions = node_coverages(neg.coverages, ppn)
+    write, read = [], []
+    for rank in range(P):
+        if rank % ppn:  # not a leader: everything goes to the leader, once
+            write.append(regions[rank].total_bytes)
+            read.append(0)
+            continue
+        # A leader forwards its node's union to the aggregators that own it,
+        write.append(
+            sum(
+                unions[rank // ppn].intersection(chunk).total_bytes
+                for agg, chunk in chunks.items()
+                if agg != rank
+            )
+        )
+        # an aggregator serves every other node's union from its chunk, and a
+        # leader hands each local rank its own request.
+        served = sum(
+            chunks[rank].intersection(union).total_bytes
+            for node, union in enumerate(unions)
+            if rank in chunks and node * ppn != rank
+        )
+        local = sum(c.total_bytes for c in neg.coverages[rank + 1 : rank + ppn])
+        read.append(served + local)
+    return write, read
+
+
+class TestBytesShuffled:
+    """``IOOutcome.bytes_shuffled`` counts what a rank sent to *other* ranks —
+    never what it "sent" to itself — in both directions and at any topology."""
+
+    @pytest.mark.parametrize("workload", ["column-wise", "block-block"])
+    @pytest.mark.parametrize(
+        "make_strategy",
+        [
+            TwoPhaseStrategy,
+            lambda: TwoPhaseStrategy(num_aggregators=3),
+            lambda: HierarchicalTwoPhaseStrategy(ranks_per_node=3),
+            lambda: HierarchicalTwoPhaseStrategy(num_aggregators=1, ranks_per_node=4),
+        ],
+        ids=["two-phase", "two-phase-3agg", "two-phase-hier", "two-phase-hier-1agg"],
+    )
+    def test_counts_only_pieces_bound_for_other_ranks(self, workload, make_strategy):
+        views = WORKLOADS[workload]()
+        write, read = bytes_to_other_ranks(make_strategy(), views)
+        wrote = run_views(make_strategy(), views)
+        assert [o.bytes_shuffled for o in wrote.outcomes] == write
+        got = run_read_views(make_strategy(), views)
+        assert [o.bytes_shuffled for o in got.outcomes] == read
+
+
+# -- the fold, on generated inputs ----------------------------------------------
+
+FILE_BYTES = 32
+MAX_RANKS = 6
+
+#: 1–6 views over one small file: irregular, nested, identical, some empty.
+view_sets = generators.view_sets(FILE_BYTES, max_ranks=MAX_RANKS)
+aggregator_counts = st.none() | st.integers(1, MAX_RANKS + 2)
+#: Node widths as functions of the job size: dividing it or not, the whole job
+#: on one node, a node wider than the job.
+NODE_WIDTHS = {"2": lambda P: 2, "3": lambda P: 3, "P": lambda P: P, "P + 2": lambda P: P + 2}
+
+
+def write_then_read(write_cls, read_cls, make_strategy, views):
+    """One collective write and the read-back of the same views."""
+    fs = ParallelFileSystem(fast_fs_config())
+    view = lambda rank, P: views[rank]  # noqa: E731
+    wrote = write_cls(fs, make_strategy(), filename="gen.dat").run(
+        len(views), view, rank_pattern_bytes
+    )
+    got = read_cls(fs, make_strategy(), filename="gen.dat").run(len(views), view)
+    return wrote, got
+
+
+def assert_same_bytes(wrote, got, flat_wrote, flat_got):
+    assert wrote.file.store.snapshot() == flat_wrote.file.store.snapshot()
+    size = flat_wrote.file.store.size
+    assert (
+        wrote.file.store.writers(0, size).tolist()
+        == flat_wrote.file.store.writers(0, size).tolist()
+    )
+    assert got.data == flat_got.data
+
+
+@given(
+    views=view_sets,
+    aggregators=aggregator_counts,
+    substrate=st.sampled_from(
+        [(AtomicWriteExecutor, CollectiveReadExecutor), (BulkWriteExecutor, BulkReadExecutor)]
+    ),
+)
+def test_one_rank_per_node_is_the_flat_schedule(views, aggregators, substrate):
+    """``two-phase-hier`` at ``cb_ppn = 1`` is ``two-phase``: same clocks, same
+    bytes, and outcomes equal field for field but for the strategy's name."""
+    flat = write_then_read(
+        *substrate, lambda: TwoPhaseStrategy(num_aggregators=aggregators), views
+    )
+    hier = write_then_read(
+        *substrate,
+        lambda: HierarchicalTwoPhaseStrategy(num_aggregators=aggregators, ranks_per_node=1),
+        views,
+    )
+    assert_same_bytes(*hier, *flat)
+    for ours, theirs in zip(hier, flat):
+        assert [c.now for c in ours.spmd.clocks] == [c.now for c in theirs.spmd.clocks]
+        assert [replace(o, strategy="two-phase") for o in ours.outcomes] == theirs.outcomes
+
+
+@given(
+    views=view_sets,
+    aggregators=aggregator_counts,
+    width=st.sampled_from(sorted(NODE_WIDTHS)),
+    policy=st.sampled_from([HIGHER_RANK_WINS, LOWER_RANK_WINS]),
+)
+def test_any_topology_moves_the_flat_bytes(views, aggregators, width, policy):
+    """Whatever the node width and aggregator count, the node hop changes the
+    schedule only: file bytes, per-byte provenance and delivered streams are
+    the flat run's, and both verifiers accept them."""
+    P = len(views)
+    ppn = NODE_WIDTHS[width](P)
+    event(f"ppn {width}, P % ppn {'=' if P % ppn == 0 else '!'}= 0")
+    flat = write_then_read(
+        AtomicWriteExecutor,
+        CollectiveReadExecutor,
+        lambda: TwoPhaseStrategy(num_aggregators=aggregators, policy=policy),
+        views,
+    )
+    wrote, got = write_then_read(
+        AtomicWriteExecutor,
+        CollectiveReadExecutor,
+        lambda: HierarchicalTwoPhaseStrategy(
+            num_aggregators=aggregators, policy=policy, ranks_per_node=ppn
+        ),
+        views,
+    )
+    assert_same_bytes(wrote, got, *flat)
+    assert check_mpi_atomicity(wrote.file.store, wrote.regions).ok
+    observations = [ReadObservation(r, got.regions[r], got.data[r]) for r in range(P)]
+    streams = [rank_pattern_bytes(r, wrote.regions[r].total_bytes) for r in range(P)]
+    assert check_read_atomicity(observations, wrote.regions, streams).ok

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 
+from repro.core.engine import Engine, current_task, sequence_point
 from repro.core.intervals import IntervalSet
 from repro.fs.errors import InvalidRequest, LockViolation
 from repro.fs.lockmanager import CentralLockManager, LockMode
@@ -76,21 +74,27 @@ class TestCentralLockManagerBasics:
 class TestCentralLockManagerBlocking:
     def test_conflicting_lock_blocks_until_release(self):
         lm = CentralLockManager()
-        first, _ = lm.acquire(owner=0, start=0, stop=100)
         order = []
+
+        def first_locker():
+            first, _ = lm.acquire(owner=0, start=0, stop=100)
+            # Yield while holding the lock, so the peer reaches the manager
+            # and parks on its waiter queue.
+            current_task().clock.advance(10.0)
+            sequence_point()
+            assert order == ["requesting"]  # still blocked
+            lm.release(first, now=0.5)
 
         def second_locker():
             order.append("requesting")
-            lock, _ = lm.acquire(owner=1, start=50, stop=150, timeout=10)
+            lock, _ = lm.acquire(owner=1, start=50, stop=150)
             order.append("granted")
             lm.release(lock)
 
-        t = threading.Thread(target=second_locker)
-        t.start()
-        time.sleep(0.05)
-        assert order == ["requesting"]  # still blocked
-        lm.release(first, now=0.5)
-        t.join(timeout=5)
+        engine = Engine()
+        engine.spawn(first_locker)
+        engine.spawn(second_locker)
+        engine.run()
         assert order == ["requesting", "granted"]
         assert lm.wait_count == 1
 
@@ -125,11 +129,17 @@ class TestCentralLockManagerBlocking:
         _, grant = lm.acquire(owner=1, start=0, stop=10, now=0.0)
         assert grant == pytest.approx(0.0)
 
-    def test_timeout(self):
-        lm = CentralLockManager()
-        lm.acquire(owner=0, start=0, stop=10)
-        with pytest.raises(TimeoutError):
-            lm.acquire(owner=1, start=0, stop=10, timeout=0.05)
+    @pytest.mark.parametrize("manager", [CentralLockManager, DistributedLockManager])
+    def test_off_engine_conflict_raises_at_once(self, manager):
+        """Outside an engine nobody can run to release the holder's lock, so
+        a request that would block fails naming the range and the holder."""
+        lm = manager()
+        lm.acquire(owner=7, start=0, stop=10)
+        with pytest.raises(LockViolation, match=r"\[4,20\) owner=1 .*\[0,10\) held by owner 7"):
+            lm.acquire(owner=1, start=4, stop=20)
+        assert [g.owner for g in lm.held_locks()] == [7]
+        lock, _ = lm.acquire(owner=1, start=10, stop=20)  # no conflict: granted
+        assert lock.owner == 1
 
 
 class TestEngineTaskBlocking:
@@ -137,8 +147,6 @@ class TestEngineTaskBlocking:
     condition variable, and releases wake only eligible requests."""
 
     def test_conflicting_engine_tasks_serialise(self):
-        from repro.core.engine import Engine, current_task, sequence_point
-
         lm = CentralLockManager()
         order = []
 
@@ -160,8 +168,6 @@ class TestEngineTaskBlocking:
         assert lm.wait_count == 3
 
     def test_shared_engine_waiters_wake_together(self):
-        from repro.core.engine import Engine
-
         lm = CentralLockManager()
         granted = []
 
@@ -183,8 +189,6 @@ class TestEngineTaskBlocking:
         assert sorted(granted) == [1, 2, 3]
 
     def test_distributed_manager_engine_tasks_serialise(self):
-        from repro.core.engine import Engine
-
         lm = DistributedLockManager(acquire_latency=0.01)
         grants = []
 
@@ -245,19 +249,23 @@ class TestDistributedLockManager:
 
     def test_active_conflicting_lock_blocks(self):
         lm = DistributedLockManager()
-        first, _ = lm.acquire(owner=0, start=0, stop=100)
         granted = []
 
+        def first_locker():
+            first, _ = lm.acquire(owner=0, start=0, stop=100)
+            current_task().clock.advance(10.0)
+            sequence_point()  # the peer runs up to the manager and parks
+            assert granted == []
+            lm.release(first, now=1.0)
+
         def second():
-            lock, _ = lm.acquire(owner=1, start=0, stop=10, timeout=10)
+            lock, _ = lm.acquire(owner=1, start=0, stop=10)
             granted.append(lock)
 
-        t = threading.Thread(target=second)
-        t.start()
-        time.sleep(0.05)
-        assert granted == []
-        lm.release(first, now=1.0)
-        t.join(timeout=5)
+        engine = Engine()
+        engine.spawn(first_locker)
+        engine.spawn(second)
+        engine.run()
         assert len(granted) == 1
 
     def test_relinquish_tokens(self):
