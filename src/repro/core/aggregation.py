@@ -36,7 +36,6 @@ consumer's contiguous data stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -62,8 +61,7 @@ __all__ = [
 
 #: One contiguous merged extent an aggregator writes: the winning data and
 #: the rank it originated from (recorded as the write's provenance).
-@dataclass(frozen=True)
-class AggregatedRun:
+class AggregatedRun(NamedTuple):
     offset: int
     data: bytes
     origin: int

@@ -194,6 +194,7 @@ class _BulkExecutor(_Executor):
         # ``send(None)`` starts a coroutine; later rounds deliver what arrived,
         # held sparsely (most ranks of a hierarchical hop receive nothing).
         inboxes: dict = dict.fromkeys(range(nprocs))
+        latency, byte_cost = self.comm_cost.latency, self.comm_cost.byte_cost
         while True:
             arriving, costs, returned = {}, [], {}
             for rank, schedule in enumerate(schedules):
@@ -212,7 +213,8 @@ class _BulkExecutor(_Executor):
                     arriving.setdefault(dest, []).append((rank, payload))
                     if dest != rank:
                         network_bytes += payload_nbytes(payload)
-                costs.append(self.comm_cost.cost(_Volume(network_bytes)))
+                # ``comm_cost.cost`` of a payload of ``network_bytes`` bytes.
+                costs.append(latency + byte_cost * float(network_bytes))
             if returned and costs:
                 exchanging = [rank for rank in range(nprocs) if rank not in returned]
                 raise CollectiveMismatchError(

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..fs.lockmanager import LockMode
 from .engine import Steps, drive
@@ -132,7 +132,8 @@ class ViewExchange:
     tuples (payloads travel by reference), so the stage builds the
     :class:`~repro.core.regions.FileRegionSet` list once and hands the same
     (read-only) list to all ranks — an O(P) identity-fingerprint lookup per
-    rank instead of P regions rebuilt P times.
+    rank instead of P regions rebuilt P times.  Building it validates
+    nothing: each tuple is a region's already-validated ``segments``.
     """
 
     def __init__(self, enabled: bool = True) -> None:
@@ -268,8 +269,7 @@ class LockDirective:
         return self.stop - self.start
 
 
-@dataclass(frozen=True)
-class TransferStep:
+class TransferStep(NamedTuple):
     """One contiguous transfer between a named buffer and the file.
 
     ``buffer`` names the buffer on the memory side of the transfer — the

@@ -153,9 +153,7 @@ def surrendered_bytes_by_priority(
     winner = by_priority[np.maximum.reduceat(priority[ranks], ptr[:-1][covered])]
     won = np.zeros(n, dtype=np.int64)
     np.add.at(won, winner, (bounds[1:] - bounds[:-1])[covered])
-    return [
-        regions[rank].coverage.total_bytes - int(won[rank]) for rank in range(n)
-    ]
+    return [region.total_bytes - kept for region, kept in zip(regions, won.tolist())]
 
 
 def verify_disjoint(result: RankOrderingResult) -> bool:

@@ -11,6 +11,11 @@ The ordered segment list (``segments``) preserves the data-stream order of
 the MPI file view — segment ``i`` receives the next ``length_i`` bytes of the
 user buffer — while the normalised :class:`~repro.core.intervals.IntervalSet`
 (``coverage``) is used for the set-algebra questions.
+
+A view is validated once: the ``segments`` tuple a region stores carries the
+coverage and byte count derived from it, so a region built from another
+region's ``segments`` (the view exchange, the executors, re-keying into a
+global rank space) reuses both and checks nothing again.
 """
 
 from __future__ import annotations
@@ -37,6 +42,13 @@ def _segment_arrays(
     return starts, stops
 
 
+class _Segments(tuple):
+    """A validated view's segments: a plain ``tuple`` to every reader (it
+    compares, hashes and reprs as one, and has no ``nbytes``, so a collective
+    charges it as the tuple it replaces) that also carries the ``coverage``
+    and ``total_bytes`` its :class:`FileRegionSet` derived."""
+
+
 @dataclass(frozen=True)
 class FileRegionSet:
     """The file regions one process will access in a single MPI I/O call.
@@ -49,7 +61,8 @@ class FileRegionSet:
         Ordered ``(file_offset, length)`` pairs in data-stream order.  The
         same file byte must not appear twice within one process's view (MPI
         forbids overlapping writes *within* a single request in atomic mode);
-        this is validated at construction.
+        this is validated at construction — once: another region's
+        ``segments`` are taken as validated, with its coverage and byte count.
     """
 
     rank: int
@@ -59,6 +72,15 @@ class FileRegionSet:
     total_bytes: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, rank: int, segments: Iterable[Tuple[int, int]]):
+        if type(segments) is not _Segments:
+            segments = self._validate(rank, segments)
+        object.__setattr__(self, "rank", int(rank))
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "coverage", segments.coverage)
+        object.__setattr__(self, "total_bytes", segments.total_bytes)
+
+    @staticmethod
+    def _validate(rank: int, segments: Iterable[Tuple[int, int]]) -> _Segments:
         # One pass validates, drops empty segments, and — while the segments
         # arrive file-ordered and disjoint, as flattened views do — builds the
         # coverage by coalescing touching neighbours, with nothing to sort.
@@ -93,10 +115,10 @@ class FileRegionSet:
                     f"rank {rank}: file view segments overlap each other; "
                     "a single MPI request may not write the same byte twice"
                 )
-        object.__setattr__(self, "rank", int(rank))
-        object.__setattr__(self, "segments", tuple(segs))
-        object.__setattr__(self, "coverage", coverage)
-        object.__setattr__(self, "total_bytes", total)
+        validated = _Segments(segs)
+        validated.coverage = coverage
+        validated.total_bytes = total
+        return validated
 
     # -- inspection ----------------------------------------------------------
 

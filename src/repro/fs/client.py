@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..core.engine import Steps, drive
+from ..core.engine import Steps, drive, sequence_point
 from ..mpi.clock import VirtualClock
 from .cache import ClientCache
 from .costmodel import CostModel, Resource
@@ -105,16 +105,19 @@ class ClientFileHandle:
         return self.client.clock
 
     def _charge_transfer(self, offset: int, nbytes: int) -> None:
-        """Charge the client link and the touched servers for a transfer."""
+        """Charge the client link and the touched servers for a transfer:
+        one sequence point, then the link and every touched server are
+        occupied from the same instant."""
         if nbytes <= 0:
             return
         client = self.client
         clock = client.clock
+        sequence_point()
         start = clock.now
-        completion = client.link.reserve(start, nbytes)
+        completion = client.link.occupy(start, nbytes)
         servers = client.fs.servers.servers
         for server_idx, server_bytes in self.file.layout.bytes_per_server(offset, nbytes).items():
-            end = servers[server_idx].resource.reserve(start, server_bytes)
+            end = servers[server_idx].resource.occupy(start, server_bytes)
             if end > completion:
                 completion = end
         clock.advance_to(completion)

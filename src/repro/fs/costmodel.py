@@ -59,9 +59,12 @@ class Resource:
     *sequence point* first: the task yields to the event loop if any ready
     task has an earlier virtual time, so resources are reserved in global
     virtual-time order — the discrete-event ordering — and every run of the
-    same workload produces the identical queueing sequence.  Exactly one
-    engine task runs at a time and a reservation never yields between
-    reading and writing the counters, so they need no lock.
+    same workload produces the identical queueing sequence.  A request that
+    occupies several resources at one instant passes one sequence point and
+    then :meth:`occupy`-s each (a second one could not yield: nothing between
+    them advances a clock).  Exactly one engine task runs at a time and a
+    reservation never yields between reading and writing the counters, so
+    they need no lock.
     """
 
     def __init__(self, name: str, cost: CostModel) -> None:
@@ -75,6 +78,11 @@ class Resource:
         """Reserve the resource for a transfer of ``nbytes`` starting no
         earlier than virtual time ``start``; returns the completion time."""
         sequence_point()
+        return self._occupy(start, self.cost.service_time(nbytes))
+
+    def occupy(self, start: float, nbytes: int) -> float:
+        """:meth:`reserve` for a request whose sequence point has already
+        been passed."""
         return self._occupy(start, self.cost.service_time(nbytes))
 
     def reserve_duration(self, start: float, duration: float) -> float:

@@ -75,17 +75,19 @@ class ByteStore:
         """
         if offset < 0:
             raise ValueError("offset must be non-negative")
-        buf = np.frombuffer(bytes(data), dtype=np.uint8) if not isinstance(data, np.ndarray) \
-            else np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        if isinstance(data, np.ndarray):
+            buf = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        else:
+            buf = np.frombuffer(data if type(data) is bytes else bytes(data), dtype=np.uint8)
         n = buf.shape[0]
         if n == 0:
             return 0
         end = offset + n
-        self._ensure_capacity(end)
+        if end > self._size:
+            self._ensure_capacity(end)
+            self._size = end
         self._data[offset:end] = buf
         self._writer[offset:end] = writer
-        if end > self._size:
-            self._size = end
         return n
 
     def read(self, offset: int, nbytes: int) -> bytes:

@@ -53,6 +53,7 @@ from ..verify.atomicity import (
     StreamTrace,
     check_mpi_atomicity,
     check_stream_atomicity,
+    rekey_regions,
 )
 from .metrics import aggregate_bandwidth, summarize_makespans
 from .spec import JobSpec
@@ -127,9 +128,7 @@ class JobResult:
     def global_regions(self) -> List[FileRegionSet]:
         """The job's views re-keyed by global rank id, the namespace the
         store's provenance and the cross-job verifiers use."""
-        return [
-            FileRegionSet(self.rank_base + r.rank, r.segments) for r in self.regions
-        ]
+        return rekey_regions(self.regions, self.rank_base)
 
 
 @dataclass

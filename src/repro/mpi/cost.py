@@ -50,19 +50,31 @@ class _Volume:
 def payload_nbytes(obj: Any) -> int:
     """Best-effort byte volume of a (possibly nested) payload."""
     # Exact-type fast paths for what collectives overwhelmingly carry
-    # (``None``, ``bytes``, flat lists of ``bytes``, the offsets and ranks of
-    # ``(offset, bytes)`` / ``(origin, offset, bytes)`` pieces); none of these
-    # types has an ``nbytes`` attribute, so skipping the probe below changes
-    # no count.
+    # (``None``, ``bytes``, flat lists of ``bytes``, lists of ``(offset,
+    # bytes)`` / ``(origin, offset, bytes)`` pieces, counted inline); none of
+    # these types has an ``nbytes`` attribute, so skipping the probe below
+    # changes no count.  Anything else recurses.
     if obj is None:
         return 0
     kind = type(obj)
     if kind is bytes or kind is bytearray:
         return len(obj)
     if kind is list or kind is tuple:
-        return sum([len(item) if type(item) is bytes
-                    else 0 if type(item) is int else payload_nbytes(item)
-                    for item in obj])
+        total = 0
+        for item in obj:
+            kind = type(item)
+            if kind is bytes:
+                total += len(item)
+            elif kind is tuple:
+                for part in item:
+                    kind = type(part)
+                    if kind is bytes:
+                        total += len(part)
+                    elif kind is not int:
+                        total += payload_nbytes(part)
+            elif kind is not int:
+                total += payload_nbytes(item)
+        return total
     nbytes = getattr(obj, "nbytes", None)
     if nbytes is not None:
         return int(nbytes)

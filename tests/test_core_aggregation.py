@@ -13,8 +13,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import generators
-from repro.core.aggregation import QueryBatch, assemble_stream, scatter_pieces
+from repro.core.aggregation import (
+    AggregatedRun,
+    QueryBatch,
+    assemble_stream,
+    merge_origin_runs,
+    scatter_pieces,
+)
 from repro.core.intervals import IntervalSet
+
+
+class TestAggregatedRun:
+    def test_an_immutable_record_with_a_length(self):
+        run = AggregatedRun(10, b"abcd", 3)
+        assert run == AggregatedRun(offset=10, data=b"abcd", origin=3)
+        assert (run.offset, run.data, run.origin, run.length) == (10, b"abcd", 3, 4)
+        with pytest.raises(AttributeError):
+            run.origin = 4
+        with pytest.raises(AttributeError):
+            run.extra = 1
+
+    def test_the_merge_returns_records(self):
+        runs = merge_origin_runs([(1, 0, b"aaaa"), (2, 2, b"bb")])
+        assert runs == [AggregatedRun(0, b"aa", 1), AggregatedRun(2, b"bb", 2)]
+        assert all(type(run) is AggregatedRun for run in runs)
+        assert [run.length for run in runs] == [2, 2]
 
 
 class TestAssembleStream:

@@ -242,6 +242,20 @@ class TestPlanStructures:
         with pytest.raises(ValueError, match="direction"):
             _plan("sideways", bytes_requested=0)
 
+    def test_transfer_step_is_an_immutable_record_with_defaults(self):
+        positional = TransferStep(4, 100, 16)
+        keyword = TransferStep(buffer_offset=4, file_offset=100, length=16)
+        assert positional == keyword
+        assert (positional.buffer, positional.writer) == ("user", None)
+        full = TransferStep(0, 8, 2, "agg", 3)
+        assert full == TransferStep(buffer_offset=0, file_offset=8, length=2,
+                                    buffer="agg", writer=3)
+        assert (full.buffer_offset, full.file_offset, full.length) == (0, 8, 2)
+        with pytest.raises(AttributeError):
+            full.length = 5
+        with pytest.raises(AttributeError):
+            full.extra = 1
+
 
 class TestLegacyEquivalence:
     """The stage compositions reproduce the pre-refactor accounting exactly."""

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from generators import raw_segment_lists
+from generators import raw_segment_lists, segment_lists
+from repro.core.executor import _Executor
 from repro.core.intervals import Interval, IntervalSet
+from repro.core.pipeline import ViewExchange
 from repro.core.regions import FileRegionSet, build_region_sets
+from repro.mpi.cost import CommCostModel, payload_nbytes
+from repro.verify.atomicity import rekey_regions
 
 
 def four_pass_region_set(rank, segments):
@@ -78,6 +84,108 @@ class TestConstruction:
     def test_build_region_sets_assigns_ranks(self):
         regions = build_region_sets([[(0, 5)], [(5, 5)], [(10, 5)]])
         assert [r.rank for r in regions] == [0, 1, 2]
+
+
+class TestValidatedOnce:
+    """A region built from another region's ``segments`` reuses what the
+    first build derived; every other input goes through the validation."""
+
+    def test_rebuild_shares_the_coverage(self):
+        region = FileRegionSet(0, [(100, 4), (0, 8), (50, 0)])
+        again = FileRegionSet(2, region.segments)
+        assert again.coverage is region.coverage
+        assert again.total_bytes == region.total_bytes == 12
+        assert again.rank == 2 and again.segments == ((100, 4), (0, 8))
+
+    def test_rebuild_equals_a_fresh_build(self):
+        region = FileRegionSet(1, [(100, 4), (0, 8), (50, 0)])
+        again = FileRegionSet(1, region.segments)
+        fresh = FileRegionSet(1, list(region.segments))
+        assert again == fresh and hash(again) == hash(fresh)
+        assert repr(again) == repr(fresh)
+        assert repr(region.segments) == repr(tuple(region.segments))
+        assert hash(region.segments) == hash(tuple(region.segments))
+        unpickled = pickle.loads(pickle.dumps(again))
+        assert unpickled == fresh and unpickled.total_bytes == fresh.total_bytes
+        assert unpickled.coverage == fresh.coverage
+
+    def test_segments_are_charged_as_the_tuple_they_replace(self):
+        region = FileRegionSet(0, [(0, 10), (20, 5)])
+        plain = tuple(region.segments)
+        assert isinstance(region.segments, tuple)
+        assert not hasattr(region.segments, "nbytes")
+        assert payload_nbytes(region.segments) == payload_nbytes(plain)
+        model = CommCostModel(latency=1e-6, byte_cost=1e-8)
+        assert model.cost(region.segments) == model.cost(plain)
+
+    @given(segment_lists(24))
+    def test_rebuild_from_segments_equals_a_fresh_build(self, segments):
+        region = FileRegionSet(3, segments)
+        again = FileRegionSet(5, region.segments)
+        fresh = FileRegionSet(5, list(region.segments))
+        assert again == fresh and hash(again) == hash(fresh)
+        assert again.coverage == fresh.coverage
+        assert again.total_bytes == fresh.total_bytes
+
+    @given(raw_segment_lists(24), st.sampled_from(["list", "generator", "tuple"]))
+    def test_every_other_input_is_validated(self, segments, shape):
+        """Lists, generators and plain tuples build what the four-pass
+        constructor builds, or raise the same ``ValueError``."""
+        make = {"list": list, "generator": lambda s: (seg for seg in s), "tuple": tuple}[shape]
+        try:
+            segs, coverage, total = four_pass_region_set(3, segments)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                FileRegionSet(3, make(segments))
+            assert str(raised.value) == str(exc)
+            return
+        r = FileRegionSet(3, make(segments))
+        assert r.segments == segs and r.total_bytes == total
+        assert r.coverage == coverage
+
+    def test_a_plain_tuple_is_validated_even_when_it_equals_valid_segments(self):
+        region = FileRegionSet(0, [(0, 10), (20, 5)])
+        assert FileRegionSet(0, tuple(region.segments)).coverage is not region.coverage
+        with pytest.raises(ValueError, match="overlap"):
+            FileRegionSet(0, tuple(region.segments) + ((5, 1),))
+        with pytest.raises(ValueError, match="invalid segment"):
+            FileRegionSet(0, tuple(region.segments) + ((-1, 1),))
+
+    def test_rebuilders_build_no_interval_set(self, monkeypatch):
+        """The view exchange, the executors' view collection and re-keying
+        take segments from regions, so they derive no coverage again."""
+        regions = build_region_sets([[(0, 4), (8, 4)], [(2, 4)], [], [(20, 1), (10, 2)]])
+        built = []
+        original_init = IntervalSet.__init__
+        original_wrap = IntervalSet._from_normalised.__func__
+
+        def counting_init(self, *args, **kwargs):
+            built.append("init")
+            original_init(self, *args, **kwargs)
+
+        def counting_wrap(cls, starts, stops):
+            built.append("wrap")
+            return original_wrap(cls, starts, stops)
+
+        monkeypatch.setattr(IntervalSet, "__init__", counting_init)
+        monkeypatch.setattr(IntervalSet, "_from_normalised", classmethod(counting_wrap))
+
+        class SharedComm:
+            shared = [r.segments for r in regions]
+
+            def allgather_shared(self, obj):
+                return self.shared
+
+        exchanged = ViewExchange().run(SharedComm(), regions[1])
+        collected = _Executor._views(len(regions), lambda rank, _P: regions[rank].segments)
+        rekeyed = rekey_regions(regions, 10)
+        assert built == []
+        for rebuilt in (exchanged, collected):
+            assert rebuilt == regions
+            assert all(a.coverage is b.coverage for a, b in zip(rebuilt, regions))
+        assert [r.rank for r in rekeyed] == [10, 11, 12, 13]
+        FileRegionSet(0, [(0, 4)])
+        assert built == ["wrap"]  # the counting patch does see a fresh build
 
 
 class TestQueries:

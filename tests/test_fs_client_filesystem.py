@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+import repro.fs.client as client_module
+import repro.fs.costmodel as costmodel_module
+from repro.core.engine import Engine, current_task, sequence_point
 from repro.fs import (
     FSClient,
     FSConfig,
@@ -184,6 +187,37 @@ class TestClientTiming:
         handle = FSClient(lockless_fs, 0).open("f")
         with pytest.raises(LockingUnsupported):
             handle.lock(0, 10)
+
+    def test_a_server_request_passes_one_sequence_point(self, fast_fs, monkeypatch):
+        """A direct write over three stripes on three servers, inside an
+        engine task: one sequence point, then the link and each touched
+        server serve one request of ``latency + bytes / bandwidth``."""
+        taken = []
+
+        def counting_sequence_point():
+            taken.append(current_task())
+            sequence_point()
+
+        monkeypatch.setattr(client_module, "sequence_point", counting_sequence_point,
+                            raising=False)
+        monkeypatch.setattr(costmodel_module, "sequence_point", counting_sequence_point)
+        client = FSClient(fast_fs, client_id=0)
+        handle = client.open("f")
+        # 1024-byte stripes over 4 servers: [512, 2560) is 512 bytes on
+        # server 0, 1024 on server 1 and 512 on server 2.
+        engine = Engine()
+        task = engine.spawn(lambda: handle.write(512, b"x" * 2048, direct=True),
+                            clock=client.clock)
+        engine.run()
+        assert task.error is None and task.result == 2048
+        assert taken == [task]
+        servers = [server.resource for server in fast_fs.servers.servers]
+        for resource, nbytes in [(client.link, 2048), (servers[0], 512),
+                                 (servers[1], 1024), (servers[2], 512)]:
+            cost = resource.cost
+            assert resource.request_count == 1
+            assert resource.busy_time == cost.latency + nbytes / cost.bandwidth
+        assert servers[3].request_count == 0
 
 
 class TestPresets:
