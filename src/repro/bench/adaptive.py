@@ -172,9 +172,7 @@ def run_repeated_collective(
         strat = default_registry.create(strategy)
         label = strategy
     filename = repeated_filename(machine, M, N, nprocs, label)
-    bind = getattr(strat, "bind_context", None)
-    if bind is not None:
-        bind(fs, filename)
+    strat.bind_context(fs, filename)
     fobj = fs.create(filename)
     views = views_for_pattern(pattern, M, N, nprocs, overlap_columns)
     regions = [FileRegionSet(rank, views[rank]) for rank in range(nprocs)]

@@ -72,9 +72,7 @@ class _Executor:
         self.comm_cost = comm_cost or CommCostModel(latency=20e-6, byte_cost=1e-8)
         # Context-aware strategies (the adaptive tuner) learn the machine
         # model and per-file tuning record from the file they will drive.
-        bind = getattr(strategy, "bind_context", None)
-        if bind is not None:
-            bind(fs, filename)
+        strategy.bind_context(fs, filename)
 
     @staticmethod
     def _views(nprocs: int, view_factory: ViewFactory) -> List[FileRegionSet]:

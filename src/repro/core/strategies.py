@@ -262,6 +262,14 @@ class AtomicityStrategy(ABC):
         """
         return cls()
 
+    def bind_context(self, fs, filename: str) -> None:
+        """Associate the strategy with the file it will drive.
+
+        Called once by every consumer that knows the file (the MPI-IO layer,
+        the executors, the job scheduler).  A no-op here; the adaptive tuner
+        overrides it to learn the machine model and the per-file record.
+        """
+
     @abstractmethod
     def execute_write(
         self,

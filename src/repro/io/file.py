@@ -9,7 +9,9 @@ code fragment (Figure 4) exercises, on top of the file system substrate:
   derived-datatype constructors
 * ``Set_atomicity`` / ``Get_atomicity``
 * collective ``Write_all`` / ``Read_all`` and independent ``Write_at`` /
-  ``Read_at`` / ``Write`` / ``Read`` (individual file pointer)
+  ``Read_at`` / ``Write`` / ``Read`` (individual file pointer); every
+  data-access call returns an :class:`~repro.core.strategies.IOOutcome`
+  (a nonblocking one from its request's ``Wait``)
 * **nonblocking** forms ``Iwrite_all`` / ``Iread_all`` / ``Iwrite_at`` /
   ``Iread_at`` returning an :class:`~repro.io.requests.IORequest`
   (``Wait`` / ``Test``, plus module-level
@@ -35,10 +37,15 @@ three strategies (:mod:`repro.core.strategies`); which one is chosen via the
 ordering).  Strategy tunables also come from the Info bag — ``cb_nodes`` /
 ``cb_buffer_size`` steer two-phase aggregator election, ``striping_unit``
 overrides the file's stripe size, ``read_ahead`` / ``read_ahead_pages``
-tune the client cache (see :mod:`repro.io.info` for the full table).  The
-older :meth:`set_strategy` call survives as a deprecation shim over the
-hint.  In non-atomic mode the segments are written independently, which is
-exactly the situation in which overlapping writes may interleave (Figure 2).
+tune the client cache (see :mod:`repro.io.info` for the full table).  In
+non-atomic mode the segments are written independently, which is exactly
+the situation in which overlapping writes may interleave (Figure 2).
+
+There is one data path.  An independent call is a one-rank
+:class:`~repro.core.pipeline.IOPlan` with no view exchange, run by the same
+:class:`~repro.core.pipeline.PlanRunner` as every collective: in atomic mode
+it locks its extent (exclusive to write, shared to read — Section 3.2's only
+correct option for non-collective I/O) and transfers directly.
 
 Collective reads are symmetric: ``Read_all`` runs the selected strategy's
 read schedule through the same staged pipeline (shared-mode locks,
@@ -52,14 +59,21 @@ everything its peers flushed before the call.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import replace
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
 from ..core import autotune
 from ..core.engine import TaskCancelled, current_task
+from ..core.pipeline import (
+    USER_PAYLOAD,
+    IOPlan,
+    LockDirective,
+    PhasePlan,
+    PlanRunner,
+    TransferStep,
+)
 from ..core.regions import FileRegionSet
 from ..core.registry import default_registry
 from ..core.strategies import (
@@ -147,7 +161,6 @@ class MPIFile:
         self._handle = self._client.open(filename, create=True)
         self._view = FileView.default()
         self._atomic = False
-        self._strategy: Optional[AtomicityStrategy] = None
         self._auto_strategy: Optional[AtomicityStrategy] = None
         self._non_atomic = NoAtomicityStrategy()
         self._position = 0  # individual file pointer, in etypes
@@ -295,51 +308,22 @@ class MPIFile:
 
     get_atomicity = Get_atomicity
 
-    def set_strategy(self, strategy: Union[str, AtomicityStrategy]) -> None:
-        """Choose the atomicity strategy used by collective writes.
-
-        .. deprecated::
-            Pass ``Info({"atomicity_strategy": name})`` to :meth:`Open` or
-            :meth:`Set_view` instead; the Info route also threads the
-            strategy's tunables (``cb_nodes``, ``cb_buffer_size``, …).
-            Passing a strategy *instance* still pins that exact object.
-        """
-        warnings.warn(
-            "MPIFile.set_strategy is deprecated; pass "
-            "Info({'atomicity_strategy': <name>}) to Open/Set_view instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if isinstance(strategy, str):
-            # Keep the old eager-validation behaviour for unknown names.
-            default_registry.get(strategy)
-            self.info.set("atomicity_strategy", strategy)
-            self._strategy = None
-            self._auto_strategy = None
-        else:
-            self._strategy = strategy
-
     def effective_strategy(self) -> AtomicityStrategy:
         """The strategy that an atomic collective operation will use.
 
-        Resolution order: an explicitly pinned instance
-        (:meth:`set_strategy` with an object), the ``atomicity_strategy``
-        Info hint, then the file system's best supported default — byte-range
-        locking where available (the ROMIO behaviour), process-rank ordering
-        on lock-less file systems (ENFS).  The instance is built through the
-        registry's Info-aware constructor, so hints like ``cb_nodes`` reach
-        aggregator election, and it is cached until the hints change.
+        Resolution order: the ``atomicity_strategy`` Info hint, then the file
+        system's best supported default — byte-range locking where available
+        (the ROMIO behaviour), process-rank ordering on lock-less file
+        systems (ENFS).  The instance is built through the registry's
+        Info-aware constructor, so hints like ``cb_nodes`` reach aggregator
+        election, and it is cached until the hints change.
         """
-        if self._strategy is not None:
-            return self._strategy
         if self._auto_strategy is None:
             hint = self.info.get("atomicity_strategy")
             if not hint:
                 hint = "locking" if self.fs.config.supports_locking() else "rank-ordering"
             self._auto_strategy = default_registry.create_from_info(hint, self.info)
-            bind = getattr(self._auto_strategy, "bind_context", None)
-            if bind is not None:
-                bind(self.fs, self.filename)
+            self._auto_strategy.bind_context(self.fs, self.filename)
         return self._auto_strategy
 
     def _collective_strategy(self) -> AtomicityStrategy:
@@ -657,74 +641,75 @@ class MPIFile:
 
     # -- independent data access -----------------------------------------------------------
 
-    def _independent_write(
-        self, handle: ClientFileHandle, region: FileRegionSet, data: bytes, atomic: bool
-    ) -> int:
-        """One rank's uncoordinated write of ``region`` through ``handle``."""
-        if atomic and not region.is_empty():
-            extent = region.extent()
-            lock = handle.lock(extent.start, extent.stop)
-            try:
-                return self._write_region(handle, region, data, direct=True)
-            finally:
-                handle.unlock(lock)
-        return self._write_region(handle, region, data, direct=False)
+    _runner = PlanRunner()
 
-    def _independent_read(
+    def _independent(
         self,
-        handle: ClientFileHandle,
-        region: FileRegionSet,
-        atomic: bool,
-        fresh: bool = False,
-    ) -> Tuple[bytes, IOOutcome]:
-        """One rank's uncoordinated read of ``region`` through ``handle``.
-
-        ``fresh=True`` forces a cache invalidation before a non-atomic cached
-        read.  The nonblocking path needs it: the progress handle's cache may
-        hold pages that predate writes made through the rank's *main* handle,
-        and a same-process read after a completed write must see them.
-        """
-        outcome = IOOutcome(
-            strategy="independent",
-            rank=self.comm.rank,
-            bytes_requested=region.total_bytes,
-            start_time=handle.clock.now,
-        )
-        use_lock = atomic and not region.is_empty() and self.fs.config.supports_locking()
-        stream = bytearray()
-        if use_lock:
-            # Direct reads return the servers' bytes: this client's own
-            # write-behind data must be flushed first (read-your-own-writes).
-            handle.sync()
-            extent = region.extent()
-            waited0 = handle.clock.waited
-            lock = handle.lock(extent.start, extent.stop, mode=LockMode.SHARED)
-            outcome.locks_acquired = 1
-            outcome.lock_wait_seconds = handle.clock.waited - waited0
-            try:
-                for _, file_off, length in region.buffer_map():
-                    stream.extend(handle.read(file_off, length, direct=True))
-            finally:
-                handle.unlock(lock)
-        else:
-            if atomic or fresh:
-                handle.invalidate()
-                outcome.invalidations = 1
-            for _, file_off, length in region.buffer_map():
-                stream.extend(handle.read(file_off, length))
-        outcome.bytes_moved = len(stream)
-        outcome.bytes_returned = len(stream)
-        outcome.segments_moved = region.num_segments
-        outcome.end_time = handle.clock.now
-        return bytes(stream), outcome
-
-    def Write_at(  # noqa: N802 - MPI spelling
-        self,
+        direction: str,
         offset_etypes: int,
         buffer: Buffer,
-        count: Optional[int] = None,
-        datatype: Optional[Datatype] = None,
-    ) -> int:
+        count: Optional[int],
+        datatype: Optional[Datatype],
+        nonblocking: bool = False,
+    ) -> Union[IOOutcome, IORequest]:
+        """One independent call: a one-rank plan, built at issue time with no
+        view exchange, run by the :class:`~repro.core.pipeline.PlanRunner` on
+        the main handle — or, ``nonblocking``, on the progress handle.
+
+        An atomic write, or an atomic read where the file system has locks,
+        locks its extent — exclusive to write, shared to read — and transfers
+        directly.  The locked write first drops this rank's cached pages
+        (dirty ones are flushed): a stale dirty page would overwrite it at the
+        next flush, a clean one would mask it from later cached reads.  Every
+        other call goes through the cache, and a read there that is atomic or
+        nonblocking invalidates first — the progress handle's pages may
+        predate writes made through the main handle.
+        """
+        writing = direction == "write"
+        if writing:
+            self._check_writable()
+            data = _as_bytes(buffer, datatype, count)
+            nbytes = len(data)
+        else:
+            self._check_readable()
+            nbytes = self._data_stream_size(buffer, datatype, count)
+        region = self._region_for(nbytes, offset_etypes)
+        plan = IOPlan(direction=direction, strategy="independent", rank=region.rank,
+                      bytes_requested=region.total_bytes)
+        steps = [TransferStep(*entry) for entry in region.buffer_map()]
+        locked = self._atomic and not region.is_empty() and (
+            writing or self.fs.config.supports_locking()
+        )
+        if locked:
+            extent = region.extent()
+            mode = LockMode.EXCLUSIVE if writing else LockMode.SHARED
+            plan.locks.append(LockDirective(extent.start, extent.stop, mode))
+            plan.phases.append(PhasePlan(0, steps, direct=True, invalidate_before=writing))
+        else:
+            invalidate = not writing and (self._atomic or nonblocking)
+            plan.phases.append(PhasePlan(0, steps, invalidate_before=invalidate))
+        buffers = {USER_PAYLOAD: data} if writing else plan.sinks()
+
+        def body(comm: Communicator, handle: ClientFileHandle) -> IOOutcome:
+            start_time = handle.clock.now
+            if locked and not writing:
+                # Direct reads return the servers' bytes: flush this rank's
+                # own write-behind data first (read-your-own-writes).
+                handle.sync()
+            outcome = self._runner.execute(comm, handle, plan, buffers, start_time)
+            if not writing:
+                stream = bytes(buffers.get(USER_PAYLOAD, b""))
+                outcome.bytes_returned = len(stream)
+                self._scatter_into(buffer, stream, datatype, count)
+            return outcome
+
+        if nonblocking:
+            label = self._next_label(f"i{direction}_at")
+            return self._issue(label, direction, body, collective=False)
+        return body(self.comm, self._handle)
+
+    def Write_at(self, offset_etypes: int, buffer: Buffer, count: Optional[int] = None,
+                 datatype: Optional[Datatype] = None) -> IOOutcome:  # noqa: N802
         """Independent write at an explicit etype offset within the view.
 
         Independent writes cannot coordinate with unknown peers, so in atomic
@@ -732,20 +717,12 @@ class MPIFile:
         paper identifies for non-collective I/O); on lock-less file systems
         atomic independent writes raise ``LockingUnsupported``.
         """
-        self._check_writable()
-        data = _as_bytes(buffer, datatype, count)
-        region = self._region_for(len(data), offset_etypes)
-        return self._independent_write(self._handle, region, data, self._atomic)
+        return self._independent("write", offset_etypes, buffer, count, datatype)
 
     write_at = Write_at
 
-    def Read_at(  # noqa: N802 - MPI spelling
-        self,
-        offset_etypes: int,
-        buffer: Buffer,
-        count: Optional[int] = None,
-        datatype: Optional[Datatype] = None,
-    ) -> IOOutcome:
+    def Read_at(self, offset_etypes: int, buffer: Buffer, count: Optional[int] = None,
+                datatype: Optional[Datatype] = None) -> IOOutcome:  # noqa: N802
         """Independent read at an explicit etype offset within the view.
 
         Independent reads cannot coordinate with unknown peers, so in atomic
@@ -754,69 +731,29 @@ class MPIFile:
         lock-less file systems they fall back to invalidate-then-cached-read,
         which observes everything peers have flushed.
         """
-        self._check_readable()
-        nbytes = self._data_stream_size(buffer, datatype, count)
-        region = self._region_for(nbytes, offset_etypes)
-        stream, outcome = self._independent_read(self._handle, region, self._atomic)
-        self._scatter_into(buffer, stream, datatype, count)
-        return outcome
+        return self._independent("read", offset_etypes, buffer, count, datatype)
 
     read_at = Read_at
 
-    def Iwrite_at(  # noqa: N802 - MPI spelling
-        self,
-        offset_etypes: int,
-        buffer: Buffer,
-        count: Optional[int] = None,
-        datatype: Optional[Datatype] = None,
-    ) -> IORequest:
-        """Nonblocking independent write (``MPI_File_iwrite_at``).
+    def Iwrite_at(self, offset_etypes: int, buffer: Buffer, count: Optional[int] = None,
+                  datatype: Optional[Datatype] = None) -> IORequest:  # noqa: N802
+        """Nonblocking independent write (``MPI_File_iwrite_at``): the
+        locking rules of :meth:`Write_at` on the detached progress timeline."""
+        return self._independent("write", offset_etypes, buffer, count, datatype, nonblocking=True)
 
-        Same locking rules as :meth:`Write_at`, executed on the detached
-        progress timeline; ``Wait`` returns the byte count written.
-        """
-        self._check_writable()
-        data = _as_bytes(buffer, datatype, count)
-        region = self._region_for(len(data), offset_etypes)
-        atomic = self._atomic
-        return self._issue(
-            self._next_label("iwrite_at"),
-            "write",
-            lambda comm, handle: self._independent_write(handle, region, data, atomic),
-            collective=False,
-        )
-
-    def Iread_at(  # noqa: N802 - MPI spelling
-        self,
-        offset_etypes: int,
-        buffer: Buffer,
-        count: Optional[int] = None,
-        datatype: Optional[Datatype] = None,
-    ) -> IORequest:
-        """Nonblocking independent read (``MPI_File_iread_at``).
-
-        ``buffer`` is filled at completion; ``Wait`` returns the
-        :class:`~repro.core.strategies.IOOutcome`.
-        """
-        self._check_readable()
-        nbytes = self._data_stream_size(buffer, datatype, count)
-        region = self._region_for(nbytes, offset_etypes)
-        atomic = self._atomic
-
-        def body(comm: Communicator, handle: ClientFileHandle):
-            stream, outcome = self._independent_read(handle, region, atomic, fresh=True)
-            self._scatter_into(buffer, stream, datatype, count)
-            return outcome
-
-        return self._issue(self._next_label("iread_at"), "read", body, collective=False)
+    def Iread_at(self, offset_etypes: int, buffer: Buffer, count: Optional[int] = None,
+                 datatype: Optional[Datatype] = None) -> IORequest:  # noqa: N802
+        """Nonblocking independent read (``MPI_File_iread_at``); ``buffer`` is
+        filled at completion."""
+        return self._independent("read", offset_etypes, buffer, count, datatype, nonblocking=True)
 
     def Write(self, buffer: Buffer, count: Optional[int] = None,
-              datatype: Optional[Datatype] = None) -> int:  # noqa: N802
+              datatype: Optional[Datatype] = None) -> IOOutcome:  # noqa: N802
         """Independent write at the individual file pointer."""
         data_len = self._data_stream_size(buffer, datatype, count)
-        written = self.Write_at(self._position, buffer, count, datatype)
+        outcome = self.Write_at(self._position, buffer, count, datatype)
         self._position += data_len // self._view.etype_size
-        return written
+        return outcome
 
     def Read(self, buffer: Buffer, count: Optional[int] = None,
              datatype: Optional[Datatype] = None) -> IOOutcome:  # noqa: N802
@@ -867,15 +804,6 @@ class MPIFile:
         return self._handle.size
 
     # -- internals ---------------------------------------------------------------------------------
-
-    @staticmethod
-    def _write_region(
-        handle: ClientFileHandle, region: FileRegionSet, data: bytes, direct: bool
-    ) -> int:
-        written = 0
-        for buf_off, file_off, length in region.buffer_map():
-            written += handle.write(file_off, data[buf_off : buf_off + length], direct=direct)
-        return written
 
     def _scatter_into(
         self, buffer: Buffer, stream: bytes, datatype: Optional[Datatype], count: Optional[int]

@@ -273,9 +273,7 @@ class MultiTenantScheduler:
             )
         else:
             strategy = default_registry.create(spec.strategy, **spec.strategy_options)
-        bind = getattr(strategy, "bind_context", None)
-        if bind is not None:
-            bind(self.fs, spec.filename)
+        strategy.bind_context(self.fs, spec.filename)
         return strategy
 
     # -- the run ---------------------------------------------------------------

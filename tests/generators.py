@@ -113,6 +113,48 @@ def cache_programs(draw, operations, min_tasks: int = 2, max_tasks: int = 4):
 
 
 @st.composite
+def independent_programs(draw, file_bytes: int = 700, max_ranks: int = 3):
+    """An SPMD program of independent MPI-IO calls on one shared file, for
+    1–``max_ranks`` ranks: ``{"views": [...], "epochs": [...]}``.
+
+    ``views[rank]`` is ``None`` (the default byte view) or ``(disp,
+    blocklength, stride)`` — a two-block strided ``vector`` filetype, so a
+    call's region may have several segments and its extent lock covers gaps.
+    Each epoch is ``(atomic, ops, sync)``: a collective ``Set_atomicity
+    (atomic)``, then ``ops[rank]`` — the calls that rank issues — then a
+    collective ``Sync`` when ``sync`` is set.  A call is ``("Write_at" |
+    "Iwrite_at" | "Read_at" | "Iread_at", offset, length, wait_now)``,
+    ``("Write" | "Read", length)`` or ``("Seek", offset)``; ``wait_now`` says
+    whether a nonblocking call is waited on at once or at the end of the
+    epoch.  Ranges overlap between calls and ranks, may be empty, and
+    straddle the test file system's 256-byte cache pages."""
+    nranks = draw(st.integers(1, max_ranks))
+    offsets = st.integers(0, file_bytes - 1)
+    lengths = st.one_of(st.just(0), st.integers(1, 300))
+    call = st.one_of(
+        st.tuples(
+            st.sampled_from(["Write_at", "Iwrite_at", "Read_at", "Iread_at"]),
+            offsets,
+            lengths,
+            st.booleans(),
+        ),
+        st.tuples(st.sampled_from(["Write", "Read"]), lengths),
+        st.tuples(st.just("Seek"), offsets),
+    )
+    view = st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 300), st.integers(1, 64), st.integers(65, 200)),
+    )
+    views = [draw(view) for _ in range(nranks)]
+    epochs = [
+        (draw(st.booleans()), [draw(st.lists(call, max_size=5)) for _ in range(nranks)],
+         draw(st.booleans()))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return {"views": views, "epochs": epochs}
+
+
+@st.composite
 def piece_lists(draw, max_pieces: int = 10):
     """``(origin, file_offset, data)`` pieces as an aggregator's merge takes
     them, 0–``max_pieces`` of them: extents irregular (touching, overlapping,

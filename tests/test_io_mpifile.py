@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.strategies import RankOrderingStrategy
 from repro.datatypes import CHAR, INT, contiguous, subarray
 from repro.fs import ParallelFileSystem
 from repro.fs.filesystem import LockProtocol
@@ -133,7 +132,7 @@ class TestFigure4CallSequence:
 
     M, N, P, R = 16, 64, 4, 4
 
-    def _run(self, fs, atomic=True, strategy=None, info=None):
+    def _run(self, fs, atomic=True, info=None):
         M, N, P, R = self.M, self.N, self.P, self.R
 
         def fn(comm):
@@ -143,8 +142,6 @@ class TestFigure4CallSequence:
                                 list(spec.starts), CHAR).commit()
             f = MPIFile.Open(comm, "fig4.dat", fs, amode=MODE_RDWR | MODE_CREATE, info=info)
             f.Set_atomicity(atomic)
-            if strategy is not None:
-                f.set_strategy(strategy)
             f.Set_view(0, CHAR, filetype)
             buf = bytes([ord("A") + rank]) * spec.total_bytes
             outcome = f.Write_all(buf)
@@ -173,20 +170,14 @@ class TestFigure4CallSequence:
         assert atomic.ok and coverage.ok
         assert all(o.strategy == "rank-ordering" for o in result.returns)
 
-    def test_strategy_hint_via_info(self):
+    @pytest.mark.parametrize("strategy", ["graph-coloring", "rank-ordering"])
+    def test_strategy_hint_via_info(self, strategy):
         fs = ParallelFileSystem(fast_fs_config())
-        info = Info({"atomicity_strategy": "graph-coloring"})
+        info = Info({"atomicity_strategy": strategy})
         result = self._run(fs, atomic=True, info=info)
-        atomic, _ = self._verify(fs)
-        assert atomic.ok
-        assert all(o.strategy == "graph-coloring" for o in result.returns)
-
-    def test_explicit_strategy_object(self):
-        fs = ParallelFileSystem(fast_fs_config())
-        result = self._run(fs, atomic=True, strategy=RankOrderingStrategy())
         atomic, coverage = self._verify(fs)
         assert atomic.ok and coverage.ok
-        assert all(o.strategy == "rank-ordering" for o in result.returns)
+        assert all(o.strategy == strategy for o in result.returns)
 
     def test_non_atomic_mode_writes_everything(self):
         fs = ParallelFileSystem(fast_fs_config())
@@ -314,15 +305,16 @@ class TestReadAllPipeline:
         flush the reader's own write-behind pages first, or the rank reads
         the servers' stale bytes for data it itself just wrote."""
 
+        info = Info({"atomicity_strategy": strategy})
+
         def fn(comm):
-            f = MPIFile.Open(comm, f"ryow_{strategy}.dat", fast_fs)
+            f = MPIFile.Open(comm, f"ryow_{strategy}.dat", fast_fs, info=info)
             f.Write_at(0, b"A" * 32)
             f.Sync()
             if comm.rank == 0:
                 # Write-behind, intentionally NOT synced before the read.
                 f.Write_at(0, b"B" * 32)
             f.Set_atomicity(True)
-            f.set_strategy(strategy)
             f.Set_view(0, CHAR, contiguous(32, CHAR))
             buf = bytearray(32)
             f.Read_all(buf)
@@ -401,3 +393,53 @@ class TestAtomicIndependentWrites:
         with pytest.raises(SPMDExecutionError) as excinfo:
             run_spmd(fn, 2)
         assert any(isinstance(e, LockingUnsupported) for e in excinfo.value.failures.values())
+
+    def test_locked_write_flushes_own_dirty_page_first(self, fast_fs):
+        """Regression: a locked write goes straight to the servers, so a dirty
+        page this rank cached before it must be flushed first — or it lands
+        on top of the locked write when the file is closed."""
+
+        def fn(comm):
+            f = MPIFile.Open(comm, "dirty.dat", fast_fs)
+            f.Write_at(0, b"A" * 64)  # write-behind: a dirty page
+            f.Set_atomicity(True)
+            outcome = f.Write_at(0, b"B" * 64)
+            f.Close()
+            return outcome
+
+        outcome = run_spmd(fn, 1).returns[0]
+        assert fast_fs.lookup("dirty.dat").store.read(0, 64) == b"B" * 64
+        assert outcome.invalidations == 1
+
+    def test_locked_write_drops_own_clean_page(self, fast_fs):
+        """Regression: a clean page cached before a locked write must not
+        serve the rank's next cached (non-atomic) read."""
+
+        def fn(comm):
+            f = MPIFile.Open(comm, "clean.dat", fast_fs)
+            f.Write_at(0, b"A" * 64)
+            f.Sync()  # the page is clean now, and stays cached
+            f.Set_atomicity(True)
+            f.Write_at(0, b"B" * 64)
+            f.Set_atomicity(False)
+            buf = bytearray(64)
+            f.Read_at(0, buf)  # non-atomic: served from the cache
+            f.Close()
+            return bytes(buf)
+
+        assert run_spmd(fn, 1).returns == [b"B" * 64]
+        assert fast_fs.lookup("clean.dat").store.read(0, 64) == b"B" * 64
+
+    def test_contending_locked_writes_report_the_wait(self, fast_fs):
+        def fn(comm):
+            f = MPIFile.Open(comm, "wait.dat", fast_fs)
+            f.Set_atomicity(True)
+            outcome = f.Write_at(0, bytes([65 + comm.rank]) * 4096)
+            f.Close()
+            return outcome
+
+        first, later = sorted(run_spmd(fn, 2).returns, key=lambda o: o.end_time)
+        assert first.locks_acquired == later.locks_acquired == 1
+        assert later.lock_wait_seconds > first.lock_wait_seconds > 0
+        # The later rank is granted no earlier than the first one released.
+        assert later.start_time + later.lock_wait_seconds >= first.end_time

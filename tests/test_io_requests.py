@@ -9,11 +9,10 @@ verifier under racing nonblocking collectives.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.core.regions import FileRegionSet
+from repro.core.registry import default_registry
 from repro.core.strategies import IOOutcome, TwoPhaseStrategy
 from repro.datatypes import CHAR, contiguous
 from repro.fs import ParallelFileSystem
@@ -28,11 +27,11 @@ from repro.verify.atomicity import (
 from tests.conftest import fast_fs_config
 
 
-def _set_strategy_quietly(f: MPIFile, strategy) -> None:
-    """Pin a strategy instance without tripping the deprecation warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        f.set_strategy(strategy)
+def _register_for_test(monkeypatch, cls) -> Info:
+    """Register a test-only strategy class for one test (the registry is
+    restored afterwards); returns the Info that selects it."""
+    monkeypatch.setitem(default_registry._classes, cls.name, cls)
+    return Info({"atomicity_strategy": cls.name})
 
 
 class TestNonblockingCollectives:
@@ -214,19 +213,22 @@ class TestRequestMisuse:
         run_spmd(fn, 2)
         assert fast_fs.lookup("drop.dat").store.read(0, 16) == b"0" * 8 + b"1" * 8
 
-    def test_failing_collective_aborts_all_ranks(self, fast_fs):
+    def test_failing_collective_aborts_all_ranks(self, fast_fs, monkeypatch):
         fail_rank = 1
 
         class ExplodingTwoPhase(TwoPhaseStrategy):
+            name = "exploding-two-phase"
+
             def schedule(self, comm, region, data, report):
                 if region.rank == fail_rank:
                     raise ValueError("injected mid-shuffle failure")
                 return super().schedule(comm, region, data, report)
 
+        info = _register_for_test(monkeypatch, ExplodingTwoPhase)
+
         def fn(comm):
-            f = MPIFile.Open(comm, "boom.dat", fast_fs)
+            f = MPIFile.Open(comm, "boom.dat", fast_fs, info=info)
             f.Set_atomicity(True)
-            _set_strategy_quietly(f, ExplodingTwoPhase())
             f.Set_view(0, CHAR, contiguous(64, CHAR))
             request = f.Iwrite_all(b"b" * 64)
             try:
@@ -318,7 +320,7 @@ class TestRetirementCoherence:
             f = MPIFile.Open(comm, "ryow_nb.dat", fast_fs)
             out = None
             if comm.rank == 0:
-                written = f.Iwrite_at(0, b"A" * 64).Wait()
+                written = f.Iwrite_at(0, b"A" * 64).Wait().bytes_moved
                 buf = bytearray(64)
                 f.Read_at(0, buf)
                 out = written, bytes(buf)
@@ -360,7 +362,7 @@ class TestRetirementCoherence:
         result = run_spmd(fn, 2)
         assert result.returns[1] == b"E" * 64
 
-    def test_failed_begin_does_not_move_file_pointer(self, fast_fs):
+    def test_failed_begin_does_not_move_file_pointer(self, fast_fs, monkeypatch):
         from repro.core.strategies import AtomicityStrategy
 
         class OpaqueStrategy(AtomicityStrategy):
@@ -369,10 +371,11 @@ class TestRetirementCoherence:
             def execute_write(self, comm, handle, region, data):
                 raise AssertionError("never reached")
 
+        info = _register_for_test(monkeypatch, OpaqueStrategy)
+
         def fn(comm):
-            f = MPIFile.Open(comm, "ptr.dat", fast_fs)
+            f = MPIFile.Open(comm, "ptr.dat", fast_fs, info=info)
             f.Set_atomicity(True)
-            _set_strategy_quietly(f, OpaqueStrategy())
             f.Set_view(0, CHAR, contiguous(8, CHAR))
             with pytest.raises(NotImplementedError):
                 f.Write_all_begin(b"x" * 8)  # not a staged-pipeline strategy
@@ -564,22 +567,6 @@ class TestInfoHints:
 
         result = run_spmd(fn, 1)
         assert result.returns[0] == 0
-
-    def test_set_strategy_shim_warns_and_routes_to_info(self, fast_fs):
-        def fn(comm):
-            f = MPIFile.Open(comm, "shim.dat", fast_fs)
-            f.Set_atomicity(True)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                f.set_strategy("two-phase")
-            assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-            assert f.info.get("atomicity_strategy") == "two-phase"
-            strategy_name = f.effective_strategy().name
-            f.Close()
-            return strategy_name
-
-        result = run_spmd(fn, 1)
-        assert result.returns == ["two-phase"]
 
 
 class TestMixedRaceNonblocking:
