@@ -4,8 +4,9 @@ Beyond the paper: the staged collective-read pipeline (PR 4) measured on the
 paper's machines.  Each point checkpoints a column-wise partitioned array
 (atomic two-phase write, not measured), then has every rank read its
 overlapping view back collectively under one strategy's read pipeline; read
-atomicity is verified from the delivered streams.  A mixed read/write race
-(writer group vs reader group under byte-range locking) is measured as well.
+atomicity is verified from the delivered streams.  Writers racing readers
+on one file is the multi-tenant mixed point (``python -m
+repro.bench.multitenant``).
 
 Expected qualitative behaviour:
 * two-phase aggregation is the fastest read path — each file byte is fetched
@@ -25,11 +26,7 @@ from repro.bench.adaptive import (
     check_adaptive,
     run_adaptive_read_sweep,
 )
-from repro.bench.harness import (
-    run_mixed_experiment,
-    run_read_experiment,
-    run_read_sweep,
-)
+from repro.bench.harness import run_read_experiment, run_read_sweep
 from repro.bench.jsonlog import entries_from_records
 from repro.bench.results import ResultTable, format_table
 from repro.bench.sweep import sweep_records
@@ -153,14 +150,3 @@ def test_adaptive_read_grid(benchmark):
     )
     report_json("adaptive-read-grid", table.records)
 
-
-def test_mixed_read_write_race(benchmark):
-    record = benchmark.pedantic(
-        run_mixed_experiment,
-        args=("Origin 2000", 64, 8192, 16),
-        rounds=1,
-        iterations=1,
-    )
-    assert record.atomic_ok
-    table = ResultTable([record])
-    report("Mixed read/write race (Origin 2000, locking, P=16)", table.to_text())

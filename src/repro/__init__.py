@@ -93,7 +93,6 @@ from .verify import (
 from .bench import (
     run_column_wise_experiment,
     run_figure8_grid,
-    run_mixed_experiment,
     run_read_experiment,
     run_read_sweep,
 )
@@ -173,5 +172,4 @@ __all__ = [
     "run_figure8_grid",
     "run_read_experiment",
     "run_read_sweep",
-    "run_mixed_experiment",
 ]

@@ -6,7 +6,6 @@ from .harness import (
     DEFAULT_ROW_SCALE,
     run_column_wise_experiment,
     run_figure8_grid,
-    run_mixed_experiment,
     run_read_experiment,
     run_read_sweep,
     strategies_for_machine,
@@ -35,7 +34,6 @@ __all__ = [
     "run_figure8_grid",
     "run_read_experiment",
     "run_read_sweep",
-    "run_mixed_experiment",
     "strategies_for_machine",
     "DEFAULT_ROW_SCALE",
     "figure1_ghost_overlap_counts",

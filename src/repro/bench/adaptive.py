@@ -32,10 +32,10 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.autotune import AutoStrategy, peek_record
+from ..core.executor import rank_main
 from ..core.overlap import overlapped_bytes_total
 from ..core.regions import FileRegionSet
 from ..core.registry import default_registry
-from ..fs.client import FSClient
 from ..fs.filesystem import ParallelFileSystem
 from ..mpi.comm import CommCostModel, Communicator
 from ..mpi.runtime import run_spmd
@@ -177,24 +177,19 @@ def run_repeated_collective(
     views = views_for_pattern(pattern, M, N, nprocs, overlap_columns)
     regions = [FileRegionSet(rank, views[rank]) for rank in range(nprocs)]
 
-    def rank_main(comm: Communicator):
-        rank = comm.rank
-        region = regions[rank]
-        client = FSClient(fs, client_id=rank, clock=comm.clock)
-        handle = client.open(filename, create=False)
+    def write_steps(comm: Communicator, handle, region: FileRegionSet):
         outcomes = []
         finish_times = []
-        try:
-            for step in range(steps):
-                data = rank_pattern_bytes(rank + step * nprocs, region.total_bytes)
-                outcomes.append(strat.execute_write(comm, handle, region, data))
-                finish_times.append(comm.clock.now)
-        finally:
-            handle.close()
+        for step in range(steps):
+            data = rank_pattern_bytes(comm.rank + step * nprocs, region.total_bytes)
+            outcomes.append(strat.execute_write(comm, handle, region, data))
+            finish_times.append(comm.clock.now)
         return outcomes, finish_times
 
     spmd = run_spmd(
-        rank_main, nprocs, comm_cost=CommCostModel(latency=30e-6, byte_cost=1e-8)
+        rank_main(fs, filename, regions, write_steps),
+        nprocs,
+        comm_cost=CommCostModel(latency=30e-6, byte_cost=1e-8),
     )
     atomic_ok = True
     if verify and strat.provides_atomicity:

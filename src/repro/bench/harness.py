@@ -1,5 +1,5 @@
-"""Experiment driver for the paper's evaluation (Figure 8) and the read and
-mixed read/write extensions.
+"""Experiment driver for the paper's evaluation (Figure 8) and its read
+extension.
 
 :func:`run_column_wise_experiment` measures one point: a partitioned
 concurrent overlapping write of an ``M x N`` byte array by ``P`` processes on
@@ -20,10 +20,9 @@ as in the paper.
 The read side mirrors this: :func:`run_read_experiment` measures a collective
 overlapping *read* of a previously checkpointed array under one strategy's
 staged read pipeline (verifying read atomicity from the delivered streams),
-:func:`run_read_sweep` sweeps it over strategies and process counts, and
-:func:`run_mixed_experiment` races a writer group against a reader group on
-the same file under byte-range locking, which is the one strategy that
-serialises two *independent* concurrent operations.
+and :func:`run_read_sweep` sweeps it over strategies and process counts.  A
+writer group racing a reader group on one file is a multi-tenant workload:
+:func:`repro.bench.multitenant.run_mixed_tenant_point`.
 """
 
 from __future__ import annotations
@@ -37,10 +36,8 @@ from ..core.overlap import overlapped_bytes_total
 from ..core.regions import FileRegionSet
 from ..core.registry import default_registry
 from ..patterns.partition import views_for_pattern
-from ..fs.client import FSClient
 from ..fs.filesystem import ParallelFileSystem
-from ..mpi.comm import CommCostModel, Communicator
-from ..mpi.runtime import run_spmd
+from ..mpi.comm import CommCostModel
 from ..patterns.workloads import (
     PAPER_ARRAY_SIZES,
     PAPER_OVERLAP_COLUMNS,
@@ -60,7 +57,6 @@ __all__ = [
     "run_grid",
     "run_figure8_grid",
     "run_read_sweep",
-    "run_mixed_experiment",
     "strategies_for_machine",
 ]
 
@@ -340,121 +336,3 @@ def _checkpoint_file(
     fs.reset_accounting()
     return result.regions, [streams[r] for r in range(nprocs)]
 
-
-def run_mixed_experiment(
-    machine: MachineSpec | str,
-    M: int,
-    N: int,
-    nprocs: int,
-    overlap_columns: int = PAPER_OVERLAP_COLUMNS,
-    array_label: Optional[str] = None,
-    verify: bool = True,
-    pattern: str = "column-wise",
-) -> ExperimentRecord:
-    """Race a writer group against a reader group on one shared file.
-
-    Even world ranks form a writer group performing a concurrent overlapping
-    atomic write; odd world ranks form a reader group collectively reading
-    overlapping views of the same array.  Both groups run under byte-range
-    locking — the one strategy that serialises two *independent* concurrent
-    operations (readers take shared-mode extent locks, writers exclusive
-    ones), exactly the situation ROMIO's atomic mode handles.  Verifies both
-    MPI write atomicity (provenance) and read atomicity (no reader observed
-    a state outside some sequential ordering of the writes).
-    """
-    if isinstance(machine, str):
-        machine = machine_by_name(machine)
-    if not machine.supports_locking:
-        raise ValueError(
-            "the mixed read/write experiment requires byte-range locking "
-            f"({machine.name} has none)"
-        )
-    if nprocs < 2:
-        raise ValueError("a mixed experiment needs at least one writer and one reader")
-    fs = ParallelFileSystem(machine.make_fs_config())
-    filename = f"{machine.file_system.lower()}_{M}x{N}_p{nprocs}_mixed.dat"
-    n_writers = (nprocs + 1) // 2
-    n_readers = nprocs - n_writers
-    # Seed a pre-write baseline directly (provenance -2): racing readers may
-    # legitimately observe it, so it must *differ* from every racing
-    # writer's data — otherwise a torn read (half old, half new bytes)
-    # would be byte-identical to a clean one and the verification vacuous.
-    # rank_pattern_bytes streams of distinct ranks (mod 251) never agree
-    # byte-for-byte, and the writers use ranks 0..n_writers-1.
-    baseline = rank_pattern_bytes(n_writers + 100, M * N)
-    fobj = fs.create(filename)
-    fobj.store.write(0, baseline, writer=-2)  # pre-state provenance marker
-    write_views = views_for_pattern(pattern, M, N, n_writers, overlap_columns)
-    read_views = views_for_pattern(pattern, M, N, n_readers, overlap_columns)
-    write_regions = [FileRegionSet(i, segs) for i, segs in enumerate(write_views)]
-    read_regions = [FileRegionSet(i, segs) for i, segs in enumerate(read_views)]
-    write_data = [
-        rank_pattern_bytes(i, write_regions[i].total_bytes) for i in range(n_writers)
-    ]
-    strategy = default_registry.create("locking")
-
-    def rank_main(comm: Communicator):
-        is_writer = comm.rank % 2 == 0
-        sub = comm.split(color=0 if is_writer else 1)
-        if is_writer:
-            region = write_regions[sub.rank]
-            client = FSClient(fs, client_id=sub.rank, clock=comm.clock)
-            handle = client.open(filename, create=False)
-            try:
-                outcome = strategy.execute_write(
-                    sub, handle, region, write_data[sub.rank]
-                )
-            finally:
-                handle.close()
-            return ("write", outcome, None)
-        region = read_regions[sub.rank]
-        # Reader client ids live above the writer id range so lock ownership
-        # and provenance never collide.
-        client = FSClient(fs, client_id=nprocs + sub.rank, clock=comm.clock)
-        handle = client.open(filename, create=False)
-        try:
-            data, outcome = strategy.execute_read(sub, handle, region)
-        finally:
-            handle.close()
-        return ("read", outcome, data)
-
-    spmd = run_spmd(
-        rank_main, nprocs, comm_cost=CommCostModel(latency=30e-6, byte_cost=1e-8)
-    )
-    reads = [
-        (outcome, data) for kind, outcome, data in spmd.returns if kind == "read"
-    ]
-    atomic_ok = True
-    if verify:
-        observations = [
-            ReadObservation(i, read_regions[i], data)
-            for i, (_, data) in enumerate(reads)
-        ]
-        read_ok = check_read_atomicity(
-            observations, write_regions, write_data, baseline=baseline
-        ).ok
-        write_ok = check_mpi_atomicity(fobj.store, write_regions).ok
-        atomic_ok = read_ok and write_ok
-    bytes_requested = sum(r.total_bytes for r in write_regions) + sum(
-        r.total_bytes for r in read_regions
-    )
-    bytes_moved = sum(o.bytes_moved for _, o, _ in spmd.returns)
-    lm = fobj.lock_manager
-    return ExperimentRecord(
-        machine=machine.name,
-        file_system=machine.file_system,
-        array_label=array_label or f"{M}x{N}",
-        M=M,
-        N=N,
-        nprocs=nprocs,
-        strategy="locking",
-        bytes_requested=bytes_requested,
-        bytes_written=bytes_moved,
-        makespan_seconds=spmd.makespan,
-        atomic_ok=atomic_ok,
-        overlap_bytes=overlapped_bytes_total(write_regions),
-        phases=1,
-        lock_waits=lm.wait_count if lm is not None and hasattr(lm, "wait_count") else 0,
-        pattern=pattern,
-        mode="mixed",
-    )

@@ -64,14 +64,6 @@ class ColumnWiseCase:
         return self.M * self.N * self.itemsize
 
     @property
-    def bytes_per_interior_process(self) -> int:
-        """Bytes written by an interior process (N/P + R columns)."""
-        if self.P == 1:
-            return self.file_bytes
-        cols = self.N // self.P + self.R
-        return self.M * cols * self.itemsize
-
-    @property
     def locked_bytes_per_process(self) -> int:
         """Bytes covered by the locking strategy's extent lock (interior rank).
 

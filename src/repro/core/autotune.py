@@ -434,7 +434,6 @@ class AutoStrategy(PipelineStrategy):
         #: The decision taken by the most recent collective (harness/jsonlog
         #: report it as ``selected_strategy`` + ``cb_*``).
         self.last_decision: Optional[TuningDecision] = None
-        self.last_hit: bool = False
 
     @classmethod
     def from_info(cls, info) -> "AutoStrategy":
@@ -521,7 +520,6 @@ class AutoStrategy(PipelineStrategy):
                     f"{region.rank}; cached view does not match the request"
                 )
         self.last_decision = decision
-        self.last_hit = hit
         elapsed += time.thread_time() - cpu_start
         if hit:
             record.warm_cpu += elapsed
@@ -653,7 +651,6 @@ class AutoStrategy(PipelineStrategy):
         signature = classify_pattern(regions)
         decision = self._decision_for(record, signature, direction)
         self.last_decision = decision
-        self.last_hit = False
         delegate = decision.delegate()
         if not isinstance(delegate, TwoPhaseStrategy):
             raise TypeError(

@@ -74,9 +74,10 @@ Primitives
 Shared services build their blocking behaviour from these primitives (the
 lock managers keep a waiter queue and wake exactly the requests that no
 longer conflict — see ``fs/lockmanager.py``).  Code that may run either
-inside or outside an engine (the lock managers' unit tests drive them with
-plain threads) discovers the ambient task with :func:`current_task` and
-falls back to its legacy blocking behaviour when there is none.
+inside or outside an engine discovers the ambient task with
+:func:`current_task`; outside one nothing can block: a lock manager grants
+a request that conflicts with nothing and raises ``LockViolation`` for one
+that does, since no other task could ever release the lock.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ __all__ = [
 _TASK_STACK_BYTES = 1024 * 1024
 
 #: Wall-clock grace given to a timed-out task to unwind before the engine
-#: returns (mirrors the old thread-join grace period).
+#: returns.
 _DEFAULT_GRACE_SECONDS = 1.0
 
 #: Idle carrier threads kept parked for reuse.  OS thread creation is the
@@ -340,8 +341,8 @@ class Engine:
         self.name = name
         self.tasks: List[Task] = []
         #: Invoked in scheduler context right after a task fails; used by the
-        #: SPMD runtime to abort the communicator group so peers blocked in a
-        #: collective are released instead of deadlocking.
+        #: SPMD runtime to abort the failing rank's communicator group so
+        #: peers blocked in a collective are released instead of deadlocking.
         self.on_task_failed: Optional[Callable[[Task], None]] = None
         self.timed_out = False
         #: Snapshot (at the deadline) of tasks that had not finished.

@@ -14,7 +14,9 @@ under a chosen strategy, and the result carries the per-rank
 streams, ready for :func:`repro.verify.atomicity.check_read_atomicity`.
 
 These are the entry points used by the examples, the integration tests and
-the benchmark harness.
+the benchmark harness.  Both run :func:`rank_main` on every rank, the one
+rank body that opens a rank's file-system client; the multi-tenant scheduler
+and the repeated-collective benchmark run it too.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ ViewFactory = Callable[[int, int], Sequence[Tuple[int, int]]]
 #: A data factory maps (rank, nbytes) to the rank's contiguous data stream.
 DataFactory = Callable[[int, int], bytes]
 
+#: What one rank does with the open shared file: ``rank_io(comm, handle,
+#: region)``; its return value is the rank's.
+RankIO = Callable[["Communicator", "ClientFileHandle", FileRegionSet], Any]
+
 
 def default_data_factory(rank: int, nbytes: int) -> bytes:
     """Fill the rank's stream with a repeated, rank-identifying byte.
@@ -54,6 +60,35 @@ def default_data_factory(rank: int, nbytes: int) -> bytes:
     while the provenance tracking in the ByteStore covers the verification.
     """
     return bytes([ord("A") + (rank % 26)]) * nbytes
+
+
+def rank_main(
+    fs: ParallelFileSystem,
+    filename: str,
+    regions: Sequence[FileRegionSet],
+    rank_io: RankIO,
+    base: int = 0,
+) -> Callable[[Communicator], Any]:
+    """The body of every engine rank that does I/O on one shared file.
+
+    The rank opens an :class:`~repro.fs.client.FSClient` on its own clock,
+    with client id ``base + rank`` and ``provenance_base = base`` (a
+    scheduler job's global rank offset; 0 for a single world), opens
+    ``filename`` (which must already exist, so every rank opens the same
+    file object), runs ``rank_io(comm, handle, regions[rank])`` and closes
+    the handle, returning what ``rank_io`` returned.
+    """
+    from ..fs.client import FSClient
+
+    def main(comm: Communicator) -> Any:
+        client = FSClient(fs, client_id=base + comm.rank, clock=comm.clock, provenance_base=base)
+        handle = client.open(filename, create=False)
+        try:
+            return rank_io(comm, handle, regions[comm.rank])
+        finally:
+            handle.close()
+
+    return main
 
 
 class _Executor:
@@ -81,28 +116,12 @@ class _Executor:
             raise ValueError("nprocs must be positive")
         return [FileRegionSet(rank, view_factory(rank, nprocs)) for rank in range(nprocs)]
 
-    def _spmd(
-        self,
-        regions: List[FileRegionSet],
-        create: bool,
-        rank_io: Callable[[Communicator, ClientFileHandle, FileRegionSet], Any],
-    ) -> SPMDResult:
-        """One engine rank per region: open the shared file on the rank's own
-        clock, run ``rank_io(comm, handle, region)``, close."""
-        from ..fs.client import FSClient
+    def _spmd(self, regions: List[FileRegionSet], rank_io: RankIO) -> SPMDResult:
+        """One engine rank per region, each running :func:`rank_main`."""
         from ..mpi.runtime import run_spmd
 
-        fs, filename = self.fs, self.filename
-
-        def rank_main(comm: Communicator):
-            client = FSClient(fs, client_id=comm.rank, clock=comm.clock)
-            handle = client.open(filename, create=create)
-            try:
-                return rank_io(comm, handle, regions[comm.rank])
-            finally:
-                handle.close()
-
-        return run_spmd(rank_main, len(regions), comm_cost=self.comm_cost)
+        fn = rank_main(self.fs, self.filename, regions, rank_io)
+        return run_spmd(fn, len(regions), comm_cost=self.comm_cost)
 
 
 @dataclass
@@ -175,7 +194,6 @@ class AtomicWriteExecutor(_Executor):
         fobj = self.fs.create(self.filename)
         spmd = self._spmd(
             regions,
-            True,
             lambda comm, handle, region: strategy.execute_write(
                 comm, handle, region, data_factory(region.rank, region.total_bytes)
             ),
@@ -217,7 +235,7 @@ class CollectiveReadExecutor(_Executor):
         """Execute the collective read on ``nprocs`` ranks."""
         regions = self._views(nprocs, view_factory)
         fobj = self.fs.lookup(self.filename)
-        spmd = self._spmd(regions, False, self.strategy.execute_read)
+        spmd = self._spmd(regions, self.strategy.execute_read)
         return ConcurrentReadResult(
             filename=self.filename,
             fs=self.fs,

@@ -71,12 +71,6 @@ class FSClient:
         self._handles[name] = handle
         return handle
 
-    def close_all(self) -> None:
-        """Flush and close every handle this client holds."""
-        for handle in list(self._handles.values()):
-            handle.close()
-        self._handles.clear()
-
     def _forget(self, name: str) -> None:
         self._handles.pop(name, None)
 

@@ -101,10 +101,6 @@ class DistributedLockManager:
         """Byte ranges for which ``owner`` currently holds the write token."""
         return self._tokens.get(owner, IntervalSet.empty())
 
-    def read_token_of(self, owner: int) -> IntervalSet:
-        """Byte ranges for which ``owner`` currently holds a read token."""
-        return self._read_tokens.get(owner, IntervalSet.empty())
-
     def held_locks(self) -> List[GrantedLock]:
         """Snapshot of currently granted (active) locks."""
         return list(self._granted.values())

@@ -73,10 +73,6 @@ class FileView:
         """Bytes per elementary type."""
         return self.etype.size
 
-    def visible_bytes_per_tile(self) -> int:
-        """Data bytes contributed by one tiling of the filetype."""
-        return self.filetype.size
-
     def segments_for(
         self, nbytes: int, stream_position: int = 0
     ) -> List[Tuple[int, int]]:

@@ -21,7 +21,6 @@ from .arrivals import make_arrivals
 from .metrics import aggregate_bandwidth, jains_index, percentile, summarize_makespans
 from .scheduler import (
     JobResult,
-    MultiTenantExecutionError,
     MultiTenantResult,
     MultiTenantScheduler,
 )
@@ -30,7 +29,6 @@ from .spec import JobSpec
 __all__ = [
     "JobSpec",
     "JobResult",
-    "MultiTenantExecutionError",
     "MultiTenantResult",
     "MultiTenantScheduler",
     "make_arrivals",

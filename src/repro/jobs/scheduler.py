@@ -1,15 +1,20 @@
 """The multi-tenant scheduler: N independent SPMD jobs, one file system.
 
-:class:`MultiTenantScheduler` launches every :class:`~repro.jobs.spec.JobSpec`
-as its own communicator world — a private :class:`~repro.mpi.comm._CommGroup`
-whose per-rank clocks start at the job's *arrival time* — on one shared
-discrete-event :class:`~repro.core.engine.Engine`, against one shared
+:class:`MultiTenantScheduler` turns every :class:`~repro.jobs.spec.JobSpec`
+into one :class:`~repro.mpi.runtime.World` — a private communicator group
+whose per-rank clocks start at the job's *arrival time*, tasks named
+``job-<id>-rank-<r>`` and tagged with the job id — and launches them all with
+one :func:`~repro.mpi.runtime.run_worlds` call: the same launch body as
+:func:`~repro.mpi.runtime.run_spmd`, so every job runs on one shared
+discrete-event engine, against one shared
 :class:`~repro.fs.filesystem.ParallelFileSystem`.  The engine's
 ``(virtual time, task id)`` scheduling order interleaves the jobs exactly as
 a real machine room would multiplex them: a job arriving later simply has
 later-keyed tasks, and cross-job contention (server queues, client links,
 byte-range locks, cache token revocations) flows through the unmodified
-substrate.
+substrate.  A failing rank aborts its own job's collectives only, and the
+launch raises :class:`~repro.mpi.errors.SPMDExecutionError` keyed by
+``(job_id, rank)``.
 
 Isolation model
 ---------------
@@ -33,19 +38,16 @@ direct engine path (pinned by ``tests/test_jobs_differential.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from ..core.engine import Engine, Task
+from ..core.executor import rank_main
 from ..core.regions import FileRegionSet
+from ..core.registry import default_registry
 from ..core.strategies import IOOutcome
-from ..fs.client import FSClient
 from ..fs.filesystem import ParallelFileSystem
 from ..io.info import Info
-from ..core.registry import default_registry
-from ..mpi.clock import VirtualClock
-from ..mpi.comm import CommCostModel, Communicator, _CommGroup
-from ..mpi.errors import CollectiveAbortedError
-from ..mpi.runtime import collect_rank_failures, spawn_world
+from ..mpi.comm import CommCostModel
+from ..mpi.runtime import World, run_worlds
 from ..patterns.partition import views_for_pattern
 from ..verify.atomicity import (
     AtomicityReport,
@@ -60,34 +62,9 @@ from .spec import JobSpec
 
 __all__ = [
     "JobResult",
-    "MultiTenantExecutionError",
     "MultiTenantResult",
     "MultiTenantScheduler",
 ]
-
-
-class MultiTenantExecutionError(RuntimeError):
-    """One or more jobs failed, deadlocked or exceeded the wall budget.
-
-    ``failures`` maps ``(job_id, rank)`` to the rank's exception;
-    ``tracebacks`` carries rank-local tracebacks where captured.
-    """
-
-    def __init__(
-        self,
-        failures: Dict[Tuple[str, int], BaseException],
-        tracebacks: Optional[Dict[Tuple[str, int], str]] = None,
-    ) -> None:
-        self.failures = failures
-        self.tracebacks = tracebacks or {}
-        lines = [
-            f"job {job_id!r} rank {rank}: {type(exc).__name__}: {exc}"
-            for (job_id, rank), exc in sorted(failures.items())
-        ]
-        super().__init__(
-            f"{len(failures)} rank(s) across "
-            f"{len({j for j, _ in failures})} job(s) failed:\n" + "\n".join(lines)
-        )
 
 
 @dataclass
@@ -227,24 +204,6 @@ class MultiTenantResult:
         return check_stream_atomicity([trace])
 
 
-class _JobRuntime:
-    """Scheduler-internal per-job state (world, strategy, tasks)."""
-
-    __slots__ = ("spec", "index", "arrival", "rank_base", "group", "strategy",
-                 "regions", "data", "tasks")
-
-    def __init__(self, spec: JobSpec, index: int, arrival: float, rank_base: int):
-        self.spec = spec
-        self.index = index
-        self.arrival = arrival
-        self.rank_base = rank_base
-        self.group: Optional[_CommGroup] = None
-        self.strategy = None
-        self.regions: List[FileRegionSet] = []
-        self.data: List[bytes] = []
-        self.tasks: List[Task] = []
-
-
 class MultiTenantScheduler:
     """Runs a set of :class:`JobSpec` worlds against one shared file system."""
 
@@ -286,10 +245,11 @@ class MultiTenantScheduler:
         """Launch every spec at its arrival offset; block until all finish.
 
         ``arrivals[i]`` is spec *i*'s virtual arrival time (seconds; default
-        all zero — a batch).  Raises :class:`MultiTenantExecutionError` when
-        any rank of any job fails, deadlocks or outlives the wall budget;
-        a failing job's collectives are aborted without touching the other
-        jobs' worlds.
+        all zero — a batch).  Raises
+        :class:`~repro.mpi.errors.SPMDExecutionError`, keyed by ``(job_id,
+        rank)``, when any rank of any job fails, deadlocks or outlives the
+        wall budget; a failing job's collectives are aborted without
+        touching the other jobs' worlds.
         """
         specs = list(specs)
         if not specs:
@@ -307,140 +267,52 @@ class MultiTenantScheduler:
         if any(a < 0 for a in arrivals):
             raise ValueError("arrival offsets must be non-negative")
 
-        engine = Engine(name="multitenant")
-        fs = self.fs
-        jobs: List[_JobRuntime] = []
-        task_job: Dict[int, _JobRuntime] = {}
+        worlds: List[World] = []
+        prepared = []
         rank_base = 0
         for index, (spec, arrival) in enumerate(zip(specs, arrivals)):
-            job = _JobRuntime(spec, index, arrival, rank_base)
+            regions, data, rank_io = self._job_io(spec, rank_base)
+            worlds.append(
+                World(
+                    rank_main(self.fs, spec.filename, regions, rank_io, base=rank_base),
+                    spec.nprocs,
+                    start=arrival,
+                    tag=spec.job_id,
+                )
+            )
+            prepared.append((spec, index, arrival, rank_base, regions, data))
             rank_base += spec.nprocs
-            job.strategy = self._make_strategy(spec)
-            views = views_for_pattern(
-                spec.pattern, spec.M, spec.N, spec.nprocs, spec.overlap_columns
-            )
-            job.regions = [
-                FileRegionSet(rank, views[rank]) for rank in range(spec.nprocs)
-            ]
-            if spec.mode == "write":
-                job.data = [
-                    spec.data_factory(
-                        job.rank_base + rank, job.regions[rank].total_bytes
-                    )
-                    for rank in range(spec.nprocs)
-                ]
-                fs.create(spec.filename)
-            else:
-                job.data = [b""] * spec.nprocs
-                # Read jobs need the file to exist before any rank arrives.
-                fs.create(spec.filename)
-            job.group = _CommGroup(
-                spec.nprocs,
-                clocks=[VirtualClock(now=arrival) for _ in range(spec.nprocs)],
-                cost_model=self.comm_cost,
-                engine=engine,
-            )
-            job.tasks = spawn_world(
-                engine,
-                job.group,
-                self._make_job_main(job),
-                name_prefix=f"job-{spec.job_id}-rank",
-                tag=spec.job_id,
-            )
-            for task in job.tasks:
-                task_job[task.tid] = job
-            jobs.append(job)
-
-        # A failing rank takes down its own job's collectives — and only its
-        # own: other tenants keep running, exactly as independent MPI jobs
-        # sharing a file system would.
-        def on_task_failed(task: Task) -> None:
-            if task.detached:
-                return
-            owner = task_job.get(task.tid)
-            if owner is not None and owner.group is not None:
-                owner.group.abort(
-                    CollectiveAbortedError(
-                        f"collective aborted: job {owner.spec.job_id!r} task "
-                        f"{task.name} failed with {type(task.error).__name__}: "
-                        f"{task.error}"
-                    )
-                )
-
-        engine.on_task_failed = on_task_failed
-        engine.run(timeout=self.timeout)
-
-        failures: Dict[Tuple[str, int], BaseException] = {}
-        tracebacks: Dict[Tuple[str, int], str] = {}
-        for job in jobs:
-            job_failures, job_tracebacks = collect_rank_failures(job.tasks)
-            for rank, exc in job_failures.items():
-                failures[(job.spec.job_id, rank)] = exc
-            for rank, text in job_tracebacks.items():
-                tracebacks[(job.spec.job_id, rank)] = text
-        if engine.timed_out:
-            for task in engine.unfinished:
-                if task.detached:
-                    continue
-                owner = task_job.get(task.tid)
-                if owner is None:
-                    continue
-                rank = task.tid - owner.tasks[0].tid
-                key = (owner.spec.job_id, rank)
-                failures[key] = TimeoutError(
-                    f"job {owner.spec.job_id!r} rank {rank} did not finish "
-                    f"within the {self.timeout}s timeout"
-                )
-        if failures:
-            raise MultiTenantExecutionError(failures, tracebacks)
 
         results: List[JobResult] = []
-        for job in jobs:
-            outcomes: List[IOOutcome] = []
-            data: List[bytes] = []
-            for rank, task in enumerate(job.tasks):
-                if job.spec.mode == "write":
-                    outcomes.append(task.result)
-                    data.append(job.data[rank])
-                else:
-                    delivered, outcome = task.result
-                    outcomes.append(outcome)
-                    data.append(delivered)
+        runs = run_worlds(worlds, comm_cost=self.comm_cost, timeout=self.timeout)
+        for (spec, index, arrival, base, regions, data), spmd in zip(prepared, runs):
+            outcomes = spmd.returns
+            if spec.mode == "read":
+                data = [delivered for delivered, _ in spmd.returns]
+                outcomes = [outcome for _, outcome in spmd.returns]
             results.append(
-                JobResult(
-                    spec=job.spec,
-                    index=job.index,
-                    arrival=job.arrival,
-                    rank_base=job.rank_base,
-                    outcomes=outcomes,
-                    data=data,
-                    regions=job.regions,
-                    finish=max(c.now for c in job.group.clocks),
-                )
+                JobResult(spec, index, arrival, base, outcomes, data, regions, spmd.makespan)
             )
-        return MultiTenantResult(fs=fs, jobs=results)
+        return MultiTenantResult(fs=self.fs, jobs=results)
 
-    def _make_job_main(self, job: _JobRuntime):
-        fs = self.fs
-        spec = job.spec
+    def _job_io(self, spec: JobSpec, rank_base: int):
+        """A job's views, its write streams (empty for a read job) and what
+        each of its ranks does with the open file."""
+        strategy = self._make_strategy(spec)
+        views = views_for_pattern(
+            spec.pattern, spec.M, spec.N, spec.nprocs, spec.overlap_columns
+        )
+        regions = [FileRegionSet(rank, views[rank]) for rank in range(spec.nprocs)]
+        # Read jobs need the file to exist before any rank arrives.
+        self.fs.create(spec.filename)
+        if spec.mode == "read":
+            return regions, [], strategy.execute_read
+        data = [
+            spec.data_factory(rank_base + region.rank, region.total_bytes)
+            for region in regions
+        ]
 
-        def job_main(comm: Communicator):
-            rank = comm.rank
-            region = job.regions[rank]
-            client = FSClient(
-                fs,
-                client_id=job.rank_base + rank,
-                clock=comm.clock,
-                provenance_base=job.rank_base,
-            )
-            handle = client.open(spec.filename, create=False)
-            try:
-                if spec.mode == "write":
-                    return job.strategy.execute_write(
-                        comm, handle, region, job.data[rank]
-                    )
-                return job.strategy.execute_read(comm, handle, region)
-            finally:
-                handle.close()
+        def write(comm, handle, region):
+            return strategy.execute_write(comm, handle, region, data[region.rank])
 
-        return job_main
+        return regions, data, write

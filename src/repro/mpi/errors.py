@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Hashable, Mapping, Optional
 
 __all__ = [
     "MPIError",
@@ -49,18 +49,28 @@ class DeadlockError(MPIError):
     """
 
 
+def rank_label(key: Hashable) -> str:
+    """How a failure key reads in a message: ``rank 3``, or ``job 'a' rank
+    3`` for the ``(job_id, rank)`` key of a tagged world."""
+    if isinstance(key, tuple):
+        return f"job {key[0]!r} rank {key[1]}"
+    return f"rank {key}"
+
+
 class SPMDExecutionError(MPIError):
-    """One or more ranks raised inside :func:`repro.mpi.runtime.run_spmd`.
+    """One or more ranks raised inside :func:`repro.mpi.runtime.run_worlds`.
 
     Attributes
     ----------
     failures:
-        Dict mapping rank number to the exception instance that rank raised.
-        Key ``-1`` is a pseudo-entry used when only *detached progress
-        tasks* (nonblocking I/O) missed a wall-clock deadline — they are not
-        ranks, so their straggling is reported under this single entry.
+        Dict mapping a rank's key to the exception instance that rank
+        raised.  The key is the rank number (:func:`~repro.mpi.runtime.
+        run_spmd`), or ``(job_id, rank)`` for a scheduler job.  Key ``-1``
+        is a pseudo-entry used when only *detached progress tasks*
+        (nonblocking I/O) missed a wall-clock deadline — they are not ranks,
+        so their straggling is reported under this single entry.
     tracebacks:
-        Dict mapping rank number to the rank-local formatted traceback (the
+        Dict mapping a rank's key to the rank-local formatted traceback (the
         call stack *inside that rank's function*), where one was captured.
         The first failing rank's traceback is included in ``str(exc)`` so
         the root cause is visible without unpacking the attributes.
@@ -68,30 +78,28 @@ class SPMDExecutionError(MPIError):
 
     def __init__(
         self,
-        failures: Mapping[int, BaseException],
-        tracebacks: Optional[Mapping[int, str]] = None,
+        failures: Mapping[Hashable, BaseException],
+        tracebacks: Optional[Mapping[Hashable, str]] = None,
     ) -> None:
-        self.failures: Dict[int, BaseException] = dict(failures)
-        self.tracebacks: Dict[int, str] = dict(tracebacks or {})
+        self.failures: Dict[Hashable, BaseException] = dict(failures)
+        self.tracebacks: Dict[Hashable, str] = dict(tracebacks or {})
         ordered = sorted(self.failures)
+        ranks = ", ".join(rank_label(key) for key in ordered[:16])
         if len(ordered) > 16:
-            ranks = ", ".join(str(r) for r in ordered[:16])
             ranks += f", ... ({len(ordered) - 16} more)"
-        else:
-            ranks = ", ".join(str(r) for r in ordered)
-        first_rank = min(self.failures)
-        first = self.failures[first_rank]
+        first_key = ordered[0]
+        first = self.failures[first_key]
         message = (
-            f"SPMD execution failed on rank(s) {ranks}; "
-            f"rank {first_rank}: {type(first).__name__}: {first}"
+            f"SPMD execution failed on {ranks}; "
+            f"{rank_label(first_key)}: {type(first).__name__}: {first}"
         )
-        first_tb = self.tracebacks.get(first_rank)
+        first_tb = self.tracebacks.get(first_key)
         if first_tb:
             message += (
-                f"\n--- rank {first_rank} traceback ---\n{first_tb.rstrip()}"
+                f"\n--- {rank_label(first_key)} traceback ---\n{first_tb.rstrip()}"
             )
         super().__init__(message)
 
-    def traceback_of(self, rank: int) -> Optional[str]:
-        """The rank-local traceback of ``rank``, if one was captured."""
+    def traceback_of(self, rank: Hashable) -> Optional[str]:
+        """The rank-local traceback of ``rank``'s key, if one was captured."""
         return self.tracebacks.get(rank)

@@ -1,44 +1,54 @@
 """SPMD execution harness: every MPI rank is a cooperative scheduler task.
 
-:func:`run_spmd` is the entry point every example, test and benchmark uses to
-run an "MPI program": it spawns one :class:`~repro.core.engine.Engine` task
-per rank, hands each a :class:`~repro.mpi.comm.Communicator` for the world
-communicator (plus any extra positional/keyword arguments) and collects the
-per-rank return values.
+:func:`run_worlds` is the one launch body.  It takes one or more
+:class:`World` s — each an SPMD program ``fn(comm)`` on ``nprocs`` ranks with
+its own communicator group and per-rank clocks — spawns every world's ranks
+in order on one :class:`~repro.core.engine.Engine`, installs one failure hook
+that aborts only the failing rank's own group, runs the engine once, and
+collects failures, deadlocks and timeouts into one
+:class:`~repro.mpi.errors.SPMDExecutionError`.  :func:`run_spmd` — the entry
+point every example, test and benchmark uses to run an "MPI program" — is
+that body with one world; the multi-tenant scheduler
+(:mod:`repro.jobs.scheduler`) calls it with one world per job.
 
 Execution is deterministic: exactly one rank runs at a time, and the
 scheduler always resumes the ready rank with the smallest
-``(virtual time, rank)`` key, so two runs of the same program produce
-identical interleavings, identical file contents and identical virtual-time
-makespans.  Rank counts in the thousands are cheap because a parked rank is
-just a frozen call stack — there is no thread contention and no OS-level
+``(virtual time, task id)`` key — task ids follow spawn order, so world
+order, then rank order — and two runs of the same program produce identical
+interleavings, identical file contents and identical virtual-time makespans.
+Rank counts in the thousands are cheap because a parked rank is just a
+frozen call stack — there is no thread contention and no OS-level
 synchronisation on the critical path.
 
 Exceptions raised by any rank are collected and re-raised as a single
 :class:`~repro.mpi.errors.SPMDExecutionError` carrying, per failing rank,
-the rank number, the exception and the rank-local traceback.  When a rank
-fails, the communicator group is aborted so peers blocked in a collective
-with it are released (with a
+the exception and the rank-local traceback, keyed by rank number — or by
+``(tag, rank)`` for a tagged world, such as a scheduler job.  When a rank
+fails, its world's communicator group is aborted so peers blocked in a
+collective with it are released (with a
 :class:`~repro.mpi.errors.CollectiveAbortedError`) instead of deadlocking;
-ranks still blocked when nothing can run anymore are reported with a
-:class:`~repro.mpi.errors.DeadlockError` naming what they were waiting on.
+other worlds keep running.  Ranks still blocked when nothing can run anymore
+are reported with a :class:`~repro.mpi.errors.DeadlockError` naming what
+they were waiting on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.engine import Engine, Task
 from .clock import VirtualClock
 from .comm import CommCostModel, Communicator, _CommGroup
-from .errors import CollectiveAbortedError, DeadlockError, SPMDExecutionError
+from .errors import (
+    CollectiveAbortedError,
+    DeadlockError,
+    SPMDExecutionError,
+    rank_label,
+)
 
-__all__ = ["SPMDResult", "run_spmd", "spawn_world", "collect_rank_failures"]
-
-#: How long a rank stuck past the deadline gets to unwind before the run is
-#: reported as timed out.
-_TIMEOUT_GRACE_SECONDS = 1.0
+__all__ = ["SPMDResult", "World", "run_spmd", "run_worlds"]
 
 
 @dataclass
@@ -73,68 +83,129 @@ class SPMDResult:
         return max((c.now for c in self.clocks), default=0.0)
 
 
-def spawn_world(
-    engine: Engine,
-    group: _CommGroup,
-    fn: Callable[..., Any],
-    *args: Any,
-    name_prefix: str = "mpi-rank",
-    tag: Optional[str] = None,
-    **kwargs: Any,
-) -> List[Task]:
-    """Spawn one engine task per rank of ``group`` running ``fn(comm, ...)``.
+@dataclass(frozen=True)
+class World:
+    """One SPMD program of a launch: ``fn(comm)`` on ``nprocs`` ranks.
 
-    The world-construction half of :func:`run_spmd`, reusable by schedulers
-    that multiplex several independent SPMD worlds onto one engine (the
-    multi-tenant job layer, :mod:`repro.jobs.scheduler`): each rank gets a
-    :class:`~repro.mpi.comm.Communicator` facade over ``group`` and runs on
-    the group's per-rank clock, so a group whose clocks start at a later
-    virtual time simply becomes runnable at that time.  Tasks are spawned in
-    rank order (the determinism tiebreak) and labelled
-    ``{name_prefix}-{rank}`` with attribution ``tag``.
+    The world's ranks share a private communicator group whose per-rank
+    clocks start at virtual time ``start`` (a world starting later simply
+    becomes runnable later).  A ``tag`` is carried on every task, names
+    the tasks ``job-{tag}-rank-{rank}`` instead of ``mpi-rank-{rank}`` and
+    keys the world's failures by ``(tag, rank)`` instead of by rank.
     """
 
-    def make_rank_main(rank: int) -> Callable[[], Any]:
-        comm = Communicator(group, rank)
+    fn: Callable[[Communicator], Any]
+    nprocs: int
+    start: float = 0.0
+    tag: Optional[str] = None
 
-        def rank_main() -> Any:
-            return fn(comm, *args, **kwargs)
 
-        return rank_main
+def run_worlds(
+    worlds: Sequence[World],
+    comm_cost: Optional[CommCostModel] = None,
+    timeout: Optional[float] = 120.0,
+) -> List[SPMDResult]:
+    """Run every world on one engine; one :class:`SPMDResult` per world.
 
-    return [
-        engine.spawn(
-            make_rank_main(rank),
-            name=f"{name_prefix}-{rank}",
-            clock=group.clocks[rank],
-            tag=tag,
+    ``comm_cost`` is every world's communication cost model.  ``timeout``
+    is the wall-clock safety net in seconds for the whole launch (``None``
+    disables it); on expiry every rank that had not finished at the deadline
+    is reported — even if it completed during the short unwind grace
+    period, since it exceeded the budget either way.
+
+    Raises :class:`SPMDExecutionError` if any rank of any world raised,
+    deadlocked or timed out.
+    """
+    engine = Engine(name="spmd")
+    launched: List[Tuple[_CommGroup, List[Task]]] = []
+    owners: Dict[int, Tuple[_CommGroup, Hashable]] = {}
+    for world in worlds:
+        if world.nprocs <= 0:
+            raise ValueError("nprocs must be positive")
+        group = _CommGroup(
+            world.nprocs,
+            clocks=[VirtualClock(now=world.start) for _ in range(world.nprocs)],
+            cost_model=comm_cost,
+            engine=engine,
         )
-        for rank in range(group.size)
-    ]
-
-
-def collect_rank_failures(
-    tasks: List[Task],
-) -> Tuple[Dict[int, BaseException], Dict[int, str]]:
-    """Per-rank failures (and rank-local tracebacks) after an engine run.
-
-    Maps each failed task to its exception and each deadlock-cancelled task
-    to a :class:`~repro.mpi.errors.DeadlockError` naming what it was blocked
-    on; the index into ``tasks`` (the rank number) keys both dicts.
-    """
-    failures: Dict[int, BaseException] = {}
-    tracebacks: Dict[int, str] = {}
-    for rank, task in enumerate(tasks):
-        if task.state == Task.FAILED:
-            failures[rank] = task.error
-            if task.traceback_text:
-                tracebacks[rank] = task.traceback_text
-        elif task.state == Task.CANCELLED and task.deadlocked:
-            failures[rank] = DeadlockError(
-                f"rank {rank} was still blocked on {task.wait_reason or '<unknown>'} "
-                "when no rank could make progress"
+        prefix = "mpi-rank" if world.tag is None else f"job-{world.tag}-rank"
+        tasks = []
+        for rank in range(world.nprocs):
+            task = engine.spawn(
+                partial(world.fn, Communicator(group, rank)),
+                name=f"{prefix}-{rank}",
+                clock=group.clocks[rank],
+                tag=world.tag,
             )
-    return failures, tracebacks
+            owners[task.tid] = (group, rank if world.tag is None else (world.tag, rank))
+            tasks.append(task)
+        launched.append((group, tasks))
+
+    # A failing rank releases the peers blocked in a collective with it — in
+    # its own world only.  Detached progress tasks (nonblocking I/O) report
+    # their failures through the request that owns them and abort their own
+    # progress communicator, so they must not take a world group down.
+    def on_task_failed(task: Task) -> None:
+        if task.detached:
+            return
+        group, key = owners[task.tid]
+        group.abort(
+            CollectiveAbortedError(
+                f"collective aborted: {rank_label(key)} failed with "
+                f"{type(task.error).__name__}: {task.error}"
+            )
+        )
+
+    engine.on_task_failed = on_task_failed
+    engine.run(timeout=timeout)
+
+    failures: Dict[Hashable, BaseException] = {}
+    tracebacks: Dict[Hashable, str] = {}
+    for _, tasks in launched:
+        for task in tasks:
+            key = owners[task.tid][1]
+            if task.state == Task.FAILED:
+                failures[key] = task.error
+                if task.traceback_text:
+                    tracebacks[key] = task.traceback_text
+            elif task.state == Task.CANCELLED and task.deadlocked:
+                failures[key] = DeadlockError(
+                    f"{rank_label(key)} was still blocked on "
+                    f"{task.wait_reason or '<unknown>'} when no rank could make progress"
+                )
+    if engine.timed_out:
+        # Timeout entries take precedence over errors the teardown provoked
+        # in the same ranks, so the root cause (the budget) is not masked.
+        # Detached progress tasks are not ranks: stragglers among them are
+        # reported under a single pseudo-entry ``-1`` only when no rank is
+        # implicated.
+        timeouts: Dict[Hashable, BaseException] = {}
+        for task in engine.unfinished:
+            if not task.detached:
+                key = owners[task.tid][1]
+                timeouts[key] = TimeoutError(
+                    f"{rank_label(key)} did not finish within the {timeout}s timeout"
+                )
+        if not timeouts and not failures:
+            stragglers = [t for t in engine.unfinished if t.detached]
+            if stragglers:
+                names = ", ".join(t.name for t in stragglers[:4])
+                timeouts[-1] = TimeoutError(
+                    f"detached progress task(s) ({names}) did not finish "
+                    f"within the {timeout}s timeout"
+                )
+        failures.update(timeouts)
+    if failures:
+        raise SPMDExecutionError(failures, tracebacks)
+    return [
+        SPMDResult(
+            returns=[t.result for t in tasks],
+            clocks=list(group.clocks),
+            switches=engine.switches,
+            scheduler_returns=engine.scheduler_returns,
+        )
+        for group, tasks in launched
+    ]
 
 
 def run_spmd(
@@ -147,90 +218,15 @@ def run_spmd(
 ) -> SPMDResult:
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` scheduled ranks.
 
-    Parameters
-    ----------
-    fn:
-        The per-rank function.  Its first argument is the rank's world
-        :class:`~repro.mpi.comm.Communicator`.
-    nprocs:
-        Number of ranks (scheduler tasks) to run.
-    comm_cost:
-        Optional virtual-time cost model for communication operations.
-    timeout:
-        Wall-clock safety net in seconds for the whole group; ``None``
-        disables it.  On expiry every rank that had not finished at the
-        deadline is reported by number in the raised
-        :class:`SPMDExecutionError` — even if it completed during the short
-        unwind grace period, since it exceeded the budget either way.
+    :func:`run_worlds` with one world.  ``fn``'s first argument is the
+    rank's world :class:`~repro.mpi.comm.Communicator`; ``comm_cost`` is
+    the optional virtual-time cost model for communication, ``timeout`` the
+    wall-clock safety net in seconds (``None`` disables it).
 
-    Returns
-    -------
-    SPMDResult
-        Per-rank return values and virtual clocks.
-
-    Raises
-    ------
-    SPMDExecutionError
-        If any rank raised, deadlocked or timed out; per-rank exceptions
-        (and rank-local tracebacks, where captured) are attached.
+    Raises :class:`SPMDExecutionError`, keyed by rank number, if any rank
+    raised, deadlocked or timed out; per-rank exceptions (and rank-local
+    tracebacks, where captured) are attached.
     """
-    if nprocs <= 0:
-        raise ValueError("nprocs must be positive")
-
-    engine = Engine(name="spmd")
-    group = _CommGroup(nprocs, cost_model=comm_cost, engine=engine)
-    tasks = spawn_world(engine, group, fn, *args, **kwargs)
-
-    # Release peers blocked in a collective with a failed rank (the
-    # event-driven counterpart of the old barrier abort).  Detached progress
-    # tasks (nonblocking I/O) report their failures through the request that
-    # owns them and abort their own progress communicator, so they must not
-    # take the world group down.
-    def on_task_failed(task: Task) -> None:
-        if task.detached:
-            return
-        group.abort(
-            CollectiveAbortedError(
-                f"collective aborted: rank {task.tid} failed with "
-                f"{type(task.error).__name__}: {task.error}"
-            )
-        )
-
-    engine.on_task_failed = on_task_failed
-
-    engine.run(timeout=timeout, grace=_TIMEOUT_GRACE_SECONDS)
-
-    failures, tracebacks = collect_rank_failures(tasks)
-
-    if engine.timed_out:
-        # Timeout entries take precedence over errors the teardown provoked
-        # in the same ranks, so the root cause (the budget) is not masked.
-        # Detached progress tasks are not ranks: their tids would read as
-        # phantom rank numbers, so stragglers among them are reported under
-        # a single pseudo-entry only when no real rank is implicated.
-        timeouts = {
-            task.tid: TimeoutError(
-                f"rank {task.tid} did not finish within the {timeout}s timeout"
-            )
-            for task in engine.unfinished
-            if not task.detached
-        }
-        if not timeouts and not failures:
-            stragglers = [t for t in engine.unfinished if t.detached]
-            if stragglers:
-                names = ", ".join(t.name for t in stragglers[:4])
-                timeouts[-1] = TimeoutError(
-                    f"detached progress task(s) ({names}) did not finish "
-                    f"within the {timeout}s timeout"
-                )
-        if failures or timeouts:
-            raise SPMDExecutionError({**failures, **timeouts}, tracebacks)
-
-    if failures:
-        raise SPMDExecutionError(failures, tracebacks)
-    return SPMDResult(
-        returns=[t.result for t in tasks],
-        clocks=list(group.clocks),
-        switches=engine.switches,
-        scheduler_returns=engine.scheduler_returns,
-    )
+    world = World(lambda comm: fn(comm, *args, **kwargs), nprocs)
+    [result] = run_worlds([world], comm_cost=comm_cost, timeout=timeout)
+    return result

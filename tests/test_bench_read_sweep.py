@@ -1,9 +1,10 @@
-"""Tests for the read and mixed read/write benchmark sweeps.
+"""Tests for the read sweep and the mixed read/write race.
 
 Pins the headline property of the staged read pipeline — the two-phase
 collective read beats the naive per-rank `Read_all` baseline on virtual-time
-makespan — and the acceptance workload: read atomicity holds on an
-overlapping mixed read/write race at P ∈ {16, 256}.  What the read sweep
+makespan — and the acceptance workload: read atomicity holds when write jobs
+race read jobs on one file, 16 and 256 ranks in all
+(:func:`repro.bench.multitenant.run_mixed_tenant_point`).  What the read sweep
 shares with the write grid (strategy coverage, capability filtering, record
 fields) is tested once per direction in ``tests/test_bench_harness.py``.
 """
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import run_mixed_experiment, run_read_experiment
+from repro.bench.harness import run_read_experiment
+from repro.bench.machines import CPLANT, ORIGIN2000
+from repro.bench.multitenant import SHARED_FILE, run_mixed_tenant_point
 
 
 class TestReadSweep:
@@ -34,16 +37,25 @@ class TestReadSweep:
 
 
 class TestMixedReadWrite:
-    @pytest.mark.parametrize("nprocs", [16, 256])
-    def test_mixed_race_is_read_and_write_atomic(self, nprocs):
-        """Writers and readers race on one file under byte-range locking;
-        both MPI write atomicity and read atomicity must hold."""
-        record = run_mixed_experiment("Origin 2000", 16, 4096, nprocs)
-        assert record.atomic_ok
-        assert record.mode == "mixed"
-        # The race is real: conflicting locks were actually waited on.
-        assert record.lock_waits > 0
+    @pytest.mark.parametrize("ranks_per_job", [4, 64])
+    def test_mixed_race_is_read_and_write_atomic(self, ranks_per_job):
+        """Two write jobs race two read jobs on one file under byte-range
+        locking, all arriving at once; both MPI write atomicity and read
+        atomicity must hold."""
+        point = run_mixed_tenant_point(
+            ORIGIN2000, 2, 2, ranks_per_job, arrival_kind="batch"
+        )
+        assert point.summary["P"] == 4 * ranks_per_job
+        assert point.summary["atomic_ok"]
+        assert point.result.fs.lookup(SHARED_FILE).lock_manager.wait_count > 0
+        # The race is real: a reader waited on a lock held by a writer.
+        assert any(
+            outcome.lock_wait_seconds > 0
+            for job in point.result.jobs
+            if job.spec.mode == "read"
+            for outcome in job.outcomes
+        )
 
     def test_mixed_rejects_lockless_machine(self):
-        with pytest.raises(ValueError):
-            run_mixed_experiment("Cplant", 16, 1024, 4)
+        with pytest.raises(ValueError, match="byte-range locking"):
+            run_mixed_tenant_point(CPLANT, 2, 2, 4)

@@ -31,8 +31,6 @@ from repro.fs.filesystem import ParallelFileSystem
 from repro.fs.lockmanager import CentralLockManager
 from repro.mpi import run_spmd
 from repro.mpi.clock import VirtualClock
-from repro.mpi.comm import _CommGroup
-from repro.mpi.runtime import spawn_world
 from repro.patterns.partition import views_for_pattern
 from tests.conftest import fast_fs_config
 
@@ -291,9 +289,6 @@ class TestDirectDispatch:
     P, ROUNDS = 32, 10
 
     def _yields_and_barriers(self):
-        engine = Engine()
-        group = _CommGroup(self.P, engine=engine)
-
         def fn(comm):
             for _ in range(self.ROUNDS):
                 comm.clock.advance(1.0)
@@ -301,10 +296,8 @@ class TestDirectDispatch:
             for _ in range(self.ROUNDS):
                 comm.barrier()
 
-        spawn_world(engine, group, fn)
-        engine.run()
-        assert all(t.state == Task.DONE for t in engine.tasks)
-        return engine.switches, engine.scheduler_returns
+        result = run_spmd(fn, self.P, timeout=None)
+        return result.switches, result.scheduler_returns
 
     def test_switch_counts_are_analytic_and_repeat(self):
         switches, returns = self._yields_and_barriers()

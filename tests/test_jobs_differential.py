@@ -2,25 +2,36 @@
 
 A single-job :class:`~repro.jobs.MultiTenantScheduler` run must be
 *indistinguishable* from the same workload driven directly by
-:class:`~repro.core.executor.AtomicWriteExecutor`: identical final bytes,
+:class:`~repro.core.executor.AtomicWriteExecutor` (or, for a read job,
+:class:`~repro.core.executor.CollectiveReadExecutor`): identical final bytes,
 identical per-byte writer provenance, identical virtual makespan and
-identical per-rank outcome accounting.  This pins the tenancy layer as a
-pure re-packaging of the existing engine path — rank offsets, per-job
-clocks and the provenance base must all collapse to the identity for one
-job arriving at time zero.
+identical per-rank outcomes.  This pins the tenancy layer as a pure
+re-packaging of the existing engine path — both launch through
+``mpi/runtime.py::run_worlds`` and run ``core/executor.py::rank_main``, and
+rank offsets, per-job clocks and the provenance base must all collapse to the
+identity for one job arriving at time zero.
+
+One check, :func:`assert_single_job_is_direct_path`, runs on a fixed grid
+(every GPFS strategy on the column-wise 16x256 array at 4 and 8 ranks, and
+row-wise two-phase) and on generated jobs: the Hypothesis property draws
+pattern, array shape, ghost width, rank count (1 and non-powers of two
+included), direction and every strategy GPFS or ENFS supports.  Example
+counts come from the Hypothesis profile (``tests/conftest.py``);
+``HYPOTHESIS_PROFILE=ci`` runs ten times as many.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.bench.adaptive import fingerprint_of
-from repro.bench.machines import IBM_SP
-from repro.core.executor import AtomicWriteExecutor
+from repro.bench.machines import CPLANT, IBM_SP
+from repro.core.executor import AtomicWriteExecutor, CollectiveReadExecutor
 from repro.core.registry import default_registry
 from repro.fs.filesystem import ParallelFileSystem
 from repro.jobs import JobSpec, MultiTenantScheduler
-from repro.patterns.partition import views_for_pattern
+from repro.patterns.partition import PATTERN_NAMES, views_for_pattern
 from repro.patterns.workloads import rank_pattern_bytes
 
 M, N = 16, 256
@@ -36,64 +47,107 @@ STRATEGIES = [
 ]
 
 
-def direct_run(strategy_name: str, nprocs: int, pattern: str):
-    fs = ParallelFileSystem(IBM_SP.make_fs_config())
-    executor = AtomicWriteExecutor(
-        fs, default_registry.create(strategy_name), filename=FILENAME
+def gpfs_job(strategy: str, nprocs: int, pattern: str):
+    """A fixed GPFS write job on the 16x256 array with ghost width 4."""
+    spec = JobSpec(
+        "solo",
+        nprocs=nprocs,
+        M=M,
+        N=N,
+        filename=FILENAME,
+        strategy=strategy,
+        pattern=pattern,
+        overlap_columns=OVERLAP,
     )
-    result = executor.run(
-        nprocs,
-        lambda rank, n: views_for_pattern(pattern, M, N, n, OVERLAP)[rank],
-        rank_pattern_bytes,
-    )
-    return fs, result
+    return IBM_SP, spec
 
 
-def scheduler_run(strategy_name: str, nprocs: int, pattern: str):
-    fs = ParallelFileSystem(IBM_SP.make_fs_config())
-    result = MultiTenantScheduler(fs).run(
-        [
-            JobSpec(
-                "solo",
-                nprocs=nprocs,
-                M=M,
-                N=N,
-                filename=FILENAME,
-                strategy=strategy_name,
-                pattern=pattern,
-                overlap_columns=OVERLAP,
+def assert_single_job_is_direct_path(machine, spec):
+    """Same bytes, provenance runs, makespan and whole outcomes (and, for a
+    read job, delivered streams) as the direct executor; a read job reads a
+    file both paths seed with the same two-phase write."""
+    views = views_for_pattern(spec.pattern, spec.M, spec.N, spec.nprocs, spec.overlap_columns)
+
+    def view(rank, _nprocs):
+        return views[rank]
+
+    runs = []
+    for path in ("direct", "scheduler"):
+        fs = ParallelFileSystem(machine.make_fs_config())
+        if spec.mode == "read":
+            seed = AtomicWriteExecutor(fs, default_registry.create("two-phase"), filename=FILENAME)
+            seed.run(spec.nprocs, view, rank_pattern_bytes)
+        if path == "scheduler":
+            (result,) = MultiTenantScheduler(fs).run([spec]).jobs
+            assert result.arrival == 0.0
+        elif spec.mode == "write":
+            executor = AtomicWriteExecutor(
+                fs, default_registry.create(spec.strategy), filename=FILENAME
             )
-        ]
-    )
-    return fs, result
+            result = executor.run(spec.nprocs, view, rank_pattern_bytes)
+        else:
+            executor = CollectiveReadExecutor(
+                fs, default_registry.create(spec.strategy), filename=FILENAME
+            )
+            result = executor.run(spec.nprocs, view)
+        store = fs.lookup(FILENAME).store
+        runs.append(
+            (
+                store.snapshot(),
+                [a.tolist() for a in store.writer_runs(0, store.size)],
+                result.makespan,
+                result.outcomes,
+                result.data if spec.mode == "read" else None,
+            )
+        )
+    direct, scheduled = runs
+    assert scheduled == direct
 
 
 @pytest.mark.parametrize("strategy_name", STRATEGIES)
 @pytest.mark.parametrize("nprocs", [4, 8])
 def test_single_job_is_identical_to_direct_path(strategy_name, nprocs):
-    fs_direct, direct = direct_run(strategy_name, nprocs, "column-wise")
-    fs_sched, sched = scheduler_run(strategy_name, nprocs, "column-wise")
-
-    # Byte- and provenance-identity: same final contents, same per-byte
-    # winning writer (global ids collapse to local ranks for one job).
-    assert fingerprint_of(fs_sched, FILENAME) == fingerprint_of(fs_direct, FILENAME)
-
-    # Same virtual timeline: the scheduler adds no modelled cost of its own.
-    job = sched.jobs[0]
-    assert job.arrival == 0.0
-    assert job.makespan == pytest.approx(direct.makespan, abs=0.0)
-
-    # Same per-rank accounting.
-    assert [o.bytes_requested for o in job.outcomes] == [
-        o.bytes_requested for o in direct.outcomes
-    ]
-    assert [o.bytes_moved for o in job.outcomes] == [
-        o.bytes_moved for o in direct.outcomes
-    ]
+    assert_single_job_is_direct_path(*gpfs_job(strategy_name, nprocs, "column-wise"))
 
 
 def test_single_job_identity_holds_for_row_wise_pattern():
-    fs_direct, direct = direct_run("two-phase", 4, "row-wise")
-    fs_sched, sched = scheduler_run("two-phase", 4, "row-wise")
-    assert fingerprint_of(fs_sched, FILENAME) == fingerprint_of(fs_direct, FILENAME)
-    assert sched.jobs[0].makespan == pytest.approx(direct.makespan, abs=0.0)
+    assert_single_job_is_direct_path(*gpfs_job("two-phase", 4, "row-wise"))
+
+
+@st.composite
+def jobs(draw):
+    """One job: ``(machine, JobSpec)`` — any pattern, a small array, a ghost
+    width the pattern accepts, 1–9 ranks, either direction and any strategy
+    the machine (GPFS or ENFS) supports."""
+    machine = draw(st.sampled_from([IBM_SP, CPLANT]))
+    strategy = draw(
+        st.sampled_from(
+            [
+                name
+                for name in default_registry.names()
+                if default_registry.supported_on(name, machine.supports_locking)
+            ]
+        )
+    )
+    pattern = draw(st.sampled_from(PATTERN_NAMES))
+    nprocs = draw(st.integers(1, 9))
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 48))
+    # The 1-D splits take no ghost wider than a rank's share.
+    widest = {"column-wise": cols // nprocs, "row-wise": rows // nprocs}.get(pattern, 4)
+    spec = JobSpec(
+        "solo",
+        nprocs=nprocs,
+        M=rows,
+        N=cols,
+        filename=FILENAME,
+        mode=draw(st.sampled_from(["write", "read"])),
+        strategy=strategy,
+        pattern=pattern,
+        overlap_columns=draw(st.integers(0, min(widest, 4))),
+    )
+    return machine, spec
+
+
+@given(job=jobs())
+def test_single_job_is_the_direct_path_on_generated_jobs(job):
+    assert_single_job_is_direct_path(*job)

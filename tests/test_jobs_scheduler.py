@@ -14,13 +14,9 @@ import pytest
 from repro.bench.machines import CPLANT, IBM_SP
 from repro.bench.multitenant import run_multitenant_point
 from repro.fs.filesystem import ParallelFileSystem
-from repro.jobs import (
-    JobSpec,
-    MultiTenantExecutionError,
-    MultiTenantScheduler,
-    make_arrivals,
-)
+from repro.jobs import JobSpec, MultiTenantScheduler, make_arrivals
 from repro.jobs.arrivals import ARRIVAL_KINDS
+from repro.mpi import SPMDExecutionError
 
 
 def make_fs(machine=IBM_SP):
@@ -144,7 +140,7 @@ class TestScheduler:
         # completion on the same engine and file system.
         bad = spec("bad", "/bad.dat", data_factory=lambda r, n: b"x")
         good = spec("good", "/good.dat")
-        with pytest.raises(MultiTenantExecutionError) as excinfo:
+        with pytest.raises(SPMDExecutionError) as excinfo:
             MultiTenantScheduler(make_fs()).run([bad, good])
         assert {job for job, _ in excinfo.value.failures} == {"bad"}
 

@@ -71,7 +71,6 @@ REPRO_ALL = [
     "row_wise_views",
     "run_column_wise_experiment",
     "run_figure8_grid",
-    "run_mixed_experiment",
     "run_read_experiment",
     "run_read_sweep",
     "run_spmd",
