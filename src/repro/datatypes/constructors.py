@@ -27,7 +27,6 @@ returns an *uncommitted* :class:`Datatype`.
 
 from __future__ import annotations
 
-import itertools
 from typing import List, Sequence, Tuple, Union
 
 from .datatype import Datatype, DatatypeError, from_basic
@@ -63,22 +62,35 @@ def as_datatype(oldtype: TypeLike) -> Datatype:
     raise DatatypeError(f"not a datatype: {oldtype!r}")
 
 
-def _replicate(old: Datatype, count: int, stride_bytes: int) -> List[Tuple[int, int]]:
-    """Repeat ``old``'s segments ``count`` times, ``stride_bytes`` apart."""
-    segments: List[Tuple[int, int]] = []
-    for i in range(count):
-        base = i * stride_bytes
-        for disp, length in old.segments:
-            segments.append((base + disp, length))
-    return segments
+def _replicate(
+    segments: Sequence[Tuple[int, int]], count: int, stride_bytes: int, base: int = 0
+) -> List[Tuple[int, int]]:
+    """``count`` copies of ``segments``, ``stride_bytes`` apart, the first at
+    ``base``: the typemap of every block constructor.
+
+    Copies of a single run whose length equals the stride abut, so they are
+    built as the one run :func:`~repro.datatypes.datatype._merge_adjacent`
+    would make of them: a row of *k* dense elements costs O(1), not O(k).
+    Any other type is copied segment by segment, in typemap order.
+    """
+    if count > 0 and len(segments) == 1 and segments[0][1] == stride_bytes:
+        disp, length = segments[0]
+        return [(base + disp, count * length)]
+    return [
+        (base + i * stride_bytes + disp, length)
+        for i in range(count)
+        for disp, length in segments
+    ]
 
 
 def contiguous(count: int, oldtype: TypeLike) -> Datatype:
-    """``MPI_Type_contiguous``: ``count`` copies of ``oldtype`` back to back."""
+    """``MPI_Type_contiguous``: ``count`` copies of ``oldtype`` back to back
+    (one ``extent`` apart), built by :func:`_replicate` — so ``count`` dense
+    elements are one run from the start."""
     if count < 0:
         raise DatatypeError("count must be non-negative")
     old = as_datatype(oldtype)
-    segments = _replicate(old, count, old.extent)
+    segments = _replicate(old.segments, count, old.extent)
     return Datatype.build(
         segments,
         lb=old.lb if count else 0,
@@ -102,11 +114,7 @@ def hvector(count: int, blocklength: int, stride_bytes: int, oldtype: TypeLike) 
         raise DatatypeError("count and blocklength must be non-negative")
     old = as_datatype(oldtype)
     block = contiguous(blocklength, old)
-    segments: List[Tuple[int, int]] = []
-    for i in range(count):
-        base = i * stride_bytes
-        for disp, length in block.segments:
-            segments.append((base + disp, length))
+    segments = _replicate(block.segments, count, stride_bytes)
     # MPI extent of a vector spans from the first to the last byte touched.
     return Datatype.build(segments, name=f"hvector({count},{blocklength},{stride_bytes})")
 
@@ -131,9 +139,7 @@ def hindexed(
     for blocklen, disp in zip(blocklengths, displacements):
         if blocklen < 0:
             raise DatatypeError("block lengths must be non-negative")
-        block = contiguous(blocklen, old)
-        for bdisp, length in block.segments:
-            segments.append((disp + bdisp, length))
+        segments += _replicate(old.segments, blocklen, old.extent, disp)
     return Datatype.build(segments, name=f"hindexed({len(blocklengths)} blocks)")
 
 
@@ -155,9 +161,9 @@ def struct(
     segments: List[Tuple[int, int]] = []
     for blocklen, disp, typ in zip(blocklengths, displacements, types):
         old = as_datatype(typ)
-        block = contiguous(blocklen, old)
-        for bdisp, length in block.segments:
-            segments.append((disp + bdisp, length))
+        if blocklen < 0:
+            raise DatatypeError("count must be non-negative")
+        segments += _replicate(old.segments, blocklen, old.extent, disp)
     return Datatype.build(segments, name=f"struct({len(types)} members)")
 
 
@@ -202,38 +208,22 @@ def subarray(
     else:
         raise DatatypeError(f"order must be 'C' or 'F', got {order!r}")
 
-    # Strides (in elements) of each dimension in the global linearisation.
-    strides = [1] * ndims
-    acc = 1
+    # The sub-block is nested replication, innermost dimension first: a row
+    # of that dimension's subsize elements one extent apart, the row repeated
+    # along the next dimension one global row apart, and so on out.  Each
+    # level is one `_replicate`, so a row of dense elements (or rows spanning
+    # their whole dimension) stays one run, and an empty dimension empties
+    # the type.
+    segments: Sequence[Tuple[int, int]] = old.segments
+    stride = elem  # bytes between neighbours along `dim` in the global array
     for dim in reversed(dims):
-        strides[dim] = acc
-        acc *= sizes[dim]
-    total_elements = acc
-
-    # Enumerate the rows of the innermost dimension: every combination of the
-    # outer dimensions yields one contiguous run of subsizes[inner] elements.
-    inner = dims[-1]
-    outer_dims = dims[:-1]
-
-    segments: List[Tuple[int, int]] = []
-    if all(subsizes[d] > 0 for d in range(ndims)):
-        # One inner "row" is subsizes[inner] consecutive elements of oldtype;
-        # tiling handles derived (non-contiguous) element types correctly.
-        inner_row = contiguous(subsizes[inner], old)
-
-        # (A loop, not a recursive closure: a function that refers to itself
-        # is a reference cycle that keeps `segments` alive until a collection.)
-        for index in itertools.product(*(range(subsizes[d]) for d in outer_dims)):
-            offset_elems = sum(
-                (starts[d] + i) * strides[d] for d, i in zip(outer_dims, index)
-            )
-            base = (offset_elems + starts[inner] * strides[inner]) * elem
-            for disp, length in inner_row.segments:
-                segments.append((base + disp, length))
+        segments = _replicate(segments, subsizes[dim], stride, starts[dim] * stride)
+        stride *= sizes[dim]
 
     name = f"subarray(sizes={list(sizes)}, subsizes={list(subsizes)}, starts={list(starts)})"
-    # Extent covers the full global array so repetition/filetype tiling works.
-    return Datatype.build(segments, lb=0, extent=total_elements * elem, name=name)
+    # Extent covers the full global array (``stride`` is now its size in
+    # bytes) so repetition/filetype tiling works.
+    return Datatype.build(segments, lb=0, extent=stride, name=name)
 
 
 def resized(oldtype: TypeLike, lb: int, extent: int) -> Datatype:

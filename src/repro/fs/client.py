@@ -110,7 +110,9 @@ class ClientFileHandle:
         start = clock.now
         completion = client.link.occupy(start, nbytes)
         servers = client.fs.servers.servers
-        for server_idx, server_bytes in self.file.layout.bytes_per_server(offset, nbytes).items():
+        # The layout is read on every request: a ``striping_unit`` hint
+        # replaces the shared file's layout while other handles are open.
+        for server_idx, server_bytes in self.file.layout.bytes_per_server(offset, nbytes):
             end = servers[server_idx].resource.occupy(start, server_bytes)
             if end > completion:
                 completion = end
@@ -124,12 +126,12 @@ class ClientFileHandle:
             writer = self.client.client_id
         else:
             writer += self.client.provenance_base
-        self.file.server_write(offset, data, writer=writer)
+        self.file.store.write(offset, data, writer)
 
     def _timed_fetch(self, offset: int, nbytes: int) -> bytes:
         """Server read including virtual-time charging."""
         self._charge_transfer(offset, nbytes)
-        return self.file.server_read(offset, nbytes)
+        return self.file.store.read(offset, nbytes)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -179,7 +181,8 @@ class ClientFileHandle:
             self._check_open()
             if offset < 0:
                 raise InvalidRequest("offset must be non-negative")
-            data = bytes(data)
+            if type(data) is not bytes:
+                data = bytes(data)
             if not data:
                 continue
             if direct or not self._caching or writer is not None:

@@ -89,16 +89,6 @@ class FileObject:
         self.lock_manager: Optional[LockManager] = fs._make_lock_manager()
         self.open_count = 0
 
-    # -- data path (server side, no cost accounting) ---------------------------
-
-    def server_write(self, offset: int, data: bytes, writer: int) -> int:
-        """Apply one POSIX-atomic write to the backing store."""
-        return self.store.write(offset, data, writer=writer)
-
-    def server_read(self, offset: int, nbytes: int) -> bytes:
-        """Apply one POSIX-atomic read from the backing store."""
-        return self.store.read(offset, nbytes)
-
     @property
     def size(self) -> int:
         """Current file size in bytes."""

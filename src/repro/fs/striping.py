@@ -12,15 +12,16 @@ how the ENFS personality is configured.
 
 :meth:`StripingLayout.chunks` *describes* the layout, one
 :class:`StripeChunk` per stripe unit touched.  The charge path does not walk
-it: every transfer asks :meth:`StripingLayout.bytes_per_server`, which is
-integer arithmetic on the range's two end units — and most transfers (a row
-segment of an array) sit inside one stripe unit and are answered at once.
+it: every transfer asks :meth:`StripingLayout.bytes_per_server` for its
+``(server, bytes)`` pairs, which is integer arithmetic on the range's two end
+units — and most transfers (a row segment of an array) sit inside one stripe
+unit and get their one pair at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 __all__ = ["StripeChunk", "StripingLayout"]
 
@@ -76,30 +77,27 @@ class StripingLayout:
             pos += take
             remaining -= take
 
-    def bytes_per_server(self, offset: int, nbytes: int) -> Dict[int, int]:
-        """Total bytes of the range stored on each server, keyed in the order
+    def bytes_per_server(self, offset: int, nbytes: int) -> Tuple[Tuple[int, int], ...]:
+        """``(server, bytes)`` for every server the range touches, in the order
         the range first touches them (the fold of :meth:`chunks`, computed
         from the stripe-unit indices of its two ends)."""
         if offset < 0 or nbytes < 0:
             raise ValueError("offset and nbytes must be non-negative")
         if nbytes == 0:
-            return {}
+            return ()
         unit, servers = self.stripe_size, self.num_servers
         first, head = divmod(offset, unit)
         if head + nbytes <= unit:
-            return {first % servers: nbytes}
+            return ((first % servers, nbytes),)
         last, tail = divmod(offset + nbytes - 1, unit)
         units = last - first + 1
         # Server k of the round-robin holds units first+k, first+k+servers, …;
         # count them whole, then take back what the two end units lack.
-        out = {
-            (first + k) % servers: ((units - 1 - k) // servers + 1) * unit
-            for k in range(min(units, servers))
-        }
-        out[first % servers] -= head
-        out[last % servers] -= unit - 1 - tail
-        return out
+        shares = [((units - 1 - k) // servers + 1) * unit for k in range(min(units, servers))]
+        shares[0] -= head
+        shares[(units - 1) % servers] -= unit - 1 - tail
+        return tuple(((first + k) % servers, share) for k, share in enumerate(shares))
 
     def servers_touched(self, offset: int, nbytes: int) -> List[int]:
         """Sorted list of servers the range touches."""
-        return sorted(self.bytes_per_server(offset, nbytes))
+        return sorted(server for server, _ in self.bytes_per_server(offset, nbytes))

@@ -3,7 +3,7 @@ and request objects for nonblocking / split-collective I/O."""
 
 from .fileview import FileView
 from .file import MPIFile
-from .info import Info
+from .info import Info, InvalidHint
 from .requests import IORequest, Testall, Waitall, Waitany
 from .modes import (
     MODE_APPEND,
@@ -20,6 +20,7 @@ __all__ = [
     "MPIFile",
     "FileView",
     "Info",
+    "InvalidHint",
     "IORequest",
     "Waitall",
     "Testall",

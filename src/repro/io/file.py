@@ -133,6 +133,7 @@ class MPIFile:
         self.fs = fs
         self.amode = amode
         self.info = info.copy() if info is not None else Info()
+        self.info.validate()
         # The file-system client id must be unique per *process*, not per
         # communicator rank: two groups split from the world communicator
         # both have a rank 0, and byte-range locks are owner-aware (a
@@ -238,6 +239,7 @@ class MPIFile:
         if datarep != "native":
             raise NotImplementedError("only the 'native' data representation is supported")
         if info is not None:
+            info.validate()
             for key in info.keys():
                 self.info.set(key, info.get(key))
             self._auto_strategy = None  # hints changed: re-derive the strategy

@@ -41,13 +41,38 @@ client cache; unknown hints are ignored, as MPI requires.
     Client-cache read-ahead toggle (boolean, see :meth:`Info.get_bool`) and
     explicit page count; applied to the rank's cache policies at
     open/``Set_view``.
+
+The integer hints (:data:`INTEGER_HINTS`) are parsed at ``Open`` and at every
+``Set_view`` that passes hints: a value that is not an integer raises
+:class:`InvalidHint`, naming the key and the value, instead of silently
+meaning the default (``cb_nodes=four`` is an error, not "every rank
+aggregates").
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, Optional
 
-__all__ = ["Info"]
+__all__ = ["INTEGER_HINTS", "Info", "InvalidHint"]
+
+#: The hints this library reads as integers.
+INTEGER_HINTS = (
+    "cb_nodes",
+    "cb_buffer_size",
+    "cb_ppn",
+    "striping_unit",
+    "provenance_base",
+    "read_ahead_pages",
+)
+
+
+class InvalidHint(ValueError):
+    """An integer hint holds a value that is not an integer."""
+
+    def __init__(self, key: str, value: str) -> None:
+        super().__init__(f"hint {key!r} must be an integer, got {value!r}")
+        self.key = key
+        self.value = value
 
 
 class Info:
@@ -86,14 +111,21 @@ class Info:
         return Info(dict(self._data))
 
     def get_int(self, key: str, default: int = 0) -> int:
-        """Fetch a hint converted to ``int`` (``default`` on absence/garbage)."""
+        """Fetch a hint converted to ``int`` (``default`` when absent); a
+        value that is not an integer raises :class:`InvalidHint`."""
         raw = self.get(key)
         if raw is None:
             return default
         try:
             return int(raw)
         except ValueError:
-            return default
+            raise InvalidHint(str(key), raw) from None
+
+    def validate(self) -> None:
+        """Parse every :data:`INTEGER_HINTS` key present, so a bad value fails
+        where it is given rather than at the first call that reads it."""
+        for key in INTEGER_HINTS:
+            self.get_int(key)
 
     #: Spellings accepted by :meth:`get_bool` (ROMIO accepts the same set).
     _TRUE_WORDS = frozenset({"true", "1", "yes", "on", "enable", "enabled"})

@@ -160,11 +160,11 @@ class TestStripingLayout:
     def test_bytes_per_server_balanced(self):
         layout = StripingLayout(num_servers=4, stripe_size=10)
         per_server = layout.bytes_per_server(0, 400)
-        assert per_server == {0: 100, 1: 100, 2: 100, 3: 100}
+        assert per_server == ((0, 100), (1, 100), (2, 100), (3, 100))
 
     def test_single_server_everything(self):
         layout = StripingLayout(num_servers=1, stripe_size=64)
-        assert layout.bytes_per_server(123, 1000) == {0: 1000}
+        assert layout.bytes_per_server(123, 1000) == ((0, 1000),)
 
     def test_servers_touched(self):
         layout = StripingLayout(num_servers=8, stripe_size=10)
@@ -205,7 +205,7 @@ class TestStripingLayout:
         folded = {}
         for c in layout.chunks(offset, nbytes):
             folded[c.server] = folded.get(c.server, 0) + c.length
-        assert list(layout.bytes_per_server(offset, nbytes).items()) == list(folded.items())
+        assert layout.bytes_per_server(offset, nbytes) == tuple(folded.items())
 
     def test_bytes_per_server_rejects_negative_arguments(self):
         layout = StripingLayout(num_servers=2, stripe_size=10)
@@ -213,3 +213,5 @@ class TestStripingLayout:
             layout.bytes_per_server(-1, 5)
         with pytest.raises(ValueError):
             layout.bytes_per_server(0, -5)
+        with pytest.raises(ValueError):
+            layout.bytes_per_server(-1, 0)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.datatypes import CHAR, INT, contiguous, subarray, vector
 from repro.datatypes.datatype import DatatypeError
-from repro.io import Info, MODE_CREATE, MODE_RDONLY, MODE_RDWR, describe_mode
+from repro.io import Info, InvalidHint, MODE_CREATE, MODE_RDONLY, MODE_RDWR, describe_mode
+from repro.io.info import INTEGER_HINTS
 from repro.io.fileview import FileView
 
 
@@ -85,7 +91,25 @@ class TestInfo:
 
     def test_get_int_garbage(self):
         info = Info({"k": "not-a-number"})
-        assert info.get_int("k", default=7) == 7
+        with pytest.raises(InvalidHint, match="'k'.*'not-a-number'") as excinfo:
+            info.get_int("k", default=7)
+        assert isinstance(excinfo.value, ValueError)
+        assert (excinfo.value.key, excinfo.value.value) == ("k", "not-a-number")
+        assert info.get_int("absent", default=7) == 7
+
+    def test_validate_parses_every_integer_hint_and_ignores_unknown_keys(self):
+        Info({"cb_nodes": "4", "striping_unit": "65536", "no_such_hint": "four"}).validate()
+        for key in INTEGER_HINTS:
+            with pytest.raises(InvalidHint, match=key):
+                Info({key: "four"}).validate()
+
+    def test_integer_hints_are_the_keys_read_with_get_int(self):
+        """``validate`` checks exactly the keys some reader parses as integers:
+        a new ``get_int`` key missing from :data:`INTEGER_HINTS` fails here."""
+        read = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            read.update(re.findall(r'get_int\(\s*"(\w+)"', path.read_text()))
+        assert read == set(INTEGER_HINTS)
 
     def test_delete_and_contains(self):
         info = Info({"a": "1"})

@@ -8,7 +8,7 @@ import pytest
 from repro.datatypes import CHAR, INT, contiguous, subarray
 from repro.fs import ParallelFileSystem
 from repro.fs.filesystem import LockProtocol
-from repro.io import Info, MPIFile, MODE_CREATE, MODE_RDONLY, MODE_RDWR, MODE_WRONLY
+from repro.io import Info, InvalidHint, MPIFile, MODE_CREATE, MODE_RDONLY, MODE_RDWR, MODE_WRONLY
 from repro.mpi import run_spmd
 from repro.patterns.partition import column_wise_spec, column_wise_views
 from repro.core.regions import build_region_sets
@@ -116,6 +116,42 @@ class TestBasicReadWrite:
                 f.Write_at(0, b"x")
 
         run_spmd(fn, 1)
+
+    def test_open_rejects_a_garbage_integer_hint(self, fast_fs):
+        """``cb_nodes=four`` fails at ``Open``, naming the key and the value;
+        it does not silently mean "every rank aggregates"."""
+        from repro.mpi import SPMDExecutionError
+
+        def fn(comm):
+            MPIFile.Open(comm, "hint.dat", fast_fs, info=Info({"cb_nodes": "four"}))
+
+        with pytest.raises(SPMDExecutionError) as excinfo:
+            run_spmd(fn, 2)
+        failures = excinfo.value.failures
+        assert sorted(failures) == [0, 1]
+        for error in failures.values():
+            assert isinstance(error, InvalidHint) and isinstance(error, ValueError)
+            assert (error.key, error.value) == ("cb_nodes", "four")
+            assert "'cb_nodes'" in str(error) and "'four'" in str(error)
+
+    def test_set_view_rejects_a_garbage_integer_hint(self, fast_fs):
+        def fn(comm):
+            f = MPIFile.Open(comm, "hint2.dat", fast_fs)
+            with pytest.raises(InvalidHint, match="cb_buffer_size"):
+                f.Set_view(0, CHAR, CHAR, info=Info({"cb_buffer_size": "4k"}))
+            assert f.info.get("cb_buffer_size") is None
+            f.Close()
+
+        run_spmd(fn, 1)
+
+    def test_open_ignores_unknown_hints(self, fast_fs):
+        def fn(comm):
+            f = MPIFile.Open(comm, "hint3.dat", fast_fs, info=Info({"no_such_hint": "four"}))
+            f.Write_at(0, b"ok")
+            f.Close()
+
+        run_spmd(fn, 1)
+        assert fast_fs.lookup("hint3.dat").store.read(0, 2) == b"ok"
 
     def test_non_native_datarep_rejected(self, fast_fs):
         def fn(comm):
