@@ -37,7 +37,6 @@ from .core import (
     LockingStrategy,
     NoAtomicityStrategy,
     OverlapMatrix,
-    PipelineStrategy,
     RankOrderingStrategy,
     TwoPhaseStrategy,
     build_overlap_matrix,
@@ -103,7 +102,6 @@ __all__ = [
     "__version__",
     # core
     "AtomicityStrategy",
-    "PipelineStrategy",
     "NoAtomicityStrategy",
     "LockingStrategy",
     "GraphColoringStrategy",

@@ -166,10 +166,8 @@ def run_experiment(
             atomic_ok = check_mpi_atomicity(result.file.store, result.regions).ok
         bytes_moved = result.total_bytes_written
         extra = {}
-    lock_waits = 0
     lm = result.file.lock_manager
-    if lm is not None and hasattr(lm, "wait_count"):
-        lock_waits = lm.wait_count
+    lock_waits = lm.wait_count if lm is not None else 0
     selected = None
     decision = getattr(strat, "last_decision", None)
     if decision is not None:

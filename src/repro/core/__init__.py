@@ -48,7 +48,6 @@ from .strategies import (
     IOOutcome,
     LockingStrategy,
     NoAtomicityStrategy,
-    PipelineStrategy,
     RankOrderingStrategy,
     TwoPhaseStrategy,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "HIGHER_RANK_WINS",
     "LOWER_RANK_WINS",
     "AtomicityStrategy",
-    "PipelineStrategy",
     "NoAtomicityStrategy",
     "LockingStrategy",
     "GraphColoringStrategy",

@@ -63,7 +63,7 @@ from .analysis import pattern_features
 from .pipeline import _SharedMemo
 from .regions import FileRegionSet
 from .registry import default_registry, register_strategy
-from .strategies import PipelineStrategy, PreparedIO, TwoPhaseStrategy
+from .strategies import AtomicityStrategy, PreparedIO, TwoPhaseStrategy
 
 __all__ = [
     "PatternSignature",
@@ -197,11 +197,11 @@ class TuningDecision:
     #: direct-read schedules never benefit), ``None`` leaves the handle's
     #: policy alone (write decisions).
     read_ahead: Optional[bool] = None
-    _delegate: Optional[PipelineStrategy] = field(
+    _delegate: Optional[AtomicityStrategy] = field(
         default=None, repr=False, compare=False
     )
 
-    def delegate(self) -> PipelineStrategy:
+    def delegate(self) -> AtomicityStrategy:
         """The (shared, cached) strategy instance implementing the decision:
         the registered class of that name, built with the derived tunables."""
         if self._delegate is None:
@@ -414,7 +414,7 @@ _Resolution = Tuple[List[FileRegionSet], PatternSignature, bool]
 
 
 @register_strategy
-class AutoStrategy(PipelineStrategy):
+class AutoStrategy(AtomicityStrategy):
     """``atomicity_strategy = auto``: classify, tune, cache, delegate.
 
     Collective-count parity with the statics: every prepare is one

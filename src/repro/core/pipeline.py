@@ -41,7 +41,7 @@ All strategies are expressed as compositions of these stages — see
 :mod:`repro.core.strategies`.  Because a collective read may move fetched
 bytes *between* ranks after the file I/O (the two-phase scatter), delivery of
 the user stream is a strategy hook that runs after the runner — see
-:meth:`repro.core.strategies.PipelineStrategy.commit`.
+:meth:`repro.core.strategies.AtomicityStrategy.commit`.
 """
 
 from __future__ import annotations

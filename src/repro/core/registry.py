@@ -9,10 +9,10 @@ hard-coding names.
 Adding a new strategy is therefore local to one module::
 
     from repro.core.registry import register_strategy
-    from repro.core.strategies import PipelineStrategy
+    from repro.core.strategies import AtomicityStrategy
 
     @register_strategy
-    class MyStrategy(PipelineStrategy):
+    class MyStrategy(AtomicityStrategy):
         name = "my-strategy"
         ...
 
@@ -90,14 +90,10 @@ class StrategyRegistry:
         :meth:`repro.core.strategies.AtomicityStrategy.from_info`), which is
         how ``cb_nodes`` / ``cb_buffer_size`` and friends reach aggregator
         election without the MPI-IO layer knowing any strategy's tunables.
-        With no ``info`` (or for classes without ``from_info``) this is plain
-        :meth:`create`.
+        With no ``info`` this is plain :meth:`create`.
         """
         cls = self.get(name)
-        factory = getattr(cls, "from_info", None)
-        if info is None or factory is None:
-            return cls()
-        return factory(info)
+        return cls() if info is None else cls.from_info(info)
 
     # -- queries ---------------------------------------------------------------
 
@@ -107,24 +103,20 @@ class StrategyRegistry:
 
     def atomic_names(self) -> Tuple[str, ...]:
         """Names of strategies that guarantee MPI atomicity."""
-        return tuple(
-            n for n, cls in self._classes.items()
-            if getattr(cls, "provides_atomicity", True)
-        )
+        return tuple(n for n, cls in self._classes.items() if cls.provides_atomicity)
 
     def read_capable_names(self) -> Tuple[str, ...]:
-        """Names of strategies implementing the collective read pipeline."""
-        return tuple(
-            n for n, cls in self._classes.items()
-            if getattr(cls, "supports_collective_read", False)
-        )
+        """Names of strategies implementing the collective read pipeline:
+        every registered one, since the one strategy base implements both
+        directions."""
+        return self.names()
 
     def supported_on(self, name: str, supports_locking: bool) -> bool:
         """Whether the named strategy can run on a machine with/without
         byte-range lock support.  The single encoding of the capability rule:
         both the registry queries and the benchmark harness filter use it."""
         cls = self.get(name)
-        return supports_locking or not getattr(cls, "requires_locks", False)
+        return supports_locking or not cls.requires_locks
 
     def names_for_machine(self, supports_locking: bool) -> List[str]:
         """Atomic strategies runnable on a machine with/without lock support."""

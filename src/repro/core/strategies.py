@@ -11,8 +11,8 @@ configuration, a :class:`~repro.core.pipeline.ConflictAnalysis` configuration,
 and the per-direction *policy* — a ``schedule`` method (writes) and a
 ``schedule_read`` / ``deliver_read`` pair (reads) that turn the analysis into
 a declarative :class:`~repro.core.pipeline.IOPlan`.  Everything else is
-written once for both directions: :meth:`PipelineStrategy.prepare` runs
-stages 1–3 into a :class:`PreparedIO`, :meth:`PipelineStrategy.commit` hands
+written once for both directions: :meth:`AtomicityStrategy.prepare` runs
+stages 1–3 into a :class:`PreparedIO`, :meth:`AtomicityStrategy.commit` hands
 the plan to the shared :class:`~repro.core.pipeline.PlanRunner`, and the
 accounting lands in one :class:`IOOutcome`.  Adding a strategy means writing
 a ``schedule`` method and registering the class — see ``ARCHITECTURE.md`` for
@@ -146,7 +146,6 @@ __all__ = [
     "IOOutcome",
     "PreparedIO",
     "AtomicityStrategy",
-    "PipelineStrategy",
     "NoAtomicityStrategy",
     "LockingStrategy",
     "GraphColoringStrategy",
@@ -215,9 +214,9 @@ class IOOutcome:
 class PreparedIO:
     """Stage-3 output of a collective operation, ready for execution.
 
-    Produced by :meth:`PipelineStrategy.prepare` (view exchange, conflict
+    Produced by :meth:`AtomicityStrategy.prepare` (view exchange, conflict
     analysis, scheduling — everything that needs the *data* and the peers),
-    consumed by :meth:`PipelineStrategy.commit` (the file I/O and, for a
+    consumed by :meth:`AtomicityStrategy.commit` (the file I/O and, for a
     read, the delivery).  The split is what the split-collective API pins
     down: ``begin`` runs the exchange, ``end`` (or a detached progress task
     in between) the commit.  The conflict report and the region ride along
@@ -238,7 +237,25 @@ class PreparedIO:
 
 
 class AtomicityStrategy(ABC):
-    """Interface of an MPI-atomicity implementation strategy."""
+    """An MPI-atomicity implementation strategy, as a staged-pipeline
+    composition.
+
+    Subclasses configure the first two stages (``exchange``, ``analysis``)
+    and implement :meth:`schedule`, which turns the conflict report into a
+    declarative :class:`~repro.core.pipeline.IOPlan` plus the payload buffers
+    its steps draw from.  Everything around it — :meth:`prepare`,
+    :meth:`commit`, the runner, the outcome — is shared, by every strategy
+    and by both directions.
+
+    What a collective read adds is policy only: :meth:`schedule_read` builds
+    the ``direction="read"`` plan from the same (direction-agnostic) stages 1
+    and 2, and :meth:`deliver_read` turns the sinks the runner filled into
+    the rank's contiguous data stream — a hook because delivery may involve
+    communication (the two-phase scatter).  The default pair — invalidate,
+    then read the full view through the cache in one parallel phase — is
+    correct for any strategy, so registering a new write strategy yields a
+    working collective read for free.
+    """
 
     #: Short machine-readable identifier (used by the registry and harness).
     name: str = "abstract"
@@ -246,9 +263,13 @@ class AtomicityStrategy(ABC):
     provides_atomicity: bool = True
     #: Whether the strategy needs byte-range locks from the file system.
     requires_locks: bool = False
-    #: Whether the strategy implements the collective read pipeline
-    #: (:meth:`execute_read`).  Every :class:`PipelineStrategy` does.
-    supports_collective_read: bool = False
+
+    exchange: ViewExchange = ViewExchange(enabled=False)
+    analysis: ConflictAnalysis = ConflictAnalysis(mode="none")
+    runner: PlanRunner = PlanRunner()
+    #: Whether transfers go through the client cache; strategies that take a
+    #: ``use_cache`` constructor argument shadow it per instance.
+    use_cache = True
 
     @classmethod
     def from_info(cls, info) -> "AtomicityStrategy":
@@ -269,87 +290,6 @@ class AtomicityStrategy(ABC):
         the executors, the job scheduler).  A no-op here; the adaptive tuner
         overrides it to learn the machine model and the per-file record.
         """
-
-    @abstractmethod
-    def execute_write(
-        self,
-        comm: Communicator,
-        handle: ClientFileHandle,
-        region: FileRegionSet,
-        data: bytes,
-    ) -> IOOutcome:
-        """Perform this rank's part of the concurrent overlapping write.
-
-        Parameters
-        ----------
-        comm:
-            Communicator of the participating processes (collective call).
-        handle:
-            The rank's open file handle.
-        region:
-            The rank's flattened file view for this request.
-        data:
-            The contiguous data stream; ``len(data)`` must equal
-            ``region.total_bytes``.
-        """
-
-    def execute_read(
-        self,
-        comm: Communicator,
-        handle: ClientFileHandle,
-        region: FileRegionSet,
-    ) -> Tuple[bytes, IOOutcome]:
-        """Perform this rank's part of a collective read.
-
-        Returns ``(data, outcome)`` where ``data`` is the rank's contiguous
-        data stream (``region.total_bytes`` bytes, in view order).  Collective
-        over the communicator, like :meth:`execute_write`.
-        """
-        raise NotImplementedError(
-            f"strategy {self.name!r} does not implement collective reads"
-        )
-
-    # -- shared helpers ------------------------------------------------------------
-
-    @staticmethod
-    def _check_request(region: FileRegionSet, data: bytes) -> None:
-        if len(data) != region.total_bytes:
-            raise ValueError(
-                f"data stream has {len(data)} bytes but the file view covers "
-                f"{region.total_bytes} bytes"
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}()"
-
-
-class PipelineStrategy(AtomicityStrategy):
-    """A strategy expressed as a staged-pipeline composition.
-
-    Subclasses configure the first two stages (``exchange``, ``analysis``)
-    and implement :meth:`schedule`, which turns the conflict report into a
-    declarative :class:`~repro.core.pipeline.IOPlan` plus the payload buffers
-    its steps draw from.  Everything around it — :meth:`prepare`,
-    :meth:`commit`, the runner, the outcome — is shared, by every strategy
-    and by both directions.
-
-    What a collective read adds is policy only: :meth:`schedule_read` builds
-    the ``direction="read"`` plan from the same (direction-agnostic) stages 1
-    and 2, and :meth:`deliver_read` turns the sinks the runner filled into
-    the rank's contiguous data stream — a hook because delivery may involve
-    communication (the two-phase scatter).  The default pair — invalidate,
-    then read the full view through the cache in one parallel phase — is
-    correct for any strategy, so registering a new write strategy yields a
-    working collective read for free.
-    """
-
-    exchange: ViewExchange = ViewExchange(enabled=False)
-    analysis: ConflictAnalysis = ConflictAnalysis(mode="none")
-    runner: PlanRunner = PlanRunner()
-    supports_collective_read = True
-    #: Whether transfers go through the client cache; strategies that take a
-    #: ``use_cache`` constructor argument shadow it per instance.
-    use_cache = True
 
     def prepare(
         self,
@@ -419,11 +359,42 @@ class PipelineStrategy(AtomicityStrategy):
         outcome.bytes_returned = len(data)
         return data, outcome
 
-    def execute_write(self, comm, handle, region, data):  # noqa: D102 - see base
+    def execute_write(
+        self,
+        comm: Communicator,
+        handle: ClientFileHandle,
+        region: FileRegionSet,
+        data: bytes,
+    ) -> IOOutcome:
+        """Perform this rank's part of the concurrent overlapping write.
+
+        Parameters
+        ----------
+        comm:
+            Communicator of the participating processes (collective call).
+        handle:
+            The rank's open file handle.
+        region:
+            The rank's flattened file view for this request.
+        data:
+            The contiguous data stream; ``len(data)`` must equal
+            ``region.total_bytes``.
+        """
         prepared = self.prepare(comm, region, handle.clock.now, data)
         return self.commit(comm, handle, prepared)[1]
 
-    def execute_read(self, comm, handle, region):  # noqa: D102 - see base
+    def execute_read(
+        self,
+        comm: Communicator,
+        handle: ClientFileHandle,
+        region: FileRegionSet,
+    ) -> Tuple[bytes, IOOutcome]:
+        """Perform this rank's part of a collective read.
+
+        Returns ``(data, outcome)`` where ``data`` is the rank's contiguous
+        data stream (``region.total_bytes`` bytes, in view order).  Collective
+        over the communicator, like :meth:`execute_write`.
+        """
         start_time = handle.clock.now
         # Push this rank's own write-behind data to the servers before any
         # read I/O happens — its own direct reads (locking), an aggregator's
@@ -497,9 +468,20 @@ class PipelineStrategy(AtomicityStrategy):
             for buf, off, length in buffer_map
         ]
 
+    @staticmethod
+    def _check_request(region: FileRegionSet, data: bytes) -> None:
+        if len(data) != region.total_bytes:
+            raise ValueError(
+                f"data stream has {len(data)} bytes but the file view covers "
+                f"{region.total_bytes} bytes"
+            )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"{type(self).__name__}()"
+
 
 @register_strategy
-class NoAtomicityStrategy(PipelineStrategy):
+class NoAtomicityStrategy(AtomicityStrategy):
     """MPI non-atomic mode: uncoordinated per-segment POSIX writes."""
 
     name = "none"
@@ -520,7 +502,7 @@ class NoAtomicityStrategy(PipelineStrategy):
 
 
 @register_strategy
-class LockingStrategy(PipelineStrategy):
+class LockingStrategy(AtomicityStrategy):
     """Byte-range file locking over the whole file-view extent (Section 3.2)."""
 
     name = "locking"
@@ -561,7 +543,7 @@ class LockingStrategy(PipelineStrategy):
 
 
 @register_strategy
-class GraphColoringStrategy(PipelineStrategy):
+class GraphColoringStrategy(AtomicityStrategy):
     """Process handshaking by graph colouring (Section 3.3.1)."""
 
     name = "graph-coloring"
@@ -626,7 +608,7 @@ class GraphColoringStrategy(PipelineStrategy):
 
 
 @register_strategy
-class RankOrderingStrategy(PipelineStrategy):
+class RankOrderingStrategy(AtomicityStrategy):
     """Process-rank ordering (Section 3.3.2): high rank wins, others trim."""
 
     name = "rank-ordering"
@@ -736,7 +718,7 @@ def _bytes_to_others(rank: int, outgoing: Dict[int, list]) -> int:
 
 
 @register_strategy
-class TwoPhaseStrategy(PipelineStrategy):
+class TwoPhaseStrategy(AtomicityStrategy):
     """Two-phase aggregation (ROMIO-style collective buffering).
 
     The union of every rank's view is partitioned among elected aggregators.

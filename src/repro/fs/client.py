@@ -298,7 +298,7 @@ class ClientFileHandle:
         if self._held_locks and self.file.lock_manager is not None:
             self.unlock_all()
         lm = self.file.lock_manager
-        if lm is not None and hasattr(lm, "relinquish_tokens"):
+        if lm is not None:
             lm.relinquish_tokens(self.client.client_id)
         self.file.open_count -= 1
         self._closed = True

@@ -20,20 +20,18 @@ the client cache and virtual-time charging.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from .cache import CachePolicy
 from .costmodel import CostModel
 from .errors import FileExists, FileNotFound, LockingUnsupported
-from .lockmanager import CentralLockManager
+from .lockmanager import CentralLockManager, LockManager
 from .server import ServerPool
 from .storage import ByteStore
 from .striping import StripingLayout
 from .tokens import DistributedLockManager
 
 __all__ = ["LockProtocol", "FSConfig", "FileObject", "ParallelFileSystem"]
-
-LockManager = Union[CentralLockManager, DistributedLockManager]
 
 
 class LockProtocol:

@@ -1,4 +1,4 @@
-"""Central byte-range lock manager (NFS/XFS style).
+"""Byte-range lock service: one manager body, two ways to price a grant.
 
 The locking-based atomicity strategy wraps every MPI write in an exclusive
 byte-range lock covering the process's whole file-view extent (Section 3.2 of
@@ -8,15 +8,26 @@ measured in virtual time — propagation of the *virtual* release time of a
 conflicting lock to the waiting client, so lock-induced serialisation shows
 up in the measured bandwidth.
 
-The manager is "central" in the paper's sense: every acquisition pays one
-round trip to the manager (``request_latency``), and conflicting requests are
-granted strictly one at a time.  The GPFS-style distributed variant lives in
-:mod:`repro.fs.tokens`.
+:class:`LockManager` is that service, written once: argument checks, the
+wait for conflicting holders, the grant time, the held and released locks and
+the wait count.  A *protocol* is only what a grant costs and the statistics
+that cost keeps:
+
+:class:`CentralLockManager`
+    The paper's "central" manager (NFS/XFS): every acquisition pays one round
+    trip to the manager (``request_latency``); grants are counted by mode.
+:class:`~repro.fs.tokens.DistributedLockManager`
+    GPFS tokens: a grant under a cached token is local, any other pays a
+    token round trip plus one revocation per client whose token it takes.
+
+Either way conflicting requests are granted strictly one at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -24,7 +35,7 @@ from ..core.engine import Task, current_task
 from ..core.intervals import Interval
 from .errors import InvalidRequest, LockViolation
 
-__all__ = ["LockMode", "GrantedLock", "CentralLockManager"]
+__all__ = ["LockMode", "GrantedLock", "LockManager", "CentralLockManager"]
 
 
 class LockMode:
@@ -70,8 +81,7 @@ def _requests_conflict(
 
 
 class _WaiterQueue:
-    """The engine tasks waiting on one manager's granted locks (both lock
-    managers use it).
+    """The engine tasks waiting on one manager's granted locks.
 
     Tasks park with their pending request attached; :meth:`wake_eligible`
     wakes the waiters whose request no longer conflicts, granting greedily
@@ -99,7 +109,8 @@ class _WaiterQueue:
         self, interval: Interval, mode: str, owner: int, kind: str
     ) -> bool:
         """Park the calling engine task while a conflicting lock is held;
-        returns whether it had to wait.
+        returns whether it had to wait.  ``kind`` names the request in the
+        wait reason and in the error.
 
         Requests reach the manager in global virtual-time order, so a run's
         lock-grant sequence is deterministic.  Only an engine task can wait:
@@ -113,18 +124,23 @@ class _WaiterQueue:
         waited = False
         while (holder := self.holder(interval, mode, owner)) is not None:
             request = f"{kind}[{interval.start},{interval.stop}) owner={owner}"
+            held = holder.interval
+            blocker = (
+                f"the {holder.mode} lock [{held.start},{held.stop}) "
+                f"held by owner {holder.owner}"
+            )
             if task is None:
-                held = holder.interval
                 raise LockViolation(
-                    f"{request} conflicts with the {holder.mode} lock "
-                    f"[{held.start},{held.stop}) held by owner {holder.owner}; "
+                    f"{request} conflicts with {blocker}; "
                     "only an engine task can wait for a release"
                 )
             waited = True
             entry = (task, interval, mode, owner)
             self._waiters.append(entry)
             try:
-                task.engine.wait(request)
+                # The reason names the holder, so a deadlock report left by a
+                # holder that never releases says who held the range.
+                task.engine.wait(f"{request} behind {blocker}")
             except BaseException:
                 # Cancelled or aborted while parked: drop the stale registration.
                 if entry in self._waiters:
@@ -153,19 +169,24 @@ class _WaiterQueue:
             entry[0].engine.wake(entry[0])
 
 
-class CentralLockManager:
+class LockManager(ABC):
     """Blocking byte-range lock manager with virtual-time accounting.
 
     Callers run as engine tasks (the SPMD ranks) and park on the scheduler
     while a conflicting lock is held — the manager's queue is processed
     deterministically in virtual-time order, and the engine runs one task at
-    a time, so the manager needs no lock of its own.
+    a time, so the manager needs no lock of its own.  A protocol subclasses
+    it with its constructor and :meth:`_price`, and nothing else.
     """
 
-    def __init__(self, request_latency: float = 0.0) -> None:
-        if request_latency < 0:
-            raise ValueError("request_latency must be non-negative")
-        self.request_latency = request_latency
+    #: Names this protocol's requests in wait reasons and errors.
+    kind = "lock"
+
+    def __init__(self, **latencies: float) -> None:
+        for name, value in latencies.items():
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative")
+            setattr(self, name, value)
         self._granted: Dict[int, GrantedLock] = {}
         #: Released locks, kept so later acquisitions can be ordered after the
         #: virtual release time of conflicting locks even when the real-time
@@ -173,11 +194,13 @@ class CentralLockManager:
         self._history: List[GrantedLock] = []
         self._waiters = _WaiterQueue(self._granted)
         self._ids = itertools.count(1)
-        self._total_waits = 0
-        self._grants_by_mode: Dict[str, int] = {
-            LockMode.SHARED: 0,
-            LockMode.EXCLUSIVE: 0,
-        }
+        #: ``"waits"`` plus the protocol's own statistics, by name.
+        self._counts: Counter = Counter()
+
+    @abstractmethod
+    def _price(self, owner: int, interval: Interval, mode: str) -> float:
+        """The virtual-time cost of granting a request nothing conflicts with
+        any more; counts the grant in the protocol's statistics."""
 
     # -- queries -----------------------------------------------------------------
 
@@ -188,17 +211,7 @@ class CentralLockManager:
     @property
     def wait_count(self) -> int:
         """How many acquisitions had to wait for a conflicting lock."""
-        return self._total_waits
-
-    @property
-    def shared_grant_count(self) -> int:
-        """Shared-mode (reader) locks granted since the last reset."""
-        return self._grants_by_mode[LockMode.SHARED]
-
-    @property
-    def exclusive_grant_count(self) -> int:
-        """Exclusive-mode (writer) locks granted since the last reset."""
-        return self._grants_by_mode[LockMode.EXCLUSIVE]
+        return self._counts["waits"]
 
     # -- acquisition / release ------------------------------------------------------
 
@@ -227,7 +240,7 @@ class CentralLockManager:
         -------
         (lock, grant_time):
             The granted lock and the virtual time at which it was granted —
-            at least ``now + request_latency``, and no earlier than the
+            the protocol's price after ``now``, and no earlier than the
             virtual release time of any conflicting lock that had to be
             waited for.
 
@@ -240,13 +253,8 @@ class CentralLockManager:
         if start < 0 or stop < start:
             raise InvalidRequest(f"invalid lock range [{start}, {stop})")
         interval = Interval(start, stop)
-        if self._waiters.wait_until_grantable(interval, mode, owner, "lock"):
-            self._total_waits += 1
-        return self._grant(owner, interval, mode, now)
-
-    def _grant(
-        self, owner: int, interval: Interval, mode: str, now: float
-    ) -> Tuple[GrantedLock, float]:
+        if self._waiters.wait_until_grantable(interval, mode, owner, self.kind):
+            self._counts["waits"] += 1
         # The grant cannot happen, in virtual time, before the virtual
         # release of any conflicting lock that has already been released —
         # even if, in scheduling time, the conflict was over before this
@@ -257,7 +265,7 @@ class CentralLockManager:
             for g in self._history
             if g.released_at is not None and g.conflicts_with(interval, mode, owner)
         ]
-        grant_time = max([now] + prior_releases) + self.request_latency
+        grant_time = max([now] + prior_releases) + self._price(owner, interval, mode)
         lock = GrantedLock(
             lock_id=next(self._ids),
             owner=owner,
@@ -266,9 +274,7 @@ class CentralLockManager:
             granted_at=grant_time,
         )
         self._granted[lock.lock_id] = lock
-        self._grants_by_mode[mode] += 1
         return lock, grant_time
-
 
     def release(self, lock: GrantedLock, now: float = 0.0) -> None:
         """Release a previously granted lock at virtual time ``now``."""
@@ -292,8 +298,33 @@ class CentralLockManager:
             self._waiters.wake_eligible()
         return len(mine)
 
+    def relinquish_tokens(self, owner: int) -> None:
+        """Drop whatever ``owner`` has cached with the manager (e.g. when it
+        closes the file); nothing, unless the protocol caches tokens."""
+
     def reset_history(self) -> None:
-        """Forget released-lock history (between benchmark repetitions)."""
+        """Forget released-lock history and statistics (between benchmark
+        repetitions)."""
         self._history.clear()
-        self._total_waits = 0
-        self._grants_by_mode = {LockMode.SHARED: 0, LockMode.EXCLUSIVE: 0}
+        self._counts.clear()
+
+
+class CentralLockManager(LockManager):
+    """The central protocol: every grant is one round trip to the manager."""
+
+    def __init__(self, request_latency: float = 0.0) -> None:
+        super().__init__(request_latency=request_latency)
+
+    def _price(self, owner: int, interval: Interval, mode: str) -> float:
+        self._counts[mode] += 1
+        return self.request_latency
+
+    @property
+    def shared_grant_count(self) -> int:
+        """Shared-mode (reader) locks granted since the last reset."""
+        return self._counts[LockMode.SHARED]
+
+    @property
+    def exclusive_grant_count(self) -> int:
+        """Exclusive-mode (writer) locks granted since the last reset."""
+        return self._counts[LockMode.EXCLUSIVE]

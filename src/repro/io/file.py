@@ -80,7 +80,6 @@ from ..core.strategies import (
     AtomicityStrategy,
     IOOutcome,
     NoAtomicityStrategy,
-    PipelineStrategy,
 )
 from ..fs.lockmanager import LockMode
 from ..fs.striping import StripingLayout
@@ -92,13 +91,24 @@ from ..fs.filesystem import ParallelFileSystem
 from ..mpi.comm import Communicator
 from ..mpi.errors import CollectiveAbortedError
 from .fileview import FileView
-from .info import Info
+from .info import Info, InvalidHint
 from .modes import MODE_CREATE, MODE_RDONLY, MODE_RDWR, MODE_WRONLY
 from .requests import IORequest
 
 __all__ = ["MPIFile"]
 
 Buffer = Union[bytes, bytearray, np.ndarray]
+
+
+def _check_hints(info: Info) -> None:
+    """Parse every typed hint and check that ``atomicity_strategy`` names a
+    registered strategy, so a bad hint fails at ``Open`` / ``Set_view``
+    rather than at the first call that reads it."""
+    info.validate()
+    name = info.get("atomicity_strategy")
+    if name and name not in default_registry:
+        known = ", ".join(default_registry.names())
+        raise InvalidHint("atomicity_strategy", name, f"a registered strategy ({known})")
 
 
 def _as_bytes(buffer: Buffer, datatype: Optional[Datatype], count: Optional[int]) -> bytes:
@@ -133,7 +143,7 @@ class MPIFile:
         self.fs = fs
         self.amode = amode
         self.info = info.copy() if info is not None else Info()
-        self.info.validate()
+        _check_hints(self.info)
         # The file-system client id must be unique per *process*, not per
         # communicator rank: two groups split from the world communicator
         # both have a rank 0, and byte-range locks are owner-aware (a
@@ -239,7 +249,7 @@ class MPIFile:
         if datarep != "native":
             raise NotImplementedError("only the 'native' data representation is supported")
         if info is not None:
-            info.validate()
+            _check_hints(info)
             for key in info.keys():
                 self.info.set(key, info.get(key))
             self._auto_strategy = None  # hints changed: re-derive the strategy
@@ -278,8 +288,7 @@ class MPIFile:
     def _apply_cache_hints(self) -> None:
         """Apply the read-ahead hints to both of this rank's cache policies."""
         updates = {}
-        # Tri-state toggle: absent or unparseable leaves the configured
-        # policy alone (garbage is never treated as truthy).
+        # Tri-state toggle: absent leaves the configured policy alone.
         toggle = self.info.get_bool("read_ahead", None)
         if toggle is False:
             updates["read_ahead_pages"] = 0
@@ -513,15 +522,6 @@ class MPIFile:
                 "matching _end first (MPI allows one split collective per file)"
             )
 
-    def _split_strategy(self) -> PipelineStrategy:
-        strategy = self._collective_strategy()
-        if not isinstance(strategy, PipelineStrategy):
-            raise NotImplementedError(
-                f"strategy {strategy!r} does not expose the staged pipeline "
-                "required by split collectives"
-            )
-        return strategy
-
     def Write_all_begin(  # noqa: N802 - MPI spelling
         self,
         buffer: Buffer,
@@ -540,7 +540,7 @@ class MPIFile:
         self._check_writable()
         data = _as_bytes(buffer, datatype, count)
         region = self._region_for(len(data), self._position)
-        strategy = self._split_strategy()
+        strategy = self._collective_strategy()
         self._handle.sync()  # flush before the exchange rendezvous
         prepared = strategy.prepare(self.comm, region, self.comm.clock.now, data)
         request = self._issue(
@@ -577,7 +577,7 @@ class MPIFile:
         self._check_readable()
         nbytes = self._data_stream_size(buffer, datatype, count)
         region = self._region_for(nbytes, self._position)
-        strategy = self._split_strategy()
+        strategy = self._collective_strategy()
         self._handle.sync()  # flush before the exchange rendezvous
         prepared = strategy.prepare(self.comm, region, self.comm.clock.now)
 

@@ -42,18 +42,20 @@ client cache; unknown hints are ignored, as MPI requires.
     explicit page count; applied to the rank's cache policies at
     open/``Set_view``.
 
-The integer hints (:data:`INTEGER_HINTS`) are parsed at ``Open`` and at every
-``Set_view`` that passes hints: a value that is not an integer raises
-:class:`InvalidHint`, naming the key and the value, instead of silently
-meaning the default (``cb_nodes=four`` is an error, not "every rank
-aggregates").
+The integer hints (:data:`INTEGER_HINTS`) and the boolean hints
+(:data:`BOOLEAN_HINTS`) are parsed at ``Open`` and at every ``Set_view`` that
+passes hints, where ``atomicity_strategy`` must also name a registered
+strategy: a value that does not parse raises :class:`InvalidHint`, naming
+the key and the value, instead of silently meaning the default
+(``cb_nodes=four`` is an error, not "every rank aggregates";
+``read_ahead=maybe`` is an error, not "leave read-ahead alone").
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, Optional
 
-__all__ = ["INTEGER_HINTS", "Info", "InvalidHint"]
+__all__ = ["BOOLEAN_HINTS", "INTEGER_HINTS", "Info", "InvalidHint"]
 
 #: The hints this library reads as integers.
 INTEGER_HINTS = (
@@ -65,12 +67,19 @@ INTEGER_HINTS = (
     "read_ahead_pages",
 )
 
+#: The hints this library reads as booleans.
+BOOLEAN_HINTS = (
+    "read_ahead",
+    "plan_cache",
+)
+
 
 class InvalidHint(ValueError):
-    """An integer hint holds a value that is not an integer."""
+    """A hint holds a value its reader cannot parse; ``expected`` says what
+    the reader accepts."""
 
-    def __init__(self, key: str, value: str) -> None:
-        super().__init__(f"hint {key!r} must be an integer, got {value!r}")
+    def __init__(self, key: str, value: str, expected: str) -> None:
+        super().__init__(f"hint {key!r} must be {expected}, got {value!r}")
         self.key = key
         self.value = value
 
@@ -119,25 +128,27 @@ class Info:
         try:
             return int(raw)
         except ValueError:
-            raise InvalidHint(str(key), raw) from None
+            raise InvalidHint(str(key), raw, "an integer") from None
 
     def validate(self) -> None:
-        """Parse every :data:`INTEGER_HINTS` key present, so a bad value fails
-        where it is given rather than at the first call that reads it."""
+        """Parse every :data:`INTEGER_HINTS` and :data:`BOOLEAN_HINTS` key
+        present, so a bad value fails where it is given rather than at the
+        first call that reads it."""
         for key in INTEGER_HINTS:
             self.get_int(key)
+        for key in BOOLEAN_HINTS:
+            self.get_bool(key)
 
     #: Spellings accepted by :meth:`get_bool` (ROMIO accepts the same set).
     _TRUE_WORDS = frozenset({"true", "1", "yes", "on", "enable", "enabled"})
     _FALSE_WORDS = frozenset({"false", "0", "no", "off", "disable", "disabled"})
 
     def get_bool(self, key: str, default: Optional[bool] = False) -> Optional[bool]:
-        """Fetch a boolean hint (``default`` on absence *or* garbage).
+        """Fetch a boolean hint (``default`` when absent); a value outside the
+        recognised true/false spellings raises :class:`InvalidHint`.
 
-        Unlike ad-hoc string compares at call sites, an unparseable value is
-        never treated as truthy: anything outside the recognised true/false
-        spellings falls back to ``default``.  Pass ``default=None`` to
-        distinguish "absent or garbage" from an explicit setting.
+        Pass ``default=None`` to distinguish "absent" from an explicit
+        setting.
         """
         raw = self.get(key)
         if raw is None:
@@ -147,7 +158,7 @@ class Info:
             return True
         if word in self._FALSE_WORDS:
             return False
-        return default
+        raise InvalidHint(str(key), raw, "true or false")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Info({self._data!r})"

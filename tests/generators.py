@@ -182,3 +182,79 @@ def piece_lists(draw, max_pieces: int = 10):
         data = draw(st.binary(min_size=hi - lo, max_size=hi - lo))
         pieces.append((draw(origins), draw(bases) + lo, draw(holders)(data)))
     return pieces
+
+
+@st.composite
+def lock_programs(draw, max_tasks: int = 4):
+    """A program for one lock manager: ``{"protocol", "latencies", "tasks",
+    "off_engine"}``.
+
+    ``protocol`` is ``"central"`` or ``"tokens"``, ``latencies`` its drawn
+    constructor arguments.  ``tasks`` holds 1–``max_tasks`` engine tasks as
+    ``(owner, start_clock, ops, release_at_end)``; a task's owner is its
+    index or, now and then, owner 0 again (a process's own locks never
+    conflict).  An op
+    first advances the task's clock by its ``dt``: ``("acquire", dt,
+    (start, stop), mode)``, ``("release", dt, pick)`` (one of the task's
+    granted locks, perhaps one released already), ``("release_all", dt)``
+    or ``("relinquish", dt)``.  ``off_engine`` ops run afterwards outside
+    any engine, where a conflict cannot wait: ``("acquire", owner, now,
+    (start, stop), mode)``, ``("release", now, pick)``, ``("release_all",
+    owner, now)``, ``("relinquish", owner)`` and ``("reset",)``.
+
+    Ranges are irregular, all identical, or drawn from a nested family, over
+    a 16-byte file; they may be empty and, now and then, invalid (negative
+    start, stop before start), as may the mode.  Tasks that keep their locks
+    to the end leave the others parked: the engine's deadlock cancellation
+    is part of the program."""
+    protocol = draw(st.sampled_from(["central", "tokens"]))
+    latency = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 2.0))
+    names = (
+        ["request_latency"] if protocol == "central"
+        else ["acquire_latency", "revoke_latency", "local_latency"]
+    )
+    latencies = {name: draw(latency) for name in names}
+    shape = draw(st.sampled_from(["irregular", "irregular", "nested", "same", "same"]))
+    if shape == "same":
+        start = draw(st.integers(0, 12))
+        ranges = st.just((start, start + draw(st.integers(0, 4))))
+    elif shape == "nested":
+        ranges = st.sampled_from([(0, 16), (2, 14), (4, 12), (6, 10), (8, 8)])
+    else:
+        ranges = st.tuples(st.integers(0, 10), st.integers(0, 6)).map(
+            lambda r: (r[0], r[0] + r[1])
+        )
+    invalid = st.sampled_from([(-1, 4), (5, 3)])
+    ranges = st.sampled_from([ranges] * 5 + [invalid]).flatmap(lambda pick: pick)
+    modes = st.sampled_from(["shared"] * 4 + ["exclusive"] * 5 + ["upgrade"])
+    dt = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5])
+    kinds = st.sampled_from(["acquire"] * 4 + ["release"] * 2 + ["release_all", "relinquish"])
+
+    def op(kind):
+        if kind == "acquire":
+            return st.tuples(st.just(kind), dt, ranges, modes)
+        if kind == "release":
+            return st.tuples(st.just(kind), dt, st.integers(0, 7))
+        return st.tuples(st.just(kind), dt)
+
+    tasks = [
+        (draw(st.sampled_from([index, index, index, 0])), draw(st.sampled_from([0.0, 0.0, 1.0, 3.0])),
+         draw(st.lists(kinds.flatmap(op), min_size=1, max_size=6)), draw(st.booleans()))
+        for index in range(draw(st.sampled_from([1] + [2, 3, 4, 4][: max_tasks - 1])))
+    ]
+    owners = st.integers(0, 3)
+    now = st.sampled_from([0.0, 1.0, 5.0, 20.0])
+    off_op = st.one_of(
+        st.tuples(st.just("acquire"), owners, now, ranges, modes),
+        st.tuples(st.just("acquire"), owners, now, ranges, modes),
+        st.tuples(st.just("release"), now, st.integers(0, 15)),
+        st.tuples(st.just("release_all"), owners, now),
+        st.tuples(st.just("relinquish"), owners),
+        st.tuples(st.just("reset")),
+    )
+    return {
+        "protocol": protocol,
+        "latencies": latencies,
+        "tasks": tasks,
+        "off_engine": draw(st.lists(off_op, max_size=6)),
+    }

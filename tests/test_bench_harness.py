@@ -15,7 +15,7 @@ from repro.bench.harness import (
     run_read_sweep,
     strategies_for_machine,
 )
-from repro.bench.machines import CPLANT, ORIGIN2000
+from repro.bench.machines import CPLANT, IBM_SP, ORIGIN2000
 from repro.bench.smoke import main as smoke_main, run_smoke
 from repro.core.registry import default_registry
 from repro.patterns.partition import (
@@ -91,6 +91,12 @@ class TestEitherDirection:
         lockless = run_experiment(mode, ORIGIN2000, 16, 256, 4, "two-phase", overlap_columns=2)
         assert lockless.lock_waits == 0
         assert run_experiment(mode, CPLANT, 16, 256, 4, "two-phase").lock_waits == 0
+
+    def test_gpfs_lock_waits_are_counted(self, mode):
+        """The token protocol counts waits like the central one: GPFS
+        ``locking`` writes over overlapping views park, its reads do not."""
+        locking = run_experiment(mode, IBM_SP, 16, 256, 4, "locking", overlap_columns=2)
+        assert (locking.lock_waits > 0) == (mode == "write")
 
     def test_auto_records_its_delegate_and_hints(self, mode):
         record = run_experiment(mode, ORIGIN2000, 16, 256, 4, "auto", overlap_columns=2)

@@ -29,7 +29,7 @@ from repro.core.strategies import TwoPhaseStrategy
 from repro.datatypes import CHAR, subarray
 from repro.fs import ParallelFileSystem
 from repro.fs.filesystem import LockProtocol
-from repro.io import Info, MPIFile
+from repro.io import Info, InvalidHint, MPIFile
 from repro.mpi import run_spmd
 from repro.patterns.partition import (
     block_block_spec,
@@ -218,9 +218,11 @@ class TestInfoGetBool:
         for word in ("false", "0", "No", "off", "disabled"):
             assert Info({"k": word}).get_bool("k", True) is False
 
-    def test_garbage_falls_back_to_default(self):
-        assert Info({"k": "banana"}).get_bool("k") is False
-        assert Info({"k": "banana"}).get_bool("k", True) is True
+    def test_garbage_raises_naming_key_and_value(self):
+        for default in (False, True, None):
+            with pytest.raises(InvalidHint, match="'k'.*'banana'") as excinfo:
+                Info({"k": "banana"}).get_bool("k", default)
+            assert (excinfo.value.key, excinfo.value.value) == ("k", "banana")
 
     def test_absent_falls_back_to_default(self):
         assert Info().get_bool("k") is False
@@ -228,8 +230,8 @@ class TestInfoGetBool:
 
     def test_none_default_is_tri_state(self):
         assert Info().get_bool("k", None) is None
-        assert Info({"k": "banana"}).get_bool("k", None) is None
         assert Info({"k": "on"}).get_bool("k", None) is True
+        assert Info({"k": "off"}).get_bool("k", None) is False
 
 
 # -- layer 3: the adaptive strategy end to end --------------------------------

@@ -31,11 +31,11 @@ from repro.core.rank_ordering import LOWER_RANK_WINS, resolve_by_rank
 from repro.core.regions import FileRegionSet, build_region_sets
 from repro.core.registry import StrategyRegistry, default_registry
 from repro.core.strategies import (
+    AtomicityStrategy,
     GraphColoringStrategy,
     IOOutcome,
     LockingStrategy,
     NoAtomicityStrategy,
-    PipelineStrategy,
     RankOrderingStrategy,
     TwoPhaseStrategy,
 )
@@ -480,7 +480,7 @@ class TestStrategyRegistry:
     def test_register_and_create_custom_strategy(self):
         registry = StrategyRegistry()
 
-        class EchoStrategy(PipelineStrategy):
+        class EchoStrategy(AtomicityStrategy):
             name = "echo"
 
             def schedule(self, comm, region, data, report):
@@ -493,13 +493,13 @@ class TestStrategyRegistry:
     def test_duplicate_name_rejected(self):
         registry = StrategyRegistry()
 
-        class A(PipelineStrategy):
+        class A(AtomicityStrategy):
             name = "dup"
 
             def schedule(self, comm, region, data, report):  # pragma: no cover
                 raise NotImplementedError
 
-        class B(PipelineStrategy):
+        class B(AtomicityStrategy):
             name = "dup"
 
             def schedule(self, comm, region, data, report):  # pragma: no cover

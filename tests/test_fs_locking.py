@@ -9,6 +9,10 @@ from repro.core.intervals import IntervalSet
 from repro.fs.errors import InvalidRequest, LockViolation
 from repro.fs.lockmanager import CentralLockManager, LockMode
 from repro.fs.tokens import DistributedLockManager
+from repro.mpi import DeadlockError, SPMDExecutionError, run_spmd
+
+#: Both protocols: one lock-service body, two ways to price a grant.
+MANAGERS = [CentralLockManager, DistributedLockManager]
 
 
 class TestCentralLockManagerBasics:
@@ -166,6 +170,54 @@ class TestEngineTaskBlocking:
         assert order == [("granted", o) for o in range(4)]
         assert lm.held_locks() == []
         assert lm.wait_count == 3
+
+    @pytest.mark.parametrize("manager", MANAGERS)
+    def test_wait_count_is_the_number_of_parked_acquisitions(self, manager):
+        """A convoy of four exclusive requests on one range parks three of
+        them; a request on a disjoint range and a shared pair on a third one
+        park none.  Every protocol counts its waits."""
+        lm = manager()
+
+        def locker(owner, start, stop, mode=LockMode.EXCLUSIVE):
+            lock, grant = lm.acquire(owner=owner, start=start, stop=stop, mode=mode)
+            current_task().clock.advance(1.0)
+            sequence_point()  # the peers reach the manager while it is held
+            lm.release(lock, now=grant + 1.0)
+
+        engine = Engine()
+        for owner in range(4):
+            engine.spawn(lambda owner=owner: locker(owner, 0, 100))
+        engine.spawn(lambda: locker(4, 200, 300))
+        for owner in (5, 6):
+            engine.spawn(lambda owner=owner: locker(owner, 400, 500, LockMode.SHARED))
+        engine.run()
+        assert lm.held_locks() == []
+        assert lm.wait_count == 3
+        lm.reset_history()
+        assert lm.wait_count == 0
+
+    @pytest.mark.parametrize("manager", MANAGERS)
+    def test_a_dead_holder_is_named_in_the_survivors_deadlock(self, manager):
+        """A rank that dies holding ``[0,100)`` leaves its peer parked; the
+        peer's ``DeadlockError`` names the holder's owner, mode and range,
+        not only the request."""
+        lm = manager()
+
+        def fn(comm):
+            if comm.rank == 0:
+                lm.acquire(owner=0, start=0, stop=100)
+                raise RuntimeError("rank 0 dies holding [0,100)")
+            lm.acquire(owner=1, start=0, stop=100)
+
+        with pytest.raises(SPMDExecutionError) as excinfo:
+            run_spmd(fn, 2)
+        failures = excinfo.value.failures
+        assert isinstance(failures[0], RuntimeError)
+        assert isinstance(failures[1], DeadlockError)
+        assert (
+            f"{manager.kind}[0,100) owner=1 behind the exclusive lock [0,100) "
+            "held by owner 0" in str(failures[1])
+        )
 
     def test_shared_engine_waiters_wake_together(self):
         lm = CentralLockManager()

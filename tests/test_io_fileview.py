@@ -12,7 +12,7 @@ import repro
 from repro.datatypes import CHAR, INT, contiguous, subarray, vector
 from repro.datatypes.datatype import DatatypeError
 from repro.io import Info, InvalidHint, MODE_CREATE, MODE_RDONLY, MODE_RDWR, describe_mode
-from repro.io.info import INTEGER_HINTS
+from repro.io.info import BOOLEAN_HINTS, INTEGER_HINTS
 from repro.io.fileview import FileView
 
 
@@ -110,6 +110,20 @@ class TestInfo:
         for path in Path(repro.__file__).parent.rglob("*.py"):
             read.update(re.findall(r'get_int\(\s*"(\w+)"', path.read_text()))
         assert read == set(INTEGER_HINTS)
+
+    def test_boolean_hints_are_the_keys_read_with_get_bool(self):
+        """``validate`` checks exactly the keys some reader parses as booleans:
+        a new ``get_bool`` key missing from :data:`BOOLEAN_HINTS` fails here."""
+        read = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            read.update(re.findall(r'get_bool\(\s*"(\w+)"', path.read_text()))
+        assert read == set(BOOLEAN_HINTS)
+
+    def test_validate_parses_every_boolean_hint(self):
+        Info({"read_ahead": "on", "plan_cache": "false"}).validate()
+        for key in BOOLEAN_HINTS:
+            with pytest.raises(InvalidHint, match=key):
+                Info({key: "maybe"}).validate()
 
     def test_delete_and_contains(self):
         info = Info({"a": "1"})

@@ -134,6 +134,38 @@ class TestBasicReadWrite:
             assert (error.key, error.value) == ("cb_nodes", "four")
             assert "'cb_nodes'" in str(error) and "'four'" in str(error)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("read_ahead", "maybe"), ("plan_cache", "sometimes"), ("atomicity_strategy", "bogus")],
+    )
+    def test_open_rejects_a_garbage_boolean_or_strategy_hint(self, fast_fs, key, value):
+        """``read_ahead=maybe`` and ``atomicity_strategy=bogus`` fail at
+        ``Open``, naming the key and the value — not at the first collective
+        (a ``KeyError``) nor as a silent default."""
+        from repro.mpi import SPMDExecutionError
+
+        def fn(comm):
+            MPIFile.Open(comm, "hint4.dat", fast_fs, info=Info({key: value}))
+
+        with pytest.raises(SPMDExecutionError) as excinfo:
+            run_spmd(fn, 2)
+        failures = excinfo.value.failures
+        assert sorted(failures) == [0, 1]
+        for error in failures.values():
+            assert isinstance(error, InvalidHint)
+            assert (error.key, error.value) == (key, value)
+            assert f"'{key}'" in str(error) and f"'{value}'" in str(error)
+
+    def test_set_view_rejects_a_bad_strategy_name(self, fast_fs):
+        def fn(comm):
+            f = MPIFile.Open(comm, "hint5.dat", fast_fs)
+            with pytest.raises(InvalidHint, match="two-phase"):  # lists the known names
+                f.Set_view(0, CHAR, CHAR, info=Info({"atomicity_strategy": "bogus"}))
+            assert f.info.get("atomicity_strategy") is None
+            f.Close()
+
+        run_spmd(fn, 1)
+
     def test_set_view_rejects_a_garbage_integer_hint(self, fast_fs):
         def fn(comm):
             f = MPIFile.Open(comm, "hint2.dat", fast_fs)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.regions import FileRegionSet
 from repro.core.registry import default_registry
-from repro.core.strategies import IOOutcome, TwoPhaseStrategy
+from repro.core.strategies import IOOutcome, NoAtomicityStrategy, TwoPhaseStrategy
 from repro.datatypes import CHAR, contiguous
 from repro.fs import ParallelFileSystem
 from repro.io import Info, IORequest, MPIFile, Testall, Waitall, Waitany
@@ -363,22 +363,20 @@ class TestRetirementCoherence:
         assert result.returns[1] == b"E" * 64
 
     def test_failed_begin_does_not_move_file_pointer(self, fast_fs, monkeypatch):
-        from repro.core.strategies import AtomicityStrategy
+        class FailingPrepare(NoAtomicityStrategy):
+            name = "failing-prepare"
 
-        class OpaqueStrategy(AtomicityStrategy):
-            name = "opaque"
+            def prepare(self, comm, region, start_time, data=None):
+                raise RuntimeError("negotiation failed")
 
-            def execute_write(self, comm, handle, region, data):
-                raise AssertionError("never reached")
-
-        info = _register_for_test(monkeypatch, OpaqueStrategy)
+        info = _register_for_test(monkeypatch, FailingPrepare)
 
         def fn(comm):
             f = MPIFile.Open(comm, "ptr.dat", fast_fs, info=info)
             f.Set_atomicity(True)
             f.Set_view(0, CHAR, contiguous(8, CHAR))
-            with pytest.raises(NotImplementedError):
-                f.Write_all_begin(b"x" * 8)  # not a staged-pipeline strategy
+            with pytest.raises(RuntimeError, match="negotiation failed"):
+                f.Write_all_begin(b"x" * 8)  # begin fails in its prepare
             position = f.Tell()
             f.Close()
             return position

@@ -44,7 +44,6 @@ REPRO_ALL = [
     "ParallelFileSystem",
     "PipelineResult",
     "PipelineSpec",
-    "PipelineStrategy",
     "RankOrderingStrategy",
     "ReadObservation",
     "StageSpec",
@@ -101,7 +100,6 @@ REPRO_CORE_ALL = [
     "NoAtomicityStrategy",
     "OverlapMatrix",
     "PhasePlan",
-    "PipelineStrategy",
     "PlanRunner",
     "RankOrderingResult",
     "RankOrderingStrategy",
