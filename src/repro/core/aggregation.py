@@ -37,6 +37,7 @@ consumer's contiguous data stream.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -59,12 +60,14 @@ __all__ = [
     "assemble_stream",
 ]
 
-#: One contiguous merged extent an aggregator writes: the winning data and
-#: the rank it originated from (recorded as the write's provenance).
+#: One contiguous merged extent an aggregator writes: the rank its data
+#: originated from (recorded as the write's provenance) and the winning data —
+#: in the ``(origin, offset, data)`` order of the pieces the merge takes, so a
+#: merged run is routed or merged again as it is.
 class AggregatedRun(NamedTuple):
+    origin: int
     offset: int
     data: bytes
-    origin: int
 
     @property
     def length(self) -> int:
@@ -177,7 +180,7 @@ def merge_origin_runs(
     The general form of :func:`merge_pieces`: each run carries its own origin
     rank instead of inheriting it from the sender, so *pre-merged* runs (a
     node-local aggregator's output, whose bytes originate from several ranks)
-    can be merged again at a higher tier.
+    can be merged again at a higher tier, as they are.
 
     Who wins a byte depends only on *which pieces cover it*, so the merge is
     a sweep over piece boundaries and never looks at a byte that loses.
@@ -192,21 +195,27 @@ def merge_origin_runs(
     makes two-level aggregation byte-identical to single-level (a rank's
     pieces all pass through one node leader).
     """
-    pieces = sorted(
-        [
-            (lo := int(off), lo + len(data), position, int(origin), bytes(data))
-            for position, (origin, off, data) in enumerate(runs)
-            if len(data) > 0
-        ]
-    )
+    # Each piece is its own heap entry, ordered by the total order above
+    # (``-position`` is unique, so no comparison reaches past it) and
+    # carrying its ``hi`` / ``lo`` / ``data`` behind; exact ``int`` / ``bytes``
+    # pieces (every piece the shuffle makes) are taken as they are.
+    pieces = [
+        (-policy(origin), origin, -off, -position, off + len(data), off, data)
+        if type(off) is int and type(origin) is int and type(data) is bytes
+        else (-policy(int(origin)), int(origin), -int(off), -position,
+              int(off) + len(data), int(off), bytes(data))
+        for position, (origin, off, data) in enumerate(runs)
+        if len(data) > 0
+    ]
     if not pieces:
         return []
-    if pieces[0][0] < 0:
-        raise ValueError(f"negative offsets not allowed: a piece at {pieces[0][0]}")
+    pieces.sort(key=itemgetter(5))  # by offset, the order the sweep admits them
+    if pieces[0][5] < 0:
+        raise ValueError(f"negative offsets not allowed: a piece at {pieces[0][5]}")
     # Min-heap of the pieces admitted so far, the greatest in the total order
     # at its head; a piece that has ended is dropped when it surfaces there.
     covering: list = []
-    count, nxt, pos = len(pieces), 0, pieces[0][0]
+    count, nxt, pos = len(pieces), 0, pieces[0][5]
     # Touching cuts of one origin are one run, its data joined once (a run of
     # one whole piece keeps the piece's own bytes object: ``join`` of a single
     # exact ``bytes`` returns it).
@@ -214,27 +223,25 @@ def merge_origin_runs(
     parts: List[bytes] = []
     start = stop = who = None
     while True:
-        while nxt < count and pieces[nxt][0] <= pos:
-            piece = pieces[nxt]
-            origin = piece[3]
-            heappush(covering, (-policy(origin), origin, -piece[0], -piece[2], piece))
+        while nxt < count and pieces[nxt][5] <= pos:
+            heappush(covering, pieces[nxt])
             nxt += 1
-        while covering and covering[0][4][1] <= pos:
+        while covering and covering[0][4] <= pos:
             heappop(covering)
         if not covering:
             if nxt == count:
                 break
-            pos = pieces[nxt][0]
+            pos = pieces[nxt][5]
             continue
-        lo, hi, _, origin, data = covering[0][4]
-        end = hi if nxt == count or pieces[nxt][0] >= hi else pieces[nxt][0]
+        _, origin, _, _, hi, lo, data = covering[0]
+        end = hi if nxt == count or pieces[nxt][5] >= hi else pieces[nxt][5]
         if pos != stop or origin != who:
             if parts:
-                merged.append(AggregatedRun(start, b"".join(parts), who))
+                merged.append(AggregatedRun(who, start, b"".join(parts)))
             start, who, parts = pos, origin, []
         parts.append(data if pos == lo and end == hi else data[pos - lo : end - lo])
         pos = stop = end
-    merged.append(AggregatedRun(start, b"".join(parts), who))
+    merged.append(AggregatedRun(who, start, b"".join(parts)))
     return merged
 
 

@@ -43,6 +43,7 @@ so the Section 3.4 sweep extends to 64k ranks in seconds.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from contextlib import contextmanager
 from typing import Dict, Generator, Iterator, List, Optional, Sequence
 
@@ -75,9 +76,11 @@ def _rendezvous(clocks: List[VirtualClock], costs: Sequence[float]) -> None:
     each rank its own payload cost (``Communicator._collective``'s clock
     arithmetic, without the rendezvous machinery)."""
     latest = max(clock.now for clock in clocks)
+    # ``advance_to(latest, waiting=True)`` then ``advance(cost)``, inline.
     for clock, cost in zip(clocks, costs):
-        clock.advance_to(latest, waiting=True)
-        clock.advance(cost)
+        if latest > clock.now:
+            clock.waited += latest - clock.now
+        clock.now = latest + cost
 
 
 def _sweep(
@@ -192,14 +195,15 @@ class _BulkExecutor(_Executor):
         """
         nprocs = len(schedules)
         # ``send(None)`` starts a coroutine; later rounds deliver what arrived,
-        # held sparsely (most ranks of a hierarchical hop receive nothing).
+        # held sparsely (most ranks of a hierarchical hop receive nothing) and
+        # let go of as it is delivered.
         inboxes: dict = dict.fromkeys(range(nprocs))
         latency, byte_cost = self.comm_cost.latency, self.comm_cost.byte_cost
         while True:
-            arriving, costs, returned = {}, [], {}
+            arriving, costs, returned = defaultdict(list), [], {}
             for rank, schedule in enumerate(schedules):
                 try:
-                    outgoing = schedule.send(inboxes.get(rank, ()))
+                    outgoing = schedule.send(inboxes.pop(rank, ()))
                 except StopIteration as done:
                     returned[rank] = done.value
                     continue
@@ -210,7 +214,7 @@ class _BulkExecutor(_Executor):
                             f"rank {rank} names destination {dest} outside the "
                             f"{nprocs} replayed ranks"
                         )
-                    arriving.setdefault(dest, []).append((rank, payload))
+                    arriving[dest].append((rank, payload))
                     if dest != rank:
                         network_bytes += payload_nbytes(payload)
                 # ``comm_cost.cost`` of a payload of ``network_bytes`` bytes.
@@ -263,12 +267,14 @@ class BulkWriteExecutor(_BulkExecutor):
     ) -> ConcurrentWriteResult:
         """Execute the concurrent write on ``nprocs`` replayed ranks."""
         regions = self._views(nprocs, view_factory)
+        datas = [data_factory(region.rank, region.total_bytes) for region in regions]
+        for region, data in zip(regions, datas):
+            self.strategy._check_request(region, data)
         fobj = self.fs.create(self.filename)
         clocks = [VirtualClock() for _ in regions]
         delegate, negotiation, adopt = self._exchange(regions, clocks, "write")
 
         # Stages 2+3 — every rank's shuffle coroutine, to its write plan.
-        datas = [data_factory(region.rank, region.total_bytes) for region in regions]
         prepared = self._lockstep(
             [delegate.shuffle(r, data, negotiation) for r, data in zip(regions, datas)],
             clocks,

@@ -106,6 +106,7 @@ from typing import (
 
 from ..fs.lockmanager import LockMode
 from .aggregation import (
+    AggregatedRun,
     QueryBatch,
     assemble_stream,
     choose_node_aggregators,
@@ -889,23 +890,27 @@ class TwoPhaseStrategy(AtomicityStrategy):
             roles["node_leaders"] = float(-(-neg.size // self.ranks_per_node))
         return roles
 
-    def _merge(self, received) -> list:
+    def _merge(self, received) -> Sequence[AggregatedRun]:
         """The ``[(src, runs)]`` a hop delivered, merged: highest priority wins."""
         if not received:
-            return []
+            return ()
         return merge_origin_runs([run for _, sent in received for run in sent], self.policy)
 
     def shuffle(self, region: FileRegionSet, data: bytes, neg: Negotiation):
         """This rank's write schedule, as a coroutine (see :func:`_pump`);
         returns ``(plan, payloads)``."""
         # All P coroutines are alive between rounds, so the hops reuse
-        # ``outgoing`` / ``received`` rather than keep each hop's dicts.
+        # ``outgoing`` / ``runs`` rather than keep each hop's, and the body
+        # makes no closure (a comprehension's cells would live as long as the
+        # coroutine).  Every piece, from the rank's own to the merged runs,
+        # is one ``(origin, offset, data)`` shape.
         rank, ppn = region.rank, self.ranks_per_node
         leader, hops = rank - rank % ppn, self._hops
-        runs = [
-            (rank, file_off, data[buf_off : buf_off + length])
-            for buf_off, file_off, length in region.buffer_map()
-        ]
+        runs = []
+        at = 0
+        for file_off, length in region.segments:
+            runs.append((rank, file_off, data[at : at + length]))
+            at += length
 
         # Node hop — combine: ship this rank's raw view pieces to its node
         # leader, which sees every piece of its node and pre-merges them,
@@ -913,43 +918,38 @@ class TwoPhaseStrategy(AtomicityStrategy):
         shuffled = 0
         if hops == 2:
             outgoing = {leader: runs} if runs else {}
-            shuffled = _bytes_to_others(rank, outgoing)
-            received = yield outgoing
-            runs = [(run.origin, run.offset, run.data) for run in self._merge(received)]
+            if leader != rank:
+                shuffled = at
+            runs = self._merge((yield outgoing))
 
         # Global hop — shuffle: route each run through the file-ordered piece
         # table to the aggregator owning each byte, by bisection, so the cost
         # scales with the rank's own run count, not the aggregator count.
-        outgoing: Dict[int, List[Tuple[int, int, bytes]]] = {}
+        # Bytes bound for other ranks are counted as they are cut.
+        outgoing = {}
         for origin, offset, piece in runs:
             for lo, hi, idx in clip_sorted_runs(
                 neg.piece_starts, neg.piece_stops, offset, offset + len(piece)
             ):
-                outgoing.setdefault(neg.pieces[idx][2], []).append(
-                    (origin, lo, piece[lo - offset : hi - offset])
-                )
-        shuffled += _bytes_to_others(rank, outgoing)
-        received = yield outgoing
+                dest = neg.pieces[idx][2]
+                sent = outgoing.get(dest)
+                if sent is None:
+                    outgoing[dest] = sent = []
+                sent.append((origin, lo, piece[lo - offset : hi - offset]))
+                if dest != rank:
+                    shuffled += hi - lo
 
         # Only aggregators receive; the fixed total order of the merge makes
         # this merge of node merges the flat merge.
-        merged = self._merge(received)
+        merged = self._merge((yield outgoing))
 
         # Write phase: the merged runs become parallel disjoint direct writes
         # — no locks, no barriers — each recording its origin as provenance.
         steps: List[TransferStep] = []
         at = 0
-        for run in merged:
-            steps.append(
-                TransferStep(
-                    buffer_offset=at,
-                    file_offset=run.offset,
-                    length=run.length,
-                    buffer=AGGREGATE_PAYLOAD,
-                    writer=run.origin,
-                )
-            )
-            at += run.length
+        for origin, offset, piece in merged:
+            steps.append(TransferStep(at, offset, len(piece), AGGREGATE_PAYLOAD, origin))
+            at += len(piece)
         plan = self._plan(
             "write",
             region,
@@ -960,7 +960,7 @@ class TwoPhaseStrategy(AtomicityStrategy):
             bytes_shuffled=shuffled,
             extra=self._roles(neg),
         )
-        aggregate = b"".join(run.data for run in merged)
+        aggregate = b"".join([run.data for run in merged])
         return plan, {USER_PAYLOAD: data, AGGREGATE_PAYLOAD: aggregate}
 
     def fetch_plan(self, region: FileRegionSet, neg: Negotiation) -> IOPlan:
@@ -1006,7 +1006,9 @@ class TwoPhaseStrategy(AtomicityStrategy):
         held = neg.held.get(rank)
         if held:
             cut = scatter_pieces(held, sinks[AGGREGATE_PAYLOAD], neg.node_scatter_batch)
-            outgoing = {node * ppn: bufs for node, bufs in enumerate(cut) if bufs}
+            for node, bufs in enumerate(cut):
+                if bufs:
+                    outgoing[node * ppn] = bufs
         shuffled = _bytes_to_others(rank, outgoing)
         received = yield outgoing
 

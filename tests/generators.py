@@ -12,7 +12,10 @@ Test-only; never imported by ``src/``.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
+
+from repro.core.aggregation import AggregatedRun
 
 
 def masks(file_bytes: int):
@@ -163,13 +166,17 @@ def piece_lists(draw, max_pieces: int = 10):
     drawn from a small range, so they repeat and **two overlapping pieces of
     one origin** occur (the case only the order among an origin's own pieces
     decides), or from a wide one, so they mostly do not; independent random
-    bytes per piece, held as ``bytes``, ``bytearray`` or ``memoryview``."""
+    bytes per piece, held as ``bytes``, ``bytearray`` or ``memoryview``;
+    origins and offsets as ``int`` or numpy integers; each piece a plain tuple
+    or an ``AggregatedRun`` (a merge's output, merged again as it is)."""
     shape = draw(st.sampled_from(["irregular", "irregular", "nested", "same"]))
     origins = st.integers(0, draw(st.sampled_from([2, 5, 64])))
     bases = st.sampled_from(
         draw(st.lists(st.sampled_from([0, 40, 10**9, 10**12]), min_size=1, max_size=3))
     )
     holders = st.sampled_from([bytes, bytearray, memoryview])
+    integers = st.sampled_from([int, int, np.int64, np.uint64])
+    records = st.sampled_from([tuple, AggregatedRun._make])
     lo, hi = draw(st.integers(0, 8)), draw(st.integers(8, 24))
     pieces = []
     for _ in range(draw(st.integers(0, max_pieces))):
@@ -180,7 +187,12 @@ def piece_lists(draw, max_pieces: int = 10):
             lo = lo + draw(st.integers(0, 3))
             hi = max(lo, hi - draw(st.integers(0, 3)))
         data = draw(st.binary(min_size=hi - lo, max_size=hi - lo))
-        pieces.append((draw(origins), draw(bases) + lo, draw(holders)(data)))
+        piece = (
+            draw(integers)(draw(origins)),
+            draw(integers)(draw(bases) + lo),
+            draw(holders)(data),
+        )
+        pieces.append(draw(records)(piece))
     return pieces
 
 

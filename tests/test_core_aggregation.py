@@ -25,8 +25,10 @@ from repro.core.intervals import IntervalSet
 
 class TestAggregatedRun:
     def test_an_immutable_record_with_a_length(self):
-        run = AggregatedRun(10, b"abcd", 3)
+        run = AggregatedRun(3, 10, b"abcd")
         assert run == AggregatedRun(offset=10, data=b"abcd", origin=3)
+        # The shape of the pieces the merge takes: a run is merged again as is.
+        assert tuple(run) == (3, 10, b"abcd")
         assert (run.offset, run.data, run.origin, run.length) == (10, b"abcd", 3, 4)
         with pytest.raises(AttributeError):
             run.origin = 4
@@ -35,7 +37,7 @@ class TestAggregatedRun:
 
     def test_the_merge_returns_records(self):
         runs = merge_origin_runs([(1, 0, b"aaaa"), (2, 2, b"bb")])
-        assert runs == [AggregatedRun(0, b"aa", 1), AggregatedRun(2, b"bb", 2)]
+        assert runs == [AggregatedRun(1, 0, b"aa"), AggregatedRun(2, 2, b"bb")]
         assert all(type(run) is AggregatedRun for run in runs)
         assert [run.length for run in runs] == [2, 2]
 

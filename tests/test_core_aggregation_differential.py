@@ -7,11 +7,12 @@ piece into per-byte arrays in ascending priority order and lives on, verbatim,
 as ``tests/reference_merge.py``.  Hypothesis draws piece lists
 (``generators.piece_lists``: repeated origins, touching / nested / identical /
 zero-length extents, holes of gigabytes, ``bytes`` / ``bytearray`` /
-``memoryview`` data, overlapping pieces of *one* origin with different bytes —
-where only the paint order among an origin's own pieces decides) and the two
-must return identical ``AggregatedRun`` lists under the paper's policy, its
-reverse, and a constant policy (every priority ties; the lower rank wins) —
-every example under all three.
+``memoryview`` data, ``int`` or numpy-integer origins and offsets, plain
+tuples or ``AggregatedRun`` records, overlapping pieces of *one* origin with
+different bytes — where only the paint order among an origin's own pieces
+decides) and the two must return identical ``AggregatedRun`` lists under the
+paper's policy, its reverse, and a constant policy (every priority ties; the
+lower rank wins) — every example under all three.
 
 The second property is the one two-level aggregation rests on: merge each
 group of a partition, merge the groups' runs again, and the result is the flat
@@ -79,9 +80,8 @@ def test_merge_of_any_groupings_merges_equals_flat_merge(pieces, data):
             )
             for group in order
         ]
-        two_level = merge_origin_runs(
-            [(run.origin, run.offset, run.data) for runs in tier1 for run in runs], policy
-        )
+        # The runs are merged again as they are: a run is a piece.
+        two_level = merge_origin_runs([run for runs in tier1 for run in runs], policy)
         assert two_level == merge_origin_runs(pieces, policy)
 
 

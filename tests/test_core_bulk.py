@@ -117,6 +117,28 @@ class TestGuardrails:
         with pytest.raises(ValueError):
             executor.run(0, lambda rank, P: [(0, 4)])
 
+    @pytest.mark.parametrize("delta", [-3, 3], ids=["short", "long"])
+    @pytest.mark.parametrize("strategy", [TwoPhaseStrategy, AutoStrategy])
+    def test_a_stream_of_the_wrong_length_is_refused_by_both_executors(
+        self, strategy, delta
+    ):
+        # Regression: the bulk write used to take a short stream as it came
+        # (writing b"AAAABBBBB", bytes_moved [6, 3]) where the engine raised.
+        views = [[(0, 8)], [(4, 8)]]
+        data = lambda rank, nbytes: bytes([65 + rank]) * (nbytes + delta)  # noqa: E731
+        message = f"data stream has {8 + delta} bytes but the file view covers 8 bytes"
+        fs = ParallelFileSystem(fast_fs_config())
+        with pytest.raises(SPMDExecutionError) as engine_error:
+            AtomicWriteExecutor(fs, strategy()).run(2, lambda rank, P: views[rank], data)
+        assert all(
+            isinstance(error, ValueError) and str(error) == message
+            for error in engine_error.value.failures.values()
+        )
+        fs = ParallelFileSystem(fast_fs_config())
+        with pytest.raises(ValueError, match=message):
+            BulkWriteExecutor(fs, strategy()).run(2, lambda rank, P: views[rank], data)
+        assert not fs.exists("shared.dat")  # refused before anything is created
+
 
 class _EarlyExit(TwoPhaseStrategy):
     """Broken on purpose: rank 1 leaves the schedule before the exchange."""
