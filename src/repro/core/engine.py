@@ -16,42 +16,11 @@ concurrently with another task or with the scheduler.  Thousands of ranks
 are therefore cheap — parked threads cost only their (small) stacks, and
 wall-clock time is spent on the simulated work, not on lock contention.
 
-Switch protocol
----------------
-
-Every thread parks on a raw ``_thread`` lock of its own, held while its
-owner runs or is parked — a task on ``Task._resume``, an idle carrier on
-``_Carrier._work``, the thread inside :meth:`Engine.run` on
-``Engine._sched`` — and releasing it transfers control to the owner.  The
-task that stops running (in ``wait``, at a yielding ``sequence`` or
-``drive``, at the end of its body) *itself* pops the next ready task off the
-heap and releases that task's lock before parking on its own: one OS-thread
-switch per event (:attr:`Engine.switches`).  The thread in ``run`` is a
-watchdog; control returns to it (:attr:`Engine.scheduler_returns`) only when
-
-1. the ready heap is empty (completion, or deadlock-victim selection);
-2. a task ended ``FAILED``: ``on_task_failed`` aborts the communicator
-   group, which must be done before any peer executes another statement,
-   so the hook runs in scheduler context, between events;
-3. the stopping task is being cancelled (``_cancel`` awaits its victim);
-4. the engine is aborted (nothing may be resumed any more);
-5. its timed acquire of ``_sched`` hits the wall-clock deadline.
-
-Driven steps
-------------
-
-A sixth way control moves needs no thread at all.  A batch of events on
-shared virtual-time resources — a rank's segment writes — is an iterator
-suspended at a ``yield`` wherever the plain loop would pass a sequence point
-(:func:`drive`).  Its owner steps it while it is the earliest task; when it
-is not, it queues itself *with the iterator* and parks once, and from then
-on whichever task stops running advances the iterator **inline, on its own
-stack**, each time the owner is the heap minimum — ``current_task()`` names
-the owner meanwhile — and switches threads only for an entry that needs its
-own stack: an undriven task, or the owner of an iterator that just finished
-or raised.  Same min-key rule, same tie-break, one heap entry per task, so
-the event order is the yielding loop's; the batch costs one park instead of
-one per event.
+How control moves between tasks — the direct task-to-task hand-off (one
+OS-thread switch per event, the thread in :meth:`Engine.run` a watchdog)
+and driven steps (a batch of events advanced inline by whichever task stops
+running) — is described once, in ARCHITECTURE.md's *Switch protocol* and
+*Events, not threads: driven steps* sections.
 
 Primitives
 ----------
@@ -67,8 +36,8 @@ Primitives
     call this before every reservation so queueing happens in global
     virtual-time order.
 ``drive``
-    Run an iterator of events whose every ``yield`` is a sequence point
-    (above).  A step must not ``wait``, and passes no second sequence point
+    Run an iterator of events whose every ``yield`` is a sequence point,
+    advanced inline while its owner is parked.  A step must not ``wait``, and passes no second sequence point
     that would yield — both raise :class:`EngineError`.
 
 Shared services build their blocking behaviour from these primitives (the
@@ -595,8 +564,9 @@ class Engine:
 
     def _next(self, prev: Task):
         """Called by ``prev`` as it stops: the lock whose release transfers
-        control — the next ready task's, or the scheduler's (module docstring)
-        — or ``None`` when ``prev`` is itself next and need not park."""
+        control — the next ready task's, or the scheduler's (ARCHITECTURE.md,
+        *Switch protocol*) — or ``None`` when ``prev`` is itself next and need
+        not park."""
         if prev.state == Task.FAILED:
             self._failed = prev
         elif not prev._cancelling:

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import replace
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -301,8 +301,7 @@ class MPIFile:
         if not updates:
             return
         for handle in (self._handle, self._async_handle):
-            if handle is not None:
-                handle.cache.policy = replace(handle.cache.policy, **updates)
+            handle.cache.policy = replace(handle.cache.policy, **updates)
 
     # -- atomicity ---------------------------------------------------------------------
 
@@ -349,6 +348,27 @@ class MPIFile:
         )
         return FileRegionSet(self.comm.rank, segments)
 
+    def _stream(
+        self, direction: str, buffer: Buffer, count: Optional[int], datatype: Optional[Datatype]
+    ) -> Tuple[Optional[bytes], int]:
+        """The checked request of a data-access call: ``(data, nbytes)``, the
+        stream a write captures at issue (``None`` for a read) and its size.
+
+        A read whose ``buffer`` cannot be filled raises ``TypeError`` here,
+        before any flush, rendezvous or I/O.
+        """
+        if direction == "write":
+            self._check_writable()
+            data = _as_bytes(buffer, datatype, count)
+            return data, len(data)
+        self._check_readable()
+        if datatype is not None:
+            if isinstance(buffer, bytes):
+                raise TypeError("cannot read into an immutable bytes object")
+        elif not isinstance(buffer, (np.ndarray, bytearray)):
+            raise TypeError(f"cannot read into buffer of type {type(buffer).__name__}")
+        return None, self._data_stream_size(buffer, datatype, count)
+
     def _data_stream_size(self, buffer: Buffer, datatype: Optional[Datatype], count: Optional[int]) -> int:
         if datatype is not None:
             return datatype.size * (count if count is not None else 1)
@@ -364,7 +384,6 @@ class MPIFile:
         kind: str,
         body: Callable[[Communicator, ClientFileHandle], object],
         collective: bool = True,
-        flush_main: bool = True,
     ) -> IORequest:
         """Spawn ``body`` as a detached progress task; return its request.
 
@@ -387,10 +406,9 @@ class MPIFile:
         # Read-your-own-writes across handles: data this rank wrote through
         # the blocking independent path may still sit in the main handle's
         # write-behind cache, invisible to the progress handle's transfers.
-        # (Split-collective begins flushed already, before their exchange
-        # rendezvous — the earlier of the two points is the binding one.)
-        if flush_main:
-            self._handle.sync()
+        # (A split-collective begin flushed already, before its exchange
+        # rendezvous, which writes nothing: this flush finds no dirty page.)
+        self._handle.sync()
         issue_time = self.comm.clock.now
         request = IORequest(label=label, kind=kind, on_retire=self._retire_request)
         prev = self._chain_tail
@@ -459,7 +477,66 @@ class MPIFile:
     def _next_label(self, op: str) -> str:
         return f"{op}#{next(self._request_seq)}"
 
-    # -- nonblocking collective data access ---------------------------------------------
+    # -- collective data access -----------------------------------------------------------
+
+    def _collective(
+        self,
+        direction: str,
+        buffer: Buffer,
+        count: Optional[int],
+        datatype: Optional[Datatype],
+        split: bool,
+    ) -> IORequest:
+        """One collective call, in any of its four request forms.
+
+        Check, capture the data stream (or size the read), build the region
+        at the individual file pointer, pick the strategy, issue, advance the
+        pointer.  The forms differ in the direction and in where
+        ``strategy.prepare`` — view exchange, conflict analysis and, for a
+        two-phase write, the shuffle — runs: a nonblocking call prepares on
+        the detached progress task, so the whole operation overlaps the
+        caller's work; a split ``begin`` prepares here, on the caller's own
+        timeline after flushing its main handle, and detaches only the
+        commit.  A read flushes the handle it runs on before its exchange
+        (see ``AtomicityStrategy.execute_read``) and scatters the delivered
+        stream into ``buffer`` at completion.
+        """
+        if split and self._split_active is not None:
+            raise RuntimeError(
+                "a split collective is already active on this file; call the "
+                "matching _end first (MPI allows one split collective per file)"
+            )
+        writing = direction == "write"
+        data, nbytes = self._stream(direction, buffer, count, datatype)
+        region = self._region_for(nbytes, self._position)
+        strategy = self._collective_strategy()
+        prepared = None
+        if split:
+            self._handle.sync()  # flush before the exchange rendezvous
+            prepared = strategy.prepare(self.comm, region, self.comm.clock.now, data)
+
+        def body(comm: Communicator, handle: ClientFileHandle) -> IOOutcome:
+            start_time = handle.clock.now
+            if not writing:
+                handle.sync()  # the progress handle's own write-behind pages
+            ready = prepared or strategy.prepare(comm, region, start_time, data)
+            stream, outcome = strategy.commit(comm, handle, ready)
+            if not writing:
+                self._scatter_into(buffer, stream, datatype, count)
+            return outcome
+
+        label = f"{direction}_all_begin" if split else f"i{direction}_all"
+        request = self._issue(self._next_label(label), direction, body)
+        self._position += nbytes // self._view.etype_size
+        if split:
+            self._split_active = request
+        return request
+
+    def _split_end(self, kind: str) -> IOOutcome:
+        request = self._split_active
+        if request is None or request.kind != kind:
+            raise RuntimeError(f"no split collective {kind} is active on this file")
+        return request.Wait()
 
     def Iwrite_all(  # noqa: N802 - MPI spelling
         self,
@@ -475,17 +552,7 @@ class MPIFile:
         :class:`~repro.io.requests.IORequest` whose ``Wait`` yields the
         :class:`~repro.core.strategies.IOOutcome`.
         """
-        self._check_writable()
-        data = _as_bytes(buffer, datatype, count)
-        region = self._region_for(len(data), self._position)
-        strategy = self._collective_strategy()
-        request = self._issue(
-            self._next_label("iwrite_all"),
-            "write",
-            lambda comm, handle: strategy.execute_write(comm, handle, region, data),
-        )
-        self._position += len(data) // self._view.etype_size
-        return request
+        return self._collective("write", buffer, count, datatype, split=False)
 
     def Iread_all(  # noqa: N802 - MPI spelling
         self,
@@ -499,28 +566,7 @@ class MPIFile:
         read (or reused) before ``Wait``.  ``Wait`` returns the
         :class:`~repro.core.strategies.IOOutcome`.
         """
-        self._check_readable()
-        nbytes = self._data_stream_size(buffer, datatype, count)
-        region = self._region_for(nbytes, self._position)
-        strategy = self._collective_strategy()
-
-        def body(comm: Communicator, handle: ClientFileHandle):
-            data, outcome = strategy.execute_read(comm, handle, region)
-            self._scatter_into(buffer, data, datatype, count)
-            return outcome
-
-        request = self._issue(self._next_label("iread_all"), "read", body)
-        self._position += nbytes // self._view.etype_size
-        return request
-
-    # -- split-collective data access ----------------------------------------------------
-
-    def _require_no_split(self) -> None:
-        if self._split_active is not None:
-            raise RuntimeError(
-                "a split collective is already active on this file; call the "
-                "matching _end first (MPI allows one split collective per file)"
-            )
+        return self._collective("read", buffer, count, datatype, split=False)
 
     def Write_all_begin(  # noqa: N802 - MPI spelling
         self,
@@ -536,29 +582,11 @@ class MPIFile:
         :meth:`Write_all_end`.  Computation between ``begin`` and ``end``
         therefore overlaps exactly the commit phase.
         """
-        self._require_no_split()
-        self._check_writable()
-        data = _as_bytes(buffer, datatype, count)
-        region = self._region_for(len(data), self._position)
-        strategy = self._collective_strategy()
-        self._handle.sync()  # flush before the exchange rendezvous
-        prepared = strategy.prepare(self.comm, region, self.comm.clock.now, data)
-        request = self._issue(
-            self._next_label("write_all_begin"),
-            "write",
-            lambda comm, handle: strategy.commit(comm, handle, prepared)[1],
-            flush_main=False,  # flushed above, before the exchange rendezvous
-        )
-        self._position += len(data) // self._view.etype_size
-        self._split_active = request
-        return request
+        return self._collective("write", buffer, count, datatype, split=True)
 
     def Write_all_end(self) -> IOOutcome:  # noqa: N802 - MPI spelling
         """Finish the active split collective write; returns its outcome."""
-        request = self._split_active
-        if request is None or request.kind != "write":
-            raise RuntimeError("no split collective write is active on this file")
-        return request.Wait()
+        return self._split_end("write")
 
     def Read_all_begin(  # noqa: N802 - MPI spelling
         self,
@@ -573,33 +601,11 @@ class MPIFile:
         ``buffer`` is filled by completion and must not be read before
         ``end``.
         """
-        self._require_no_split()
-        self._check_readable()
-        nbytes = self._data_stream_size(buffer, datatype, count)
-        region = self._region_for(nbytes, self._position)
-        strategy = self._collective_strategy()
-        self._handle.sync()  # flush before the exchange rendezvous
-        prepared = strategy.prepare(self.comm, region, self.comm.clock.now)
-
-        def body(comm: Communicator, handle: ClientFileHandle):
-            handle.sync()  # the progress handle's own write-behind pages
-            data, outcome = strategy.commit(comm, handle, prepared)
-            self._scatter_into(buffer, data, datatype, count)
-            return outcome
-
-        request = self._issue(
-            self._next_label("read_all_begin"), "read", body, flush_main=False
-        )
-        self._position += nbytes // self._view.etype_size
-        self._split_active = request
-        return request
+        return self._collective("read", buffer, count, datatype, split=True)
 
     def Read_all_end(self) -> IOOutcome:  # noqa: N802 - MPI spelling
         """Finish the active split collective read; returns its outcome."""
-        request = self._split_active
-        if request is None or request.kind != "read":
-            raise RuntimeError("no split collective read is active on this file")
-        return request.Wait()
+        return self._split_end("read")
 
     # -- blocking collective data access ------------------------------------------------
 
@@ -668,13 +674,7 @@ class MPIFile:
         predate writes made through the main handle.
         """
         writing = direction == "write"
-        if writing:
-            self._check_writable()
-            data = _as_bytes(buffer, datatype, count)
-            nbytes = len(data)
-        else:
-            self._check_readable()
-            nbytes = self._data_stream_size(buffer, datatype, count)
+        data, nbytes = self._stream(direction, buffer, count, datatype)
         region = self._region_for(nbytes, offset_etypes)
         plan = IOPlan(direction=direction, strategy="independent", rank=region.rank,
                       bytes_requested=region.total_bytes)
@@ -752,17 +752,15 @@ class MPIFile:
     def Write(self, buffer: Buffer, count: Optional[int] = None,
               datatype: Optional[Datatype] = None) -> IOOutcome:  # noqa: N802
         """Independent write at the individual file pointer."""
-        data_len = self._data_stream_size(buffer, datatype, count)
         outcome = self.Write_at(self._position, buffer, count, datatype)
-        self._position += data_len // self._view.etype_size
+        self._position += outcome.bytes_requested // self._view.etype_size
         return outcome
 
     def Read(self, buffer: Buffer, count: Optional[int] = None,
              datatype: Optional[Datatype] = None) -> IOOutcome:  # noqa: N802
         """Independent read at the individual file pointer."""
-        data_len = self._data_stream_size(buffer, datatype, count)
         outcome = self.Read_at(self._position, buffer, count, datatype)
-        self._position += data_len // self._view.etype_size
+        self._position += outcome.bytes_requested // self._view.etype_size
         return outcome
 
     # -- pointer and sync ----------------------------------------------------------------------
@@ -810,20 +808,14 @@ class MPIFile:
     def _scatter_into(
         self, buffer: Buffer, stream: bytes, datatype: Optional[Datatype], count: Optional[int]
     ) -> None:
+        """Fill a read's ``buffer`` (checked by :meth:`_stream`) from ``stream``."""
         if datatype is not None:
-            if isinstance(buffer, (bytes,)):
-                raise TypeError("cannot read into an immutable bytes object")
             unpack(stream, datatype, buffer, count if count is not None else 1)
-            return
-        if isinstance(buffer, np.ndarray):
+        elif isinstance(buffer, np.ndarray):
             flat = buffer.reshape(-1).view(np.uint8)
-            src = np.frombuffer(stream, dtype=np.uint8)
-            flat[: len(src)] = src
-            return
-        if isinstance(buffer, bytearray):
+            flat[: len(stream)] = np.frombuffer(stream, dtype=np.uint8)
+        else:
             buffer[: len(stream)] = stream
-            return
-        raise TypeError(f"cannot read into buffer of type {type(buffer).__name__}")
 
     def _check_writable(self) -> None:
         if self._closed:

@@ -30,7 +30,9 @@ Virtual-time accounting: each collective synchronises the participating
 ranks' :class:`~repro.mpi.clock.VirtualClock` objects to their maximum and
 optionally charges a latency + volume cost from a
 :class:`CommCostModel`, so the handshaking overhead of the paper's
-negotiation strategies shows up in the measured virtual time.
+negotiation strategies shows up in the measured virtual time.  A
+point-to-point receive advances the receiver's clock to the instant its
+message was sent, on both communicator kinds (:class:`_PointToPoint`).
 """
 
 from __future__ import annotations
@@ -244,7 +246,114 @@ class Group:
         return f"Group({list(self._ranks)!r})"
 
 
-class Communicator:
+class _PointToPoint:
+    """Eager point-to-point messaging, causal in virtual time: the one body
+    behind both communicator kinds.
+
+    A send charges the sender the message's cost and stamps the payload with
+    the sender's clock after the charge; a receive advances the receiver's
+    clock to that stamp, so a message is never observed before it was sent
+    (Lamport's rule).  A communicator kind supplies only the routing:
+    :meth:`_peer_slot` checks a peer rank and names its mailbox in
+    ``self._group``, :attr:`_inbox` is this rank's own mailbox, and the
+    receiver sees the sender's ``rank`` as the source.
+    """
+
+    def _peer_slot(self, rank: int) -> int:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    @property
+    def _inbox(self) -> _Mailbox:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def _require_task(self) -> Task:
+        """The engine task this rank runs on (blocking ops need one)."""
+        task = current_task()
+        if task is None or self._group.engine is None or task.engine is not self._group.engine:
+            raise CommunicatorError(
+                "blocking communicator operations must run inside an engine "
+                "task (start the program through run_spmd)"
+            )
+        return task
+
+    @staticmethod
+    def _check_tag(tag: int) -> None:
+        if tag < 0 and tag != ANY_TAG:
+            raise TagError(f"invalid tag {tag}")
+
+    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
+        """Eager send of a Python object to ``dest``."""
+        slot = self._peer_slot(dest)
+        if tag < 0:
+            raise TagError(f"invalid send tag {tag}")
+        sent_at = self.clock.advance(self._group.cost_model.cost(obj))
+        self._group.mailboxes[slot].put(self._rank, tag, (sent_at, obj))
+
+    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
+        """Non-blocking send (completes immediately — sends are eager)."""
+        req = Request()
+        try:
+            self.send(obj, dest, tag)
+        except Exception as exc:  # pragma: no cover - defensive
+            req._fail(exc)
+        else:
+            req._complete(None, Status(source=self._rank, tag=tag))
+        return req
+
+    def recv(
+        self,
+        source: int = ANY_SOURCE,
+        tag: int = ANY_TAG,
+        status: Optional[Status] = None,
+    ) -> Any:
+        """Blocking receive; returns the received object.
+
+        A receive that can never be matched is detected (and reported per
+        rank) by the scheduler's deadlock detection.
+        """
+        if source != ANY_SOURCE:
+            self._peer_slot(source)
+        self._check_tag(tag)
+        task = self._require_task()
+        src, t, (sent_at, payload) = self._inbox.get(task, source, tag)
+        self.clock.advance_to(sent_at, waiting=True)
+        if status is not None:
+            status.source = src
+            status.tag = t
+            status.count = getattr(payload, "nbytes", 0) or 0
+        return payload
+
+    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
+        """Non-blocking receive; completes lazily on ``test``/``wait``."""
+        req = Request()
+        mailbox = self._inbox
+
+        def poll() -> bool:
+            msg = mailbox._find(source, tag)
+            if msg is None:
+                return False
+            src, t, (sent_at, payload) = msg
+            self.clock.advance_to(sent_at, waiting=True)
+            req._complete(
+                payload,
+                Status(source=src, tag=t, count=getattr(payload, "nbytes", 0) or 0),
+            )
+            return True
+
+        def finish() -> None:
+            try:
+                status = Status()
+                value = self.recv(source, tag, status=status)
+            except Exception as exc:
+                req._fail(exc)
+            else:
+                req._complete(value, status)
+
+        req._bind(poll, finish)
+        return req
+
+
+class Communicator(_PointToPoint):
     """One rank's view of a communicator (``MPI_Comm``)."""
 
     def __init__(self, group: _CommGroup, rank: int) -> None:
@@ -280,97 +389,19 @@ class Communicator:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _require_task(self) -> Task:
-        """The engine task this rank runs on (blocking ops need one)."""
-        task = current_task()
-        if task is None or self._group.engine is None or task.engine is not self._group.engine:
-            raise CommunicatorError(
-                "blocking communicator operations must run inside an engine "
-                "task (start the program through run_spmd)"
-            )
-        return task
-
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.size:
             raise RankError(f"rank {rank} outside communicator of size {self.size}")
 
-    @staticmethod
-    def _check_tag(tag: int) -> None:
-        if tag < 0 and tag != ANY_TAG:
-            raise TagError(f"invalid tag {tag}")
+    # -- point-to-point (the bodies are :class:`_PointToPoint`'s) -----------------
 
-    # -- point-to-point ----------------------------------------------------------
+    def _peer_slot(self, rank: int) -> int:
+        self._check_rank(rank)
+        return rank
 
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Eager send of a Python object to ``dest``."""
-        self._check_rank(dest)
-        if tag < 0:
-            raise TagError(f"invalid send tag {tag}")
-        self.clock.advance(self._group.cost_model.cost(obj))
-        self._group.mailboxes[dest].put(self._rank, tag, obj)
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Non-blocking send (completes immediately — sends are eager)."""
-        req = Request()
-        try:
-            self.send(obj, dest, tag)
-        except Exception as exc:  # pragma: no cover - defensive
-            req._fail(exc)
-        else:
-            req._complete(None, Status(source=self._rank, tag=tag))
-        return req
-
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        status: Optional[Status] = None,
-        timeout: Optional[float] = None,
-    ) -> Any:
-        """Blocking receive; returns the received object.
-
-        ``timeout`` is accepted for API compatibility; a receive that can
-        never be matched is detected (and reported per rank) by the
-        scheduler's deadlock detection rather than a wall-clock timer.
-        """
-        if source != ANY_SOURCE:
-            self._check_rank(source)
-        self._check_tag(tag)
-        task = self._require_task()
-        src, t, payload = self._group.mailboxes[self._rank].get(task, source, tag)
-        if status is not None:
-            status.source = src
-            status.tag = t
-            status.count = getattr(payload, "nbytes", 0) or 0
-        return payload
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; completes lazily on ``test``/``wait``."""
-        req = Request()
-        mailbox = self._group.mailboxes[self._rank]
-
-        def poll() -> bool:
-            msg = mailbox._find(source, tag)
-            if msg is None:
-                return False
-            src, t, payload = msg
-            req._complete(
-                payload,
-                Status(source=src, tag=t, count=getattr(payload, "nbytes", 0) or 0),
-            )
-            return True
-
-        def finish() -> None:
-            try:
-                status = Status()
-                value = self.recv(source, tag, status=status)
-            except Exception as exc:
-                req._fail(exc)
-            else:
-                req._complete(value, status)
-
-        req._bind(poll, finish)
-        return req
+    @property
+    def _inbox(self) -> _Mailbox:
+        return self._group.mailboxes[self._rank]
 
     def sendrecv(
         self,
@@ -768,7 +799,7 @@ class Communicator:
         self._group.abort(exc)
 
 
-class Intercomm:
+class Intercomm(_PointToPoint):
     """One rank's view of an inter-communicator (``MPI_Comm``, inter).
 
     An intercomm connects two disjoint groups (*local* and *remote*): ranks
@@ -792,10 +823,8 @@ class Intercomm:
         remote_size: int,
         local_comm: Communicator,
     ) -> None:
-        self._union = union
-        self._local_comm = local_comm
+        self._group = union
         self._local_size = local_comm.size
-        self._local_offset = local_offset
         self._remote_size = remote_size
         self._remote_offset = self._local_size if local_offset == 0 else 0
         self._rank = local_comm.rank
@@ -824,7 +853,7 @@ class Intercomm:
     @property
     def clock(self) -> VirtualClock:
         """This rank's virtual clock (shared with its intra-communicators)."""
-        return self._union.clocks[self._urank]
+        return self._group.clocks[self._urank]
 
     def Get_rank(self) -> int:  # noqa: N802 - MPI spelling
         """MPI-style alias for :attr:`rank`."""
@@ -846,93 +875,22 @@ class Intercomm:
         """The remote group (ranks in remote-group order)."""
         return Group(range(self._remote_size))
 
-    # -- point-to-point across the bridge --------------------------------------
+    # -- point-to-point across the bridge (bodies: :class:`_PointToPoint`) -----
 
-    def _check_remote_rank(self, rank: int) -> None:
+    def _peer_slot(self, rank: int) -> int:
+        """Peers are named in the *remote* group's namespace.  Sources are
+        recorded in the sender's local-group namespace, which is unambiguous:
+        a bridge mailbox only ever receives cross-bridge traffic, so "source
+        r" always means remote rank r to the receiver."""
         if not 0 <= rank < self._remote_size:
             raise RankError(
                 f"rank {rank} outside remote group of size {self._remote_size}"
             )
+        return self._remote_offset + rank
 
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Eager send to rank ``dest`` of the *remote* group.
-
-        Bridge messages are *causal* in virtual time: the payload carries
-        the sender's post-charge clock and the receiver's clock is advanced
-        to it on delivery, so a handoff between coupled applications can
-        never be observed before it was issued.  (Intra-communicator
-        point-to-point keeps its looser, rendezvous-free accounting.)
-        """
-        self._check_remote_rank(dest)
-        if tag < 0:
-            raise TagError(f"invalid send tag {tag}")
-        sent_at = self.clock.advance(self._union.cost_model.cost(obj))
-        # Sources are recorded in the sender's local-group namespace, which
-        # is unambiguous: a bridge mailbox only ever receives cross-bridge
-        # traffic, so "source r" always means remote rank r to the receiver.
-        self._union.mailboxes[self._remote_offset + dest].put(
-            self._rank, tag, (sent_at, obj)
-        )
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Non-blocking send (completes immediately — sends are eager)."""
-        req = Request()
-        try:
-            self.send(obj, dest, tag)
-        except Exception as exc:  # pragma: no cover - defensive
-            req._fail(exc)
-        else:
-            req._complete(None, Status(source=self._rank, tag=tag))
-        return req
-
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        status: Optional[Status] = None,
-    ) -> Any:
-        """Blocking receive of a message from the remote group."""
-        if source != ANY_SOURCE:
-            self._check_remote_rank(source)
-        Communicator._check_tag(tag)
-        task = self._inner._require_task()
-        src, t, wrapped = self._union.mailboxes[self._urank].get(task, source, tag)
-        sent_at, payload = wrapped
-        self.clock.advance_to(sent_at, waiting=True)
-        if status is not None:
-            status.source = src
-            status.tag = t
-            status.count = getattr(payload, "nbytes", 0) or 0
-        return payload
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; completes lazily on ``test``/``wait``."""
-        req = Request()
-        mailbox = self._union.mailboxes[self._urank]
-
-        def poll() -> bool:
-            msg = mailbox._find(source, tag)
-            if msg is None:
-                return False
-            src, t, (sent_at, payload) = msg
-            self.clock.advance_to(sent_at, waiting=True)
-            req._complete(
-                payload,
-                Status(source=src, tag=t, count=getattr(payload, "nbytes", 0) or 0),
-            )
-            return True
-
-        def finish() -> None:
-            try:
-                status = Status()
-                value = self.recv(source, tag, status=status)
-            except Exception as exc:
-                req._fail(exc)
-            else:
-                req._complete(value, status)
-
-        req._bind(poll, finish)
-        return req
+    @property
+    def _inbox(self) -> _Mailbox:
+        return self._group.mailboxes[self._urank]
 
     # -- collectives across the bridge -----------------------------------------
 
@@ -954,7 +912,7 @@ class Intercomm:
             payload = obj
         else:
             if root != PROC_NULL:
-                self._check_remote_rank(root)
+                self._peer_slot(root)
             deposit = None
             payload = None
         round_ = self._inner._collective("icomm-bcast", deposit=deposit, payload=payload)
@@ -1009,15 +967,15 @@ class Intercomm:
             # First rank back from the rendezvous builds the merged group
             # for everyone (ranks run one at a time, so this is race-free).
             order = sorted(
-                range(self._union.size), key=lambda u: (round_.slots[u][0], u)
+                range(self._group.size), key=lambda u: (round_.slots[u][0], u)
             )
             group = _CommGroup(
-                self._union.size,
-                clocks=[self._union.clocks[u] for u in order],
-                cost_model=self._union.cost_model,
-                engine=self._union.engine,
+                self._group.size,
+                clocks=[self._group.clocks[u] for u in order],
+                cost_model=self._group.cost_model,
+                engine=self._group.engine,
             )
-            self._union.children.append(group)
+            self._group.children.append(group)
             round_.shared = [group, {u: r for r, u in enumerate(order)}]
         group, new_ranks = round_.shared
         return Communicator(group, new_ranks[self._urank])
@@ -1025,4 +983,4 @@ class Intercomm:
     def abort(self, exc: BaseException) -> None:
         """Abandon collective communication on the bridge (see
         :meth:`Communicator.abort`)."""
-        self._union.abort(exc)
+        self._group.abort(exc)

@@ -158,6 +158,70 @@ def independent_programs(draw, file_bytes: int = 700, max_ranks: int = 3):
 
 
 @st.composite
+def collective_programs(draw, max_ranks: int = 3):
+    """An SPMD program of collective MPI-IO calls on one shared file, for
+    1–``max_ranks`` ranks: ``{"views": [...], "strategy": ..., "epochs": [...]}``.
+
+    ``views`` are as in :func:`independent_programs`; ``strategy`` is an
+    ``atomicity_strategy`` hint or ``None`` (the file system's default).  Each
+    epoch is ``(atomic, calls)``: a collective ``Set_atomicity(atomic)``, then
+    the calls every rank issues in the same order.  A call is one of
+
+    * ``("Write_all" | "Read_all" | "Iwrite_all" | "Iread_all" |
+      "Write_all_begin" | "Read_all_begin", sizes, typed, short, wait_now)``:
+      ``sizes[rank]`` is a byte length, or with ``typed`` an element count of
+      a strided memory datatype; ``short`` makes every rank's buffer one byte
+      too short for its count, at least one (a wrong-length stream: a write
+      fails at issue, a read when it delivers); ``wait_now`` says whether a
+      nonblocking call is waited on — a split one ended — at once or at the
+      end of the program, so a second ``begin`` may meet an active split;
+    * ``("Write_at" | "Iwrite_at", offset, sizes)``: an independent write
+      that leaves write-behind pages for a later collective to flush, on the
+      rank's main handle or, waited on only at the end of the program, on
+      its progress handle;
+    * ``("Write_all_end" | "Read_all_end",)``, which may name the wrong
+      direction or no active split."""
+    nranks = draw(st.integers(1, max_ranks))
+    view = st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 300), st.integers(1, 64), st.integers(65, 200)),
+    )
+    views = [draw(view) for _ in range(nranks)]
+    strategy = draw(st.sampled_from(
+        [None, "locking", "graph-coloring", "rank-ordering", "two-phase", "two-phase-hier", "auto"]
+    ))
+
+    @st.composite
+    def data_call(draw):
+        typed = draw(st.booleans())
+        short = typed and draw(st.integers(0, 7)) == 0
+        if typed:
+            size = st.integers(1 if short else 0, 40)
+        else:
+            size = st.one_of(st.just(0), st.integers(1, 300))
+        sizes = [draw(size) for _ in range(nranks)]
+        name = draw(st.sampled_from([
+            "Write_all", "Read_all", "Iwrite_all", "Iread_all", "Write_all_begin", "Read_all_begin",
+        ]))
+        return (name, sizes, typed, short, draw(st.booleans()))
+
+    independent_write = st.tuples(
+        st.sampled_from(["Write_at", "Iwrite_at"]),
+        st.integers(0, 600),
+        st.lists(st.integers(0, 300), min_size=nranks, max_size=nranks),
+    )
+    call = st.one_of(
+        data_call(), data_call(), data_call(), independent_write,
+        st.tuples(st.sampled_from(["Write_all_end", "Read_all_end"])),
+    )
+    epochs = [
+        (draw(st.booleans()), draw(st.lists(call, max_size=4)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return {"views": views, "strategy": strategy, "epochs": epochs}
+
+
+@st.composite
 def piece_lists(draw, max_pieces: int = 10):
     """``(origin, file_offset, data)`` pieces as an aggregator's merge takes
     them, 0–``max_pieces`` of them: extents irregular (touching, overlapping,

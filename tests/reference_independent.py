@@ -9,7 +9,9 @@ helpers they called (``_independent_write``, ``_independent_read``,
 ``_write_region``), so ``tests/test_io_independent_differential.py`` can
 require both paths to leave the same bytes, provenance, clocks and lock
 history on generated programs.  Everything else — open, views, the request
-machinery, ``_scatter_into`` — is inherited, not copied: it did not change.
+machinery, ``_scatter_into`` — is inherited, not copied: it did not change
+for the buffers the programs draw (bytearrays; the buffer-type check has
+since moved from ``_scatter_into`` to issue time).
 
 One edit, and only one: ``_independent_write`` drops the rank's cached pages
 (``handle.invalidate()``, sync-then-invalidate) right after taking the

@@ -213,6 +213,43 @@ class TestRequestMisuse:
         run_spmd(fn, 2)
         assert fast_fs.lookup("drop.dat").store.read(0, 16) == b"0" * 8 + b"1" * 8
 
+    def test_unfillable_read_buffer_fails_at_issue(self, fast_fs):
+        """A read into a buffer it cannot fill raises the plain ``TypeError``
+        on the calling rank before any flush, rendezvous or I/O — for all six
+        read entry points — and leaves no request, split or pointer move."""
+        typed = (2, contiguous(4, CHAR))
+        calls = [
+            lambda f: f.Read_all(bytes(8)),
+            lambda f: f.Iread_all(bytes(8)),
+            lambda f: f.Read_all_begin(bytes(8)),
+            lambda f: f.Read_all(bytes(8), *typed),
+            lambda f: f.Read_at(0, bytes(8)),
+            lambda f: f.Iread_at(0, memoryview(bytearray(8))),
+            lambda f: f.Read(bytes(8), *typed),
+        ]
+
+        def fn(comm):
+            f = MPIFile.Open(comm, "bad.dat", fast_fs)
+            f.Set_view(comm.rank * 8, CHAR, contiguous(8, CHAR))
+            f.Write_all(bytes([65 + comm.rank]) * 8)
+            f.Sync()
+            f.Seek(0)
+            servers = fast_fs.servers
+            charged = (servers.total_requests(), servers.aggregate_busy_time())
+            for call in calls:
+                with pytest.raises(TypeError, match="cannot read into"):
+                    call(f)
+            comm.barrier()
+            assert (servers.total_requests(), servers.aggregate_busy_time()) == charged
+            assert f.Tell() == 0 and not f._outstanding and f._split_active is None
+            buf = bytearray(8)
+            f.Read_all(buf)  # the file is still usable collectively
+            f.Close()
+            return bytes(buf)
+
+        result = run_spmd(fn, 3)
+        assert result.returns == [bytes([65 + r]) * 8 for r in range(3)]
+
     def test_failing_collective_aborts_all_ranks(self, fast_fs, monkeypatch):
         fail_rank = 1
 

@@ -196,6 +196,23 @@ class TestIntercomm:
         result = run_spmd(fn, 4)
         assert result.returns[2] >= 1.0
 
+    def test_irecv_wait_is_causal_in_virtual_time(self):
+        def fn(comm):
+            half, inter = _bridge(comm)
+            if comm.rank == 0:
+                comm.clock.advance(1.0)
+                inter.send("late", dest=0, tag=9)
+                return None
+            if comm.rank == comm.size // 2:
+                request = inter.irecv(source=0, tag=9)
+                request.test()  # completes here if the message is already in
+                assert request.wait() == "late"
+                return comm.clock.now
+            return None
+
+        result = run_spmd(fn, 4)
+        assert result.returns[2] >= 1.0
+
     def test_bcast_root_and_proc_null(self):
         def fn(comm):
             half, inter = _bridge(comm)

@@ -327,6 +327,39 @@ class TestPointToPoint:
         result = run_spmd(fn, 2)
         assert result.returns[1] == (0, 9)
 
+    def test_p2p_is_causal_in_virtual_time(self):
+        # A receive never completes before its send (Lamport's rule), even if
+        # the receiver did no other work; a receiver already later keeps its
+        # time and waits for nothing.
+        def fn(comm):
+            if comm.rank == 0:
+                comm.clock.advance(5.0)  # sender runs far ahead
+                comm.send("late", dest=1, tag=9)
+                comm.send("early", dest=2, tag=9)
+                return None
+            if comm.rank == 2:
+                comm.clock.advance(10.0)
+            comm.recv(source=0, tag=9)
+            return comm.clock.now, comm.clock.waited
+
+        result = run_spmd(fn, 3, comm_cost=CommCostModel(latency=0.5))
+        assert result.returns[1] == (5.5, 5.5)  # the send's post-charge time
+        assert result.returns[2] == (10.0, 0.0)
+
+    def test_irecv_wait_is_causal_in_virtual_time(self):
+        def fn(comm):
+            if comm.rank == 0:
+                comm.clock.advance(5.0)
+                comm.send("late", dest=1, tag=9)
+                return None
+            request = comm.irecv(source=0, tag=9)
+            request.test()  # completes here if the message is already in
+            assert request.wait() == "late"
+            return comm.clock.now, comm.clock.waited
+
+        result = run_spmd(fn, 2)
+        assert result.returns[1] == (5.0, 5.0)
+
     def test_bad_destination_rank(self):
         def fn(comm):
             comm.send(1, dest=10)
