@@ -58,16 +58,12 @@ from .fs import (
 )
 from .io import (
     Info,
-    IORequest,
     MODE_CREATE,
     MODE_RDWR,
     MODE_WRONLY,
     MPIFile,
-    Testall,
-    Waitall,
-    Waitany,
 )
-from .mpi import Communicator, Group, Intercomm, run_spmd
+from .mpi import Communicator, Group, Intercomm, Testall, Waitall, Waitany, run_spmd
 from .pipelines import (
     CoupledPipeline,
     PipelineResult,
@@ -135,10 +131,6 @@ __all__ = [
     # io
     "MPIFile",
     "Info",
-    "IORequest",
-    "Waitall",
-    "Testall",
-    "Waitany",
     "MODE_CREATE",
     "MODE_RDWR",
     "MODE_WRONLY",
@@ -146,6 +138,9 @@ __all__ = [
     "Communicator",
     "Group",
     "Intercomm",
+    "Waitall",
+    "Testall",
+    "Waitany",
     "run_spmd",
     # pipelines
     "StageSpec",

@@ -1,9 +1,10 @@
 """Compute/I-O overlap experiments: blocking vs nonblocking collectives.
 
-The point of the request-based API (:mod:`repro.io.requests`) is that the
-commit phase of a collective write runs on a detached progress timeline, so
-computation issued between ``Write_all_begin`` and ``Write_all_end`` (or
-between ``Iwrite_all`` and ``Wait``) overlaps the file I/O in virtual time.
+The point of the request-based API (:class:`repro.mpi.status.Request`) is
+that the commit phase of a collective write runs on a detached progress
+timeline, so computation issued between ``Write_all_begin`` and
+``Write_all_end`` (or between ``Iwrite_all`` and ``Wait``) overlaps the file
+I/O in virtual time.
 This module measures exactly that with a checkpoint workload: ``steps``
 iterations of *write the whole column-wise partitioned array, then compute
 for a fixed virtual duration*.

@@ -317,7 +317,8 @@ class IOPlan:
     """A complete declarative schedule for one rank's collective operation."""
 
     #: ``"write"`` or ``"read"`` — which way the steps move their bytes, in the
-    #: spelling ``JobSpec.mode``, ``IORequest.kind`` and the tuner's ``mode=`` use.
+    #: spelling ``JobSpec.mode``, ``MPIFile._issue``'s ``kind`` and the tuner's
+    #: ``mode=`` use.
     direction: str
     strategy: str
     rank: int

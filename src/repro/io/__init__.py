@@ -1,10 +1,10 @@
-"""MPI-IO layer (ROMIO equivalent): file views, MPIFile, Info hints, modes,
-and request objects for nonblocking / split-collective I/O."""
+"""MPI-IO layer (ROMIO equivalent): file views, MPIFile, Info hints and
+modes.  A nonblocking or split-collective call returns the MPI layer's
+:class:`~repro.mpi.status.Request`."""
 
 from .fileview import FileView
 from .file import MPIFile
 from .info import Info, InvalidHint
-from .requests import IORequest, Testall, Waitall, Waitany
 from .modes import (
     MODE_APPEND,
     MODE_CREATE,
@@ -21,10 +21,6 @@ __all__ = [
     "FileView",
     "Info",
     "InvalidHint",
-    "IORequest",
-    "Waitall",
-    "Testall",
-    "Waitany",
     "MODE_RDONLY",
     "MODE_WRONLY",
     "MODE_RDWR",

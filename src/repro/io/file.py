@@ -13,9 +13,11 @@ code fragment (Figure 4) exercises, on top of the file system substrate:
   data-access call returns an :class:`~repro.core.strategies.IOOutcome`
   (a nonblocking one from its request's ``Wait``)
 * **nonblocking** forms ``Iwrite_all`` / ``Iread_all`` / ``Iwrite_at`` /
-  ``Iread_at`` returning an :class:`~repro.io.requests.IORequest`
-  (``Wait`` / ``Test``, plus module-level
-  :func:`~repro.io.requests.Waitall` / ``Testall`` / ``Waitany``)
+  ``Iread_at`` returning a :class:`~repro.mpi.status.Request` — the same
+  request a point-to-point ``irecv`` returns, which completes when a send,
+  after its sequence point, deposits a message it is the earliest-posted
+  match for (``Wait`` / ``Test``, plus :func:`~repro.mpi.status.Waitall` /
+  ``Testall`` / ``Waitany`` over lists of both)
 * **split-collective** forms ``Write_all_begin`` / ``Write_all_end`` (and
   the read pair): ``begin`` pins the negotiation/exchange phase on the
   calling rank, the commit runs detached, ``end`` joins it
@@ -26,9 +28,11 @@ The blocking collectives are thin wrappers — ``Write_all`` is literally
 progress task* with its own virtual clock (see
 :meth:`repro.mpi.comm.Communicator.dup_detached`), so computation issued
 between the call and its ``Wait`` overlaps the collective's shuffle and
-commit phases in virtual time.  Requests on one file are executed in issue
-order (the MPI ordering rule for nonblocking collectives), which also keeps
-the progress communicator's rendezvous consistent across ranks.
+commit phases in virtual time; the request completes when the progress task
+ends, and ``Wait`` joins the caller's clock to that end.  Requests on one
+file are executed in issue order (the MPI ordering rule for nonblocking
+collectives), which also keeps the progress communicator's rendezvous
+consistent across ranks.
 
 In **atomic mode** the collective write is delegated to one of the paper's
 three strategies (:mod:`repro.core.strategies`); which one is chosen via the
@@ -58,6 +62,7 @@ everything its peers flushed before the call.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import replace
 from typing import Callable, List, Optional, Tuple, Union
@@ -90,10 +95,10 @@ from ..fs.client import ClientFileHandle, FSClient
 from ..fs.filesystem import ParallelFileSystem
 from ..mpi.comm import Communicator
 from ..mpi.errors import CollectiveAbortedError
+from ..mpi.status import Request
 from .fileview import FileView
 from .info import Info, InvalidHint
 from .modes import MODE_CREATE, MODE_RDONLY, MODE_RDWR, MODE_WRONLY
-from .requests import IORequest
 
 __all__ = ["MPIFile"]
 
@@ -187,9 +192,10 @@ class MPIFile:
             provenance_base=max(provenance_base, 0),
         )
         self._async_handle = self._async_client.open(filename, create=False)
-        self._outstanding: List[IORequest] = []
-        self._chain_tail: Optional[IORequest] = None
-        self._split_active: Optional[IORequest] = None
+        self._outstanding: List[Request] = []
+        self._chain_tail: Optional[Request] = None
+        #: ``(direction, request)`` of the active split collective.
+        self._split_active: Optional[Tuple[str, Request]] = None
         self._request_seq = itertools.count(1)
         self._apply_open_hints()
 
@@ -214,7 +220,7 @@ class MPIFile:
 
         Flushes all write-behind cache data (an implicit :meth:`Sync`) and
         synchronises the ranks.  Closing with outstanding unfinished
-        :class:`~repro.io.requests.IORequest`\\ s — issued but never
+        :class:`~repro.mpi.status.Request`\\ s — issued but never
         completed with ``Wait`` or a true ``Test`` — raises ``RuntimeError``:
         a request's data is only guaranteed readable-after once it has been
         waited on, so dropping one across a close is a program error.
@@ -232,8 +238,6 @@ class MPIFile:
             self.comm.release_detached(self._async_comm)
             self._closed = True
         self.comm.barrier()
-
-    close = Close
 
     # -- view management -----------------------------------------------------------
 
@@ -262,8 +266,6 @@ class MPIFile:
         # A cached collective plan must never be replayed against a changed
         # view; conservatively invalidate on every Set_view.
         autotune.notify_view_change(self.fs, self.filename)
-
-    set_view = Set_view
 
     @property
     def view(self) -> FileView:
@@ -310,13 +312,9 @@ class MPIFile:
         self._atomic = bool(flag)
         self.comm.barrier()
 
-    set_atomicity = Set_atomicity
-
     def Get_atomicity(self) -> bool:  # noqa: N802 - MPI spelling
         """Whether atomic mode is enabled."""
         return self._atomic
-
-    get_atomicity = Get_atomicity
 
     def effective_strategy(self) -> AtomicityStrategy:
         """The strategy that an atomic collective operation will use.
@@ -384,7 +382,7 @@ class MPIFile:
         kind: str,
         body: Callable[[Communicator, ClientFileHandle], object],
         collective: bool = True,
-    ) -> IORequest:
+    ) -> Request:
         """Spawn ``body`` as a detached progress task; return its request.
 
         The body receives the progress communicator and the progress file
@@ -410,7 +408,7 @@ class MPIFile:
         # rendezvous, which writes nothing: this flush finds no dirty page.)
         self._handle.sync()
         issue_time = self.comm.clock.now
-        request = IORequest(label=label, kind=kind, on_retire=self._retire_request)
+        request = Request(label, on_retire=functools.partial(self._retire_request, kind))
         prev = self._chain_tail
         self._chain_tail = request
         self._outstanding.append(request)
@@ -439,9 +437,9 @@ class MPIFile:
                             f"{rank} raised {type(exc).__name__}: {exc}"
                         )
                         error.__cause__ = exc
-                request._finish(error=error, end_time=handle.clock.now)
+                request._finish(None, error, handle.clock.now)
             else:
-                request._finish(outcome=outcome, end_time=handle.clock.now)
+                request._finish(outcome, None, handle.clock.now)
 
         task.engine.spawn(
             progress,
@@ -451,13 +449,13 @@ class MPIFile:
         )
         return request
 
-    def _retire_request(self, request: IORequest) -> None:
+    def _retire_request(self, kind: str, request: Request) -> None:
         """Bookkeeping when a request is consumed by Wait / a true Test."""
         if request in self._outstanding:
             self._outstanding.remove(request)
         if self._chain_tail is request:
             self._chain_tail = None  # complete: nothing left to chain behind
-        if self._split_active is request:
+        if self._split_active == (kind, request):
             self._split_active = None
         if self._closed:
             return
@@ -468,7 +466,7 @@ class MPIFile:
         # dirty runs, so it cannot disorder an in-flight operation.  (Free
         # when nothing is dirty.)
         self._async_handle.sync()
-        if request.kind == "write":
+        if kind == "write":
             # The operation wrote through the progress handle; pages this
             # handle cached before it are stale now.  (Dirty pages are
             # flushed first — invalidate is sync-then-invalidate.)
@@ -486,7 +484,7 @@ class MPIFile:
         count: Optional[int],
         datatype: Optional[Datatype],
         split: bool,
-    ) -> IORequest:
+    ) -> Request:
         """One collective call, in any of its four request forms.
 
         Check, capture the data stream (or size the read), build the region
@@ -529,27 +527,27 @@ class MPIFile:
         request = self._issue(self._next_label(label), direction, body)
         self._position += nbytes // self._view.etype_size
         if split:
-            self._split_active = request
+            self._split_active = (direction, request)
         return request
 
     def _split_end(self, kind: str) -> IOOutcome:
-        request = self._split_active
-        if request is None or request.kind != kind:
+        active = self._split_active
+        if active is None or active[0] != kind:
             raise RuntimeError(f"no split collective {kind} is active on this file")
-        return request.Wait()
+        return active[1].Wait()
 
     def Iwrite_all(  # noqa: N802 - MPI spelling
         self,
         buffer: Buffer,
         count: Optional[int] = None,
         datatype: Optional[Datatype] = None,
-    ) -> IORequest:
+    ) -> Request:
         """Nonblocking collective write (``MPI_File_iwrite_all``).
 
         Captures the data stream and advances the individual file pointer at
         issue time, then runs the full staged pipeline — exchange, conflict
         analysis, commit — on a detached progress task.  Returns the
-        :class:`~repro.io.requests.IORequest` whose ``Wait`` yields the
+        :class:`~repro.mpi.status.Request` whose ``Wait`` yields the
         :class:`~repro.core.strategies.IOOutcome`.
         """
         return self._collective("write", buffer, count, datatype, split=False)
@@ -559,7 +557,7 @@ class MPIFile:
         buffer: Buffer,
         count: Optional[int] = None,
         datatype: Optional[Datatype] = None,
-    ) -> IORequest:
+    ) -> Request:
         """Nonblocking collective read (``MPI_File_iread_all``).
 
         ``buffer`` is filled when the operation completes and must not be
@@ -573,7 +571,7 @@ class MPIFile:
         buffer: Buffer,
         count: Optional[int] = None,
         datatype: Optional[Datatype] = None,
-    ) -> IORequest:
+    ) -> Request:
         """Begin a split collective write (``MPI_File_write_all_begin``).
 
         The negotiation — view exchange, conflict analysis and, for
@@ -593,7 +591,7 @@ class MPIFile:
         buffer: Buffer,
         count: Optional[int] = None,
         datatype: Optional[Datatype] = None,
-    ) -> IORequest:
+    ) -> Request:
         """Begin a split collective read (``MPI_File_read_all_begin``).
 
         The exchange and read scheduling happen here; the fetch (and, for
@@ -624,8 +622,6 @@ class MPIFile:
         """
         return self.Iwrite_all(buffer, count, datatype).Wait()
 
-    write_all = Write_all
-
     def Read_all(  # noqa: N802 - MPI spelling
         self,
         buffer: Buffer,
@@ -645,8 +641,6 @@ class MPIFile:
         """
         return self.Iread_all(buffer, count, datatype).Wait()
 
-    read_all = Read_all
-
     # -- independent data access -----------------------------------------------------------
 
     _runner = PlanRunner()
@@ -659,7 +653,7 @@ class MPIFile:
         count: Optional[int],
         datatype: Optional[Datatype],
         nonblocking: bool = False,
-    ) -> Union[IOOutcome, IORequest]:
+    ) -> Union[IOOutcome, Request]:
         """One independent call: a one-rank plan, built at issue time with no
         view exchange, run by the :class:`~repro.core.pipeline.PlanRunner` on
         the main handle — or, ``nonblocking``, on the progress handle.
@@ -721,8 +715,6 @@ class MPIFile:
         """
         return self._independent("write", offset_etypes, buffer, count, datatype)
 
-    write_at = Write_at
-
     def Read_at(self, offset_etypes: int, buffer: Buffer, count: Optional[int] = None,
                 datatype: Optional[Datatype] = None) -> IOOutcome:  # noqa: N802
         """Independent read at an explicit etype offset within the view.
@@ -735,16 +727,14 @@ class MPIFile:
         """
         return self._independent("read", offset_etypes, buffer, count, datatype)
 
-    read_at = Read_at
-
     def Iwrite_at(self, offset_etypes: int, buffer: Buffer, count: Optional[int] = None,
-                  datatype: Optional[Datatype] = None) -> IORequest:  # noqa: N802
+                  datatype: Optional[Datatype] = None) -> Request:  # noqa: N802
         """Nonblocking independent write (``MPI_File_iwrite_at``): the
         locking rules of :meth:`Write_at` on the detached progress timeline."""
         return self._independent("write", offset_etypes, buffer, count, datatype, nonblocking=True)
 
     def Iread_at(self, offset_etypes: int, buffer: Buffer, count: Optional[int] = None,
-                 datatype: Optional[Datatype] = None) -> IORequest:  # noqa: N802
+                 datatype: Optional[Datatype] = None) -> Request:  # noqa: N802
         """Nonblocking independent read (``MPI_File_iread_at``); ``buffer`` is
         filled at completion."""
         return self._independent("read", offset_etypes, buffer, count, datatype, nonblocking=True)
@@ -771,13 +761,9 @@ class MPIFile:
             raise ValueError("file pointer cannot be negative")
         self._position = offset_etypes
 
-    seek = Seek
-
     def Tell(self) -> int:  # noqa: N802 - MPI spelling
         """Current individual file pointer (in etypes)."""
         return self._position
-
-    tell = Tell
 
     def Sync(self) -> None:  # noqa: N802 - MPI spelling
         """Collective flush of write-behind data (``MPI_File_sync``).
@@ -796,8 +782,6 @@ class MPIFile:
         self._handle.sync()
         self._async_handle.sync()
         self.comm.barrier()
-
-    sync = Sync
 
     def Get_size(self) -> int:  # noqa: N802 - MPI spelling
         """Current file size in bytes."""

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .reduce_ops import BAND, BOR, LAND, LOR, MAX, MIN, PROD, SUM
 from .runtime import SPMDResult, run_spmd
-from .status import ANY_SOURCE, ANY_TAG, Request, Status
+from .status import ANY_SOURCE, ANY_TAG, Request, Status, Testall, Waitall, Waitany
 
 __all__ = [
     "Communicator",
@@ -38,6 +38,9 @@ __all__ = [
     "SPMDResult",
     "Request",
     "Status",
+    "Waitall",
+    "Testall",
+    "Waitany",
     "ANY_SOURCE",
     "ANY_TAG",
     "SUM",

@@ -37,10 +37,11 @@ message was sent, on both communicator kinds (:class:`_PointToPoint`).
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.engine import Engine, Task, current_task
+from ..core.engine import Engine, Task, current_task, sequence_point
 from .clock import VirtualClock
 from .cost import CommCostModel, _Volume, payload_nbytes
 from .errors import (
@@ -75,47 +76,46 @@ def _matches(src: int, tag: int, want_source: int, want_tag: int) -> bool:
 
 
 class _Mailbox:
-    """Unbounded per-rank message queue with tag/source matching.
+    """One rank's receive side: messages no receive has matched yet, and
+    receives posted before their message arrived, each in arrival / posting
+    order.
 
-    Only the owning rank ever receives, so at most one task can be parked on
-    a mailbox at a time.
+    A deposited message completes the earliest-posted matching receive, a
+    posted receive takes the earliest queued matching message; whichever
+    finds no partner joins its queue.  Sends deposit in virtual-time order
+    (a send is a sequence point), so this is MPI's non-overtaking rule on
+    virtual time.
     """
 
-    __slots__ = ("_messages", "_waiter")
+    __slots__ = ("_messages", "_posted")
 
     def __init__(self) -> None:
+        #: ``(source, tag, sent_at, payload)`` per queued message.
         self._messages: deque = deque()
-        self._waiter: Optional[Tuple[Task, int, int]] = None
+        #: ``(source, tag, request)`` per posted receive.
+        self._posted: deque = deque()
 
-    def _find(self, source: int, tag: int) -> Optional[Tuple[int, int, Any]]:
-        for i, (src, t, payload) in enumerate(self._messages):
+    def put(self, source: int, tag: int, sent_at: float, payload: Any) -> None:
+        for i, (want_source, want_tag, request) in enumerate(self._posted):
+            if _matches(source, tag, want_source, want_tag):
+                del self._posted[i]
+                _deliver(request, source, tag, sent_at, payload)
+                return
+        self._messages.append((source, tag, sent_at, payload))
+
+    def post(self, source: int, tag: int, request: Request) -> None:
+        for i, (src, t, sent_at, payload) in enumerate(self._messages):
             if _matches(src, t, source, tag):
                 del self._messages[i]
-                return (src, t, payload)
-        return None
+                _deliver(request, src, t, sent_at, payload)
+                return
+        self._posted.append((source, tag, request))
 
-    def put(self, source: int, tag: int, payload: Any) -> None:
-        self._messages.append((source, tag, payload))
-        if self._waiter is not None:
-            task, want_source, want_tag = self._waiter
-            if _matches(source, tag, want_source, want_tag) and task.state == Task.BLOCKED:
-                self._waiter = None
-                task.engine.wake(task)
 
-    def get(self, task: Task, source: int, tag: int) -> Tuple[int, int, Any]:
-        """Remove and return the first message matching ``source``/``tag``,
-        parking ``task`` until one arrives."""
-        while True:
-            msg = self._find(source, tag)
-            if msg is not None:
-                return msg
-            self._waiter = (task, source, tag)
-            try:
-                task.engine.wait(f"recv(source={source}, tag={tag})")
-            except BaseException:
-                if self._waiter is not None and self._waiter[0] is task:
-                    self._waiter = None
-                raise
+def _deliver(request: Request, source: int, tag: int, sent_at: float, payload: Any) -> None:
+    """Complete a receive: its clock joins at the send instant."""
+    request.status = Status(source=source, tag=tag, count=getattr(payload, "nbytes", 0) or 0)
+    request._finish(payload, None, sent_at)
 
 
 class _Round:
@@ -180,6 +180,15 @@ class _CommGroup:
         for child in self.children:
             if child.aborted is None:
                 child.abort(exc)
+
+    def derive(self, clocks: List[VirtualClock]) -> "_CommGroup":
+        """A new group over ``clocks`` with this group's cost model and
+        engine, registered in :attr:`children` for the abort cascade."""
+        group = _CommGroup(
+            len(clocks), clocks=clocks, cost_model=self.cost_model, engine=self.engine
+        )
+        self.children.append(group)
+        return group
 
 
 class Group:
@@ -250,10 +259,12 @@ class _PointToPoint:
     """Eager point-to-point messaging, causal in virtual time: the one body
     behind both communicator kinds.
 
-    A send charges the sender the message's cost and stamps the payload with
-    the sender's clock after the charge; a receive advances the receiver's
-    clock to that stamp, so a message is never observed before it was sent
-    (Lamport's rule).  A communicator kind supplies only the routing:
+    A send charges the sender the message's cost, passes a sequence point and
+    deposits the payload, stamped with the sender's clock after the charge,
+    in the receiver's :class:`_Mailbox`; a receive is a :class:`Request`
+    completed by the earliest matching message, and waiting it advances the
+    receiver's clock to that stamp, so a message is never observed before it
+    was sent (Lamport's rule).  A communicator kind supplies only the routing:
     :meth:`_peer_slot` checks a peer rank and names its mailbox in
     ``self._group``, :attr:`_inbox` is this rank's own mailbox, and the
     receiver sees the sender's ``rank`` as the source.
@@ -287,18 +298,16 @@ class _PointToPoint:
         if tag < 0:
             raise TagError(f"invalid send tag {tag}")
         sent_at = self.clock.advance(self._group.cost_model.cost(obj))
-        self._group.mailboxes[slot].put(self._rank, tag, (sent_at, obj))
+        sequence_point()  # the mailbox is shared: deposit in virtual-time order
+        self._group.mailboxes[slot].put(self._rank, tag, sent_at, obj)
 
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Non-blocking send (completes immediately — sends are eager)."""
-        req = Request()
-        try:
-            self.send(obj, dest, tag)
-        except Exception as exc:  # pragma: no cover - defensive
-            req._fail(exc)
-        else:
-            req._complete(None, Status(source=self._rank, tag=tag))
-        return req
+        """Non-blocking send: sends are eager, so the request is complete."""
+        self.send(obj, dest, tag)
+        request = Request("isend")
+        request.status = Status(source=self._rank, tag=tag)
+        request._finish()
+        return request
 
     def recv(
         self,
@@ -306,51 +315,28 @@ class _PointToPoint:
         tag: int = ANY_TAG,
         status: Optional[Status] = None,
     ) -> Any:
-        """Blocking receive; returns the received object.
+        """Blocking receive (``irecv(...).Wait()``); returns the received object.
 
         A receive that can never be matched is detected (and reported per
         rank) by the scheduler's deadlock detection.
         """
-        if source != ANY_SOURCE:
-            self._peer_slot(source)
-        self._check_tag(tag)
-        task = self._require_task()
-        src, t, (sent_at, payload) = self._inbox.get(task, source, tag)
-        self.clock.advance_to(sent_at, waiting=True)
+        self._require_task()
+        request = self.irecv(source, tag)
+        payload = request.Wait()
         if status is not None:
-            status.source = src
-            status.tag = t
-            status.count = getattr(payload, "nbytes", 0) or 0
+            got = request.status
+            status.source, status.tag, status.count = got.source, got.tag, got.count
         return payload
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; completes lazily on ``test``/``wait``."""
-        req = Request()
-        mailbox = self._inbox
-
-        def poll() -> bool:
-            msg = mailbox._find(source, tag)
-            if msg is None:
-                return False
-            src, t, (sent_at, payload) = msg
-            self.clock.advance_to(sent_at, waiting=True)
-            req._complete(
-                payload,
-                Status(source=src, tag=t, count=getattr(payload, "nbytes", 0) or 0),
-            )
-            return True
-
-        def finish() -> None:
-            try:
-                status = Status()
-                value = self.recv(source, tag, status=status)
-            except Exception as exc:
-                req._fail(exc)
-            else:
-                req._complete(value, status)
-
-        req._bind(poll, finish)
-        return req
+        """Non-blocking receive: matched to the earliest queued matching
+        message, or posted until one is deposited."""
+        if source != ANY_SOURCE:
+            self._peer_slot(source)
+        self._check_tag(tag)
+        request = Request(f"recv(source={source}, tag={tag})")
+        self._inbox.post(source, tag, request)
+        return request
 
 
 class Communicator(_PointToPoint):
@@ -584,38 +570,20 @@ class Communicator(_PointToPoint):
     def reduce(self, obj: Any, op: ReduceOp = SUM, root: int = 0) -> Optional[Any]:
         """Reduce one value per rank onto ``root`` using ``op``."""
         gathered = self.gather(obj, root=root)
-        if self._rank != root:
-            return None
-        acc = gathered[0]
-        for value in gathered[1:]:
-            acc = op(acc, value)
-        return acc
+        return functools.reduce(op, gathered) if self._rank == root else None
 
     def allreduce(self, obj: Any, op: ReduceOp = SUM) -> Any:
         """Reduce one value per rank and distribute the result to every rank."""
-        gathered = self.allgather(obj)
-        acc = gathered[0]
-        for value in gathered[1:]:
-            acc = op(acc, value)
-        return acc
+        return functools.reduce(op, self.allgather(obj))
 
     def scan(self, obj: Any, op: ReduceOp = SUM) -> Any:
         """Inclusive prefix reduction over ranks ``0..self.rank``."""
-        gathered = self.allgather(obj)
-        acc = gathered[0]
-        for value in gathered[1 : self._rank + 1]:
-            acc = op(acc, value)
-        return acc
+        return functools.reduce(op, self.allgather(obj)[: self._rank + 1])
 
     def exscan(self, obj: Any, op: ReduceOp = SUM) -> Optional[Any]:
         """Exclusive prefix reduction (``None`` on rank 0)."""
         gathered = self.allgather(obj)
-        if self._rank == 0:
-            return None
-        acc = gathered[0]
-        for value in gathered[1 : self._rank]:
-            acc = op(acc, value)
-        return acc
+        return functools.reduce(op, gathered[: self._rank]) if self._rank else None
 
     # -- communicator management -----------------------------------------------------
 
@@ -640,14 +608,7 @@ class Communicator(_PointToPoint):
                     [(k, r) for cc, k, r in info if cc == c]
                 )
                 ranks = [r for _, r in members]
-                clocks = [self._group.clocks[r] for r in ranks]
-                group = _CommGroup(
-                    len(ranks),
-                    clocks=clocks,
-                    cost_model=self._group.cost_model,
-                    engine=self._group.engine,
-                )
-                self._group.children.append(group)
+                group = self._group.derive([self._group.clocks[r] for r in ranks])
                 groups[c] = (group, ranks)
             mapping = groups
         else:
@@ -698,18 +659,10 @@ class Communicator(_PointToPoint):
         own clock keeps advancing through overlapped computation, and the
         two timelines are joined explicitly when the request is waited on.
         """
+        group = None
         if self._rank == 0:
-            group: Optional[_CommGroup] = _CommGroup(
-                self.size,
-                clocks=[VirtualClock() for _ in range(self.size)],
-                cost_model=self._group.cost_model,
-                engine=self._group.engine,
-            )
-            self._group.children.append(group)
-        else:
-            group = None
-        group = self.bcast(group, root=0)
-        return Communicator(group, self._rank)
+            group = self._group.derive([VirtualClock() for _ in range(self.size)])
+        return Communicator(self.bcast(group, root=0), self._rank)
 
     def release_detached(self, detached: "Communicator") -> None:
         """Forget a communicator created by :meth:`dup_detached`.
@@ -768,18 +721,13 @@ class Communicator(_PointToPoint):
             # group (its side occupies union slots [0, size)) and ships it to
             # the other leader; both register it for the abort cascade.
             if my_peer < other_peer:
-                union = _CommGroup(
-                    g.size + other_group.size,
-                    clocks=list(g.clocks) + list(other_group.clocks),
-                    cost_model=g.cost_model,
-                    engine=g.engine,
-                )
+                union = g.derive(list(g.clocks) + list(other_group.clocks))
                 peer_comm.send(union, remote_leader, tag)
                 local_offset = 0
             else:
                 union = peer_comm.recv(source=remote_leader, tag=tag)
+                g.children.append(union)
                 local_offset = union.size - g.size
-            g.children.append(union)
             payload: Optional[Tuple[_CommGroup, int, int]] = (
                 union, local_offset, union.size - g.size
             )
@@ -969,13 +917,7 @@ class Intercomm(_PointToPoint):
             order = sorted(
                 range(self._group.size), key=lambda u: (round_.slots[u][0], u)
             )
-            group = _CommGroup(
-                self._group.size,
-                clocks=[self._group.clocks[u] for u in order],
-                cost_model=self._group.cost_model,
-                engine=self._group.engine,
-            )
-            self._group.children.append(group)
+            group = self._group.derive([self._group.clocks[u] for u in order])
             round_.shared = [group, {u: r for r, u in enumerate(order)}]
         group, new_ranks = round_.shared
         return Communicator(group, new_ranks[self._urank])

@@ -334,3 +334,60 @@ def lock_programs(draw, max_tasks: int = 4):
         "tasks": tasks,
         "off_engine": draw(st.lists(off_op, max_size=6)),
     }
+
+
+@st.composite
+def request_programs(draw, min_ranks: int = 2, max_ranks: int = 4, max_rounds: int = 16):
+    """An SPMD program of point-to-point and file requests for
+    ``min_ranks``–``max_ranks`` ranks: ``{"nranks", "latency", "rounds"}``.
+
+    ``latency`` is the communicator's per-message cost.  Every rank runs the
+    rounds in order, doing its own part of each:
+
+    * ``("compute", seconds)``: rank *r* advances its clock ``seconds[r]``;
+    * ``("barrier",)``;
+    * ``("message", src, dst, send, recv, any_source)``: ``src`` sends one
+      message to ``dst`` by ``"send"`` or ``"isend"`` and ``dst`` receives it
+      by ``"recv"`` or ``"irecv"``, naming ``src`` or ``ANY_SOURCE``.  The tag
+      is the round's index, so one receive matches each message and no
+      message can match two pending receives;
+    * ``("io", file, name, sizes)``: every rank issues ``name``
+      (``Iwrite_all`` / ``Iread_all`` / ``Iwrite_at``) of ``sizes[r]`` bytes
+      on file 0 (non-atomic) or file 1 (atomic, without locks: an
+      ``Iwrite_at`` there fails at ``Wait``);
+    * ``("wait" | "test", pick)``: every rank waits on — tests — one of its
+      pending requests;
+    * ``("Waitall" | "Testall" | "Waitany", mask, nones)``: every rank
+      completes the pending requests bit ``mask`` selects, with ``None``
+      placeholders inserted at the positions ``nones`` names.
+
+    A probe — ``test``, ``Testall``, ``Waitany`` — names a receive only if a
+    barrier lies between its message and the probe; see
+    ``tests/test_mpi_requests_differential.py``."""
+    nranks = draw(st.integers(min_ranks, max_ranks))
+    ranks = st.integers(0, nranks - 1)
+    seconds = st.sampled_from([0.0, 0.0, 1e-6, 4e-6, 2e-5])
+    compute = st.tuples(st.just("compute"), st.lists(seconds, min_size=nranks, max_size=nranks))
+    message = st.tuples(
+        st.just("message"), ranks, ranks, st.sampled_from(["send", "isend"]),
+        st.sampled_from(["recv", "irecv", "irecv"]), st.booleans(),
+    )
+    io = st.tuples(
+        st.just("io"), st.integers(0, 1),
+        st.sampled_from(["Iwrite_all", "Iwrite_all", "Iread_all", "Iwrite_at"]),
+        st.lists(st.integers(0, 48), min_size=nranks, max_size=nranks),
+    )
+    single = st.tuples(st.sampled_from(["wait", "test"]), st.integers(0, 7))
+    listed = st.tuples(
+        st.sampled_from(["Waitall", "Testall", "Waitany", "Waitany"]),
+        st.one_of(st.just(255), st.integers(0, 255)), st.lists(st.integers(0, 7), max_size=2),
+    )
+    round_ = st.one_of(
+        compute, st.just(("barrier",)), st.just(("barrier",)), message, message, message,
+        io, io, single, listed, listed,
+    )
+    return {
+        "nranks": nranks,
+        "latency": draw(st.sampled_from([0.0, 1e-6])),
+        "rounds": draw(st.lists(round_, max_size=max_rounds)),
+    }

@@ -12,7 +12,9 @@ when the read delivered into it).  ``tests/test_io_collective_differential.py``
 requires both to leave the same bytes, provenance, clocks, lock history,
 cache statistics, buffers and outcomes on generated programs.  Everything
 else — open, views, ``Write_all`` / ``Read_all`` (``...(...).Wait()`` of the
-overridden forms), the independent calls — is inherited, not copied.
+overridden forms), the independent calls — is inherited, not copied.  The
+bodies build and retire the file requests of their time, so the base class
+is ``tests/reference_requests.py``'s ``MPIFile`` with ``IORequest`` s.
 
 Never imported by ``src/``.
 """
@@ -28,13 +30,14 @@ from repro.core.strategies import IOOutcome
 from repro.datatypes.datatype import Datatype
 from repro.datatypes.pack import unpack
 from repro.fs.client import ClientFileHandle
-from repro.io.file import Buffer, MPIFile, _as_bytes
-from repro.io.requests import IORequest
+from repro.io.file import Buffer, _as_bytes
 from repro.mpi.comm import Communicator
 from repro.mpi.errors import CollectiveAbortedError
 
+from reference_requests import IORequest, ReferenceMPIFile as RequestsReferenceMPIFile
 
-class ReferenceMPIFile(MPIFile):
+
+class ReferenceMPIFile(RequestsReferenceMPIFile):
     """``MPIFile`` with the four hand-written collective request bodies."""
 
     def _issue(

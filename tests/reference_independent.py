@@ -36,8 +36,8 @@ from repro.datatypes.datatype import Datatype
 from repro.fs.client import ClientFileHandle
 from repro.fs.lockmanager import LockMode
 from repro.io.file import Buffer, MPIFile, _as_bytes
-from repro.io.requests import IORequest
 from repro.mpi.comm import Communicator
+from repro.mpi.status import Request
 
 
 class ReferenceMPIFile(MPIFile):
@@ -156,7 +156,7 @@ class ReferenceMPIFile(MPIFile):
         buffer: Buffer,
         count: Optional[int] = None,
         datatype: Optional[Datatype] = None,
-    ) -> IORequest:
+    ) -> Request:
         """Nonblocking independent write (``MPI_File_iwrite_at``).
 
         Same locking rules as :meth:`Write_at`, executed on the detached
@@ -179,7 +179,7 @@ class ReferenceMPIFile(MPIFile):
         buffer: Buffer,
         count: Optional[int] = None,
         datatype: Optional[Datatype] = None,
-    ) -> IORequest:
+    ) -> Request:
         """Nonblocking independent read (``MPI_File_iread_at``).
 
         ``buffer`` is filled at completion; ``Wait`` returns the

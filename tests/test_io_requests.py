@@ -1,8 +1,8 @@
 """Tests for the request-based nonblocking & split-collective I/O API.
 
-Covers the :class:`repro.io.requests.IORequest` lifecycle (Wait/Test,
-misuse, exception propagation), the split-collective begin/end pairs, the
-module-level Waitall/Testall/Waitany over mixed request families, the
+Covers the lifecycle of a file operation's :class:`repro.mpi.status.Request`
+(Wait/Test, misuse, exception propagation), the split-collective begin/end
+pairs, Waitall/Testall/Waitany over lists of file and point-to-point requests, the
 collective Close semantics, the Info-hint threading, and the atomicity
 verifier under racing nonblocking collectives.
 """
@@ -16,8 +16,8 @@ from repro.core.registry import default_registry
 from repro.core.strategies import IOOutcome, NoAtomicityStrategy, TwoPhaseStrategy
 from repro.datatypes import CHAR, contiguous
 from repro.fs import ParallelFileSystem
-from repro.io import Info, IORequest, MPIFile, Testall, Waitall, Waitany
-from repro.mpi import CollectiveAbortedError, run_spmd
+from repro.io import Info, MPIFile
+from repro.mpi import CollectiveAbortedError, Request, Testall, Waitall, Waitany, run_spmd
 from repro.patterns.workloads import rank_pattern_bytes
 from repro.verify.atomicity import (
     ReadObservation,
@@ -40,7 +40,7 @@ class TestNonblockingCollectives:
             f = MPIFile.Open(comm, "nb.dat", fast_fs)
             f.Set_view(comm.rank * 8, CHAR, contiguous(8, CHAR))
             request = f.Iwrite_all(bytes([65 + comm.rank]) * 8)
-            assert isinstance(request, IORequest)
+            assert isinstance(request, Request)
             outcome = request.Wait()
             assert isinstance(outcome, IOOutcome)
             assert outcome.bytes_requested == 8
@@ -502,8 +502,9 @@ class TestRetirementCoherence:
     def test_waitany_drains_mixed_p2p_list(self, fast_fs):
         def fn(comm):
             if comm.rank == 0:
-                comm.send("one", dest=1, tag=1)
                 comm.send("two", dest=1, tag=2)
+                comm.clock.advance(1.0)
+                comm.send("one", dest=1, tag=1)
                 return None
             requests = [comm.irecv(source=0, tag=1), comm.irecv(source=0, tag=2)]
             order = []
@@ -515,7 +516,8 @@ class TestRetirementCoherence:
             return order
 
         result = run_spmd(fn, 2)
-        assert sorted(result.returns[1]) == [0, 1], "each p2p request retires once"
+        # Each p2p request retires once, in the order its message was sent.
+        assert result.returns[1] == [1, 0]
 
 
 class TestCloseSemantics:

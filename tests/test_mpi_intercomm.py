@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.io import Waitall, Waitany
 from repro.mpi import (
     PROC_NULL,
     ROOT,
     Group,
     SPMDExecutionError,
+    Waitall,
+    Waitany,
     run_spmd,
 )
 from repro.mpi.errors import (

@@ -13,6 +13,7 @@ from repro.mpi import (
     CommCostModel,
     SPMDExecutionError,
     VirtualClock,
+    Waitany,
     run_spmd,
     synchronize_clocks,
 )
@@ -237,7 +238,7 @@ class TestDeadlockDetection:
         failures = excinfo.value.failures
         assert set(failures) == {0}
         assert isinstance(failures[0], DeadlockError)
-        assert "recv" in str(failures[0])
+        assert "recv(source=1, tag=5)" in str(failures[0])
 
     def test_deadlocked_rank_releases_its_locks_during_unwind(self):
         """A deadlock-cancelled rank must unwind through its finally blocks
@@ -359,6 +360,51 @@ class TestPointToPoint:
 
         result = run_spmd(fn, 2)
         assert result.returns[1] == (5.0, 5.0)
+
+    def test_waitany_returns_the_receive_sent_first_in_virtual_time(self):
+        # Rank 0's message is sent at t = 10, rank 2's at t = 1: Waitany over
+        # both receives retires rank 2's and joins the receiver at t = 1.
+        def fn(comm):
+            if comm.rank == 1:
+                requests = [comm.irecv(source=0, tag=3), comm.irecv(source=2, tag=3)]
+                index = Waitany(requests)
+                return index, requests[index].wait(), comm.clock.now
+            comm.clock.advance(10.0 if comm.rank == 0 else 1.0)
+            comm.send("late" if comm.rank == 0 else "early", dest=1, tag=3)
+            return None
+
+        assert run_spmd(fn, 3).returns[1] == (1, "early", 1.0)
+
+    @pytest.mark.parametrize("source", [0, ANY_SOURCE])
+    def test_irecv_posted_before_recv_gets_the_first_message(self, source):
+        # Non-overtaking: of two receives matching the same messages, the one
+        # posted first gets the message sent first.  With ANY_SOURCE the
+        # second message comes from another rank, sent later in virtual time.
+        second_sender = 0 if source == 0 else 2
+
+        def fn(comm):
+            if comm.rank == 1:
+                request = comm.irecv(source=source, tag=0)
+                second = comm.recv(source=source, tag=0)
+                return request.wait(), second
+            if comm.rank == 0:
+                comm.send("first", dest=1, tag=0)
+            if comm.rank == second_sender:
+                comm.clock.advance(1.0)
+                comm.send("second", dest=1, tag=0)
+            return None
+
+        assert run_spmd(fn, 3).returns[1] == ("first", "second")
+
+    def test_isend_checks_its_arguments_at_the_call(self):
+        def fn(comm):
+            with pytest.raises(RankError):
+                comm.isend(1, dest=10)
+            with pytest.raises(TagError):
+                comm.isend(1, dest=0, tag=-2)
+            return True
+
+        assert run_spmd(fn, 2).returns == [True, True]
 
     def test_bad_destination_rank(self):
         def fn(comm):

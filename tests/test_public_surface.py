@@ -28,7 +28,6 @@ REPRO_ALL = [
     "GraphColoringStrategy",
     "Group",
     "IOOutcome",
-    "IORequest",
     "Info",
     "Intercomm",
     "Interval",
