@@ -23,16 +23,7 @@ from .rank_ordering import (
     verify_coverage_preserved,
     verify_disjoint,
 )
-from .pipeline import (
-    ConflictAnalysis,
-    ConflictReport,
-    IOPlan,
-    LockDirective,
-    PhasePlan,
-    PlanRunner,
-    TransferStep,
-    ViewExchange,
-)
+from .pipeline import IOPlan, LockDirective, PhasePlan, TransferStep
 from .registry import StrategyRegistry, default_registry, register_strategy
 from .aggregation import (
     AggregatedRun,
@@ -89,14 +80,10 @@ __all__ = [
     "RankOrderingStrategy",
     "TwoPhaseStrategy",
     "IOOutcome",
-    "ViewExchange",
-    "ConflictAnalysis",
-    "ConflictReport",
     "LockDirective",
     "TransferStep",
     "PhasePlan",
     "IOPlan",
-    "PlanRunner",
     "StrategyRegistry",
     "default_registry",
     "register_strategy",

@@ -39,12 +39,13 @@ flattened view ``("view", off0, len0, off1, len1, ...)``.  Because the
 collective structure never branches on the (rank-local) cache guess, ranks
 disagreeing about the cache state cannot deadlock.  The hit/miss verdict is
 computed *after* the allgather, once per collective, from the shared payload
-list: all-hit replays the cached regions (identity-stable, so the downstream
-analysis/negotiation memos hit too); any view payload rebuilds the region
-list — reusing the cached region object for verified hit claimers — and
-refreshes the cache.  Each hit-claiming rank additionally compares its
-actual segments against the cached ones and raises on mismatch, so a
-fingerprint collision can corrupt nothing.
+list: all-hit replays the cached region list by identity — the shared list of
+the collective that filled the cache, with the products built on it (the
+delegate's trim or negotiation), so a warm collective rebuilds none of them;
+any view payload rebuilds the region list — reusing the cached region object
+for verified hit claimers — and refreshes the cache.  Each hit-claiming rank
+additionally compares its actual segments against the cached ones and raises
+on mismatch, so a fingerprint collision can corrupt nothing.
 
 The warm path is also cheaper in *virtual* time, honestly modelled: the hit
 claim is a 4-element payload where the cold view payload carries
@@ -57,13 +58,13 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+from ..mpi.comm import SharedList
 from .analysis import pattern_features
-from .pipeline import _SharedMemo
 from .regions import FileRegionSet
 from .registry import default_registry, register_strategy
-from .strategies import AtomicityStrategy, PreparedIO, TwoPhaseStrategy
+from .strategies import AtomicityStrategy, PreparedIO
 
 __all__ = [
     "PatternSignature",
@@ -183,9 +184,7 @@ class TuningDecision:
 
     The delegate strategy instance is built lazily and cached: all ranks of a
     collective share the record (and hence the decision), so they share one
-    delegate — which is what lets the delegate's own per-instance analysis
-    and class-level negotiation memos collapse P identical computations into
-    one, exactly as the static strategies do.
+    delegate.
     """
 
     strategy: str
@@ -326,10 +325,9 @@ class PlanEntry:
     """
 
     signature: PatternSignature
-    #: The shared exchanged region list.  Replayed *by identity* on a hit so
-    #: the delegate's analysis/negotiation memos (keyed on region identity)
-    #: hit as well.
-    regions: List[FileRegionSet]
+    #: The shared exchanged region list.  Replayed *by identity* on a hit, so
+    #: the products built on it (:meth:`SharedList.once`) are replayed too.
+    regions: SharedList
     #: Per-rank fingerprints ``(num_segments, total_bytes, hash(segments))``.
     fingerprints: Tuple[Tuple[int, int, int], ...]
 
@@ -351,9 +349,6 @@ class FileTuningRecord:
         self.decisions: Dict[Tuple[str, PatternSignature], TuningDecision] = {}
         #: Cross-collective plan cache (at most one live entry).
         self.entry: Optional[PlanEntry] = None
-        #: Once-per-collective resolution memo, keyed on the identity of the
-        #: shared allgather payload list (same scheme as ViewExchange).
-        self.memo = _SharedMemo()
         #: Plan-cache accounting (collectives, not ranks).
         self.hits = 0
         self.misses = 0
@@ -410,7 +405,7 @@ def notify_hint_change(fs, filename: str) -> None:
 
 #: A resolution: the shared region list, the signature, and the hit verdict.
 #: (Direction-agnostic — the decision is looked up from the signature.)
-_Resolution = Tuple[List[FileRegionSet], PatternSignature, bool]
+_Resolution = Tuple[SharedList, PatternSignature, bool]
 
 
 @register_strategy
@@ -477,7 +472,7 @@ class AutoStrategy(AtomicityStrategy):
 
     def _resolve(
         self, comm, region: FileRegionSet, direction: str = "write"
-    ) -> Tuple[List[FileRegionSet], TuningDecision, bool]:
+    ) -> Tuple[SharedList, TuningDecision, bool]:
         """One collective exchange resolving views, signature and decision.
 
         Exactly one allgather, whatever the cache state (see module doc).
@@ -504,12 +499,9 @@ class AutoStrategy(AtomicityStrategy):
         elapsed = time.thread_time() - cpu_start
         shared = comm.allgather_shared(payload)
         cpu_start = time.thread_time()
-        key = id(shared)
-        resolution = record.memo.get(key)
-        if resolution is None:
-            resolution = self._decide(comm.size, shared, record)
-            record.memo.put(key, shared, resolution)
-        regions, signature, hit = resolution
+        regions, signature, hit = shared.once(
+            "auto", lambda: self._decide(comm.size, shared, record)
+        )
         decision = self._decision_for(record, signature, direction)
         if claim_hit:
             # Exact verification behind the O(1) fingerprint: a hash collision
@@ -530,7 +522,7 @@ class AutoStrategy(AtomicityStrategy):
     def _decide(self, comm_size: int, shared, record: FileTuningRecord) -> _Resolution:
         """The once-per-collective verdict, computed from the shared payloads.
 
-        Runs exactly once per collective (memoised on the shared list) on
+        Runs exactly once per collective (a product of the shared list) on
         whichever rank drains the allgather first; every mutation of the
         record therefore happens before any rank finishes its prepare, i.e.
         strictly before the next collective's cache guesses.
@@ -549,7 +541,7 @@ class AutoStrategy(AtomicityStrategy):
                     )
             record.hits += 1
             return (entry.regions, entry.signature, True)
-        regions: List[FileRegionSet] = []
+        regions = SharedList()
         for rank, payload in enumerate(shared):
             tag = payload[0]
             if tag == "hit":
@@ -597,10 +589,7 @@ class AutoStrategy(AtomicityStrategy):
             self._check_request(region, data)
         direction = "read" if data is None else "write"
         regions, decision, _ = self._resolve(comm, region, direction)
-        delegate = decision.delegate()
-        prepared = delegate._scheduled(
-            comm, region, start_time, data, delegate.analysis.run(regions)
-        )
+        prepared = decision.delegate()._scheduled(comm, region, start_time, data, regions)
         self.adopt(prepared.plan, decision)
         # The decision's delegate owns the commit (two-phase scatters from
         # aggregators); remember it, since the commit may run on a detached
@@ -629,7 +618,7 @@ class AutoStrategy(AtomicityStrategy):
         if policy.read_ahead_pages != pages:
             cache.policy = replace(policy, read_ahead_pages=pages)
 
-    def schedule(self, comm, region, data, report):  # noqa: D102
+    def schedule(self, comm, region, data, regions):  # noqa: D102
         raise RuntimeError(
             "AutoStrategy delegates scheduling to the tuned strategy; "
             "prepare is the entry point"
@@ -638,23 +627,15 @@ class AutoStrategy(AtomicityStrategy):
     # -- bulk-replay support ---------------------------------------------------
 
     def resolve_static(
-        self, comm_size: int, regions: Sequence[FileRegionSet], direction: str = "write"
-    ) -> TwoPhaseStrategy:
+        self, regions: Sequence[FileRegionSet], direction: str = "write"
+    ) -> TuningDecision:
         """Classify and decide without a collective, for the bulk replay.
 
         The bulk executor already holds every rank's regions, so no exchange
-        is needed; the plan cache does not apply (one-shot replay).  Raises
-        :class:`TypeError` when the tuned strategy is not an aggregation
-        schedule the replay can execute.
+        is needed; the plan cache does not apply (one-shot replay).  The
+        caller runs the decision's delegate and brands its plans with
+        :meth:`adopt`.
         """
-        record = self._active_record()
-        signature = classify_pattern(regions)
-        decision = self._decision_for(record, signature, direction)
+        decision = self._decision_for(self._active_record(), classify_pattern(regions), direction)
         self.last_decision = decision
-        delegate = decision.delegate()
-        if not isinstance(delegate, TwoPhaseStrategy):
-            raise TypeError(
-                f"auto selected {decision.strategy!r} for this pattern, which "
-                "the bulk replay cannot execute; use the engine executors"
-            )
-        return delegate
+        return decision

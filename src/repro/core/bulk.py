@@ -50,6 +50,7 @@ from typing import Dict, Generator, Iterator, List, Optional, Sequence
 from ..fs.client import ClientFileHandle, FSClient
 from ..fs.filesystem import ParallelFileSystem
 from ..mpi.clock import VirtualClock
+from ..mpi.comm import SharedList
 from ..mpi.cost import CommCostModel, _Volume, payload_nbytes
 from ..mpi.errors import CollectiveMismatchError
 from ..mpi.runtime import SPMDResult
@@ -61,8 +62,8 @@ from .executor import (
     _Executor,
     default_data_factory,
 )
+from .autotune import AutoStrategy
 from .pipeline import IOPlan, transfer_steps
-from .regions import FileRegionSet
 from .strategies import IOOutcome, TwoPhaseStrategy
 
 __all__ = ["BulkReadExecutor", "BulkWriteExecutor"]
@@ -150,38 +151,43 @@ class _BulkExecutor(_Executor):
         comm_cost: Optional[CommCostModel] = None,
     ) -> None:
         # The adaptive strategy is accepted too: it resolves to a two-phase
-        # delegate at run time (and raises TypeError there if its decision is
-        # not an aggregation schedule).
-        if not isinstance(strategy, TwoPhaseStrategy) and not hasattr(
-            strategy, "resolve_static"
-        ):
+        # delegate at run time (and the run raises TypeError if its decision
+        # is not an aggregation schedule).
+        if not isinstance(strategy, (TwoPhaseStrategy, AutoStrategy)):
             raise TypeError(
                 f"{type(self).__name__} drives aggregation schedules only; "
                 f"{type(strategy).__name__} must run on the engine executors"
             )
         super().__init__(fs, strategy, filename, comm_cost)
 
-    def _exchange(self, regions: List[FileRegionSet], clocks, direction: str):
+    def _exchange(self, regions: SharedList, clocks, direction: str):
         """Stage 1 — view exchange and negotiation, for both directions.
 
         Returns ``(delegate, negotiation, adopt)``: the aggregation strategy
         whose coroutines to drive, its per-collective record, and the
-        function every plan it builds passes through.  The adaptive strategy
-        resolves to its tuned delegate without a collective (the driver
-        already holds every rank's regions) and ships a tagged flattened
-        view of ``1 + 2 * segments`` elements, costed honestly.
+        function every plan it builds passes through.  ``regions`` is built
+        as the engine's exchange builds its region list
+        (:func:`~repro.core.pipeline.shared_regions`), and the negotiation is
+        its product here as there.  The adaptive strategy resolves to its
+        tuned delegate without a collective (the driver already holds every
+        rank's regions) and ships a tagged flattened view of
+        ``1 + 2 * segments`` elements, costed honestly.
         """
-        resolver = getattr(self.strategy, "resolve_static", None)
-        if resolver is None:
-            delegate, adopt = self.strategy, lambda plan: plan
-            shipped = [r.segments for r in regions]
-        else:
-            delegate = resolver(len(regions), regions, direction)
-            decision = self.strategy.last_decision
+        if isinstance(self.strategy, AutoStrategy):
+            decision = self.strategy.resolve_static(regions, direction)
+            delegate = decision.delegate()
+            if not isinstance(delegate, TwoPhaseStrategy):
+                raise TypeError(
+                    f"auto selected {decision.strategy!r} for this pattern, which "
+                    "the bulk replay cannot execute; use the engine executors"
+                )
             adopt = lambda plan: self.strategy.adopt(plan, decision)  # noqa: E731
             shipped = [_Volume(1 + 2 * r.num_segments) for r in regions]
+        else:
+            delegate, adopt = self.strategy, lambda plan: plan
+            shipped = [r.segments for r in regions]
         _rendezvous(clocks, [self.comm_cost.cost(view) for view in shipped])
-        return delegate, delegate.negotiate(len(regions), regions), adopt
+        return delegate, delegate.negotiation(regions), adopt
 
     def _lockstep(self, schedules: Sequence[Generator], clocks: List[VirtualClock]) -> list:
         """Drive every rank's schedule coroutine, one sparse exchange per round.

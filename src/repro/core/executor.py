@@ -25,13 +25,14 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from ..mpi.cost import CommCostModel
+from .pipeline import shared_regions
 from .regions import FileRegionSet
 from .strategies import AtomicityStrategy, IOOutcome
 
 if TYPE_CHECKING:  # imported lazily to keep the package import graph acyclic
     from ..fs.client import ClientFileHandle
     from ..fs.filesystem import FileObject, ParallelFileSystem
-    from ..mpi.comm import Communicator
+    from ..mpi.comm import Communicator, SharedList
     from ..mpi.runtime import SPMDResult
 
 __all__ = [
@@ -110,11 +111,12 @@ class _Executor:
         strategy.bind_context(fs, filename)
 
     @staticmethod
-    def _views(nprocs: int, view_factory: ViewFactory) -> List[FileRegionSet]:
-        """Every rank's flattened view, as the regions the run will use."""
+    def _views(nprocs: int, view_factory: ViewFactory) -> SharedList:
+        """Every rank's flattened view, as the regions the run will use — a
+        shared region list, which the bulk driver's collective builds on."""
         if nprocs <= 0:
             raise ValueError("nprocs must be positive")
-        return [FileRegionSet(rank, view_factory(rank, nprocs)) for rank in range(nprocs)]
+        return shared_regions(view_factory(rank, nprocs) for rank in range(nprocs))
 
     def _spmd(self, regions: List[FileRegionSet], rank_io: RankIO) -> SPMDResult:
         """One engine rank per region, each running :func:`rank_main`."""

@@ -1,25 +1,26 @@
 """The staged collective-I/O pipeline.
 
-Every atomicity strategy in the paper follows the same hidden sequence:
-exchange file views, analyse conflicts, schedule who transfers what when,
-then execute the I/O.  This module makes that sequence explicit as four
-composable stages, so a strategy is nothing but a particular configuration of
-them — and it makes it explicit **once** for both directions: a collective
-write and a collective read share every class below and differ only in the
-plan's ``direction`` and in which directives their schedules set.
+Every atomicity strategy in the paper follows the same sequence: exchange
+file views, derive what the conflicts require, schedule who transfers what
+when, then execute the I/O.  This module holds the parts written once — for
+every strategy and for both directions: a collective write and a collective
+read differ only in the plan's ``direction`` and in which directives their
+schedules set.
 
-:class:`ViewExchange`
+:func:`exchange_views`
     Stage 1 (communication): ``allgather`` every rank's flattened file view —
-    the handshaking step of Section 3.3.  Strategies that need no knowledge
-    of their peers (byte-range locking, the non-atomic baseline) disable it
-    and pay no negotiation cost.
+    the handshaking step of Section 3.3 — into one region list that every
+    rank of the collective shares (:func:`shared_regions`).  Strategies that
+    need no knowledge of their peers (byte-range locking, the non-atomic
+    baseline) do not call it and pay no negotiation cost.
 
-:class:`ConflictAnalysis`
-    Stage 2 (pure local computation): run the requested conflict-resolution
-    algorithm on the exchanged views — the boolean overlap matrix plus greedy
-    colouring (Section 3.3.1), or the exact rank-priority trimming
-    (Section 3.3.2).  Every rank computes the identical result from the
-    identical inputs, so no further communication is needed.
+Stage 2 (pure local computation) is no object of its own.  Every rank
+derives the identical colouring (Section 3.3.1), rank-priority trim
+(Section 3.3.2) or two-phase negotiation from the identical views, so a
+strategy's schedule asks the shared region list for the one product it
+reads — ``regions.once(key, build)``, :class:`~repro.mpi.comm.SharedList` —
+and the first rank to ask builds it for all.  A product lives exactly as
+long as its collective's region list.
 
 :class:`IOPlan` / :class:`PhasePlan` / :class:`TransferStep` / :class:`LockDirective`
     Stage 3 output: a *declarative* schedule of this rank's I/O — its
@@ -29,7 +30,7 @@ plan's ``direction`` and in which directives their schedules set.
     cache / invalidate / sync / barrier behaviour.  Building the plan is the
     only part a strategy has to implement.
 
-:class:`PlanRunner`
+:func:`run_plan`
     Stage 4 (execution): walk an :class:`IOPlan` against a
     :class:`~repro.fs.client.ClientFileHandle`, acquire the scheduled locks,
     issue each phase's transfers as one batched write — or one batched read
@@ -37,29 +38,21 @@ plan's ``direction`` and in which directives their schedules set.
     barrier directives, and account everything into a
     :class:`~repro.core.strategies.IOOutcome`.
 
-All strategies are expressed as compositions of these stages — see
+All strategies are expressed through these parts — see
 :mod:`repro.core.strategies`.  Because a collective read may move fetched
 bytes *between* ranks after the file I/O (the two-phase scatter), delivery of
-the user stream is a strategy hook that runs after the runner — see
+the user stream is a strategy hook that runs after :func:`run_plan` — see
 :meth:`repro.core.strategies.AtomicityStrategy.commit`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..fs.lockmanager import LockMode
+from ..mpi.comm import SharedList
 from .engine import Steps, drive
-from .coloring import ColoringResult, greedy_coloring
-from .overlap import OverlapMatrix, build_overlap_matrix
-from .rank_ordering import (
-    HIGHER_RANK_WINS,
-    PriorityPolicy,
-    RankOrderingResult,
-    resolve_by_rank,
-)
 from .regions import FileRegionSet
 
 if TYPE_CHECKING:  # imported lazily to keep the package import graph acyclic
@@ -67,52 +60,18 @@ if TYPE_CHECKING:  # imported lazily to keep the package import graph acyclic
     from ..mpi.comm import Communicator
 
 __all__ = [
-    "ViewExchange",
-    "ConflictAnalysis",
-    "ConflictReport",
+    "exchange_views",
+    "shared_regions",
     "LockDirective",
     "TransferStep",
     "PhasePlan",
     "IOPlan",
-    "PlanRunner",
+    "run_plan",
     "USER_PAYLOAD",
 ]
 
 #: Key of the rank's own data stream in a plan's buffer dictionary.
 USER_PAYLOAD = "user"
-
-#: How many recent collective operations the view/analysis caches remember.
-#: One entry per concurrent collective is enough; a few more tolerate
-#: interleaved experiments sharing a strategy instance.
-_MEMO_ENTRIES = 4
-
-
-class _SharedMemo:
-    """A tiny LRU keyed by object identity, pinning keys alive.
-
-    Within one collective operation every rank receives the *same* Python
-    objects from the exchange (payloads travel by reference), so object
-    identity is a constant-time fingerprint for "the same exchanged views".
-    The memo stores a reference (``pin``) to the keyed objects, which keeps
-    their ids stable — and therefore unique — for as long as the entry
-    lives, so a key hit is guaranteed to mean "the very same objects".
-    """
-
-    def __init__(self, entries: int = _MEMO_ENTRIES) -> None:
-        self.entries = entries
-        self._slots: "OrderedDict[Any, Tuple[Any, Any]]" = OrderedDict()
-
-    def get(self, key: Any) -> Optional[Any]:
-        hit = self._slots.get(key)
-        if hit is None:
-            return None
-        self._slots.move_to_end(key)
-        return hit[1]
-
-    def put(self, key: Any, pin: Any, value: Any) -> None:
-        self._slots[key] = (pin, value)
-        while len(self._slots) > self.entries:
-            self._slots.popitem(last=False)
 
 
 # ---------------------------------------------------------------------------
@@ -120,130 +79,26 @@ class _SharedMemo:
 # ---------------------------------------------------------------------------
 
 
-class ViewExchange:
-    """Collectively exchange every rank's flattened file view.
+def shared_regions(all_segments: Iterable[Sequence[Tuple[int, int]]]) -> SharedList:
+    """One collective's region list: ``regions[i]`` is rank *i*'s view.
 
-    ``enabled=False`` makes the stage a no-op (returns ``None``): the
-    byte-range locking strategy and the non-atomic baseline coordinate
-    through the file system, not through the communicator, and must not pay
-    the negotiation cost of an ``allgather``.
-
-    Every rank of one collective operation allgathers the *same* segment
-    tuples (payloads travel by reference), so the stage builds the
-    :class:`~repro.core.regions.FileRegionSet` list once and hands the same
-    (read-only) list to all ranks — an O(P) identity-fingerprint lookup per
-    rank instead of P regions rebuilt P times.  Building it validates
-    nothing: each tuple is a region's already-validated ``segments``.
+    The engine's exchange builds it from every rank's gathered ``segments``,
+    the executors (hence the bulk driver) from every rank's view.  A
+    region's ``segments`` is taken as already validated; anything else is
+    validated as :class:`~repro.core.regions.FileRegionSet` does.
     """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
-        self._memo = _SharedMemo()
-
-    def run(
-        self, comm: "Communicator", region: FileRegionSet
-    ) -> Optional[List[FileRegionSet]]:
-        """Allgather the views; ``regions[i]`` is rank *i*'s view.
-
-        The returned list is shared between the ranks of one collective —
-        treat it as immutable.
-        """
-        if not self.enabled:
-            return None
-        all_segments = comm.allgather_shared(region.segments)
-        key = id(all_segments)
-        regions = self._memo.get(key)
-        if regions is None:
-            regions = [FileRegionSet(rank, segs) for rank, segs in enumerate(all_segments)]
-            self._memo.put(key, all_segments, regions)
-        return regions
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ViewExchange(enabled={self.enabled})"
+    return SharedList(FileRegionSet(rank, segs) for rank, segs in enumerate(all_segments))
 
 
-# ---------------------------------------------------------------------------
-# Stage 2 — conflict analysis (pure local computation)
-# ---------------------------------------------------------------------------
+def exchange_views(comm: "Communicator", region: FileRegionSet) -> SharedList:
+    """Allgather the views; ``regions[i]`` is rank *i*'s view.
 
-
-@dataclass
-class ConflictReport:
-    """Everything stage 2 learned about the concurrent operation.
-
-    Fields are ``None`` when the corresponding analysis was not requested;
-    strategies read only what their scheduling needs.
+    Every rank of one collective allgathers the *same* list (payloads travel
+    by reference), so the region list is built once, as that list's product,
+    and every rank receives the same one — treat it as immutable.
     """
-
-    regions: Optional[List[FileRegionSet]] = None
-    overlap: Optional[OverlapMatrix] = None
-    coloring: Optional[ColoringResult] = None
-    ordering: Optional[RankOrderingResult] = None
-
-
-class ConflictAnalysis:
-    """Run a conflict-resolution algorithm on the exchanged views.
-
-    ``mode`` selects the algorithm:
-
-    * ``"none"`` — no analysis (locking / baseline);
-    * ``"coloring"`` — overlap matrix + greedy colouring (Section 3.3.1);
-    * ``"rank-order"`` — exact priority trimming (Section 3.3.2).  Also used
-      by the two-phase strategy, whose per-byte winner is the same
-      highest-priority covering rank.
-    """
-
-    MODES = ("none", "coloring", "rank-order")
-
-    def __init__(
-        self,
-        mode: str = "none",
-        policy: PriorityPolicy = HIGHER_RANK_WINS,
-        order: Optional[Sequence[int]] = None,
-    ) -> None:
-        if mode not in self.MODES:
-            raise ValueError(f"unknown analysis mode {mode!r}; known: {self.MODES}")
-        self.mode = mode
-        self.policy = policy
-        self.order = order
-        self._memo = _SharedMemo()
-
-    def run(self, regions: Optional[Sequence[FileRegionSet]]) -> ConflictReport:
-        """Analyse ``regions`` (the stage-1 output) deterministically.
-
-        Every rank computes the identical result from the identical inputs,
-        so when the ranks of one collective pass the shared regions list
-        from :class:`ViewExchange`, the analysis runs once and the products
-        (matrix, colouring, ordering) are shared — this is what makes the
-        O(P^2)-ish negotiation algorithms affordable at thousands of ranks.
-        """
-        # Hand the shared stage-1 list through as-is: copying it per rank is
-        # O(P) references per rank — O(P^2) per collective — for no benefit,
-        # since the report is read-only downstream.
-        if regions is not None and not isinstance(regions, list):
-            regions = list(regions)
-        report = ConflictReport(regions=regions)
-        if self.mode == "none" or regions is None:
-            return report
-        # Fingerprint every view by identity: the region objects are shared
-        # between the ranks of one collective even when the list holding
-        # them was copied, and two lists differing in any element must not
-        # share an analysis.
-        pin = tuple(regions)
-        key = tuple(map(id, pin))
-        products = self._memo.get(key)
-        if products is None:
-            if self.mode == "coloring":
-                overlap = build_overlap_matrix(regions)
-                products = (overlap, greedy_coloring(overlap, order=self.order), None)
-            else:  # rank-order
-                products = (None, None, resolve_by_rank(regions, policy=self.policy))
-            self._memo.put(key, pin, products)
-        report.overlap, report.coloring, report.ordering = products
-        return report
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ConflictAnalysis(mode={self.mode!r})"
+    gathered = comm.allgather_shared(region.segments)
+    return gathered.once("regions", lambda: shared_regions(gathered))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +240,8 @@ def transfer_steps(
 
     The only direction branch of stage 4: a write step draws its bytes from
     ``buffers[step.buffer]``, a read step lands them there.  Written once for
-    both drivers — :class:`PlanRunner` drives it on the engine, the bulk
-    sweep (:mod:`repro.core.bulk`) advances one per replayed rank.
+    both drivers — :func:`run_plan` drives it on the engine, the bulk sweep
+    (:mod:`repro.core.bulk`) advances one per replayed rank.
     """
     steps = phase.steps
     if direction == "write":
@@ -411,63 +266,58 @@ def transfer_steps(
     out.segments_moved += len(steps)
 
 
-class PlanRunner:
-    """Execute an :class:`IOPlan` against a client file handle.
+def run_plan(
+    comm: "Communicator",
+    handle: "ClientFileHandle",
+    plan: IOPlan,
+    buffers: Dict[str, Any],
+    start_time: Optional[float] = None,
+) -> "IOOutcome":
+    """Run ``plan`` against ``buffers``, the named memory side of its steps.
 
-    The runner is strategy-agnostic: every behavioural difference between the
-    strategies — and between the directions, up to the transfer call itself —
-    is encoded in the plan it receives.  Locks are acquired before the first
-    phase and released after the last (or on error, including an error while
-    a later lock of the same plan is being acquired); each phase optionally
-    invalidates the client cache, issues its steps as one batched transfer,
-    then honours its sync and barrier directives.
+    Strategy-agnostic: every behavioural difference between the strategies —
+    and between the directions, up to the transfer call itself — is encoded
+    in the plan.  Locks are acquired before the first phase and released
+    after the last (or on error, including an error while a later lock of
+    the same plan is being acquired); each phase optionally invalidates the
+    client cache, issues its steps as one batched transfer, then honours its
+    sync and barrier directives.
+
+    A write draws each step's bytes from ``buffers[step.buffer]``; a read
+    lands them there, so a read's ``buffers`` are the plan's
+    :meth:`~IOPlan.sinks` — delivery of the user stream (which may involve
+    communication, e.g. the two-phase scatter) is the strategy's job.
+    ``start_time`` backdates the outcome to when the pipeline started
+    (stage 1), so the negotiation cost is part of the measured time just as
+    in the monolithic implementations.
     """
+    from .strategies import IOOutcome  # local import: avoids a cycle
 
-    def execute(
-        self,
-        comm: Communicator,
-        handle: ClientFileHandle,
-        plan: IOPlan,
-        buffers: Dict[str, Any],
-        start_time: Optional[float] = None,
-    ) -> "IOOutcome":
-        """Run ``plan`` against ``buffers``, the named memory side of its steps.
-
-        A write draws each step's bytes from ``buffers[step.buffer]``; a read
-        lands them there, so a read's ``buffers`` are the plan's
-        :meth:`~IOPlan.sinks` — delivery of the user stream (which may
-        involve communication, e.g. the two-phase scatter) is the strategy's
-        job.  ``start_time`` backdates the outcome to when the pipeline
-        started (stage 1), so the negotiation cost is part of the measured
-        time just as in the monolithic implementations.
-        """
-        from .strategies import IOOutcome  # local import: avoids a cycle
-
-        clock = handle.clock
-        out = IOOutcome.from_plan(plan, clock.now if start_time is None else start_time)
-        stats = handle.cache.stats
-        hits0, misses0 = stats.hits, stats.misses
-        held = []
-        try:
-            for directive in plan.locks:
-                waited0 = clock.waited
-                held.append(handle.lock(directive.start, directive.stop, mode=directive.mode))
-                out.locks_acquired += 1
-                out.lock_wait_seconds += clock.waited - waited0
-            for phase in plan.phases:
-                if phase.invalidate_before:
-                    handle.invalidate()
-                    out.invalidations += 1
-                if phase.steps:
-                    drive(transfer_steps(handle, plan.direction, phase, buffers, out))
-                if phase.sync_after:
-                    handle.sync()
-                if phase.barrier_after:
-                    comm.barrier()
-        finally:
-            for lock in held:
-                handle.unlock(lock)
-        out.cache_hits = stats.hits - hits0
-        out.cache_misses = stats.misses - misses0
-        out.end_time = clock.now
-        return out
+    clock = handle.clock
+    out = IOOutcome.from_plan(plan, clock.now if start_time is None else start_time)
+    stats = handle.cache.stats
+    hits0, misses0 = stats.hits, stats.misses
+    held = []
+    try:
+        for directive in plan.locks:
+            waited0 = clock.waited
+            held.append(handle.lock(directive.start, directive.stop, mode=directive.mode))
+            out.locks_acquired += 1
+            out.lock_wait_seconds += clock.waited - waited0
+        for phase in plan.phases:
+            if phase.invalidate_before:
+                handle.invalidate()
+                out.invalidations += 1
+            if phase.steps:
+                drive(transfer_steps(handle, plan.direction, phase, buffers, out))
+            if phase.sync_after:
+                handle.sync()
+            if phase.barrier_after:
+                comm.barrier()
+    finally:
+        for lock in held:
+            handle.unlock(lock)
+    out.cache_hits = stats.hits - hits0
+    out.cache_misses = stats.misses - misses0
+    out.end_time = clock.now
+    return out

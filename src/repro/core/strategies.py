@@ -5,18 +5,18 @@ into a sequence of file system operations such that the MPI atomic-mode
 guarantee holds: every byte of every overlapped region ends up containing
 data from exactly one of the participating processes.
 
-All strategies are expressed as compositions of the staged collective-I/O
-pipeline (:mod:`repro.core.pipeline`): a :class:`~repro.core.pipeline.ViewExchange`
-configuration, a :class:`~repro.core.pipeline.ConflictAnalysis` configuration,
-and the per-direction *policy* — a ``schedule`` method (writes) and a
-``schedule_read`` / ``deliver_read`` pair (reads) that turn the analysis into
-a declarative :class:`~repro.core.pipeline.IOPlan`.  Everything else is
-written once for both directions: :meth:`AtomicityStrategy.prepare` runs
-stages 1–3 into a :class:`PreparedIO`, :meth:`AtomicityStrategy.commit` hands
-the plan to the shared :class:`~repro.core.pipeline.PlanRunner`, and the
-accounting lands in one :class:`IOOutcome`.  Adding a strategy means writing
-a ``schedule`` method and registering the class — see ``ARCHITECTURE.md`` for
-a worked example.
+All strategies are expressed through the staged collective-I/O pipeline
+(:mod:`repro.core.pipeline`): whether they exchange views
+(``exchanges_views``), and the per-direction *policy* — a ``schedule`` method
+(writes) and a ``schedule_read`` / ``deliver_read`` pair (reads) that turn
+the products of the collective's shared region list (a colouring, a trim, a
+negotiation, each built once by ``regions.once``) into a declarative
+:class:`~repro.core.pipeline.IOPlan`.  Everything else is written once for
+both directions: :meth:`AtomicityStrategy.prepare` runs stages 1–3 into a
+:class:`PreparedIO`, :meth:`AtomicityStrategy.commit` hands the plan to
+:func:`~repro.core.pipeline.run_plan`, and the accounting lands in one
+:class:`IOOutcome`.  Adding a strategy means writing a ``schedule`` method
+and registering the class — see ``ARCHITECTURE.md`` for a worked example.
 
 The aggregation strategies communicate *inside* their schedule (the shuffle
 of a write, the scatter of a read).  That schedule is written once, for
@@ -116,23 +116,22 @@ from .aggregation import (
     partition_domain,
     scatter_pieces,
 )
-from .coloring import ColoringResult
+from .coloring import ColoringResult, greedy_coloring
 from .intervals import IntervalSet, clip_sorted_runs, merge_interval_sets
+from .overlap import build_overlap_matrix
 from .pipeline import (
-    _SharedMemo,
-    ConflictAnalysis,
-    ConflictReport,
     IOPlan,
     LockDirective,
     PhasePlan,
-    PlanRunner,
     TransferStep,
     USER_PAYLOAD,
-    ViewExchange,
+    exchange_views,
+    run_plan,
 )
 from .rank_ordering import (
     HIGHER_RANK_WINS,
     PriorityPolicy,
+    resolve_by_rank,
     surrendered_bytes_by_priority,
 )
 from .regions import FileRegionSet
@@ -140,7 +139,7 @@ from .registry import register_strategy
 
 if TYPE_CHECKING:  # imported lazily to keep the package import graph acyclic
     from ..fs.client import ClientFileHandle
-    from ..mpi.comm import Communicator
+    from ..mpi.comm import Communicator, SharedList
     from .autotune import TuningDecision
 
 __all__ = [
@@ -196,7 +195,7 @@ class IOOutcome:
     @classmethod
     def from_plan(cls, plan: IOPlan, start_time: float) -> "IOOutcome":
         """A fresh outcome carrying ``plan``'s bookkeeping — what every
-        executor of the plan (the runner, the bulk sweep) accounts into."""
+        executor of the plan (:func:`run_plan`, the bulk sweep) accounts into."""
         return cls(
             strategy=plan.strategy,
             rank=plan.rank,
@@ -220,14 +219,16 @@ class PreparedIO:
     consumed by :meth:`AtomicityStrategy.commit` (the file I/O and, for a
     read, the delivery).  The split is what the split-collective API pins
     down: ``begin`` runs the exchange, ``end`` (or a detached progress task
-    in between) the commit.  The conflict report and the region ride along
-    because read delivery may need them — the two-phase scatter routes
-    pieces with the exchanged views.
+    in between) the commit.  The region and the shared region list ride
+    along because read delivery may need them — the two-phase scatter routes
+    pieces with the negotiation built on the list.
     """
 
     plan: IOPlan
     region: FileRegionSet
-    report: ConflictReport
+    #: The collective's shared region list; ``None`` when the strategy
+    #: exchanges no views.
+    regions: Optional["SharedList"]
     #: The named memory side of the plan's steps: the payloads a write draws
     #: from, the (still zeroed) sinks a read fills.
     buffers: Dict[str, Any]
@@ -241,16 +242,17 @@ class AtomicityStrategy(ABC):
     """An MPI-atomicity implementation strategy, as a staged-pipeline
     composition.
 
-    Subclasses configure the first two stages (``exchange``, ``analysis``)
-    and implement :meth:`schedule`, which turns the conflict report into a
-    declarative :class:`~repro.core.pipeline.IOPlan` plus the payload buffers
-    its steps draw from.  Everything around it — :meth:`prepare`,
-    :meth:`commit`, the runner, the outcome — is shared, by every strategy
-    and by both directions.
+    Subclasses say whether they exchange views (``exchanges_views``) and
+    implement :meth:`schedule`, which turns the shared region list — or
+    rather the one product of it the strategy reads — into a declarative
+    :class:`~repro.core.pipeline.IOPlan` plus the payload buffers its steps
+    draw from.  Everything around it — :meth:`prepare`, :meth:`commit`,
+    :func:`~repro.core.pipeline.run_plan`, the outcome — is shared, by every
+    strategy and by both directions.
 
     What a collective read adds is policy only: :meth:`schedule_read` builds
-    the ``direction="read"`` plan from the same (direction-agnostic) stages 1
-    and 2, and :meth:`deliver_read` turns the sinks the runner filled into
+    the ``direction="read"`` plan from the same (direction-agnostic) region
+    list, and :meth:`deliver_read` turns the sinks :func:`run_plan` filled into
     the rank's contiguous data stream — a hook because delivery may involve
     communication (the two-phase scatter).  The default pair — invalidate,
     then read the full view through the cache in one parallel phase — is
@@ -265,11 +267,13 @@ class AtomicityStrategy(ABC):
     #: Whether the strategy needs byte-range locks from the file system.
     requires_locks: bool = False
 
-    exchange: ViewExchange = ViewExchange(enabled=False)
-    analysis: ConflictAnalysis = ConflictAnalysis(mode="none")
-    runner: PlanRunner = PlanRunner()
-    #: Whether transfers go through the client cache; strategies that take a
-    #: ``use_cache`` constructor argument shadow it per instance.
+    #: Whether :meth:`prepare` allgathers every rank's view first (stage 1,
+    #: :func:`~repro.core.pipeline.exchange_views`).  Byte-range locking and
+    #: the non-atomic baseline coordinate through the file system and must
+    #: not pay the negotiation cost; their schedules receive ``None``.
+    exchanges_views = False
+    #: Whether transfers go through the client cache; rank ordering shadows
+    #: it per instance (its ``use_cache`` constructor argument).
     use_cache = True
 
     @classmethod
@@ -315,8 +319,8 @@ class AtomicityStrategy(ABC):
         """
         if data is not None:
             self._check_request(region, data)
-        regions = self.exchange.run(comm, region)
-        return self._scheduled(comm, region, start_time, data, self.analysis.run(regions))
+        regions = exchange_views(comm, region) if self.exchanges_views else None
+        return self._scheduled(comm, region, start_time, data, regions)
 
     def _scheduled(
         self,
@@ -324,16 +328,16 @@ class AtomicityStrategy(ABC):
         region: FileRegionSet,
         start_time: float,
         data: Optional[bytes],
-        report: ConflictReport,
+        regions: Optional[SharedList],
     ) -> PreparedIO:
-        """Stage 3: this strategy's plan for ``report``, with its buffers."""
+        """Stage 3: this strategy's plan for ``regions``, with its buffers."""
         if data is None:
-            plan = self.schedule_read(comm, region, report)
+            plan = self.schedule_read(comm, region, regions)
             buffers = plan.sinks()
         else:
-            plan, buffers = self.schedule(comm, region, data, report)
+            plan, buffers = self.schedule(comm, region, data, regions)
         return PreparedIO(
-            plan=plan, region=region, report=report, buffers=buffers, start_time=start_time
+            plan=plan, region=region, regions=regions, buffers=buffers, start_time=start_time
         )
 
     def commit(
@@ -347,13 +351,13 @@ class AtomicityStrategy(ABC):
         communicates (the two-phase scatter); ``comm`` and ``handle`` may
         belong to a detached progress task rather than the rank's main task.
         """
-        outcome = self.runner.execute(
+        outcome = run_plan(
             comm, handle, prepared.plan, prepared.buffers, start_time=prepared.start_time
         )
         if prepared.plan.direction == "write":
             return None, outcome
         data = self.deliver_read(
-            comm, prepared.region, prepared.report, outcome, prepared.buffers
+            comm, prepared.region, prepared.regions, outcome, prepared.buffers
         )
         # Delivery may communicate; the outcome covers it.
         outcome.end_time = handle.clock.now
@@ -412,17 +416,22 @@ class AtomicityStrategy(ABC):
         comm: Communicator,
         region: FileRegionSet,
         data: bytes,
-        report: ConflictReport,
+        regions: Optional[SharedList],
     ) -> Tuple[IOPlan, Dict[str, bytes]]:
-        """Build this rank's write plan from the conflict analysis."""
+        """Build this rank's write plan.
+
+        ``regions`` is the collective's shared region list (``None`` unless
+        the strategy exchanges views); ask it for the product the schedule
+        reads with ``regions.once(key, build)``, so the ranks build it once.
+        """
 
     def schedule_read(
         self,
         comm: Communicator,
         region: FileRegionSet,
-        report: ConflictReport,
+        regions: Optional[SharedList],
     ) -> IOPlan:
-        """Build this rank's read plan from the conflict analysis.
+        """Build this rank's read plan (``regions`` as in :meth:`schedule`).
 
         Default schedule: drop cached pages that peers may have overwritten
         (sync-then-invalidate), then read the full view through the cache in
@@ -442,11 +451,11 @@ class AtomicityStrategy(ABC):
         self,
         comm: Communicator,
         region: FileRegionSet,
-        report: ConflictReport,
+        regions: Optional[SharedList],
         outcome: IOOutcome,
         sinks: Dict[str, bytearray],
     ) -> bytes:
-        """Turn the runner's filled sinks into the rank's data stream."""
+        """Turn the sinks :func:`run_plan` filled into the rank's data stream."""
         return bytes(sinks.get(USER_PAYLOAD, bytearray()))
 
     def _plan(self, direction: str, region: FileRegionSet, **kwargs) -> IOPlan:
@@ -488,17 +497,8 @@ class NoAtomicityStrategy(AtomicityStrategy):
     name = "none"
     provides_atomicity = False
 
-    def __init__(self, use_cache: bool = True, sync_after: bool = True) -> None:
-        self.use_cache = use_cache
-        self.sync_after = sync_after
-
-    def schedule(self, comm, region, data, report):  # noqa: D102 - see base
-        phase = PhasePlan(
-            index=0,
-            steps=self._steps(region.buffer_map()),
-            direct=not self.use_cache,
-            sync_after=self.sync_after,
-        )
+    def schedule(self, comm, region, data, regions):  # noqa: D102 - see base
+        phase = PhasePlan(index=0, steps=self._steps(region.buffer_map()), sync_after=True)
         return self._plan("write", region, phases=[phase]), {USER_PAYLOAD: data}
 
 
@@ -509,7 +509,7 @@ class LockingStrategy(AtomicityStrategy):
     name = "locking"
     requires_locks = True
 
-    def schedule(self, comm, region, data, report):  # noqa: D102 - see base
+    def schedule(self, comm, region, data, regions):  # noqa: D102 - see base
         if region.is_empty():
             return self._plan("write", region), {USER_PAYLOAD: data}
         extent = region.extent()
@@ -525,7 +525,7 @@ class LockingStrategy(AtomicityStrategy):
         )
         return plan, {USER_PAYLOAD: data}
 
-    def schedule_read(self, comm, region, report):  # noqa: D102 - see base
+    def schedule_read(self, comm, region, regions):  # noqa: D102 - see base
         if region.is_empty():
             return self._plan("read", region)
         extent = region.extent()
@@ -548,15 +548,16 @@ class GraphColoringStrategy(AtomicityStrategy):
     """Process handshaking by graph colouring (Section 3.3.1)."""
 
     name = "graph-coloring"
+    exchanges_views = True
 
-    exchange = ViewExchange(enabled=True)
-    analysis = ConflictAnalysis(mode="coloring")
+    @staticmethod
+    def coloring(regions: SharedList) -> ColoringResult:
+        """The collective's greedy colouring of its overlap graph, built once
+        on the shared region list."""
+        return regions.once("coloring", lambda: greedy_coloring(build_overlap_matrix(regions)))
 
-    def __init__(self, use_cache: bool = True) -> None:
-        self.use_cache = use_cache
-
-    def schedule(self, comm, region, data, report):  # noqa: D102 - see base
-        coloring: ColoringResult = report.coloring
+    def schedule(self, comm, region, data, regions):  # noqa: D102 - see base
+        coloring = self.coloring(regions)
         my_color = coloring.color_of(region.rank)
         steps = [] if region.is_empty() else self._steps(region.buffer_map())
         phases = []
@@ -566,7 +567,6 @@ class GraphColoringStrategy(AtomicityStrategy):
                 PhasePlan(
                     index=step,
                     steps=steps if mine else [],
-                    direct=not self.use_cache,
                     # Flush write-behind data so the next colour's processes
                     # (and later readers) observe it — the file-sync the paper
                     # requires after every write when handshaking replaces
@@ -586,18 +586,15 @@ class GraphColoringStrategy(AtomicityStrategy):
         )
         return plan, {USER_PAYLOAD: data}
 
-    def schedule_read(self, comm, region, report):  # noqa: D102 - see base
+    def schedule_read(self, comm, region, regions):  # noqa: D102 - see base
         # The handshake (view exchange + coloring) ran, but reads commute
         # with reads: the colouring resolves write-write conflicts, so the
         # read schedule is one fully parallel phase.  The invalidation is the
         # read half of the paper's protocol — writers of a conflicting
         # operation flushed (sync-after-write), we must drop stale pages.
-        coloring: ColoringResult = report.coloring
+        coloring = self.coloring(regions)
         phase = PhasePlan(
-            index=0,
-            steps=self._steps(region.buffer_map()),
-            direct=not self.use_cache,
-            invalidate_before=True,
+            index=0, steps=self._steps(region.buffer_map()), invalidate_before=True
         )
         return self._plan(
             "read",
@@ -613,16 +610,18 @@ class RankOrderingStrategy(AtomicityStrategy):
     """Process-rank ordering (Section 3.3.2): high rank wins, others trim."""
 
     name = "rank-ordering"
-
-    exchange = ViewExchange(enabled=True)
+    exchanges_views = True
 
     def __init__(self, policy: PriorityPolicy = HIGHER_RANK_WINS, use_cache: bool = True) -> None:
         self.policy = policy
         self.use_cache = use_cache
-        self.analysis = ConflictAnalysis(mode="rank-order", policy=policy)
 
-    def schedule(self, comm, region, data, report):  # noqa: D102 - see base
-        resolution = report.ordering
+    def schedule(self, comm, region, data, regions):  # noqa: D102 - see base
+        # Every rank trims against the same resolution, built once on the
+        # shared region list.
+        resolution = regions.once(
+            ("rank-order", self.policy), lambda: resolve_by_rank(regions, policy=self.policy)
+        )
         my_view = resolution.view_of(region.rank)
         # Write only the bytes this rank still owns; the data for surrendered
         # bytes is simply not transferred (reducing the total I/O volume).
@@ -647,7 +646,7 @@ class Negotiation:
 
     Election, file-domain partitioning and surrender accounting are pure
     functions of the exchanged views, so they are computed once per
-    collective (:meth:`TwoPhaseStrategy.negotiate`) and this one record is
+    collective (:meth:`TwoPhaseStrategy.negotiation`) and this one record is
     handed, read-only, to every rank's shuffle / scatter coroutine.  It also
     carries every table sized by ``P`` or by the aggregator count, so that a
     rank's own work stays proportional to its own traffic.
@@ -745,19 +744,11 @@ class TwoPhaseStrategy(AtomicityStrategy):
     """
 
     name = "two-phase"
-
-    exchange = ViewExchange(enabled=True)
+    exchanges_views = True
 
     #: Ranks per node; :class:`HierarchicalTwoPhaseStrategy` sets it per
     #: instance from the ``cb_ppn`` hint.
     ranks_per_node = 1
-
-    #: Class-level negotiation memo: the MPI-IO layer builds one strategy
-    #: instance per rank (each rank owns its file handle), yet all ranks of a
-    #: collective negotiate over the *same* exchanged region objects, so
-    #: keying by region identity plus the tunables lets P ranks share one
-    #: negotiation instead of computing P identical ones.
-    _negotiation_memo = _SharedMemo()
 
     def __init__(
         self,
@@ -772,7 +763,6 @@ class TwoPhaseStrategy(AtomicityStrategy):
         self.num_aggregators = num_aggregators
         self.policy = policy
         self.cb_buffer_size = cb_buffer_size
-        self._memo = self._negotiation_memo
 
     @classmethod
     def from_info(cls, info) -> "TwoPhaseStrategy":
@@ -794,32 +784,11 @@ class TwoPhaseStrategy(AtomicityStrategy):
     ) -> Negotiation:
         """Election, partitioning and surrender accounting for one collective.
 
-        Every rank computes the identical result from the identical exchanged
-        views, so when the ranks share the regions list from the exchange
-        stage this runs once per collective instead of once per rank.  Ties
-        in the surrender sweep break towards the lower rank, as in
+        A pure function of the exchanged views and this strategy's tunables;
+        :meth:`negotiation` runs it once per collective.  Ties in the
+        surrender sweep break towards the lower rank, as in
         :func:`resolve_by_rank`.
         """
-        # Fingerprint every exchanged view by identity, not the list holding
-        # them: all ranks of a collective share one list, but the adaptive
-        # strategy rebuilds it around cached region objects on a plan-cache
-        # miss, and two lists differing in any element must not share a
-        # negotiation.
-        pin = tuple(regions)
-        # The memo is shared between strategy instances (one per rank in the
-        # MPI-IO layer), so the key must include every tunable that changes
-        # the negotiation, not just the exchanged views.
-        key = (
-            tuple(map(id, pin)),
-            comm_size,
-            self.num_aggregators,
-            self.cb_buffer_size,
-            id(self.policy),
-            self.ranks_per_node,
-        )
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
         coverages = [r.coverage for r in regions]
         domain = merge_interval_sets(coverages)
         # ``cb_nodes`` aggregators if hinted, else enough for chunks of
@@ -846,7 +815,7 @@ class TwoPhaseStrategy(AtomicityStrategy):
             # Each run lands in the sink right behind the previous one.
             buf = runs[-1][2] + (runs[-1][1] - runs[-1][0]) if runs else 0
             runs.append((start, stop, buf))
-        result = Negotiation(
+        return Negotiation(
             size=comm_size,
             ranks_per_node=self.ranks_per_node,
             aggregators=aggregators,
@@ -858,24 +827,31 @@ class TwoPhaseStrategy(AtomicityStrategy):
             coverages=coverages,
             held=held,
         )
-        self._memo.put(key, pin, result)
-        return result
+
+    def negotiation(self, regions: SharedList) -> Negotiation:
+        """The collective's negotiation for this strategy's tunables, built
+        once on the shared region list — every rank, every strategy instance
+        (the MPI-IO layer builds one per rank) and both drivers ask here."""
+        key = (
+            "negotiation",
+            self.num_aggregators,
+            self.cb_buffer_size,
+            self.policy,
+            self.ranks_per_node,
+        )
+        return regions.once(key, lambda: self.negotiate(len(regions), regions))
 
     # The engine side of "one schedule, two drivers": pump this rank's
     # coroutine against the communicator.
 
-    def schedule(self, comm, region, data, report):  # noqa: D102 - see base
-        negotiation = self.negotiate(comm.size, report.regions)
-        return _pump(comm, self.shuffle(region, data, negotiation))
+    def schedule(self, comm, region, data, regions):  # noqa: D102 - see base
+        return _pump(comm, self.shuffle(region, data, self.negotiation(regions)))
 
-    def schedule_read(self, comm, region, report):  # noqa: D102 - see base
-        return self.fetch_plan(region, self.negotiate(comm.size, report.regions))
+    def schedule_read(self, comm, region, regions):  # noqa: D102 - see base
+        return self.fetch_plan(region, self.negotiation(regions))
 
-    def deliver_read(self, comm, region, report, outcome, sinks):  # noqa: D102 - see base
-        # negotiate() is memoised per collective, so re-asking here costs a
-        # dictionary lookup.
-        negotiation = self.negotiate(comm.size, report.regions)
-        return _pump(comm, self.scatter(region, negotiation, outcome, sinks))
+    def deliver_read(self, comm, region, regions, outcome, sinks):  # noqa: D102 - see base
+        return _pump(comm, self.scatter(region, self.negotiation(regions), outcome, sinks))
 
     @property
     def _hops(self) -> int:

@@ -165,7 +165,7 @@ class ClientFileHandle:
         ``(offset, data, writer)`` items, in order.
 
         This is the write-side execution entry point of the staged pipeline
-        (:class:`repro.core.pipeline.PlanRunner`): one call per phase, with
+        (:func:`repro.core.pipeline.run_plan`): one call per phase, with
         the phase's cache policy applied uniformly.  Returns total bytes
         written.
         """
@@ -207,7 +207,7 @@ class ClientFileHandle:
         """Apply a plan's batched reads: ``(offset, nbytes)`` items, in order.
 
         The read-side execution entry point of the staged pipeline
-        (:class:`repro.core.pipeline.PlanRunner`), mirroring
+        (:func:`repro.core.pipeline.run_plan`), mirroring
         :meth:`write_batch`: one call per phase, the phase's cache policy
         applied uniformly.  Returns one bytes object per request.
         """

@@ -47,7 +47,7 @@ the situation in which overlapping writes may interleave (Figure 2).
 
 There is one data path.  An independent call is a one-rank
 :class:`~repro.core.pipeline.IOPlan` with no view exchange, run by the same
-:class:`~repro.core.pipeline.PlanRunner` as every collective: in atomic mode
+:func:`~repro.core.pipeline.run_plan` as every collective: in atomic mode
 it locks its extent (exclusive to write, shared to read — Section 3.2's only
 correct option for non-collective I/O) and transfers directly.
 
@@ -76,8 +76,8 @@ from ..core.pipeline import (
     IOPlan,
     LockDirective,
     PhasePlan,
-    PlanRunner,
     TransferStep,
+    run_plan,
 )
 from ..core.regions import FileRegionSet
 from ..core.registry import default_registry
@@ -643,8 +643,6 @@ class MPIFile:
 
     # -- independent data access -----------------------------------------------------------
 
-    _runner = PlanRunner()
-
     def _independent(
         self,
         direction: str,
@@ -655,7 +653,7 @@ class MPIFile:
         nonblocking: bool = False,
     ) -> Union[IOOutcome, Request]:
         """One independent call: a one-rank plan, built at issue time with no
-        view exchange, run by the :class:`~repro.core.pipeline.PlanRunner` on
+        view exchange, run by :func:`~repro.core.pipeline.run_plan` on
         the main handle — or, ``nonblocking``, on the progress handle.
 
         An atomic write, or an atomic read where the file system has locks,
@@ -692,7 +690,7 @@ class MPIFile:
                 # Direct reads return the servers' bytes: flush this rank's
                 # own write-behind data first (read-your-own-writes).
                 handle.sync()
-            outcome = self._runner.execute(comm, handle, plan, buffers, start_time)
+            outcome = run_plan(comm, handle, plan, buffers, start_time)
             if not writing:
                 stream = bytes(buffers.get(USER_PAYLOAD, b""))
                 outcome.bytes_returned = len(stream)

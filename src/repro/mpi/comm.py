@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.engine import Engine, Task, current_task, sequence_point
 from .clock import VirtualClock
@@ -54,7 +54,9 @@ from .errors import (
 from .reduce_ops import ReduceOp, SUM
 from .status import ANY_SOURCE, ANY_TAG, Request, Status
 
-__all__ = ["CommCostModel", "Communicator", "Group", "Intercomm", "ROOT", "PROC_NULL"]
+__all__ = [
+    "CommCostModel", "Communicator", "Group", "Intercomm", "ROOT", "PROC_NULL", "SharedList",
+]
 
 #: Passed as ``root`` to an :class:`Intercomm` collective by the one process
 #: *originating* the data (``MPI_ROOT``).
@@ -112,29 +114,62 @@ class _Mailbox:
         self._posted.append((source, tag, request))
 
 
+def _transpose(deposits: Sequence[Dict[int, Any]]) -> List[List[Tuple[int, Any]]]:
+    """Every rank's received ``(source, payload)`` pairs of a sparse
+    all-to-all; the ascending outer loop sorts each list by source."""
+    received: List[List[Tuple[int, Any]]] = [[] for _ in deposits]
+    for src, sent in enumerate(deposits):
+        for dest, payload in sent.items():
+            received[dest].append((src, payload))
+    return received
+
+
 def _deliver(request: Request, source: int, tag: int, sent_at: float, payload: Any) -> None:
     """Complete a receive: its clock joins at the send instant."""
     request.status = Status(source=source, tag=tag, count=getattr(payload, "nbytes", 0) or 0)
     request._finish(payload, None, sent_at)
 
 
+class SharedList(list):
+    """A list every rank of one collective holds, carrying the collective's
+    products.
+
+    Every rank derives the same colouring, trim or routing table from the
+    same exchanged list, so the first rank to ask builds it and the others
+    receive that object: ``once(key, build)`` returns the product stored
+    under ``key``, calling ``build()`` only when there is none.  Ranks run
+    one at a time, so this needs no lock; the products live exactly as long
+    as the list.  Treat the list and its products as read-only.
+    """
+
+    #: Built on the first :meth:`once`: most rounds (barriers, plain
+    #: gathers) never ask for a product.
+    _products: Optional[Dict[Hashable, Any]] = None
+
+    def once(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The product under ``key``, built by the first caller."""
+        products = self._products
+        if products is None:
+            products = self._products = {}
+        if key not in products:
+            products[key] = build()
+        return products[key]
+
+
 class _Round:
     """One collective rendezvous: deposits, arrival times and waiters."""
 
-    __slots__ = ("ops", "slots", "times", "waiting", "arrived", "latest", "error",
-                 "shared")
+    __slots__ = ("ops", "slots", "times", "waiting", "arrived", "latest", "error")
 
     def __init__(self, size: int) -> None:
         self.ops: List[Any] = [None] * size
-        self.slots: List[Any] = [None] * size
+        #: The deposits, one per rank; what a shared result is built from.
+        self.slots = SharedList([None] * size)
         self.times: List[float] = [0.0] * size
         self.waiting: List[Task] = []
         self.arrived = 0
         self.latest = 0.0
         self.error: Optional[BaseException] = None
-        #: Lazily built result shared by all ranks of the round (the sparse
-        #: all-to-all transpose); built once by the first rank to need it.
-        self.shared: Optional[List[Any]] = None
 
 
 class _CommGroup:
@@ -474,14 +509,15 @@ class Communicator(_PointToPoint):
         round_ = self._collective("allgather", deposit=obj, payload=obj)
         return list(round_.slots)
 
-    def allgather_shared(self, obj: Any) -> List[Any]:
+    def allgather_shared(self, obj: Any) -> SharedList:
         """Gather one object per rank; every rank receives the *same* list.
 
         Identical semantics and virtual-time cost to :meth:`allgather`, but
         the returned list object is shared by all ranks instead of copied
         per rank — at tens of thousands of ranks the per-rank copies are
-        ``O(P^2)`` references of pure overhead.  Callers must treat the
-        result as read-only (the usual MPI don't-touch-the-buffer rule).
+        ``O(P^2)`` references of pure overhead — and what the ranks derive
+        from it is built once (:meth:`SharedList.once`).  Callers must treat
+        the result as read-only (the usual MPI don't-touch-the-buffer rule).
         """
         round_ = self._collective("allgather-shared", deposit=obj, payload=obj)
         return round_.slots
@@ -555,17 +591,8 @@ class Communicator(_PointToPoint):
         round_ = self._collective(
             "alltoallv-sparse", deposit=items, payload=_Volume(network_bytes)
         )
-        if round_.shared is None:
-            # First rank back from the rendezvous builds the transpose for
-            # everyone.  Ranks run one at a time, so this is race-free; the
-            # ascending outer loop makes every per-destination list arrive
-            # already sorted by source.
-            received: List[List[Tuple[int, Any]]] = [[] for _ in range(self.size)]
-            for src, sent in enumerate(round_.slots):
-                for dest, payload in sent.items():
-                    received[dest].append((src, payload))
-            round_.shared = received
-        return round_.shared[self._rank]
+        deposits = round_.slots
+        return deposits.once("transpose", lambda: _transpose(deposits))[self._rank]
 
     def reduce(self, obj: Any, op: ReduceOp = SUM, root: int = 0) -> Optional[Any]:
         """Reduce one value per rank onto ``root`` using ``op``."""
@@ -911,15 +938,12 @@ class Intercomm(_PointToPoint):
         round_ = self._inner._collective(
             "icomm-merge", deposit=(bool(high), self._urank)
         )
-        if round_.shared is None:
-            # First rank back from the rendezvous builds the merged group
-            # for everyone (ranks run one at a time, so this is race-free).
-            order = sorted(
-                range(self._group.size), key=lambda u: (round_.slots[u][0], u)
-            )
+        def merged():
+            order = sorted(range(self._group.size), key=lambda u: (round_.slots[u][0], u))
             group = self._group.derive([self._group.clocks[u] for u in order])
-            round_.shared = [group, {u: r for r, u in enumerate(order)}]
-        group, new_ranks = round_.shared
+            return group, {u: r for r, u in enumerate(order)}
+
+        group, new_ranks = round_.slots.once("merge", merged)
         return Communicator(group, new_ranks[self._urank])
 
     def abort(self, exc: BaseException) -> None:

@@ -23,6 +23,7 @@ from repro.core.autotune import (
     peek_record,
     record_for,
 )
+from repro.core.bulk import BulkWriteExecutor
 from repro.core.regions import build_region_sets
 from repro.core.registry import default_registry
 from repro.core.strategies import TwoPhaseStrategy
@@ -444,20 +445,21 @@ class TestAutoReadEndToEnd:
 class TestBulkResolveStatic:
     def test_interleaved_pattern_yields_two_phase(self):
         strat = AutoStrategy()
-        delegate = strat.resolve_static(P, regions_for("column-wise"))
-        assert isinstance(delegate, TwoPhaseStrategy)
-        assert strat.last_decision is not None
-        assert strat.last_decision.strategy == "two-phase"
+        decision = strat.resolve_static(regions_for("column-wise"))
+        assert decision is strat.last_decision
+        assert decision.strategy == "two-phase"
+        assert isinstance(decision.delegate(), TwoPhaseStrategy)
 
     def test_read_mode_resolves_the_read_decision(self):
         strat = AutoStrategy()
-        write_delegate = strat.resolve_static(P, regions_for("column-wise"))
-        read_delegate = strat.resolve_static(P, regions_for("column-wise"), direction="read")
-        assert isinstance(read_delegate, TwoPhaseStrategy)
-        assert strat.last_decision.read_ahead is False
-        assert read_delegate is not write_delegate
+        write_decision = strat.resolve_static(regions_for("column-wise"))
+        read_decision = strat.resolve_static(regions_for("column-wise"), direction="read")
+        assert isinstance(read_decision.delegate(), TwoPhaseStrategy)
+        assert read_decision.read_ahead is False
+        assert read_decision.delegate() is not write_decision.delegate()
 
     def test_contiguous_pattern_refuses_bulk_replay(self):
-        strat = AutoStrategy()
+        regions = regions_for("row-wise")
+        executor = BulkWriteExecutor(ParallelFileSystem(fast_fs_config()), AutoStrategy())
         with pytest.raises(TypeError, match="rank-ordering"):
-            strat.resolve_static(P, regions_for("row-wise"))
+            executor.run(len(regions), lambda rank, _P: regions[rank].segments)

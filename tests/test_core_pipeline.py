@@ -1,6 +1,7 @@
-"""Tests for the staged collective-I/O pipeline (the plan structures and the
-shared runner, in both directions), the strategy registry and the two-phase
-aggregation strategy.
+"""Tests for the staged collective-I/O pipeline (the view exchange, the
+products a collective builds once on its shared region list, the plan
+structures and ``run_plan``, in both directions), the strategy registry and
+the two-phase aggregation strategy.
 
 The equivalence tests pin the per-rank ``IOOutcome`` accounting (phases,
 locks_acquired, bytes moved/surrendered) of the three legacy strategies to
@@ -10,24 +11,29 @@ pipeline decomposition is behaviour-preserving by construction.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
+from repro.core import strategies
 from repro.core.aggregation import choose_aggregators, merge_pieces, partition_domain
 from repro.core.coloring import greedy_coloring
+from repro.core.bulk import BulkWriteExecutor
 from repro.core.executor import AtomicWriteExecutor
 from repro.core.intervals import IntervalSet
 from repro.core.overlap import build_overlap_matrix
 from repro.core.engine import TaskCancelled
 from repro.core.pipeline import (
-    ConflictAnalysis,
     IOPlan,
     LockDirective,
     PhasePlan,
-    PlanRunner,
     TransferStep,
-    ViewExchange,
+    exchange_views,
+    run_plan,
+    shared_regions,
 )
-from repro.core.rank_ordering import LOWER_RANK_WINS, resolve_by_rank
+from repro.core.rank_ordering import HIGHER_RANK_WINS, LOWER_RANK_WINS, resolve_by_rank
 from repro.core.regions import FileRegionSet, build_region_sets
 from repro.core.registry import StrategyRegistry, default_registry
 from repro.core.strategies import (
@@ -39,10 +45,13 @@ from repro.core.strategies import (
     RankOrderingStrategy,
     TwoPhaseStrategy,
 )
+from repro.datatypes import CHAR, contiguous
 from repro.fs import ParallelFileSystem
 from repro.fs.client import FSClient
 from repro.fs.lockmanager import LockMode
+from repro.io import Info, MPIFile
 from repro.mpi import run_spmd
+from repro.mpi.comm import SharedList
 from repro.patterns.partition import block_block_views, column_wise_views
 from repro.patterns.workloads import rank_pattern_bytes
 from repro.verify.atomicity import check_coverage, check_mpi_atomicity
@@ -60,48 +69,123 @@ def run(strategy, fs=None, nprocs=4, views=None, data_factory=rank_pattern_bytes
     return executor.run(nprocs, lambda rank, P: views[rank], data_factory)
 
 
-class TestViewExchange:
-    def test_allgathers_every_view(self):
+class TestExchangeViews:
+    def test_allgathers_every_view_into_one_shared_list(self):
         def fn(comm):
-            region = REGIONS[comm.rank]
-            regions = ViewExchange(enabled=True).run(comm, region)
-            return [r.segments for r in regions]
+            return exchange_views(comm, REGIONS[comm.rank])
 
         result = run_spmd(fn, 4)
         expected = [REGIONS[r].segments for r in range(4)]
-        for per_rank in result.returns:
-            assert per_rank == expected
+        shared = result.returns[0]
+        assert isinstance(shared, SharedList)
+        assert [r.segments for r in shared] == expected
+        assert all(per_rank is shared for per_rank in result.returns)
 
-    def test_disabled_is_noop(self):
-        # No communicator interaction at all: comm=None must not be touched.
-        assert ViewExchange(enabled=False).run(None, REGIONS[0]) is None
+    def test_strategies_without_exchange_touch_no_communicator(self):
+        # comm=None must not be touched: no allgather, no region list.
+        for strategy in (LockingStrategy(), NoAtomicityStrategy()):
+            data = b"x" * REGIONS[0].total_bytes
+            assert strategy.prepare(None, REGIONS[0], 0.0, data).regions is None
 
 
-class TestConflictAnalysis:
-    def test_mode_none(self):
-        report = ConflictAnalysis(mode="none").run(REGIONS)
-        assert report.regions == REGIONS
-        assert report.overlap is None and report.coloring is None and report.ordering is None
+def _shared():
+    """REGIONS as one collective's shared region list."""
+    return shared_regions([r.segments for r in REGIONS])
+
+
+class TestSharedProducts:
+    def test_once_builds_each_key_once(self):
+        shared, calls = SharedList([1, 2]), []
+
+        def build():
+            calls.append(1)
+            return object()
+
+        first = shared.once("k", build)
+        assert shared.once("k", build) is first
+        assert shared.once("other", build) is not first
+        assert len(calls) == 2 and shared == [1, 2]
 
     def test_coloring_matches_direct_computation(self):
-        report = ConflictAnalysis(mode="coloring").run(REGIONS)
+        coloring = GraphColoringStrategy.coloring(_shared())
         direct = greedy_coloring(build_overlap_matrix(REGIONS))
-        assert report.coloring.colors == direct.colors
-        assert report.coloring.num_colors == direct.num_colors == 2
+        assert coloring.colors == direct.colors
+        assert coloring.num_colors == direct.num_colors == 2
 
-    def test_rank_order_matches_direct_computation(self):
-        report = ConflictAnalysis(mode="rank-order").run(REGIONS)
-        direct = resolve_by_rank(REGIONS)
-        assert report.ordering.surrendered_bytes == direct.surrendered_bytes
+    @pytest.mark.parametrize("policy", [HIGHER_RANK_WINS, LOWER_RANK_WINS])
+    def test_rank_order_matches_direct_computation(self, policy):
+        strategy = RankOrderingStrategy(policy)
+        direct = resolve_by_rank(REGIONS, policy=policy)
+        shared = _shared()
+        surrendered = [
+            strategy.schedule(None, region, b"x" * region.total_bytes, shared)[0].bytes_surrendered
+            for region in REGIONS
+        ]
+        assert surrendered == list(direct.surrendered_bytes)
 
-    def test_rank_order_policy_forwarded(self):
-        report = ConflictAnalysis(mode="rank-order", policy=LOWER_RANK_WINS).run(REGIONS)
-        direct = resolve_by_rank(REGIONS, policy=LOWER_RANK_WINS)
-        assert report.ordering.surrendered_bytes == direct.surrendered_bytes
+    def test_negotiations_are_keyed_by_tunables(self):
+        shared = _shared()
+        one, same, other = TwoPhaseStrategy(2), TwoPhaseStrategy(2), TwoPhaseStrategy(1)
+        assert one.negotiation(shared) is same.negotiation(shared)
+        assert other.negotiation(shared) is not one.negotiation(shared)
+        assert len(other.negotiation(shared).aggregators) == 1
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            ConflictAnalysis(mode="quantum")
+
+class TestOncePerCollective:
+    """Every product is built once per collective, however many ranks (each
+    with its own strategy instance, as in ``MPIFile``) read it."""
+
+    @pytest.mark.parametrize(
+        "name, target",
+        [
+            ("rank-ordering", (strategies, "resolve_by_rank")),
+            ("graph-coloring", (strategies, "greedy_coloring")),
+            ("two-phase", (TwoPhaseStrategy, "negotiate")),
+        ],
+    )
+    def test_write_all_builds_each_product_once(self, monkeypatch, name, target):
+        owner, attr = target
+        built, original = [], getattr(owner, attr)
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+        fs, collectives = ParallelFileSystem(fast_fs_config()), 2
+
+        def fn(comm):
+            f = MPIFile.Open(comm, "once.dat", fs, info=Info({"atomicity_strategy": name}))
+            f.Set_atomicity(True)
+            f.Set_view(comm.rank * 6, CHAR, contiguous(8, CHAR))
+            for _ in range(collectives):
+                f.Write_all(bytes([65 + comm.rank]) * 8)
+            f.Close()
+
+        run_spmd(fn, 4)
+        assert len(built) == collectives
+
+    def test_products_are_freed_with_the_run(self, monkeypatch):
+        lists = []
+
+        def recording(comm, region):
+            regions = exchange_views(comm, region)
+            lists.append(weakref.ref(regions))
+            return regions
+
+        monkeypatch.setattr(strategies, "exchange_views", recording)
+        for strategy in (GraphColoringStrategy(), RankOrderingStrategy(), TwoPhaseStrategy()):
+            result = run(strategy)
+            del result
+        # The bulk driver's collective builds on the result's own region list.
+        fs = ParallelFileSystem(fast_fs_config())
+        result = BulkWriteExecutor(fs, TwoPhaseStrategy()).run(
+            4, lambda rank, P: VIEWS[rank], rank_pattern_bytes
+        )
+        lists.append(weakref.ref(result.regions))
+        del result
+        gc.collect()
+        assert len(lists) == 3 * 4 + 1 and all(ref() is None for ref in lists)
 
 
 def _plan(direction, **kwargs):
@@ -129,7 +213,7 @@ def _execute(plan, content=b""):
             else:
                 handle.write(0, content, direct=True)
                 buffers = plan.sinks()
-            return PlanRunner().execute(comm, handle, plan, buffers), buffers
+            return run_plan(comm, handle, plan, buffers), buffers
         finally:
             handle.close()
 
@@ -143,7 +227,7 @@ def _execute(plan, content=b""):
 
 
 @pytest.mark.parametrize("direction", ["write", "read"])
-class TestPlanRunner:
+class TestRunPlan:
     """Direct plan execution against a single-rank world, in both directions."""
 
     def test_steps_locks_and_accounting(self, direction):
@@ -214,7 +298,7 @@ class TestPlanRunner:
             handle.lock = lock
             try:
                 with pytest.raises(TaskCancelled):
-                    PlanRunner().execute(comm, handle, plan, {})
+                    run_plan(comm, handle, plan, {})
                 return len(granted), handle.file.lock_manager.held_locks()
             finally:
                 handle.close()
@@ -483,7 +567,7 @@ class TestStrategyRegistry:
         class EchoStrategy(AtomicityStrategy):
             name = "echo"
 
-            def schedule(self, comm, region, data, report):
+            def schedule(self, comm, region, data, regions):
                 return self._plan("write", region), {"user": data}
 
         registry.register(EchoStrategy)
@@ -496,13 +580,13 @@ class TestStrategyRegistry:
         class A(AtomicityStrategy):
             name = "dup"
 
-            def schedule(self, comm, region, data, report):  # pragma: no cover
+            def schedule(self, comm, region, data, regions):  # pragma: no cover
                 raise NotImplementedError
 
         class B(AtomicityStrategy):
             name = "dup"
 
-            def schedule(self, comm, region, data, report):  # pragma: no cover
+            def schedule(self, comm, region, data, regions):  # pragma: no cover
                 raise NotImplementedError
 
         registry.register(A)

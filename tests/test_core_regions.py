@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from generators import raw_segment_lists, segment_lists
 from repro.core.executor import _Executor
 from repro.core.intervals import Interval, IntervalSet
-from repro.core.pipeline import ViewExchange
+from repro.core.pipeline import exchange_views
 from repro.core.regions import FileRegionSet, build_region_sets
+from repro.mpi.comm import SharedList
 from repro.mpi.cost import CommCostModel, payload_nbytes
 from repro.verify.atomicity import rekey_regions
 
@@ -171,12 +172,12 @@ class TestValidatedOnce:
         monkeypatch.setattr(IntervalSet, "_from_normalised", classmethod(counting_wrap))
 
         class SharedComm:
-            shared = [r.segments for r in regions]
+            shared = SharedList(r.segments for r in regions)
 
             def allgather_shared(self, obj):
                 return self.shared
 
-        exchanged = ViewExchange().run(SharedComm(), regions[1])
+        exchanged = exchange_views(SharedComm(), regions[1])
         collected = _Executor._views(len(regions), lambda rank, _P: regions[rank].segments)
         rekeyed = rekey_regions(regions, 10)
         assert built == []

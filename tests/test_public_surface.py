@@ -84,8 +84,6 @@ REPRO_CORE_ALL = [
     "ColumnWiseCase",
     "ConcurrentReadResult",
     "ConcurrentWriteResult",
-    "ConflictAnalysis",
-    "ConflictReport",
     "FileRegionSet",
     "GraphColoringStrategy",
     "HIGHER_RANK_WINS",
@@ -99,14 +97,12 @@ REPRO_CORE_ALL = [
     "NoAtomicityStrategy",
     "OverlapMatrix",
     "PhasePlan",
-    "PlanRunner",
     "RankOrderingResult",
     "RankOrderingStrategy",
     "StrategyEstimate",
     "StrategyRegistry",
     "TransferStep",
     "TwoPhaseStrategy",
-    "ViewExchange",
     "analyze_regions",
     "assemble_stream",
     "build_overlap_matrix",
