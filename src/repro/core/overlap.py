@@ -100,18 +100,24 @@ def _flatten(
     regions: Sequence[FileRegionSet],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All coverage intervals of all ranks as flat ``(starts, stops, ranks)``
-    arrays, rank by rank (one array append per rank, no sort)."""
-    covs = [(r.coverage, r.rank) for r in regions if len(r.coverage.starts)]
-    if not covs:
+    arrays, rank by rank: one pass over the regions, then one ``concatenate``
+    per array and one ``repeat`` (no sort)."""
+    starts, stops, ranks, counts = [], [], [], []
+    for region in regions:
+        cov = region.coverage
+        n = len(cov.starts)
+        if n:
+            starts.append(cov.starts)
+            stops.append(cov.stops)
+            ranks.append(region.rank)
+            counts.append(n)
+    if not counts:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, empty
     return (
-        np.concatenate([cov.starts for cov, _ in covs]),
-        np.concatenate([cov.stops for cov, _ in covs]),
-        np.repeat(
-            np.array([rank for _, rank in covs], dtype=np.int64),
-            [len(cov.starts) for cov, _ in covs],
-        ),
+        np.concatenate(starts),
+        np.concatenate(stops),
+        np.repeat(np.array(ranks, dtype=np.int64), counts),
     )
 
 

@@ -587,22 +587,15 @@ class GraphColoringStrategy(AtomicityStrategy):
         return plan, {USER_PAYLOAD: data}
 
     def schedule_read(self, comm, region, regions):  # noqa: D102 - see base
-        # The handshake (view exchange + coloring) ran, but reads commute
-        # with reads: the colouring resolves write-write conflicts, so the
-        # read schedule is one fully parallel phase.  The invalidation is the
-        # read half of the paper's protocol — writers of a conflicting
-        # operation flushed (sync-after-write), we must drop stale pages.
-        coloring = self.coloring(regions)
+        # Reads commute with reads: the colouring resolves write-write
+        # conflicts only, so the read schedule is one fully parallel phase
+        # and builds no colouring.  The invalidation is the read half of the
+        # paper's protocol — writers of a conflicting operation flushed
+        # (sync-after-write), we must drop stale pages.
         phase = PhasePlan(
             index=0, steps=self._steps(region.buffer_map()), invalidate_before=True
         )
-        return self._plan(
-            "read",
-            region,
-            phases=[phase],
-            my_phase=coloring.color_of(region.rank),
-            colors_used=coloring.num_colors,
-        )
+        return self._plan("read", region, phases=[phase])
 
 
 @register_strategy

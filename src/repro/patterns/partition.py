@@ -12,10 +12,12 @@ across ``P`` processes:
   the Figure 1 pattern where corner ghost cells are accessed by up to four
   processes.
 
-Each function returns, per rank, either the flattened file segments
-(``(offset, length)`` pairs, ready for :class:`repro.core.regions.FileRegionSet`)
-or the ``(sizes, subsizes, starts)`` triple to feed
-``MPI_Type_create_subarray`` exactly as the paper's Figure 4 does.
+A ``*_spec`` function returns one rank's ``(sizes, subsizes, starts)``
+triple, to feed ``MPI_Type_create_subarray`` exactly as the paper's Figure 4
+does.  A ``*_views`` function returns every rank's flattened file segments
+(``(offset, length)`` pairs, ready for
+:class:`repro.core.regions.FileRegionSet`) in one pass over the ranks,
+without building a spec; both flatten through the same row helper.
 
 Overlap convention: each process extends its owned span by ``R/2`` cells on
 each interior side, so two neighbouring processes share ``R`` rows/columns,
@@ -28,7 +30,8 @@ notes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from itertools import repeat
+from typing import Iterable, Iterator, List, Tuple
 
 __all__ = [
     "SubarraySpec",
@@ -66,37 +69,42 @@ class SubarraySpec:
 
 def spec_to_segments(spec: SubarraySpec) -> List[Tuple[int, int]]:
     """Flatten a 2-D subarray spec into per-row file segments."""
-    M, N = spec.sizes
-    sm, sn = spec.subsizes
-    r0, c0 = spec.starts
-    item = spec.itemsize
-    if sm == 0 or sn == 0:
-        return []
-    out: List[Tuple[int, int]] = []
-    if sn == N and c0 == 0:
-        # Full-width rows collapse to a single contiguous segment.
-        return [((r0 * N) * item, sm * N * item)]
-    for row in range(r0, r0 + sm):
-        out.append(((row * N + c0) * item, sn * item))
+    (r0, c0), (sm, sn) = spec.starts, spec.subsizes
+    return _rows(spec.sizes[1], spec.itemsize, [(r0, r0 + sm)], [(c0, c0 + sn)])[0]
+
+
+def _rows(
+    N: int, item: int, row_spans: Iterable[Tuple[int, int]], col_spans: Iterable[Tuple[int, int]]
+) -> List[List[Tuple[int, int]]]:
+    """File segments of each block ``[r0, r1) x [c0, c1)`` of a row-major
+    array ``N`` elements wide (the blocks' row and column spans are zipped):
+    one segment per row, or one in all when the rows are full-width."""
+    row, out = N * item, []
+    for (r0, r1), (c0, c1) in zip(row_spans, col_spans):
+        if r1 - r0 == 0 or c1 - c0 == 0:
+            out.append([])
+        elif c1 - c0 == N and c0 == 0:
+            # Full-width rows collapse to a single contiguous segment.
+            out.append([(r0 * row, (r1 - r0) * row)])
+        else:
+            width = (c1 - c0) * item
+            offsets = range((r0 * N + c0) * item, (r1 * N + c0) * item, row)
+            out.append([(off, width) for off in offsets])
     return out
 
 
-def _split_span(total: int, parts: int, index: int) -> Tuple[int, int]:
-    """Owned (start, stop) of block ``index`` when ``total`` cells are divided
-    into ``parts`` nearly equal consecutive blocks."""
-    base = total // parts
-    extra = total % parts
-    start = index * base + min(index, extra)
-    length = base + (1 if index < extra else 0)
-    return start, start + length
-
-
-def _extend_with_ghost(start: int, stop: int, total: int, index: int, parts: int, R: int) -> Tuple[int, int]:
-    """Extend an owned span by R/2 ghost cells on each interior side."""
+def _spans(total: int, parts: int, R: int, indices: Iterable[int]) -> Iterator[Tuple[int, int]]:
+    """The (start, stop) span of each block ``index`` when ``total`` cells are
+    divided into ``parts`` nearly equal consecutive blocks, extended by R/2
+    ghost cells on each interior side."""
+    base, extra = divmod(total, parts)
     half = R // 2
-    lo = start - (half if index > 0 else 0)
-    hi = stop + (R - half if index < parts - 1 else 0)
-    return max(lo, 0), min(hi, total)
+    for index in indices:
+        start = index * base + min(index, extra)
+        stop = start + base + (1 if index < extra else 0)
+        lo = start - (half if index > 0 else 0)
+        hi = stop + (R - half if index < parts - 1 else 0)
+        yield max(lo, 0), min(hi, total)
 
 
 def column_wise_spec(M: int, N: int, P: int, rank: int, R: int = 0, itemsize: int = 1) -> SubarraySpec:
@@ -104,8 +112,7 @@ def column_wise_spec(M: int, N: int, P: int, rank: int, R: int = 0, itemsize: in
     _validate(M, N, P, rank, R, itemsize)
     if N // P < R:
         raise ValueError("overlap R must not exceed N/P")
-    start, stop = _split_span(N, P, rank)
-    start, stop = _extend_with_ghost(start, stop, N, rank, P, R)
+    (start, stop), = _spans(N, P, R, (rank,))
     return SubarraySpec(
         sizes=(M, N), subsizes=(M, stop - start), starts=(0, start), itemsize=itemsize
     )
@@ -116,8 +123,7 @@ def row_wise_spec(M: int, N: int, P: int, rank: int, R: int = 0, itemsize: int =
     _validate(M, N, P, rank, R, itemsize)
     if M // P < R:
         raise ValueError("overlap R must not exceed M/P")
-    start, stop = _split_span(M, P, rank)
-    start, stop = _extend_with_ghost(start, stop, M, rank, P, R)
+    (start, stop), = _spans(M, P, R, (rank,))
     return SubarraySpec(
         sizes=(M, N), subsizes=(stop - start, N), starts=(start, 0), itemsize=itemsize
     )
@@ -133,17 +139,10 @@ def block_block_spec(
     interior neighbour, so interior edges overlap by ``R`` cells and corner
     ghost regions are accessed by four processes.
     """
-    if Pr <= 0 or Pc <= 0:
-        raise ValueError("process grid dimensions must be positive")
-    if rank < 0 or rank >= Pr * Pc:
-        raise ValueError(f"rank {rank} outside process grid {Pr}x{Pc}")
-    if M <= 0 or N <= 0 or itemsize <= 0 or R < 0:
-        raise ValueError("invalid array parameters")
+    _validate_grid(M, N, Pr, Pc, rank, R, itemsize)
     pr, pc = divmod(rank, Pc)
-    r_start, r_stop = _split_span(M, Pr, pr)
-    c_start, c_stop = _split_span(N, Pc, pc)
-    r_start, r_stop = _extend_with_ghost(r_start, r_stop, M, pr, Pr, R)
-    c_start, c_stop = _extend_with_ghost(c_start, c_stop, N, pc, Pc, R)
+    (r_start, r_stop), = _spans(M, Pr, R, (pr,))
+    (c_start, c_stop), = _spans(N, Pc, R, (pc,))
     return SubarraySpec(
         sizes=(M, N),
         subsizes=(r_stop - r_start, c_stop - c_start),
@@ -154,22 +153,28 @@ def block_block_spec(
 
 def column_wise_views(M: int, N: int, P: int, R: int = 0, itemsize: int = 1) -> List[List[Tuple[int, int]]]:
     """Flattened file segments of every rank for column-wise partitioning."""
-    return [column_wise_spec(M, N, P, rank, R, itemsize).segments() for rank in range(P)]
+    _validate(M, N, P, 0, R, itemsize)
+    if N // P < R:
+        raise ValueError("overlap R must not exceed N/P")
+    return _rows(N, itemsize, repeat((0, M), P), _spans(N, P, R, range(P)))
 
 
 def row_wise_views(M: int, N: int, P: int, R: int = 0, itemsize: int = 1) -> List[List[Tuple[int, int]]]:
     """Flattened file segments of every rank for row-wise partitioning."""
-    return [row_wise_spec(M, N, P, rank, R, itemsize).segments() for rank in range(P)]
+    _validate(M, N, P, 0, R, itemsize)
+    if M // P < R:
+        raise ValueError("overlap R must not exceed M/P")
+    return _rows(N, itemsize, _spans(M, P, R, range(P)), repeat((0, N), P))
 
 
 def block_block_views(
     M: int, N: int, Pr: int, Pc: int, R: int = 0, itemsize: int = 1
 ) -> List[List[Tuple[int, int]]]:
     """Flattened file segments of every rank for block-block partitioning."""
-    return [
-        block_block_spec(M, N, Pr, Pc, rank, R, itemsize).segments()
-        for rank in range(Pr * Pc)
-    ]
+    _validate_grid(M, N, Pr, Pc, 0, R, itemsize)
+    cols = list(_spans(N, Pc, R, range(Pc)))
+    rows = (span for span in _spans(M, Pr, R, range(Pr)) for _ in cols)
+    return _rows(N, itemsize, rows, cols * Pr)
 
 
 #: Partitioning patterns the benchmark harness can sweep.
@@ -213,3 +218,12 @@ def _validate(M: int, N: int, P: int, rank: int, R: int, itemsize: int) -> None:
         raise ValueError("R must be non-negative")
     if rank < 0 or rank >= P:
         raise ValueError(f"rank {rank} outside 0..{P - 1}")
+
+
+def _validate_grid(M: int, N: int, Pr: int, Pc: int, rank: int, R: int, itemsize: int) -> None:
+    if Pr <= 0 or Pc <= 0:
+        raise ValueError("process grid dimensions must be positive")
+    if rank < 0 or rank >= Pr * Pc:
+        raise ValueError(f"rank {rank} outside process grid {Pr}x{Pc}")
+    if M <= 0 or N <= 0 or itemsize <= 0 or R < 0:
+        raise ValueError("invalid array parameters")

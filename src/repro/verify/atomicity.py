@@ -46,8 +46,9 @@ pair is laid out in file order, the observed ranges are cut at the run
 boundaries, the baseline candidate is one ``reduceat`` over a mismatch mask
 and the writer candidates are gather-compared :data:`_BLOCK` bytes at a time
 (compared bytes × cover depth in all; index arrays under 2 MiB whatever the
-file size).  Python loops run only over views, to flatten them, and over
-*offending* runs, to word their :class:`Violation`.  The scalar
+file size).  The views are read in one pass that makes no numpy call per
+view; beyond it, Python loops run only over *offending* runs, to word their
+:class:`Violation`.  The scalar
 implementations this replaced are the test-only oracle
 ``tests/reference_verify.py``; ``tests/test_verify_differential.py`` pins
 every report equal to the oracle's — ``ok``, the violations in order and
@@ -57,6 +58,7 @@ word for word, both counters — on generated views, stores and seeded tears.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -309,18 +311,22 @@ def _stack(
     stream's bytes re-ordered into ascending file order, so the coverage
     pieces ``[starts[j], stops[j])`` of all views (view by view, ``view[j]``
     says which) tile it: piece ``j`` sits at ``cumsum(stops - starts)[j - 1]``.
+    One pass reads every view's segments; one gather puts views whose offsets
+    descend in file order, and a view's touching segments coalesce.
     """
-    bufs = [np.empty(0, dtype=np.uint8)]
-    for region, data in zip(regions, streams):
-        stream = np.frombuffer(data, dtype=np.uint8)
-        offs, lengths = np.array(region.segments, dtype=np.int64).reshape(-1, 2).T
-        if (offs[1:] < offs[:-1]).any():  # view not in file order: permute
-            order = np.argsort(offs)
-            stream = stream[_ranges((np.cumsum(lengths) - lengths)[order], lengths[order])]
-        bufs.append(stream)
-    starts, stops, _ = _flatten(regions)
-    pieces = [len(region.coverage.starts) for region in regions]
-    return np.concatenate(bufs), starts, stops, np.repeat(np.arange(len(pieces)), pieces)
+    counts = np.fromiter((len(r.segments) for r in regions), dtype=np.int64, count=len(regions))
+    segments = chain.from_iterable(r.segments for r in regions)
+    offs, lengths = np.fromiter(segments, dtype=(np.int64, 2), count=int(counts.sum())).T
+    view = np.repeat(np.arange(len(regions)), counts)
+    buf = np.frombuffer(b"".join(streams), dtype=np.uint8)
+    if (offs[1:] < offs[:-1])[view[1:] == view[:-1]].any():  # not in file order: permute
+        order = np.lexsort((offs, view))
+        buf = buf[_ranges((np.cumsum(lengths) - lengths)[order], lengths[order])]
+        offs, lengths = offs[order], lengths[order]
+    stops = offs + lengths
+    first = np.ones(len(offs), dtype=bool)
+    first[1:] = (view[1:] != view[:-1]) | (offs[1:] != stops[:-1])
+    return buf, offs[first], stops[np.roll(first, -1)], view[first]
 
 
 def check_read_atomicity(

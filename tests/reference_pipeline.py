@@ -461,20 +461,13 @@ class ReferenceColoring(ReferencePipeline):
         # read schedule is one fully parallel phase.  The invalidation is the
         # read half of the paper's protocol — writers of a conflicting
         # operation flushed (sync-after-write), we must drop stale pages.
-        coloring: ColoringResult = report.coloring
         phase = PhasePlan(
             index=0,
             steps=self._steps(region.buffer_map()),
             direct=not self.use_cache,
             invalidate_before=True,
         )
-        return self._plan(
-            "read",
-            region,
-            phases=[phase],
-            my_phase=coloring.color_of(region.rank),
-            colors_used=coloring.num_colors,
-        )
+        return self._plan("read", region, phases=[phase])
 
 
 class ReferenceRankOrdering(ReferencePipeline):

@@ -12,6 +12,11 @@ provenance query is spelled out locally (``_distinct_writers``) instead of
 calling ``ByteStore.distinct_writers``, which is itself re-expressed over
 ``writer_runs`` now and must not be its own oracle.
 
+``_flatten`` and ``_stack`` are the array verifiers' view layout as it was
+before it became one pass over all views — one list comprehension per array
+in ``_flatten``, three numpy calls per view in ``_stack`` — kept verbatim so
+the single-pass forms can be required to give equal arrays.
+
 Never imported by ``src/``.
 """
 
@@ -22,7 +27,7 @@ from typing import Collection, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.intervals import Interval, IntervalSet, clip_sorted_runs
+from repro.core.intervals import Interval, IntervalSet, _ranges, clip_sorted_runs
 from repro.core.regions import FileRegionSet
 from repro.fs.storage import NO_WRITER, ByteStore
 from repro.verify.atomicity import (
@@ -342,3 +347,45 @@ def check_coverage(store: ByteStore, regions: Sequence[FileRegionSet]) -> Atomic
                     )
                 )
     return report
+
+
+def _flatten(
+    regions: Sequence[FileRegionSet],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All coverage intervals of all ranks as flat ``(starts, stops, ranks)``
+    arrays, rank by rank (one array append per rank, no sort)."""
+    covs = [(r.coverage, r.rank) for r in regions if len(r.coverage.starts)]
+    if not covs:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    return (
+        np.concatenate([cov.starts for cov, _ in covs]),
+        np.concatenate([cov.stops for cov, _ in covs]),
+        np.repeat(
+            np.array([rank for _, rank in covs], dtype=np.int64),
+            [len(cov.starts) for cov, _ in covs],
+        ),
+    )
+
+
+def _stack(
+    regions: Sequence[FileRegionSet], streams: Sequence[bytes]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lay (view, stream) pairs out for comparison by *file* offset.
+
+    Returns ``(buf, starts, stops, view)``: ``buf`` concatenates every
+    stream's bytes re-ordered into ascending file order, so the coverage
+    pieces ``[starts[j], stops[j])`` of all views (view by view, ``view[j]``
+    says which) tile it: piece ``j`` sits at ``cumsum(stops - starts)[j - 1]``.
+    """
+    bufs = [np.empty(0, dtype=np.uint8)]
+    for region, data in zip(regions, streams):
+        stream = np.frombuffer(data, dtype=np.uint8)
+        offs, lengths = np.array(region.segments, dtype=np.int64).reshape(-1, 2).T
+        if (offs[1:] < offs[:-1]).any():  # view not in file order: permute
+            order = np.argsort(offs)
+            stream = stream[_ranges((np.cumsum(lengths) - lengths)[order], lengths[order])]
+        bufs.append(stream)
+    starts, stops, _ = _flatten(regions)
+    pieces = [len(region.coverage.starts) for region in regions]
+    return np.concatenate(bufs), starts, stops, np.repeat(np.arange(len(pieces)), pieces)

@@ -20,7 +20,7 @@ from repro.core import strategies
 from repro.core.aggregation import choose_aggregators, merge_pieces, partition_domain
 from repro.core.coloring import greedy_coloring
 from repro.core.bulk import BulkWriteExecutor
-from repro.core.executor import AtomicWriteExecutor
+from repro.core.executor import AtomicWriteExecutor, CollectiveReadExecutor
 from repro.core.intervals import IntervalSet
 from repro.core.overlap import build_overlap_matrix
 from repro.core.engine import TaskCancelled
@@ -164,6 +164,24 @@ class TestOncePerCollective:
 
         run_spmd(fn, 4)
         assert len(built) == collectives
+
+    def test_graph_coloring_reads_build_no_colouring(self, monkeypatch):
+        """Reads commute, so a graph-coloring read is one parallel phase: it
+        builds no colouring and reports none."""
+        built, original = [], strategies.greedy_coloring
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(strategies, "greedy_coloring", counting)
+        fs = ParallelFileSystem(fast_fs_config())
+        run(GraphColoringStrategy(), fs=fs)
+        assert len(built) == 1
+        reader = CollectiveReadExecutor(fs, GraphColoringStrategy(), filename="p.dat")
+        result = reader.run(4, lambda rank, P: VIEWS[rank])
+        assert len(built) == 1
+        assert [(o.phases, o.my_phase, o.colors_used) for o in result.outcomes] == [(1, 0, 0)] * 4
 
     def test_products_are_freed_with_the_run(self, monkeypatch):
         lists = []

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.core.intervals import IntervalSet, merge_interval_sets
@@ -247,3 +248,78 @@ class TestPartitionProperties:
         regions = build_region_sets(block_block_views(M, N, pr, pc, R))
         union = merge_interval_sets([reg.coverage for reg in regions])
         assert union == IntervalSet.single(0, M * N)
+
+
+def outcome(call):
+    """The call's result, or the text of the ``ValueError`` it raised."""
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@st.composite
+def shapes(draw):
+    """``(M, N, P, R, itemsize)``, sometimes invalid: R = N/P or M/P (the
+    widest legal ghost), P = 1 (full-width rows), itemsize > 1."""
+    M, N, P = draw(st.integers(-1, 9)), draw(st.integers(-1, 24)), draw(st.integers(1, 9))
+    R = draw(st.one_of(st.integers(-1, 4), st.sampled_from([max(N, 0) // P, max(M, 0) // P])))
+    return M, N, P, R, draw(st.integers(0, 3))
+
+
+class TestViewsAreTheirSpecs:
+    """``*_views`` lays every rank out in one pass; each rank's list is what
+    its ``*_spec`` flattens to, and bad arguments raise the same text."""
+
+    @given(shapes())
+    def test_column_wise(self, shape):
+        M, N, P, R, item = shape
+        assert outcome(lambda: column_wise_views(M, N, P, R, item)) == outcome(
+            lambda: [column_wise_spec(M, N, P, rank, R, item).segments() for rank in range(P)]
+        )
+
+    @given(shapes())
+    def test_row_wise(self, shape):
+        M, N, P, R, item = shape
+        assert outcome(lambda: row_wise_views(M, N, P, R, item)) == outcome(
+            lambda: [row_wise_spec(M, N, P, rank, R, item).segments() for rank in range(P)]
+        )
+
+    @given(shapes(), st.integers(1, 4))
+    def test_block_block(self, shape, Pr):
+        M, N, Pc, R, item = shape
+        assert outcome(lambda: block_block_views(M, N, Pr, Pc, R, item)) == outcome(
+            lambda: [
+                block_block_spec(M, N, Pr, Pc, rank, R, item).segments()
+                for rank in range(Pr * Pc)
+            ]
+        )
+
+    @given(
+        st.integers(1, 5), st.integers(1, 8), st.integers(1, 40), st.integers(0, 9), st.integers(1, 3)
+    )
+    def test_column_wise_cells(self, M, P, N, R, item):
+        """Each rank's columns are its ``np.array_split`` block widened by
+        ``R // 2`` on the left and ``R - R // 2`` on the right, at interior
+        sides only."""
+        assume(N // P >= R)
+        views = column_wise_views(M, N, P, R, item)
+        for rank, owned in enumerate(np.array_split(np.arange(N), P)):
+            expected = []
+            if len(owned):
+                lo = max(int(owned[0]) - (R // 2 if rank > 0 else 0), 0)
+                hi = min(int(owned[-1]) + 1 + (R - R // 2 if rank < P - 1 else 0), N)
+                expected = [col for _ in range(M) for col in range(lo, hi)]
+            cells = [
+                (pos // item) % N
+                for off, length in views[rank]
+                for pos in range(off, off + length, item)
+            ]
+            assert sorted(cells) == sorted(expected)
+
+    def test_no_ranks_is_an_error(self):
+        for views in (column_wise_views, row_wise_views):
+            with pytest.raises(ValueError, match="must be positive"):
+                views(4, 4, 0)
+        with pytest.raises(ValueError, match="must be positive"):
+            block_block_views(4, 4, 0, 2)

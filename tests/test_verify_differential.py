@@ -12,7 +12,10 @@ overlapping, empty ranks, segments out of file order, ranks offset by a
   a stale page spliced into a read — is flagged;
 * **report identity** — on all of those inputs the report equals the one the
   scalar implementation it replaced (``tests/reference_verify.py``) gives:
-  ``ok``, every violation (kind, interval, text) in order, both counters.
+  ``ok``, every violation (kind, interval, text) in order, both counters;
+* **layout identity** — the single-pass view layout (``core.overlap._flatten``,
+  ``verify.atomicity._stack``) gives the arrays of its per-view predecessor,
+  kept verbatim in the oracle module, dtype for dtype.
 
 Example counts come from the Hypothesis profile (``tests/conftest.py``):
 the default keeps this module a few seconds, ``HYPOTHESIS_PROFILE=ci`` runs
@@ -30,7 +33,7 @@ from hypothesis import strategies as st
 
 import generators
 import reference_verify as oracle
-from repro.core.overlap import coverage_runs
+from repro.core.overlap import _flatten, coverage_runs
 from repro.core.regions import FileRegionSet
 from repro.fs.storage import NO_WRITER, ByteStore
 from repro.verify import atomicity
@@ -383,3 +386,35 @@ class TestReadVerifier:
         ]
         assert [(v.kind, v.interval, v.detail) for v in merged.violations] == expected
         assert merged.ok == (not expected)
+
+
+# -- view layout ------------------------------------------------------------------------
+
+
+def assert_arrays(new, old) -> None:
+    assert len(new) == len(old)
+    for a, b in zip(new, old):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+class TestViewLayout:
+    """Empty views, views out of file order (``segment_lists`` draws a
+    permutation) and nested ones come from ``generators.view_sets``."""
+
+    @given(view_sets(min_ranks=0))
+    def test_flatten_matches_the_oracle(self, views):
+        _, regions = views
+        assert_arrays(_flatten(regions), oracle._flatten(regions))
+
+    @given(view_sets(min_ranks=0), st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_stack_matches_the_oracle(self, views, mutable):
+        _, regions = views
+        # Every byte distinct: a permutation error cannot hide behind a period.
+        streams = [
+            (bytearray if mutable[idx] else bytes)(
+                (idx * FILE_BYTES + k) % 256 for k in range(region.total_bytes)
+            )
+            for idx, region in enumerate(regions)
+        ]
+        assert_arrays(atomicity._stack(regions, streams), oracle._stack(regions, streams))
