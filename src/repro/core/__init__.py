@@ -10,7 +10,6 @@ from .regions import FileRegionSet, build_region_sets
 from .overlap import (
     OverlapMatrix,
     build_overlap_matrix,
-    conflict_free_groups_are_disjoint,
     overlapped_bytes_total,
     pairwise_overlap_regions,
 )
@@ -20,8 +19,6 @@ from .rank_ordering import (
     LOWER_RANK_WINS,
     RankOrderingResult,
     resolve_by_rank,
-    verify_coverage_preserved,
-    verify_disjoint,
 )
 from .pipeline import IOPlan, LockDirective, PhasePlan, TransferStep
 from .registry import StrategyRegistry, default_registry, register_strategy
@@ -61,7 +58,6 @@ __all__ = [
     "build_overlap_matrix",
     "pairwise_overlap_regions",
     "overlapped_bytes_total",
-    "conflict_free_groups_are_disjoint",
     "ColoringResult",
     "greedy_coloring",
     "validate_coloring",
@@ -69,8 +65,6 @@ __all__ = [
     "chromatic_lower_bound",
     "RankOrderingResult",
     "resolve_by_rank",
-    "verify_disjoint",
-    "verify_coverage_preserved",
     "HIGHER_RANK_WINS",
     "LOWER_RANK_WINS",
     "AtomicityStrategy",

@@ -49,7 +49,7 @@ from typing import Dict, Generator, Iterator, List, Optional, Sequence
 
 from ..fs.client import ClientFileHandle, FSClient
 from ..fs.filesystem import ParallelFileSystem
-from ..mpi.clock import VirtualClock
+from ..mpi.clock import VirtualClock, synchronize_clocks
 from ..mpi.comm import SharedList
 from ..mpi.cost import CommCostModel, _Volume, payload_nbytes
 from ..mpi.errors import CollectiveMismatchError
@@ -70,18 +70,6 @@ __all__ = ["BulkReadExecutor", "BulkWriteExecutor"]
 
 #: ``next(iterator, _DONE)``: the default that says the iterator is exhausted.
 _DONE = object()
-
-
-def _rendezvous(clocks: List[VirtualClock], costs: Sequence[float]) -> None:
-    """Replay one collective: synchronise to the latest arrival, then charge
-    each rank its own payload cost (``Communicator._collective``'s clock
-    arithmetic, without the rendezvous machinery)."""
-    latest = max(clock.now for clock in clocks)
-    # ``advance_to(latest, waiting=True)`` then ``advance(cost)``, inline.
-    for clock, cost in zip(clocks, costs):
-        if latest > clock.now:
-            clock.waited += latest - clock.now
-        clock.now = latest + cost
 
 
 def _sweep(
@@ -186,7 +174,7 @@ class _BulkExecutor(_Executor):
         else:
             delegate, adopt = self.strategy, lambda plan: plan
             shipped = [r.segments for r in regions]
-        _rendezvous(clocks, [self.comm_cost.cost(view) for view in shipped])
+        synchronize_clocks(clocks, [self.comm_cost.cost(view) for view in shipped])
         return delegate, delegate.negotiation(regions), adopt
 
     def _lockstep(self, schedules: Sequence[Generator], clocks: List[VirtualClock]) -> list:
@@ -234,7 +222,7 @@ class _BulkExecutor(_Executor):
                 )
             if returned:
                 return list(returned.values())
-            _rendezvous(clocks, costs)
+            synchronize_clocks(clocks, costs)
             inboxes = arriving
 
     @contextmanager

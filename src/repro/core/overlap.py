@@ -1,19 +1,25 @@
-"""Overlap analysis between per-process file views.
+"""Overlap analysis between per-process file views: one kernel.
 
-The handshaking strategies of the paper (Section 3.3) both begin by having
-every process learn which other processes its file view overlaps with:
+Every overlap question the library asks is *which ranks cover each byte?*,
+and :func:`coverage_runs` answers it once: it cuts the file at every view
+boundary into elementary runs, each covered by a fixed set of ranks, and
+lists those ranks as a CSR.  Everything else is read off its output:
 
-* the **graph-coloring** strategy needs only a boolean overlap matrix ``W``
-  (``W[i][j] = 1`` when process *i* and *j* access at least one common byte,
-  Figure 5);
-* the **process-rank ordering** strategy needs the *exact* overlapped byte
-  ranges so each process can trim them from its own view (Figure 7).
+* the **graph-coloring** strategy's boolean overlap matrix ``W`` (Figure 5),
+  set for every pair of ranks that share a run (:func:`build_overlap_matrix`);
+* the exact byte ranges each overlapping pair shares
+  (:func:`pairwise_overlap_regions`);
+* the bytes accessed by more than one process, the runs of depth two or
+  more (:func:`overlapped_bytes_total`);
+* the **process-rank ordering** winner of every run (Figure 7), and from it
+  each rank's kept bytes and surrendered count
+  (:mod:`repro.core.rank_ordering`);
+* the MPI-atomicity verdicts of :mod:`repro.verify.atomicity`, decided run
+  by run.
 
-Both are computed here from :class:`~repro.core.regions.FileRegionSet`
-objects.  In the distributed implementation
-(:class:`repro.core.strategies.GraphColoringStrategy` and friends) each rank
-contributes its own flattened view through ``allgather`` and then runs these
-routines locally — exactly the negotiation the paper describes.
+In the distributed implementation each rank contributes its own flattened
+view through ``allgather`` and then runs these routines locally — exactly
+the negotiation the paper describes (Section 3.3).
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .intervals import IntervalSet, _ranges, merge_interval_sets
+from .intervals import IntervalSet, _ranges
 from .regions import FileRegionSet
 
 __all__ = [
@@ -32,7 +38,6 @@ __all__ = [
     "pairwise_overlap_regions",
     "overlapped_bytes_total",
     "coverage_runs",
-    "conflict_free_groups_are_disjoint",
 ]
 
 
@@ -121,16 +126,6 @@ def _flatten(
     )
 
 
-def _flatten_sorted(
-    regions: Sequence[FileRegionSet],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_flatten`, sorted by start (each rank's own coverage is already
-    normalised, so the only sort is the global one)."""
-    starts, stops, ranks = _flatten(regions)
-    order = np.lexsort((stops, starts))
-    return starts[order], stops[order], ranks[order]
-
-
 def coverage_runs(
     regions: Sequence[FileRegionSet],
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -160,60 +155,48 @@ def coverage_runs(
     return bounds, depth, ptr, ranks[order]
 
 
-def _overlapping_interval_pairs(
-    starts: np.ndarray, stops: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``(i, j)``, ``i < j``, of overlapping intervals.
-
-    ``starts`` must be ascending.  Because interval ``i`` overlaps a
-    later-starting interval ``j`` exactly when ``starts[j] < stops[i]``, the
-    overlap partners of ``i`` form the contiguous index run
-    ``(i, searchsorted(starts, stops[i]))`` — so the enumeration visits only
-    the actually-overlapping pairs, never the full ``O(E^2)`` cross product.
-    """
-    n = len(starts)
-    if n < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    reach = np.searchsorted(starts, stops, side="left")
-    counts = reach - np.arange(1, n + 1, dtype=np.int64)
-    np.maximum(counts, 0, out=counts)
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    i_idx = np.repeat(np.arange(n, dtype=np.int64), counts)
-    bases = np.cumsum(counts) - counts
-    j_idx = np.arange(total, dtype=np.int64) - bases[i_idx] + i_idx + 1
-    return i_idx, j_idx
-
-
-def build_overlap_matrix(regions: Sequence[FileRegionSet]) -> OverlapMatrix:
-    """Construct the boolean overlap matrix ``W`` from all processes' views.
-
-    ``regions[i]`` must be the view of rank ``i``.  One global sort of the
-    file-ordered intervals followed by a bisection sweep enumerates exactly
-    the overlapping interval pairs, so the cost is ``O(E log E + K)`` for
-    ``E`` total intervals and ``K`` overlapping pairs — for the paper's
-    partitioned workloads (each byte touched by a handful of ranks) this is
-    near-linear in ``E``, which is what makes colouring feasible at tens of
-    thousands of ranks.
-    """
-    n = len(regions)
+def _check_rank_order(regions: Sequence[FileRegionSet]) -> None:
+    """Raise unless ``regions[i]`` is the view of rank ``i``."""
     for rank, region in enumerate(regions):
         if region.rank != rank:
             raise ValueError(
                 f"regions must be ordered by rank: index {rank} holds rank {region.rank}"
             )
+
+
+def _shared_runs(
+    regions: Sequence[FileRegionSet],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(bounds, run, low, high)``: one row per pair of ranks ``low < high``
+    that both cover elementary run ``run`` of :func:`coverage_runs`.
+
+    A run's covering ranks are listed ascending, so each CSR entry pairs with
+    the entries after it in its run — one index range per entry,
+    ``d (d - 1) / 2`` pairs for a run of depth ``d``, built without a loop.
+    """
+    bounds, depth, ptr, ranks = coverage_runs(regions)
+    entry = np.arange(len(ranks), dtype=np.int64)
+    run = np.repeat(np.arange(len(depth), dtype=np.int64), depth)
+    partners = ptr[1:][run] - entry - 1
+    first = np.repeat(entry, partners)
+    return bounds, run[first], ranks[first], ranks[_ranges(entry + 1, partners)]
+
+
+def build_overlap_matrix(regions: Sequence[FileRegionSet]) -> OverlapMatrix:
+    """Construct the boolean overlap matrix ``W`` from all processes' views.
+
+    ``regions[i]`` must be the view of rank ``i``.  ``W[i, j]`` is set for
+    every pair of ranks sharing a coverage run, so the cost is that of
+    :func:`coverage_runs` plus one entry per (run, pair) — near-linear in the
+    view intervals for the paper's partitioned workloads, where each byte is
+    covered by a handful of ranks.
+    """
+    _check_rank_order(regions)
+    n = len(regions)
     w = np.zeros((n, n), dtype=np.bool_)
-    starts, stops, ranks = _flatten_sorted(regions)
-    i_idx, j_idx = _overlapping_interval_pairs(starts, stops)
-    if len(i_idx):
-        ri, rj = ranks[i_idx], ranks[j_idx]
-        distinct = ri != rj
-        ri, rj = ri[distinct], rj[distinct]
-        w[ri, rj] = True
-        w[rj, ri] = True
+    _, _, low, high = _shared_runs(regions)
+    w[low, high] = True
+    w[high, low] = True
     return OverlapMatrix(w)
 
 
@@ -222,76 +205,24 @@ def pairwise_overlap_regions(
 ) -> Dict[Tuple[int, int], IntervalSet]:
     """Exact overlapped byte ranges for every overlapping pair ``(i, j)``, i<j.
 
-    This is the information the process-rank ordering strategy needs: unlike
-    the coloring strategy's single bit per pair, rank ordering must know the
-    byte ranges so lower ranks can surrender exactly those bytes.  The same
-    bisection sweep as :func:`build_overlap_matrix` enumerates only the
-    actually-overlapping interval pairs, then one argsort groups the clipped
-    pieces by process pair — no ``O(P^2)`` pass over non-overlapping pairs.
+    Unlike the colouring strategy's single bit per pair, these are the byte
+    ranges the two ranks both access: the runs the pair shares, grouped by
+    pair with one ``lexsort`` — no pass over non-overlapping pairs.
     """
+    bounds, run, low, high = _shared_runs(regions)
+    key = low * len(regions) + high
+    order = np.lexsort((run, key))
+    key, run = key[order], run[order]
+    heads = np.flatnonzero(np.diff(key, prepend=-1))
     out: Dict[Tuple[int, int], IntervalSet] = {}
-    n = len(regions)
-    starts, stops, ranks = _flatten_sorted(regions)
-    i_idx, j_idx = _overlapping_interval_pairs(starts, stops)
-    if not len(i_idx):
-        return out
-    ri, rj = ranks[i_idx], ranks[j_idx]
-    distinct = ri != rj
-    if not distinct.any():
-        return out
-    i_idx, j_idx, ri, rj = i_idx[distinct], j_idx[distinct], ri[distinct], rj[distinct]
-    # Clip each overlapping pair: starts are ascending, so the later-starting
-    # interval's start is the overlap's low edge.
-    lo = starts[j_idx]
-    hi = np.minimum(stops[i_idx], stops[j_idx])
-    key = np.minimum(ri, rj) * n + np.maximum(ri, rj)
-    order = np.lexsort((lo, key))
-    key, lo, hi = key[order], lo[order], hi[order]
-    heads = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    bounds = np.append(heads, len(key))
-    for h, head in enumerate(heads):
-        tail = bounds[h + 1]
-        pair = int(key[head])
-        out[(pair // n, pair % n)] = IntervalSet.from_arrays(
-            lo[head:tail], hi[head:tail]
-        )
+    for head, tail in zip(heads.tolist(), np.append(heads[1:], len(key)).tolist()):
+        pair = divmod(int(key[head]), len(regions))
+        out[pair] = IntervalSet.from_arrays(bounds[run[head:tail]], bounds[run[head:tail] + 1])
     return out
 
 
 def overlapped_bytes_total(regions: Sequence[FileRegionSet]) -> int:
-    """Total number of file bytes written by more than one process.
-
-    One coverage-depth sweep over all intervals (each process's own view is
-    overlap-free by construction, so depth >= 2 at a byte means two distinct
-    processes), costing ``O(E log E)`` for ``E`` total intervals instead of
-    a pairwise intersection over all process pairs.
-    """
-    starts, stops, _ = _flatten_sorted(regions)
-    if not len(starts):
-        return 0
-    positions = np.concatenate((starts, stops))
-    deltas = np.concatenate(
-        (np.ones(len(starts), dtype=np.int64), -np.ones(len(stops), dtype=np.int64))
-    )
-    order = np.lexsort((deltas, positions))
-    positions, deltas = positions[order], deltas[order]
-    depth = np.cumsum(deltas)
-    covered = (positions[1:] - positions[:-1])[depth[:-1] >= 2]
-    return int(covered.sum())
-
-
-def conflict_free_groups_are_disjoint(
-    regions: Sequence[FileRegionSet], groups: Sequence[Sequence[int]]
-) -> bool:
-    """Check that no two ranks placed in the same group overlap.
-
-    Used to validate graph-coloring output: every colour class must be an
-    independent set of the overlap graph.
-    """
-    for group in groups:
-        members = list(group)
-        for a_idx in range(len(members)):
-            for b_idx in range(a_idx + 1, len(members)):
-                if regions[members[a_idx]].overlaps(regions[members[b_idx]]):
-                    return False
-    return True
+    """Total number of file bytes accessed by more than one process: the
+    summed length of the coverage runs of depth two or more."""
+    bounds, depth, _, _ = coverage_runs(regions)
+    return int(np.diff(bounds)[depth >= 2].sum())

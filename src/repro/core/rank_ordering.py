@@ -8,23 +8,25 @@ processes' views overlap, so all writes proceed fully in parallel with no
 locks and no phase barriers, and the total volume written shrinks by the
 amount of surrendered data.
 
-This module computes, for a set of per-rank
-:class:`~repro.core.regions.FileRegionSet` views, the trimmed views and the
-statistics the paper's Section 3.4 analysis quotes (surrendered bytes,
-remaining bytes).  The priority policy is pluggable; the paper's
-"higher rank wins" rule is the default and a "lower rank wins" variant is
-provided for the ablation benchmarks.
+The priority is decided per elementary run of
+:func:`~repro.core.overlap.coverage_runs`: one winner sweep gives every
+covered run to its covering rank of highest priority.  From the winners,
+:func:`resolve_by_rank` cuts each rank's *kept* bytes (its trimmed view is
+built only when asked for) and :func:`surrendered_bytes_by_priority` counts
+what each rank gave up, building no per-rank set.  The priority policy is
+pluggable; the paper's "higher rank wins" rule is the default and a "lower
+rank wins" variant is provided for the ablation benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .intervals import IntervalSet, merge_interval_sets
-from .overlap import coverage_runs
+from .intervals import IntervalSet
+from .overlap import _check_rank_order, coverage_runs
 from .regions import FileRegionSet
 
 __all__ = [
@@ -36,8 +38,8 @@ __all__ = [
 ]
 
 # A priority policy maps a rank to a priority value; for each overlapped byte
-# the process with the highest priority keeps it.  Ties cannot occur because
-# ranks are unique.
+# the process with the highest priority keeps it.  Ties between ranks of equal
+# priority go to the lower rank.
 PriorityPolicy = Callable[[int], int]
 
 HIGHER_RANK_WINS: PriorityPolicy = lambda rank: rank  # noqa: E731 - paper's policy
@@ -50,15 +52,19 @@ class RankOrderingResult:
 
     Attributes
     ----------
-    trimmed:
-        ``trimmed[rank]`` is the rank's file view after surrendering every
-        byte that a higher-priority process also writes.  Trimmed views are
-        pairwise disjoint.
+    regions:
+        The untrimmed views, ``regions[rank]`` the view of ``rank``.
+    kept:
+        ``kept[rank]`` is the set of file bytes the rank still writes: its
+        coverage minus every byte a higher-priority process also writes.
+        The kept sets are pairwise disjoint and their union is the union of
+        the views.
     surrendered_bytes:
         ``surrendered_bytes[rank]`` is how many bytes the rank gave up.
     """
 
-    trimmed: tuple
+    regions: tuple
+    kept: tuple
     surrendered_bytes: tuple
 
     @property
@@ -69,11 +75,35 @@ class RankOrderingResult:
     @property
     def total_remaining(self) -> int:
         """Total bytes still written after trimming."""
-        return sum(r.total_bytes for r in self.trimmed)
+        return sum(kept.total_bytes for kept in self.kept)
 
     def view_of(self, rank: int) -> FileRegionSet:
-        """The trimmed view of ``rank``."""
-        return self.trimmed[rank]
+        """The trimmed view of ``rank``: its view restricted to its kept
+        bytes, segment order preserved (built on each call)."""
+        return self.regions[rank].restricted_to(self.kept[rank])
+
+    @property
+    def trimmed(self) -> Tuple[FileRegionSet, ...]:
+        """Every rank's trimmed view (built on each access)."""
+        return tuple(self.view_of(rank) for rank in range(len(self.kept)))
+
+
+def _winners(
+    regions: Sequence[FileRegionSet], policy: PriorityPolicy
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(starts, stops, winner)`` of every covered coverage run, in file
+    order: the winner is the run's covering rank of highest
+    ``(policy(rank), -rank)``, found by one ``maximum.reduceat`` over the
+    priority index of the run's CSR entries."""
+    _check_rank_order(regions)
+    n = len(regions)
+    bounds, depth, ptr, ranks = coverage_runs(regions)
+    by_priority = np.array(sorted(range(n), key=lambda r: (policy(r), -r)), dtype=np.int64)
+    priority = np.empty(n, dtype=np.int64)
+    priority[by_priority] = np.arange(n)
+    covered = np.flatnonzero(depth)
+    winner = by_priority[np.maximum.reduceat(priority[ranks], ptr[covered])]
+    return bounds[covered], bounds[covered + 1], winner
 
 
 def resolve_by_rank(
@@ -88,93 +118,48 @@ def resolve_by_rank(
         ``regions[i]`` is rank *i*'s flattened file view.
     policy:
         Priority function; the process whose rank has the highest policy
-        value keeps each contested byte.  Defaults to the paper's
-        higher-rank-wins rule.
+        value keeps each contested byte (ties go to the lower rank).
+        Defaults to the paper's higher-rank-wins rule.
 
     Returns
     -------
     RankOrderingResult
-        Trimmed (pairwise disjoint) views plus per-rank surrendered byte
-        counts.  Coverage is preserved: the union of the trimmed views equals
-        the union of the original views.
+        Per-rank kept byte sets (pairwise disjoint, covering the union of
+        the views) plus per-rank surrendered byte counts.  Each rank's won
+        runs are grouped with one stable sort and its touching runs
+        coalesced in one vectorised pass.
     """
-    n = len(regions)
-    for rank, region in enumerate(regions):
-        if region.rank != rank:
-            raise ValueError(
-                f"regions must be ordered by rank: index {rank} holds rank {region.rank}"
-            )
-
-    # Ranks sorted from highest to lowest priority; each rank surrenders the
-    # bytes claimed by every rank of strictly higher priority.
-    by_priority = sorted(range(n), key=policy, reverse=True)
-    claimed = IntervalSet.empty()
-    trimmed: List[FileRegionSet] = [None] * n  # type: ignore[list-item]
-    surrendered: List[int] = [0] * n
-    for rank in by_priority:
-        original = regions[rank]
-        new_view = original.trimmed(claimed)
-        trimmed[rank] = new_view
-        surrendered[rank] = original.total_bytes - new_view.total_bytes
-        claimed = claimed.union(original.coverage)
-    return RankOrderingResult(trimmed=tuple(trimmed), surrendered_bytes=tuple(surrendered))
+    starts, stops, winner = _winners(regions, policy)
+    order = np.argsort(winner, kind="stable")
+    starts, stops, winner = starts[order], stops[order], winner[order]
+    head = np.ones(len(winner), dtype=bool)
+    head[1:] = (winner[1:] != winner[:-1]) | (starts[1:] != stops[:-1])
+    starts, stops, winner = starts[head], stops[np.roll(head, -1)], winner[head]
+    cuts = np.searchsorted(winner, np.arange(len(regions) + 1)).tolist()
+    kept = tuple(
+        IntervalSet._from_normalised(starts[lo:hi], stops[lo:hi])
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    )
+    return RankOrderingResult(
+        regions=tuple(regions),
+        kept=kept,
+        surrendered_bytes=tuple(r.total_bytes - k.total_bytes for r, k in zip(regions, kept)),
+    )
 
 
 def surrendered_bytes_by_priority(
     regions: Sequence[FileRegionSet],
     policy: PriorityPolicy = HIGHER_RANK_WINS,
 ) -> List[int]:
-    """Per-rank surrendered byte counts, without materialising trimmed views.
+    """Per-rank surrendered byte counts, building no per-rank set.
 
     ``surrendered[rank]`` counts the bytes of ``rank``'s view also covered by
-    some strictly-higher-priority rank (ties break towards the lower rank, as
-    everywhere else) — exactly the counts :func:`resolve_by_rank` reports,
-    but computed as one winner sweep instead of ``P`` incremental set unions:
-    :func:`~repro.core.overlap.coverage_runs` cuts the file into elementary
-    runs with their covering ranks, the run's winner is the covering rank of
-    highest priority (one ``maximum.reduceat`` over the priority index), and
-    each rank then surrenders everything it covers minus what it won.  This
-    is the form the two-phase negotiation can afford at tens of thousands of
-    ranks, where it only needs the counts.
+    some higher-priority rank — exactly the counts :func:`resolve_by_rank`
+    reports: everything the rank covers minus the runs it won.  This is the
+    form the two-phase negotiation can afford at tens of thousands of ranks,
+    where it only needs the counts.
     """
-    n = len(regions)
-    for rank, region in enumerate(regions):
-        if region.rank != rank:
-            raise ValueError(
-                f"regions must be ordered by rank: index {rank} holds rank {region.rank}"
-            )
-    bounds, depth, ptr, ranks = coverage_runs(regions)
-    if not len(ranks):
-        return [0] * n
-    by_priority = np.array(sorted(range(n), key=lambda r: (policy(r), -r)), dtype=np.int64)
-    priority = np.empty(n, dtype=np.int64)
-    priority[by_priority] = np.arange(n)
-    covered = depth > 0
-    winner = by_priority[np.maximum.reduceat(priority[ranks], ptr[:-1][covered])]
-    won = np.zeros(n, dtype=np.int64)
-    np.add.at(won, winner, (bounds[1:] - bounds[:-1])[covered])
+    starts, stops, winner = _winners(regions, policy)
+    won = np.zeros(len(regions), dtype=np.int64)
+    np.add.at(won, winner, stops - starts)
     return [region.total_bytes - kept for region, kept in zip(regions, won.tolist())]
-
-
-def verify_disjoint(result: RankOrderingResult) -> bool:
-    """True when the trimmed views are pairwise disjoint (the MPI-atomicity
-    precondition the strategy relies on)."""
-    views = result.trimmed
-    for i in range(len(views)):
-        for j in range(i + 1, len(views)):
-            if views[i].overlaps(views[j]):
-                return False
-    return True
-
-
-def verify_coverage_preserved(
-    regions: Sequence[FileRegionSet], result: RankOrderingResult
-) -> bool:
-    """True when the trimmed views still cover every byte some process wrote.
-
-    Rank ordering must not leave holes: every byte of the original union is
-    written by exactly one process afterwards.
-    """
-    before = merge_interval_sets([r.coverage for r in regions])
-    after = merge_interval_sets([r.coverage for r in result.trimmed])
-    return before == after

@@ -615,12 +615,11 @@ class RankOrderingStrategy(AtomicityStrategy):
         resolution = regions.once(
             ("rank-order", self.policy), lambda: resolve_by_rank(regions, policy=self.policy)
         )
-        my_view = resolution.view_of(region.rank)
         # Write only the bytes this rank still owns; the data for surrendered
         # bytes is simply not transferred (reducing the total I/O volume).
         phase = PhasePlan(
             index=0,
-            steps=self._steps(region.buffer_map_restricted(my_view.coverage)),
+            steps=self._steps(region.buffer_map_restricted(resolution.kept[region.rank])),
             direct=not self.use_cache,
             sync_after=True,
         )

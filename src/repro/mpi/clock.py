@@ -16,7 +16,7 @@ at the interaction points, so no locking of the clock itself is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Sequence
 
 __all__ = ["VirtualClock", "synchronize_clocks"]
 
@@ -54,15 +54,17 @@ class VirtualClock:
         self.waited = 0.0
 
 
-def synchronize_clocks(clocks: Iterable[VirtualClock]) -> float:
-    """Advance every clock to the maximum — the effect of a barrier.
+def synchronize_clocks(clocks: Sequence[VirtualClock], costs: Sequence[float]) -> float:
+    """Settle the clocks of one collective: the rule both drivers share.
 
-    Returns the synchronised time.
+    Every clock syncs to the latest arrival, the gap counted as wait, and is
+    then charged its own rank's cost, ``costs[i]`` for ``clocks[i]``.  One
+    pass over all clocks, with no call per clock.  Returns the synchronised
+    time (0.0 for no clocks).
     """
-    clocks = list(clocks)
-    if not clocks:
-        return 0.0
-    latest = max(c.now for c in clocks)
-    for c in clocks:
-        c.advance_to(latest, waiting=True)
+    latest = max((clock.now for clock in clocks), default=0.0)
+    for clock, cost in zip(clocks, costs):
+        if latest > clock.now:
+            clock.waited += latest - clock.now
+        clock.now = latest + cost
     return latest

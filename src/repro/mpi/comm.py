@@ -42,7 +42,7 @@ from collections import deque
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..core.engine import Engine, Task, current_task, sequence_point
-from .clock import VirtualClock
+from .clock import VirtualClock, synchronize_clocks
 from .cost import CommCostModel, _Volume, payload_nbytes
 from .errors import (
     CollectiveAbortedError,
@@ -157,18 +157,18 @@ class SharedList(list):
 
 
 class _Round:
-    """One collective rendezvous: deposits, arrival times and waiters."""
+    """One collective rendezvous: deposits, payload costs and waiters."""
 
-    __slots__ = ("ops", "slots", "times", "waiting", "arrived", "latest", "error")
+    __slots__ = ("ops", "slots", "costs", "waiting", "arrived", "error")
 
     def __init__(self, size: int) -> None:
         self.ops: List[Any] = [None] * size
         #: The deposits, one per rank; what a shared result is built from.
         self.slots = SharedList([None] * size)
-        self.times: List[float] = [0.0] * size
+        #: What each rank's own payload costs it once the round completes.
+        self.costs: List[float] = [0.0] * size
         self.waiting: List[Task] = []
         self.arrived = 0
-        self.latest = 0.0
         self.error: Optional[BaseException] = None
 
 
@@ -442,11 +442,11 @@ class Communicator(_PointToPoint):
         """One rendezvous: deposit, park until all ranks arrive, settle clocks.
 
         Every rank of the group must call the same collective in the same
-        order.  The last rank to arrive validates the operation tags,
-        computes the synchronised time (the max of the arrival clocks) and
-        wakes the others; each rank then advances its own clock to that time
-        and charges the cost of its *own* payload, exactly as the threaded
-        runner did.  Returns the completed round so the caller can read the
+        order.  Each rank deposits the cost of its *own* payload; the last
+        rank to arrive validates the operation tags, settles every clock of
+        the group with :func:`~repro.mpi.clock.synchronize_clocks` (the rule
+        the bulk replay applies too) and wakes the others at the synchronised
+        time.  Returns the completed round so the caller can read the
         deposited values.
         """
         task = self._require_task()
@@ -458,7 +458,7 @@ class Communicator(_PointToPoint):
             round_ = g._round = _Round(g.size)
         round_.ops[self._rank] = op_name
         round_.slots[self._rank] = deposit
-        round_.times[self._rank] = self.clock.now
+        round_.costs[self._rank] = g.cost_model.cost(payload)
         round_.arrived += 1
         if round_.arrived < g.size:
             round_.waiting.append(task)
@@ -475,10 +475,8 @@ class Communicator(_PointToPoint):
                 round_.error = CollectiveMismatchError(
                     f"ranks disagree on collective: {sorted(map(str, names))}"
                 )
-            round_.latest = max(round_.times)
-            task.engine.wake_all(round_.waiting, at=round_.latest)
-        self.clock.advance_to(round_.latest, waiting=True)
-        self.clock.advance(g.cost_model.cost(payload))
+            latest = synchronize_clocks(g.clocks, round_.costs)
+            task.engine.wake_all(round_.waiting, at=latest)
         if round_.error is not None:
             raise round_.error
         return round_

@@ -370,7 +370,19 @@ def check_read_atomicity(
         writer the baseline stops being an admissible observation (a reader
         returning it was served stale data).  Default: no write is known
         committed, i.e. every write is treated as potentially in flight.
+
+    Raises :class:`ValueError`, naming the rank, when an observation's
+    ``data`` or a writer's stream is not its view's ``total_bytes`` long.
     """
+    for rank, region, stream, what in chain(
+        ((o.rank, o.region, o.data, "observed") for o in observations),
+        ((r.rank, r, data, "wrote") for r, data in zip(write_regions, writer_data)),
+    ):
+        if len(stream) != region.total_bytes:
+            raise ValueError(
+                f"rank {rank} {what} {len(stream)} bytes through a view of "
+                f"{region.total_bytes} bytes"
+            )
     report = AtomicityReport(ok=True)
     obs, o_starts, o_stops, o_view = _stack(
         [o.region for o in observations], [o.data for o in observations]

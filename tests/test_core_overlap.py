@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import generators
 from repro.core.intervals import IntervalSet
 from reference_verify import _elementary_segments
 from repro.core.overlap import (
     coverage_runs,
     OverlapMatrix,
     build_overlap_matrix,
-    conflict_free_groups_are_disjoint,
     overlapped_bytes_total,
     pairwise_overlap_regions,
 )
@@ -120,15 +122,21 @@ class TestOverlappedBytes:
 
 
 class TestGroupValidation:
+    """A colour class is conflict-free when its members' views share no byte."""
+
+    @staticmethod
+    def conflict_free(regions, groups):
+        return all(overlapped_bytes_total([regions[r] for r in group]) == 0 for group in groups)
+
     def test_disjoint_groups_accepted(self):
         views = [[(0, 10)], [(8, 10)], [(16, 10)]]
         regions = regions_from(views)
-        assert conflict_free_groups_are_disjoint(regions, [[0, 2], [1]])
+        assert self.conflict_free(regions, [[0, 2], [1]])
 
     def test_conflicting_group_rejected(self):
         views = [[(0, 10)], [(8, 10)], [(16, 10)]]
         regions = regions_from(views)
-        assert not conflict_free_groups_are_disjoint(regions, [[0, 1], [2]])
+        assert not self.conflict_free(regions, [[0, 1], [2]])
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +175,41 @@ class TestOverlapProperties:
         w = build_overlap_matrix(regions)
         overlaps = pairwise_overlap_regions(regions)
         assert set(overlaps) == set(w.edges())
+
+
+class TestKernelSpec:
+    """Every product read off the coverage runs against its definition on
+    the views themselves (views over one small file, up to six ranks:
+    irregular, nested, identical, empty)."""
+
+    views = generators.view_sets(24, max_ranks=6)
+
+    @given(views)
+    def test_matrix_is_pairwise_overlap(self, views):
+        regions = regions_from(views)
+        w = build_overlap_matrix(regions).matrix
+        for i, a in enumerate(regions):
+            for j, b in enumerate(regions):
+                assert w[i, j] == (i != j and a.overlaps(b))
+
+    @given(views)
+    def test_pairwise_regions_are_each_pairs_overlap_region(self, views):
+        regions = regions_from(views)
+        expected = {
+            (i, j): regions[i].overlap_region(regions[j])
+            for i in range(len(regions))
+            for j in range(i + 1, len(regions))
+            if regions[i].overlaps(regions[j])
+        }
+        assert pairwise_overlap_regions(regions) == expected
+
+    @given(views)
+    def test_overlapped_bytes_are_bytes_with_two_coverers(self, views):
+        regions = regions_from(views)
+        coverers = Counter(
+            pos for region in regions for off, n in region.segments for pos in range(off, off + n)
+        )
+        assert overlapped_bytes_total(regions) == sum(c >= 2 for c in coverers.values())
 
 
 class TestCoverageRuns:

@@ -6,16 +6,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import generators
 from repro.core.intervals import IntervalSet, merge_interval_sets
+from repro.core.overlap import overlapped_bytes_total
 from repro.core.rank_ordering import (
     HIGHER_RANK_WINS,
     LOWER_RANK_WINS,
     resolve_by_rank,
-    verify_coverage_preserved,
-    verify_disjoint,
+    surrendered_bytes_by_priority,
 )
 from repro.core.regions import FileRegionSet, build_region_sets
 from repro.patterns.partition import column_wise_views
+
+
+def verify_disjoint(result):
+    """No byte is in two trimmed views."""
+    return overlapped_bytes_total(result.trimmed) == 0
+
+
+def verify_coverage_preserved(regions, result):
+    """The trimmed views still cover every byte some view covered."""
+    before = merge_interval_sets([r.coverage for r in regions])
+    return merge_interval_sets([v.coverage for v in result.trimmed]) == before
 
 
 class TestResolveByRank:
@@ -154,3 +166,42 @@ class TestRankOrderingProperties:
         high_union = merge_interval_sets([v.coverage for v in high.trimmed])
         low_union = merge_interval_sets([v.coverage for v in low.trimmed])
         assert high_union == low_union
+
+
+def ALL_TIES(rank):
+    """A policy that ranks every process equal: the lower rank wins."""
+    return 0
+
+
+class TestResolutionSpec:
+    """The winner sweep against the definition of rank ordering: a rank
+    surrenders every byte some rank ahead of it in ``(policy, -rank)`` order
+    also covers (views over one small file, up to six ranks: irregular,
+    nested, identical, empty)."""
+
+    cases = dict(
+        views=generators.view_sets(24, max_ranks=6),
+        policy=st.sampled_from([HIGHER_RANK_WINS, LOWER_RANK_WINS, ALL_TIES]),
+    )
+
+    @given(**cases)
+    def test_view_is_trimmed_by_every_rank_ahead(self, views, policy):
+        regions = build_region_sets(views)
+        result = resolve_by_rank(regions, policy=policy)
+        for rank, region in enumerate(regions):
+            ahead = [
+                q for q in range(len(regions)) if (policy(q), -q) > (policy(rank), -rank)
+            ]
+            claimed = merge_interval_sets([regions[q].coverage for q in ahead])
+            expected = region.trimmed(claimed)
+            assert result.view_of(rank) == expected
+            assert result.view_of(rank).segments == expected.segments
+            assert result.kept[rank] == expected.coverage
+
+    @given(**cases)
+    def test_surrendered_is_total_minus_kept(self, views, policy):
+        regions = build_region_sets(views)
+        result = resolve_by_rank(regions, policy=policy)
+        expected = [r.total_bytes - kept.total_bytes for r, kept in zip(regions, result.kept)]
+        assert list(result.surrendered_bytes) == expected
+        assert surrendered_bytes_by_priority(regions, policy=policy) == expected

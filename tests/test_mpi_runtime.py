@@ -448,10 +448,13 @@ class TestVirtualClock:
         assert clock.now == 0.0 and clock.waited == 0.0
 
     def test_synchronize_clocks(self):
+        """Sync to the latest arrival, the gap counted as wait, then charge
+        each clock its own cost."""
         clocks = [VirtualClock(now=t) for t in (1.0, 5.0, 3.0)]
-        latest = synchronize_clocks(clocks)
+        latest = synchronize_clocks(clocks, [0.5, 0.0, 0.25])
         assert latest == 5.0
-        assert all(c.now == 5.0 for c in clocks)
+        assert [c.now for c in clocks] == [5.5, 5.0, 5.25]
+        assert [c.waited for c in clocks] == [4.0, 0.0, 2.0]
 
     def test_comm_cost_charged(self):
         cost = CommCostModel(latency=0.01, byte_cost=0.0)

@@ -110,7 +110,6 @@ REPRO_CORE_ALL = [
     "choose_aggregators",
     "chromatic_lower_bound",
     "color_groups",
-    "conflict_free_groups_are_disjoint",
     "default_data_factory",
     "default_registry",
     "estimate_column_wise",
@@ -124,8 +123,6 @@ REPRO_CORE_ALL = [
     "resolve_by_rank",
     "scatter_pieces",
     "validate_coloring",
-    "verify_coverage_preserved",
-    "verify_disjoint",
 ]
 
 

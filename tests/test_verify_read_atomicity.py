@@ -10,14 +10,21 @@ the baseline).
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.regions import FileRegionSet
-from repro.verify.atomicity import ReadObservation, check_read_atomicity
+from repro.verify.atomicity import (
+    ReadObservation,
+    StreamTrace,
+    check_read_atomicity,
+    check_stream_atomicity,
+)
 
 
 def _regions_two_writers():
     """Two writers overlapping on bytes [10, 20)."""
     w0 = FileRegionSet(0, [(0, 20)])
-    w1 = FileRegionSet(1, [(10, 20)])
+    w1 = FileRegionSet(1, [(10, 10)])
     return [w0, w1], [b"A" * 20, b"B" * 10]
 
 
@@ -107,3 +114,42 @@ class TestReportAccounting:
     def test_no_observations_trivially_ok(self):
         regions, data = _regions_two_writers()
         assert check_read_atomicity([], regions, data).ok
+
+
+class TestStreamLengths:
+    """Every stream must be as long as its view: a short or long one raises,
+    naming the rank, instead of indexing past the end or shifting the bytes
+    of the streams behind it onto the wrong views."""
+
+    VIEWS = [FileRegionSet(0, [(0, 4)]), FileRegionSet(1, [(4, 4)])]
+
+    def check(self, read=(b"AAAA", b"BBBB"), written=(b"AAAA", b"BBBB")):
+        observations = [
+            ReadObservation(view.rank, view, data) for view, data in zip(self.VIEWS, read)
+        ]
+        return check_read_atomicity(observations, self.VIEWS, list(written))
+
+    def test_exact_lengths_accepted(self):
+        assert self.check().ok
+
+    def test_short_observation_raises(self):
+        with pytest.raises(ValueError, match="rank 0 observed 3 bytes"):
+            self.check(read=(b"AAA", b"BBBB"))
+
+    def test_long_observation_does_not_tear_the_next_rank(self):
+        with pytest.raises(ValueError, match="rank 0 observed 5 bytes"):
+            self.check(read=(b"AAAAX", b"BBBB"))
+
+    def test_long_observation_of_the_last_rank_raises(self):
+        with pytest.raises(ValueError, match="rank 1 observed 5 bytes"):
+            self.check(read=(b"AAAA", b"BBBBX"))
+
+    def test_short_writer_stream_raises(self):
+        with pytest.raises(ValueError, match="rank 1 wrote 3 bytes"):
+            self.check(written=(b"AAAA", b"BBB"))
+
+    def test_stream_check_raises_too(self):
+        observations = [ReadObservation(1, self.VIEWS[1], b"BBB")]
+        trace = StreamTrace("s", self.VIEWS, [b"AAAA", b"BBBB"], observations)
+        with pytest.raises(ValueError, match="rank 1 observed 3 bytes"):
+            check_stream_atomicity([trace])
