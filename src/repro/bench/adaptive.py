@@ -37,7 +37,8 @@ from ..core.overlap import overlapped_bytes_total
 from ..core.regions import FileRegionSet
 from ..core.registry import default_registry
 from ..fs.filesystem import ParallelFileSystem
-from ..mpi.comm import CommCostModel, Communicator
+from ..mpi.comm import Communicator
+from ..mpi.cost import BENCH_COMM_COST
 from ..mpi.runtime import run_spmd
 from ..patterns.partition import views_for_pattern
 from ..patterns.workloads import PAPER_OVERLAP_COLUMNS, rank_pattern_bytes
@@ -189,7 +190,7 @@ def run_repeated_collective(
     spmd = run_spmd(
         rank_main(fs, filename, regions, write_steps),
         nprocs,
-        comm_cost=CommCostModel(latency=30e-6, byte_cost=1e-8),
+        comm_cost=BENCH_COMM_COST,
     )
     atomic_ok = True
     if verify and strat.provides_atomicity:

@@ -37,7 +37,7 @@ from ..core.regions import FileRegionSet
 from ..core.registry import default_registry
 from ..patterns.partition import views_for_pattern
 from ..fs.filesystem import ParallelFileSystem
-from ..mpi.comm import CommCostModel
+from ..mpi.cost import BENCH_COMM_COST
 from ..patterns.workloads import (
     PAPER_ARRAY_SIZES,
     PAPER_OVERLAP_COLUMNS,
@@ -137,7 +137,7 @@ def run_experiment(
         fs,
         strat,
         filename=filename,
-        comm_cost=CommCostModel(latency=30e-6, byte_cost=1e-8),
+        comm_cost=BENCH_COMM_COST,
     )
     atomic_ok = True
     if mode == "read":
@@ -318,7 +318,7 @@ def _checkpoint_file(
         fs,
         seed_strategy,
         filename=filename,
-        comm_cost=CommCostModel(latency=30e-6, byte_cost=1e-8),
+        comm_cost=BENCH_COMM_COST,
     )
     streams: dict = {}
 

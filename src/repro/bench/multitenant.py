@@ -18,9 +18,9 @@ loudly if contention ever tore an overlapped region between two tenants.
 Results land in ``benchmarks/results/latest.json`` under
 ``multitenant/<fs>/j<jobs>xp<ranks>``: one entry per job (carrying
 ``job_id`` and ``offered_load``) plus one summary entry (carrying
-``fairness`` and ``offered_load``; no ``job_id``).  The CI smoke point
-(4 jobs x 16 ranks) is additionally gated by :mod:`repro.bench.perfgate`
-on cross-job atomicity and a fairness floor.
+``fairness`` and ``offered_load``; no ``job_id``).  The sweep's 4 jobs x
+16 ranks point is additionally gated by :mod:`repro.bench.perfgate` on
+cross-job atomicity and a fairness floor.
 
 The sweep also runs one *heterogeneous* configuration
 (:func:`run_mixed_tenant_point`, filed under
@@ -33,7 +33,6 @@ stale read across the tenant boundary fails the sweep.
 Run the sweep (CI uploads the JSON it writes)::
 
     PYTHONPATH=src python -m repro.bench.multitenant
-    PYTHONPATH=src python -m repro.bench.multitenant --smoke
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ DEFAULT_SHAPE = (32, 512)
 #: the sweep deterministic run to run.
 DEFAULT_SEED = 20030804
 
-#: The CI smoke / perf-gate point: (jobs, ranks per job).
+#: The perf-gate point, one of the sweep's: (jobs, ranks per job).
 SMOKE_POINT = (4, 16)
 
 #: The file every shared-file point's jobs race on.
@@ -258,21 +257,17 @@ def check_point(
     return problems
 
 
-def sweep_cases(smoke: bool) -> List[Tuple[str, Callable[[], MultiTenantPoint]]]:
+def sweep_cases() -> List[Tuple[str, Callable[[], MultiTenantPoint]]]:
     """The sweep's grid as ``(experiment, run)`` cases: every concurrency
-    level at every per-job rank count (only :data:`SMOKE_POINT` when
-    ``smoke``), then the write-vs-read :data:`MIXED_POINT`."""
+    level at every per-job rank count, then the write-vs-read
+    :data:`MIXED_POINT`."""
     machine = machine_by_name(SWEEP_MACHINE)
     root = f"multitenant/{machine.file_system.lower()}"
-    grid = (
-        [SMOKE_POINT]
-        if smoke
-        else [(j, p) for j in DEFAULT_JOB_COUNTS for p in DEFAULT_RANK_COUNTS]
-    )
     writers, readers, ranks = MIXED_POINT
     return [
         (f"{root}/j{j}xp{p}", partial(run_multitenant_point, machine, j, p))
-        for j, p in grid
+        for j in DEFAULT_JOB_COUNTS
+        for p in DEFAULT_RANK_COUNTS
     ] + [
         (
             f"{root}/mixed-w{writers}r{readers}xp{ranks}",
@@ -284,10 +279,7 @@ def sweep_cases(smoke: bool) -> List[Tuple[str, Callable[[], MultiTenantPoint]]]
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; exits non-zero on an atomicity failure."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help=f"run only the CI smoke point {SMOKE_POINT} "
-                             f"(plus the mixed point {MIXED_POINT})")
-    args = parser.parse_args(list(argv) if argv is not None else None)
+    parser.parse_args(list(argv) if argv is not None else None)
 
     def run_case(case) -> List[Dict]:
         experiment, run = case
@@ -301,7 +293,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return point.entries
 
-    measured = sweep(lambda case: case[0], sweep_cases(args.smoke), run_case)
+    measured = sweep(lambda case: case[0], sweep_cases(), run_case)
     problems = [
         problem
         for experiment, entries in measured.items()

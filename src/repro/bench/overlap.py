@@ -28,7 +28,8 @@ from typing import Dict, List, Optional
 from ..core.regions import FileRegionSet, build_region_sets
 from ..datatypes import CHAR, subarray
 from ..io import Info, MPIFile
-from ..mpi.comm import CommCostModel, Communicator
+from ..mpi.comm import Communicator
+from ..mpi.cost import BENCH_COMM_COST
 from ..mpi.runtime import run_spmd
 from ..patterns.partition import column_wise_spec, column_wise_views
 from ..patterns.workloads import PAPER_OVERLAP_COLUMNS, rank_pattern_bytes
@@ -113,7 +114,7 @@ def run_overlap_experiment(
         compute_seconds,
         api,
         strategy,
-        comm_cost=CommCostModel(latency=30e-6, byte_cost=1e-8),
+        comm_cost=BENCH_COMM_COST,
     )
     regions: List[FileRegionSet] = build_region_sets(
         column_wise_views(M, N, nprocs, overlap_columns)

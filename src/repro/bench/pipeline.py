@@ -18,13 +18,12 @@ deterministic expected stream (the N:M redistribution through the shared
 file is byte-checked).  Results land under
 ``pipeline/<fs>/p<P>c<C>d<depth>``: one summary row per coordination mode,
 one row per stage (carrying ``stage``), and one row per verified stream
-(carrying ``stream_id``).  The smoke point is additionally gated by
-:mod:`repro.bench.perfgate`.
+(carrying ``stream_id``).  The sweep's 4:4 point at depth 2 is additionally
+gated by :mod:`repro.bench.perfgate`.
 
 Run the sweep (CI uploads the JSON it writes)::
 
     PYTHONPATH=src python -m repro.bench.pipeline
-    PYTHONPATH=src python -m repro.bench.pipeline --smoke
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ DEFAULT_STEPS = 4
 #: checkpoint overlaps and the analysis the in-situ read overlaps.
 DEFAULT_COMPUTE_SECONDS = 0.002
 
-#: The CI smoke / perf-gate point: (producers, consumers, depth).
+#: The perf-gate point, one of the sweep's: (producers, consumers, depth).
 SMOKE_POINT = (4, 4, 2)
 
 
@@ -226,16 +225,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; exits non-zero when a point fails verification or
     the overlapped discipline fails to beat the baseline."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help=f"run only the CI smoke point {SMOKE_POINT}")
-    args = parser.parse_args(list(argv) if argv is not None else None)
+    parser.parse_args(list(argv) if argv is not None else None)
 
     machine = machine_by_name(SWEEP_MACHINE)
-    grid = (
-        [SMOKE_POINT]
-        if args.smoke
-        else [(p, c, depth) for p, c in DEFAULT_RATIOS for depth in DEFAULT_DEPTHS]
-    )
+    grid = [(p, c, depth) for p, c in DEFAULT_RATIOS for depth in DEFAULT_DEPTHS]
     measured = sweep(
         lambda case: "pipeline/{}/p{}c{}d{}".format(machine.file_system.lower(), *case),
         grid,

@@ -3,13 +3,16 @@
 Every benchmark in this package is a *grid declaration* (an iterable of
 points) plus a ``run_point`` that measures one point and returns its jsonlog
 entries (:mod:`repro.bench.jsonlog`).  :func:`sweep` is the loop they all
-share, and it holds the only stopwatch in ``src/``: the host wall clock of
-each point is stamped on that point's entries as ``wall_seconds`` —
+share, and it holds the only wall-clock stopwatch in ``src/``: the host wall
+clock of each point is stamped on that point's entries as ``wall_seconds`` —
 *information* for whoever reads ``benchmarks/results/latest.json``, never a
 judgement.  Host time is judged in exactly one place, the calibrated
 parent-vs-change comparison of ``benchmarks/suite/compare.py``; everything
 a sweep returns apart from ``wall_seconds`` is virtual time and therefore a
-pure function of the code.
+pure function of the code.  One exception: ``AutoStrategy._resolve`` reads
+``time.thread_time()`` for the plan cache's ``warm_cpu`` / ``cold_cpu``
+counters, and :func:`repro.bench.adaptive.check_plan_cache` judges the
+warm/cold ratio of that host CPU time.
 """
 
 from __future__ import annotations

@@ -202,16 +202,10 @@ class TuningDecision:
 
     def delegate(self) -> AtomicityStrategy:
         """The (shared, cached) strategy instance implementing the decision:
-        the registered class of that name, built with the derived tunables."""
+        the registered class of that name, built with the derived tunables
+        its constructor accepts (the ``cb_*`` fields carry the hints' names)."""
         if self._delegate is None:
-            tunables = {
-                "num_aggregators": self.cb_nodes,
-                "cb_buffer_size": self.cb_buffer_size,
-                "ranks_per_node": self.cb_ppn,
-            }
-            self._delegate = default_registry.create(
-                self.strategy, **{k: v for k, v in tunables.items() if v is not None}
-            )
+            self._delegate = default_registry.create_tuned(self.strategy, vars(self))
         return self._delegate
 
     def hints(self) -> Dict[str, float]:
@@ -430,11 +424,6 @@ class AutoStrategy(AtomicityStrategy):
         #: report it as ``selected_strategy`` + ``cb_*``).
         self.last_decision: Optional[TuningDecision] = None
 
-    @classmethod
-    def from_info(cls, info) -> "AutoStrategy":
-        """Read the ``plan_cache`` toggle (default on)."""
-        return cls(plan_cache=info.get_bool("plan_cache", True))
-
     # -- context binding ------------------------------------------------------
 
     def bind_context(self, fs, filename: str) -> None:
@@ -605,16 +594,16 @@ class AutoStrategy(AtomicityStrategy):
 
     @staticmethod
     def _apply_read_ahead(handle, enabled: bool) -> None:
-        """Couple the decision's ``read_ahead`` verdict to the client cache.
+        """Couple the decision's ``read_ahead`` verdict to the client cache,
+        by the ``read_ahead`` hint's rule
+        (:meth:`~repro.fs.cache.CachePolicy.toggled_read_ahead`).
 
         Free in simulated time (a pure policy swap) — it changes which pages
         future cached reads prefetch, not the clock.
         """
-        from ..fs.cache import CachePolicy
-
         cache = handle.cache
         policy = cache.policy
-        pages = CachePolicy.read_ahead_pages if enabled else 0
+        pages = handle.client.fs.config.cache_policy.toggled_read_ahead(enabled)
         if policy.read_ahead_pages != pages:
             cache.policy = replace(policy, read_ahead_pages=pages)
 

@@ -1,4 +1,4 @@
-"""Central registry of atomicity strategies.
+"""Central registry of atomicity strategies, and the table of Info hints.
 
 The one way to select a strategy by name.  A strategy class declares its
 capabilities (``provides_atomicity``, ``requires_locks``) and registers
@@ -21,19 +21,59 @@ listed by ``default_registry.names()`` (registration order: the paper's
 strategies first, later entries such as the adaptive ``auto`` tuner of
 :mod:`repro.core.autotune` after them) and swept by the Figure 8 grid
 defaults and the CI smoke benchmark.
+
+:data:`HINTS` declares every typed Info hint once: its name, its type and,
+for a strategy tunable, the constructor keyword it sets.  A strategy built
+from hints receives exactly the tunables its constructor accepts.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Type, TypeVar
+import functools
+import inspect
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple, TypeVar
 
 __all__ = [
+    "HINTS",
+    "Hint",
     "StrategyRegistry",
     "default_registry",
     "register_strategy",
 ]
 
 C = TypeVar("C", bound=type)
+
+
+class Hint(NamedTuple):
+    """One typed Info hint: ``type`` is ``int`` or ``bool``; ``keyword`` is
+    the strategy constructor keyword it sets (``None``: the file reads it)."""
+
+    name: str
+    type: type
+    keyword: Optional[str] = None
+
+
+#: Every typed hint, in the order ``Info.validate`` parses them.  The
+#: ``atomicity_strategy`` hint is a registered name, which ``MPIFile``
+#: checks against the registry.
+HINTS: Tuple[Hint, ...] = (
+    Hint("cb_nodes", int, "num_aggregators"),
+    Hint("cb_buffer_size", int, "cb_buffer_size"),
+    Hint("cb_ppn", int, "ranks_per_node"),
+    Hint("striping_unit", int),
+    Hint("provenance_base", int),
+    Hint("read_ahead_pages", int),
+    Hint("read_ahead", bool),
+    Hint("plan_cache", bool, "plan_cache"),
+)
+
+
+@functools.cache
+def _tunables(cls: type) -> Tuple[Hint, ...]:
+    """The strategy hints whose keyword ``cls``'s constructor accepts
+    (cached: every ``MPIFile`` open builds its strategy through here)."""
+    parameters = inspect.signature(cls).parameters
+    return tuple(h for h in HINTS if h.keyword is not None and h.keyword in parameters)
 
 
 class StrategyRegistry:
@@ -83,17 +123,25 @@ class StrategyRegistry:
         """Instantiate the strategy registered under ``name``."""
         return self.get(name)(**kwargs)
 
-    def create_from_info(self, name: str, info=None):
-        """Instantiate ``name`` configured from an MPI-IO ``Info`` hint bag.
-
-        Dispatches to the class's ``from_info`` constructor (see
-        :meth:`repro.core.strategies.AtomicityStrategy.from_info`), which is
-        how ``cb_nodes`` / ``cb_buffer_size`` and friends reach aggregator
-        election without the MPI-IO layer knowing any strategy's tunables.
-        With no ``info`` this is plain :meth:`create`.
-        """
+    def create_tuned(self, name: str, hints: Mapping[str, Any]):
+        """Instantiate ``name`` with the values of ``hints`` (hint name →
+        value, ``None`` for absent) whose keyword its constructor accepts."""
         cls = self.get(name)
-        return cls() if info is None else cls.from_info(info)
+        tunables = {h.keyword: hints.get(h.name) for h in _tunables(cls)}
+        return cls(**{k: v for k, v in tunables.items() if v is not None})
+
+    def create_from_info(self, name: str, info):
+        """Instantiate ``name`` configured from an MPI-IO ``Info`` hint bag,
+        parsing only the tunables its constructor accepts; a non-positive
+        integer hint counts as absent."""
+        hints = {}
+        for hint in _tunables(self.get(name)):
+            if hint.type is bool:
+                hints[hint.name] = info.get_bool(hint.name, None)
+            else:
+                value = info.get_int(hint.name)
+                hints[hint.name] = value if value > 0 else None
+        return self.create_tuned(name, hints)
 
     # -- queries ---------------------------------------------------------------
 

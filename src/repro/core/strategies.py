@@ -276,18 +276,6 @@ class AtomicityStrategy(ABC):
     #: it per instance (its ``use_cache`` constructor argument).
     use_cache = True
 
-    @classmethod
-    def from_info(cls, info) -> "AtomicityStrategy":
-        """Construct the strategy from an :class:`repro.io.info.Info` bag.
-
-        The default ignores every hint; strategies with tunables override it
-        to read theirs (``two-phase`` reads ``cb_nodes`` /
-        ``cb_buffer_size``).  This is how MPI-IO hints thread through the
-        registry (:meth:`repro.core.registry.StrategyRegistry.create_from_info`)
-        into strategy construction.
-        """
-        return cls()
-
     def bind_context(self, fs, filename: str) -> None:
         """Associate the strategy with the file it will drive.
 
@@ -545,7 +533,14 @@ class LockingStrategy(AtomicityStrategy):
 
 @register_strategy
 class GraphColoringStrategy(AtomicityStrategy):
-    """Process handshaking by graph colouring (Section 3.3.1)."""
+    """Process handshaking by graph colouring (Section 3.3.1).
+
+    Reads commute with reads: the colouring resolves write-write conflicts
+    only, so a read builds no colouring and takes the default read plan —
+    invalidate, then one fully parallel phase through the cache.  The
+    invalidation is the read half of the paper's protocol: writers of a
+    conflicting operation flushed (sync-after-write), so stale pages must go.
+    """
 
     name = "graph-coloring"
     exchanges_views = True
@@ -585,17 +580,6 @@ class GraphColoringStrategy(AtomicityStrategy):
             colors_used=coloring.num_colors,
         )
         return plan, {USER_PAYLOAD: data}
-
-    def schedule_read(self, comm, region, regions):  # noqa: D102 - see base
-        # Reads commute with reads: the colouring resolves write-write
-        # conflicts only, so the read schedule is one fully parallel phase
-        # and builds no colouring.  The invalidation is the read half of the
-        # paper's protocol — writers of a conflicting operation flushed
-        # (sync-after-write), we must drop stale pages.
-        phase = PhasePlan(
-            index=0, steps=self._steps(region.buffer_map()), invalidate_before=True
-        )
-        return self._plan("read", region, phases=[phase])
 
 
 @register_strategy
@@ -755,21 +739,6 @@ class TwoPhaseStrategy(AtomicityStrategy):
         self.num_aggregators = num_aggregators
         self.policy = policy
         self.cb_buffer_size = cb_buffer_size
-
-    @classmethod
-    def from_info(cls, info) -> "TwoPhaseStrategy":
-        """Read the ROMIO collective-buffering hints.
-
-        ``cb_nodes`` fixes the aggregator count; ``cb_buffer_size`` caps the
-        per-aggregator file-domain chunk, so when ``cb_nodes`` is absent the
-        election sizes itself to the covered domain.
-        """
-        cb_nodes = info.get_int("cb_nodes", 0)
-        cb_buffer = info.get_int("cb_buffer_size", 0)
-        return cls(
-            num_aggregators=cb_nodes if cb_nodes > 0 else None,
-            cb_buffer_size=cb_buffer if cb_buffer > 0 else None,
-        )
 
     def negotiate(
         self, comm_size: int, regions: Sequence[FileRegionSet]
@@ -1040,18 +1009,6 @@ class HierarchicalTwoPhaseStrategy(TwoPhaseStrategy):
         if ranks_per_node is not None and ranks_per_node <= 0:
             raise ValueError("ranks_per_node must be positive")
         self.ranks_per_node = ranks_per_node or self.DEFAULT_RANKS_PER_NODE
-
-    @classmethod
-    def from_info(cls, info) -> "HierarchicalTwoPhaseStrategy":
-        """Read the collective-buffering hints plus the ``cb_ppn`` topology."""
-        cb_nodes = info.get_int("cb_nodes", 0)
-        cb_buffer = info.get_int("cb_buffer_size", 0)
-        cb_ppn = info.get_int("cb_ppn", 0)
-        return cls(
-            num_aggregators=cb_nodes if cb_nodes > 0 else None,
-            cb_buffer_size=cb_buffer if cb_buffer > 0 else None,
-            ranks_per_node=cb_ppn if cb_ppn > 0 else None,
-        )
 
 
 # Registers the adaptive "auto" strategy — a tuner over the strategies above,

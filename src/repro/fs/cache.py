@@ -80,6 +80,14 @@ class CachePolicy:
         if self.read_ahead_pages < 0:
             raise ValueError("read_ahead_pages must be non-negative")
 
+    def toggled_read_ahead(self, enabled: bool) -> int:
+        """The page count a read-ahead toggle sets on a file system
+        configured with this policy: none when off; when on, this policy's
+        count, or the default where that is 0."""
+        if not enabled:
+            return 0
+        return self.read_ahead_pages or CachePolicy.read_ahead_pages
+
 
 @dataclass
 class CacheStats:

@@ -292,11 +292,8 @@ class MPIFile:
         updates = {}
         # Tri-state toggle: absent leaves the configured policy alone.
         toggle = self.info.get_bool("read_ahead", None)
-        if toggle is False:
-            updates["read_ahead_pages"] = 0
-        elif toggle is True:
-            configured = self.fs.config.cache_policy.read_ahead_pages
-            updates["read_ahead_pages"] = configured if configured > 0 else 2
+        if toggle is not None:
+            updates["read_ahead_pages"] = self.fs.config.cache_policy.toggled_read_ahead(toggle)
         pages = self.info.get_int("read_ahead_pages", -1)
         if pages >= 0:
             updates["read_ahead_pages"] = pages

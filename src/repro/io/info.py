@@ -42,9 +42,11 @@ client cache; unknown hints are ignored, as MPI requires.
     explicit page count; applied to the rank's cache policies at
     open/``Set_view``.
 
-The integer hints (:data:`INTEGER_HINTS`) and the boolean hints
-(:data:`BOOLEAN_HINTS`) are parsed at ``Open`` and at every ``Set_view`` that
-passes hints, where ``atomicity_strategy`` must also name a registered
+Each typed hint is declared once, in :data:`repro.core.registry.HINTS`:
+its name, its type and, for a strategy tunable, the constructor keyword it
+sets.  :data:`INTEGER_HINTS` and :data:`BOOLEAN_HINTS` are views of that
+table.  Every typed hint is parsed at ``Open`` and at every ``Set_view``
+that passes hints, where ``atomicity_strategy`` must also name a registered
 strategy: a value that does not parse raises :class:`InvalidHint`, naming
 the key and the value, instead of silently meaning the default
 (``cb_nodes=four`` is an error, not "every rank aggregates";
@@ -55,23 +57,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional
 
+from ..core.registry import HINTS
+
 __all__ = ["BOOLEAN_HINTS", "INTEGER_HINTS", "Info", "InvalidHint"]
 
 #: The hints this library reads as integers.
-INTEGER_HINTS = (
-    "cb_nodes",
-    "cb_buffer_size",
-    "cb_ppn",
-    "striping_unit",
-    "provenance_base",
-    "read_ahead_pages",
-)
+INTEGER_HINTS = tuple(h.name for h in HINTS if h.type is int)
 
 #: The hints this library reads as booleans.
-BOOLEAN_HINTS = (
-    "read_ahead",
-    "plan_cache",
-)
+BOOLEAN_HINTS = tuple(h.name for h in HINTS if h.type is bool)
 
 
 class InvalidHint(ValueError):
@@ -131,13 +125,14 @@ class Info:
             raise InvalidHint(str(key), raw, "an integer") from None
 
     def validate(self) -> None:
-        """Parse every :data:`INTEGER_HINTS` and :data:`BOOLEAN_HINTS` key
-        present, so a bad value fails where it is given rather than at the
-        first call that reads it."""
-        for key in INTEGER_HINTS:
-            self.get_int(key)
-        for key in BOOLEAN_HINTS:
-            self.get_bool(key)
+        """Parse every typed hint present (:data:`repro.core.registry.HINTS`),
+        so a bad value fails where it is given rather than at the first call
+        that reads it."""
+        for hint in HINTS:
+            if hint.type is bool:
+                self.get_bool(hint.name)
+            else:
+                self.get_int(hint.name)
 
     #: Spellings accepted by :meth:`get_bool` (ROMIO accepts the same set).
     _TRUE_WORDS = frozenset({"true", "1", "yes", "on", "enable", "enabled"})

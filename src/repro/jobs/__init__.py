@@ -3,7 +3,7 @@
 Everything below :mod:`repro.bench` measures *one* job on an idle file
 system.  This package supplies the production-shaped counterpart: a
 :class:`~repro.jobs.spec.JobSpec` describes one SPMD job (rank count,
-workload geometry, atomicity strategy, Info hints), an arrival process
+workload geometry, atomicity strategy name), an arrival process
 (:mod:`repro.jobs.arrivals`) places jobs on the virtual timeline, and the
 :class:`~repro.jobs.scheduler.MultiTenantScheduler` runs all of them as
 independent communicator worlds multiplexed onto one shared discrete-event

@@ -45,7 +45,6 @@ from ..core.regions import FileRegionSet
 from ..core.registry import default_registry
 from ..core.strategies import IOOutcome
 from ..fs.filesystem import ParallelFileSystem
-from ..io.info import Info
 from ..mpi.comm import CommCostModel
 from ..mpi.runtime import World, run_worlds
 from ..patterns.partition import views_for_pattern
@@ -226,12 +225,7 @@ class MultiTenantScheduler:
                 f"job {spec.job_id!r}: strategy {spec.strategy!r} requires "
                 f"byte-range locking, which {self.fs.config.name!r} lacks"
             )
-        if spec.info is not None:
-            strategy = default_registry.create_from_info(
-                spec.strategy, Info(dict(spec.info))
-            )
-        else:
-            strategy = default_registry.create(spec.strategy, **spec.strategy_options)
+        strategy = default_registry.create(spec.strategy)
         strategy.bind_context(self.fs, spec.filename)
         return strategy
 

@@ -4,16 +4,16 @@ A :class:`JobSpec` is everything the scheduler needs to run one independent
 SPMD job: how many ranks it has, which file it targets, the workload
 geometry (an ``M x N`` byte array partitioned by one of the registered
 patterns with ``overlap_columns`` ghost columns), whether the job writes or
-reads, and which atomicity strategy — optionally configured through MPI-IO
-``Info`` hints — it runs under.  Specs are plain data: the scheduler
-instantiates one strategy object per job from the central registry, so two
-jobs never share negotiation state even when they share a file.
+reads, and which atomicity strategy it runs under.  Specs are plain data:
+the scheduler instantiates one strategy object per job from the central
+registry, so two jobs never share negotiation state even when they share a
+file.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 from ..patterns.workloads import rank_pattern_bytes
 
@@ -50,12 +50,6 @@ class JobSpec:
         ``row-wise`` or ``block-block``).
     overlap_columns:
         Ghost width shared between neighbouring ranks.
-    info:
-        Optional MPI-IO Info hints dict handed to the strategy's
-        ``from_info`` constructor (``cb_nodes``, ``cb_buffer_size``, ...).
-    strategy_options:
-        Direct constructor keyword arguments; ignored when ``info`` is
-        given (hints already configure the strategy).
     data_factory:
         Stream generator for write jobs, called with the rank's *global*
         id (the job's rank offset plus the local rank) so concurrent jobs
@@ -71,8 +65,6 @@ class JobSpec:
     strategy: str = "two-phase"
     pattern: str = "column-wise"
     overlap_columns: int = 4
-    info: Optional[Dict[str, str]] = None
-    strategy_options: Dict = field(default_factory=dict)
     data_factory: DataFactory = rank_pattern_bytes
 
     def __post_init__(self) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["CommCostModel"]
+__all__ = ["BENCH_COMM_COST", "CommCostModel"]
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,11 @@ class CommCostModel:
                 except TypeError:
                     nbytes = 0
         return self.latency + self.byte_cost * float(nbytes)
+
+
+#: The communication model the benchmarks and the coupled pipelines run on:
+#: 30 µs per operation, 10 ns per byte.
+BENCH_COMM_COST = CommCostModel(latency=30e-6, byte_cost=1e-8)
 
 
 class _Volume:

@@ -35,6 +35,7 @@ from ..datatypes import CHAR, subarray
 from ..fs.filesystem import FSConfig, ParallelFileSystem
 from ..io import Info, MPIFile
 from ..mpi.comm import CommCostModel, Communicator, Intercomm
+from ..mpi.cost import BENCH_COMM_COST
 from ..mpi.runtime import run_spmd
 from ..patterns.partition import column_wise_spec, column_wise_views
 from ..patterns.workloads import rank_pattern_bytes
@@ -59,9 +60,6 @@ TAG_READY = 11
 TAG_DONE = 12
 #: Per-bridge construction tag base (bridge ``i`` uses ``TAG_BRIDGE + i``).
 TAG_BRIDGE = 100
-
-#: Default virtual cost of bridge/stage messaging (matches the overlap bench).
-DEFAULT_COMM_COST = CommCostModel(latency=30e-6, byte_cost=1e-8)
 
 
 def step_payload(spec: PipelineSpec, step: int, world_rank: int, nbytes: int) -> bytes:
@@ -330,7 +328,7 @@ class CoupledPipeline:
     ) -> None:
         self.spec = spec
         self.fs_config = fs_config
-        self.comm_cost = comm_cost if comm_cost is not None else DEFAULT_COMM_COST
+        self.comm_cost = comm_cost if comm_cost is not None else BENCH_COMM_COST
         self.timeout = timeout
 
     def run(self, fs: Optional[ParallelFileSystem] = None) -> PipelineResult:

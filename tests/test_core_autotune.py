@@ -28,7 +28,7 @@ from repro.core.regions import build_region_sets
 from repro.core.registry import default_registry
 from repro.core.strategies import TwoPhaseStrategy
 from repro.datatypes import CHAR, subarray
-from repro.fs import ParallelFileSystem
+from repro.fs import ParallelFileSystem, enfs_config
 from repro.fs.filesystem import LockProtocol
 from repro.io import Info, InvalidHint, MPIFile
 from repro.mpi import run_spmd
@@ -426,6 +426,17 @@ class TestAutoReadEndToEnd:
         assert decision.read_ahead is False
         for _, pages in result.returns:
             assert pages == 0  # the handle's cache policy was switched off
+
+    @pytest.mark.parametrize("config", [fast_fs_config, enfs_config])
+    def test_contiguous_read_keeps_the_configured_read_ahead(self, config):
+        # "Keep read-ahead" applies the ``read_ahead=true`` hint's rule: the
+        # file system's configured page count (1 here, 4 on ENFS).
+        fs = ParallelFileSystem(config())
+        result = read_steps(fs, "rows.dat", pattern="row-wise")
+        (decision,) = decisions_of(peek_record(fs, "rows.dat"), "read")
+        assert decision.read_ahead is True
+        for _, pages in result.returns:
+            assert pages == fs.config.cache_policy.read_ahead_pages
 
     def test_set_view_invalidates_the_read_plan(self):
         fs = ParallelFileSystem(fast_fs_config())

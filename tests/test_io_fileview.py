@@ -12,6 +12,7 @@ import repro
 from repro.datatypes import CHAR, INT, contiguous, subarray, vector
 from repro.datatypes.datatype import DatatypeError
 from repro.io import Info, InvalidHint, MODE_CREATE, MODE_RDONLY, MODE_RDWR, describe_mode
+from repro.core.registry import HINTS
 from repro.io.info import BOOLEAN_HINTS, INTEGER_HINTS
 from repro.io.fileview import FileView
 
@@ -103,21 +104,29 @@ class TestInfo:
             with pytest.raises(InvalidHint, match=key):
                 Info({key: "four"}).validate()
 
-    def test_integer_hints_are_the_keys_read_with_get_int(self):
-        """``validate`` checks exactly the keys some reader parses as integers:
-        a new ``get_int`` key missing from :data:`INTEGER_HINTS` fails here."""
+    @staticmethod
+    def _keys_read_with(accessor: str, kind: type, malformed: str) -> set:
+        """The keys some reader in ``src/`` parses with ``accessor`` by name,
+        each checked to be rejected by ``validate`` when ``malformed``; the
+        table's strategy tunables of ``kind`` are read through it, by
+        ``create_from_info``, so they join the set."""
         read = set()
         for path in Path(repro.__file__).parent.rglob("*.py"):
-            read.update(re.findall(r'get_int\(\s*"(\w+)"', path.read_text()))
-        assert read == set(INTEGER_HINTS)
+            read.update(re.findall(accessor + r'\(\s*"(\w+)"', path.read_text()))
+        for key in read:
+            with pytest.raises(InvalidHint, match=key):
+                Info({key: malformed}).validate()
+        return read | {h.name for h in HINTS if h.keyword is not None and h.type is kind}
+
+    def test_integer_hints_are_the_keys_read_with_get_int(self):
+        """``validate`` checks exactly the keys some reader parses as integers:
+        a new ``get_int`` key missing from the table fails here."""
+        assert self._keys_read_with("get_int", int, "four") == set(INTEGER_HINTS)
 
     def test_boolean_hints_are_the_keys_read_with_get_bool(self):
         """``validate`` checks exactly the keys some reader parses as booleans:
-        a new ``get_bool`` key missing from :data:`BOOLEAN_HINTS` fails here."""
-        read = set()
-        for path in Path(repro.__file__).parent.rglob("*.py"):
-            read.update(re.findall(r'get_bool\(\s*"(\w+)"', path.read_text()))
-        assert read == set(BOOLEAN_HINTS)
+        a new ``get_bool`` key missing from the table fails here."""
+        assert self._keys_read_with("get_bool", bool, "maybe") == set(BOOLEAN_HINTS)
 
     def test_validate_parses_every_boolean_hint(self):
         Info({"read_ahead": "on", "plan_cache": "false"}).validate()
