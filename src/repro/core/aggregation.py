@@ -21,8 +21,10 @@ carries exactly one rank's data, chosen by a fixed total order, and the
 aggregators' write ranges never intersect.
 
 This module holds the deterministic, communication-free pieces (every rank
-computes the identical election and partitioning from the exchanged views);
-the shuffle itself lives in
+computes the identical election and partitioning from the exchanged views),
+among them :class:`WriteRoutes`: which bytes each hop sends where and which
+runs each aggregator keeps, read once per collective off the coverage-run
+kernel, so the shuffle merges nothing.  The shuffle itself lives in
 :class:`repro.core.strategies.TwoPhaseStrategy`.
 
 The **two-phase collective read** is the mirror image: the aggregators each
@@ -36,14 +38,18 @@ consumer's contiguous data stream.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
-from operator import itemgetter
-from typing import List, NamedTuple, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .intervals import IntervalSet, clip_many, clip_sorted_runs, merge_interval_sets
-from .rank_ordering import HIGHER_RANK_WINS, PriorityPolicy
+from .overlap import _interval_runs
+from .rank_ordering import HIGHER_RANK_WINS, PriorityPolicy, _group_winners, _priority
+
+if TYPE_CHECKING:  # the negotiation record lives with the strategy
+    from .regions import FileRegionSet
+    from .strategies import Negotiation
 
 __all__ = [
     "AggregatedRun",
@@ -53,6 +59,8 @@ __all__ = [
     "partition_domain",
     "merge_pieces",
     "merge_origin_runs",
+    "WriteRoutes",
+    "joined",
     "QueryBatch",
     "scatter_pieces",
     "node_coverages",
@@ -182,67 +190,188 @@ def merge_origin_runs(
     node-local aggregator's output, whose bytes originate from several ranks)
     can be merged again at a higher tier, as they are.
 
-    Who wins a byte depends only on *which pieces cover it*, so the merge is
-    a sweep over piece boundaries and never looks at a byte that loses.
-    Pieces are totally ordered: highest ``policy(origin)``, then lowest
-    origin, then highest file offset, then latest position in ``runs`` (the
-    last two only ever decide between overlapping pieces of one origin).
-    Every stretch between a winner's end and the next piece's start is one
-    *cut* of the winning piece; touching cuts of one origin are one run.
-    Between different origins the order is ``(policy(origin), -origin)``
-    alone, whatever the grouping, so merging node-local results and then
-    merging across nodes yields the runs a single flat merge would — what
-    makes two-level aggregation byte-identical to single-level (a rank's
-    pieces all pass through one node leader).
+    The coverage-run kernel over the pieces, each owning itself: every
+    elementary run goes to its covering piece greatest in a total order —
+    highest ``policy(origin)``, then lowest origin, then highest file offset,
+    then latest position in ``runs`` (the last two only decide between
+    overlapping pieces of one origin).  Touching cuts of one origin are one
+    run.  Between origins the order is ``(policy(origin), -origin)`` whatever
+    the grouping, so a merge of merges is the flat merge — what the two-phase
+    shuffle's routes (:class:`WriteRoutes`) rely on.
     """
-    # Each piece is its own heap entry, ordered by the total order above
-    # (``-position`` is unique, so no comparison reaches past it) and
-    # carrying its ``hi`` / ``lo`` / ``data`` behind; exact ``int`` / ``bytes``
-    # pieces (every piece the shuffle makes) are taken as they are.
+    # Exact ``int`` / ``bytes`` pieces are taken as they are; others coerced.
     pieces = [
-        (-policy(origin), origin, -off, -position, off + len(data), off, data)
+        (origin, off, data)
         if type(off) is int and type(origin) is int and type(data) is bytes
-        else (-policy(int(origin)), int(origin), -int(off), -position,
-              int(off) + len(data), int(off), bytes(data))
-        for position, (origin, off, data) in enumerate(runs)
+        else (int(origin), int(off), bytes(data))
+        for origin, off, data in runs
         if len(data) > 0
     ]
     if not pieces:
         return []
-    pieces.sort(key=itemgetter(5))  # by offset, the order the sweep admits them
-    if pieces[0][5] < 0:
-        raise ValueError(f"negative offsets not allowed: a piece at {pieces[0][5]}")
-    # Min-heap of the pieces admitted so far, the greatest in the total order
-    # at its head; a piece that has ended is dropped when it surfaces there.
-    covering: list = []
-    count, nxt, pos = len(pieces), 0, pieces[0][5]
-    # Touching cuts of one origin are one run, its data joined once (a run of
-    # one whole piece keeps the piece's own bytes object: ``join`` of a single
-    # exact ``bytes`` returns it).
+    lowest = min(off for _, off, _ in pieces)
+    if lowest < 0:
+        raise ValueError(f"negative offsets not allowed: a piece at {lowest}")
+    # In ascending total order: each run's last covering piece wins.
+    pieces = [
+        pieces[key[-1]]
+        for key in sorted(
+            (policy(origin), -origin, off, position)
+            for position, (origin, off, _) in enumerate(pieces)
+        )
+    ]
+    count = len(pieces)
+    starts = np.fromiter((off for _, off, _ in pieces), dtype=np.int64, count=count)
+    stops = starts + np.fromiter((len(data) for _, _, data in pieces), dtype=np.int64, count=count)
+    bounds, depth, ptr, entries = _interval_runs(starts, stops, np.arange(count))
+    covered = np.flatnonzero(depth)
     merged: List[AggregatedRun] = []
     parts: List[bytes] = []
     start = stop = who = None
-    while True:
-        while nxt < count and pieces[nxt][5] <= pos:
-            heappush(covering, pieces[nxt])
-            nxt += 1
-        while covering and covering[0][4] <= pos:
-            heappop(covering)
-        if not covering:
-            if nxt == count:
-                break
-            pos = pieces[nxt][5]
-            continue
-        _, origin, _, _, hi, lo, data = covering[0]
-        end = hi if nxt == count or pieces[nxt][5] >= hi else pieces[nxt][5]
-        if pos != stop or origin != who:
+    for piece, lo, hi in zip(
+        entries[ptr[covered + 1] - 1].tolist(),
+        bounds[covered].tolist(),
+        bounds[covered + 1].tolist(),
+    ):
+        origin, off, data = pieces[piece]
+        if lo != stop or origin != who:
             if parts:
                 merged.append(AggregatedRun(who, start, b"".join(parts)))
-            start, who, parts = pos, origin, []
-        parts.append(data if pos == lo and end == hi else data[pos - lo : end - lo])
-        pos = stop = end
+            start, who, parts = lo, origin, []
+        parts.append(data[lo - off : hi - off])
+        stop = hi
     merged.append(AggregatedRun(who, start, b"".join(parts)))
     return merged
+
+
+def _node_winners(neg: "Negotiation", policy: PriorityPolicy) -> Tuple[tuple, tuple]:
+    """The winners of ``neg.runs``' CSR as ``(interval, run)`` pairs — the
+    winning coverage interval and the elementary run: every (run, node)
+    group's, node by node in file order, and every run's global one (the
+    best of its node winners).  A run's entries of one node are consecutive,
+    ranks ascending."""
+    batch, ppn = neg.scatter_batch, neg.ranks_per_node
+    _, depth, _, entries = neg.runs
+    run = np.repeat(np.arange(len(depth), dtype=np.int64), depth)
+    rank = batch.dest[entries]
+    node = rank // ppn
+    head = np.ones(len(rank), dtype=bool)
+    head[1:] = (run[1:] != run[:-1]) | (node[1:] != node[:-1])
+    priority = _priority(batch.count, policy)[rank]
+    won = _group_winners(priority, np.flatnonzero(head))
+    best = won[_group_winners(priority[won], np.flatnonzero(np.diff(run[won], prepend=-1)))]
+    won = won[np.lexsort((run[won], node[won]))]
+    return (entries[won], run[won]), (entries[best], run[best])
+
+
+def _kept_rows(dest, length, at, g_dest, g_origin, g_lo, g_hi, g_at):
+    """Each aggregator's ``(origin, offset, length, lo)`` rows and its
+    ``(first, last)`` of them, from what reaches it — pieces to ``dest`` of
+    ``length`` bytes at coverage-stream position ``at`` — and its global
+    winner cuts: its buffer holds what arrived in coverage-stream order, and
+    a winner lies in the arriving piece whose stretch of the stream holds its
+    own position."""
+    order = np.lexsort((at, dest))
+    ahead = np.cumsum(length[order]) - length[order]
+    placed = np.empty(len(order), dtype=np.int64)
+    placed[order] = ahead - ahead[np.searchsorted(dest[order], dest[order])]
+    by_stream = np.argsort(at)
+    inside = by_stream[np.searchsorted(at[by_stream], g_at, side="right") - 1]
+    by_agg = np.argsort(g_dest, kind="stable")
+    keeps = np.column_stack(
+        (g_origin, g_lo, g_hi - g_lo, placed[inside] + (g_at - at[inside]))
+    )[by_agg]
+    g_dest = g_dest[by_agg]
+    first = np.flatnonzero(np.diff(g_dest, prepend=-1)).tolist()
+    return keeps, dict(zip(g_dest[first].tolist(), zip(first, first[1:] + [len(g_dest)])))
+
+
+@dataclass(frozen=True)
+class WriteRoutes:
+    """What every hop of a two-phase write sends and keeps — the write's
+    mirror of the read's :class:`QueryBatch`, read once per collective off
+    the negotiation's coverage-run kernel (ROMIO's ``ADIOI_Calc_my_req`` /
+    ``ADIOI_Calc_others_req``).
+
+    A hop's receiver orders what arrived by ``(origin, offset)`` and joins
+    the data (:func:`joined`); every row's ``[lo, hi)`` slices that buffer.
+    A leader's buffer is its ranks' bytes, each rank's in file order: a
+    stretch of the *coverage stream*, every rank's covered bytes rank after
+    rank, which places everything below.
+    """
+
+    ranks_per_node: int
+    #: The routing table: piece ``j`` is ``[piece_starts[j], piece_stops[j])``
+    #: of aggregator ``piece_dest[j]``.
+    piece_starts: np.ndarray
+    piece_stops: np.ndarray
+    piece_dest: np.ndarray
+    #: ``(dest, origin, offset, lo, hi)`` rows, node by node in file order:
+    #: the node-local winner runs cut at the pieces; node ``n``'s rows start at
+    #: ``node_rows[n]``.  Unused with one rank per node (no node hop).
+    sends: np.ndarray
+    node_rows: np.ndarray
+    #: ``(origin, offset, length, lo)`` rows, aggregator by aggregator in file
+    #: order: the global winner runs of its chunk, the rows ``agg_rows[agg]``.
+    keeps: np.ndarray
+    agg_rows: Dict[int, Tuple[int, int]]
+
+    def sends_of(self, region: "FileRegionSet") -> List[List[int]]:
+        """The ``(dest, origin, offset, lo, hi)`` rows ``region``'s rank sends
+        in the global hop: its node's rows at a leader; alone on its node, its
+        view cut at the pieces, slicing its own data stream."""
+        rank, ppn = region.rank, self.ranks_per_node
+        if ppn > 1:
+            node = rank // ppn
+            return self.sends[self.node_rows[node] : self.node_rows[node + 1]].tolist()
+        piece, buf, lo, length = region.cut_at(self.piece_starts, self.piece_stops)
+        origin = np.full(len(piece), rank)
+        return np.column_stack((self.piece_dest[piece], origin, lo, buf, buf + length)).tolist()
+
+    def keeps_of(self, aggregator: int) -> List[List[int]]:
+        """The ``(origin, offset, length, lo)`` rows ``aggregator`` keeps."""
+        first, last = self.agg_rows[aggregator]
+        return self.keeps[first:last].tolist()
+
+    @classmethod
+    def of(cls, neg: "Negotiation", policy: PriorityPolicy) -> "WriteRoutes":
+        """The routes of ``neg`` under ``policy``: a byte's node winner is its
+        covering rank of the node with the highest ``(policy(rank), -rank)``,
+        its global winner the highest node winner — so each aggregator's run
+        lies inside one piece a leader sent it."""
+        batch, ppn = neg.scatter_batch, neg.ranks_per_node
+        bounds = neg.runs[0]
+        stream = np.concatenate(([0], np.cumsum(batch.stops - batch.starts)))
+        starts, stops, dests = np.array(neg.pieces, dtype=np.int64).reshape(-1, 3).T.copy()
+
+        def cuts(interval: np.ndarray, run: np.ndarray):
+            """Won elementary runs, in emission order, joined while one
+            interval wins (its runs are consecutive: it covers those between)
+            and cut at the pieces: ``(dest, origin, lo, hi, at)``, ``at`` the
+            coverage-stream position of ``lo``."""
+            head = np.ones(len(run), dtype=bool)
+            head[1:] = interval[1:] != interval[:-1]
+            query, piece, lo, hi = clip_many(
+                bounds[run[head]], bounds[run[np.roll(head, -1)] + 1], starts, stops
+            )
+            interval = interval[head][query]
+            at = stream[interval] + (lo - batch.starts[interval])
+            return dests[piece], batch.dest[interval], lo, hi, at
+
+        by_node, best = _node_winners(neg, policy)
+        kept = cuts(*best)
+        dest, origin, lo, hi, at = cuts(*by_node)
+        base = at - stream[batch.bounds[origin - origin % ppn]]
+        sends = np.column_stack((dest, origin, lo, base, base + hi - lo))
+        node_rows = np.searchsorted(origin // ppn, np.arange(-(-batch.count // ppn) + 1))
+        keeps, agg_rows = _kept_rows(dest, hi - lo, at, *kept)
+        return cls(ppn, starts, stops, dests, sends, node_rows, keeps, agg_rows)
+
+
+def joined(received: Sequence[Tuple[int, Sequence[Tuple[int, int, bytes]]]]) -> bytes:
+    """The ``[(src, pieces)]`` a write hop received as one buffer: the pieces
+    ordered by origin and offset, their data joined."""
+    return b"".join([piece[2] for piece in sorted([p for _, sent in received for p in sent])])
 
 
 class QueryBatch(NamedTuple):

@@ -63,6 +63,14 @@ class OverlapMatrix:
         if not np.array_equal(m, m.T):
             raise ValueError("overlap matrix must be symmetric")
 
+    @classmethod
+    def _symmetric(cls, matrix: np.ndarray) -> "OverlapMatrix":
+        """A matrix symmetric with a ``False`` diagonal by construction,
+        spared the O(P²) checks."""
+        built = object.__new__(cls)
+        object.__setattr__(built, "matrix", matrix)
+        return built
+
     @property
     def nprocs(self) -> int:
         """Number of processes the matrix describes."""
@@ -138,21 +146,27 @@ def coverage_runs(
     gap between views) and ``ranks[ptr[i]:ptr[i + 1]]`` lists it, ascending —
     a CSR over the runs.  This is the granularity at which MPI atomicity is
     decided, and at which rank ordering picks a winner.
-
-    One ``unique`` over the ``2E`` end points, one bisection per interval end,
-    and one ``lexsort`` of the ``R`` emitted (run, rank) entries:
-    ``O(E log E + R log R)`` with no Python loop over intervals.
     """
     starts, stops, owner = _flatten(regions)
+    bounds, depth, ptr, entries = _interval_runs(starts, stops, owner)
+    return bounds, depth, ptr, owner[entries]
+
+
+def _interval_runs(
+    starts: np.ndarray, stops: np.ndarray, owner: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`coverage_runs` over intervals ``[starts[k], stops[k])`` owned
+    by ``owner[k]``, its CSR listing the covering *intervals* (ascending by
+    owner): ``O(E log E + R log R)``, no Python loop over intervals."""
     bounds = np.unique(np.concatenate((starts, stops)))
     first = np.searchsorted(bounds, starts)
     counts = np.searchsorted(bounds, stops) - first
     run = _ranges(first, counts)
-    ranks = np.repeat(owner, counts)
-    order = np.lexsort((ranks, run))
+    entries = np.repeat(np.arange(len(starts), dtype=np.int64), counts)
+    order = np.lexsort((owner[entries], run))
     depth = np.bincount(run, minlength=max(len(bounds) - 1, 0))
     ptr = np.concatenate(([0], np.cumsum(depth)))
-    return bounds, depth, ptr, ranks[order]
+    return bounds, depth, ptr, entries[order]
 
 
 def _check_rank_order(regions: Sequence[FileRegionSet]) -> None:
@@ -197,7 +211,7 @@ def build_overlap_matrix(regions: Sequence[FileRegionSet]) -> OverlapMatrix:
     _, _, low, high = _shared_runs(regions)
     w[low, high] = True
     w[high, low] = True
-    return OverlapMatrix(w)
+    return OverlapMatrix._symmetric(w)
 
 
 def pairwise_overlap_regions(

@@ -88,22 +88,41 @@ class RankOrderingResult:
         return tuple(self.view_of(rank) for rank in range(len(self.kept)))
 
 
-def _winners(
-    regions: Sequence[FileRegionSet], policy: PriorityPolicy
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(starts, stops, winner)`` of every covered coverage run, in file
-    order: the winner is the run's covering rank of highest
-    ``(policy(rank), -rank)``, found by one ``maximum.reduceat`` over the
-    priority index of the run's CSR entries."""
-    _check_rank_order(regions)
-    n = len(regions)
-    bounds, depth, ptr, ranks = coverage_runs(regions)
-    by_priority = np.array(sorted(range(n), key=lambda r: (policy(r), -r)), dtype=np.int64)
+def _priority(n: int, policy: PriorityPolicy) -> np.ndarray:
+    """Each rank's place in ascending ``(policy(rank), -rank)`` order (a
+    stable sort of the ranks listed high to low)."""
     priority = np.empty(n, dtype=np.int64)
-    priority[by_priority] = np.arange(n)
+    priority[sorted(range(n - 1, -1, -1), key=policy)] = np.arange(n)
+    return priority
+
+
+def _group_winners(priority: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The index of the highest-priority entry of each group of consecutive
+    entries, groups starting at ``heads`` (distinct priorities in a group)."""
+    best = np.maximum.reduceat(priority, heads)
+    return np.flatnonzero(priority == np.repeat(best, np.diff(np.append(heads, len(priority)))))
+
+
+def _run_winners(bounds, depth, ptr, ranks, priority) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(starts, stops, winner)`` of every covered run of a
+    :func:`~repro.core.overlap.coverage_runs` CSR, in file order: the
+    winner is the run's covering rank of highest ``priority``."""
     covered = np.flatnonzero(depth)
-    winner = by_priority[np.maximum.reduceat(priority[ranks], ptr[covered])]
+    winner = ranks[_group_winners(priority[ranks], ptr[covered])]
     return bounds[covered], bounds[covered + 1], winner
+
+
+def _winners(regions: Sequence[FileRegionSet], policy: PriorityPolicy):
+    """:func:`_run_winners` over ``regions[i]``, the view of rank ``i``."""
+    _check_rank_order(regions)
+    return _run_winners(*coverage_runs(regions), _priority(len(regions), policy))
+
+
+def _surrendered(totals: Sequence[int], starts, stops, winner) -> List[int]:
+    """Per rank, its ``totals`` bytes minus the bytes of the runs it won."""
+    won = np.zeros(len(totals), dtype=np.int64)
+    np.add.at(won, winner, stops - starts)
+    return [total - kept for total, kept in zip(totals, won.tolist())]
 
 
 def resolve_by_rank(
@@ -156,10 +175,6 @@ def surrendered_bytes_by_priority(
     ``surrendered[rank]`` counts the bytes of ``rank``'s view also covered by
     some higher-priority rank — exactly the counts :func:`resolve_by_rank`
     reports: everything the rank covers minus the runs it won.  This is the
-    form the two-phase negotiation can afford at tens of thousands of ranks,
-    where it only needs the counts.
+    form that scales to tens of thousands of ranks.
     """
-    starts, stops, winner = _winners(regions, policy)
-    won = np.zeros(len(regions), dtype=np.int64)
-    np.add.at(won, winner, stops - starts)
-    return [region.total_bytes - kept for region, kept in zip(regions, won.tolist())]
+    return _surrendered([r.total_bytes for r in regions], *_winners(regions, policy))

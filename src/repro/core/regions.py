@@ -211,12 +211,20 @@ class FileRegionSet:
         """
         if not self.segments:
             return []
-        starts, stops = _segment_arrays(self.segments)
-        lengths = stops - starts
-        buf_base = np.cumsum(lengths) - lengths
-        a_idx, _, lo, hi = clip_many(starts, stops, keep.starts, keep.stops)
-        buf = buf_base[a_idx] + (lo - starts[a_idx])
-        return list(zip(buf.tolist(), lo.tolist(), (hi - lo).tolist()))
+        _, buf, lo, length = self.cut_at(keep.starts, keep.stops)
+        return list(zip(buf.tolist(), lo.tolist(), length.tolist()))
+
+    def cut_at(
+        self, starts: np.ndarray, stops: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The segments cut at file-ordered disjoint runs ``[starts[j],
+        stops[j])``: ``(run, buffer_offset, file_offset, length)`` arrays, one
+        row per cut, in data-stream order."""
+        seg_starts, seg_stops = _segment_arrays(self.segments)
+        lengths = seg_stops - seg_starts
+        a_idx, b_idx, lo, hi = clip_many(seg_starts, seg_stops, starts, stops)
+        buf = (np.cumsum(lengths) - lengths)[a_idx] + (lo - seg_starts[a_idx])
+        return b_idx, buf, lo, hi - lo
 
 
 def build_region_sets(

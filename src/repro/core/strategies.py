@@ -90,6 +90,7 @@ Every strategy also implements the **collective read** side
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from weakref import WeakValueDictionary
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (
@@ -106,19 +107,19 @@ from typing import (
 
 from ..fs.lockmanager import LockMode
 from .aggregation import (
-    AggregatedRun,
     QueryBatch,
+    WriteRoutes,
     assemble_stream,
     choose_node_aggregators,
     gather_runs,
-    merge_origin_runs,
+    joined,
     node_coverages,
     partition_domain,
     scatter_pieces,
 )
 from .coloring import ColoringResult, greedy_coloring
-from .intervals import IntervalSet, clip_sorted_runs, merge_interval_sets
-from .overlap import build_overlap_matrix
+from .intervals import IntervalSet, merge_interval_sets
+from .overlap import _check_rank_order, _interval_runs, build_overlap_matrix
 from .pipeline import (
     IOPlan,
     LockDirective,
@@ -131,8 +132,10 @@ from .pipeline import (
 from .rank_ordering import (
     HIGHER_RANK_WINS,
     PriorityPolicy,
+    _priority,
+    _run_winners,
+    _surrendered,
     resolve_by_rank,
-    surrendered_bytes_by_priority,
 )
 from .regions import FileRegionSet
 from .registry import register_strategy
@@ -635,24 +638,42 @@ class Negotiation:
     #: ``frozenset(aggregators)``, for O(1) per-rank membership tests.
     agg_set: FrozenSet[int]
     #: The flat file-ordered routing table ``(start, stop, aggregator_rank)``
-    #: over the covered domain, with its two bisection indexes.
+    #: over the covered domain, with its start and stop columns.
     pieces: List[Tuple[int, int, int]]
     piece_starts: List[int]
     piece_stops: List[int]
     #: ``surrendered[rank]``: bytes of ``rank``'s view that a higher-priority
-    #: rank also covers — the same winners the aggregators' merge picks.
+    #: rank also covers — the same winners the aggregators keep.
     surrendered: Sequence[int]
     #: ``coverages[rank]``: the byte set ``rank``'s view covers.
     coverages: List[IntervalSet]
     #: Per aggregator, the chunk runs it holds as ``(start, stop,
     #: buffer_offset)`` triples in file order — the layout of its read sink.
     held: Dict[int, List[Tuple[int, int, int]]]
+    #: The coverages as one query batch (a leader's read cuts its ``window``)
+    #: and the collective's one coverage-run kernel over its intervals
+    #: (:func:`~repro.core.overlap._interval_runs`); built when not given.
+    scatter_batch: Optional[QueryBatch] = field(default=None, compare=False)
+    runs: Optional[tuple] = field(default=None, compare=False)
+    #: The write's routes by policy, held weakly: the coroutines using them
+    #: keep them alive, and they go with the collective's last one.
+    _routes: WeakValueDictionary = field(
+        default_factory=WeakValueDictionary, compare=False, repr=False
+    )
 
-    @cached_property
-    def scatter_batch(self) -> QueryBatch:
-        """The consumers' coverages as one query batch (its ``window`` is
-        what a node leader cuts against), built on first use."""
-        return QueryBatch.of(self.coverages)
+    def __post_init__(self) -> None:
+        if self.scatter_batch is None:
+            self.scatter_batch = QueryBatch.of(self.coverages)
+        if self.runs is None:
+            batch = self.scatter_batch
+            self.runs = _interval_runs(batch.starts, batch.stops, batch.dest)
+
+    def write_routes(self, policy: PriorityPolicy) -> WriteRoutes:
+        """The write's routes under ``policy``, built on first use."""
+        routes = self._routes.get(policy)
+        if routes is None:
+            routes = self._routes[policy] = WriteRoutes.of(self, policy)
+        return routes
 
     @cached_property
     def node_scatter_batch(self) -> QueryBatch:
@@ -709,14 +730,16 @@ class TwoPhaseStrategy(AtomicityStrategy):
     per node (a node's leader is its lowest rank; aggregators are evenly
     spaced leaders).  Where a node holds more than one rank the data crosses
     a **node hop** too: on a write every rank ships its pieces to its leader,
-    which pre-merges them keeping per-byte origins; on a read an aggregator
-    ships each node's *union* request to the leader, which cuts it again per
-    local rank.  With one rank per node — this class — the hop would be a
+    which sends on its node's winning bytes; on a read an aggregator ships
+    each node's *union* request to the leader, which cuts it again per local
+    rank.  With one rank per node — this class — the hop would be a
     rendezvous in which each rank sends only to itself, and is not made.
-    The merge priority ``(policy(origin), -origin)`` is a fixed total order,
-    so a merge of node merges picks the flat merge's winners: file bytes and
-    provenance do not depend on ``ranks_per_node``; only the schedule, hence
-    the makespan, does (ARCHITECTURE.md, *The two-phase aggregation strategy*).
+    What each hop sends and keeps comes from the negotiation's routes
+    (:class:`~repro.core.aggregation.WriteRoutes`).  A byte's winner at a node
+    and at an aggregator follows one fixed total order, ``(policy(origin),
+    -origin)``, so file bytes and provenance do not depend on
+    ``ranks_per_node``; only the schedule, hence the makespan, does
+    (ARCHITECTURE.md, *The two-phase aggregation strategy*).
     """
 
     name = "two-phase"
@@ -750,6 +773,7 @@ class TwoPhaseStrategy(AtomicityStrategy):
         surrender sweep break towards the lower rank, as in
         :func:`resolve_by_rank`.
         """
+        _check_rank_order(regions)
         coverages = [r.coverage for r in regions]
         domain = merge_interval_sets(coverages)
         # ``cb_nodes`` aggregators if hinted, else enough for chunks of
@@ -776,6 +800,12 @@ class TwoPhaseStrategy(AtomicityStrategy):
             # Each run lands in the sink right behind the previous one.
             buf = runs[-1][2] + (runs[-1][1] - runs[-1][0]) if runs else 0
             runs.append((start, stop, buf))
+        # One coverage-run kernel per collective: the surrender counts now,
+        # the write's routes from the same runs later.
+        batch = QueryBatch.of(coverages)
+        runs = _interval_runs(batch.starts, batch.stops, batch.dest)
+        ranks, priority = batch.dest[runs[3]], _priority(len(regions), self.policy)
+        winners = _run_winners(*runs[:3], ranks, priority)
         return Negotiation(
             size=comm_size,
             ranks_per_node=self.ranks_per_node,
@@ -784,9 +814,11 @@ class TwoPhaseStrategy(AtomicityStrategy):
             pieces=pieces,
             piece_starts=[start for start, _, _ in pieces],
             piece_stops=[stop for _, stop, _ in pieces],
-            surrendered=surrendered_bytes_by_priority(regions, policy=self.policy),
+            surrendered=_surrendered([r.total_bytes for r in regions], *winners),
             coverages=coverages,
             held=held,
+            scatter_batch=batch,
+            runs=runs,
         )
 
     def negotiation(self, regions: SharedList) -> Negotiation:
@@ -827,66 +859,55 @@ class TwoPhaseStrategy(AtomicityStrategy):
             roles["node_leaders"] = float(-(-neg.size // self.ranks_per_node))
         return roles
 
-    def _merge(self, received) -> Sequence[AggregatedRun]:
-        """The ``[(src, runs)]`` a hop delivered, merged: highest priority wins."""
-        if not received:
-            return ()
-        return merge_origin_runs([run for _, sent in received for run in sent], self.policy)
-
     def shuffle(self, region: FileRegionSet, data: bytes, neg: Negotiation):
         """This rank's write schedule, as a coroutine (see :func:`_pump`);
-        returns ``(plan, payloads)``."""
+        returns ``(plan, payloads)``.  What each hop sends and keeps comes
+        from the negotiation's routes; a rank only cuts bytes out of what it
+        holds or received."""
         # All P coroutines are alive between rounds, so the hops reuse
-        # ``outgoing`` / ``runs`` rather than keep each hop's, and the body
-        # makes no closure (a comprehension's cells would live as long as the
-        # coroutine).  Every piece, from the rank's own to the merged runs,
-        # is one ``(origin, offset, data)`` shape.
+        # ``outgoing`` / ``source`` and keep no inbox, and the body makes no
+        # closure (a comprehension's cells would live as long as the
+        # coroutine).  Every piece is one ``(origin, offset, data)`` shape.
         rank, ppn = region.rank, self.ranks_per_node
         leader, hops = rank - rank % ppn, self._hops
-        runs = []
-        at = 0
-        for file_off, length in region.segments:
-            runs.append((rank, file_off, data[at : at + length]))
-            at += length
-
-        # Node hop — combine: ship this rank's raw view pieces to its node
-        # leader, which sees every piece of its node and pre-merges them,
-        # keeping per-byte origins.  No routing yet.
-        shuffled = 0
+        shuffled, source, outgoing, routes = 0, data, {}, None
         if hops == 2:
-            outgoing = {leader: runs} if runs else {}
+            # Node hop — combine: ship this rank's view pieces to its node
+            # leader as they are; the leader then holds its node's data.
+            at = 0
+            for file_off, length in region.segments:
+                outgoing.setdefault(leader, []).append((rank, file_off, data[at : at + length]))
+                at += length
             if leader != rank:
                 shuffled = at
-            runs = self._merge((yield outgoing))
+            source, outgoing = joined((yield outgoing)), {}
 
-        # Global hop — shuffle: route each run through the file-ordered piece
-        # table to the aggregator owning each byte, by bisection, so the cost
-        # scales with the rank's own run count, not the aggregator count.
-        # Bytes bound for other ranks are counted as they are cut.
-        outgoing = {}
-        for origin, offset, piece in runs:
-            for lo, hi, idx in clip_sorted_runs(
-                neg.piece_starts, neg.piece_stops, offset, offset + len(piece)
-            ):
-                dest = neg.pieces[idx][2]
+        # Global hop — a leader's node winner runs, or a rank's own view, cut
+        # at the aggregators' pieces; bytes bound for other ranks counted.
+        # A rank that uses the routes holds them to its end (the negotiation
+        # holds them weakly).
+        if source:
+            routes = neg.write_routes(self.policy)
+            for dest, origin, offset, lo, hi in routes.sends_of(region):
                 sent = outgoing.get(dest)
                 if sent is None:
                     outgoing[dest] = sent = []
-                sent.append((origin, lo, piece[lo - offset : hi - offset]))
+                sent.append((origin, offset, source[lo:hi]))
                 if dest != rank:
                     shuffled += hi - lo
 
-        # Only aggregators receive; the fixed total order of the merge makes
-        # this merge of node merges the flat merge.
-        merged = self._merge((yield outgoing))
-
-        # Write phase: the merged runs become parallel disjoint direct writes
-        # — no locks, no barriers — each recording its origin as provenance.
+        # Only aggregators receive; each cuts its merged runs out of what
+        # arrived.  Write phase: parallel disjoint direct writes — no locks,
+        # no barriers — each recording its origin as provenance.
+        source = joined((yield outgoing))
         steps: List[TransferStep] = []
-        at = 0
-        for origin, offset, piece in merged:
-            steps.append(TransferStep(at, offset, len(piece), AGGREGATE_PAYLOAD, origin))
-            at += len(piece)
+        parts: List[bytes] = []
+        if source:
+            routes, at = neg.write_routes(self.policy), 0
+            for origin, offset, length, lo in routes.keeps_of(rank):
+                steps.append(TransferStep(at, offset, length, AGGREGATE_PAYLOAD, origin))
+                parts.append(source[lo : lo + length])
+                at += length
         plan = self._plan(
             "write",
             region,
@@ -897,8 +918,7 @@ class TwoPhaseStrategy(AtomicityStrategy):
             bytes_shuffled=shuffled,
             extra=self._roles(neg),
         )
-        aggregate = b"".join([run.data for run in merged])
-        return plan, {USER_PAYLOAD: data, AGGREGATE_PAYLOAD: aggregate}
+        return plan, {USER_PAYLOAD: data, AGGREGATE_PAYLOAD: b"".join(parts)}
 
     def fetch_plan(self, region: FileRegionSet, neg: Negotiation) -> IOPlan:
         """This rank's read plan (the communication-free half of a read)."""

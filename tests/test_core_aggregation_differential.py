@@ -23,6 +23,16 @@ own overlapping pieces are ordered by offset and position, which only their
 common merge sees, so then the partition is *of the origins* — the shape the
 hierarchical shuffle has, where a rank ships all its pieces to one leader.
 
+The third property is the one the two-phase write shuffle rests on: it
+merges nothing, but cuts every hop's runs out of what arrived following
+routes the negotiation read off its coverage-run kernel
+(``Negotiation.write_routes``).  On generated views (``generators.view_sets``,
+``ranks_per_node`` 1–4 with the rank count not a multiple of it, drawn
+``cb_nodes`` / ``cb_buffer_size``, the paper's policy, its reverse, or pairs of
+ranks tying), every node leader's runs — cut at the aggregators' pieces — and
+every aggregator's runs must be ``merge_origin_runs`` of exactly what that hop
+received, and that merge the byte-painting one.
+
 Example counts come from the Hypothesis profile (``tests/conftest.py``):
 the default keeps this module about a second, ``HYPOTHESIS_PROFILE=ci`` runs
 ten times as many.
@@ -36,10 +46,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import generators
 import reference_merge
 from generators import piece_lists
-from repro.core.aggregation import merge_origin_runs, merge_pieces
+from repro.core.aggregation import AggregatedRun, merge_origin_runs, merge_pieces
+from repro.core.intervals import clip_sorted_runs
 from repro.core.rank_ordering import HIGHER_RANK_WINS, LOWER_RANK_WINS
+from repro.core.regions import FileRegionSet
+from repro.core.strategies import (
+    AGGREGATE_PAYLOAD,
+    HierarchicalTwoPhaseStrategy,
+    TwoPhaseStrategy,
+)
 
 #: Every example is checked under each: the paper's rule, its reverse, and a
 #: policy under which every priority ties.
@@ -100,3 +118,104 @@ def test_negative_offsets_are_refused_as_before():
     for merge in (merge_origin_runs, reference_merge.merge_origin_runs):
         with pytest.raises(ValueError, match="negative offsets not allowed"):
             merge(pieces)
+
+
+# -- the write shuffle's routes -----------------------------------------------------------
+
+FILE_BYTES = 40
+
+
+def pair_ranks(rank: int) -> int:
+    """A priority under which ranks ``2k`` and ``2k + 1`` tie."""
+    return rank // 2
+
+
+@st.composite
+def shuffles(draw):
+    """``(regions, strategy, data)``: one two-phase write collective."""
+    views = draw(generators.view_sets(FILE_BYTES, min_ranks=1, max_ranks=9))
+    ppn = draw(st.sampled_from([1] + [k for k in (2, 3, 4) if len(views) % k]))
+    tunables = dict(
+        num_aggregators=draw(st.none() | st.integers(1, 12)),
+        cb_buffer_size=draw(st.none() | st.integers(1, FILE_BYTES)),
+        policy=draw(st.sampled_from([HIGHER_RANK_WINS, LOWER_RANK_WINS, pair_ranks])),
+    )
+    if ppn == 1:
+        strategy = TwoPhaseStrategy(**tunables)
+    else:
+        strategy = HierarchicalTwoPhaseStrategy(ranks_per_node=ppn, **tunables)
+    regions = [FileRegionSet(rank, segs) for rank, segs in enumerate(views)]
+    data = [draw(st.binary(min_size=r.total_bytes, max_size=r.total_bytes)) for r in regions]
+    return regions, strategy, data
+
+
+def run_shuffle(regions, strategy, data):
+    """Drive every rank's shuffle in lockstep.  Returns the negotiation,
+    ``received[k][rank]`` — what ``rank`` was resumed with before its round
+    ``k`` (the last entry: before it returned) — ``sent[k][rank]``, and the
+    ranks' return values."""
+    neg = strategy.negotiate(len(regions), regions)
+    schedules = [strategy.shuffle(r, d, neg) for r, d in zip(regions, data)]
+    inboxes, received, sent = [None] * len(regions), [], []
+    while True:
+        outgoing, returned = [], []
+        for schedule, inbox in zip(schedules, inboxes):
+            try:
+                outgoing.append(schedule.send(inbox))
+            except StopIteration as done:
+                returned.append(done.value)
+        if returned:
+            assert len(returned) == len(regions)
+            return neg, received + [inboxes], sent, returned
+        received.append(inboxes)
+        sent.append(outgoing)
+        inboxes = [[] for _ in regions]
+        for src, out in enumerate(outgoing):
+            for dest, pieces in out.items():
+                inboxes[dest].append((src, pieces))
+
+
+def arrived(inbox) -> list:
+    """Every piece of a ``[(src, pieces)]`` inbox, in arrival order."""
+    return [piece for _, sent in inbox for piece in sent]
+
+
+@given(case=shuffles())
+def test_every_hops_routed_runs_are_the_merge_of_what_it_received(case):
+    regions, strategy, data = case
+    policy = strategy.policy
+    neg, received, sent, returned = run_shuffle(regions, strategy, data)
+    hops = 1 + (strategy.ranks_per_node > 1)
+    assert len(sent) == hops
+    if hops == 2:
+        # Leaders: the merge of their node's pieces, cut at the pieces of the
+        # routing table, each cut to the aggregator owning it, in file order.
+        for rank, inbox in enumerate(received[1]):
+            merged = merge_origin_runs(arrived(inbox), policy)
+            assert merged == reference_merge.merge_origin_runs(arrived(inbox), policy)
+            want = {}
+            for origin, offset, piece in merged:
+                for lo, hi, idx in clip_sorted_runs(
+                    neg.piece_starts, neg.piece_stops, offset, offset + len(piece)
+                ):
+                    want.setdefault(neg.pieces[idx][2], []).append(
+                        (origin, lo, piece[lo - offset : hi - offset])
+                    )
+            assert list(sent[1][rank].items()) == list(want.items()), f"leader {rank}"
+    # Aggregators: their steps and payload are the merge of what they received.
+    for rank, (inbox, (plan, payloads)) in enumerate(zip(received[-1], returned)):
+        merged = merge_origin_runs(arrived(inbox), policy)
+        assert merged == reference_merge.merge_origin_runs(arrived(inbox), policy)
+        aggregate = payloads[AGGREGATE_PAYLOAD]
+        kept = [
+            AggregatedRun(
+                step.writer,
+                step.file_offset,
+                aggregate[step.buffer_offset : step.buffer_offset + step.length],
+            )
+            for phase in plan.phases
+            for step in phase.steps
+        ]
+        assert kept == merged, f"aggregator {rank}"
+        assert type(aggregate) is bytes
+        assert len(aggregate) == sum(run.length for run in merged)

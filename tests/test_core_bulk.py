@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.autotune import AutoStrategy
+from repro.core.aggregation import WriteRoutes
 from repro.core.bulk import BulkReadExecutor, BulkWriteExecutor
 from repro.core.executor import AtomicWriteExecutor, CollectiveReadExecutor
 from repro.core.pipeline import USER_PAYLOAD
@@ -204,6 +205,29 @@ class TestScheduleDisagreementFailsLoudly:
         with pytest.raises(SPMDExecutionError) as info:
             self.run(AtomicWriteExecutor, _BadDestination())
         assert isinstance(info.value.failures[2], RankError)
+
+
+class TestWriteRoutes:
+    """A write collective builds its routes once, shared by every rank on
+    both drivers, and lets go of them when its last coroutine ends: a read
+    or a finished write keeps no routes on the negotiation."""
+
+    VIEWS = column_wise_views(M=4, N=256, P=24, R=2)
+
+    @pytest.mark.parametrize("ppn", [1, 5])
+    def test_built_once_and_released(self, monkeypatch, ppn):
+        built = []
+        real_of = WriteRoutes.of.__func__
+
+        def counting_of(cls, neg, policy):
+            built.append(neg)
+            return real_of(cls, neg, policy)
+
+        monkeypatch.setattr(WriteRoutes, "of", classmethod(counting_of))
+        strategy = HierarchicalTwoPhaseStrategy(num_aggregators=3, ranks_per_node=ppn)
+        assert_equivalent(*run_both(lambda: strategy, self.VIEWS))
+        assert len(built) == 2  # once per driver
+        assert all(len(neg._routes) == 0 for neg in built)
 
 
 class TestHandles:

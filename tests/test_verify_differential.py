@@ -13,6 +13,9 @@ overlapping, empty ranks, segments out of file order, ranks offset by a
 * **report identity** — on all of those inputs the report equals the one the
   scalar implementation it replaced (``tests/reference_verify.py``) gives:
   ``ok``, every violation (kind, interval, text) in order, both counters;
+* **loud lengths** — a read observation or a writer's stream one byte short
+  or long, at the first, a middle or the last rank, raises the
+  ``ValueError`` that names the rank;
 * **layout identity** — the single-pass view layout (``core.overlap._flatten``,
   ``verify.atomicity._stack``) gives the arrays of its per-view predecessor,
   kept verbatim in the oracle module, dtype for dtype.
@@ -28,7 +31,8 @@ from itertools import permutations
 from unittest import mock
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import generators
@@ -386,6 +390,41 @@ class TestReadVerifier:
         ]
         assert [(v.kind, v.interval, v.detail) for v in merged.violations] == expected
         assert merged.ok == (not expected)
+
+
+class TestStreamLengths:
+    """A read observation or a writer's stream one byte short or one byte
+    long, at the first, a middle or the last rank, raises the
+    ``ValueError`` naming that rank — from both read checkers."""
+
+    @given(
+        read_cases(),
+        st.sampled_from(["observed", "wrote"]),
+        st.sampled_from([0, 0.5, 1]),
+        st.sampled_from([-1, 1]),
+    )
+    def test_a_stream_one_byte_off_raises_naming_its_rank(self, case, what, where, delta):
+        observations, writers, data, baseline, committed = case
+        views = [o.region for o in observations] if what == "observed" else writers
+        assume(views)
+        at = round(where * (len(views) - 1))
+        assume(views[at].total_bytes + delta >= 0)
+        if what == "observed":
+            stream = observations[at].data
+            observations = list(observations)
+            observations[at] = ReadObservation(
+                observations[at].rank, views[at], stream[:-1] if delta < 0 else stream + b"\xf9"
+            )
+        else:
+            stream = data[at]
+            data = list(data)
+            data[at] = stream[:-1] if delta < 0 else stream + b"\xf9"
+        message = f"rank {views[at].rank} {what} {len(stream) + delta} bytes"
+        with pytest.raises(ValueError, match=message):
+            check_read_atomicity(observations, writers, data, baseline, committed)
+        trace = StreamTrace("s", writers, data, observations, committed, baseline)
+        with pytest.raises(ValueError, match=message):
+            check_stream_atomicity([trace])
 
 
 # -- view layout ------------------------------------------------------------------------
