@@ -24,11 +24,9 @@ from .pipeline import IOPlan, LockDirective, PhasePlan, TransferStep
 from .registry import StrategyRegistry, default_registry, register_strategy
 from .aggregation import (
     AggregatedRun,
-    assemble_stream,
     choose_aggregators,
     merge_pieces,
     partition_domain,
-    scatter_pieces,
 )
 from .strategies import (
     AtomicityStrategy,
@@ -85,8 +83,6 @@ __all__ = [
     "choose_aggregators",
     "partition_domain",
     "merge_pieces",
-    "scatter_pieces",
-    "assemble_stream",
     "AtomicWriteExecutor",
     "ConcurrentWriteResult",
     "CollectiveReadExecutor",

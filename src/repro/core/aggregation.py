@@ -20,20 +20,20 @@ MPI atomicity holds by construction: after the merge every overlapped byte
 carries exactly one rank's data, chosen by a fixed total order, and the
 aggregators' write ranges never intersect.
 
-This module holds the deterministic, communication-free pieces (every rank
-computes the identical election and partitioning from the exchanged views),
-among them :class:`WriteRoutes`: which bytes each hop sends where and which
-runs each aggregator keeps, read once per collective off the coverage-run
-kernel, so the shuffle merges nothing.  The shuffle itself lives in
-:class:`repro.core.strategies.TwoPhaseStrategy`.
-
 The **two-phase collective read** is the mirror image: the aggregators each
 read their disjoint file-domain chunk *once* (so an overlapped byte costs one
 server read no matter how many consumers want it), then scatter the pieces of
 every consumer's view back through the same ``alltoallv`` primitive.
-:func:`scatter_pieces` cuts an aggregator's fetched chunk into per-consumer
-pieces and :func:`assemble_stream` places the received pieces into a
-consumer's contiguous data stream.
+
+This module holds the deterministic, communication-free pieces (every rank
+computes the identical election and partitioning from the exchanged views),
+among them each direction's routes, built once per collective (ROMIO's
+``ADIOI_Calc_my_req`` / ``ADIOI_Calc_others_req``): :class:`WriteRoutes`,
+which bytes each write hop sends where and which runs each aggregator keeps,
+read off the coverage-run kernel so the shuffle merges nothing, and
+:class:`ReadRoutes`, which bytes each read hop sends where, so the scatter
+clips nothing.  The coroutines that follow them live in
+:class:`repro.core.strategies.TwoPhaseStrategy`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .intervals import IntervalSet, clip_many, clip_sorted_runs, merge_interval_sets
+from .intervals import IntervalSet, _normalise_arrays, clip_many
 from .overlap import _interval_runs
 from .rank_ordering import HIGHER_RANK_WINS, PriorityPolicy, _group_winners, _priority
 
@@ -62,10 +62,8 @@ __all__ = [
     "WriteRoutes",
     "joined",
     "QueryBatch",
-    "scatter_pieces",
-    "node_coverages",
-    "gather_runs",
-    "assemble_stream",
+    "ReadRoutes",
+    "stream_order",
 ]
 
 #: One contiguous merged extent an aggregator writes: the rank its data
@@ -277,21 +275,25 @@ def _kept_rows(dest, length, at, g_dest, g_origin, g_lo, g_hi, g_at):
     placed[order] = ahead - ahead[np.searchsorted(dest[order], dest[order])]
     by_stream = np.argsort(at)
     inside = by_stream[np.searchsorted(at[by_stream], g_at, side="right") - 1]
-    by_agg = np.argsort(g_dest, kind="stable")
-    keeps = np.column_stack(
-        (g_origin, g_lo, g_hi - g_lo, placed[inside] + (g_at - at[inside]))
-    )[by_agg]
-    g_dest = g_dest[by_agg]
-    first = np.flatnonzero(np.diff(g_dest, prepend=-1)).tolist()
-    return keeps, dict(zip(g_dest[first].tolist(), zip(first, first[1:] + [len(g_dest)])))
+    return _grouped(
+        np.column_stack((g_origin, g_lo, g_hi - g_lo, placed[inside] + (g_at - at[inside]))),
+        g_dest,
+    )
+
+
+def _grouped(rows: np.ndarray, holder: np.ndarray) -> Tuple[np.ndarray, Dict[int, tuple]]:
+    """``rows`` grouped by ``holder`` (stably: a holder's rows keep their
+    order) and each holder's ``(first, last)`` of them."""
+    order = np.argsort(holder, kind="stable")
+    holder = holder[order]
+    first = np.flatnonzero(np.diff(holder, prepend=-1)).tolist()
+    return rows[order], dict(zip(holder[first].tolist(), zip(first, first[1:] + [len(holder)])))
 
 
 @dataclass(frozen=True)
 class WriteRoutes:
-    """What every hop of a two-phase write sends and keeps — the write's
-    mirror of the read's :class:`QueryBatch`, read once per collective off
-    the negotiation's coverage-run kernel (ROMIO's ``ADIOI_Calc_my_req`` /
-    ``ADIOI_Calc_others_req``).
+    """What every hop of a two-phase write sends and keeps, read once per
+    collective off the negotiation's coverage-run kernel.
 
     A hop's receiver orders what arrived by ``(origin, offset)`` and joins
     the data (:func:`joined`); every row's ``[lo, hi)`` slices that buffer.
@@ -368,21 +370,21 @@ class WriteRoutes:
         return cls(ppn, starts, stops, dests, sends, node_rows, keeps, agg_rows)
 
 
-def joined(received: Sequence[Tuple[int, Sequence[Tuple[int, int, bytes]]]]) -> bytes:
-    """The ``[(src, pieces)]`` a write hop received as one buffer: the pieces
-    ordered by origin and offset, their data joined."""
-    return b"".join([piece[2] for piece in sorted([p for _, sent in received for p in sent])])
+def joined(received: Sequence[Tuple[int, Sequence[tuple]]]) -> bytes:
+    """The ``[(src, pieces)]`` a hop received as one buffer: the pieces —
+    a write's ``(origin, offset, data)``, a read's ``(offset, data)`` —
+    in order, their data joined."""
+    return b"".join([piece[-1] for piece in sorted([p for _, sent in received for p in sent])])
 
 
 class QueryBatch(NamedTuple):
-    """Every consumer's request intervals flattened into one query batch.
+    """Every rank's coverage intervals flattened into one batch.
 
-    ``starts`` / ``stops`` hold the consumers' intervals back to back in
-    consumer order, ``dest[i]`` names the consumer query ``i`` belongs to and
-    ``bounds[r] : bounds[r + 1]`` is consumer ``r``'s slice.  The batch is a
-    pure function of the exchanged coverages, so the ``P`` aggregators of one
-    collective share one (:class:`~repro.core.strategies.Negotiation` carries
-    it) instead of each flattening all ``P`` coverages again.
+    ``starts`` / ``stops`` hold the ranks' intervals back to back in rank
+    order, ``dest[i]`` names the rank interval ``i`` belongs to and
+    ``bounds[r] : bounds[r + 1]`` is rank ``r``'s slice.  The negotiation
+    builds it once per collective; the coverage-run kernel and both
+    directions' routes read it.
     """
 
     starts: np.ndarray
@@ -392,12 +394,12 @@ class QueryBatch(NamedTuple):
 
     @property
     def count(self) -> int:
-        """How many consumers the batch holds the queries of."""
+        """How many ranks the batch holds the intervals of."""
         return len(self.bounds) - 1
 
     @classmethod
     def of(cls, coverages: Sequence[IntervalSet]) -> "QueryBatch":
-        """Flatten ``coverages[r]``, consumer ``r``'s requested byte set."""
+        """Flatten ``coverages[r]``, the byte set rank ``r``'s view covers."""
         count = len(coverages)
         sizes = np.fromiter((len(c.starts) for c in coverages), dtype=np.int64, count=count)
         bounds = np.zeros(count + 1, dtype=np.int64)
@@ -410,143 +412,80 @@ class QueryBatch(NamedTuple):
         dest = np.repeat(np.arange(count, dtype=np.int64), sizes)
         return cls(starts, stops, dest, bounds)
 
-    def window(self, first: int, last: int) -> "QueryBatch":
-        """The batch of consumers ``[first, last)`` alone, renumbered from 0
-        (a node leader's cut for its local ranks)."""
-        last = min(last, self.count)
-        lo, hi = self.bounds[first], self.bounds[last]
-        return QueryBatch(
-            self.starts[lo:hi],
-            self.stops[lo:hi],
-            self.dest[lo:hi] - first,
-            self.bounds[first : last + 1] - lo,
-        )
 
+@dataclass(frozen=True)
+class ReadRoutes:
+    """What every hop of a two-phase read sends — the read's
+    :class:`WriteRoutes`, built once per collective from the negotiation.
 
-def scatter_pieces(
-    held: Sequence[Tuple[int, int, int]],
-    buffer: "bytes | bytearray",
-    coverages: "Sequence[IntervalSet] | QueryBatch",
-) -> List[List[Tuple[int, bytes]]]:
-    """Cut an aggregator's fetched file-domain chunk into per-consumer pieces.
+    ``rows[hop]`` holds ``(dest, offset, lo, hi)`` rows grouped by the rank
+    holding the data: ``[lo, hi)`` of the holder's source goes to ``dest`` as
+    the piece at file byte ``offset``.
 
-    ``held`` lists the aggregator's resident runs as ``(start, stop,
-    buffer_offset)`` triples in file order: file bytes ``[start, stop)`` live
-    at ``buffer[buffer_offset : buffer_offset + (stop - start)]``.
-    ``coverages[r]`` is consumer ``r``'s requested byte set — or the
-    :class:`QueryBatch` already built from them, when many aggregators cut
-    against the same consumers.  Returns, for each consumer, the
-    ``(file_offset, data)`` pieces of its request that this aggregator holds
-    — the send buffers of the scatter half of a two-phase collective read.
+    * Hop 0: an aggregator's source is its fetched sink; it sends each node's
+      union request, node by node in file order, cut at the aggregators'
+      pieces, to the node's leader (with one rank per node, the rank itself).
+    * Hop 1, only with several ranks per node: a leader's source is what it
+      received, joined — its node's union in file order; it sends each rank
+      its request cut at the pieces.
 
-    Routed by one batch clip of every consumer interval against the
-    file-ordered runs, so the cost scales with the consumers' piece count,
-    not with ``len(held) * len(coverages)``.
+    After the last hop a rank holds its request in file order.
     """
-    batch = coverages if isinstance(coverages, QueryBatch) else QueryBatch.of(coverages)
-    out: List[List[Tuple[int, bytes]]] = [[] for _ in range(batch.count)]
-    if not held:
-        return out
-    run_starts = np.fromiter((s for s, _, _ in held), dtype=np.int64, count=len(held))
-    run_stops = np.fromiter((e for _, e, _ in held), dtype=np.int64, count=len(held))
-    run_bufs = np.fromiter((b for _, _, b in held), dtype=np.int64, count=len(held))
-    a_idx, b_idx, lo, hi = clip_many(batch.starts, batch.stops, run_starts, run_stops)
-    piece_dest = batch.dest[a_idx].tolist()
-    src = (run_bufs[b_idx] + (lo - run_starts[b_idx])).tolist()
-    for dest, piece_lo, piece_src, piece_hi in zip(
-        piece_dest, lo.tolist(), src, hi.tolist()
-    ):
-        out[dest].append(
-            (piece_lo, bytes(buffer[piece_src : piece_src + (piece_hi - piece_lo)]))
-        )
-    return out
+
+    rows: Tuple[np.ndarray, ...]
+    #: Per hop, each holder's ``(first, last)`` rows.
+    spans: Tuple[Dict[int, Tuple[int, int]], ...]
+
+    def rows_of(self, hop: int, holder: int) -> List[List[int]]:
+        """The ``(dest, offset, lo, hi)`` rows ``holder`` sends on ``hop``."""
+        span = self.spans[hop].get(holder)
+        return self.rows[hop][span[0] : span[1]].tolist() if span else []
+
+    @classmethod
+    def of(cls, neg: "Negotiation") -> "ReadRoutes":
+        """The routes of ``neg``'s read."""
+        batch, ppn = neg.scatter_batch, neg.ranks_per_node
+        starts, stops, dests = np.array(neg.pieces, dtype=np.int64).reshape(-1, 3).T.copy()
+        # Each piece's offset in its aggregator's sink, as negotiated: the
+        # chunks are file-ordered in aggregator order, so ``held`` lists the
+        # pieces in table order.
+        sinks = np.array([run[2] for runs in neg.held.values() for run in runs], dtype=np.int64)
+        # Every node's union at once: one normalise over the intervals keyed
+        # by node, in elementary-run coordinates (``node * width`` plus an
+        # index into ``bounds``), where no two nodes' keys touch.
+        bounds = neg.runs[0]
+        width = max(len(bounds), 1)
+        node = batch.dest // ppn
+        key = node * width + np.searchsorted(bounds, batch.starts)
+        u_key, u_end = _normalise_arrays(key, node * width + np.searchsorted(bounds, batch.stops))
+        u_node, u_start, u_stop = u_key // width, bounds[u_key % width], bounds[u_end % width]
+
+        query, piece, lo, hi = clip_many(u_start, u_stop, starts, stops)
+        at = sinks[piece] + (lo - starts[piece])
+        rows = np.column_stack((u_node[query] * ppn, lo, at, at + hi - lo))
+        hops = [_grouped(rows, dests[piece])]
+        if ppn > 1:
+            # A rank's cut lies in one union interval of its node; the
+            # leader's source holds that union from the node's first byte.
+            length = u_stop - u_start
+            ahead = np.cumsum(length) - length
+            u_at = ahead - ahead[np.searchsorted(u_node, u_node)]
+            query, piece, lo, hi = clip_many(batch.starts, batch.stops, starts, stops)
+            union = np.searchsorted(u_key, key[query], side="right") - 1
+            at = u_at[union] + (lo - u_start[union])
+            dest = batch.dest[query]
+            rows = np.column_stack((dest, lo, at, at + hi - lo))
+            hops.append(_grouped(rows, dest - dest % ppn))
+        return cls(tuple(rows for rows, _ in hops), tuple(spans for _, spans in hops))
 
 
-def node_coverages(
-    coverages: Sequence[IntervalSet], ranks_per_node: int
-) -> List[IntervalSet]:
-    """Union of the consumers' requested byte sets, one set per node.
-
-    ``coverages[r]`` is rank ``r``'s request; under the block rank-to-node
-    placement (``ranks_per_node`` consecutive ranks per node, as in
-    :func:`node_leaders`) the union of a node's requests is what must cross
-    the inter-node network to that node *once* in a hierarchical read —
-    however many of the node's ranks ask for the same byte.  Deterministic
-    and communication-free, like the rest of the negotiation.
-    """
-    if ranks_per_node <= 0:
-        raise ValueError("ranks_per_node must be positive")
-    return [
-        merge_interval_sets(coverages[base : base + ranks_per_node])
-        for base in range(0, len(coverages), ranks_per_node)
-    ]
-
-
-def gather_runs(
-    pieces: Sequence[Tuple[int, bytes]],
-) -> Tuple[List[Tuple[int, int, int]], bytearray]:
-    """Splice disjoint ``(file_offset, data)`` pieces into resident runs.
-
-    The inverse of one :func:`scatter_pieces` cut: the pieces a node leader
-    received from the global aggregators become ``(start, stop,
-    buffer_offset)`` runs over one concatenated buffer — the exact ``held`` /
-    ``buffer`` shape :func:`scatter_pieces` consumes, so the leader can cut
-    again for its local ranks.  Pieces must be pairwise disjoint (aggregator
-    file domains are), else ``ValueError``.
-    """
-    held: List[Tuple[int, int, int]] = []
-    buffer = bytearray()
-    for off, data in sorted(pieces):
-        if not data:
-            continue
-        if held and off < held[-1][1]:
-            raise ValueError(
-                "overlapping pieces delivered to gather_runs: "
-                f"[{held[-1][0]}, {held[-1][1]}) and [{off}, {off + len(data)}) "
-                "share bytes"
-            )
-        held.append((off, off + len(data), len(buffer)))
-        buffer.extend(data)
-    return held, buffer
-
-
-def assemble_stream(
-    pieces: Sequence[Tuple[int, bytes]],
-    buffer_map: Sequence[Tuple[int, int, int]],
-    total_bytes: int,
-) -> Tuple[bytes, int]:
-    """Place received ``(file_offset, data)`` pieces into a contiguous stream.
-
-    ``buffer_map`` is the consumer's
-    :meth:`~repro.core.regions.FileRegionSet.buffer_map`; the returned stream
-    is the rank's user data stream with every covered byte filled from the
-    pieces.  Returns ``(stream, filled_bytes)`` so the caller can verify that
-    the scatter delivered the whole request.
-
-    The pieces must be pairwise disjoint (a correct scatter cuts each
-    consumer's request into non-overlapping pieces); overlapping deliveries
-    raise ``ValueError``.  Silently accepting them would double-count
-    ``filled`` — the routing below bisects over sorted *disjoint* runs — and
-    a duplicated delivery could then mask a short scatter that left part of
-    the request unfilled.
-    """
-    stream = bytearray(total_bytes)
-    filled = 0
-    ordered = sorted(pieces)
-    starts = [off for off, _ in ordered]
-    stops = [off + len(data) for off, data in ordered]
-    for idx in range(1, len(ordered)):
-        if starts[idx] < stops[idx - 1]:
-            raise ValueError(
-                "overlapping pieces delivered to assemble_stream: "
-                f"[{starts[idx - 1]}, {stops[idx - 1]}) and "
-                f"[{starts[idx]}, {stops[idx]}) share bytes"
-            )
-    for buf_off, file_off, length in buffer_map:
-        for lo, hi, idx in clip_sorted_runs(starts, stops, file_off, file_off + length):
-            off, data = ordered[idx]
-            stream[buf_off + (lo - file_off) : buf_off + (hi - file_off)] = data[
-                lo - off : hi - off
-            ]
-            filled += hi - lo
-    return bytes(stream), filled
+def stream_order(region: "FileRegionSet", data: bytes) -> bytes:
+    """``region``'s bytes, given in file order, in its data-stream order."""
+    segments = region.segments
+    if sorted(segments) == list(segments):
+        return data
+    starts, stops = region.coverage.starts, region.coverage.stops
+    run, _, lo, length = region.cut_at(starts, stops)
+    ahead = np.cumsum(stops - starts) - (stops - starts)
+    at = ahead[run] + (lo - starts[run])
+    return b"".join([data[a : a + n] for a, n in zip(at.tolist(), length.tolist())])

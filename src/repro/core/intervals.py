@@ -176,9 +176,8 @@ def clip_many(
     Returns ``(a_idx, b_idx, lo, hi)`` — one row per non-empty intersection
     of query ``a_idx`` with run ``b_idx`` — grouped by query in input order,
     ascending in file offset within each query.  This is the vectorized form
-    of :func:`clip_sorted_runs` over a whole batch of queries: the routing
-    sweep of the two-phase shuffle/scatter, the region trims, and the overlap
-    analysis all reduce to it.
+    of :func:`clip_sorted_runs` over a whole batch of queries: the two-phase
+    routes, the region trims, and the overlap analysis all reduce to it.
     """
     if len(a_starts) == 0 or len(b_starts) == 0:
         return _EMPTY, _EMPTY, _EMPTY, _EMPTY
@@ -245,9 +244,9 @@ def clip_sorted_runs(
 
     ``starts``/``stops`` describe runs ``[starts[i], stops[i])`` in ascending
     file order.  Yields ``(lo, hi, i)`` for every non-empty intersection of
-    the query with run ``i``, found by bisection — the routing sweep shared
-    by the two-phase shuffle/scatter and stream assembly.  (:func:`clip_many`
-    is the batch form.)
+    the query with run ``i``, found by bisection.  The library routes with
+    the batch form, :func:`clip_many`; this scalar form is the definition
+    the tests pin :func:`clip_many` against.
     """
     idx = max(bisect_right(starts, qstart) - 1, 0)
     n = len(starts)

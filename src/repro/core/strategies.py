@@ -108,14 +108,12 @@ from typing import (
 from ..fs.lockmanager import LockMode
 from .aggregation import (
     QueryBatch,
+    ReadRoutes,
     WriteRoutes,
-    assemble_stream,
     choose_node_aggregators,
-    gather_runs,
     joined,
-    node_coverages,
     partition_domain,
-    scatter_pieces,
+    stream_order,
 )
 from .coloring import ColoringResult, greedy_coloring
 from .intervals import IntervalSet, merge_interval_sets
@@ -650,9 +648,10 @@ class Negotiation:
     #: Per aggregator, the chunk runs it holds as ``(start, stop,
     #: buffer_offset)`` triples in file order — the layout of its read sink.
     held: Dict[int, List[Tuple[int, int, int]]]
-    #: The coverages as one query batch (a leader's read cuts its ``window``)
-    #: and the collective's one coverage-run kernel over its intervals
-    #: (:func:`~repro.core.overlap._interval_runs`); built when not given.
+    #: The coverages as one query batch and the collective's one
+    #: coverage-run kernel over its intervals
+    #: (:func:`~repro.core.overlap._interval_runs`), which both directions'
+    #: routes read; built when not given.
     scatter_batch: Optional[QueryBatch] = field(default=None, compare=False)
     runs: Optional[tuple] = field(default=None, compare=False)
     #: The write's routes by policy, held weakly: the coroutines using them
@@ -676,13 +675,9 @@ class Negotiation:
         return routes
 
     @cached_property
-    def node_scatter_batch(self) -> QueryBatch:
-        """The per-node *union* requests as the one query batch every
-        aggregator's cut clips against, built on first use (a write never
-        needs it).  The union of one rank's request is that request."""
-        if self.ranks_per_node == 1:
-            return self.scatter_batch
-        return QueryBatch.of(node_coverages(self.coverages, self.ranks_per_node))
+    def read_routes(self) -> ReadRoutes:
+        """The read's routes, built on first use (a write never needs them)."""
+        return ReadRoutes.of(self)
 
 
 def _pump(comm: Communicator, schedule: Generator):
@@ -702,18 +697,6 @@ def _pump(comm: Communicator, schedule: Generator):
         return done.value
 
 
-def _bytes_to_others(rank: int, outgoing: Dict[int, list]) -> int:
-    """Data bytes of the pieces ``outgoing`` sends to ranks other than
-    ``rank`` — what :attr:`IOOutcome.bytes_shuffled` means in both directions
-    and what ``alltoallv_sparse`` charges (self-delivery is free)."""
-    total = 0
-    for dest, pieces in outgoing.items():
-        if dest != rank:
-            for piece in pieces:
-                total += len(piece[-1])
-    return total
-
-
 @register_strategy
 class TwoPhaseStrategy(AtomicityStrategy):
     """Two-phase aggregation (ROMIO-style collective buffering).
@@ -731,11 +714,12 @@ class TwoPhaseStrategy(AtomicityStrategy):
     spaced leaders).  Where a node holds more than one rank the data crosses
     a **node hop** too: on a write every rank ships its pieces to its leader,
     which sends on its node's winning bytes; on a read an aggregator ships
-    each node's *union* request to the leader, which cuts it again per local
-    rank.  With one rank per node — this class — the hop would be a
+    each node's *union* request to the leader, which sends each local rank
+    its own.  With one rank per node — this class — the hop would be a
     rendezvous in which each rank sends only to itself, and is not made.
     What each hop sends and keeps comes from the negotiation's routes
-    (:class:`~repro.core.aggregation.WriteRoutes`).  A byte's winner at a node
+    (:class:`~repro.core.aggregation.WriteRoutes`,
+    :class:`~repro.core.aggregation.ReadRoutes`).  A byte's winner at a node
     and at an aggregator follows one fixed total order, ``(policy(origin),
     -origin)``, so file bytes and provenance do not depend on
     ``ranks_per_node``; only the schedule, hence the makespan, does
@@ -952,47 +936,36 @@ class TwoPhaseStrategy(AtomicityStrategy):
         sinks: Dict[str, bytearray],
     ):
         """This rank's read delivery, as a coroutine (see :func:`_pump`);
-        returns the rank's data stream."""
-        rank, ppn = region.rank, self.ranks_per_node
-
-        # Global hop — scatter: cut the fetched chunk against each node's
-        # union request and ship a node's pieces to its leader, so a byte
-        # crosses the inter-node network once however many of the node's
-        # ranks cover it.
-        outgoing: Dict[int, List[Tuple[int, bytes]]] = {}
-        held = neg.held.get(rank)
-        if held:
-            cut = scatter_pieces(held, sinks[AGGREGATE_PAYLOAD], neg.node_scatter_batch)
-            for node, bufs in enumerate(cut):
-                if bufs:
-                    outgoing[node * ppn] = bufs
-        shuffled = _bytes_to_others(rank, outgoing)
-        received = yield outgoing
-
-        # Node hop: a leader splices the disjoint pieces it received into a
-        # node-resident buffer and cuts it again, per local rank this time;
-        # every rank receives exactly the pieces of its own view.
-        if self._hops == 2:
+        returns the rank's data stream.  What each hop sends comes from the
+        negotiation's routes, as in :meth:`shuffle`."""
+        # Hop 0 sends each node's union request from the aggregators' sinks
+        # to the node's leader, so a byte crosses the inter-node network once
+        # however many of the node's ranks cover it; hop 1, where a node
+        # holds several ranks, sends each rank its request from what its
+        # leader received.  Bytes bound for other ranks are counted.
+        rank, routes = region.rank, neg.read_routes
+        shuffled, source = 0, sinks.get(AGGREGATE_PAYLOAD)
+        for hop in range(self._hops):
             outgoing = {}
-            if received:
-                node_held, node_buffer = gather_runs(
-                    [piece for _, sent in received for piece in sent]
-                )
-                cut = scatter_pieces(
-                    node_held, node_buffer, neg.scatter_batch.window(rank, rank + ppn)
-                )
-                outgoing = {dest: bufs for dest, bufs in enumerate(cut, start=rank) if bufs}
-            shuffled += _bytes_to_others(rank, outgoing)
-            received = yield outgoing
+            for dest, offset, lo, hi in routes.rows_of(hop, rank):
+                sent = outgoing.get(dest)
+                if sent is None:
+                    outgoing[dest] = sent = []
+                sent.append((offset, bytes(source[lo:hi])))
+                if dest != rank:
+                    shuffled += hi - lo
+            source = joined((yield outgoing))
 
+        # What arrived is the rank's request in file order — unless a piece
+        # went missing or came twice.
+        if len(source) != region.total_bytes:
+            raise ValueError(
+                f"rank {rank}: the scatter delivered {len(source)} bytes "
+                f"of a {region.total_bytes}-byte request"
+            )
         outcome.bytes_shuffled = shuffled
-        stream, filled = assemble_stream(
-            [piece for _, sent in received for piece in sent],
-            region.buffer_map(),
-            region.total_bytes,
-        )
-        outcome.extra["scatter_filled_bytes"] = float(filled)
-        return stream
+        outcome.extra["scatter_filled_bytes"] = float(len(source))
+        return stream_order(region, source)
 
 
 @register_strategy

@@ -107,11 +107,6 @@ class Datatype:
         return sum(length for _, length in self.segments)
 
     @property
-    def ub(self) -> int:
-        """Upper bound: ``lb + extent``."""
-        return self.lb + self.extent
-
-    @property
     def num_segments(self) -> int:
         """Number of contiguous byte runs in the typemap."""
         return len(self.segments)

@@ -267,11 +267,6 @@ class MPIFile:
         # view; conservatively invalidate on every Set_view.
         autotune.notify_view_change(self.fs, self.filename)
 
-    @property
-    def view(self) -> FileView:
-        """The current file view."""
-        return self._view
-
     # -- Info hints ----------------------------------------------------------------
 
     def _apply_open_hints(self) -> None:

@@ -943,8 +943,3 @@ class Intercomm(_PointToPoint):
 
         group, new_ranks = round_.slots.once("merge", merged)
         return Communicator(group, new_ranks[self._urank])
-
-    def abort(self, exc: BaseException) -> None:
-        """Abandon collective communication on the bridge (see
-        :meth:`Communicator.abort`)."""
-        self._group.abort(exc)

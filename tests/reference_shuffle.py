@@ -13,18 +13,24 @@ front of the strategy class under test (:func:`reference`), which supplies
 everything else — ``negotiate``, ``_plan``, ``_roles``, ``_hops`` — since
 those did not change.  ``_merge`` merges with the byte-painting oracle
 ``tests/reference_merge.py``, not with ``src/``'s merge, so a fault in the
-sweep merge shows as a difference here too.
+sweep merge shows as a difference here too.  The read's routing helpers
+that ``scatter`` calls — ``scatter_pieces``, ``node_coverages``,
+``gather_runs``, ``assemble_stream``, ``QueryBatch.window`` and
+``Negotiation.node_scatter_batch`` — live here too, their bodies unchanged
+(the two methods as functions of their ``self``).
 
 Never imported by ``src/``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from reference_merge import merge_origin_runs
-from repro.core.aggregation import assemble_stream, gather_runs, scatter_pieces
-from repro.core.intervals import clip_sorted_runs
+from repro.core.aggregation import QueryBatch
+from repro.core.intervals import IntervalSet, clip_many, clip_sorted_runs, merge_interval_sets
 from repro.core.pipeline import USER_PAYLOAD, PhasePlan, TransferStep
 from repro.core.regions import FileRegionSet
 from repro.core.strategies import AGGREGATE_PAYLOAD, IOOutcome, Negotiation
@@ -42,6 +48,157 @@ def _bytes_to_others(rank: int, outgoing: Dict[int, list]) -> int:
             for piece in pieces:
                 total += len(piece[-1])
     return total
+
+
+def window(self: QueryBatch, first: int, last: int) -> QueryBatch:
+    """The batch of consumers ``[first, last)`` alone, renumbered from 0
+    (a node leader's cut for its local ranks)."""
+    last = min(last, self.count)
+    lo, hi = self.bounds[first], self.bounds[last]
+    return QueryBatch(
+        self.starts[lo:hi],
+        self.stops[lo:hi],
+        self.dest[lo:hi] - first,
+        self.bounds[first : last + 1] - lo,
+    )
+
+
+def scatter_pieces(
+    held: Sequence[Tuple[int, int, int]],
+    buffer: "bytes | bytearray",
+    coverages: "Sequence[IntervalSet] | QueryBatch",
+) -> List[List[Tuple[int, bytes]]]:
+    """Cut an aggregator's fetched file-domain chunk into per-consumer pieces.
+
+    ``held`` lists the aggregator's resident runs as ``(start, stop,
+    buffer_offset)`` triples in file order: file bytes ``[start, stop)`` live
+    at ``buffer[buffer_offset : buffer_offset + (stop - start)]``.
+    ``coverages[r]`` is consumer ``r``'s requested byte set — or the
+    :class:`QueryBatch` already built from them, when many aggregators cut
+    against the same consumers.  Returns, for each consumer, the
+    ``(file_offset, data)`` pieces of its request that this aggregator holds
+    — the send buffers of the scatter half of a two-phase collective read.
+
+    Routed by one batch clip of every consumer interval against the
+    file-ordered runs, so the cost scales with the consumers' piece count,
+    not with ``len(held) * len(coverages)``.
+    """
+    batch = coverages if isinstance(coverages, QueryBatch) else QueryBatch.of(coverages)
+    out: List[List[Tuple[int, bytes]]] = [[] for _ in range(batch.count)]
+    if not held:
+        return out
+    run_starts = np.fromiter((s for s, _, _ in held), dtype=np.int64, count=len(held))
+    run_stops = np.fromiter((e for _, e, _ in held), dtype=np.int64, count=len(held))
+    run_bufs = np.fromiter((b for _, _, b in held), dtype=np.int64, count=len(held))
+    a_idx, b_idx, lo, hi = clip_many(batch.starts, batch.stops, run_starts, run_stops)
+    piece_dest = batch.dest[a_idx].tolist()
+    src = (run_bufs[b_idx] + (lo - run_starts[b_idx])).tolist()
+    for dest, piece_lo, piece_src, piece_hi in zip(
+        piece_dest, lo.tolist(), src, hi.tolist()
+    ):
+        out[dest].append(
+            (piece_lo, bytes(buffer[piece_src : piece_src + (piece_hi - piece_lo)]))
+        )
+    return out
+
+
+def node_coverages(
+    coverages: Sequence[IntervalSet], ranks_per_node: int
+) -> List[IntervalSet]:
+    """Union of the consumers' requested byte sets, one set per node.
+
+    ``coverages[r]`` is rank ``r``'s request; under the block rank-to-node
+    placement (``ranks_per_node`` consecutive ranks per node, as in
+    :func:`node_leaders`) the union of a node's requests is what must cross
+    the inter-node network to that node *once* in a hierarchical read —
+    however many of the node's ranks ask for the same byte.  Deterministic
+    and communication-free, like the rest of the negotiation.
+    """
+    if ranks_per_node <= 0:
+        raise ValueError("ranks_per_node must be positive")
+    return [
+        merge_interval_sets(coverages[base : base + ranks_per_node])
+        for base in range(0, len(coverages), ranks_per_node)
+    ]
+
+
+def gather_runs(
+    pieces: Sequence[Tuple[int, bytes]],
+) -> Tuple[List[Tuple[int, int, int]], bytearray]:
+    """Splice disjoint ``(file_offset, data)`` pieces into resident runs.
+
+    The inverse of one :func:`scatter_pieces` cut: the pieces a node leader
+    received from the global aggregators become ``(start, stop,
+    buffer_offset)`` runs over one concatenated buffer — the exact ``held`` /
+    ``buffer`` shape :func:`scatter_pieces` consumes, so the leader can cut
+    again for its local ranks.  Pieces must be pairwise disjoint (aggregator
+    file domains are), else ``ValueError``.
+    """
+    held: List[Tuple[int, int, int]] = []
+    buffer = bytearray()
+    for off, data in sorted(pieces):
+        if not data:
+            continue
+        if held and off < held[-1][1]:
+            raise ValueError(
+                "overlapping pieces delivered to gather_runs: "
+                f"[{held[-1][0]}, {held[-1][1]}) and [{off}, {off + len(data)}) "
+                "share bytes"
+            )
+        held.append((off, off + len(data), len(buffer)))
+        buffer.extend(data)
+    return held, buffer
+
+
+def assemble_stream(
+    pieces: Sequence[Tuple[int, bytes]],
+    buffer_map: Sequence[Tuple[int, int, int]],
+    total_bytes: int,
+) -> Tuple[bytes, int]:
+    """Place received ``(file_offset, data)`` pieces into a contiguous stream.
+
+    ``buffer_map`` is the consumer's
+    :meth:`~repro.core.regions.FileRegionSet.buffer_map`; the returned stream
+    is the rank's user data stream with every covered byte filled from the
+    pieces.  Returns ``(stream, filled_bytes)`` so the caller can verify that
+    the scatter delivered the whole request.
+
+    The pieces must be pairwise disjoint (a correct scatter cuts each
+    consumer's request into non-overlapping pieces); overlapping deliveries
+    raise ``ValueError``.  Silently accepting them would double-count
+    ``filled`` — the routing below bisects over sorted *disjoint* runs — and
+    a duplicated delivery could then mask a short scatter that left part of
+    the request unfilled.
+    """
+    stream = bytearray(total_bytes)
+    filled = 0
+    ordered = sorted(pieces)
+    starts = [off for off, _ in ordered]
+    stops = [off + len(data) for off, data in ordered]
+    for idx in range(1, len(ordered)):
+        if starts[idx] < stops[idx - 1]:
+            raise ValueError(
+                "overlapping pieces delivered to assemble_stream: "
+                f"[{starts[idx - 1]}, {stops[idx - 1]}) and "
+                f"[{starts[idx]}, {stops[idx]}) share bytes"
+            )
+    for buf_off, file_off, length in buffer_map:
+        for lo, hi, idx in clip_sorted_runs(starts, stops, file_off, file_off + length):
+            off, data = ordered[idx]
+            stream[buf_off + (lo - file_off) : buf_off + (hi - file_off)] = data[
+                lo - off : hi - off
+            ]
+            filled += hi - lo
+    return bytes(stream), filled
+
+
+def node_scatter_batch(self: Negotiation) -> QueryBatch:
+    """The per-node *union* requests as the one query batch every
+    aggregator's cut clips against, built on first use (a write never
+    needs it).  The union of one rank's request is that request."""
+    if self.ranks_per_node == 1:
+        return self.scatter_batch
+    return QueryBatch.of(node_coverages(self.coverages, self.ranks_per_node))
 
 
 class ReferenceShuffle:
@@ -139,7 +296,7 @@ class ReferenceShuffle:
         outgoing: Dict[int, List[Tuple[int, bytes]]] = {}
         held = neg.held.get(rank)
         if held:
-            cut = scatter_pieces(held, sinks[AGGREGATE_PAYLOAD], neg.node_scatter_batch)
+            cut = scatter_pieces(held, sinks[AGGREGATE_PAYLOAD], node_scatter_batch(neg))
             outgoing = {node * ppn: bufs for node, bufs in enumerate(cut) if bufs}
         shuffled = _bytes_to_others(rank, outgoing)
         received = yield outgoing
@@ -154,7 +311,7 @@ class ReferenceShuffle:
                     [piece for _, sent in received for piece in sent]
                 )
                 cut = scatter_pieces(
-                    node_held, node_buffer, neg.scatter_batch.window(rank, rank + ppn)
+                    node_held, node_buffer, window(neg.scatter_batch, rank, rank + ppn)
                 )
                 outgoing = {dest: bufs for dest, bufs in enumerate(cut, start=rank) if bufs}
             shuffled += _bytes_to_others(rank, outgoing)

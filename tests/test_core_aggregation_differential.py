@@ -33,6 +33,14 @@ ranks tying), every node leader's runs — cut at the aggregators' pieces — an
 every aggregator's runs must be ``merge_origin_runs`` of exactly what that hop
 received, and that merge the byte-painting one.
 
+The fourth property is the read's: its scatter cuts nothing either, but
+slices each hop's source following routes built once per collective
+(``Negotiation.read_routes``).  On the same generated collectives, every
+aggregator's hop-0 rows and every leader's hop-1 rows must send exactly the
+pieces the parent's per-aggregator clips sent — ``scatter_pieces`` against
+the node unions, then ``gather_runs`` and a clip against the leader's
+``window`` — kept verbatim in ``tests/reference_shuffle.py``.
+
 Example counts come from the Hypothesis profile (``tests/conftest.py``):
 the default keeps this module about a second, ``HYPOTHESIS_PROFILE=ci`` runs
 ten times as many.
@@ -48,8 +56,9 @@ from hypothesis import strategies as st
 
 import generators
 import reference_merge
+import reference_shuffle
 from generators import piece_lists
-from repro.core.aggregation import AggregatedRun, merge_origin_runs, merge_pieces
+from repro.core.aggregation import AggregatedRun, joined, merge_origin_runs, merge_pieces
 from repro.core.intervals import clip_sorted_runs
 from repro.core.rank_ordering import HIGHER_RANK_WINS, LOWER_RANK_WINS
 from repro.core.regions import FileRegionSet
@@ -219,3 +228,51 @@ def test_every_hops_routed_runs_are_the_merge_of_what_it_received(case):
         assert kept == merged, f"aggregator {rank}"
         assert type(aggregate) is bytes
         assert len(aggregate) == sum(run.length for run in merged)
+
+
+# -- the read scatter's routes ------------------------------------------------------------
+
+
+def routed(routes, hop: int, holder: int, source: bytes) -> dict:
+    """What ``holder`` sends on ``hop`` by its rows, slicing ``source``."""
+    out = {}
+    for dest, offset, lo, hi in routes.rows_of(hop, holder):
+        out.setdefault(dest, []).append((offset, source[lo:hi]))
+    return out
+
+
+@given(case=shuffles(), contents=st.binary(min_size=FILE_BYTES, max_size=FILE_BYTES))
+def test_every_hops_read_routes_are_the_parents_cuts(case, contents):
+    regions, strategy, _ = case
+    ppn = strategy.ranks_per_node
+    neg = strategy.negotiate(len(regions), regions)
+    routes = neg.read_routes
+    assert len(routes.rows) == 1 + (ppn > 1)
+    # Hop 0: each aggregator's fetched chunk, cut against every node's union.
+    at_leader = {}
+    for agg, held in neg.held.items():
+        sink = bytearray(sum(stop - start for start, stop, _ in held))
+        for start, stop, buf in held:
+            sink[buf : buf + stop - start] = contents[start:stop]
+        cut = reference_shuffle.scatter_pieces(
+            held, sink, reference_shuffle.node_scatter_batch(neg)
+        )
+        want = {node * ppn: pieces for node, pieces in enumerate(cut) if pieces}
+        assert routed(routes, 0, agg, bytes(sink)) == want, f"aggregator {agg}"
+        for leader, pieces in want.items():
+            at_leader.setdefault(leader, []).extend(pieces)
+    assert sorted(routes.spans[0]) == sorted(neg.held)
+    if ppn == 1:
+        return
+    # Hop 1: what a leader received, spliced and cut per local rank.
+    for leader, pieces in at_leader.items():
+        node_held, node_buffer = reference_shuffle.gather_runs(pieces)
+        cut = reference_shuffle.scatter_pieces(
+            node_held,
+            node_buffer,
+            reference_shuffle.window(neg.scatter_batch, leader, leader + ppn),
+        )
+        want = {dest: pieces for dest, pieces in enumerate(cut, start=leader) if pieces}
+        assert routed(routes, 1, leader, joined([(None, pieces)])) == want, f"leader {leader}"
+    assert sorted(routes.spans[1]) == sorted(at_leader)
+

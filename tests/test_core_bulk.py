@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.autotune import AutoStrategy
-from repro.core.aggregation import WriteRoutes
+from repro.core.aggregation import ReadRoutes, WriteRoutes
 from repro.core.bulk import BulkReadExecutor, BulkWriteExecutor
 from repro.core.executor import AtomicWriteExecutor, CollectiveReadExecutor
 from repro.core.pipeline import USER_PAYLOAD
@@ -365,6 +365,32 @@ class TestReadEngineEquivalence:
             views,
         )
         assert_read_equivalent(engine, bulk)
+
+
+class TestReadRoutes:
+    """A read collective builds its routes once, shared by every rank on
+    both drivers, as a write does its own; a write builds none."""
+
+    VIEWS = column_wise_views(M=4, N=256, P=24, R=2)
+
+    @pytest.mark.parametrize("ppn", [1, 5])
+    def test_built_once_per_collective(self, monkeypatch, ppn):
+        built = []
+        real_of = ReadRoutes.of.__func__
+
+        def counting_of(cls, neg):
+            built.append(neg)
+            return real_of(cls, neg)
+
+        monkeypatch.setattr(ReadRoutes, "of", classmethod(counting_of))
+        strategy = lambda: HierarchicalTwoPhaseStrategy(  # noqa: E731
+            num_aggregators=3, ranks_per_node=ppn
+        )
+        assert_equivalent(*run_both(strategy, self.VIEWS))
+        assert built == []
+        assert_read_equivalent(*run_both_read(strategy, self.VIEWS))
+        assert len(built) == 2  # once per driver
+        assert built[0] is not built[1]
 
 
 class TestReadGuardrails:

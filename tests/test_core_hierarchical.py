@@ -21,12 +21,11 @@ from repro.core.aggregation import (
     choose_node_aggregators,
     merge_origin_runs,
     merge_pieces,
-    node_coverages,
     node_leaders,
 )
 from repro.core.bulk import BulkReadExecutor, BulkWriteExecutor
 from repro.core.executor import AtomicWriteExecutor, CollectiveReadExecutor
-from repro.core.intervals import IntervalSet
+from repro.core.intervals import IntervalSet, merge_interval_sets
 from repro.core.rank_ordering import HIGHER_RANK_WINS, LOWER_RANK_WINS
 from repro.core.regions import FileRegionSet
 from repro.core.registry import default_registry
@@ -259,7 +258,7 @@ def bytes_to_other_ranks(strategy, views):
         agg: IntervalSet([(lo, hi) for lo, hi, owner in neg.pieces if owner == agg])
         for agg in neg.aggregators
     }
-    unions = node_coverages(neg.coverages, ppn)
+    unions = [merge_interval_sets(neg.coverages[base : base + ppn]) for base in range(0, P, ppn)]
     write, read = [], []
     for rank in range(P):
         if rank % ppn:  # not a leader: everything goes to the leader, once

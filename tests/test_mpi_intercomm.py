@@ -48,6 +48,52 @@ class TestGroup:
             Group([4, 2]).translate(2)
 
 
+class TestCreateGroup:
+    """``Communicator.Create_group`` (``MPI_Comm_create``): a communicator
+    over a group's members, ``None`` elsewhere."""
+
+    GROUP = (4, 1, 3)
+
+    def test_members_are_ranked_in_group_order(self):
+        def fn(comm):
+            sub = comm.Create_group(comm.Get_group().Incl(self.GROUP))
+            return None if sub is None else (sub.size, sub.rank)
+
+        result = run_spmd(fn, 6)
+        for position, world in enumerate(self.GROUP):
+            assert result.returns[world] == (3, position)
+
+    def test_non_members_get_none(self):
+        def fn(comm):
+            return comm.Create_group(comm.Get_group().Incl(self.GROUP))
+
+        result = run_spmd(fn, 6)
+        assert [r for r in range(6) if result.returns[r] is None] == [0, 2, 5]
+
+    def test_a_collective_on_the_new_communicator_completes(self):
+        def fn(comm):
+            sub = comm.Create_group(comm.Get_group().Incl(self.GROUP))
+            if sub is None:
+                return None
+            sub.barrier()
+            return sub.allgather(comm.rank), sub.bcast(comm.rank, root=0)
+
+        result = run_spmd(fn, 6)
+        for world in self.GROUP:
+            assert result.returns[world] == ([4, 1, 3], 4)
+
+    def test_a_rank_outside_the_communicator_raises(self):
+        def fn(comm):
+            return comm.Create_group(Group([0, comm.size]))
+
+        with pytest.raises(SPMDExecutionError) as excinfo:
+            run_spmd(fn, 3)
+        failures = _failures(excinfo)
+        assert len(failures) == 3
+        assert all(isinstance(e, RankError) for e in failures)
+        assert "rank 3 outside communicator of size 3" in str(failures[0])
+
+
 class TestCommSplitDegenerates:
     def test_every_rank_its_own_color(self):
         # P singleton communicators: each is a fully working world of one.

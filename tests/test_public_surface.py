@@ -104,7 +104,6 @@ REPRO_CORE_ALL = [
     "TransferStep",
     "TwoPhaseStrategy",
     "analyze_regions",
-    "assemble_stream",
     "build_overlap_matrix",
     "build_region_sets",
     "choose_aggregators",
@@ -121,7 +120,6 @@ REPRO_CORE_ALL = [
     "partition_domain",
     "register_strategy",
     "resolve_by_rank",
-    "scatter_pieces",
     "validate_coloring",
 ]
 
