@@ -63,6 +63,7 @@ __all__ = [
     "joined",
     "QueryBatch",
     "ReadRoutes",
+    "delivered",
     "stream_order",
 ]
 
@@ -270,15 +271,21 @@ def _kept_rows(dest, length, at, g_dest, g_origin, g_lo, g_hi, g_at):
     a winner lies in the arriving piece whose stretch of the stream holds its
     own position."""
     order = np.lexsort((at, dest))
-    ahead = np.cumsum(length[order]) - length[order]
     placed = np.empty(len(order), dtype=np.int64)
-    placed[order] = ahead - ahead[np.searchsorted(dest[order], dest[order])]
+    placed[order] = _placed(length[order], dest[order])
     by_stream = np.argsort(at)
     inside = by_stream[np.searchsorted(at[by_stream], g_at, side="right") - 1]
     return _grouped(
         np.column_stack((g_origin, g_lo, g_hi - g_lo, placed[inside] + (g_at - at[inside]))),
         g_dest,
     )
+
+
+def _placed(length: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """Each item's offset in its group's buffer: the lengths of the items of
+    its group before it.  ``group`` is sorted."""
+    ahead = np.cumsum(length) - length
+    return ahead - ahead[np.searchsorted(group, group)]
 
 
 def _grouped(rows: np.ndarray, holder: np.ndarray) -> Tuple[np.ndarray, Dict[int, tuple]]:
@@ -435,6 +442,9 @@ class ReadRoutes:
     rows: Tuple[np.ndarray, ...]
     #: Per hop, each holder's ``(first, last)`` rows.
     spans: Tuple[Dict[int, Tuple[int, int]], ...]
+    #: With several ranks per node, what hop 0 owes each leader: its node's
+    #: union request.
+    unions: Dict[int, IntervalSet]
 
     def rows_of(self, hop: int, holder: int) -> List[List[int]]:
         """The ``(dest, offset, lo, hi)`` rows ``holder`` sends on ``hop``."""
@@ -447,9 +457,9 @@ class ReadRoutes:
         batch, ppn = neg.scatter_batch, neg.ranks_per_node
         starts, stops, dests = np.array(neg.pieces, dtype=np.int64).reshape(-1, 3).T.copy()
         # Each piece's offset in its aggregator's sink, as negotiated: the
-        # chunks are file-ordered in aggregator order, so ``held`` lists the
-        # pieces in table order.
-        sinks = np.array([run[2] for runs in neg.held.values() for run in runs], dtype=np.int64)
+        # held runs in file order are the pieces.
+        held = sorted([run for runs in neg.held.values() for run in runs])
+        sinks = np.array([buf for _, _, buf in held], dtype=np.int64)
         # Every node's union at once: one normalise over the intervals keyed
         # by node, in elementary-run coordinates (``node * width`` plus an
         # index into ``bounds``), where no two nodes' keys touch.
@@ -463,29 +473,55 @@ class ReadRoutes:
         query, piece, lo, hi = clip_many(u_start, u_stop, starts, stops)
         at = sinks[piece] + (lo - starts[piece])
         rows = np.column_stack((u_node[query] * ppn, lo, at, at + hi - lo))
-        hops = [_grouped(rows, dests[piece])]
+        hops, unions = [_grouped(rows, dests[piece])], {}
         if ppn > 1:
             # A rank's cut lies in one union interval of its node; the
             # leader's source holds that union from the node's first byte.
-            length = u_stop - u_start
-            ahead = np.cumsum(length) - length
-            u_at = ahead - ahead[np.searchsorted(u_node, u_node)]
+            u_at = _placed(u_stop - u_start, u_node)
             query, piece, lo, hi = clip_many(batch.starts, batch.stops, starts, stops)
             union = np.searchsorted(u_key, key[query], side="right") - 1
             at = u_at[union] + (lo - u_start[union])
             dest = batch.dest[query]
             rows = np.column_stack((dest, lo, at, at + hi - lo))
             hops.append(_grouped(rows, dest - dest % ppn))
-        return cls(tuple(rows for rows, _ in hops), tuple(spans for _, spans in hops))
+            runs, spans = _grouped(np.column_stack((u_start, u_stop)), u_node * ppn)
+            unions = {n: IntervalSet._from_normalised(*runs[a:b].T) for n, (a, b) in spans.items()}
+        return cls(tuple(rows for rows, _ in hops), tuple(spans for _, spans in hops), unions)
+
+
+def delivered(
+    rank: int, received: Sequence[Tuple[int, Sequence[tuple]]], owed: IntervalSet
+) -> bytes:
+    """The ``(offset, data)`` pieces a read hop brought ``rank``, joined in
+    file order; ``ValueError`` naming the rank unless they tile ``owed``
+    exactly, so a dropped, duplicated, overlapping or stray piece cannot pass
+    for a complete delivery."""
+    pieces = sorted([piece for _, sent in received for piece in sent])
+    starts, stops, end = [], [], None
+    for offset, data in pieces:
+        if offset != end:
+            starts.append(offset)
+            stops.append(end)
+        end = offset + len(data)
+    stops.append(end)
+    data = b"".join([piece[1] for piece in pieces])
+    if starts != owed.starts.tolist() or stops[1:] != owed.stops.tolist():
+        raise ValueError(
+            f"rank {rank}: the scatter delivered {len(data)} bytes that do not "
+            f"tile its {owed.total_bytes}-byte request"
+        )
+    return data
 
 
 def stream_order(region: "FileRegionSet", data: bytes) -> bytes:
     """``region``'s bytes, given in file order, in its data-stream order."""
     segments = region.segments
-    if sorted(segments) == list(segments):
+    ordered = sorted(segments)
+    if ordered == list(segments):
         return data
-    starts, stops = region.coverage.starts, region.coverage.stops
-    run, _, lo, length = region.cut_at(starts, stops)
-    ahead = np.cumsum(stops - starts) - (stops - starts)
-    at = ahead[run] + (lo - starts[run])
-    return b"".join([data[a : a + n] for a, n in zip(at.tolist(), length.tolist())])
+    # A view's segments are disjoint: in file order they lie back to back.
+    at, placed = 0, {}
+    for offset, length in ordered:
+        placed[offset] = at
+        at += length
+    return b"".join([data[placed[off] : placed[off] + n] for off, n in segments])

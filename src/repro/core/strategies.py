@@ -92,7 +92,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from weakref import WeakValueDictionary
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -111,6 +110,7 @@ from .aggregation import (
     ReadRoutes,
     WriteRoutes,
     choose_node_aggregators,
+    delivered,
     joined,
     partition_domain,
     stream_order,
@@ -648,14 +648,13 @@ class Negotiation:
     #: Per aggregator, the chunk runs it holds as ``(start, stop,
     #: buffer_offset)`` triples in file order — the layout of its read sink.
     held: Dict[int, List[Tuple[int, int, int]]]
-    #: The coverages as one query batch and the collective's one
-    #: coverage-run kernel over its intervals
-    #: (:func:`~repro.core.overlap._interval_runs`), which both directions'
-    #: routes read; built when not given.
+    #: The coverages as one query batch and the collective's one coverage-run
+    #: kernel over its intervals (:func:`~repro.core.overlap._interval_runs`),
+    #: which both directions' routes read; built when not given.
     scatter_batch: Optional[QueryBatch] = field(default=None, compare=False)
     runs: Optional[tuple] = field(default=None, compare=False)
-    #: The write's routes by policy, held weakly: the coroutines using them
-    #: keep them alive, and they go with the collective's last one.
+    #: The write's routes by policy and the read's under ``"read"``, held
+    #: weakly: the coroutines using them keep them alive, to the last one.
     _routes: WeakValueDictionary = field(
         default_factory=WeakValueDictionary, compare=False, repr=False
     )
@@ -674,10 +673,12 @@ class Negotiation:
             routes = self._routes[policy] = WriteRoutes.of(self, policy)
         return routes
 
-    @cached_property
     def read_routes(self) -> ReadRoutes:
         """The read's routes, built on first use (a write never needs them)."""
-        return ReadRoutes.of(self)
+        routes = self._routes.get("read")
+        if routes is None:
+            routes = self._routes["read"] = ReadRoutes.of(self)
+        return routes
 
 
 def _pump(comm: Communicator, schedule: Generator):
@@ -929,21 +930,17 @@ class TwoPhaseStrategy(AtomicityStrategy):
         )
 
     def scatter(
-        self,
-        region: FileRegionSet,
-        neg: Negotiation,
-        outcome: IOOutcome,
-        sinks: Dict[str, bytearray],
+        self, region: FileRegionSet, neg: Negotiation, outcome: IOOutcome, sinks: Dict[str, bytearray]
     ):
         """This rank's read delivery, as a coroutine (see :func:`_pump`);
         returns the rank's data stream.  What each hop sends comes from the
         negotiation's routes, as in :meth:`shuffle`."""
         # Hop 0 sends each node's union request from the aggregators' sinks
         # to the node's leader, so a byte crosses the inter-node network once
-        # however many of the node's ranks cover it; hop 1, where a node
-        # holds several ranks, sends each rank its request from what its
-        # leader received.  Bytes bound for other ranks are counted.
-        rank, routes = region.rank, neg.read_routes
+        # however many of the node's ranks cover it; hop 1 sends each rank its
+        # request from what its leader received.  Bytes bound for other ranks
+        # are counted, and what arrives must tile what the hop owes the rank.
+        rank, routes, last = region.rank, neg.read_routes(), self._hops - 1
         shuffled, source = 0, sinks.get(AGGREGATE_PAYLOAD)
         for hop in range(self._hops):
             outgoing = {}
@@ -954,15 +951,8 @@ class TwoPhaseStrategy(AtomicityStrategy):
                 sent.append((offset, bytes(source[lo:hi])))
                 if dest != rank:
                     shuffled += hi - lo
-            source = joined((yield outgoing))
-
-        # What arrived is the rank's request in file order — unless a piece
-        # went missing or came twice.
-        if len(source) != region.total_bytes:
-            raise ValueError(
-                f"rank {rank}: the scatter delivered {len(source)} bytes "
-                f"of a {region.total_bytes}-byte request"
-            )
+            owed = region.coverage if hop == last else routes.unions.get(rank, IntervalSet())
+            source = delivered(rank, (yield outgoing), owed)
         outcome.bytes_shuffled = shuffled
         outcome.extra["scatter_filled_bytes"] = float(len(source))
         return stream_order(region, source)

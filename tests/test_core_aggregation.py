@@ -1,10 +1,11 @@
 """Unit tests for the aggregation layer's records and the two-phase read's
 delivery.
 
-The read scatter checks what reached a rank: the pieces of its request,
-joined in file order, must be exactly its request's bytes.  A dropped piece
-or a duplicated one then raises, naming the rank, instead of a short delivery
-looking complete.
+The read scatter checks what each hop brought a rank: the pieces, in file
+order, must tile exactly what the hop owes it — a leader its node's union,
+every rank its own request.  A dropped, duplicated, overlapping or stray
+piece then raises, naming the rank, instead of wrong bytes looking like a
+complete delivery.
 """
 
 from __future__ import annotations
@@ -69,9 +70,10 @@ STRATEGIES = {
 }
 
 
-def scatter_to_last_hop(strategy):
+def scatter_to(strategy, hops):
     """Every rank's scatter coroutine over a file holding ``CONTENTS``, driven
-    in lockstep up to its last resumption, and what each is about to get."""
+    in lockstep through ``hops`` rounds of sends, and what each is about to
+    get."""
     regions = [FileRegionSet(rank, view) for rank, view in enumerate(VIEWS)]
     neg = strategy.negotiate(len(regions), regions)
     schedules = []
@@ -82,7 +84,7 @@ def scatter_to_last_hop(strategy):
             sinks[AGGREGATE_PAYLOAD][buf : buf + stop - start] = CONTENTS[start:stop]
         schedules.append(strategy.scatter(region, neg, IOOutcome.from_plan(plan, 0.0), sinks))
     inboxes = [None] * len(regions)
-    for _ in range(1 + (strategy.ranks_per_node > 1)):
+    for _ in range(hops):
         arriving = [[] for _ in regions]
         for src, (schedule, inbox) in enumerate(zip(schedules, inboxes)):
             for dest, pieces in schedule.send(inbox).items():
@@ -91,11 +93,39 @@ def scatter_to_last_hop(strategy):
     return schedules, inboxes
 
 
+def scatter_to_last_hop(strategy):
+    """:func:`scatter_to` up to each coroutine's last resumption."""
+    return scatter_to(strategy, 1 + (strategy.ranks_per_node > 1))
+
+
 def finish(schedule, inbox):
     """Resume a scatter coroutine with its last inbox; its stream."""
     with pytest.raises(StopIteration) as done:
         schedule.send(inbox)
     return done.value.value
+
+
+def moved(inbox, to):
+    """``inbox``'s pieces in file order, the last moved to file offset
+    ``to(rest, offset)``: as many bytes as before, elsewhere."""
+    pieces = sorted(piece for _, sent in inbox for piece in sent)
+    offset, data = pieces.pop()
+    return [(0, pieces + [(to(pieces, offset), data)])]
+
+
+def size(inbox) -> int:
+    """The data bytes ``inbox`` delivers."""
+    return sum(len(piece[-1]) for _, sent in inbox for piece in sent)
+
+
+#: Ways a hop's delivery can go wrong; the overlap and the stray piece keep
+#: the delivered length.
+FAULTS = {
+    "dropped": lambda inbox: inbox[:-1] + [(inbox[-1][0], inbox[-1][1][:-1])],
+    "duplicated": lambda inbox: inbox + [(inbox[0][0], inbox[0][1][:1])],
+    "overlapping": lambda inbox: moved(inbox, lambda rest, _: rest[-1][0] + len(rest[-1][1]) - 1),
+    "stray": lambda inbox: moved(inbox, lambda _, offset: offset + 1),
+}
 
 
 @pytest.mark.parametrize("kind", list(STRATEGIES))
@@ -107,19 +137,25 @@ class TestScatterDelivery:
             assert type(stream) is bytes
             assert stream == b"".join(CONTENTS[off : off + n] for off, n in view)
 
+    @pytest.mark.parametrize("fault", list(FAULTS))
     @pytest.mark.parametrize("rank", [0, 1, 3, 4])
-    def test_a_dropped_piece_raises_naming_the_rank(self, kind, rank):
+    def test_a_faulty_delivery_raises_naming_the_rank(self, kind, fault, rank):
         schedules, inboxes = scatter_to_last_hop(STRATEGIES[kind]())
-        src, pieces = inboxes[rank][-1]
-        inboxes[rank][-1] = (src, pieces[:-1])
+        faulty = FAULTS[fault](inboxes[rank])
+        if fault in ("overlapping", "stray"):
+            assert size(faulty) == sum(n for _, n in VIEWS[rank])
         with pytest.raises(ValueError, match=f"rank {rank}: the scatter delivered"):
-            finish(schedules[rank], inboxes[rank])
+            finish(schedules[rank], faulty)
 
-    @pytest.mark.parametrize("rank", [0, 1, 3, 4])
-    def test_a_duplicated_piece_raises_naming_the_rank(self, kind, rank):
-        schedules, inboxes = scatter_to_last_hop(STRATEGIES[kind]())
-        src, pieces = inboxes[rank][0]
-        inboxes[rank].append((src, pieces[:1]))
-        with pytest.raises(ValueError, match=f"rank {rank}: the scatter delivered"):
-            finish(schedules[rank], inboxes[rank])
 
+@pytest.mark.parametrize("fault", list(FAULTS))
+@pytest.mark.parametrize("leader", [0, 2, 4])
+def test_a_leader_checks_its_node_union(fault, leader):
+    # Hop 0 of a read over nodes of two ranks brings each leader its node's
+    # union; a fault there would misplace every byte the leader sends on.
+    schedules, inboxes = scatter_to(STRATEGIES["hier"](), 1)
+    faulty = FAULTS[fault](inboxes[leader])
+    if fault in ("overlapping", "stray"):
+        assert size(faulty) == size(inboxes[leader])
+    with pytest.raises(ValueError, match=f"rank {leader}: the scatter delivered"):
+        schedules[leader].send(faulty)

@@ -39,7 +39,9 @@ slices each hop's source following routes built once per collective
 aggregator's hop-0 rows and every leader's hop-1 rows must send exactly the
 pieces the parent's per-aggregator clips sent — ``scatter_pieces`` against
 the node unions, then ``gather_runs`` and a clip against the leader's
-``window`` — kept verbatim in ``tests/reference_shuffle.py``.
+``window`` — kept verbatim in ``tests/reference_shuffle.py``; and what hop 0
+owes a leader, which its delivery is checked against, must be its node's
+union (``node_coverages``).
 
 Example counts come from the Hypothesis profile (``tests/conftest.py``):
 the default keeps this module about a second, ``HYPOTHESIS_PROFILE=ci`` runs
@@ -59,7 +61,7 @@ import reference_merge
 import reference_shuffle
 from generators import piece_lists
 from repro.core.aggregation import AggregatedRun, joined, merge_origin_runs, merge_pieces
-from repro.core.intervals import clip_sorted_runs
+from repro.core.intervals import IntervalSet, clip_sorted_runs
 from repro.core.rank_ordering import HIGHER_RANK_WINS, LOWER_RANK_WINS
 from repro.core.regions import FileRegionSet
 from repro.core.strategies import (
@@ -246,7 +248,7 @@ def test_every_hops_read_routes_are_the_parents_cuts(case, contents):
     regions, strategy, _ = case
     ppn = strategy.ranks_per_node
     neg = strategy.negotiate(len(regions), regions)
-    routes = neg.read_routes
+    routes = neg.read_routes()
     assert len(routes.rows) == 1 + (ppn > 1)
     # Hop 0: each aggregator's fetched chunk, cut against every node's union.
     at_leader = {}
@@ -264,6 +266,11 @@ def test_every_hops_read_routes_are_the_parents_cuts(case, contents):
     assert sorted(routes.spans[0]) == sorted(neg.held)
     if ppn == 1:
         return
+    # What hop 0 owes each rank: a leader its node's union, any other nothing.
+    unions = reference_shuffle.node_coverages(neg.coverages, ppn)
+    for rank in range(len(regions)):
+        want = unions[rank // ppn] if rank % ppn == 0 else IntervalSet()
+        assert routes.unions.get(rank, IntervalSet()) == want, f"rank {rank}"
     # Hop 1: what a leader received, spliced and cut per local rank.
     for leader, pieces in at_leader.items():
         node_held, node_buffer = reference_shuffle.gather_runs(pieces)

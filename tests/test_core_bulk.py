@@ -369,12 +369,13 @@ class TestReadEngineEquivalence:
 
 class TestReadRoutes:
     """A read collective builds its routes once, shared by every rank on
-    both drivers, as a write does its own; a write builds none."""
+    both drivers, and lets go of them when its last coroutine ends, as a
+    write does its own; a write builds none."""
 
     VIEWS = column_wise_views(M=4, N=256, P=24, R=2)
 
     @pytest.mark.parametrize("ppn", [1, 5])
-    def test_built_once_per_collective(self, monkeypatch, ppn):
+    def test_built_once_and_released(self, monkeypatch, ppn):
         built = []
         real_of = ReadRoutes.of.__func__
 
@@ -391,6 +392,7 @@ class TestReadRoutes:
         assert_read_equivalent(*run_both_read(strategy, self.VIEWS))
         assert len(built) == 2  # once per driver
         assert built[0] is not built[1]
+        assert all(len(neg._routes) == 0 for neg in built)
 
 
 class TestReadGuardrails:
