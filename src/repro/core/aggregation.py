@@ -379,7 +379,7 @@ class WriteRoutes:
 
 def joined(received: Sequence[Tuple[int, Sequence[tuple]]]) -> bytes:
     """The ``[(src, pieces)]`` a hop received as one buffer: the pieces —
-    a write's ``(origin, offset, data)``, a read's ``(offset, data)`` —
+    tuples ending in their data, as a write's ``(origin, offset, data)`` —
     in order, their data joined."""
     return b"".join([piece[-1] for piece in sorted([p for _, sent in received for p in sent])])
 
@@ -456,10 +456,11 @@ class ReadRoutes:
         """The routes of ``neg``'s read."""
         batch, ppn = neg.scatter_batch, neg.ranks_per_node
         starts, stops, dests = np.array(neg.pieces, dtype=np.int64).reshape(-1, 3).T.copy()
-        # Each piece's offset in its aggregator's sink, as negotiated: the
-        # held runs in file order are the pieces.
-        held = sorted([run for runs in neg.held.values() for run in runs])
-        sinks = np.array([buf for _, _, buf in held], dtype=np.int64)
+        # Each piece's offset in its aggregator's sink: as ``held`` lays them
+        # out, an aggregator's pieces lie back to back there in file order.
+        order = np.argsort(dests, kind="stable")
+        sinks = np.empty(len(order), dtype=np.int64)
+        sinks[order] = _placed((stops - starts)[order], dests[order])
         # Every node's union at once: one normalise over the intervals keyed
         # by node, in elementary-run coordinates (``node * width`` plus an
         # index into ``bounds``), where no two nodes' keys touch.
@@ -497,15 +498,14 @@ def delivered(
     exactly, so a dropped, duplicated, overlapping or stray piece cannot pass
     for a complete delivery."""
     pieces = sorted([piece for _, sent in received for piece in sent])
-    starts, stops, end = [], [], None
+    bounds: List[int] = []  # the pieces' runs, touching ones joined
     for offset, data in pieces:
-        if offset != end:
-            starts.append(offset)
-            stops.append(end)
-        end = offset + len(data)
-    stops.append(end)
+        if bounds and bounds[-1] == offset:
+            bounds[-1] += len(data)
+        else:
+            bounds += (offset, offset + len(data))
     data = b"".join([piece[1] for piece in pieces])
-    if starts != owed.starts.tolist() or stops[1:] != owed.stops.tolist():
+    if bounds[::2] != owed.starts.tolist() or bounds[1::2] != owed.stops.tolist():
         raise ValueError(
             f"rank {rank}: the scatter delivered {len(data)} bytes that do not "
             f"tile its {owed.total_bytes}-byte request"

@@ -930,7 +930,11 @@ class TwoPhaseStrategy(AtomicityStrategy):
         )
 
     def scatter(
-        self, region: FileRegionSet, neg: Negotiation, outcome: IOOutcome, sinks: Dict[str, bytearray]
+        self,
+        region: FileRegionSet,
+        neg: Negotiation,
+        outcome: IOOutcome,
+        sinks: Dict[str, bytearray],
     ):
         """This rank's read delivery, as a coroutine (see :func:`_pump`);
         returns the rank's data stream.  What each hop sends comes from the

@@ -119,9 +119,11 @@ def size(inbox) -> int:
 
 
 #: Ways a hop's delivery can go wrong; the overlap and the stray piece keep
-#: the delivered length.
+#: the delivered length, and losing the first piece in file order can leave
+#: every run's end where it was.
 FAULTS = {
     "dropped": lambda inbox: inbox[:-1] + [(inbox[-1][0], inbox[-1][1][:-1])],
+    "dropped_first": lambda inbox: [(0, sorted(p for _, sent in inbox for p in sent)[1:])],
     "duplicated": lambda inbox: inbox + [(inbox[0][0], inbox[0][1][:1])],
     "overlapping": lambda inbox: moved(inbox, lambda rest, _: rest[-1][0] + len(rest[-1][1]) - 1),
     "stray": lambda inbox: moved(inbox, lambda _, offset: offset + 1),
