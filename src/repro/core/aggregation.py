@@ -27,25 +27,24 @@ every consumer's view back through the same ``alltoallv`` primitive.
 
 This module holds the deterministic, communication-free pieces (every rank
 computes the identical election and partitioning from the exchanged views),
-among them each direction's routes, built once per collective (ROMIO's
-``ADIOI_Calc_my_req`` / ``ADIOI_Calc_others_req``): :class:`WriteRoutes`,
-which bytes each write hop sends where and which runs each aggregator keeps,
-read off the coverage-run kernel so the shuffle merges nothing, and
-:class:`ReadRoutes`, which bytes each read hop sends where, so the scatter
-clips nothing.  The coroutines that follow them live in
-:class:`repro.core.strategies.TwoPhaseStrategy`.
+among them each direction's routes, built once per collective from the
+negotiation's piece table (ROMIO's ``ADIOI_Calc_my_req`` /
+``ADIOI_Calc_others_req``): :class:`WriteRoutes` and :class:`ReadRoutes` say
+what each hop sends where and what each aggregator keeps, so the coroutines
+of :class:`repro.core.strategies.TwoPhaseStrategy` merge and clip nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .intervals import IntervalSet, _normalise_arrays, clip_many
 from .overlap import _interval_runs
 from .rank_ordering import HIGHER_RANK_WINS, PriorityPolicy, _group_winners, _priority
+from .rank_ordering import _surrendered
 
 if TYPE_CHECKING:  # the negotiation record lives with the strategy
     from .regions import FileRegionSet
@@ -243,42 +242,19 @@ def merge_origin_runs(
     return merged
 
 
-def _node_winners(neg: "Negotiation", policy: PriorityPolicy) -> Tuple[tuple, tuple]:
-    """The winners of ``neg.runs``' CSR as ``(interval, run)`` pairs — the
-    winning coverage interval and the elementary run: every (run, node)
-    group's, node by node in file order, and every run's global one (the
-    best of its node winners).  A run's entries of one node are consecutive,
-    ranks ascending."""
-    batch, ppn = neg.scatter_batch, neg.ranks_per_node
-    _, depth, _, entries = neg.runs
-    run = np.repeat(np.arange(len(depth), dtype=np.int64), depth)
-    rank = batch.dest[entries]
-    node = rank // ppn
-    head = np.ones(len(rank), dtype=bool)
-    head[1:] = (run[1:] != run[:-1]) | (node[1:] != node[:-1])
-    priority = _priority(batch.count, policy)[rank]
-    won = _group_winners(priority, np.flatnonzero(head))
-    best = won[_group_winners(priority[won], np.flatnonzero(np.diff(run[won], prepend=-1)))]
-    won = won[np.lexsort((run[won], node[won]))]
-    return (entries[won], run[won]), (entries[best], run[best])
-
-
 def _kept_rows(dest, length, at, g_dest, g_origin, g_lo, g_hi, g_at):
-    """Each aggregator's ``(origin, offset, length, lo)`` rows and its
-    ``(first, last)`` of them, from what reaches it — pieces to ``dest`` of
-    ``length`` bytes at coverage-stream position ``at`` — and its global
-    winner cuts: its buffer holds what arrived in coverage-stream order, and
-    a winner lies in the arriving piece whose stretch of the stream holds its
-    own position."""
+    """Each aggregator's keep rows ``(itself, origin, offset, lo, hi)``, grouped,
+    from what reaches it — pieces to ``dest`` of ``length`` bytes at
+    coverage-stream position ``at`` — and its global winner cuts: its buffer
+    holds what arrived in stream order, and a winner lies in the arriving
+    piece whose stretch of the stream holds its own position."""
     order = np.lexsort((at, dest))
     placed = np.empty(len(order), dtype=np.int64)
     placed[order] = _placed(length[order], dest[order])
     by_stream = np.argsort(at)
     inside = by_stream[np.searchsorted(at[by_stream], g_at, side="right") - 1]
-    return _grouped(
-        np.column_stack((g_origin, g_lo, g_hi - g_lo, placed[inside] + (g_at - at[inside]))),
-        g_dest,
-    )
+    lo = placed[inside] + (g_at - at[inside])
+    return _grouped(np.column_stack((g_dest, g_origin, g_lo, lo, lo + g_hi - g_lo)), g_dest)
 
 
 def _placed(length: np.ndarray, group: np.ndarray) -> np.ndarray:
@@ -298,60 +274,79 @@ def _grouped(rows: np.ndarray, holder: np.ndarray) -> Tuple[np.ndarray, Dict[int
 
 
 @dataclass(frozen=True)
-class WriteRoutes:
-    """What every hop of a two-phase write sends and keeps, read once per
-    collective off the negotiation's coverage-run kernel.
+class _Routes:
+    """Per hop, rows grouped by the rank holding the data and each holder's
+    ``(first, last)`` of them (:func:`_grouped`); a hop whose rows are
+    ``None`` is read off the rank's region on demand (``_own``)."""
 
-    A hop's receiver orders what arrived by ``(origin, offset)`` and joins
-    the data (:func:`joined`); every row's ``[lo, hi)`` slices that buffer.
-    A leader's buffer is its ranks' bytes, each rank's in file order: a
-    stretch of the *coverage stream*, every rank's covered bytes rank after
-    rank, which places everything below.
+    rows: Tuple[Optional[np.ndarray], ...]
+    spans: Tuple[Dict[int, Tuple[int, int]], ...]
+
+    def rows_of(self, hop: int, region: "FileRegionSet") -> List[Sequence[int]]:
+        """The rows ``region``'s rank holds on ``hop``."""
+        rows = self.rows[hop]
+        if rows is None:
+            return self._own(region)
+        span = self.spans[hop].get(region.rank)
+        return rows[span[0] : span[1]].tolist() if span else []
+
+
+@dataclass(frozen=True)
+class WriteRoutes(_Routes):
+    """What every hop of a two-phase write sends and keeps, read once per
+    collective off the negotiation's coverage-run kernel by one winner
+    sweep, which also gives each rank's surrender count.
+
+    A row ``(dest, origin, offset, lo, hi)`` sends ``[lo, hi)`` of its
+    holder's source to ``dest`` as the piece ``(origin, offset, data)``.  A
+    receiver orders what arrived by ``(origin, offset)`` and joins the data
+    (:func:`joined`): a leader's buffer is its ranks' bytes, each rank's in
+    file order — a stretch of the *coverage stream*, every rank's covered
+    bytes rank after rank, which places everything below.
+
+    * Hop 0, read off the rank's region on demand: its view, whole to its
+      leader with several ranks per node, else cut at the pieces.
+    * Hop 1, only with several ranks per node: a leader's node winner runs
+      cut at the pieces.
+    * The keeps, on the hop after the last: an aggregator's rows to itself,
+      the global winner runs of its chunk — each one ``TransferStep``, so
+      these rows shape the write's requests.
     """
 
     ranks_per_node: int
-    #: The routing table: piece ``j`` is ``[piece_starts[j], piece_stops[j])``
-    #: of aggregator ``piece_dest[j]``.
-    piece_starts: np.ndarray
-    piece_stops: np.ndarray
-    piece_dest: np.ndarray
-    #: ``(dest, origin, offset, lo, hi)`` rows, node by node in file order:
-    #: the node-local winner runs cut at the pieces; node ``n``'s rows start at
-    #: ``node_rows[n]``.  Unused with one rank per node (no node hop).
-    sends: np.ndarray
-    node_rows: np.ndarray
-    #: ``(origin, offset, length, lo)`` rows, aggregator by aggregator in file
-    #: order: the global winner runs of its chunk, the rows ``agg_rows[agg]``.
-    keeps: np.ndarray
-    agg_rows: Dict[int, Tuple[int, int]]
+    #: The negotiation's piece table.
+    pieces: np.ndarray
+    #: ``surrendered[rank]``: bytes of ``rank``'s view that a higher-priority
+    #: rank also covers.
+    surrendered: List[int]
 
-    def sends_of(self, region: "FileRegionSet") -> List[List[int]]:
-        """The ``(dest, origin, offset, lo, hi)`` rows ``region``'s rank sends
-        in the global hop: its node's rows at a leader; alone on its node, its
-        view cut at the pieces, slicing its own data stream."""
+    def _own(self, region: "FileRegionSet") -> List[Sequence[int]]:
+        """Hop 0's rows of ``region``'s rank."""
         rank, ppn = region.rank, self.ranks_per_node
         if ppn > 1:
-            node = rank // ppn
-            return self.sends[self.node_rows[node] : self.node_rows[node + 1]].tolist()
-        piece, buf, lo, length = region.cut_at(self.piece_starts, self.piece_stops)
+            leader, at, rows = rank - rank % ppn, 0, []
+            for offset, length in region.segments:
+                rows.append((leader, rank, offset, at, at + length))
+                at += length
+            return rows
+        if not region.total_bytes:
+            return []
+        starts, stops, aggregator, _ = self.pieces
+        piece, buf, lo, length = region.cut_at(starts, stops)
         origin = np.full(len(piece), rank)
-        return np.column_stack((self.piece_dest[piece], origin, lo, buf, buf + length)).tolist()
-
-    def keeps_of(self, aggregator: int) -> List[List[int]]:
-        """The ``(origin, offset, length, lo)`` rows ``aggregator`` keeps."""
-        first, last = self.agg_rows[aggregator]
-        return self.keeps[first:last].tolist()
+        return np.column_stack((aggregator[piece], origin, lo, buf, buf + length)).tolist()
 
     @classmethod
-    def of(cls, neg: "Negotiation", policy: PriorityPolicy) -> "WriteRoutes":
-        """The routes of ``neg`` under ``policy``: a byte's node winner is its
-        covering rank of the node with the highest ``(policy(rank), -rank)``,
-        its global winner the highest node winner — so each aggregator's run
-        lies inside one piece a leader sent it."""
+    def of(cls, neg: "Negotiation") -> "WriteRoutes":
+        """The routes of ``neg``, from one winner sweep over its coverage
+        runs: a byte's node winner is its covering rank of the node with the
+        highest ``(policy(rank), -rank)``, its global winner the highest node
+        winner — so each aggregator's run lies inside one piece a leader sent
+        it."""
         batch, ppn = neg.scatter_batch, neg.ranks_per_node
-        bounds = neg.runs[0]
+        bounds, depth, _, entries = neg.runs
         stream = np.concatenate(([0], np.cumsum(batch.stops - batch.starts)))
-        starts, stops, dests = np.array(neg.pieces, dtype=np.int64).reshape(-1, 3).T.copy()
+        starts, stops, aggregator, _ = neg.pieces
 
         def cuts(interval: np.ndarray, run: np.ndarray):
             """Won elementary runs, in emission order, joined while one
@@ -365,16 +360,33 @@ class WriteRoutes:
             )
             interval = interval[head][query]
             at = stream[interval] + (lo - batch.starts[interval])
-            return dests[piece], batch.dest[interval], lo, hi, at
+            return aggregator[piece], batch.dest[interval], lo, hi, at
 
-        by_node, best = _node_winners(neg, policy)
-        kept = cuts(*best)
-        dest, origin, lo, hi, at = cuts(*by_node)
-        base = at - stream[batch.bounds[origin - origin % ppn]]
-        sends = np.column_stack((dest, origin, lo, base, base + hi - lo))
-        node_rows = np.searchsorted(origin // ppn, np.arange(-(-batch.count // ppn) + 1))
-        keeps, agg_rows = _kept_rows(dest, hi - lo, at, *kept)
-        return cls(ppn, starts, stops, dests, sends, node_rows, keeps, agg_rows)
+        # Every (run, node) group's winner — a run's entries of one node are
+        # consecutive — node by node in file order, and every run's best.
+        run = np.repeat(np.arange(len(depth), dtype=np.int64), depth)
+        rank = batch.dest[entries]
+        node = rank // ppn
+        head = np.ones(len(rank), dtype=bool)
+        head[1:] = (run[1:] != run[:-1]) | (node[1:] != node[:-1])
+        priority = _priority(batch.count, neg.policy)[rank]
+        won = _group_winners(priority, np.flatnonzero(head))
+        best = won[_group_winners(priority[won], np.flatnonzero(np.diff(run[won], prepend=-1)))]
+        won = won[np.lexsort((run[won], node[won]))]
+        kept = cuts(entries[best], run[best])
+        dest, origin, lo, hi, at = cuts(entries[won], run[won])
+        hops = [(None, {})]
+        if ppn > 1:
+            leader = origin - origin % ppn
+            base = at - stream[batch.bounds[leader]]
+            sends = np.column_stack((dest, origin, lo, base, base + hi - lo))
+            hops.append(_grouped(sends, leader))
+        hops.append(_kept_rows(dest, hi - lo, at, *kept))
+        # A rank surrenders what it covers but did not win.
+        run, totals = run[best], np.diff(stream[batch.bounds]).tolist()
+        surrendered = _surrendered(totals, bounds[run], bounds[run + 1], rank[best])
+        rows, spans = zip(*hops)
+        return cls(rows, spans, ppn, neg.pieces, surrendered)
 
 
 def joined(received: Sequence[Tuple[int, Sequence[tuple]]]) -> bytes:
@@ -421,13 +433,11 @@ class QueryBatch(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ReadRoutes:
+class ReadRoutes(_Routes):
     """What every hop of a two-phase read sends — the read's
     :class:`WriteRoutes`, built once per collective from the negotiation.
-
-    ``rows[hop]`` holds ``(dest, offset, lo, hi)`` rows grouped by the rank
-    holding the data: ``[lo, hi)`` of the holder's source goes to ``dest`` as
-    the piece at file byte ``offset``.
+    A row ``(dest, offset, lo, hi)`` sends ``[lo, hi)`` of its holder's
+    source to ``dest`` as the piece ``(offset, data)``.
 
     * Hop 0: an aggregator's source is its fetched sink; it sends each node's
       union request, node by node in file order, cut at the aggregators'
@@ -439,28 +449,15 @@ class ReadRoutes:
     After the last hop a rank holds its request in file order.
     """
 
-    rows: Tuple[np.ndarray, ...]
-    #: Per hop, each holder's ``(first, last)`` rows.
-    spans: Tuple[Dict[int, Tuple[int, int]], ...]
     #: With several ranks per node, what hop 0 owes each leader: its node's
     #: union request.
     unions: Dict[int, IntervalSet]
-
-    def rows_of(self, hop: int, holder: int) -> List[List[int]]:
-        """The ``(dest, offset, lo, hi)`` rows ``holder`` sends on ``hop``."""
-        span = self.spans[hop].get(holder)
-        return self.rows[hop][span[0] : span[1]].tolist() if span else []
 
     @classmethod
     def of(cls, neg: "Negotiation") -> "ReadRoutes":
         """The routes of ``neg``'s read."""
         batch, ppn = neg.scatter_batch, neg.ranks_per_node
-        starts, stops, dests = np.array(neg.pieces, dtype=np.int64).reshape(-1, 3).T.copy()
-        # Each piece's offset in its aggregator's sink: as ``held`` lays them
-        # out, an aggregator's pieces lie back to back there in file order.
-        order = np.argsort(dests, kind="stable")
-        sinks = np.empty(len(order), dtype=np.int64)
-        sinks[order] = _placed((stops - starts)[order], dests[order])
+        starts, stops, dests, sinks = neg.pieces
         # Every node's union at once: one normalise over the intervals keyed
         # by node, in elementary-run coordinates (``node * width`` plus an
         # index into ``bounds``), where no two nodes' keys touch.
@@ -487,7 +484,8 @@ class ReadRoutes:
             hops.append(_grouped(rows, dest - dest % ppn))
             runs, spans = _grouped(np.column_stack((u_start, u_stop)), u_node * ppn)
             unions = {n: IntervalSet._from_normalised(*runs[a:b].T) for n, (a, b) in spans.items()}
-        return cls(tuple(rows for rows, _ in hops), tuple(spans for _, spans in hops), unions)
+        rows, spans = zip(*hops)
+        return cls(rows, spans, unions)
 
 
 def delivered(

@@ -96,7 +96,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    FrozenSet,
     Generator,
     List,
     Optional,
@@ -104,11 +103,14 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from ..fs.lockmanager import LockMode
 from .aggregation import (
     QueryBatch,
     ReadRoutes,
     WriteRoutes,
+    _placed,
     choose_node_aggregators,
     delivered,
     joined,
@@ -130,9 +132,6 @@ from .pipeline import (
 from .rank_ordering import (
     HIGHER_RANK_WINS,
     PriorityPolicy,
-    _priority,
-    _run_winners,
-    _surrendered,
     resolve_by_rank,
 )
 from .regions import FileRegionSet
@@ -617,64 +616,72 @@ class RankOrderingStrategy(AtomicityStrategy):
         return plan, {USER_PAYLOAD: data}
 
 
-@dataclass
+@dataclass(eq=False)
 class Negotiation:
     """What the ranks of one aggregation collective agree on without talking.
 
-    Election, file-domain partitioning and surrender accounting are pure
-    functions of the exchanged views, so they are computed once per
-    collective (:meth:`TwoPhaseStrategy.negotiation`) and this one record is
-    handed, read-only, to every rank's shuffle / scatter coroutine.  It also
-    carries every table sized by ``P`` or by the aggregator count, so that a
-    rank's own work stays proportional to its own traffic.
+    Election and file-domain partitioning are pure functions of the
+    exchanged views and one strategy's tunables, its policy among them, so
+    they are computed once per collective (:meth:`TwoPhaseStrategy.negotiation`)
+    and this one record, which holds no region, is handed read-only to every
+    rank's coroutines.  It carries every table sized by ``P`` or by the
+    aggregator count, so a rank's own work stays proportional to its traffic.
     """
 
     size: int
     #: Ranks per node of the strategy that negotiated (block placement).
     ranks_per_node: int
+    #: The priority policy the aggregators' merge follows.
+    policy: PriorityPolicy
     aggregators: List[int]
-    #: ``frozenset(aggregators)``, for O(1) per-rank membership tests.
-    agg_set: FrozenSet[int]
-    #: The flat file-ordered routing table ``(start, stop, aggregator_rank)``
-    #: over the covered domain, with its start and stop columns.
-    pieces: List[Tuple[int, int, int]]
-    piece_starts: List[int]
-    piece_stops: List[int]
-    #: ``surrendered[rank]``: bytes of ``rank``'s view that a higher-priority
-    #: rank also covers — the same winners the aggregators keep.
-    surrendered: Sequence[int]
-    #: ``coverages[rank]``: the byte set ``rank``'s view covers.
-    coverages: List[IntervalSet]
-    #: Per aggregator, the chunk runs it holds as ``(start, stop,
-    #: buffer_offset)`` triples in file order — the layout of its read sink.
-    held: Dict[int, List[Tuple[int, int, int]]]
+    #: The piece table, four int64 columns ``(start, stop, aggregator,
+    #: sink)``: the covered domain cut at the aggregators' chunks, in file
+    #: order (so ``aggregator`` is non-decreasing); piece ``j`` is file bytes
+    #: ``[start[j], stop[j])`` of ``aggregator[j]``, at ``sink[j]`` of its read
+    #: sink, where an aggregator's pieces lie back to back.
+    pieces: np.ndarray
+    #: Each aggregator's ``(first, last)`` pieces — its chunk.
+    chunks: Dict[int, Tuple[int, int]]
     #: The coverages as one query batch and the collective's one coverage-run
     #: kernel over its intervals (:func:`~repro.core.overlap._interval_runs`),
-    #: which both directions' routes read; built when not given.
-    scatter_batch: Optional[QueryBatch] = field(default=None, compare=False)
-    runs: Optional[tuple] = field(default=None, compare=False)
-    #: The write's routes by policy and the read's under ``"read"``, held
-    #: weakly: the coroutines using them keep them alive, to the last one.
-    _routes: WeakValueDictionary = field(
-        default_factory=WeakValueDictionary, compare=False, repr=False
-    )
+    #: which both directions' routes read.
+    scatter_batch: QueryBatch
+    runs: tuple
+    #: Each direction's routes, held weakly: the coroutines using them keep
+    #: them alive, to the last one.
+    _routes: WeakValueDictionary = field(default_factory=WeakValueDictionary, repr=False)
 
-    def __post_init__(self) -> None:
-        if self.scatter_batch is None:
-            self.scatter_batch = QueryBatch.of(self.coverages)
-        if self.runs is None:
-            batch = self.scatter_batch
-            self.runs = _interval_runs(batch.starts, batch.stops, batch.dest)
+    @classmethod
+    def of(
+        cls,
+        regions: Sequence[FileRegionSet],
+        ranks_per_node: int,
+        policy: PriorityPolicy,
+        aggregators: List[int],
+        chunks: Sequence[IntervalSet],
+    ) -> "Negotiation":
+        """The record of a collective over ``regions`` in which
+        ``aggregators[i]``, ascending, holds ``chunks[i]``."""
+        sizes = [len(chunk.starts) for chunk in chunks]
+        first = np.cumsum([0] + sizes).tolist()
+        starts = np.concatenate([chunk.starts for chunk in chunks])
+        stops = np.concatenate([chunk.stops for chunk in chunks])
+        aggregator = np.repeat(np.asarray(aggregators, dtype=np.int64), sizes)
+        pieces = np.stack((starts, stops, aggregator, _placed(stops - starts, aggregator)))
+        rows = dict(zip(aggregators, zip(first, first[1:])))
+        batch = QueryBatch.of([r.coverage for r in regions])
+        runs = _interval_runs(batch.starts, batch.stops, batch.dest)
+        return cls(len(regions), ranks_per_node, policy, aggregators, pieces, rows, batch, runs)
 
-    def write_routes(self, policy: PriorityPolicy) -> WriteRoutes:
-        """The write's routes under ``policy``, built on first use."""
-        routes = self._routes.get(policy)
+    def write_routes(self) -> WriteRoutes:
+        """The write's routes, built on first use."""
+        routes = self._routes.get("write")
         if routes is None:
-            routes = self._routes[policy] = WriteRoutes.of(self, policy)
+            routes = self._routes["write"] = WriteRoutes.of(self)
         return routes
 
     def read_routes(self) -> ReadRoutes:
-        """The read's routes, built on first use (a write never needs them)."""
+        """The read's routes, built on first use."""
         routes = self._routes.get("read")
         if routes is None:
             routes = self._routes["read"] = ReadRoutes.of(self)
@@ -748,19 +755,15 @@ class TwoPhaseStrategy(AtomicityStrategy):
         self.policy = policy
         self.cb_buffer_size = cb_buffer_size
 
-    def negotiate(
-        self, comm_size: int, regions: Sequence[FileRegionSet]
-    ) -> Negotiation:
-        """Election, partitioning and surrender accounting for one collective.
+    def negotiate(self, regions: Sequence[FileRegionSet]) -> Negotiation:
+        """Election and partitioning for one collective over ``regions``.
 
         A pure function of the exchanged views and this strategy's tunables;
-        :meth:`negotiation` runs it once per collective.  Ties in the
-        surrender sweep break towards the lower rank, as in
-        :func:`resolve_by_rank`.
+        :meth:`negotiation` runs it once per collective.
         """
         _check_rank_order(regions)
-        coverages = [r.coverage for r in regions]
-        domain = merge_interval_sets(coverages)
+        size = len(regions)
+        domain = merge_interval_sets([r.coverage for r in regions])
         # ``cb_nodes`` aggregators if hinted, else enough for chunks of
         # ``cb_buffer_size``, else one per node; the election clamps the wish
         # to the node count and picks evenly spaced node leaders.
@@ -769,42 +772,10 @@ class TwoPhaseStrategy(AtomicityStrategy):
         elif self.cb_buffer_size is not None and domain.total_bytes > 0:
             want = -(-domain.total_bytes // self.cb_buffer_size)  # ceil division
         else:
-            want = comm_size
-        aggregators = choose_node_aggregators(
-            comm_size, min(self.ranks_per_node, comm_size), want
-        )
+            want = size
+        aggregators = choose_node_aggregators(size, min(self.ranks_per_node, size), want)
         chunks = partition_domain(domain, len(aggregators))
-        pieces: List[Tuple[int, int, int]] = []
-        for chunk, agg_rank in zip(chunks, aggregators):
-            for iv in chunk:
-                pieces.append((iv.start, iv.stop, agg_rank))
-        pieces.sort()
-        held: Dict[int, List[Tuple[int, int, int]]] = {}
-        for start, stop, agg_rank in pieces:
-            runs = held.setdefault(agg_rank, [])
-            # Each run lands in the sink right behind the previous one.
-            buf = runs[-1][2] + (runs[-1][1] - runs[-1][0]) if runs else 0
-            runs.append((start, stop, buf))
-        # One coverage-run kernel per collective: the surrender counts now,
-        # the write's routes from the same runs later.
-        batch = QueryBatch.of(coverages)
-        runs = _interval_runs(batch.starts, batch.stops, batch.dest)
-        ranks, priority = batch.dest[runs[3]], _priority(len(regions), self.policy)
-        winners = _run_winners(*runs[:3], ranks, priority)
-        return Negotiation(
-            size=comm_size,
-            ranks_per_node=self.ranks_per_node,
-            aggregators=aggregators,
-            agg_set=frozenset(aggregators),
-            pieces=pieces,
-            piece_starts=[start for start, _, _ in pieces],
-            piece_stops=[stop for _, stop, _ in pieces],
-            surrendered=_surrendered([r.total_bytes for r in regions], *winners),
-            coverages=coverages,
-            held=held,
-            scatter_batch=batch,
-            runs=runs,
-        )
+        return Negotiation.of(regions, self.ranks_per_node, self.policy, aggregators, chunks)
 
     def negotiation(self, regions: SharedList) -> Negotiation:
         """The collective's negotiation for this strategy's tunables, built
@@ -817,7 +788,7 @@ class TwoPhaseStrategy(AtomicityStrategy):
             self.policy,
             self.ranks_per_node,
         )
-        return regions.once(key, lambda: self.negotiate(len(regions), regions))
+        return regions.once(key, lambda: self.negotiate(regions))
 
     # The engine side of "one schedule, two drivers": pump this rank's
     # coroutine against the communicator.
@@ -846,60 +817,32 @@ class TwoPhaseStrategy(AtomicityStrategy):
 
     def shuffle(self, region: FileRegionSet, data: bytes, neg: Negotiation):
         """This rank's write schedule, as a coroutine (see :func:`_pump`);
-        returns ``(plan, payloads)``.  What each hop sends and keeps comes
-        from the negotiation's routes; a rank only cuts bytes out of what it
-        holds or received."""
-        # All P coroutines are alive between rounds, so the hops reuse
-        # ``outgoing`` / ``source`` and keep no inbox, and the body makes no
-        # closure (a comprehension's cells would live as long as the
-        # coroutine).  Every piece is one ``(origin, offset, data)`` shape.
-        rank, ppn = region.rank, self.ranks_per_node
-        leader, hops = rank - rank % ppn, self._hops
-        shuffled, source, outgoing, routes = 0, data, {}, None
-        if hops == 2:
-            # Node hop — combine: ship this rank's view pieces to its node
-            # leader as they are; the leader then holds its node's data.
-            at = 0
-            for file_off, length in region.segments:
-                outgoing.setdefault(leader, []).append((rank, file_off, data[at : at + length]))
-                at += length
-            if leader != rank:
-                shuffled = at
-            source, outgoing = joined((yield outgoing)), {}
+        returns ``(plan, payloads)``.  Every hop sends by the negotiation's
+        routes (:func:`_hop`); an aggregator then keeps its rows of what
+        arrived."""
+        # The node hop ships every view to its leader; the global hop cuts a
+        # leader's node winners, or a lone rank's view, at the pieces.  Every
+        # rank holds the routes (held weakly) to its end, for its surrender.
+        rank, hops, routes = region.rank, self._hops, neg.write_routes()
+        shuffled, source = 0, data
+        for hop in range(hops):
+            received, sent = yield from _hop(routes, hop, region, source)
+            source, shuffled = joined(received), shuffled + sent
 
-        # Global hop — a leader's node winner runs, or a rank's own view, cut
-        # at the aggregators' pieces; bytes bound for other ranks counted.
-        # A rank that uses the routes holds them to its end (the negotiation
-        # holds them weakly).
-        if source:
-            routes = neg.write_routes(self.policy)
-            for dest, origin, offset, lo, hi in routes.sends_of(region):
-                sent = outgoing.get(dest)
-                if sent is None:
-                    outgoing[dest] = sent = []
-                sent.append((origin, offset, source[lo:hi]))
-                if dest != rank:
-                    shuffled += hi - lo
-
-        # Only aggregators receive; each cuts its merged runs out of what
-        # arrived.  Write phase: parallel disjoint direct writes — no locks,
-        # no barriers — each recording its origin as provenance.
-        source = joined((yield outgoing))
-        steps: List[TransferStep] = []
-        parts: List[bytes] = []
-        if source:
-            routes, at = neg.write_routes(self.policy), 0
-            for origin, offset, length, lo in routes.keeps_of(rank):
-                steps.append(TransferStep(at, offset, length, AGGREGATE_PAYLOAD, origin))
-                parts.append(source[lo : lo + length])
-                at += length
+        # Write phase: parallel disjoint direct writes — no locks, no
+        # barriers — each recording its origin as provenance.
+        steps, parts, at = [], [], 0
+        for _, origin, offset, lo, hi in routes.rows_of(hops, region):
+            steps.append(TransferStep(at, offset, hi - lo, AGGREGATE_PAYLOAD, origin))
+            parts.append(source[lo:hi])
+            at += hi - lo
         plan = self._plan(
             "write",
             region,
             phases=[PhasePlan(index=hops, steps=steps, direct=True)],
             reported_phases=hops + 1,
-            my_phase=hops if rank in neg.agg_set else hops - 1 if rank == leader else 0,
-            bytes_surrendered=neg.surrendered[rank],
+            my_phase=hops if rank in neg.chunks else 0 if rank % self.ranks_per_node else hops - 1,
+            bytes_surrendered=routes.surrendered[rank],
             bytes_shuffled=shuffled,
             extra=self._roles(neg),
         )
@@ -913,19 +856,18 @@ class TwoPhaseStrategy(AtomicityStrategy):
         # flushed before the exchange rendezvous, so the servers are
         # current).  An overlapped byte costs one server read regardless of
         # how many consumers cover it.  The scatter hops follow.
-        rank = region.rank
-        steps = [
-            TransferStep(buffer_offset=buf, file_offset=start, length=stop - start,
-                         buffer=AGGREGATE_PAYLOAD)
-            for start, stop, buf in neg.held.get(rank, ())
-        ]
-        is_leader = rank % self.ranks_per_node == 0
+        rank, steps = region.rank, []
+        chunk = neg.chunks.get(rank)
+        if chunk:
+            starts, stops, _, sinks = neg.pieces[:, chunk[0] : chunk[1]].tolist()
+            for start, stop, buf in zip(starts, stops, sinks):
+                steps.append(TransferStep(buf, start, stop - start, AGGREGATE_PAYLOAD))
         return self._plan(
             "read",
             region,
             phases=[PhasePlan(index=0, steps=steps, direct=True)],
             reported_phases=self._hops + 1,
-            my_phase=0 if rank in neg.agg_set else 1 if is_leader else 2,
+            my_phase=0 if chunk else 2 if rank % self.ranks_per_node else 1,
             extra=self._roles(neg),
         )
 
@@ -937,29 +879,39 @@ class TwoPhaseStrategy(AtomicityStrategy):
         sinks: Dict[str, bytearray],
     ):
         """This rank's read delivery, as a coroutine (see :func:`_pump`);
-        returns the rank's data stream.  What each hop sends comes from the
-        negotiation's routes, as in :meth:`shuffle`."""
+        returns the rank's data stream.  Every hop sends by the negotiation's
+        routes, as in :meth:`shuffle`, and what arrives must tile what the
+        hop owes the rank."""
         # Hop 0 sends each node's union request from the aggregators' sinks
         # to the node's leader, so a byte crosses the inter-node network once
         # however many of the node's ranks cover it; hop 1 sends each rank its
-        # request from what its leader received.  Bytes bound for other ranks
-        # are counted, and what arrives must tile what the hop owes the rank.
+        # request from what its leader received.
         rank, routes, last = region.rank, neg.read_routes(), self._hops - 1
-        shuffled, source = 0, sinks.get(AGGREGATE_PAYLOAD)
+        shuffled, source = 0, bytes(sinks.get(AGGREGATE_PAYLOAD, b""))
         for hop in range(self._hops):
-            outgoing = {}
-            for dest, offset, lo, hi in routes.rows_of(hop, rank):
-                sent = outgoing.get(dest)
-                if sent is None:
-                    outgoing[dest] = sent = []
-                sent.append((offset, bytes(source[lo:hi])))
-                if dest != rank:
-                    shuffled += hi - lo
+            received, sent = yield from _hop(routes, hop, region, source)
             owed = region.coverage if hop == last else routes.unions.get(rank, IntervalSet())
-            source = delivered(rank, (yield outgoing), owed)
+            source, shuffled = delivered(rank, received, owed), shuffled + sent
         outcome.bytes_shuffled = shuffled
         outcome.extra["scatter_filled_bytes"] = float(len(source))
         return stream_order(region, source)
+
+
+def _hop(routes: "WriteRoutes | ReadRoutes", hop: int, region: FileRegionSet, source: bytes):
+    """One hop of ``region``'s rank in a two-phase schedule, for ``yield
+    from``: yields its pieces by ``routes.rows_of(hop, region)`` — a row
+    ``(dest, *head, lo, hi)`` sends ``dest`` the piece ``(*head,
+    source[lo:hi])`` — and returns ``(received, bytes sent to other
+    ranks)``."""
+    rank, outgoing, shuffled = region.rank, {}, 0
+    for dest, *head, lo, hi in routes.rows_of(hop, region):
+        sent = outgoing.get(dest)
+        if sent is None:
+            outgoing[dest] = sent = []
+        sent.append((*head, source[lo:hi]))
+        if dest != rank:
+            shuffled += hi - lo
+    return (yield outgoing), shuffled
 
 
 @register_strategy

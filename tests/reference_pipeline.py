@@ -61,7 +61,6 @@ from repro.core.rank_ordering import (
     PriorityPolicy,
     RankOrderingResult,
     resolve_by_rank,
-    surrendered_bytes_by_priority,
 )
 from repro.core.aggregation import choose_node_aggregators, partition_domain
 from repro.core.regions import FileRegionSet
@@ -220,7 +219,7 @@ class ConflictAnalysis:
         # between the ranks of one collective even when the list holding
         # them was copied, and two lists differing in any element must not
         # share an analysis.
-        pin = tuple(regions)
+        pin, comm_size = tuple(regions), len(regions)
         key = tuple(map(id, pin))
         products = self._memo.get(key)
         if products is None:
@@ -516,23 +515,19 @@ class ReferenceTwoPhase(ReferencePipeline):
 
     _memo = _negotiation_memo
 
-    def negotiate(
-        self, comm_size: int, regions: Sequence[FileRegionSet]
-    ) -> Negotiation:
-        """Election, partitioning and surrender accounting for one collective.
+    def negotiate(self, regions: Sequence[FileRegionSet]) -> Negotiation:
+        """Election and partitioning for one collective.
 
         Every rank computes the identical result from the identical exchanged
         views, so when the ranks share the regions list from the exchange
-        stage this runs once per collective instead of once per rank.  Ties
-        in the surrender sweep break towards the lower rank, as in
-        :func:`resolve_by_rank`.
+        stage this runs once per collective instead of once per rank.
         """
         # Fingerprint every exchanged view by identity, not the list holding
         # them: all ranks of a collective share one list, but the adaptive
         # strategy rebuilds it around cached region objects on a plan-cache
         # miss, and two lists differing in any element must not share a
         # negotiation.
-        pin = tuple(regions)
+        pin, comm_size = tuple(regions), len(regions)
         # The memo is shared between strategy instances (one per rank in the
         # MPI-IO layer), so the key must include every tunable that changes
         # the negotiation, not just the exchanged views.
@@ -562,29 +557,7 @@ class ReferenceTwoPhase(ReferencePipeline):
             comm_size, min(self.ranks_per_node, comm_size), want
         )
         chunks = partition_domain(domain, len(aggregators))
-        pieces: List[Tuple[int, int, int]] = []
-        for chunk, agg_rank in zip(chunks, aggregators):
-            for iv in chunk:
-                pieces.append((iv.start, iv.stop, agg_rank))
-        pieces.sort()
-        held: Dict[int, List[Tuple[int, int, int]]] = {}
-        for start, stop, agg_rank in pieces:
-            runs = held.setdefault(agg_rank, [])
-            # Each run lands in the sink right behind the previous one.
-            buf = runs[-1][2] + (runs[-1][1] - runs[-1][0]) if runs else 0
-            runs.append((start, stop, buf))
-        result = Negotiation(
-            size=comm_size,
-            ranks_per_node=self.ranks_per_node,
-            aggregators=aggregators,
-            agg_set=frozenset(aggregators),
-            pieces=pieces,
-            piece_starts=[start for start, _, _ in pieces],
-            piece_stops=[stop for _, stop, _ in pieces],
-            surrendered=surrendered_bytes_by_priority(regions, policy=self.policy),
-            coverages=coverages,
-            held=held,
-        )
+        result = Negotiation.of(regions, self.ranks_per_node, self.policy, aggregators, chunks)
         self._memo.put(key, pin, result)
         return result
 
@@ -592,16 +565,16 @@ class ReferenceTwoPhase(ReferencePipeline):
     # coroutine against the communicator.
 
     def schedule(self, comm, region, data, report):  # noqa: D102 - see base
-        negotiation = self.negotiate(comm.size, report.regions)
+        negotiation = self.negotiate(report.regions)
         return _pump(comm, self.shuffle(region, data, negotiation))
 
     def schedule_read(self, comm, region, report):  # noqa: D102 - see base
-        return self.fetch_plan(region, self.negotiate(comm.size, report.regions))
+        return self.fetch_plan(region, self.negotiate(report.regions))
 
     def deliver_read(self, comm, region, report, outcome, sinks):  # noqa: D102 - see base
         # negotiate() is memoised per collective, so re-asking here costs a
         # dictionary lookup.
-        negotiation = self.negotiate(comm.size, report.regions)
+        negotiation = self.negotiate(report.regions)
         return _pump(comm, self.scatter(region, negotiation, outcome, sinks))
 
 

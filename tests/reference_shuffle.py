@@ -17,7 +17,10 @@ sweep merge shows as a difference here too.  The read's routing helpers
 that ``scatter`` calls — ``scatter_pieces``, ``node_coverages``,
 ``gather_runs``, ``assemble_stream``, ``QueryBatch.window`` and
 ``Negotiation.node_scatter_batch`` — live here too, their bodies unchanged
-(the two methods as functions of their ``self``).
+(the two methods as functions of their ``self``).  The parent's negotiation
+fields these bodies read — ``pieces`` and its columns, ``held``, ``agg_set``,
+``coverages``, ``surrendered`` — come through one adapter, :class:`Legacy`,
+which derives them from the negotiation as the parent's ``negotiate`` did.
 
 Never imported by ``src/``.
 """
@@ -32,10 +35,45 @@ from reference_merge import merge_origin_runs
 from repro.core.aggregation import QueryBatch
 from repro.core.intervals import IntervalSet, clip_many, clip_sorted_runs, merge_interval_sets
 from repro.core.pipeline import USER_PAYLOAD, PhasePlan, TransferStep
+from repro.core.rank_ordering import _priority, _run_winners, _surrendered
 from repro.core.regions import FileRegionSet
 from repro.core.strategies import AGGREGATE_PAYLOAD, IOOutcome, Negotiation
 
-__all__ = ["ReferenceShuffle", "reference"]
+__all__ = ["Legacy", "ReferenceShuffle", "reference"]
+
+
+class Legacy:
+    """A negotiation with the parent's fields beside its own: the piece list
+    ``pieces`` of ``(start, stop, aggregator)`` and its ``piece_starts`` /
+    ``piece_stops``, each aggregator's ``held`` sink runs laid out by the
+    parent's loop, ``agg_set``, ``coverages``, and ``surrendered`` from the
+    negotiation's coverage-run kernel by the parent's winner sweep
+    (``_run_winners`` + ``_surrendered``), not from the routes."""
+
+    def __init__(self, neg: Negotiation) -> None:
+        self._neg = neg
+        starts, stops, aggregators, _ = neg.pieces.tolist()
+        self.pieces = list(zip(starts, stops, aggregators))
+        self.piece_starts, self.piece_stops = starts, stops
+        self.agg_set = frozenset(neg.aggregators)
+        self.held: Dict[int, List[Tuple[int, int, int]]] = {}
+        for start, stop, agg_rank in self.pieces:
+            runs = self.held.setdefault(agg_rank, [])
+            # Each run lands in the sink right behind the previous one.
+            buf = runs[-1][2] + (runs[-1][1] - runs[-1][0]) if runs else 0
+            runs.append((start, stop, buf))
+        batch = neg.scatter_batch
+        bounds = batch.bounds.tolist()
+        self.coverages = [
+            IntervalSet._from_normalised(batch.starts[lo:hi], batch.stops[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        ranks, priority = batch.dest[neg.runs[3]], _priority(batch.count, neg.policy)
+        winners = _run_winners(*neg.runs[:3], ranks, priority)
+        self.surrendered = _surrendered([c.total_bytes for c in self.coverages], *winners)
+
+    def __getattr__(self, name: str):
+        return getattr(self._neg, name)
 
 
 def _bytes_to_others(rank: int, outgoing: Dict[int, list]) -> int:
@@ -215,6 +253,7 @@ class ReferenceShuffle:
         returns ``(plan, payloads)``."""
         # All P coroutines are alive between rounds, so the hops reuse
         # ``outgoing`` / ``received`` rather than keep each hop's dicts.
+        neg = Legacy(neg)
         rank, ppn = region.rank, self.ranks_per_node
         leader, hops = rank - rank % ppn, self._hops
         runs = [
@@ -287,6 +326,7 @@ class ReferenceShuffle:
     ):
         """This rank's read delivery, as a coroutine (see :func:`_pump`);
         returns the rank's data stream."""
+        neg = Legacy(neg)
         rank, ppn = region.rank, self.ranks_per_node
 
         # Global hop — scatter: cut the fetched chunk against each node's

@@ -75,13 +75,16 @@ def scatter_to(strategy, hops):
     in lockstep through ``hops`` rounds of sends, and what each is about to
     get."""
     regions = [FileRegionSet(rank, view) for rank, view in enumerate(VIEWS)]
-    neg = strategy.negotiate(len(regions), regions)
+    neg = strategy.negotiate(regions)
     schedules = []
     for region in regions:
         plan = strategy.fetch_plan(region, neg)
         sinks = plan.sinks()
-        for start, stop, buf in neg.held.get(region.rank, ()):
-            sinks[AGGREGATE_PAYLOAD][buf : buf + stop - start] = CONTENTS[start:stop]
+        for step in plan.phases[0].steps:  # what the fetch reads
+            stop = step.file_offset + step.length
+            sinks[AGGREGATE_PAYLOAD][step.buffer_offset : step.buffer_offset + step.length] = (
+                CONTENTS[step.file_offset : stop]
+            )
         schedules.append(strategy.scatter(region, neg, IOOutcome.from_plan(plan, 0.0), sinks))
     inboxes = [None] * len(regions)
     for _ in range(hops):

@@ -165,7 +165,7 @@ def run_shuffle(regions, strategy, data):
     ``received[k][rank]`` — what ``rank`` was resumed with before its round
     ``k`` (the last entry: before it returned) — ``sent[k][rank]``, and the
     ranks' return values."""
-    neg = strategy.negotiate(len(regions), regions)
+    neg = strategy.negotiate(regions)
     schedules = [strategy.shuffle(r, d, neg) for r, d in zip(regions, data)]
     inboxes, received, sent = [None] * len(regions), [], []
     while True:
@@ -177,7 +177,7 @@ def run_shuffle(regions, strategy, data):
                 returned.append(done.value)
         if returned:
             assert len(returned) == len(regions)
-            return neg, received + [inboxes], sent, returned
+            return reference_shuffle.Legacy(neg), received + [inboxes], sent, returned
         received.append(inboxes)
         sent.append(outgoing)
         inboxes = [[] for _ in regions]
@@ -238,7 +238,7 @@ def test_every_hops_routed_runs_are_the_merge_of_what_it_received(case):
 def routed(routes, hop: int, holder: int, source: bytes) -> dict:
     """What ``holder`` sends on ``hop`` by its rows, slicing ``source``."""
     out = {}
-    for dest, offset, lo, hi in routes.rows_of(hop, holder):
+    for dest, offset, lo, hi in routes.rows_of(hop, FileRegionSet(holder, [])):
         out.setdefault(dest, []).append((offset, source[lo:hi]))
     return out
 
@@ -247,7 +247,7 @@ def routed(routes, hop: int, holder: int, source: bytes) -> dict:
 def test_every_hops_read_routes_are_the_parents_cuts(case, contents):
     regions, strategy, _ = case
     ppn = strategy.ranks_per_node
-    neg = strategy.negotiate(len(regions), regions)
+    neg = reference_shuffle.Legacy(strategy.negotiate(regions))
     routes = neg.read_routes()
     assert len(routes.rows) == 1 + (ppn > 1)
     # Hop 0: each aggregator's fetched chunk, cut against every node's union.

@@ -219,9 +219,9 @@ class TestWriteRoutes:
         built = []
         real_of = WriteRoutes.of.__func__
 
-        def counting_of(cls, neg, policy):
+        def counting_of(cls, neg):
             built.append(neg)
-            return real_of(cls, neg, policy)
+            return real_of(cls, neg)
 
         monkeypatch.setattr(WriteRoutes, "of", classmethod(counting_of))
         strategy = HierarchicalTwoPhaseStrategy(num_aggregators=3, ranks_per_node=ppn)

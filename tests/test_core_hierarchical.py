@@ -16,6 +16,7 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 import generators
+from reference_shuffle import Legacy
 from repro.core.aggregation import (
     choose_aggregators,
     choose_node_aggregators,
@@ -232,10 +233,10 @@ class TestHierarchicalPlumbing:
     def test_default_aggregator_count_is_node_count(self):
         regions = [FileRegionSet(rank, [(rank << 14, 1 << 14)]) for rank in range(64)]
         strategy = HierarchicalTwoPhaseStrategy(ranks_per_node=8)
-        assert len(strategy.negotiate(64, regions).aggregators) == 8
+        assert len(strategy.negotiate(regions).aggregators) == 8
         # Explicit hints still win, as in the flat strategy.
         hinted = HierarchicalTwoPhaseStrategy(num_aggregators=3, ranks_per_node=8)
-        assert len(hinted.negotiate(64, regions).aggregators) == 3
+        assert len(hinted.negotiate(regions).aggregators) == 3
 
     def test_rejects_bad_ranks_per_node(self):
         with pytest.raises(ValueError):
@@ -245,7 +246,7 @@ class TestHierarchicalPlumbing:
         # The flat election must stay the evenly spaced rank pick.
         regions = [FileRegionSet(rank, [(rank * 4, 4)]) for rank in range(8)]
         flat = TwoPhaseStrategy(num_aggregators=4)
-        assert flat.negotiate(8, regions).aggregators == choose_aggregators(8, 4)
+        assert flat.negotiate(regions).aggregators == choose_aggregators(8, 4)
 
 
 def bytes_to_other_ranks(strategy, views):
@@ -253,7 +254,7 @@ def bytes_to_other_ranks(strategy, views):
     itself — ``(write, read)`` lists recomputed from the negotiation alone."""
     P, ppn = len(views), strategy.ranks_per_node
     regions = [FileRegionSet(rank, segs) for rank, segs in enumerate(views)]
-    neg = strategy.negotiate(P, regions)
+    neg = Legacy(strategy.negotiate(regions))
     chunks = {
         agg: IntervalSet([(lo, hi) for lo, hi, owner in neg.pieces if owner == agg])
         for agg in neg.aggregators

@@ -30,7 +30,7 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 import generators
-from reference_shuffle import reference
+from reference_shuffle import Legacy, reference
 from repro.core.rank_ordering import HIGHER_RANK_WINS, LOWER_RANK_WINS
 from repro.core.regions import FileRegionSet
 from repro.core.strategies import (
@@ -114,7 +114,7 @@ def drive_in_lockstep(new, old) -> tuple:
 @given(setup=setups())
 def test_shuffle_matches_the_reference_coroutine(setup):
     regions, new, old, data = setup
-    negotiation = new.negotiate(len(regions), regions)
+    negotiation = new.negotiate(regions)
     got, want = drive_in_lockstep(
         [new.shuffle(r, d, negotiation) for r, d in zip(regions, data)],
         [old.shuffle(r, d, negotiation) for r, d in zip(regions, data)],
@@ -131,7 +131,7 @@ def test_shuffle_matches_the_reference_coroutine(setup):
 @given(setup=setups(), contents=st.binary(min_size=FILE_BYTES, max_size=FILE_BYTES))
 def test_scatter_matches_the_reference_coroutine(setup, contents):
     regions, new, old, _ = setup
-    negotiation = new.negotiate(len(regions), regions)
+    negotiation = new.negotiate(regions)
     sides = []
     for strategy in (new, old):
         outcomes, sinks = [], []
@@ -139,7 +139,7 @@ def test_scatter_matches_the_reference_coroutine(setup, contents):
             plan = strategy.fetch_plan(region, negotiation)
             sink = plan.sinks()
             # What the aggregator's fetch phase reads: its chunks of the file.
-            for start, stop, buf in negotiation.held.get(region.rank, ()):
+            for start, stop, buf in Legacy(negotiation).held.get(region.rank, ()):
                 sink[AGGREGATE_PAYLOAD][buf : buf + stop - start] = contents[start:stop]
             outcomes.append(IOOutcome.from_plan(plan, 0.0))
             sinks.append(sink)
