@@ -135,11 +135,9 @@ class TestWinnerSweeps:
         }[driver]
         fs = ParallelFileSystem(fast_fs_config())
         views = lambda rank, P: self.VIEWS[rank]  # noqa: E731
-        strategy = HierarchicalTwoPhaseStrategy(ranks_per_node=ppn)
-        writer_cls(fs, strategy, filename="sweeps.dat").run(16, views, rank_pattern_bytes)
-        assert len(sweeps) == 2
-        del sweeps[:]
-        reader_cls(fs, HierarchicalTwoPhaseStrategy(ranks_per_node=ppn), filename="sweeps.dat").run(
-            16, views
-        )
-        assert len(sweeps) == 0
+        runs = ((writer_cls, [rank_pattern_bytes], 2), (reader_cls, [], 0))
+        for executor_cls, extra, want in runs:
+            del sweeps[:]
+            strategy = HierarchicalTwoPhaseStrategy(ranks_per_node=ppn)
+            executor_cls(fs, strategy, filename="sweeps.dat").run(16, views, *extra)
+            assert len(sweeps) == want, executor_cls.__name__
