@@ -67,6 +67,7 @@ __all__ = [
     "PhasePlan",
     "IOPlan",
     "run_plan",
+    "step_runs",
     "USER_PAYLOAD",
 ]
 
@@ -131,9 +132,9 @@ class TransferStep(NamedTuple):
     payload a write step draws from, the sink a read step fills (``"user"``
     for the rank's own data stream; the two-phase strategy adds an
     aggregation buffer in either direction).  ``writer`` optionally overrides
-    the provenance recorded by the file system — an aggregator writing *on
-    behalf of* the rank whose data won the conflict resolution; reads record
-    no provenance and ignore it.
+    the provenance recorded by the file system; reads ignore it.  A two-phase
+    aggregator's *span* step names its ``(origin, length)`` runs instead, back
+    to back, each written *on behalf of* its origin (:func:`step_runs`).
     """
 
     buffer_offset: int
@@ -141,6 +142,7 @@ class TransferStep(NamedTuple):
     length: int
     buffer: str = USER_PAYLOAD
     writer: Optional[int] = None
+    runs: Tuple[Tuple[int, int], ...] = ()
 
 
 @dataclass
@@ -229,6 +231,16 @@ class IOPlan:
 # ---------------------------------------------------------------------------
 
 
+def step_runs(steps: Iterable[TransferStep]) -> Iterable[tuple]:
+    """The steps' transfers as the client makes them, in order:
+    ``(buffer_offset, file_offset, length, buffer, writer)``, one per run of
+    a span step, else one per step."""
+    for at, offset, length, buffer, writer, runs in steps:
+        for writer, length in runs or ((writer, length),):
+            yield at, offset, length, buffer, writer
+            at, offset = at + length, offset + length
+
+
 def transfer_steps(
     handle: "ClientFileHandle",
     direction: str,
@@ -247,12 +259,8 @@ def transfer_steps(
     if direction == "write":
         out.bytes_moved += yield from handle.write_batch_steps(
             (
-                (
-                    s.file_offset,
-                    buffers[s.buffer][s.buffer_offset : s.buffer_offset + s.length],
-                    s.writer,
-                )
-                for s in steps
+                (file_offset, buffers[buffer][at : at + length], writer)
+                for at, file_offset, length, buffer, writer in step_runs(steps)
             ),
             phase.direct,
         )
@@ -263,7 +271,7 @@ def transfer_steps(
         for s, data in zip(steps, fetched):
             buffers[s.buffer][s.buffer_offset : s.buffer_offset + len(data)] = data
             out.bytes_moved += len(data)
-    out.segments_moved += len(steps)
+    out.segments_moved += sum([len(s.runs) or 1 for s in steps])
 
 
 def run_plan(

@@ -826,16 +826,23 @@ class TwoPhaseStrategy(AtomicityStrategy):
         rank, hops, routes = region.rank, self._hops, neg.write_routes()
         shuffled, source = 0, data
         for hop in range(hops):
-            received, sent = yield from _hop(routes, hop, region, source)
-            source, shuffled = joined(received), shuffled + sent
+            outgoing, sent = _hop(routes, hop, region, source)
+            received = yield outgoing
+            source, shuffled = joined(received) if received else b"", shuffled + sent
 
         # Write phase: parallel disjoint direct writes — no locks, no
-        # barriers — each recording its origin as provenance.
-        steps, parts, at = [], [], 0
+        # barriers — one step per contiguous span of the keep rows, closed
+        # before a run that would take it past ``cb_buffer_size``.
+        spans, parts, at, end, limit = [], [], 0, -1, self.cb_buffer_size or float("inf")
         for _, origin, offset, lo, hi in routes.rows_of(hops, region):
-            steps.append(TransferStep(at, offset, hi - lo, AGGREGATE_PAYLOAD, origin))
+            length = hi - lo
+            if offset != end or spans[-1][2] + length > limit:
+                spans.append([at, offset, 0, []])
+            spans[-1][2] += length
+            spans[-1][3].append((origin, length))
             parts.append(source[lo:hi])
-            at += hi - lo
+            at, end = at + length, offset + length
+        steps = [TransferStep(b, f, n, AGGREGATE_PAYLOAD, None, tuple(r)) for b, f, n, r in spans]
         plan = self._plan(
             "write",
             region,
@@ -889,29 +896,33 @@ class TwoPhaseStrategy(AtomicityStrategy):
         rank, routes, last = region.rank, neg.read_routes(), self._hops - 1
         shuffled, source = 0, bytes(sinks.get(AGGREGATE_PAYLOAD, b""))
         for hop in range(self._hops):
-            received, sent = yield from _hop(routes, hop, region, source)
-            owed = region.coverage if hop == last else routes.unions.get(rank, IntervalSet())
-            source, shuffled = delivered(rank, received, owed), shuffled + sent
+            outgoing, sent = _hop(routes, hop, region, source)
+            received = yield outgoing
+            owed = region.coverage if hop == last else routes.unions.get(rank, IntervalSet.empty())
+            source = delivered(rank, received, owed) if received or owed else b""
+            shuffled += sent
         outcome.bytes_shuffled = shuffled
         outcome.extra["scatter_filled_bytes"] = float(len(source))
         return stream_order(region, source)
 
 
 def _hop(routes: "WriteRoutes | ReadRoutes", hop: int, region: FileRegionSet, source: bytes):
-    """One hop of ``region``'s rank in a two-phase schedule, for ``yield
-    from``: yields its pieces by ``routes.rows_of(hop, region)`` — a row
-    ``(dest, *head, lo, hi)`` sends ``dest`` the piece ``(*head,
-    source[lo:hi])`` — and returns ``(received, bytes sent to other
-    ranks)``."""
+    """One hop of ``region``'s rank in a two-phase schedule: its pieces by
+    ``routes.rows_of(hop, region)`` — a write row ``(dest, origin, offset,
+    lo, hi)`` sends ``dest`` the piece ``(origin, offset, source[lo:hi])``, a
+    read row ``(dest, offset, lo, hi)`` the piece ``(offset,
+    source[lo:hi])`` — as ``({dest: pieces}, bytes sent to other ranks)``."""
     rank, outgoing, shuffled = region.rank, {}, 0
-    for dest, *head, lo, hi in routes.rows_of(hop, region):
+    for row in routes.rows_of(hop, region):
+        dest, lo, hi = row[0], row[-2], row[-1]
+        piece = (row[1], row[2], source[lo:hi]) if len(row) == 5 else (row[1], source[lo:hi])
         sent = outgoing.get(dest)
         if sent is None:
             outgoing[dest] = sent = []
-        sent.append((*head, source[lo:hi]))
+        sent.append(piece)
         if dest != rank:
             shuffled += hi - lo
-    return (yield outgoing), shuffled
+    return outgoing, shuffled
 
 
 @register_strategy

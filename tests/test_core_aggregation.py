@@ -164,3 +164,14 @@ def test_a_leader_checks_its_node_union(fault, leader):
         assert size(faulty) == size(inboxes[leader])
     with pytest.raises(ValueError, match=f"rank {leader}: the scatter delivered"):
         schedules[leader].send(faulty)
+
+
+@pytest.mark.parametrize("kind, hops, rank", [("flat", 1, 2), ("hier", 2, 2), ("hier", 1, 1)])
+def test_a_rank_owed_nothing_refuses_a_piece(kind, hops, rank):
+    # Rank 2's view is empty; on hop 0 of the two-rank-node read only the
+    # leaders are owed anything.  A rank owed nothing and sent nothing skips
+    # the tiling check, but a stray piece must not pass unseen.
+    schedules, inboxes = scatter_to(STRATEGIES[kind](), hops)
+    assert inboxes[rank] == []
+    with pytest.raises(ValueError, match=f"rank {rank}: the scatter delivered"):
+        schedules[rank].send([(0, [(0, b"A")])])

@@ -62,6 +62,7 @@ import reference_shuffle
 from generators import piece_lists
 from repro.core.aggregation import AggregatedRun, joined, merge_origin_runs, merge_pieces
 from repro.core.intervals import IntervalSet, clip_sorted_runs
+from repro.core.pipeline import step_runs
 from repro.core.rank_ordering import HIGHER_RANK_WINS, LOWER_RANK_WINS
 from repro.core.regions import FileRegionSet
 from repro.core.strategies import (
@@ -213,19 +214,16 @@ def test_every_hops_routed_runs_are_the_merge_of_what_it_received(case):
                         (origin, lo, piece[lo - offset : hi - offset])
                     )
             assert list(sent[1][rank].items()) == list(want.items()), f"leader {rank}"
-    # Aggregators: their steps and payload are the merge of what they received.
+    # Aggregators: the runs of their steps, as the client writes them, and
+    # their payload are the merge of what they received.
     for rank, (inbox, (plan, payloads)) in enumerate(zip(received[-1], returned)):
         merged = merge_origin_runs(arrived(inbox), policy)
         assert merged == reference_merge.merge_origin_runs(arrived(inbox), policy)
         aggregate = payloads[AGGREGATE_PAYLOAD]
         kept = [
-            AggregatedRun(
-                step.writer,
-                step.file_offset,
-                aggregate[step.buffer_offset : step.buffer_offset + step.length],
-            )
+            AggregatedRun(writer, file_offset, payloads[buffer][at : at + length])
             for phase in plan.phases
-            for step in phase.steps
+            for at, file_offset, length, buffer, writer in step_runs(phase.steps)
         ]
         assert kept == merged, f"aggregator {rank}"
         assert type(aggregate) is bytes

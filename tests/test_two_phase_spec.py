@@ -15,6 +15,14 @@ tie, every outcome's ``bytes_surrendered`` on both drivers must be
 ``surrendered_bytes_by_priority`` — its definition, independent of the
 routes and of every oracle.
 
+An aggregator writes one plan step per maximal file-contiguous stretch of
+its keep rows (the write routes' rows after the last hop), closed only
+before a run that would take it past ``cb_buffer_size``; each step names its
+``(origin, length)`` runs.  On the same collectives the steps must be those
+stretches, their runs expanded (``pipeline.step_runs``) the keep rows in
+order, and the servers must still see one request per run, on both drivers
+(each run one of the outcomes' ``segments_moved``).
+
 The sweep is made twice per write (once per tier: node winners, then global
 ones) and never on a read; the counting test pins it on both drivers.
 
@@ -27,7 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import generators
@@ -35,6 +43,7 @@ from repro.core import aggregation, rank_ordering
 from repro.core.bulk import BulkReadExecutor, BulkWriteExecutor
 from repro.core.executor import AtomicWriteExecutor, CollectiveReadExecutor
 from repro.core.intervals import IntervalSet, merge_interval_sets
+from repro.core.pipeline import step_runs
 from repro.core.rank_ordering import (
     HIGHER_RANK_WINS,
     LOWER_RANK_WINS,
@@ -43,6 +52,7 @@ from repro.core.rank_ordering import (
 from repro.core.regions import FileRegionSet
 from repro.core.strategies import HierarchicalTwoPhaseStrategy, TwoPhaseStrategy
 from repro.fs import ParallelFileSystem
+from repro.mpi.clock import VirtualClock
 from repro.patterns.partition import column_wise_views
 from repro.patterns.workloads import rank_pattern_bytes
 from tests.conftest import fast_fs_config
@@ -104,6 +114,65 @@ def test_every_writes_surrendered_bytes_are_the_definitions(case):
         want = surrendered_bytes_by_priority(result.regions, strategy.policy)
         got = [outcome.bytes_surrendered for outcome in result.outcomes]
         assert got == want, executor_cls.__name__
+
+
+def write_plans(regions, strategy):
+    """Every rank's write plan and the negotiation, the shuffles driven in
+    lockstep as the bulk driver drives them."""
+    neg = strategy.negotiate(regions)
+    shuffles = [
+        strategy.shuffle(r, rank_pattern_bytes(r.rank, r.total_bytes), neg) for r in regions
+    ]
+    executor = BulkWriteExecutor(ParallelFileSystem(fast_fs_config()), strategy)
+    prepared = executor._lockstep(shuffles, [VirtualClock() for _ in regions])
+    return [plan for plan, _ in prepared], neg
+
+
+@given(case=collectives())
+# Three touching runs, one aggregator: the first two fill the limit exactly.
+@example(case=([[(0, 4)], [(4, 4)], [(8, 4)]], lambda: TwoPhaseStrategy(1, cb_buffer_size=8)))
+def test_each_aggregator_writes_one_step_per_contiguous_span(case):
+    views, make_strategy = case
+    regions = [FileRegionSet(rank, segs) for rank, segs in enumerate(views)]
+    strategy = make_strategy()
+    limit = strategy.cb_buffer_size
+    plans, neg = write_plans(regions, strategy)
+    routes = neg.write_routes()
+    for region, plan in zip(regions, plans):
+        steps = [step for phase in plan.phases for step in phase.steps]
+        # Each step is a contiguous stretch, in file and buffer, of its runs;
+        # a step over the limit is one run; the next step starts past a gap,
+        # or its first run would have taken this one past the limit.
+        at = 0
+        for step in steps:
+            assert step.buffer_offset == at and step.writer is None, f"rank {region.rank}"
+            assert step.length == sum(length for _, length in step.runs) > 0
+            assert limit is None or step.length <= limit or len(step.runs) == 1
+            at += step.length
+        for step, after in zip(steps, steps[1:]):
+            if step.file_offset + step.length == after.file_offset:
+                assert limit is not None and step.length + after.runs[0][1] > limit
+        # Expanded, the runs are the keep rows in order.
+        rows = routes.rows_of(strategy._hops, region)
+        kept = [(origin, offset, hi - lo) for _, origin, offset, lo, hi in rows]
+        runs = [(writer, offset, length) for _, offset, length, _, writer in step_runs(steps)]
+        assert runs == kept, f"rank {region.rank}"
+
+
+@given(case=collectives())
+def test_the_servers_see_one_request_per_run(case):
+    """And every outcome's ``segments_moved`` counts runs, not steps."""
+    views, make_strategy = case
+    regions = [FileRegionSet(rank, segs) for rank, segs in enumerate(views)]
+    plans, _ = write_plans(regions, make_strategy())
+    runs = sum(len(list(step_runs(phase.steps))) for plan in plans for phase in plan.phases)
+    for executor_cls in (AtomicWriteExecutor, BulkWriteExecutor):
+        fs = ParallelFileSystem(fast_fs_config())  # stripes wider than the file
+        result = executor_cls(fs, make_strategy(), filename="spec.dat").run(
+            len(views), lambda rank, P: views[rank], rank_pattern_bytes
+        )
+        assert fs.servers.total_requests() == runs, executor_cls.__name__
+        assert sum(o.segments_moved for o in result.outcomes) == runs, executor_cls.__name__
 
 
 class TestWinnerSweeps:
